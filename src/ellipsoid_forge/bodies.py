@@ -157,14 +157,18 @@ class Ellipsoid(ConvexBody):
     def normal_at(self, x):
         return normalize(self._q @ (np.asarray(x, dtype=float) - self._c))
 
-    def boundary_point(self, z, d):
-        # quadratic in t: (v + t d)^T Q (v + t d) = 1
+    def _ray_quadratic(self, z, d):
+        """(a, b, c0, disc) of (v + t d)^T Q (v + t d) = 1 with v = z - c,
+        written a t^2 + 2 b t + c0 = 0; its roots are (-b +- sqrt(disc)) / a."""
         v = np.asarray(z, dtype=float) - self._c
-        d = normalize(d)
         a = d @ self._q @ d
         b = d @ self._q @ v
         c0 = v @ self._q @ v - 1.0
-        disc = b * b - a * c0
+        return a, b, c0, b * b - a * c0
+
+    def boundary_point(self, z, d):
+        d = normalize(d)
+        a, b, c0, disc = self._ray_quadratic(z, d)
         if c0 >= -1e-14 or disc <= 0.0:
             raise ValueError("ray base point is not interior")
         t = (-b + np.sqrt(disc)) / a
@@ -324,6 +328,24 @@ class AffineImage(ConvexBody):
         return normalize(self._ainv.T @ self._inner.normal_at(x_in))
 
 
+def ray_exit(body, base, d):
+    """Boundary point along base + t*d, t > 0, for interior base. From the
+    center it takes the closed-form ray, keeping curve symmetries bit-exact."""
+    if np.linalg.norm(base - body.center) <= 1e-13 * (1.0 + body.diameter()):
+        return body.boundary_from_center(d)
+    return body.boundary_point(base, d)
+
+
+def line_min_gauge(body, line):
+    """Gauge minimum along a line: (t, gauge at line.at(t), span). The bracket
+    [-span, span] covers the ball holding the body, so the whole chord too."""
+    span = float(np.linalg.norm(line.point - body.center)) + body.radius_bound()
+    g = lambda t: body.gauge(line.at(t))
+    r = minimize_scalar(g, bounds=(-span, span), method="bounded",
+                        options={"xatol": 1e-12 * (1.0 + span)})
+    return float(r.x), float(r.fun), span
+
+
 def line_boundary_points(body, line):
     """The two intersections of a line with bd K, ordered by the parameter.
 
@@ -332,27 +354,16 @@ def line_boundary_points(body, line):
     """
     if not isinstance(line, Line):
         raise TypeError("expected a Line")
-    p, d = line.point, line.direction
-    span = float(np.linalg.norm(p - body.center)) + body.radius_bound()
     if isinstance(body, Ellipsoid):
-        q, c = body.shape_matrix, body.center
-        v = p - c
-        a = d @ q @ d
-        b = d @ q @ v
-        c0 = v @ q @ v - 1.0
-        disc = b * b - a * c0
+        a, b, _, disc = body._ray_quadratic(line.point, line.direction)
         if disc <= 1e-14 * a:
             raise LineMissesBody("line misses the ellipsoid interior")
         root = np.sqrt(disc)
-        t1, t2 = (-b - root) / a, (-b + root) / a
-        return line.at(t1), line.at(t2)
-    g = lambda t: body.gauge(line.at(t))
-    res = minimize_scalar(g, bounds=(-span, span), method="bounded",
-                          options={"xatol": 1e-12 * (1.0 + span)})
-    t0, g0 = float(res.x), float(res.fun)
+        return line.at((-b - root) / a), line.at((-b + root) / a)
+    t0, g0, span = line_min_gauge(body, line)
     if g0 >= 1.0 - 1e-12:
         raise LineMissesBody("gauge minimum along the line is %.6f" % g0)
-    f = lambda t: g(t) - 1.0
+    f = lambda t: body.gauge(line.at(t)) - 1.0
     ta = brentq(f, -span, t0, xtol=1e-15 * span, rtol=8.9e-16)
     tb = brentq(f, t0, span, xtol=1e-15 * span, rtol=8.9e-16)
     return line.at(ta), line.at(tb)

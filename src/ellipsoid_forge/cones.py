@@ -1,18 +1,22 @@
 """Support cones, grazes, shadow boundaries, and cone-level predicates.
 
-The sampling strategy throughout: reduce to 2-planes through a distinguished
-axis (apex-to-center, illumination axis, or apex-to-apex line) and locate the
-in-plane tangency by sign change of g = <x - p, nu(p)> along the section
-boundary. For a smooth strictly convex section viewed from an in-plane
-exterior point, the visible arc is connected, so g changes sign exactly once
-per side and brentq is safe.
+Every curve here is a contact set of a support cone, swept by one routine,
+_tangency_sweep. Its apex is homogeneous, (a, w): w = 1 is the finite point
+a, w = 0 the point at infinity in direction a (the shadow boundary's
+cylinder). A boundary point p is a contact point iff g(p) = <a - w p, nu(p)>
+is 0. The sweep turns 2-planes about an axis through a base point and finds,
+in each, the sign change of g along the section boundary. For a smooth
+strictly convex section seen from an in-plane exterior apex the visible arc
+is connected, so g changes sign exactly once per half-turn and brentq is
+safe. The sweep needs two directions orthogonal to the axis: n >= 3.
 """
 
 import json
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
+from .bodies import line_min_gauge, ray_exit
 from .errors import (
     ApexInsideBody,
     CoincidentApexes,
@@ -21,6 +25,7 @@ from .errors import (
     NonSmoothBody,
     NotEllipsoidal,
     RayNotInterior,
+    UnsupportedDimension,
 )
 from .fitting import ELLIPSE, fit_planar_conic
 from .numeric import angle_between, normalize, unit_frame
@@ -70,32 +75,52 @@ def _require_smooth(body):
             "tangency sweeps need a smooth body; got kind %r" % body.kind)
 
 
-def _sweep_angles(m, seed):
-    # tiny seeded phase so axis-aligned coordinate flats are never hit exactly
-    rng = np.random.default_rng(seed)
-    phi0 = rng.uniform(0.0, 2.0 * np.pi / max(m, 1))
-    return phi0 + 2.0 * np.pi * np.arange(m) / m
+def _tangency_sweep(body, base, axis, apexes, m, seed, halves=((0.0, np.pi),)):
+    """Tangency points of homogeneous apexes in m sweep planes about an axis.
 
-
-def _ray_boundary(body, base, d):
-    if np.linalg.norm(base - body.center) <= 1e-13 * (1.0 + body.diameter()):
-        return body.boundary_from_center(d)
-    return body.boundary_point(base, d)
-
-
-def _plane_tangent_point(body, apex, base, e, v, lo, hi):
-    """Tangent point of the section in the 2-plane span(e,v) through base.
-
-    The section boundary is gamma(phi) = boundary point from base along
-    cos(phi) e + sin(phi) v; the root of <apex - gamma, nu(gamma)> in
-    (lo, hi) is the in-plane (equivalently full) tangency.
+    Sweep plane j is span(axis, v_j) through base. For each apex (a, w) and
+    each half-turn (lo, hi) the root of g(phi) = <a - w gamma, nu(gamma)> in
+    (lo, hi) is the in-plane, and so the full, tangency. Returns the points,
+    shape (m, apexes, halves, n), their residuals |g| (divided by |a - p| for
+    a finite apex), the plane directions v_j, and the sweep's curve meta.
     """
-    def g(phi):
-        p = _ray_boundary(body, base, np.cos(phi) * e + np.sin(phi) * v)
-        return float((apex - p) @ body.normal_at(p))
+    if body.dim < 3:
+        raise UnsupportedDimension(
+            "tangency sweeps need dimension >= 3; got %d" % body.dim)
+    frame = unit_frame(axis)
+    w1, w2 = frame[:, 0], frame[:, 1]
+    # tiny seeded phase so axis-aligned coordinate flats are never hit exactly
+    phi0 = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi / max(m, 1))
+    angles = phi0 + 2.0 * np.pi * np.arange(m) / m
+    planes = [np.cos(th) * w1 + np.sin(th) * w2 for th in angles]
+    pts = np.empty((m, len(apexes), len(halves), body.dim))
+    res = np.empty(pts.shape[:3])
+    for j, v in enumerate(planes):
+        for i, (a, w) in enumerate(apexes):
+            # a - w p as a branch: w is 1 or 0, and g is the sweep's hot loop
+            def g(phi):
+                p = ray_exit(body, base, np.cos(phi) * axis + np.sin(phi) * v)
+                return float(((a - p) if w else a) @ body.normal_at(p))
 
-    phi = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    return _ray_boundary(body, base, np.cos(phi) * e + np.sin(phi) * v)
+            for k, (lo, hi) in enumerate(halves):
+                phi = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
+                p = ray_exit(body, base, np.cos(phi) * axis + np.sin(phi) * v)
+                r = abs(float(((a - p) if w else a) @ body.normal_at(p)))
+                pts[j, i, k] = p
+                res[j, i, k] = r / np.linalg.norm(a - p) if w else r
+    meta = {
+        "axis_point": [float(t) for t in base],
+        "axis_dir": [float(t) for t in axis],
+        "frame": [[float(t) for t in w1], [float(t) for t in w2]],
+        "angles": [float(t) for t in angles],
+    }
+    return pts, res, planes, meta
+
+
+def _curve(kind, body, inputs, m, seed, points, residuals, sweep_meta):
+    meta = {"curve": kind, "body": body.body_id(), **inputs,
+            "m": int(m), "seed": int(seed), **sweep_meta}
+    return CurveSample(points, residuals, meta)
 
 
 def graze(body, apex, m=200, seed=0):
@@ -107,31 +132,12 @@ def graze(body, apex, m=200, seed=0):
     if body.gauge(apex) <= 1.0 + 1e-9:
         raise ApexInsideBody("apex gauge %.9f" % body.gauge(apex))
     c = body.center
-    e = normalize(apex - c)
-    frame = unit_frame(e)
-    w1, w2 = frame[:, 0], frame[:, 1]
-    angles = _sweep_angles(m, seed)
-    pts = np.empty((m, body.dim))
-    res = np.empty(m)
-    for j, th in enumerate(angles):
-        v = np.cos(th) * w1 + np.sin(th) * w2
-        # g(0) > 0 and g(pi) < 0: the ray from the center toward the apex
-        # exits through a point whose normal has positive axis component
-        p = _plane_tangent_point(body, apex, c, e, v, 0.0, np.pi)
-        pts[j] = p
-        res[j] = abs(float((apex - p) @ body.normal_at(p))) / np.linalg.norm(apex - p)
-    meta = {
-        "curve": "graze",
-        "body": body.body_id(),
-        "apex": [float(t) for t in apex],
-        "m": int(m),
-        "seed": int(seed),
-        "axis_point": [float(t) for t in c],
-        "axis_dir": [float(t) for t in e],
-        "frame": [[float(t) for t in w1], [float(t) for t in w2]],
-        "angles": [float(t) for t in angles],
-    }
-    return CurveSample(pts, res, meta)
+    # g(0) > 0 and g(pi) < 0: the ray from the center toward the apex exits
+    # through a point whose normal has positive axis component
+    pts, res, _, sweep = _tangency_sweep(body, c, normalize(apex - c),
+                                         [(apex, 1.0)], m, seed)
+    return _curve("graze", body, {"apex": [float(t) for t in apex]}, m, seed,
+                  pts[:, 0, 0], res[:, 0, 0], sweep)
 
 
 def support_cone(body, apex, m=200, seed=0):
@@ -143,51 +149,10 @@ def shadow_boundary(body, direction, m=200, seed=0):
     outer normal is orthogonal to the illumination direction."""
     _require_smooth(body)
     u = normalize(direction)
-    c = body.center
-    frame = unit_frame(u)
-    w1, w2 = frame[:, 0], frame[:, 1]
-    angles = _sweep_angles(m, seed)
-    pts = np.empty((m, body.dim))
-    res = np.empty(m)
-    for j, th in enumerate(angles):
-        v = np.cos(th) * w1 + np.sin(th) * w2
-
-        def g(phi):
-            p = _ray_boundary(body, c, np.cos(phi) * u + np.sin(phi) * v)
-            return float(u @ body.normal_at(p))
-
-        phi = brentq(g, 0.0, np.pi, xtol=1e-14, rtol=8.9e-16)
-        p = _ray_boundary(body, c, np.cos(phi) * u + np.sin(phi) * v)
-        pts[j] = p
-        res[j] = abs(float(u @ body.normal_at(p)))
-    meta = {
-        "curve": "shadow",
-        "body": body.body_id(),
-        "direction": [float(t) for t in u],
-        "m": int(m),
-        "seed": int(seed),
-        "axis_point": [float(t) for t in c],
-        "axis_dir": [float(t) for t in u],
-        "frame": [[float(t) for t in w1], [float(t) for t in w2]],
-        "angles": [float(t) for t in angles],
-    }
-    return CurveSample(pts, res, meta)
-
-
-def _line_deep_point(body, line):
-    """Gauge-minimizing point of a line, snapped to the body center when the
-    line passes through it (keeps reflection symmetries bit-exact)."""
-    t_c = float((body.center - line.point) @ line.direction)
-    if np.linalg.norm(line.at(t_c) - body.center) <= 1e-9 * body.diameter():
-        if body.gauge(line.at(t_c)) < 1.0 - 1e-9:
-            return line.at(t_c)
-    span = float(np.linalg.norm(line.point - body.center)) + body.radius_bound()
-    g = lambda t: body.gauge(line.at(t))
-    r = minimize_scalar(g, bounds=(-span, span), method="bounded",
-                        options={"xatol": 1e-12 * (1.0 + span)})
-    if float(r.fun) >= 1.0 - 1e-9:
-        raise LineMissesBody("minimum gauge along the line is %.9f" % float(r.fun))
-    return line.at(float(r.x))
+    pts, res, _, sweep = _tangency_sweep(body, body.center, u, [(u, 0.0)],
+                                         m, seed)
+    return _curve("shadow", body, {"direction": [float(t) for t in u]}, m,
+                  seed, pts[:, 0, 0], res[:, 0, 0], sweep)
 
 
 def cone_intersection(body, x, y, m=200, seed=0):
@@ -197,24 +162,28 @@ def cone_intersection(body, x, y, m=200, seed=0):
     _require_smooth(body)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    diam = body.diameter()
-    if np.linalg.norm(x - y) <= 1e-9 * diam:
+    if np.linalg.norm(x - y) <= 1e-9 * body.diameter():
         raise CoincidentApexes("apexes are %.3e apart" % np.linalg.norm(x - y))
     for apex in (x, y):
         if body.gauge(apex) <= 1.0 + 1e-9:
             raise ApexInsideBody("apex gauge %.9f" % body.gauge(apex))
     e = normalize(y - x)
-    base = _line_deep_point(body, Line(x, e))
-    frame = unit_frame(e)
-    w1, w2 = frame[:, 0], frame[:, 1]
-    angles = _sweep_angles(m, seed)
+    line = Line(x, e)
+    # snap the base to the center when the line passes through it, which
+    # keeps reflection symmetries bit-exact
+    base = line.at(float((body.center - line.point) @ line.direction))
+    if not (np.linalg.norm(base - body.center) <= 1e-9 * body.diameter()
+            and body.gauge(base) < 1.0 - 1e-9):
+        t, g, _ = line_min_gauge(body, line)
+        if g >= 1.0 - 1e-9:
+            raise LineMissesBody("minimum gauge along the line is %.9f" % g)
+        base = line.at(t)
+    # apex y lies on the +e side of base, apex x on the -e side
+    tangents, res, planes, sweep = _tangency_sweep(
+        body, base, e, [(y, 1.0), (x, 1.0)], m, seed)
     pts = np.empty((m, body.dim))
-    res = np.empty(m)
-    for j, th in enumerate(angles):
-        v = np.cos(th) * w1 + np.sin(th) * w2
-        # apex y lies on the +e side of base, apex x on the -e side
-        py = _plane_tangent_point(body, y, base, e, v, 0.0, np.pi)
-        px = _plane_tangent_point(body, x, base, e, v, 0.0, np.pi)
+    for j, v in enumerate(planes):
+        py, px = tangents[j, 0, 0], tangents[j, 1, 0]
         # intersect the two tangent rays inside the sweep plane
         chart = np.vstack([e, v])
         x2, y2 = chart @ (x - base), chart @ (y - base)
@@ -228,23 +197,10 @@ def cone_intersection(body, x, y, m=200, seed=0):
         if t <= 0.0 or s <= 0.0:
             raise DegenerateCone("tangent rays meet behind an apex (plane %d)" % j)
         q2 = x2 + t * (px2 - x2)
-        q = base + q2[0] * e + q2[1] * v
-        tx = abs(float((x - px) @ body.normal_at(px))) / np.linalg.norm(x - px)
-        ty = abs(float((y - py) @ body.normal_at(py))) / np.linalg.norm(y - py)
-        pts[j] = q
-        res[j] = max(tx, ty)
-    meta = {
-        "curve": "cone-intersection",
-        "body": body.body_id(),
-        "apexes": [[float(t) for t in x], [float(t) for t in y]],
-        "m": int(m),
-        "seed": int(seed),
-        "axis_point": [float(t) for t in base],
-        "axis_dir": [float(t) for t in e],
-        "frame": [[float(t) for t in w1], [float(t) for t in w2]],
-        "angles": [float(t) for t in angles],
-    }
-    return CurveSample(pts, res, meta)
+        pts[j] = base + q2[0] * e + q2[1] * v
+    apexes = [[float(t) for t in x], [float(t) for t in y]]
+    return _curve("cone-intersection", body, {"apexes": apexes}, m, seed, pts,
+                  res.max(axis=(1, 2)), sweep)
 
 
 def _bounded_section_points(cone, normal, dist=1.0, min_cos=0.05):
@@ -367,21 +323,17 @@ def is_symmetric_cone(cone, axis, k=64, tol=1e-7, seed=0):
     a = axis.direction
     if a @ cone.mean_generator < 0:
         a = -a
-    span = float(np.linalg.norm(apex - body.center)) + body.radius_bound()
-    g = lambda t: body.gauge(apex + t * a)
-    r = minimize_scalar(g, bounds=(0.0, span), method="bounded",
-                        options={"xatol": 1e-12 * (1.0 + span)})
-    if float(r.fun) >= 1.0 - 1e-9:
+    # the gauge is convex along the line and above 1 at the apex, so the ray
+    # from the apex enters the body iff the line minimum is inside and ahead
+    line = Line(apex, a)
+    t, g, _ = line_min_gauge(body, line)
+    if g >= 1.0 - 1e-9 or t <= 0.0:
         raise RayNotInterior("axis ray misses the body interior")
-    base = apex + float(r.x) * a
-    frame = unit_frame(a)
-    w1, w2 = frame[:, 0], frame[:, 1]
+    # apex sits on the -a side of base: g changes sign on each half-turn
+    tangents, _, _, _ = _tangency_sweep(body, line.at(t), a, [(apex, 1.0)], k,
+                                        seed, halves=((0.0, np.pi), (np.pi, 2.0 * np.pi)))
     worst = 0.0
-    for th in _sweep_angles(k, seed):
-        v = np.cos(th) * w1 + np.sin(th) * w2
-        # apex sits on the -a side of base: g changes sign on each half-turn
-        p_plus = _plane_tangent_point(body, apex, base, a, v, 0.0, np.pi)
-        p_minus = _plane_tangent_point(body, apex, base, a, v, np.pi, 2.0 * np.pi)
+    for p_plus, p_minus in tangents[:, 0]:
         d_plus = normalize(p_plus - apex)
         d_minus = normalize(p_minus - apex)
         worst = max(worst, abs(angle_between(d_plus, a) - angle_between(d_minus, a)))

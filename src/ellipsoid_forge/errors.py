@@ -9,6 +9,10 @@ class GeometryError(Exception):
     """Base class for geometric precondition and degeneracy failures."""
 
 
+class UnsupportedDimension(GeometryError):
+    """The operation is not defined in the dimension of its input."""
+
+
 # geom-core
 class NonCollinear(GeometryError):
     """Points handed to a cross-ratio style operation are not collinear."""

@@ -224,20 +224,3 @@ def fit_quadric(points, tol=DEFAULT_ELLIPSE_TOL):
     else:
         classification = PARABOLA_OR_DEGENERATE
     return FitResult(coeffs, rms, mx, classification, detail)
-
-
-def fit_section_quadric(points, plane, tol=DEFAULT_ELLIPSE_TOL):
-    """Quadric fit inside an orthonormal chart of a hyperplane; conic when n=3."""
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[1] == 3:
-        return fit_planar_conic(pts, plane, tol=tol)
-    diam = cloud_diameter(pts)
-    off = np.abs(pts @ plane.normal - plane.offset)
-    if diam == 0.0:
-        raise DegenerateCloud("all points coincide")
-    if off.max() > 1e-9 * diam:
-        raise NotCoplanar("points deviate from the plane")
-    basis = unit_frame(plane.normal)
-    origin = plane.normal * plane.offset
-    chart = (pts - origin) @ basis
-    return fit_quadric(chart, tol=tol)

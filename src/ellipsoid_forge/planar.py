@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
+from .bodies import ray_exit
 from .errors import EndpointNotOnBoundary, NotANorm, NotFound, PlaneMissesBody
 from .numeric import angle_between, normalize, unit_frame
 from .projective import Hyperplane
@@ -21,6 +22,15 @@ from .projective import Hyperplane
 
 def _rot90(v):
     return np.array([-v[1], v[0]])
+
+
+def _widen(ok, t):
+    """Double t, at most 60 times, until ok(t) holds."""
+    for _ in range(60):
+        if ok(t):
+            break
+        t *= 2.0
+    return t
 
 
 class PlanarSection:
@@ -67,27 +77,13 @@ class PlanarSection:
         t_hi = 1.0 + float(np.linalg.norm(w_world))
         if body.is_smooth:
             dpsi = lambda t: float(body.support_point(w_world + t * n) @ n) - d
-            lo, hi = -t_hi, t_hi
-            for _ in range(60):
-                if dpsi(lo) < 0.0:
-                    break
-                lo *= 2.0
-            for _ in range(60):
-                if dpsi(hi) > 0.0:
-                    break
-                hi *= 2.0
+            lo = _widen(lambda t: dpsi(t) < 0.0, -t_hi)
+            hi = _widen(lambda t: dpsi(t) > 0.0, t_hi)
             return brentq(dpsi, lo, hi, xtol=1e-13 * max(1.0, abs(lo), abs(hi)),
                           rtol=8.9e-16)
         psi = lambda t: body.support(w_world + t * n) - t * d
-        lo, hi = -t_hi, t_hi
-        for _ in range(60):
-            if psi(lo) > psi(0.0):
-                break
-            lo *= 2.0
-        for _ in range(60):
-            if psi(hi) > psi(0.0):
-                break
-            hi *= 2.0
+        lo = _widen(lambda t: psi(t) > psi(0.0), -t_hi)
+        hi = _widen(lambda t: psi(t) > psi(0.0), t_hi)
         r = minimize_scalar(psi, bounds=(lo, hi), method="bounded",
                             options={"xatol": 1e-12 * max(1.0, abs(lo), abs(hi))})
         return float(r.x)
@@ -114,20 +110,10 @@ class PlanarSection:
             base_w = self.origin
         else:
             base_w = self.to_world(base2)
-        d_world = self.basis.T @ normalize(d2)
-        if np.linalg.norm(base_w - self.body.center) <= 1e-13 * (1.0 + self.body.diameter()):
-            z = self.body.boundary_from_center(d_world)
-        else:
-            z = self.body.boundary_point(base_w, d_world)
-        return self.to_chart(z)
+        return self.to_chart(ray_exit(self.body, base_w, self.basis.T @ normalize(d2)))
 
     def gauge2(self, p2):
-        p2 = np.asarray(p2, dtype=float)
-        r = np.linalg.norm(p2)
-        if r == 0.0:
-            return 0.0
-        b = self.boundary2(p2 / r)
-        return float(r / np.linalg.norm(b))
+        return _section_norm(self, np.zeros(2), p2)
 
     def normal2_at(self, p2):
         """In-plane outer normal of the section at a boundary point."""

@@ -150,31 +150,6 @@ class InfinityHyperplane:
 INFINITY_HYPERPLANE = InfinityHyperplane()
 
 
-@dataclass(frozen=True)
-class Slab:
-    """Region between the parallel hyperplanes <n,x>=a1 and <n,x>=a2."""
-
-    normal: np.ndarray
-    a1: float
-    a2: float
-
-    def __post_init__(self):
-        n = np.asarray(self.normal, dtype=float)
-        if abs(np.linalg.norm(n) - 1.0) > 1e-12:
-            raise ValueError("slab normal must be a unit vector")
-        if not self.a1 < self.a2:
-            raise ValueError("slab requires a1 < a2")
-        object.__setattr__(self, "normal", n)
-
-    @property
-    def width(self):
-        return self.a2 - self.a1
-
-    def contains(self, x, tol=0.0):
-        s = float(np.dot(self.normal, np.asarray(x, dtype=float)))
-        return self.a1 - tol <= s <= self.a2 + tol
-
-
 def _check_invertible(m):
     s = np.linalg.svd(m, compute_uv=False)
     scale = s[0]
@@ -203,9 +178,6 @@ class ProjectiveMap:
 
     def inverse(self):
         return type(self)(np.linalg.inv(self.matrix))
-
-    def compose(self, other):
-        return ProjectiveMap(self.matrix @ other.matrix)
 
 
 class AffineMap(ProjectiveMap):
@@ -248,9 +220,6 @@ class AffineMap(ProjectiveMap):
         n_new = normalize(np.linalg.solve(self.a.T, h.normal))
         p_img = self.apply_affine(h.normal * h.offset)
         return Hyperplane(n_new, float(np.dot(n_new, p_img)))
-
-    def inverse(self):
-        return AffineMap(np.linalg.inv(self.matrix))
 
 
 def _project_to_line(points):

@@ -10,12 +10,17 @@ hypothesis-violated rather than a numerical contradiction of the implication.
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
-from .bodies import is_o_symmetric, line_boundary_points, o_symmetry_residual
+from .bodies import (
+    is_o_symmetric,
+    line_boundary_points,
+    line_min_gauge,
+    o_symmetry_residual,
+)
 from .cones import cone_intersection, graze, is_ellipsoidal_cone, shadow_boundary, support_cone
 from .errors import (
     BallTooLarge,
@@ -113,14 +118,7 @@ class StageEntry:
     detail: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def _entry(name, kind, residual, tolerance, ok, **detail):
@@ -187,6 +185,13 @@ class CheckReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
+def _report(t0, stages, **fields):
+    """The check's CheckReport: verdict from the stages, wall time since t0."""
+    report = CheckReport(verdict=_assemble(stages), stages=stages, **fields)
+    report.wall_time = time.perf_counter() - t0
+    return report
+
+
 @dataclass
 class PoleResult:
     pole: HPoint
@@ -220,19 +225,6 @@ def _nesting_gate(inner, outer, margin, m=128, seed=0):
     if gap > -margin * diam:
         raise BodiesNotNested("support gap %.3e, needed below %.3e"
                               % (gap, -margin * diam))
-
-
-def _line_min_gauge(body, p, q):
-    """Minimum gauge of the full line through p and q."""
-    p = np.asarray(p, dtype=float)
-    d = np.asarray(q, dtype=float) - p
-    nd = float(np.linalg.norm(d))
-    t0 = float((body.center - p) @ d) / (nd * nd)
-    half = (body.radius_bound() + np.linalg.norm(p + t0 * d - body.center)) / nd + 1.0
-    r = minimize_scalar(lambda t: body.gauge(p + t * d),
-                        bounds=(t0 - half, t0 + half), method="bounded",
-                        options={"xatol": 1e-10})
-    return float(r.fun)
 
 
 def _tangent_planes_through_line(body, p0, e):
@@ -416,8 +408,7 @@ def check_theorem1(l_body, k_body, apexes=16, m=64, pairs=8, seed=0,
     stages.append(_entry("inner-o-symmetry", "hypothesis", sym, tol["symmetry"],
                          sym <= tol["symmetry"]))
 
-    apex_pts = [k_body.boundary_from_center(u)
-                for u in sphere_directions(k_body.dim, apexes, seed=seed)]
+    apex_pts = _boundary_cloud(k_body, apexes, seed=seed)
 
     worst_rms = 0.0
     all_ellipsoidal = True
@@ -451,7 +442,7 @@ def check_theorem1(l_body, k_body, apexes=16, m=64, pairs=8, seed=0,
             break
         j = (i + 1) % len(apex_pts)
         xi, xj = apex_pts[i], apex_pts[j]
-        if _line_min_gauge(l_body, xi, xj) <= 1.0 + tol["margin"]:
+        if line_min_gauge(l_body, Line(xi, xj - xi))[1] <= 1.0 + tol["margin"]:
             continue
         meet = np.cross(fitted_planes[i].normal, fitted_planes[j].normal)
         if np.linalg.norm(meet) < 1e-3:
@@ -475,17 +466,13 @@ def check_theorem1(l_body, k_body, apexes=16, m=64, pairs=8, seed=0,
                               tol["ellipse"], seed=seed, role="inner")
     stages.append(entry)
 
-    report = CheckReport(
-        theorem="t1",
-        verdict=_assemble(stages),
+    return _report(
+        t0, stages, theorem="t1",
         bodies={"inner": l_body.body_id(), "outer": k_body.body_id()},
-        stages=stages,
         seed=int(seed),
         sample_counts={"apexes": int(apexes), "m": int(m), "pairs": int(pairs)},
         tolerances=tol,
     )
-    report.wall_time = time.perf_counter() - t0
-    return report
 
 
 def _matched_section_cloud(sec, pts_world, base2):
@@ -553,7 +540,11 @@ def check_theorem2(l_body, k_body, p, apexes=12, m=64, chords=48, radon_k=128,
                          apexes=int(apexes), search_failed=search_failed,
                          errors=failures))
 
-    if kept:
+    if not kept:
+        for name in ("supporting-planes-parallel", "section-chords-affine-diameters",
+                     "sections-are-radon"):
+            stages.append(_skip(name, "derived", "no section plane found"))
+    else:
         worst_parallel = 0.0
         for sec, base2, plane, x, y in kept:
             worst_parallel = max(worst_parallel,
@@ -562,11 +553,7 @@ def check_theorem2(l_body, k_body, p, apexes=12, m=64, chords=48, radon_k=128,
         stages.append(_entry("supporting-planes-parallel", "derived",
                              worst_parallel, tol["angular"],
                              worst_parallel <= tol["angular"]))
-    else:
-        stages.append(_skip("supporting-planes-parallel", "derived",
-                            "no section plane found"))
 
-    if kept:
         worst_chord = 0.0
         for sec, base2, plane, x, y in kept[:3]:
             for th in np.linspace(0.0, np.pi, chords, endpoint=False):
@@ -578,11 +565,7 @@ def check_theorem2(l_body, k_body, p, apexes=12, m=64, chords=48, radon_k=128,
         stages.append(_entry("section-chords-affine-diameters", "derived",
                              worst_chord, tol["diameter"],
                              worst_chord <= tol["diameter"], chords=int(chords)))
-    else:
-        stages.append(_skip("section-chords-affine-diameters", "derived",
-                            "no section plane found"))
 
-    if kept:
         worst_radon = 0.0
         radon_ok = True
         for sec, base2, plane, x, y in kept[:2]:
@@ -593,9 +576,6 @@ def check_theorem2(l_body, k_body, p, apexes=12, m=64, chords=48, radon_k=128,
             worst_radon = max(worst_radon, d if np.isfinite(d) else 1.0)
         stages.append(_entry("sections-are-radon", "derived", worst_radon,
                              tol["contact"], radon_ok, k=int(radon_k)))
-    else:
-        stages.append(_skip("sections-are-radon", "derived",
-                            "no section plane found"))
 
     fit_l = fit_quadric(_boundary_cloud(l_body, 256, seed=seed),
                         tol=tol["ellipse"])
@@ -625,19 +605,15 @@ def check_theorem2(l_body, k_body, p, apexes=12, m=64, chords=48, radon_k=128,
         stages.append(_skip("homothetic-shapes", "conclusion",
                             "quadric fits are not both elliptic"))
 
-    report = CheckReport(
-        theorem="t2",
-        verdict=_assemble(stages),
+    return _report(
+        t0, stages, theorem="t2",
         bodies={"inner": l_body.body_id(), "outer": k_body.body_id()},
-        stages=stages,
         seed=int(seed),
         sample_counts={"apexes": int(apexes), "m": int(m),
                        "chords": int(chords), "radon_k": int(radon_k)},
         tolerances=tol,
         inputs={"p": [float(t) for t in p]},
     )
-    report.wall_time = time.perf_counter() - t0
-    return report
 
 
 def check_theorem3(l_body, k_body, apexes=12, m=64, lines=32, w_samples=16,
@@ -661,8 +637,7 @@ def check_theorem3(l_body, k_body, apexes=12, m=64, lines=32, w_samples=16,
     _nesting_gate(l_body, k_body, tol["margin"])
     stages = []
 
-    apex_pts = [k_body.boundary_from_center(u)
-                for u in sphere_directions(k_body.dim, apexes, seed=seed)]
+    apex_pts = _boundary_cloud(k_body, apexes, seed=seed)
 
     pole_worst = 0.0
     pole_ok = True
@@ -716,7 +691,8 @@ def check_theorem3(l_body, k_body, apexes=12, m=64, lines=32, w_samples=16,
         for th in np.linspace(0.0, 2.0 * np.pi, w_samples, endpoint=False):
             w2 = sec.boundary2(np.array([np.cos(th), np.sin(th)]))
             w = sec.to_world(w2)
-            min_line_gauge = min(min_line_gauge, _line_min_gauge(l_body, z, w))
+            min_line_gauge = min(min_line_gauge,
+                                 line_min_gauge(l_body, Line(z, w - z))[1])
             segments += 1
     if segments == 0:
         stages.append(_skip("almost-free-segments", "derived",
@@ -733,18 +709,14 @@ def check_theorem3(l_body, k_body, apexes=12, m=64, lines=32, w_samples=16,
                               tol["ellipse"], seed=seed, role="inner")
     stages.append(entry)
 
-    report = CheckReport(
-        theorem="t3",
-        verdict=_assemble(stages),
+    return _report(
+        t0, stages, theorem="t3",
         bodies={"inner": l_body.body_id(), "outer": k_body.body_id()},
-        stages=stages,
         seed=int(seed),
         sample_counts={"apexes": int(apexes), "m": int(m), "lines": int(lines),
                        "w_samples": int(w_samples)},
         tolerances=tol,
     )
-    report.wall_time = time.perf_counter() - t0
-    return report
 
 
 def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
@@ -931,18 +903,14 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
         stages.append(_skip("scaled-section-centering", "conclusion",
                             "quadric fit is not elliptic"))
 
-    report = CheckReport(
-        theorem="t4",
-        verdict=_assemble(stages),
+    return _report(
+        t0, stages, theorem="t4",
         bodies={"body": k_body.body_id()},
-        stages=stages,
         seed=int(seed),
         sample_counts={"samples": int(samples), "m": int(m)},
         tolerances=tol,
         inputs={"radius": r},
     )
-    report.wall_time = time.perf_counter() - t0
-    return report
 
 
 def check_theorem_basico(k_body, p, eps=0.2, planes=8, offsets=7, m=64,
@@ -1047,11 +1015,9 @@ def check_theorem_basico(k_body, p, eps=0.2, planes=8, offsets=7, m=64,
                               tol["ellipse"], seed=seed)
     stages.append(entry)
 
-    report = CheckReport(
-        theorem="basico",
-        verdict=_assemble(stages),
+    return _report(
+        t0, stages, theorem="basico",
         bodies={"body": k_body.body_id()},
-        stages=stages,
         seed=int(seed),
         sample_counts={"planes": int(planes), "offsets": int(offsets),
                        "m": int(m), "sym_m": int(sym_m)},
@@ -1059,8 +1025,6 @@ def check_theorem_basico(k_body, p, eps=0.2, planes=8, offsets=7, m=64,
         branch=branch,
         inputs={"p": [float(t) for t in p], "eps": eps},
     )
-    report.wall_time = time.perf_counter() - t0
-    return report
 
 
 def check_theorem_radon(k_body, planes=6, diameters=128, seed=0,
@@ -1091,14 +1055,10 @@ def check_theorem_radon(k_body, planes=6, diameters=128, seed=0,
                               tol["ellipse"], seed=seed)
     stages.append(entry)
 
-    report = CheckReport(
-        theorem="radon",
-        verdict=_assemble(stages),
+    return _report(
+        t0, stages, theorem="radon",
         bodies={"body": k_body.body_id()},
-        stages=stages,
         seed=int(seed),
         sample_counts={"planes": int(planes), "diameters": int(diameters)},
         tolerances=tol,
     )
-    report.wall_time = time.perf_counter() - t0
-    return report

@@ -30,6 +30,7 @@ def specs(tmp_path_factory):
     put("ellipsoid", Ellipsoid(np.zeros(3), np.diag([1.0, 4.0, 9.0])))
     put("l4", PBall(4.0, (1.0, 1.0, 1.0)))
     put("l4_double", PBall(4.0, (2.0, 2.0, 2.0)))
+    put("disc", Ellipsoid.ball(1.0, dim=2))
     bad = root / "broken.body"
     bad.write_text("ellipsoid-forge-body v1\nkind banana\n")
     paths["broken"] = str(bad)
@@ -181,6 +182,13 @@ def test_geometry_error_exits_one(specs, capsys):
                  "--outer", specs["ball1"]])
     assert code == 1
     assert "BodiesNotNested" in capsys.readouterr().err
+
+
+def test_sample_graze_on_planar_body_exits_one(specs, tmp_path, capsys):
+    code = main(["sample", "graze", "--body", specs["disc"], "--apex", "2,0",
+                 "--out", str(tmp_path / "g.csv")])
+    assert code == 1
+    assert "UnsupportedDimension" in capsys.readouterr().err
 
 
 def test_missing_file_exits_one(capsys):

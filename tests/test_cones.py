@@ -33,6 +33,7 @@ from ellipsoid_forge.errors import (
     NonSmoothBody,
     NotEllipsoidal,
     RayNotInterior,
+    UnsupportedDimension,
 )
 from ellipsoid_forge.fitting import ELLIPSE, fit_planar_conic
 
@@ -137,6 +138,28 @@ def test_cone_intersection_error_paths(unit_ball):
                           np.array([2.0, 2.0, 5.0]))
 
 
+def test_cone_intersection_apex_line_off_centre():
+    # the apex line passes 0.127 from the center, so the sweep base comes from
+    # the line-gauge minimiser, not the center snap. The ellipsoid's cone from
+    # x is (<z-c, Q(x-c)> - 1)^2 = alpha (<z-c, Q(z-c)> - 1), so a point z on
+    # both cones has |<z-c, Q(x-c)> - 1| / sqrt(alpha) equal to the same
+    # expression in y and beta
+    q = np.diag([1.0, 4.0, 9.0])
+    c = np.array([0.1, -0.2, 0.05])
+    body = Ellipsoid(c, q)
+    x = c + np.array([2.0, 0.1, 0.05])
+    y = c + np.array([-1.8, 0.15, -0.02])
+    sample = cone_intersection(body, x, y)
+    assert np.linalg.norm(np.asarray(sample.meta["axis_point"]) - c) > 0.1
+    alpha = (x - c) @ q @ (x - c) - 1.0
+    beta = (y - c) @ q @ (y - c) - 1.0
+    z = sample.points - c
+    from_x = np.abs(z @ q @ (x - c) - 1.0) / np.sqrt(alpha)
+    from_y = np.abs(z @ q @ (y - c) - 1.0) / np.sqrt(beta)
+    assert np.abs(from_x - from_y).max() < 1e-10
+    assert sample.max_residual < 1e-12
+
+
 def test_l4_cone_intersection_nonplanar_off_axis(l4_unit):
     sample = cone_intersection(
         l4_unit, np.array([2.0, 1.0, 0.5]), np.array([-2.0, -1.0, -0.5]), m=100)
@@ -171,6 +194,17 @@ def test_l4_shadow_is_nonplanar(l4_unit):
     sample = shadow_boundary(l4_unit, u, m=120)
     _, _, rel = fit_plane_rms(sample.points)
     assert 0.06 < rel < 0.10
+
+
+@pytest.mark.parametrize("construct", [
+    lambda body: graze(body, np.array([2.0, 0.0])),
+    lambda body: shadow_boundary(body, np.array([1.0, 0.0])),
+    lambda body: cone_intersection(body, np.array([2.0, 0.0]),
+                                   np.array([-2.0, 0.0])),
+], ids=["graze", "shadow", "cone-intersection"])
+def test_tangency_sweeps_need_dimension_three(construct):
+    with pytest.raises(UnsupportedDimension):
+        construct(Ellipsoid.ball(1.0, dim=2))
 
 
 # ------------------------------------------------------------- cone tests

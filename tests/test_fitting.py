@@ -18,7 +18,6 @@ from ellipsoid_forge import (
     section,
 )
 from ellipsoid_forge.errors import DegenerateCloud, NotCoplanar
-from ellipsoid_forge.fitting import fit_section_quadric
 from ellipsoid_forge.numeric import sphere_directions
 
 from oracles import ellipsoid_section_center, fit_plane_rms
@@ -164,20 +163,6 @@ def test_fit_quadric_planar_cloud_is_degenerate():
     pts3 = np.column_stack([pts, np.zeros(30)])
     with pytest.raises(DegenerateCloud):
         fit_quadric(pts3)
-
-
-def test_fit_section_quadric_dispatches_to_conic():
-    body = Ellipsoid.ball(1.0)
-    plane = Hyperplane(np.array([0.0, 0.0, 1.0]), 0.2)
-    sec = section(body, plane)
-    t = np.linspace(0, 2 * np.pi, 24, endpoint=False)
-    pts = np.array([sec.to_world(sec.boundary2(np.array([np.cos(a), np.sin(a)])))
-                    for a in t])
-    res = fit_section_quadric(pts, plane)
-    assert res.classification == ELLIPSE
-    r = np.sqrt(1.0 - 0.2 ** 2)
-    assert np.allclose(res.detail["center_world"], [0, 0, 0.2], atol=1e-9)
-    assert np.linalg.norm(pts[0] - res.detail["center_world"]) == pytest.approx(r)
 
 
 def test_fit_result_rejects_negative_residuals():
