@@ -17,6 +17,13 @@ from .numeric import normalize, sphere_directions
 from .projective import Line
 
 
+def _finite(name, value):
+    a = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("%s must be finite" % name)
+    return a
+
+
 class ConvexBody:
     """Oracle interface; subclasses fill in the kind-specific pieces."""
 
@@ -100,8 +107,8 @@ class Ellipsoid(ConvexBody):
     is_smooth = True
 
     def __init__(self, center, shape):
-        c = np.asarray(center, dtype=float)
-        q = np.asarray(shape, dtype=float)
+        c = _finite("center", center)
+        q = _finite("shape matrix", shape)
         if q.shape != (c.shape[0], c.shape[0]):
             raise ValueError("shape matrix size does not match the center")
         if np.abs(q - q.T).max() > 1e-12 * np.abs(q).max():
@@ -185,7 +192,7 @@ class PBall(ConvexBody):
         p = float(exponent)
         if not p > 1.0 or not np.isfinite(p):
             raise ValueError("exponent must satisfy 1 < p < inf")
-        a = np.asarray(semi_axes, dtype=float)
+        a = _finite("semi-axes", semi_axes)
         if np.any(a <= 0.0):
             raise ValueError("semi-axes must be positive")
         self._p = p
@@ -236,7 +243,7 @@ class Polytope(ConvexBody):
     is_smooth = False
 
     def __init__(self, vertices):
-        v = np.asarray(vertices, dtype=float)
+        v = _finite("vertices", vertices)
         if v.ndim != 2 or v.shape[0] < v.shape[1] + 1:
             raise ValueError("polytope needs at least n+1 vertices")
         self._v = v
@@ -279,7 +286,7 @@ class AffineImage(ConvexBody):
     kind = "affine_image"
 
     def __init__(self, a, b, inner):
-        a = np.asarray(a, dtype=float)
+        a = _finite("affine image matrix", a)
         n = inner.dim
         if a.shape != (n, n):
             raise ValueError("matrix size does not match the inner body")
@@ -287,7 +294,7 @@ class AffineImage(ConvexBody):
         if s[-1] <= 1e-12 * s[0]:
             raise ValueError("affine image matrix is numerically singular")
         self._a = a
-        self._b = np.asarray(b, dtype=float)
+        self._b = _finite("affine image offset", b)
         self._inner = inner
         self._ainv = np.linalg.inv(a)
         self.is_smooth = inner.is_smooth
@@ -438,10 +445,20 @@ def _parse_floats(text, lineno):
         raise BodySpecError("cannot parse numbers from %r" % text, lineno)
 
 
+#: the fields each body kind takes besides kind and dim
+_KIND_FIELDS = {
+    "ellipsoid": ("center", "shape-row"),
+    "pball": ("exponent", "semi-axes"),
+    "polytope": ("vertex",),
+    "affine_image": ("matrix-row", "offset", "inner"),
+}
+
+
 def _parse_block(lines, i):
     """Parse one body starting at lines[i]; returns (body, next_index)."""
     fields = {}
     rows = {"shape-row": [], "vertex": [], "matrix-row": []}
+    first_line = {}  # field -> line of its first use
     inner = None
     while i < len(lines):
         lineno, raw = lines[i]
@@ -452,6 +469,7 @@ def _parse_block(lines, i):
             i += 1
             continue
         key, _, rest = text.partition(" ")
+        first_line.setdefault(key, lineno)
         if key == "inner":
             if rest.strip() != "{":
                 raise BodySpecError("expected 'inner {'", lineno)
@@ -473,6 +491,11 @@ def _parse_block(lines, i):
         raise BodySpecError("missing 'kind' field", lines[i - 1][0] if i else 1)
     kind, kind_line = fields["kind"]
     kind = kind.strip()
+    if kind not in _KIND_FIELDS:
+        raise BodySpecError("unknown body kind %r" % kind, kind_line)
+    for key, lineno in first_line.items():
+        if key not in ("kind", "dim") + _KIND_FIELDS[kind]:
+            raise BodySpecError("kind %s takes no field %r" % (kind, key), lineno)
     if "dim" not in fields:
         raise BodySpecError("missing 'dim' field", kind_line)
     try:
@@ -485,29 +508,37 @@ def _parse_block(lines, i):
             raise BodySpecError("kind %s needs field %r" % (kind, key), kind_line)
         return fields[key]
 
-    if kind == "ellipsoid":
-        center = _parse_floats(*need("center"))
-        if len(rows["shape-row"]) != dim:
-            raise BodySpecError("ellipsoid needs %d shape-row lines" % dim, kind_line)
-        body = Ellipsoid(center, np.vstack(rows["shape-row"]))
-    elif kind == "pball":
-        p = _parse_floats(*need("exponent"))
-        axes = _parse_floats(*need("semi-axes"))
-        body = PBall(float(p[0]), axes)
-    elif kind == "polytope":
-        if not rows["vertex"]:
-            raise BodySpecError("polytope needs vertex lines", kind_line)
-        body = Polytope(np.vstack(rows["vertex"]))
-    elif kind == "affine_image":
-        if inner is None:
-            raise BodySpecError("affine_image needs an inner block", kind_line)
-        if len(rows["matrix-row"]) != dim:
-            raise BodySpecError("affine_image needs %d matrix-row lines" % dim,
-                                kind_line)
-        body = AffineImage(np.vstack(rows["matrix-row"]),
-                           _parse_floats(*need("offset")), inner)
-    else:
-        raise BodySpecError("unknown body kind %r" % kind, kind_line)
+    try:
+        if kind == "ellipsoid":
+            center = _parse_floats(*need("center"))
+            if len(rows["shape-row"]) != dim:
+                raise BodySpecError("ellipsoid needs %d shape-row lines" % dim,
+                                    kind_line)
+            body = Ellipsoid(center, np.vstack(rows["shape-row"]))
+        elif kind == "pball":
+            p = _parse_floats(*need("exponent"))
+            if p.shape != (1,):
+                raise BodySpecError("exponent takes one number",
+                                    fields["exponent"][1])
+            body = PBall(float(p[0]), _parse_floats(*need("semi-axes")))
+        elif kind == "polytope":
+            if not rows["vertex"]:
+                raise BodySpecError("polytope needs vertex lines", kind_line)
+            body = Polytope(np.vstack(rows["vertex"]))
+        else:
+            if inner is None:
+                raise BodySpecError("affine_image needs an inner block",
+                                    kind_line)
+            if len(rows["matrix-row"]) != dim:
+                raise BodySpecError("affine_image needs %d matrix-row lines"
+                                    % dim, kind_line)
+            body = AffineImage(np.vstack(rows["matrix-row"]),
+                               _parse_floats(*need("offset")), inner)
+    except BodySpecError:
+        raise
+    except ValueError as exc:
+        # a constructor's complaint, reported at the body it was made for
+        raise BodySpecError(str(exc), kind_line) from exc
     if body.dim != dim:
         raise BodySpecError("declared dim %d does not match parameters" % dim,
                             kind_line)

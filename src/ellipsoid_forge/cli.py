@@ -7,6 +7,7 @@ stage.
 """
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -20,7 +21,6 @@ from .numeric import circle_directions
 from .planar import section
 from .projective import Hyperplane, InfinityHyperplane
 from .theorems import (
-    DEFAULT_TOLERANCES,
     SCHEMA,
     check_theorem1,
     check_theorem2,
@@ -77,15 +77,11 @@ def _tol_pairs(text):
 
 
 def _tolerances(args):
-    """defaults < environment profile < command line."""
-    tol = {}
-    env = os.environ.get(ENV_TOLERANCES, "")
-    tol.update(_tol_pairs(env))
+    """defaults < environment profile < command line; the library rejects
+    unknown keys."""
+    tol = _tol_pairs(os.environ.get(ENV_TOLERANCES, ""))
     for item in args.tol or []:
         tol.update(_tol_pairs(item))
-    unknown = sorted(set(tol) - set(DEFAULT_TOLERANCES))
-    if unknown:
-        raise _UsageError("unknown tolerance keys: %s" % ", ".join(unknown))
     return tol
 
 
@@ -168,44 +164,21 @@ def _cmd_sample(args):
 
 
 def _cmd_check(args):
-    tol = _tolerances(args) or None
-    if args.theorem == "t1":
-        report = check_theorem1(load_body(args.inner), load_body(args.outer),
-                                apexes=args.apexes, m=args.m, pairs=args.pairs,
-                                seed=args.seed, tolerances=tol)
-    elif args.theorem == "t2":
-        report = check_theorem2(load_body(args.inner), load_body(args.outer),
-                                _vec(args.p), apexes=args.apexes, m=args.m,
-                                chords=args.chords, radon_k=args.radon_k,
-                                seed=args.seed, tolerances=tol)
-    elif args.theorem == "t3":
-        report = check_theorem3(load_body(args.inner), load_body(args.outer),
-                                apexes=args.apexes, m=args.m, lines=args.lines,
-                                w_samples=args.w_samples, seed=args.seed,
-                                tolerances=tol)
-    elif args.theorem == "t4":
-        report = check_theorem4(load_body(args.body), args.ball_radius,
-                                samples=args.samples, m=args.m,
-                                seed=args.seed, tolerances=tol)
-    elif args.theorem == "basico":
-        report = check_theorem_basico(load_body(args.body), _vec(args.p),
-                                      eps=args.eps, planes=args.planes,
-                                      offsets=args.offsets, m=args.m,
-                                      sym_m=args.sym_m, seed=args.seed,
-                                      tolerances=tol)
-    elif args.theorem == "radon":
-        report = check_theorem_radon(load_body(args.body), planes=args.planes,
-                                     diameters=args.diameters, seed=args.seed,
-                                     tolerances=tol)
-    else:
-        return _cmd_check_pole(args, tol)
-    return _finish_check(report, args)
+    fn, body_flags, input_flags, size_flags = _CHECKS[args.theorem]
+    given = vars(args)
+    bodies = [load_body(given[flag]) for flag in body_flags]
+    inputs = [given[flag] for flag in input_flags]
+    # a size flag the user omitted is absent, so the function's default holds
+    sizes = {param: given[param] for _, param in _sizes(size_flags)
+             if param in given}
+    result = fn(*bodies, *inputs, seed=args.seed,
+                tolerances=_tolerances(args) or None, **sizes)
+    if args.theorem == "pole":
+        return _finish_pole(result, bodies[0], inputs[0], args)
+    return _finish_check(result, args)
 
 
-def _cmd_check_pole(args, tol):
-    body = load_body(args.body)
-    result = polar_of(body, _vec(args.point), m=args.lines, seed=args.seed,
-                      tolerances=tol)
+def _finish_pole(result, body, point, args):
     if isinstance(result.polar, InfinityHyperplane):
         polar_desc = {"at_infinity": True}
     else:
@@ -221,7 +194,7 @@ def _cmd_check_pole(args, tol):
         "graze_hausdorff": result.graze_hausdorff,
         "polar": polar_desc,
         "body": body.body_id(),
-        "point": [float(t) for t in _vec(args.point)],
+        "point": [float(t) for t in point],
         "detail": result.detail,
     }
     if args.report:
@@ -273,6 +246,34 @@ def _cmd_sweep(args):
     return 0
 
 
+#: check name -> (function, body flags, input flags, size flags). Bodies and
+#: inputs go by position; a size flag is passed only when given, so each
+#: default lives in the function's signature. ("lines", "m") is the flag
+#: --lines for the parameter m.
+_CHECKS = {
+    "t1": (check_theorem1, ("inner", "outer"), (), ("apexes", "m", "pairs")),
+    "t2": (check_theorem2, ("inner", "outer"), ("p",),
+           ("apexes", "m", "chords", "radon_k")),
+    "t3": (check_theorem3, ("inner", "outer"), (),
+           ("apexes", "m", "lines", "w_samples")),
+    "t4": (check_theorem4, ("body",), ("ball_radius",), ("samples", "m")),
+    "basico": (check_theorem_basico, ("body",), ("p",),
+               ("eps", "planes", "offsets", "m", "sym_m")),
+    "radon": (check_theorem_radon, ("body",), (), ("planes", "diameters")),
+    "pole": (polar_of, ("body",), ("point",), (("lines", "m"),)),
+}
+_INPUTS = {
+    "p": dict(type=_vec, default="0,0,0"),
+    "ball_radius": dict(type=float, required=True),
+    "point": dict(type=_vec, required=True),
+}
+
+
+def _sizes(size_flags):
+    """(flag, parameter) pairs of a _CHECKS row."""
+    return [(f, f) if isinstance(f, str) else f for f in size_flags]
+
+
 def _add_common(sp):
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--tol", action="append", metavar="KEY=VALUE",
@@ -305,53 +306,17 @@ def build_parser():
 
     check = sub.add_parser("check", help="run one theorem check")
     check_sub = check.add_subparsers(dest="theorem", required=True)
-
-    for name in ("t1", "t2", "t3"):
+    for name, (fn, body_flags, input_flags, size_flags) in _CHECKS.items():
         sp = check_sub.add_parser(name)
-        sp.add_argument("--inner", required=True)
-        sp.add_argument("--outer", required=True)
-        sp.add_argument("--apexes", type=int,
-                        default={"t1": 16, "t2": 12, "t3": 12}[name])
-        sp.add_argument("--m", type=int, default=64)
-        if name == "t1":
-            sp.add_argument("--pairs", type=int, default=8)
-        if name == "t2":
-            sp.add_argument("--p", default="0,0,0")
-            sp.add_argument("--chords", type=int, default=48)
-            sp.add_argument("--radon-k", type=int, default=128)
-        if name == "t3":
-            sp.add_argument("--lines", type=int, default=32)
-            sp.add_argument("--w-samples", type=int, default=16)
+        for flag in body_flags:
+            sp.add_argument("--" + flag, required=True)
+        for flag in input_flags:
+            sp.add_argument("--" + flag.replace("_", "-"), **_INPUTS[flag])
+        for flag, param in _sizes(size_flags):
+            default = inspect.signature(fn).parameters[param].default
+            sp.add_argument("--" + flag.replace("_", "-"), dest=param,
+                            type=type(default), default=argparse.SUPPRESS)
         _add_common(sp)
-
-    sp = check_sub.add_parser("t4")
-    sp.add_argument("--body", required=True)
-    sp.add_argument("--ball-radius", type=float, required=True)
-    sp.add_argument("--samples", type=int, default=12)
-    sp.add_argument("--m", type=int, default=64)
-    _add_common(sp)
-
-    sp = check_sub.add_parser("basico")
-    sp.add_argument("--body", required=True)
-    sp.add_argument("--p", default="0,0,0")
-    sp.add_argument("--eps", type=float, default=0.2)
-    sp.add_argument("--planes", type=int, default=8)
-    sp.add_argument("--offsets", type=int, default=7)
-    sp.add_argument("--m", type=int, default=64)
-    sp.add_argument("--sym-m", type=int, default=96)
-    _add_common(sp)
-
-    sp = check_sub.add_parser("radon")
-    sp.add_argument("--body", required=True)
-    sp.add_argument("--planes", type=int, default=6)
-    sp.add_argument("--diameters", type=int, default=128)
-    _add_common(sp)
-
-    sp = check_sub.add_parser("pole")
-    sp.add_argument("--body", required=True)
-    sp.add_argument("--point", required=True)
-    sp.add_argument("--lines", type=int, default=64)
-    _add_common(sp)
 
     sweep = sub.add_parser("sweep",
                            help="grid over the pball exponent, one check per point")
@@ -380,10 +345,7 @@ def main(argv=None):
         if args.command == "check":
             return _cmd_check(args)
         return _cmd_sweep(args)
-    except _UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except (BodySpecError, OSError, ValueError) as exc:
+    except (_UsageError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except GeometryError as exc:

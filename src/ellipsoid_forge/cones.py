@@ -22,10 +22,12 @@ from .errors import (
     CoincidentApexes,
     DegenerateCone,
     LineMissesBody,
+    NonFiniteInput,
     NonSmoothBody,
     NotEllipsoidal,
     RayNotInterior,
     UnsupportedDimension,
+    ZeroDirection,
 )
 from .fitting import ELLIPSE, fit_planar_conic
 from .numeric import angle_between, normalize, unit_frame
@@ -73,6 +75,25 @@ def _require_smooth(body):
     if not body.is_smooth:
         raise NonSmoothBody(
             "tangency sweeps need a smooth body; got kind %r" % body.kind)
+
+
+def _finite_vector(body, v, what):
+    v = np.asarray(v, dtype=float)
+    if v.shape != (body.dim,):
+        raise UnsupportedDimension("%s has shape %s; the body has dimension %d"
+                                   % (what, v.shape, body.dim))
+    if not np.all(np.isfinite(v)):
+        raise NonFiniteInput("%s %s is not finite" % (what, v.tolist()))
+    return v
+
+
+def _exterior_apex(body, apex):
+    """apex as a point, when it is finite and strictly outside the body."""
+    apex = _finite_vector(body, apex, "apex")
+    g = body.gauge(apex)
+    if g <= 1.0 + 1e-9:
+        raise ApexInsideBody("apex gauge %.9f" % g)
+    return apex
 
 
 def _tangency_sweep(body, base, axis, apexes, m, seed, halves=((0.0, np.pi),)):
@@ -128,9 +149,7 @@ def graze(body, apex, m=200, seed=0):
     hyperplane passes through the apex. Ordered by sweep angle about the
     apex-center axis."""
     _require_smooth(body)
-    apex = np.asarray(apex, dtype=float)
-    if body.gauge(apex) <= 1.0 + 1e-9:
-        raise ApexInsideBody("apex gauge %.9f" % body.gauge(apex))
+    apex = _exterior_apex(body, apex)
     c = body.center
     # g(0) > 0 and g(pi) < 0: the ray from the center toward the apex exits
     # through a point whose normal has positive axis component
@@ -148,7 +167,10 @@ def shadow_boundary(body, direction, m=200, seed=0):
     """Contact curve of the circumscribed cylinder: boundary points whose
     outer normal is orthogonal to the illumination direction."""
     _require_smooth(body)
-    u = normalize(direction)
+    u = _finite_vector(body, direction, "direction")
+    if not u.any():
+        raise ZeroDirection("the illumination direction is zero")
+    u = normalize(u)
     pts, res, _, sweep = _tangency_sweep(body, body.center, u, [(u, 0.0)],
                                          m, seed)
     return _curve("shadow", body, {"direction": [float(t) for t in u]}, m,
@@ -160,13 +182,9 @@ def cone_intersection(body, x, y, m=200, seed=0):
     apexes x and y. Requires the apex line to cross the body interior so that
     every sweep plane through it sections the body."""
     _require_smooth(body)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _exterior_apex(body, x), _exterior_apex(body, y)
     if np.linalg.norm(x - y) <= 1e-9 * body.diameter():
         raise CoincidentApexes("apexes are %.3e apart" % np.linalg.norm(x - y))
-    for apex in (x, y):
-        if body.gauge(apex) <= 1.0 + 1e-9:
-            raise ApexInsideBody("apex gauge %.9f" % body.gauge(apex))
     e = normalize(y - x)
     line = Line(x, e)
     # snap the base to the center when the line passes through it, which
@@ -217,7 +235,8 @@ def is_ellipsoidal_cone(cone, tol=1e-6, seed=0):
     not depend on the section, so 3 tilted sections are re-tested and the
     worst residual is reported."""
     if cone.apex.shape[0] != 3:
-        raise NotImplementedError("cone sectioning is implemented for dimension 3")
+        raise UnsupportedDimension("cone sectioning needs dimension 3; got %d"
+                                   % cone.apex.shape[0])
     w = cone.mean_generator
     pts = _bounded_section_points(cone, w)
     if pts is None:

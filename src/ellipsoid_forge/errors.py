@@ -54,6 +54,14 @@ class NonSmoothBody(GeometryError):
     """Operation needs a smooth boundary; the body kind has none."""
 
 
+class NonFiniteInput(GeometryError):
+    """A point or direction has a NaN or infinite coordinate."""
+
+
+class ZeroDirection(GeometryError):
+    """A direction is the zero vector, so it points nowhere."""
+
+
 class CoincidentApexes(GeometryError):
     """The two cone apexes coincide."""
 

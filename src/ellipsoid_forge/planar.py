@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .bodies import ray_exit
+from .bodies import line_min_gauge, ray_exit
 from .errors import EndpointNotOnBoundary, NotANorm, NotFound, PlaneMissesBody
 from .numeric import angle_between, normalize, unit_frame
-from .projective import Hyperplane
+from .projective import Hyperplane, Line
 
 
 def _rot90(v):
@@ -58,13 +58,12 @@ class PlanarSection:
         frame = unit_frame(plane.normal).T
         for _ in range(12):
             for b in frame:
-                f = lambda s: body.gauge(z + s * b)
-                r = minimize_scalar(f, bounds=(-scale, scale), method="bounded",
-                                    options={"xatol": 1e-11 * scale})
-                z = z + float(r.x) * b
-            if body.gauge(z) < 1.0 - 1e-9:
+                line = Line(z, b)
+                t, g, _ = line_min_gauge(body, line)
+                z = line.at(t)
+            if g < 1.0 - 1e-9:
                 return z - plane.signed_distance(z) * plane.normal
-        raise PlaneMissesBody("gauge on the plane stays at %.6f" % body.gauge(z))
+        raise PlaneMissesBody("gauge on the plane stays at %.6f" % g)
 
     def to_world(self, p2):
         return self.origin + self.basis.T @ np.asarray(p2, dtype=float)

@@ -32,6 +32,7 @@ from .errors import (
     NotOSymmetric,
     PlaneMissesBody,
     PointOnBoundary,
+    UnsupportedDimension,
 )
 from .fitting import ELLIPSE, fit_hyperplane, fit_planar_conic, fit_quadric
 from .numeric import (
@@ -121,23 +122,6 @@ class StageEntry:
         return asdict(self)
 
 
-def _entry(name, kind, residual, tolerance, ok, **detail):
-    return StageEntry(
-        name,
-        kind,
-        floored(float(residual), RESIDUAL_FLOOR),
-        float(tolerance),
-        "pass" if ok else "fail",
-        _jsonable(detail),
-    )
-
-
-def _skip(name, kind, reason, **detail):
-    d = dict(detail)
-    d["reason"] = reason
-    return StageEntry(name, kind, 0.0, 0.0, "skip", _jsonable(d))
-
-
 def _assemble(stages):
     """Fold stage verdicts into the report verdict.
 
@@ -185,11 +169,89 @@ class CheckReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _report(t0, stages, **fields):
-    """The check's CheckReport: verdict from the stages, wall time since t0."""
-    report = CheckReport(verdict=_assemble(stages), stages=stages, **fields)
-    report.wall_time = time.perf_counter() - t0
-    return report
+class _CheckRun:
+    """One run of a check: merged tolerances, the clock, the dimension
+    contract, the stages under one pass rule, and the CheckReport."""
+
+    def __init__(self, theorem, seed, tolerances, **bodies):
+        self.start = time.perf_counter()
+        self.theorem = theorem
+        self.seed = int(seed)
+        self.tol = _merge_tolerances(tolerances)
+        dims = [b.dim for b in bodies.values()]
+        if any(d != 3 for d in dims):
+            raise UnsupportedDimension(
+                "check %s needs 3-D bodies; got dimension %s"
+                % (theorem, ", ".join(str(d) for d in dims)))
+        self.bodies = bodies
+        self.stages = []
+
+    def stage(self, name, kind, residual, key, ok=None, **detail):
+        """Record a stage. It passes when its residual is within tol[key]
+        (key None: a zero tolerance), unless the check passes its own ok."""
+        tolerance = self.tol[key] if key else 0.0
+        if ok is None:
+            ok = residual <= tolerance
+        self.stages.append(StageEntry(
+            name, kind, floored(float(residual), RESIDUAL_FLOOR),
+            float(tolerance), "pass" if ok else "fail", _jsonable(detail)))
+
+    def skip(self, name, kind, reason, **detail):
+        detail["reason"] = reason
+        self.stages.append(StageEntry(name, kind, 0.0, 0.0, "skip",
+                                      _jsonable(detail)))
+
+    def fit_stage(self, name, body, role="body"):
+        """Conclusion stage: the boundary is a quadric of elliptic type."""
+        tol = self.tol["ellipse"]
+        fit = fit_quadric(_boundary_cloud(body, 256, seed=self.seed), tol=tol)
+        self.stage(name, "conclusion", fit.rms_residual, "ellipse",
+                   fit.classification == ELLIPSE and fit.rms_residual < tol,
+                   classification=fit.classification, samples=256, role=role)
+        return fit
+
+    def radon_stage(self, name, kind, sections, k, /, **detail):
+        """Worst conjugacy defect of is_radon_curve over the sections."""
+        worst, ok = 0.0, True
+        for sec in sections:
+            rr = is_radon_curve(sec, k=k, contact_tol=self.tol["contact"],
+                                seed=self.seed)
+            ok = ok and rr.ok
+            d = rr.worst_defect
+            worst = max(worst, d if np.isfinite(d) else 1.0)
+        self.stage(name, kind, worst, "contact", ok, **detail)
+
+    def report(self, sample_counts, inputs=None, branch=None):
+        report = CheckReport(
+            theorem=self.theorem,
+            verdict=_assemble(self.stages),
+            bodies={role: b.body_id() for role, b in self.bodies.items()},
+            stages=self.stages,
+            seed=self.seed,
+            sample_counts={k: int(v) for k, v in sample_counts.items()},
+            tolerances=self.tol,
+            branch=branch,
+            inputs=inputs or {},
+        )
+        report.wall_time = time.perf_counter() - self.start
+        return report
+
+
+def _require_o_symmetric(body, o, role):
+    if not is_o_symmetric(body, o):
+        raise NotOSymmetric("%s is not centrally symmetric about %s"
+                            % (role, [float(t) for t in o]))
+
+
+def _require_interior(body, p, role):
+    """p as a point, when it lies in the interior of body."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (body.dim,):
+        raise UnsupportedDimension("p has shape %s; the %s has dimension %d"
+                                   % (p.shape, role, body.dim))
+    if not body.gauge(p) < 1.0 - 1e-9:  # also catches a NaN coordinate
+        raise GeometryError("p must be interior to the %s" % role)
+    return p
 
 
 @dataclass
@@ -207,14 +269,6 @@ class PoleResult:
 def _boundary_cloud(body, m, seed=0):
     dirs = sphere_directions(body.dim, m, seed=seed)
     return np.array([body.boundary_from_center(u) for u in dirs])
-
-
-def _quadric_stage(name, kind, body, tol, m=256, seed=0, role="body"):
-    fit = fit_quadric(_boundary_cloud(body, m, seed=seed), tol=tol)
-    ok = fit.classification == ELLIPSE and fit.rms_residual < tol
-    entry = _entry(name, kind, fit.rms_residual, tol, ok,
-                   classification=fit.classification, samples=m, role=role)
-    return entry, fit
 
 
 def _nesting_gate(inner, outer, margin, m=128, seed=0):
@@ -398,15 +452,13 @@ def check_theorem1(l_body, k_body, apexes=16, m=64, pairs=8, seed=0,
     fitted intersection planes. Conclusion: the inner boundary is a quadric
     of elliptic type.
     """
-    t0 = time.perf_counter()
-    tol = _merge_tolerances(tolerances)
+    run = _CheckRun("t1", seed, tolerances, inner=l_body, outer=k_body)
+    tol = run.tol
     _nesting_gate(l_body, k_body, tol["margin"])
     o = l_body.center
-    stages = []
 
-    sym = o_symmetry_residual(l_body, o)
-    stages.append(_entry("inner-o-symmetry", "hypothesis", sym, tol["symmetry"],
-                         sym <= tol["symmetry"]))
+    run.stage("inner-o-symmetry", "hypothesis", o_symmetry_residual(l_body, o),
+              "symmetry")
 
     apex_pts = _boundary_cloud(k_body, apexes, seed=seed)
 
@@ -417,8 +469,8 @@ def check_theorem1(l_body, k_body, apexes=16, m=64, pairs=8, seed=0,
                                   tol=tol["ellipse"], seed=seed)
         worst_rms = max(worst_rms, fit.detail["max_rms"])
         all_ellipsoidal = all_ellipsoidal and fit.detail["ellipsoidal"]
-    stages.append(_entry("ellipsoidal-cones", "hypothesis", worst_rms,
-                         tol["ellipse"], all_ellipsoidal, apexes=len(apex_pts)))
+    run.stage("ellipsoidal-cones", "hypothesis", worst_rms, "ellipse",
+              all_ellipsoidal, apexes=len(apex_pts))
 
     # intersection of the cones from x and from the reflected apex 2o - x
     fitted_planes = []
@@ -430,8 +482,8 @@ def check_theorem1(l_body, k_body, apexes=16, m=64, pairs=8, seed=0,
         fitted_planes.append(fit.model)
         worst_planarity = max(worst_planarity, fit.rms_residual)
         planar_ok = planar_ok and fit.rms_residual < tol["planarity"]
-    stages.append(_entry("cone-intersection-planarity", "derived",
-                         worst_planarity, tol["planarity"], planar_ok))
+    run.stage("cone-intersection-planarity", "derived", worst_planarity,
+              "planarity", planar_ok)
 
     # contact chord of the supporting planes through the apex line, against
     # the meet of the two fitted intersection planes
@@ -455,24 +507,14 @@ def check_theorem1(l_body, k_body, apexes=16, m=64, pairs=8, seed=0,
         worst_angle = max(worst_angle, line_angle(a - b, meet))
         used += 1
     if used == 0:
-        stages.append(_skip("contact-chord-parallelism", "derived",
-                            "no apex pair whose line misses the inner body"))
+        run.skip("contact-chord-parallelism", "derived",
+                 "no apex pair whose line misses the inner body")
     else:
-        stages.append(_entry("contact-chord-parallelism", "derived", worst_angle,
-                             tol["angular"], worst_angle <= tol["angular"],
-                             pairs=used))
+        run.stage("contact-chord-parallelism", "derived", worst_angle,
+                  "angular", pairs=used)
 
-    entry, _ = _quadric_stage("inner-ellipsoid-fit", "conclusion", l_body,
-                              tol["ellipse"], seed=seed, role="inner")
-    stages.append(entry)
-
-    return _report(
-        t0, stages, theorem="t1",
-        bodies={"inner": l_body.body_id(), "outer": k_body.body_id()},
-        seed=int(seed),
-        sample_counts={"apexes": int(apexes), "m": int(m), "pairs": int(pairs)},
-        tolerances=tol,
-    )
+    run.fit_stage("inner-ellipsoid-fit", l_body, role="inner")
+    return run.report({"apexes": apexes, "m": m, "pairs": pairs})
 
 
 def _matched_section_cloud(sec, pts_world, base2):
@@ -502,14 +544,11 @@ def check_theorem2(l_body, k_body, p, apexes=12, m=64, chords=48, radon_k=128,
     pass the conjugate-diameter test. Conclusion: both bodies are quadrics of
     elliptic type, concentric and homothetic.
     """
-    t0 = time.perf_counter()
-    tol = _merge_tolerances(tolerances)
+    run = _CheckRun("t2", seed, tolerances, inner=l_body, outer=k_body)
+    tol = run.tol
     _nesting_gate(l_body, k_body, tol["margin"])
-    p = np.asarray(p, dtype=float)
-    if k_body.gauge(p) >= 1.0 - 1e-9:
-        raise GeometryError("p must be interior to the outer body")
+    p = _require_interior(k_body, p, "outer body")
     diam_k = k_body.diameter()
-    stages = []
 
     apex_dirs = sphere_directions(k_body.dim, apexes, seed=seed)
     kept = []  # (sec, base2, plane, x, y) per usable apex
@@ -534,25 +573,22 @@ def check_theorem2(l_body, k_body, p, apexes=12, m=64, chords=48, radon_k=128,
         worst_defect = max(worst_defect, defect)
         kept.append((sec, base2, plane, x, y))
     search_failed = worst_defect > 10.0 * tol["hausdorff"]
-    stages.append(_entry("cone-intersection-matches-section", "hypothesis",
-                         worst_defect, tol["hausdorff"],
-                         worst_defect <= tol["hausdorff"],
-                         apexes=int(apexes), search_failed=search_failed,
-                         errors=failures))
+    run.stage("cone-intersection-matches-section", "hypothesis", worst_defect,
+              "hausdorff", apexes=int(apexes), search_failed=search_failed,
+              errors=failures)
 
     if not kept:
         for name in ("supporting-planes-parallel", "section-chords-affine-diameters",
                      "sections-are-radon"):
-            stages.append(_skip(name, "derived", "no section plane found"))
+            run.skip(name, "derived", "no section plane found")
     else:
         worst_parallel = 0.0
         for sec, base2, plane, x, y in kept:
             worst_parallel = max(worst_parallel,
                                  line_angle(k_body.normal_at(x), plane.normal),
                                  line_angle(k_body.normal_at(y), plane.normal))
-        stages.append(_entry("supporting-planes-parallel", "derived",
-                             worst_parallel, tol["angular"],
-                             worst_parallel <= tol["angular"]))
+        run.stage("supporting-planes-parallel", "derived", worst_parallel,
+                  "angular")
 
         worst_chord = 0.0
         for sec, base2, plane, x, y in kept[:3]:
@@ -562,20 +598,10 @@ def check_theorem2(l_body, k_body, p, apexes=12, m=64, chords=48, radon_k=128,
                 b2 = sec.boundary2(-u2, base2=base2)
                 worst_chord = max(worst_chord,
                                   affine_diameter_residual(sec, a2, b2))
-        stages.append(_entry("section-chords-affine-diameters", "derived",
-                             worst_chord, tol["diameter"],
-                             worst_chord <= tol["diameter"], chords=int(chords)))
-
-        worst_radon = 0.0
-        radon_ok = True
-        for sec, base2, plane, x, y in kept[:2]:
-            rr = is_radon_curve(sec, k=radon_k, contact_tol=tol["contact"],
-                                seed=seed)
-            radon_ok = radon_ok and rr.ok
-            d = rr.worst_defect
-            worst_radon = max(worst_radon, d if np.isfinite(d) else 1.0)
-        stages.append(_entry("sections-are-radon", "derived", worst_radon,
-                             tol["contact"], radon_ok, k=int(radon_k)))
+        run.stage("section-chords-affine-diameters", "derived", worst_chord,
+                  "diameter", chords=int(chords))
+        run.radon_stage("sections-are-radon", "derived",
+                        [sec for sec, *_ in kept[:2]], radon_k, k=int(radon_k))
 
     fit_l = fit_quadric(_boundary_cloud(l_body, 256, seed=seed),
                         tol=tol["ellipse"])
@@ -585,35 +611,24 @@ def check_theorem2(l_body, k_body, p, apexes=12, m=64, chords=48, radon_k=128,
     both = (fit_l.classification == ELLIPSE
             and fit_k.classification == ELLIPSE
             and worst_fit < tol["ellipse"])
-    stages.append(_entry("ellipsoid-fits", "conclusion", worst_fit,
-                         tol["ellipse"], both,
-                         inner=fit_l.classification, outer=fit_k.classification))
+    run.stage("ellipsoid-fits", "conclusion", worst_fit, "ellipse", both,
+              inner=fit_l.classification, outer=fit_k.classification)
     if both:
         center_gap = float(np.linalg.norm(
             np.asarray(fit_l.detail["center_world"])
             - np.asarray(fit_k.detail["center_world"]))) / diam_k
-        stages.append(_entry("concentric-centers", "conclusion", center_gap,
-                             tol["concentric"], center_gap <= tol["concentric"]))
+        run.stage("concentric-centers", "conclusion", center_gap, "concentric")
         s_l = np.asarray(fit_l.detail["shape_normalized"])
         s_k = np.asarray(fit_k.detail["shape_normalized"])
         shape_gap = float(np.linalg.norm(s_l - s_k) / np.linalg.norm(s_k))
-        stages.append(_entry("homothetic-shapes", "conclusion", shape_gap,
-                             tol["homothety"], shape_gap <= tol["homothety"]))
+        run.stage("homothetic-shapes", "conclusion", shape_gap, "homothety")
     else:
-        stages.append(_skip("concentric-centers", "conclusion",
-                            "quadric fits are not both elliptic"))
-        stages.append(_skip("homothetic-shapes", "conclusion",
-                            "quadric fits are not both elliptic"))
+        for name in ("concentric-centers", "homothetic-shapes"):
+            run.skip(name, "conclusion", "quadric fits are not both elliptic")
 
-    return _report(
-        t0, stages, theorem="t2",
-        bodies={"inner": l_body.body_id(), "outer": k_body.body_id()},
-        seed=int(seed),
-        sample_counts={"apexes": int(apexes), "m": int(m),
-                       "chords": int(chords), "radon_k": int(radon_k)},
-        tolerances=tol,
-        inputs={"p": [float(t) for t in p]},
-    )
+    return run.report({"apexes": apexes, "m": m, "chords": chords,
+                       "radon_k": radon_k},
+                      inputs={"p": [float(t) for t in p]})
 
 
 def check_theorem3(l_body, k_body, apexes=12, m=64, lines=32, w_samples=16,
@@ -627,15 +642,12 @@ def check_theorem3(l_body, k_body, apexes=12, m=64, lines=32, w_samples=16,
     section of the outer boundary miss the inner body. Conclusion: the inner
     boundary is a quadric of elliptic type.
     """
-    t0 = time.perf_counter()
-    tol = _merge_tolerances(tolerances)
+    run = _CheckRun("t3", seed, tolerances, inner=l_body, outer=k_body)
+    tol = run.tol
     o = l_body.center
-    if not is_o_symmetric(l_body, o):
-        raise NotOSymmetric("inner body is not centrally symmetric")
-    if not is_o_symmetric(k_body, o):
-        raise NotOSymmetric("outer body is not symmetric about the inner center")
+    _require_o_symmetric(l_body, o, "inner body")
+    _require_o_symmetric(k_body, o, "outer body")
     _nesting_gate(l_body, k_body, tol["margin"])
-    stages = []
 
     apex_pts = _boundary_cloud(k_body, apexes, seed=seed)
 
@@ -647,9 +659,8 @@ def check_theorem3(l_body, k_body, apexes=12, m=64, lines=32, w_samples=16,
         pole_worst = max(pole_worst, pr.residual)
         pole_ok = pole_ok and pr.classification != "not a pole"
         polars.append(pr.polar)
-    stages.append(_entry("boundary-points-are-poles", "hypothesis", pole_worst,
-                         tol["pole"], pole_ok and pole_worst <= tol["pole"],
-                         lines=int(lines)))
+    run.stage("boundary-points-are-poles", "hypothesis", pole_worst, "pole",
+              pole_ok and pole_worst <= tol["pole"], lines=int(lines))
 
     omegas = []
     max_gauge = 0.0
@@ -659,10 +670,9 @@ def check_theorem3(l_body, k_body, apexes=12, m=64, lines=32, w_samples=16,
         max_gauge = max(max_gauge,
                         max(float(k_body.gauge(q)) for q in omega.points))
     allowed = 1.0 - tol["margin"]
-    resid = max(0.0, max_gauge - allowed)
-    stages.append(_entry("cone-intersections-inside-outer", "hypothesis",
-                         resid, 0.0, max_gauge < allowed,
-                         max_gauge=float(max_gauge), allowed=allowed))
+    run.stage("cone-intersections-inside-outer", "hypothesis",
+              max(0.0, max_gauge - allowed), None, max_gauge < allowed,
+              max_gauge=float(max_gauge), allowed=allowed)
 
     worst_align = 0.0
     aligned = 0
@@ -674,12 +684,11 @@ def check_theorem3(l_body, k_body, apexes=12, m=64, lines=32, w_samples=16,
             np.sqrt(np.mean(dists ** 2)) / cloud_diameter(pts)))
         aligned += 1
     if aligned == 0:
-        stages.append(_skip("central-plane-alignment", "derived",
-                            "no affine polar planes available"))
+        run.skip("central-plane-alignment", "derived",
+                 "no affine polar planes available")
     else:
-        stages.append(_entry("central-plane-alignment", "derived", worst_align,
-                             tol["planarity"], worst_align <= tol["planarity"],
-                             curves=aligned))
+        run.stage("central-plane-alignment", "derived", worst_align,
+                  "planarity", curves=aligned)
 
     min_line_gauge = np.inf
     segments = 0
@@ -695,28 +704,18 @@ def check_theorem3(l_body, k_body, apexes=12, m=64, lines=32, w_samples=16,
                                  line_min_gauge(l_body, Line(z, w - z))[1])
             segments += 1
     if segments == 0:
-        stages.append(_skip("almost-free-segments", "derived",
-                            "no affine polar planes available"))
+        run.skip("almost-free-segments", "derived",
+                 "no affine polar planes available")
     else:
         needed = 1.0 + tol["margin"]
-        resid = max(0.0, needed - min_line_gauge)
-        stages.append(_entry("almost-free-segments", "derived", resid, 0.0,
-                             min_line_gauge > needed,
-                             min_gauge=float(min_line_gauge), needed=needed,
-                             segments=segments))
+        run.stage("almost-free-segments", "derived",
+                  max(0.0, needed - min_line_gauge), None,
+                  min_line_gauge > needed, min_gauge=float(min_line_gauge),
+                  needed=needed, segments=segments)
 
-    entry, _ = _quadric_stage("inner-ellipsoid-fit", "conclusion", l_body,
-                              tol["ellipse"], seed=seed, role="inner")
-    stages.append(entry)
-
-    return _report(
-        t0, stages, theorem="t3",
-        bodies={"inner": l_body.body_id(), "outer": k_body.body_id()},
-        seed=int(seed),
-        sample_counts={"apexes": int(apexes), "m": int(m), "lines": int(lines),
-                       "w_samples": int(w_samples)},
-        tolerances=tol,
-    )
+    run.fit_stage("inner-ellipsoid-fit", l_body, role="inner")
+    return run.report({"apexes": apexes, "m": m, "lines": lines,
+                       "w_samples": w_samples})
 
 
 def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
@@ -731,11 +730,10 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
     parallel to phi(u). Conclusion: the boundary is an elliptic quadric whose
     scaled tangent sections are centered on the conjugate axis.
     """
-    t0 = time.perf_counter()
-    tol = _merge_tolerances(tolerances)
+    run = _CheckRun("t4", seed, tolerances, body=k_body)
+    tol = run.tol
     o = k_body.center
-    if not is_o_symmetric(k_body, o):
-        raise NotOSymmetric("body is not centrally symmetric")
+    _require_o_symmetric(k_body, o, "body")
     if not k_body.is_smooth:
         raise NonSmoothBody("tangent-plane sections need a smooth body")
     r = float(radius)
@@ -747,7 +745,6 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
     if r * (1.0 + tol["margin"]) >= inradius:
         raise BallTooLarge("radius %.6g does not leave the inscribed margin %.6g"
                            % (r, inradius))
-    stages = []
 
     us = sphere_directions(k_body.dim, samples, seed=seed)
     secs = []
@@ -762,9 +759,8 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
         worst_fit = max(worst_fit, fit.rms_residual)
         all_ellipse = all_ellipse and fit.classification == ELLIPSE
         secs.append(sec)
-    stages.append(_entry("tangent-sections-ellipses", "hypothesis", worst_fit,
-                         tol["ellipse"], all_ellipse and worst_fit < tol["ellipse"],
-                         samples=len(us)))
+    run.stage("tangent-sections-ellipses", "hypothesis", worst_fit, "ellipse",
+              all_ellipse and worst_fit < tol["ellipse"], samples=len(us))
 
     min_margin = np.inf
     for u, sec in zip(us, secs):
@@ -773,10 +769,9 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
             margin = float(sec.support2(v2) - touch2 @ v2 - r)
             min_margin = min(min_margin, margin)
     rel = min_margin / diam
-    resid = max(0.0, tol["margin"] - rel)
-    stages.append(_entry("ball-inside-section-hulls", "hypothesis", resid, 0.0,
-                         rel > tol["margin"], min_margin=float(min_margin),
-                         min_margin_rel=float(rel)))
+    run.stage("ball-inside-section-hulls", "hypothesis",
+              max(0.0, tol["margin"] - rel), None, rel > tol["margin"],
+              min_margin=float(min_margin), min_margin_rel=float(rel))
 
     # phi(u) from the symmetry center of the section: by o-symmetry the
     # antipodal section is the reflection of this one, so the translation
@@ -797,10 +792,8 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
         if ang > 1e-9:
             lipschitz = max(lipschitz, float(
                 np.linalg.norm(phis[a] - phis[b]) / ang))
-    stages.append(_entry("parallel-translation", "derived", worst_translate,
-                         tol["hausdorff"], worst_translate <= tol["hausdorff"],
-                         sections=len(translated),
-                         lipschitz_estimate=lipschitz))
+    run.stage("parallel-translation", "derived", worst_translate, "hausdorff",
+              sections=len(translated), lipschitz_estimate=lipschitz)
 
     # phi at directions orthogonal to phi(u); also feeds the midpoint stage
     worst_orth = 0.0
@@ -827,8 +820,7 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
             if first:
                 locus_jobs.append((idx, v, sec_v, np.asarray(sym_v.center)))
                 first = False
-    stages.append(_entry("translation-orthogonality", "derived", worst_orth,
-                         tol["bisector"], worst_orth <= tol["bisector"]))
+    run.stage("translation-orthogonality", "derived", worst_orth, "bisector")
 
     worst_locus = 0.0
     loci = 0
@@ -864,16 +856,12 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
         worst_locus = max(worst_locus, rel_rms, angle)
         loci += 1
     if loci == 0:
-        stages.append(_skip("midpoint-locus-line", "derived",
-                            "no usable section pair"))
+        run.skip("midpoint-locus-line", "derived", "no usable section pair")
     else:
-        stages.append(_entry("midpoint-locus-line", "derived", worst_locus,
-                             tol["angular"], worst_locus <= tol["angular"],
-                             loci=loci))
+        run.stage("midpoint-locus-line", "derived", worst_locus, "angular",
+                  loci=loci)
 
-    entry, qfit = _quadric_stage("ellipsoid-fit", "conclusion", k_body,
-                                 tol["ellipse"], seed=seed)
-    stages.append(entry)
+    qfit = run.fit_stage("ellipsoid-fit", k_body)
 
     if qfit.classification == ELLIPSE:
         shape = np.asarray(qfit.detail["shape_normalized"])
@@ -892,25 +880,16 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
                     _reflection_residual(sec_s, sec_s.to_chart(predicted)) / diam)
                 checked += 1
         if checked == 0:
-            stages.append(_skip("scaled-section-centering", "conclusion",
-                                "no translation vectors available"))
+            run.skip("scaled-section-centering", "conclusion",
+                     "no translation vectors available")
         else:
-            stages.append(_entry("scaled-section-centering", "conclusion",
-                                 worst_center, tol["symmetry"],
-                                 worst_center <= tol["symmetry"],
-                                 sections=checked))
+            run.stage("scaled-section-centering", "conclusion", worst_center,
+                      "symmetry", sections=checked)
     else:
-        stages.append(_skip("scaled-section-centering", "conclusion",
-                            "quadric fit is not elliptic"))
+        run.skip("scaled-section-centering", "conclusion",
+                 "quadric fit is not elliptic")
 
-    return _report(
-        t0, stages, theorem="t4",
-        bodies={"body": k_body.body_id()},
-        seed=int(seed),
-        sample_counts={"samples": int(samples), "m": int(m)},
-        tolerances=tol,
-        inputs={"radius": r},
-    )
+    return run.report({"samples": samples, "m": m}, inputs={"radius": r})
 
 
 def check_theorem_basico(k_body, p, eps=0.2, planes=8, offsets=7, m=64,
@@ -925,18 +904,15 @@ def check_theorem_basico(k_body, p, eps=0.2, planes=8, offsets=7, m=64,
     away from p the report takes the FCT-case branch and the derived stage
     is skipped. Conclusion: elliptic quadric fit of the boundary.
     """
-    t0 = time.perf_counter()
-    tol = _merge_tolerances(tolerances)
+    run = _CheckRun("basico", seed, tolerances, body=k_body)
+    tol = run.tol
     if not k_body.is_smooth:
         raise NonSmoothBody("slab sections need a strictly convex smooth body")
-    p = np.asarray(p, dtype=float)
-    if k_body.gauge(p) >= 1.0 - 1e-9:
-        raise GeometryError("p must be interior to the body")
+    p = _require_interior(k_body, p, "body")
     eps = float(eps)
     if eps <= 0.0:
         raise ValueError("slab width must be positive")
     diam = k_body.diameter()
-    stages = []
 
     normals = sphere_directions(k_body.dim, planes, seed=seed)
     offs = np.linspace(-eps / 2.0, eps / 2.0, offsets)
@@ -964,10 +940,9 @@ def check_theorem_basico(k_body, p, eps=0.2, planes=8, offsets=7, m=64,
                 central[i] = sr
             if k_off == len(offs) - 1:
                 top[i] = (sec, sr, plane)
-    stages.append(_entry("slab-sections-centrally-symmetric", "hypothesis",
-                         worst_sym, tol["symmetry"], all_sym,
-                         planes=len(normals), offsets=int(offsets),
-                         sections=sections_done, missed=missed))
+    run.stage("slab-sections-centrally-symmetric", "hypothesis", worst_sym,
+              "symmetry", all_sym, planes=len(normals), offsets=int(offsets),
+              sections=sections_done, missed=missed)
 
     centered = bool(central) and all(
         float(np.linalg.norm(np.asarray(sr.center_world) - p)) <= 1e-6 * diam
@@ -975,9 +950,9 @@ def check_theorem_basico(k_body, p, eps=0.2, planes=8, offsets=7, m=64,
     branch = "FCT-case" if (all_sym and not centered) else None
 
     if branch == "FCT-case":
-        stages.append(_skip("translation-and-shadow-containment", "derived",
-                            "sections symmetric about a centre away from p",
-                            branch="FCT-case"))
+        run.skip("translation-and-shadow-containment", "derived",
+                 "sections symmetric about a centre away from p",
+                 branch="FCT-case")
     else:
         min_signed = np.inf
         used = 0
@@ -1002,63 +977,32 @@ def check_theorem_basico(k_body, p, eps=0.2, planes=8, offsets=7, m=64,
                 min_signed = min(min_signed, signed)
             used += 1
         if used == 0:
-            stages.append(_skip("translation-and-shadow-containment", "derived",
-                                "translation vectors vanish"))
+            run.skip("translation-and-shadow-containment", "derived",
+                     "translation vectors vanish")
         else:
             rel = min_signed / diam
-            stages.append(_entry("translation-and-shadow-containment", "derived",
-                                 max(0.0, -rel), tol["contact"],
-                                 rel >= -tol["contact"],
-                                 min_signed_rel=float(rel), slabs=used))
+            run.stage("translation-and-shadow-containment", "derived",
+                      max(0.0, -rel), "contact", rel >= -tol["contact"],
+                      min_signed_rel=float(rel), slabs=used)
 
-    entry, _ = _quadric_stage("ellipsoid-fit", "conclusion", k_body,
-                              tol["ellipse"], seed=seed)
-    stages.append(entry)
-
-    return _report(
-        t0, stages, theorem="basico",
-        bodies={"body": k_body.body_id()},
-        seed=int(seed),
-        sample_counts={"planes": int(planes), "offsets": int(offsets),
-                       "m": int(m), "sym_m": int(sym_m)},
-        tolerances=tol,
-        branch=branch,
-        inputs={"p": [float(t) for t in p], "eps": eps},
-    )
+    run.fit_stage("ellipsoid-fit", k_body)
+    return run.report({"planes": planes, "offsets": offsets, "m": m,
+                       "sym_m": sym_m},
+                      inputs={"p": [float(t) for t in p], "eps": eps},
+                      branch=branch)
 
 
 def check_theorem_radon(k_body, planes=6, diameters=128, seed=0,
                         tolerances=None):
     """Central sections as Radon curves; conclusion: elliptic quadric."""
-    t0 = time.perf_counter()
-    tol = _merge_tolerances(tolerances)
+    run = _CheckRun("radon", seed, tolerances, body=k_body)
     o = k_body.center
-    if not is_o_symmetric(k_body, o):
-        raise NotOSymmetric("body is not centrally symmetric")
-    stages = []
-
-    worst = 0.0
-    all_ok = True
-    for nrm in sphere_directions(k_body.dim, planes, seed=seed):
-        sec = section(k_body, Hyperplane.from_point_normal(o, nrm),
-                      interior_hint=o)
-        rr = is_radon_curve(sec, k=diameters, contact_tol=tol["contact"],
-                            seed=seed)
-        all_ok = all_ok and rr.ok
-        d = rr.worst_defect
-        worst = max(worst, d if np.isfinite(d) else 1.0)
-    stages.append(_entry("central-sections-radon", "hypothesis", worst,
-                         tol["contact"], all_ok, planes=int(planes),
-                         diameters=int(diameters)))
-
-    entry, _ = _quadric_stage("ellipsoid-fit", "conclusion", k_body,
-                              tol["ellipse"], seed=seed)
-    stages.append(entry)
-
-    return _report(
-        t0, stages, theorem="radon",
-        bodies={"body": k_body.body_id()},
-        seed=int(seed),
-        sample_counts={"planes": int(planes), "diameters": int(diameters)},
-        tolerances=tol,
-    )
+    _require_o_symmetric(k_body, o, "body")
+    # a generator: each section is cut just before its Radon test
+    sections = (section(k_body, Hyperplane.from_point_normal(o, nrm),
+                        interior_hint=o)
+                for nrm in sphere_directions(k_body.dim, planes, seed=seed))
+    run.radon_stage("central-sections-radon", "hypothesis", sections,
+                    diameters, planes=int(planes), diameters=int(diameters))
+    run.fit_stage("ellipsoid-fit", k_body)
+    return run.report({"planes": planes, "diameters": diameters})

@@ -75,6 +75,10 @@ def test_ellipsoid_constructors_and_validation():
         Ellipsoid(np.zeros(2), np.array([[1.0, 0.5], [-0.5, 1.0]]))
     with pytest.raises(ValueError):
         Ellipsoid(np.zeros(2), np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        Ellipsoid(np.array([np.nan, 0.0, 0.0]), np.eye(3))
+    with pytest.raises(ValueError, match="finite"):
+        Ellipsoid(np.zeros(2), np.diag([1.0, np.inf]))
 
 
 def test_ellipsoid_boundary_point_closed_form():
@@ -143,6 +147,9 @@ def test_pball_validation():
         PBall(np.inf, (1, 1, 1))
     with pytest.raises(ValueError):
         PBall(2.0, (1, 0, 1))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            PBall(2.0, (1, bad, 1))
 
 
 # ---------------------------------------------------------- other kinds
@@ -192,6 +199,11 @@ def test_affine_image_rejects_singular_matrix():
         AffineImage(np.zeros((3, 3)), np.zeros(3), Ellipsoid.ball(1.0))
     with pytest.raises(ValueError):
         AffineImage(np.eye(2), np.zeros(2), Ellipsoid.ball(1.0))
+    with pytest.raises(ValueError, match="finite"):
+        AffineImage(np.eye(3), np.array([0.0, np.nan, 0.0]),
+                    Ellipsoid.ball(1.0))
+    with pytest.raises(ValueError, match="finite"):
+        Polytope([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, np.inf]])
 
 
 # --------------------------------------------------------------- symmetry
@@ -284,6 +296,10 @@ def test_parse_reports_line_numbers():
     with pytest.raises(BodySpecError) as exc:
         parse_body(text)
     assert "line" in str(exc.value)
+    text = serialize_body(PBall(4.0, (1.0, 1.0, 1.0)))
+    with pytest.raises(BodySpecError) as exc:
+        parse_body(text.replace("exponent 4.0", "exponent", 1))
+    assert exc.value.line == 4
 
 
 def test_parse_rejects_unknown_kind():
@@ -291,6 +307,32 @@ def test_parse_rejects_unknown_kind():
         "kind ellipsoid", "kind banana")
     with pytest.raises(BodySpecError):
         parse_body(text)
+
+
+@pytest.mark.parametrize("body, field", [
+    (PBall(4.0, (1.0, 1.0, 1.0)), "center 0.5 0.0 0.0"),
+    (PBall(4.0, (1.0, 1.0, 1.0)), "offset 0.5 0.0 0.0"),
+    (Ellipsoid.ball(1.0), "vertex 1.0 0.0 0.0"),
+    (Polytope(np.vstack([np.eye(3), -np.eye(3)])), "exponent 2.0"),
+], ids=["pball-center", "pball-offset", "ellipsoid-vertex", "polytope-exponent"])
+def test_parse_rejects_fields_of_other_kinds(body, field):
+    text = serialize_body(body)
+    with pytest.raises(BodySpecError, match="takes no field") as exc:
+        parse_body(text + field + "\n")
+    assert exc.value.line == len(text.splitlines()) + 1
+
+
+@pytest.mark.parametrize("body, old, new", [
+    (Ellipsoid.ball(1.0), "shape-row 1.0", "shape-row -1.0"),  # not PD
+    (Ellipsoid.ball(1.0), "center 0.0", "center nan"),
+    (Ellipsoid.ball(1.0), "shape-row 1.0", "shape-row inf"),
+    (PBall(4.0, (1.0, 1.0, 1.0)), "semi-axes 1.0", "semi-axes inf"),
+], ids=["not-pd", "nan-center", "inf-shape", "inf-semi-axis"])
+def test_parse_reports_constructor_errors_at_the_kind_line(body, old, new):
+    text = serialize_body(body).replace(old, new, 1)
+    with pytest.raises(BodySpecError) as exc:
+        parse_body(text)
+    assert exc.value.line == 2
 
 
 def test_body_id_is_stable_and_kind_tagged(unit_ball, l4_unit):

@@ -5,13 +5,26 @@ or completed, 2 hypothesis-violated / not a pole, 3 conclusion-violated,
 1 usage, I/O, or geometry errors).
 """
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from ellipsoid_forge import Ellipsoid, PBall, save_body
-from ellipsoid_forge.cli import main
+from ellipsoid_forge import (
+    Ellipsoid,
+    PBall,
+    check_theorem1,
+    check_theorem2,
+    check_theorem3,
+    check_theorem4,
+    check_theorem_basico,
+    check_theorem_radon,
+    load_body,
+    polar_of,
+    save_body,
+)
+from ellipsoid_forge.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -31,9 +44,15 @@ def specs(tmp_path_factory):
     put("l4", PBall(4.0, (1.0, 1.0, 1.0)))
     put("l4_double", PBall(4.0, (2.0, 2.0, 2.0)))
     put("disc", Ellipsoid.ball(1.0, dim=2))
+    put("ball1_4d", Ellipsoid.ball(1.0, dim=4))
+    put("ball2_4d", Ellipsoid.ball(2.0, dim=4))
     bad = root / "broken.body"
     bad.write_text("ellipsoid-forge-body v1\nkind banana\n")
     paths["broken"] = str(bad)
+    nonpd = root / "nonpd.body"
+    nonpd.write_text((root / "ball1.body").read_text().replace(
+        "shape-row 1.0", "shape-row -1.0", 1))
+    paths["nonpd"] = str(nonpd)
     return paths
 
 
@@ -49,6 +68,52 @@ def test_validate_flags_broken_spec(specs, capsys):
     captured = capsys.readouterr()
     assert "INVALID" in captured.err
     assert ": ok" in captured.out  # the good one is still reported
+
+
+def test_validate_reports_constructor_errors_per_file(specs, capsys):
+    assert main(["body", "validate", specs["nonpd"], specs["ball1"]]) == 1
+    captured = capsys.readouterr()
+    assert "%s: INVALID: line 2: shape matrix must be positive definite" \
+        % specs["nonpd"] in captured.err
+    assert "%s: ok" % specs["ball1"] in captured.out
+
+
+@pytest.mark.parametrize("argv, library", [
+    (["t1", "--inner", "ellipsoid", "--outer", "ball2"],
+     lambda s: check_theorem1(load_body(s["ellipsoid"]), load_body(s["ball2"]))),
+    (["radon", "--body", "ellipsoid"],
+     lambda s: check_theorem_radon(load_body(s["ellipsoid"]))),
+], ids=["t1", "radon"])
+def test_check_defaults_are_the_library_defaults(specs, tmp_path, argv,
+                                                 library):
+    report = tmp_path / "r.json"
+    argv = [specs.get(a, a) for a in argv]
+    assert main(["check", *argv, "--report", str(report)]) == 0
+    assert report.read_text() == library(specs).to_json()
+
+
+@pytest.mark.parametrize("argv, fn", [
+    (["t1", "--inner", "a", "--outer", "b"], check_theorem1),
+    (["t2", "--inner", "a", "--outer", "b"], check_theorem2),
+    (["t3", "--inner", "a", "--outer", "b"], check_theorem3),
+    (["t4", "--body", "a", "--ball-radius", "1"], check_theorem4),
+    (["basico", "--body", "a"], check_theorem_basico),
+    (["radon", "--body", "a"], check_theorem_radon),
+    (["pole", "--body", "a", "--point", "2,0,0"], polar_of),
+], ids=["t1", "t2", "t3", "t4", "basico", "radon", "pole"])
+def test_check_flags_set_no_size_default(argv, fn):
+    sizes = {name for name, prm in inspect.signature(fn).parameters.items()
+             if name != "seed" and type(prm.default) in (int, float)}
+    assert sizes
+    given = vars(build_parser().parse_args(["check", *argv]))
+    assert not sizes & set(given)
+
+
+def test_check_on_four_dimensional_bodies_exits_one(specs, capsys):
+    code = main(["check", "t1", "--inner", specs["ball1_4d"],
+                 "--outer", specs["ball2_4d"]])
+    assert code == 1
+    assert "UnsupportedDimension" in capsys.readouterr().err
 
 
 def test_check_t1_exit_zero_and_report(specs, tmp_path, capsys):

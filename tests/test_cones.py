@@ -30,10 +30,12 @@ from ellipsoid_forge.errors import (
     ApexInsideBody,
     CoincidentApexes,
     LineMissesBody,
+    NonFiniteInput,
     NonSmoothBody,
     NotEllipsoidal,
     RayNotInterior,
     UnsupportedDimension,
+    ZeroDirection,
 )
 from ellipsoid_forge.fitting import ELLIPSE, fit_planar_conic
 
@@ -207,6 +209,26 @@ def test_tangency_sweeps_need_dimension_three(construct):
         construct(Ellipsoid.ball(1.0, dim=2))
 
 
+@pytest.mark.parametrize("construct, error", [
+    (lambda body: graze(body, np.array([np.nan, 0.0, 0.0])), NonFiniteInput),
+    (lambda body: graze(body, np.array([np.inf, 0.0, 0.0])), NonFiniteInput),
+    (lambda body: graze(body, np.array([2.0, 0.0])), UnsupportedDimension),
+    (lambda body: cone_intersection(body, np.array([2.0, 0.0, 0.0]),
+                                    np.array([np.nan, 0.0, 0.0])),
+     NonFiniteInput),
+    (lambda body: cone_intersection(body, np.array([-np.inf, 0.0, 0.0]),
+                                    np.array([2.0, 0.0, 0.0])),
+     NonFiniteInput),
+    (lambda body: shadow_boundary(body, np.zeros(3)), ZeroDirection),
+    (lambda body: shadow_boundary(body, np.array([0.0, np.nan, 1.0])),
+     NonFiniteInput),
+], ids=["graze-nan", "graze-inf", "graze-2d-apex", "omega-nan", "omega-inf",
+        "shadow-zero", "shadow-nan"])
+def test_constructions_reject_bad_points(unit_ball, construct, error):
+    with pytest.raises(error):
+        construct(unit_ball)
+
+
 # ------------------------------------------------------------- cone tests
 
 
@@ -216,6 +238,13 @@ def test_ball_support_cone_is_ellipsoidal(unit_ball):
     assert fit.detail["ellipsoidal"]
     assert fit.classification == ELLIPSE
     assert fit.detail["max_rms"] < 1e-8
+
+
+def test_cone_sectioning_needs_dimension_three():
+    cone = support_cone(Ellipsoid.ball(1.0, dim=4),
+                        np.array([2.0, 0.0, 0.0, 0.0]), m=16)
+    with pytest.raises(UnsupportedDimension):
+        is_ellipsoidal_cone(cone)
 
 
 def test_l4_support_cone_is_not_ellipsoidal(l4_unit):

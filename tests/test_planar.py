@@ -91,6 +91,22 @@ def test_plane_misses_body_raises(unit_ball):
         section(unit_ball, Hyperplane(np.array([0.0, 0.0, 1.0]), 2.0))
 
 
+def test_section_origin_found_by_descent():
+    # the centre's projection onto the plane has gauge 3.55, so with no hint
+    # the section origin comes from the in-plane gauge descent
+    c = np.array([0.3, -0.2, 0.1])
+    q = np.diag([1e-2, 1.0, 1.0])  # semi-axes 10, 1, 1
+    body = Ellipsoid(c, q)
+    nrm = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    offset = float(nrm @ c) + 5.0
+    assert body.gauge(c + 5.0 * nrm) > 3.5
+    sec = section(body, Hyperplane(nrm, offset))
+    assert body.gauge(sec.origin) < 1.0
+    sym = central_symmetry(sec)
+    want = ellipsoid_section_center(c, q, nrm, offset)
+    assert np.abs(np.asarray(sym.center_world) - want).max() < 1e-12
+
+
 def test_section_type_check(unit_ball):
     with pytest.raises(TypeError):
         section(unit_ball, "z=0")

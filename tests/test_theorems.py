@@ -28,6 +28,7 @@ from ellipsoid_forge.errors import (
     NonSmoothBody,
     NotOSymmetric,
     PointOnBoundary,
+    UnsupportedDimension,
 )
 
 
@@ -201,6 +202,8 @@ def test_t2_requires_interior_point(unit_ball):
     inner = Ellipsoid.ball(0.5)
     with pytest.raises(GeometryError):
         check_theorem2(inner, unit_ball, np.array([2.0, 0.0, 0.0]))
+    with pytest.raises(UnsupportedDimension):
+        check_theorem2(inner, unit_ball, np.zeros(2))
 
 
 def test_t2_l4_outer_violates_matching_hypothesis(l4_unit):
@@ -331,6 +334,10 @@ def test_basico_input_gates(unit_ball):
         check_theorem_basico(unit_ball, np.array([1.5, 0.0, 0.0]))
     with pytest.raises(ValueError):
         check_theorem_basico(unit_ball, np.zeros(3), eps=0.0)
+    with pytest.raises(UnsupportedDimension):
+        check_theorem_basico(unit_ball, np.zeros(4))
+    with pytest.raises(GeometryError, match="interior"):
+        check_theorem_basico(unit_ball, np.array([np.nan, 0.0, 0.0]))
     cube = Polytope([[sx, sy, sz] for sx in (-1, 1)
                      for sy in (-1, 1) for sz in (-1, 1)])
     with pytest.raises(NonSmoothBody):
@@ -359,6 +366,28 @@ def test_radon_l4_violates_hypothesis(l4_unit):
 def test_radon_requires_o_symmetry():
     with pytest.raises(NotOSymmetric):
         check_theorem_radon(_MiscenteredBall(np.zeros(3), np.eye(3)))
+
+
+# ---------------------------------------------------- dimension contract
+
+_B4 = (Ellipsoid.ball(1.0, dim=4), Ellipsoid.ball(2.0, dim=4))
+
+
+@pytest.mark.parametrize("theorem, run", [
+    ("t1", lambda: check_theorem1(*_B4)),
+    ("t1", lambda: check_theorem1(Ellipsoid.ball(1.0), _B4[1])),
+    ("t2", lambda: check_theorem2(*_B4, np.zeros(4))),
+    ("t3", lambda: check_theorem3(*_B4)),
+    ("t4", lambda: check_theorem4(_B4[1], 0.5)),
+    ("t4", lambda: check_theorem4(Ellipsoid.ball(2.0, dim=2), 0.5)),
+    ("basico", lambda: check_theorem_basico(_B4[0], np.zeros(4))),
+    ("radon", lambda: check_theorem_radon(_B4[0])),
+    ("radon", lambda: check_theorem_radon(Ellipsoid.ball(1.0, dim=2))),
+], ids=["t1", "t1-3d-in-4d", "t2", "t3", "t4", "t4-2d", "basico", "radon",
+        "radon-2d"])
+def test_checks_need_three_dimensional_bodies(theorem, run):
+    with pytest.raises(UnsupportedDimension, match="check %s " % theorem):
+        run()
 
 
 # ------------------------------------------------------- verdict assembly
