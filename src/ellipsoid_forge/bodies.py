@@ -10,7 +10,8 @@ import hashlib
 import io
 
 import numpy as np
-from scipy.optimize import brentq, linprog, minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import BodySpecError, LineMissesBody, NonSmoothBody
 from .numeric import normalize, sphere_directions
@@ -237,7 +238,11 @@ class PBall(ConvexBody):
 
 
 class Polytope(ConvexBody):
-    """Convex hull of a finite vertex list; support-oracle only (not smooth)."""
+    """Convex hull of a finite vertex list spanning R^n (not smooth).
+
+    The facets A (x - c) <= b are built once with Qhull, so the gauge about
+    the vertex mean c is max(A (x - c) / b).
+    """
 
     kind = "polytope"
     is_smooth = False
@@ -246,8 +251,15 @@ class Polytope(ConvexBody):
         v = _finite("vertices", vertices)
         if v.ndim != 2 or v.shape[0] < v.shape[1] + 1:
             raise ValueError("polytope needs at least n+1 vertices")
+        try:
+            eq = ConvexHull(v).equations  # rows (a, e): a.x + e <= 0 inside
+        except QhullError as exc:
+            raise ValueError("polytope vertices do not span R^%d: %s"
+                             % (v.shape[1], str(exc).splitlines()[0])) from exc
         self._v = v
         self._c = v.mean(axis=0)
+        self._a = eq[:, :-1]
+        self._b = -eq[:, -1] - self._a @ self._c  # > 0: c is interior
 
     @property
     def dim(self):
@@ -269,15 +281,8 @@ class Polytope(ConvexBody):
         return self._v[int(np.argmax(scores))].copy()
 
     def gauge(self, x):
-        # min sum(mu) subject to (V - c)^T mu = x - c, mu >= 0
-        rhs = np.asarray(x, dtype=float) - self._c
-        gen = (self._v - self._c).T
-        k = self._v.shape[0]
-        res = linprog(np.ones(k), A_eq=gen, b_eq=rhs,
-                      bounds=[(0.0, None)] * k, method="highs")
-        if not res.success:
-            raise ValueError("gauge LP failed: %s" % res.message)
-        return float(res.fun)
+        v = np.asarray(x, dtype=float) - self._c
+        return float((self._a @ v / self._b).max())
 
 
 class AffineImage(ConvexBody):

@@ -3,10 +3,11 @@
 A PlanarSection wraps the 2-D convex figure cut from a body by a hyperplane
 (dimension 3 host: the section is a planar convex curve) behind a chart and a
 2-D support oracle. The support function of a section is computed by the
-standard restriction formula h_sec(w) = inf_t [h_K(w + t n) - t d], whose
-minimizer for smooth bodies is the root of the monotone derivative
-<support_point(w + t n), n> - d; this keeps section support points at full
-solver accuracy, which the conjugacy gates need.
+standard restriction formula h_sec(w) = inf_t [h_K(w + t n) - t d]. For
+every body h_K(w + t n) - t d is convex in t, and its derivative is selected
+monotonically by <support_point(w + t n), n> - d, so the root of that (on a
+polytope, the point where it jumps) is the minimizer; this keeps section
+support points at full solver accuracy, which the conjugacy gates need.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +16,8 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .bodies import line_min_gauge, ray_exit
-from .errors import EndpointNotOnBoundary, NotANorm, NotFound, PlaneMissesBody
+from .errors import (EndpointNotOnBoundary, NotANorm, NotFound, PlaneMissesBody,
+                     UnsupportedDimension)
 from .numeric import angle_between, normalize, unit_frame
 from .projective import Hyperplane, Line
 
@@ -72,25 +74,21 @@ class PlanarSection:
         return self.basis @ (np.asarray(z, dtype=float) - self.origin)
 
     def _restriction_minimizer(self, w_world):
+        """Minimizer t of psi(t) = h(w + t n) - t d, and a step that brentq's
+        tolerance guarantees to carry t across it."""
         body, n, d = self.body, self.plane.normal, self.plane.offset
         t_hi = 1.0 + float(np.linalg.norm(w_world))
-        if body.is_smooth:
-            dpsi = lambda t: float(body.support_point(w_world + t * n) @ n) - d
-            lo = _widen(lambda t: dpsi(t) < 0.0, -t_hi)
-            hi = _widen(lambda t: dpsi(t) > 0.0, t_hi)
-            return brentq(dpsi, lo, hi, xtol=1e-13 * max(1.0, abs(lo), abs(hi)),
-                          rtol=8.9e-16)
-        psi = lambda t: body.support(w_world + t * n) - t * d
-        lo = _widen(lambda t: psi(t) > psi(0.0), -t_hi)
-        hi = _widen(lambda t: psi(t) > psi(0.0), t_hi)
-        r = minimize_scalar(psi, bounds=(lo, hi), method="bounded",
-                            options={"xatol": 1e-12 * max(1.0, abs(lo), abs(hi))})
-        return float(r.x)
+        dpsi = lambda t: float(body.support_point(w_world + t * n) @ n) - d
+        lo = _widen(lambda t: dpsi(t) < 0.0, -t_hi)
+        hi = _widen(lambda t: dpsi(t) > 0.0, t_hi)
+        xtol = 1e-13 * max(1.0, abs(lo), abs(hi))
+        t = brentq(dpsi, lo, hi, xtol=xtol, rtol=8.9e-16)
+        return t, 2.0 * (xtol + 8.9e-16 * abs(t))
 
     def support2(self, w):
         w = np.asarray(w, dtype=float)
         w_world = self.basis.T @ w
-        t = self._restriction_minimizer(w_world)
+        t, _ = self._restriction_minimizer(w_world)
         n, d = self.plane.normal, self.plane.offset
         h = self.body.support(w_world + t * n) - t * d
         return float(h - self.origin @ w_world)
@@ -98,9 +96,18 @@ class PlanarSection:
     def support_point2(self, w):
         w = np.asarray(w, dtype=float)
         w_world = self.basis.T @ w
-        t = self._restriction_minimizer(w_world)
-        z = self.body.support_point(w_world + t * self.plane.normal)
-        z = z - self.plane.signed_distance(z) * self.plane.normal
+        t, step = self._restriction_minimizer(w_world)
+        n, dist = self.plane.normal, self.plane.signed_distance
+        if self.body.is_smooth:
+            z = self.body.support_point(w_world + t * n)
+            return self.to_chart(z - dist(z) * n)
+        # psi kinks at t: the support points just below and just above it
+        # span an exposed face of K, which meets the plane in the section's
+        # support point
+        a = self.body.support_point(w_world + (t - step) * n)
+        b = self.body.support_point(w_world + (t + step) * n)
+        da, db = dist(a), dist(b)
+        z = a if da == db else a + da / (da - db) * (b - a)
         return self.to_chart(z)
 
     def boundary2(self, d2, base2=None):
@@ -130,9 +137,15 @@ class PlanarSection:
 
 
 def section(body, plane, interior_hint=None):
-    """Restriction oracle: the planar convex figure plane ∩ body."""
+    """Restriction oracle: the planar convex figure plane ∩ body, for a 3-D
+    body and a plane in R^3."""
     if not isinstance(plane, Hyperplane):
         raise TypeError("expected a Hyperplane")
+    if body.dim != 3 or plane.normal.shape != (3,):
+        raise UnsupportedDimension(
+            "section needs a 3-D body and a plane in R^3; the body has "
+            "dimension %d, the plane normal shape %s"
+            % (body.dim, plane.normal.shape))
     return PlanarSection(body, plane, interior_hint=interior_hint)
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateQuadruple, NonCollinear
+from .errors import DegenerateQuadruple, NonCollinear, NonFiniteInput
 from .numeric import normalize
 
 _PROP_TOL = 1e-12
@@ -106,10 +106,14 @@ class Hyperplane:
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float)
+        offset = float(self.offset)
+        if not (np.all(np.isfinite(n)) and np.isfinite(offset)):
+            raise NonFiniteInput("hyperplane normal %s or offset %r is not "
+                                 "finite" % (n.tolist(), offset))
         if abs(np.linalg.norm(n) - 1.0) > 1e-12:
             raise ValueError("hyperplane normal must be a unit vector")
         object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", offset)
 
     @classmethod
     def from_point_normal(cls, point, normal):
@@ -168,58 +172,9 @@ class ProjectiveMap:
         _check_invertible(m)
         self.matrix = m
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0] - 1
-
     def apply(self, p):
         p = as_hpoint(p)
         return HPoint(self.matrix @ p.coords)
-
-    def inverse(self):
-        return type(self)(np.linalg.inv(self.matrix))
-
-
-class AffineMap(ProjectiveMap):
-    """Projective map fixing the hyperplane at infinity: x -> A x + b."""
-
-    def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=float)
-        bottom = m[-1, :]
-        want = np.zeros_like(bottom)
-        want[-1] = 1.0
-        if not np.allclose(bottom, want * bottom[-1], atol=1e-14) or bottom[-1] == 0.0:
-            raise ValueError("affine map must fix the hyperplane at infinity")
-        super().__init__(m / bottom[-1])
-
-    @classmethod
-    def from_A_b(cls, a, b=None):
-        a = np.asarray(a, dtype=float)
-        n = a.shape[0]
-        if b is None:
-            b = np.zeros(n)
-        m = np.eye(n + 1)
-        m[:n, :n] = a
-        m[:n, n] = np.asarray(b, dtype=float)
-        return cls(m)
-
-    @property
-    def a(self):
-        return self.matrix[:-1, :-1]
-
-    @property
-    def b(self):
-        return self.matrix[:-1, -1]
-
-    def apply_affine(self, x):
-        x = np.asarray(x, dtype=float)
-        return x @ self.a.T + self.b
-
-    def apply_hyperplane(self, h):
-        # normals push forward by the inverse transpose
-        n_new = normalize(np.linalg.solve(self.a.T, h.normal))
-        p_img = self.apply_affine(h.normal * h.offset)
-        return Hyperplane(n_new, float(np.dot(n_new, p_img)))
 
 
 def _project_to_line(points):

@@ -21,7 +21,8 @@ from .bodies import (
     line_min_gauge,
     o_symmetry_residual,
 )
-from .cones import cone_intersection, graze, is_ellipsoidal_cone, shadow_boundary, support_cone
+from .cones import (_finite_vector, cone_intersection, graze, is_ellipsoidal_cone,
+                    shadow_boundary, support_cone)
 from .errors import (
     BallTooLarge,
     BodiesNotNested,
@@ -371,7 +372,7 @@ def polar_of(body, o, m=64, seed=0, tolerances=None, graze_m=None):
     along it.
     """
     tol = _merge_tolerances(tolerances)
-    o = np.asarray(o, dtype=float)
+    o = _finite_vector(body, o, "point")
     g0 = body.gauge(o)
     if abs(g0 - 1.0) <= 1e-9:
         raise PointOnBoundary("gauge of o is %.12f" % g0)

@@ -7,7 +7,7 @@ other way around.
 """
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import linprog, minimize_scalar
 
 
 def ball_graze(radius, apex_dist):
@@ -75,6 +75,18 @@ def lp_graze_axis_height(p, apex_dist):
     d x1^(p-1) = ||x||_p^p = 1, so the graze is planar at x1 = d^(-1/(p-1)).
     """
     return apex_dist ** (-1.0 / (p - 1.0))
+
+
+def polytope_gauge_lp(vertices, x):
+    """Gauge of conv(V) about the vertex mean c, by linear programming:
+    min sum(mu) subject to (V - c)^T mu = x - c, mu >= 0."""
+    v = np.asarray(vertices, dtype=float)
+    c = v.mean(axis=0)
+    res = linprog(np.ones(len(v)), A_eq=(v - c).T,
+                  b_eq=np.asarray(x, dtype=float) - c,
+                  bounds=[(0.0, None)] * len(v), method="highs")
+    assert res.success, res.message
+    return float(res.fun)
 
 
 def ellipsoid_support(center, shape, u):

@@ -24,6 +24,7 @@ from oracles import (
     lp_norm,
     lp_support,
     lp_support_point,
+    polytope_gauge_lp,
 )
 
 
@@ -175,6 +176,20 @@ def test_polytope_gauge_on_cube():
     assert cube.contains(np.array([0.9, -0.9, 0.9]))
 
 
+@given(st.integers(0, 10 ** 6), st.booleans(), st.integers(4, 12))
+@settings(max_examples=40, deadline=None)
+def test_polytope_facet_gauge_matches_lp(seed, symmetric, k):
+    # a +-v hull or a random vertex cloud; points inside and outside it
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(k, 3))
+    if symmetric:
+        v = np.vstack([v, -v])
+    body = Polytope(v)
+    for x in body.center + rng.normal(size=(8, 3)) * rng.uniform(0.1, 3.0, (8, 1)):
+        want = polytope_gauge_lp(v, x)
+        assert abs(body.gauge(x) - want) <= 1e-12 * want
+
+
 def test_affine_image_support_law():
     rng = np.random.default_rng(5)
     inner = PBall(4.0, (1.0, 1.0, 1.0))
@@ -204,6 +219,8 @@ def test_affine_image_rejects_singular_matrix():
                     Ellipsoid.ball(1.0))
     with pytest.raises(ValueError, match="finite"):
         Polytope([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, np.inf]])
+    with pytest.raises(ValueError, match="do not span"):  # flat
+        Polytope([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.5, 0.2, 0]])
 
 
 # --------------------------------------------------------------- symmetry

@@ -14,6 +14,7 @@ import pytest
 from ellipsoid_forge import (
     Ellipsoid,
     PBall,
+    Polytope,
     check_theorem1,
     check_theorem2,
     check_theorem3,
@@ -53,6 +54,12 @@ def specs(tmp_path_factory):
     nonpd.write_text((root / "ball1.body").read_text().replace(
         "shape-row 1.0", "shape-row -1.0", 1))
     paths["nonpd"] = str(nonpd)
+    put("octahedron", Polytope(np.vstack([np.eye(3), -np.eye(3)])))
+    flat = root / "flat.body"  # the octahedron squashed into z = 0
+    flat.write_text((root / "octahedron.body").read_text().replace(
+        "vertex 0.0 0.0 1.0", "vertex 0.5 0.5 0.0").replace(
+        "vertex -0.0 -0.0 -1.0", "vertex -0.5 -0.5 -0.0"))
+    paths["flat"] = str(flat)
     return paths
 
 
@@ -76,6 +83,14 @@ def test_validate_reports_constructor_errors_per_file(specs, capsys):
     assert "%s: INVALID: line 2: shape matrix must be positive definite" \
         % specs["nonpd"] in captured.err
     assert "%s: ok" % specs["ball1"] in captured.out
+
+
+def test_validate_reports_flat_polytope(specs, capsys):
+    assert main(["body", "validate", specs["flat"], specs["octahedron"]]) == 1
+    captured = capsys.readouterr()
+    assert "%s: INVALID: line 2: polytope vertices do not span R^3" \
+        % specs["flat"] in captured.err
+    assert "%s: ok" % specs["octahedron"] in captured.out
 
 
 @pytest.mark.parametrize("argv, library", [
@@ -179,6 +194,13 @@ def test_check_pole_center_at_infinity(specs, capsys):
                  "--point", "0,0,0"])
     assert code == 0
     assert "classification projective centre" in capsys.readouterr().out
+
+
+def test_check_pole_non_finite_point_exits_one(specs, capsys):
+    code = main(["check", "pole", "--body", specs["ball1"],
+                 "--point", "nan,0,0"])
+    assert code == 1
+    assert "NonFiniteInput" in capsys.readouterr().err
 
 
 def test_check_pole_l4_exits_two(specs, capsys):

@@ -21,6 +21,7 @@ from ellipsoid_forge.errors import (
     NotANorm,
     NotFound,
     PlaneMissesBody,
+    UnsupportedDimension,
 )
 
 from oracles import (
@@ -110,6 +111,43 @@ def test_section_origin_found_by_descent():
 def test_section_type_check(unit_ball):
     with pytest.raises(TypeError):
         section(unit_ball, "z=0")
+
+
+def test_section_needs_three_dimensions(unit_ball):
+    with pytest.raises(UnsupportedDimension):
+        section(unit_ball, Hyperplane(np.array([0.0, 1.0]), 0.0))
+    with pytest.raises(UnsupportedDimension):
+        section(Ellipsoid.ball(1.0, dim=2), Hyperplane(np.array([0.0, 1.0]), 0.0))
+
+
+# ------------------------------------------------------ polytope sections
+
+_OCTAHEDRON = Polytope(np.vstack([np.eye(3), -np.eye(3)]))
+
+
+def test_octahedron_section_support_is_closed_form():
+    # the section z = 0.2 is the square |x| + |y| <= 0.8, centred on the axis
+    sec = section(_OCTAHEDRON, Hyperplane(np.array([0.0, 0.0, 1.0]), 0.2))
+    for th in np.linspace(0.0, 2.0 * np.pi, 97):
+        w = _dir2(th)
+        ww = sec.basis.T @ w
+        want = 0.8 * max(abs(ww[0]), abs(ww[1])) - float(sec.origin @ ww)
+        assert abs(sec.support2(w) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("central", [True, False], ids=["central", "off-centre"])
+def test_octahedron_section_support_points_lie_on_the_section(central):
+    rng = np.random.default_rng(3 if central else 4)
+    for _ in range(4):
+        nrm = rng.normal(size=3)
+        nrm /= np.linalg.norm(nrm)
+        offset = 0.0 if central else rng.uniform(-0.3, 0.3)
+        sec = section(_OCTAHEDRON, Hyperplane(nrm, offset))
+        for th in rng.uniform(0.0, 2.0 * np.pi, 12):
+            w = _dir2(th)
+            p = sec.support_point2(w)
+            assert abs(_OCTAHEDRON.gauge(sec.to_world(p)) - 1.0) <= 1e-12
+            assert abs(float(w @ p) - sec.support2(w)) <= 1e-12
 
 
 # ------------------------------------------------------- central symmetry

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from ellipsoid_forge import (
     INFINITY_HYPERPLANE,
-    AffineMap,
     HPoint,
     Hyperplane,
     Line,
@@ -15,7 +14,7 @@ from ellipsoid_forge import (
     fit_hyperplane_projective,
     harmonic_conjugate,
 )
-from ellipsoid_forge.errors import DegenerateQuadruple, NonCollinear
+from ellipsoid_forge.errors import DegenerateQuadruple, NonCollinear, NonFiniteInput
 
 from oracles import harmonic_parameter, real_cross_ratio
 
@@ -107,6 +106,8 @@ def test_cross_ratio_projective_invariance():
         before = cross_ratio(*pts)
         after = cross_ratio(*[g.apply(p) for p in pts])
         assert abs(after - before) <= 1e-9 * max(1.0, abs(before))
+    with pytest.raises(ValueError):
+        ProjectiveMap(np.zeros((4, 4)))
 
 
 def test_hpoint_basics():
@@ -141,6 +142,10 @@ def test_hyperplane_line_meet():
 def test_hyperplane_requires_unit_normal():
     with pytest.raises(ValueError):
         Hyperplane(np.array([2.0, 0.0, 0.0]), 1.0)
+    for normal, offset in (([np.nan, 0.0, 1.0], 0.0), ([0.0, 0.0, 1.0], np.nan),
+                           ([0.0, 0.0, 1.0], np.inf)):
+        with pytest.raises(NonFiniteInput):
+            Hyperplane(np.array(normal), offset)
 
 
 def test_fit_hyperplane_projective_exact_plane():
@@ -165,36 +170,3 @@ def test_fit_hyperplane_projective_at_infinity():
     h, resid, _ = fit_hyperplane_projective(pts)
     assert h is INFINITY_HYPERPLANE
     assert resid < 1e-12
-
-
-def test_affine_map_round_trip():
-    rng = np.random.default_rng(9)
-    a = rng.normal(size=(3, 3)) + 2 * np.eye(3)
-    b = rng.uniform(-1, 1, 3)
-    g = AffineMap.from_A_b(a, b)
-    x = rng.uniform(-1, 1, 3)
-    assert np.allclose(g.apply_affine(x), a @ x + b)
-    assert np.allclose(g.inverse().apply_affine(g.apply_affine(x)), x)
-    assert np.allclose(g.apply(HPoint.from_affine(x)).affine(), a @ x + b)
-
-
-def test_affine_map_hyperplane_pushforward():
-    rng = np.random.default_rng(13)
-    a = rng.normal(size=(3, 3)) + 2 * np.eye(3)
-    g = AffineMap.from_A_b(a, rng.uniform(-1, 1, 3))
-    h = Hyperplane(np.array([0.0, 0.6, 0.8]), 0.3)
-    h_img = g.apply_hyperplane(h)
-    for _ in range(6):
-        v = rng.normal(size=3)
-        v -= h.normal * (h.normal @ v)
-        x = h.normal * h.offset + v
-        assert h_img.contains(g.apply_affine(x), tol=1e-9)
-
-
-def test_affine_map_rejects_projective_bottom_row():
-    m = np.eye(4)
-    m[3, 0] = 0.2
-    with pytest.raises(ValueError):
-        AffineMap(m)
-    with pytest.raises(ValueError):
-        ProjectiveMap(np.zeros((4, 4)))

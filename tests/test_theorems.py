@@ -25,6 +25,7 @@ from ellipsoid_forge.errors import (
     BallTooLarge,
     BodiesNotNested,
     GeometryError,
+    NonFiniteInput,
     NonSmoothBody,
     NotOSymmetric,
     PointOnBoundary,
@@ -112,6 +113,13 @@ def test_polar_of_tolerance_plumbing(l4_unit):
 def test_polar_of_boundary_point_rejected(unit_ball):
     with pytest.raises(PointOnBoundary):
         polar_of(unit_ball, np.array([1.0, 0.0, 0.0]))
+
+
+def test_polar_of_checks_its_point(unit_ball):
+    with pytest.raises(NonFiniteInput):
+        polar_of(unit_ball, np.array([np.nan, 0.0, 0.0]))
+    with pytest.raises(UnsupportedDimension):
+        polar_of(unit_ball, np.array([2.0, 0.0]))
 
 
 # --------------------------------------------------------------------- t1
