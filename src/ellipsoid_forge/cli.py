@@ -163,18 +163,24 @@ def _cmd_sample(args):
     return 0
 
 
-def _cmd_check(args):
-    fn, body_flags, input_flags, size_flags = _CHECKS[args.theorem]
+def _run_check(name, bodies, args):
+    """Call check name's function on bodies with the inputs, sizes, seed and
+    tolerances in the parsed args."""
+    fn, _, input_flags, size_flags = _CHECKS[name]
     given = vars(args)
-    bodies = [load_body(given[flag]) for flag in body_flags]
     inputs = [given[flag] for flag in input_flags]
     # a size flag the user omitted is absent, so the function's default holds
     sizes = {param: given[param] for _, param in _sizes(size_flags)
              if param in given}
-    result = fn(*bodies, *inputs, seed=args.seed,
-                tolerances=_tolerances(args) or None, **sizes)
+    return fn(*bodies, *inputs, seed=args.seed,
+              tolerances=_tolerances(args) or None, **sizes)
+
+
+def _cmd_check(args):
+    bodies = [load_body(getattr(args, flag)) for flag in _CHECKS[args.theorem][1]]
+    result = _run_check(args.theorem, bodies, args)
     if args.theorem == "pole":
-        return _finish_pole(result, bodies[0], inputs[0], args)
+        return _finish_pole(result, bodies[0], args.point, args)
     return _finish_check(result, args)
 
 
@@ -214,23 +220,11 @@ def _finish_pole(result, body, point, args):
 
 def _cmd_sweep(args):
     semi_axes = _vec(args.semi_axes)
-    tol = _tolerances(args) or None
+    args.p = np.zeros(len(semi_axes))  # sweep runs basico about the origin
     rows = []
     for p in _grid(args.exponents):
         body = PBall(float(p), semi_axes)
-        if args.check == "radon":
-            report = check_theorem_radon(body, planes=args.planes,
-                                         diameters=args.diameters,
-                                         seed=args.seed, tolerances=tol)
-        elif args.check == "basico":
-            report = check_theorem_basico(body, np.zeros(body.dim),
-                                          eps=args.eps, planes=args.planes,
-                                          m=args.m, seed=args.seed,
-                                          tolerances=tol)
-        else:
-            report = check_theorem4(body, args.ball_radius,
-                                    samples=args.samples, m=args.m,
-                                    seed=args.seed, tolerances=tol)
+        report = _run_check(args.check, [body], args)
         worst = max((s.residual for s in report.stages
                      if s.verdict in ("pass", "fail", "info")), default=0.0)
         rows.append({"exponent": float(p), "verdict": report.verdict,

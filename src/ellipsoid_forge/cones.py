@@ -268,20 +268,9 @@ def is_ellipsoidal_cone(cone, tol=1e-6, seed=0):
         worst = max(worst, fit_alt.rms_residual)
         if fit_alt.classification != ELLIPSE or fit_alt.rms_residual >= tol:
             all_ellipse = False
-    base_fit.detail["alt_rms"] = alt_rms
-    base_fit.detail["max_rms"] = worst
-    base_fit.detail["ellipsoidal"] = bool(all_ellipse)
-    base_fit.detail["tol"] = tol
+    base_fit.detail.update(alt_rms=alt_rms, max_rms=worst,
+                           ellipsoidal=bool(all_ellipse), tol=tol)
     return base_fit
-
-
-def _conic_matrix(coeffs):
-    a, b, c, d, e, f = coeffs
-    return np.array([
-        [a, b / 2.0, d / 2.0],
-        [b / 2.0, c, e / 2.0],
-        [d / 2.0, e / 2.0, f],
-    ])
 
 
 def centered_section(cone, ray, tol=1e-6, seed=0):
@@ -307,14 +296,13 @@ def centered_section(cone, ray, tol=1e-6, seed=0):
     p = apex + d / (d @ w)  # trace on the reference section plane
     mu, scale = fit.detail["mu"], fit.detail["scale"]
     origin, basis = fit.detail["chart_origin"], fit.detail["chart_basis"]
-    p_hat = (basis.T @ (p - origin) - mu) / scale
-    conic = _conic_matrix(fit.model)
-    value_p = float(np.array([*p_hat, 1.0]) @ conic @ np.array([*p_hat, 1.0]))
-    center_hat = (np.asarray(fit.detail["center"]) - mu) / scale
-    value_c = float(np.array([*center_hat, 1.0]) @ conic @ np.array([*center_hat, 1.0]))
+    conic = fit.detail["form"]
+    p_h = np.append((basis.T @ (p - origin) - mu) / scale, 1.0)
+    c_h = np.append((np.asarray(fit.detail["center"]) - mu) / scale, 1.0)
+    value_p, value_c = float(p_h @ conic @ p_h), float(c_h @ conic @ c_h)
     if not (value_p * value_c > 0.0 and abs(value_p) > 1e-9 * abs(value_c)):
         raise RayNotInterior("ray trace is not interior to the section conic")
-    line = conic @ np.array([p_hat[0], p_hat[1], 1.0])
+    line = conic @ p_h
     l2 = np.hypot(line[0], line[1])
     if l2 <= 1e-9 * abs(line[2]):
         # polar of the conic center: section is already centered on the ray

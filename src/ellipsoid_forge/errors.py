@@ -87,6 +87,10 @@ class EndpointNotOnBoundary(GeometryError):
     """Chord endpoint fails the boundary residual gate."""
 
 
+class NoSignChange(GeometryError):
+    """A root bracket found no sign change within its search range."""
+
+
 class NotANorm(GeometryError):
     """Section is not origin-symmetric within gate, so it induces no norm."""
 

@@ -82,50 +82,21 @@ def _normalize_cloud(x):
 
 
 def fit_conic_2d(xy, tol=DEFAULT_ELLIPSE_TOL):
-    """Algebraic conic fit a X^2 + b XY + c Y^2 + d X + e Y + f on 2-D points.
+    """Conic fit on 2-D points: fit_quadric in the plane, under its ellipse rule.
 
-    Coordinates are rms-normalized and the coefficient vector has unit norm,
-    so residuals are dimensionless. Classification by the discriminant
-    b^2 - 4ac; the ellipse verdict additionally requires rms below tol.
+    model is [a, c, b, d, e, f] for a X^2 + b XY + c Y^2 + d X + e Y + f in
+    normalized coordinates; detail adds disc = b^2 - 4ac = -4 det Q and, for
+    an ellipse, the center in the input coordinates.
     """
     xy = np.asarray(xy, dtype=float)
     if xy.ndim != 2 or xy.shape[1] != 2:
         raise ValueError("xy must be (m, 2)")
-    if xy.shape[0] < 6:
-        raise DegenerateCloud("conic fit needs at least 6 points")
-    z, mu, scale = _normalize_cloud(xy)
-    x, y = z[:, 0], z[:, 1]
-    design = np.column_stack([x * x, x * y, y * y, x, y, np.ones_like(x)])
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    if s[-2] <= 1e-13 * s[0]:
-        raise DegenerateCloud("conic coefficients not determined by the cloud")
-    coeffs = vt[-1]
-    if coeffs[0] + coeffs[2] < 0:  # deterministic sign
-        coeffs = -coeffs
-    resid = np.abs(design @ coeffs)
-    rms = float(np.sqrt(np.mean(resid**2)))
-    mx = float(resid.max())
-    a, b, c, d, e, f = coeffs
-    disc = b * b - 4.0 * a * c
-    detail = {"disc": float(disc), "mu": mu, "scale": scale}
-    if disc < -1e-10:
-        qmat = np.array([[2.0 * a, b], [b, 2.0 * c]])
-        center_n = np.linalg.solve(qmat, -np.array([d, e]))
-        detail["center"] = mu + scale * center_n
-        # real (nonempty) ellipse: with a+c>0 the value at the center is negative
-        value_at_center = (
-            a * center_n[0] ** 2 + b * center_n[0] * center_n[1]
-            + c * center_n[1] ** 2 + d * center_n[0] + e * center_n[1] + f
-        )
-        real_ellipse = value_at_center < 0.0
-        classification = (
-            ELLIPSE if (rms < tol and real_ellipse) else PARABOLA_OR_DEGENERATE
-        )
-    elif disc > 1e-10:
-        classification = HYPERBOLA if rms < tol else PARABOLA_OR_DEGENERATE
-    else:
-        classification = PARABOLA_OR_DEGENERATE
-    return FitResult(coeffs, rms, mx, classification, detail)
+    res = fit_quadric(xy, tol=tol)
+    q = res.detail["form"]
+    res.detail["disc"] = float(4.0 * (q[0, 1] ** 2 - q[0, 0] * q[1, 1]))
+    if res.classification == ELLIPSE:
+        res.detail["center"] = res.detail.pop("center_world")
+    return res
 
 
 def fit_planar_conic(points, plane, tol=DEFAULT_ELLIPSE_TOL):
@@ -133,8 +104,6 @@ def fit_planar_conic(points, plane, tol=DEFAULT_ELLIPSE_TOL):
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("fit_planar_conic expects 3-D points")
-    if pts.shape[0] < 6:
-        raise DegenerateCloud("conic fit needs at least 6 points")
     diam = cloud_diameter(pts)
     if diam == 0.0:
         raise DegenerateCloud("all points coincide")
@@ -147,47 +116,42 @@ def fit_planar_conic(points, plane, tol=DEFAULT_ELLIPSE_TOL):
     origin = plane.normal * plane.offset
     chart = (pts - origin) @ basis
     res = fit_conic_2d(chart, tol=tol)
-    detail = dict(res.detail)
-    detail["chart_origin"] = origin
-    detail["chart_basis"] = basis
-    if "center" in detail:
-        detail["center_world"] = origin + basis @ detail["center"]
-    return FitResult(res.model, res.rms_residual, res.max_residual,
-                     res.classification, detail)
+    res.detail.update(chart_origin=origin, chart_basis=basis)
+    if "center" in res.detail:
+        res.detail["center_world"] = origin + basis @ res.detail["center"]
+    return res
+
+
+def _upper_pairs(n):
+    """Index arrays (i, j) of the pairs i < j < n, in row-major order."""
+    return np.array([(i, j) for i in range(n) for j in range(i + 1, n)],
+                    dtype=int).reshape(-1, 2).T
 
 
 def quadric_design(z):
     """Monomial design matrix [x_i^2, x_i x_j (i<j), x_i, 1] for rows of z."""
-    m, n = z.shape
-    cols = [z[:, i] * z[:, i] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            cols.append(z[:, i] * z[:, j])
-    cols.extend(z[:, i] for i in range(n))
-    cols.append(np.ones(m))
-    return np.column_stack(cols)
+    i, j = _upper_pairs(z.shape[1])
+    return np.column_stack([z * z, z[:, i] * z[:, j], z, np.ones(len(z))])
 
 
-def _quadric_matrix(coeffs, n):
-    q = np.zeros((n, n))
-    k = 0
-    for i in range(n):
-        q[i, i] = coeffs[k]
-        k += 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            q[i, j] = q[j, i] = coeffs[k] / 2.0
-            k += 1
-    lin = np.array(coeffs[k:k + n])
-    const = coeffs[k + n]
-    return q, lin, const
+def _quadric_form(coeffs, n):
+    """Homogeneous (n+1) x (n+1) matrix F with [z, 1] F [z, 1]^T the fitted
+    polynomial, for coefficients in quadric_design's column order."""
+    form = np.zeros((n + 1, n + 1))
+    i, j = _upper_pairs(n)
+    form[range(n), range(n)] = coeffs[:n]
+    form[i, j] = form[j, i] = coeffs[n:n + len(i)] / 2.0
+    form[:n, n] = form[n, :n] = coeffs[n + len(i):-1] / 2.0
+    form[n, n] = coeffs[-1]
+    return form
 
 
 def fit_quadric(points, tol=DEFAULT_ELLIPSE_TOL):
     """Quadric hypersurface fit in R^n; "ellipse" classification = ellipsoid.
 
-    The normalized quadratic-form matrix, world center, and trace-normalized
-    world shape matrix land in detail for concentricity/homothety checks.
+    detail["form"] is the homogeneous matrix of the unit-norm fit in the
+    rms-normalized coordinates (x - mu) / scale; an ellipsoid also gets its
+    world center and trace-normalized world shape matrix (for homothety).
     """
     pts = np.asarray(points, dtype=float)
     m, n = pts.shape
@@ -200,17 +164,17 @@ def fit_quadric(points, tol=DEFAULT_ELLIPSE_TOL):
     if s[-2] <= 1e-13 * s[0]:
         raise DegenerateCloud("quadric coefficients not determined by the cloud")
     coeffs = vt[-1]
-    q, lin, const = _quadric_matrix(coeffs, n)
-    if np.trace(q) < 0:
-        coeffs = -coeffs
-        q, lin, const = -q, -lin, -const
+    form = _quadric_form(coeffs, n)
+    if np.trace(form[:n, :n]) < 0:  # deterministic sign
+        coeffs, form = -coeffs, -form
+    q, half_lin, const = form[:n, :n], form[:n, n], form[n, n]
     resid = np.abs(design @ coeffs)
     rms = float(np.sqrt(np.mean(resid**2)))
     mx = float(resid.max())
     eig = np.linalg.eigvalsh(q)
-    detail = {"mu": mu, "scale": scale, "eigenvalues": eig}
+    detail = {"mu": mu, "scale": scale, "eigenvalues": eig, "form": form}
     if eig[0] > 1e-8 * eig[-1] and rms < tol:
-        center_n = np.linalg.solve(q, -lin / 2.0)
+        center_n = np.linalg.solve(q, -half_lin)
         level = const - center_n @ q @ center_n
         if level < 0.0:  # nonempty real ellipsoid
             classification = ELLIPSE

@@ -125,3 +125,12 @@ def floored(value, floor):
     if value <= 0.0:
         return 0.0
     return float(max(value, floor))
+
+
+def require_sizes(what, sizes):
+    """Sample sizes as ints; raise ValueError naming what and the size when
+    one is below 1 (an empty sample passes every test that loops over it)."""
+    for name, size in sizes.items():
+        if size < 1:
+            raise ValueError("%s needs %s >= 1; got %s" % (what, name, size))
+    return {name: int(size) for name, size in sizes.items()}

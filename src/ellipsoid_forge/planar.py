@@ -16,9 +16,9 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .bodies import line_min_gauge, ray_exit
-from .errors import (EndpointNotOnBoundary, NotANorm, NotFound, PlaneMissesBody,
-                     UnsupportedDimension)
-from .numeric import angle_between, normalize, unit_frame
+from .errors import (EndpointNotOnBoundary, NoSignChange, NotANorm, NotFound,
+                     PlaneMissesBody, UnsupportedDimension)
+from .numeric import angle_between, normalize, require_sizes, unit_frame
 from .projective import Hyperplane, Line
 
 
@@ -27,12 +27,13 @@ def _rot90(v):
 
 
 def _widen(ok, t):
-    """Double t, at most 60 times, until ok(t) holds."""
+    """Double t until ok(t) holds; raise NoSignChange after 60 tries."""
     for _ in range(60):
         if ok(t):
-            break
+            return t
         t *= 2.0
-    return t
+    raise NoSignChange("the restriction derivative keeps its sign up to "
+                       "t = %.3g" % (t / 2.0))
 
 
 class PlanarSection:
@@ -160,6 +161,7 @@ class SymmetryResult:
 
 def central_symmetry(sec, tol=1e-7, m=96, seed=0):
     """Least-squares center from h(u) - h(-u) = 2<c,u> over sampled u."""
+    require_sizes("central_symmetry", {"m": m})
     rng = np.random.default_rng(seed)
     phi0 = rng.uniform(0.0, np.pi / m)
     rows = np.empty((m, 2))
@@ -302,6 +304,7 @@ def is_radon_curve(sec, k=128, contact_tol=1e-8, seed=0, cross_pairs=16):
     Cross-check route: Birkhoff normality is symmetric on the sampled
     conjugate pairs. Both are computed and both must agree for a pass.
     """
+    require_sizes("is_radon_curve", {"k": k, "cross_pairs": cross_pairs})
     sym = _norm_gate(sec)
     c2 = sym.center
     rng = np.random.default_rng(seed)

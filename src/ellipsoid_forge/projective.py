@@ -90,8 +90,13 @@ class Line:
     direction: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "point", np.asarray(self.point, dtype=float))
-        object.__setattr__(self, "direction", normalize(self.direction))
+        point = np.asarray(self.point, dtype=float)
+        direction = np.asarray(self.direction, dtype=float)
+        if not (np.isfinite(point).all() and np.isfinite(direction).all()):
+            raise NonFiniteInput("line point %s or direction %s is not finite"
+                                 % (point.tolist(), direction.tolist()))
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "direction", normalize(direction))
 
     def at(self, t):
         return self.point + t * self.direction

@@ -44,6 +44,7 @@ from .numeric import (
     hausdorff,
     line_angle,
     normalize,
+    require_sizes,
     sphere_directions,
     unit_frame,
 )
@@ -171,10 +172,10 @@ class CheckReport:
 
 
 class _CheckRun:
-    """One run of a check: merged tolerances, the clock, the dimension
-    contract, the stages under one pass rule, and the CheckReport."""
+    """One run of a check: merged tolerances, the clock, the dimension and
+    sample-size contracts, the stages under one pass rule, and the CheckReport."""
 
-    def __init__(self, theorem, seed, tolerances, **bodies):
+    def __init__(self, theorem, seed, tolerances, sizes, **bodies):
         self.start = time.perf_counter()
         self.theorem = theorem
         self.seed = int(seed)
@@ -184,6 +185,7 @@ class _CheckRun:
             raise UnsupportedDimension(
                 "check %s needs 3-D bodies; got dimension %s"
                 % (theorem, ", ".join(str(d) for d in dims)))
+        self.sizes = require_sizes("check " + theorem, sizes)
         self.bodies = bodies
         self.stages = []
 
@@ -222,14 +224,14 @@ class _CheckRun:
             worst = max(worst, d if np.isfinite(d) else 1.0)
         self.stage(name, kind, worst, "contact", ok, **detail)
 
-    def report(self, sample_counts, inputs=None, branch=None):
+    def report(self, inputs=None, branch=None):
         report = CheckReport(
             theorem=self.theorem,
             verdict=_assemble(self.stages),
             bodies={role: b.body_id() for role, b in self.bodies.items()},
             stages=self.stages,
             seed=self.seed,
-            sample_counts={k: int(v) for k, v in sample_counts.items()},
+            sample_counts=self.sizes,
             tolerances=self.tol,
             branch=branch,
             inputs=inputs or {},
@@ -453,7 +455,8 @@ def check_theorem1(l_body, k_body, apexes=16, m=64, pairs=8, seed=0,
     fitted intersection planes. Conclusion: the inner boundary is a quadric
     of elliptic type.
     """
-    run = _CheckRun("t1", seed, tolerances, inner=l_body, outer=k_body)
+    run = _CheckRun("t1", seed, tolerances, dict(apexes=apexes, m=m, pairs=pairs),
+                    inner=l_body, outer=k_body)
     tol = run.tol
     _nesting_gate(l_body, k_body, tol["margin"])
     o = l_body.center
@@ -515,7 +518,7 @@ def check_theorem1(l_body, k_body, apexes=16, m=64, pairs=8, seed=0,
                   "angular", pairs=used)
 
     run.fit_stage("inner-ellipsoid-fit", l_body, role="inner")
-    return run.report({"apexes": apexes, "m": m, "pairs": pairs})
+    return run.report()
 
 
 def _matched_section_cloud(sec, pts_world, base2):
@@ -545,7 +548,9 @@ def check_theorem2(l_body, k_body, p, apexes=12, m=64, chords=48, radon_k=128,
     pass the conjugate-diameter test. Conclusion: both bodies are quadrics of
     elliptic type, concentric and homothetic.
     """
-    run = _CheckRun("t2", seed, tolerances, inner=l_body, outer=k_body)
+    run = _CheckRun("t2", seed, tolerances,
+                    dict(apexes=apexes, m=m, chords=chords, radon_k=radon_k),
+                    inner=l_body, outer=k_body)
     tol = run.tol
     _nesting_gate(l_body, k_body, tol["margin"])
     p = _require_interior(k_body, p, "outer body")
@@ -627,9 +632,7 @@ def check_theorem2(l_body, k_body, p, apexes=12, m=64, chords=48, radon_k=128,
         for name in ("concentric-centers", "homothetic-shapes"):
             run.skip(name, "conclusion", "quadric fits are not both elliptic")
 
-    return run.report({"apexes": apexes, "m": m, "chords": chords,
-                       "radon_k": radon_k},
-                      inputs={"p": [float(t) for t in p]})
+    return run.report(inputs={"p": [float(t) for t in p]})
 
 
 def check_theorem3(l_body, k_body, apexes=12, m=64, lines=32, w_samples=16,
@@ -643,7 +646,9 @@ def check_theorem3(l_body, k_body, apexes=12, m=64, lines=32, w_samples=16,
     section of the outer boundary miss the inner body. Conclusion: the inner
     boundary is a quadric of elliptic type.
     """
-    run = _CheckRun("t3", seed, tolerances, inner=l_body, outer=k_body)
+    run = _CheckRun("t3", seed, tolerances,
+                    dict(apexes=apexes, m=m, lines=lines, w_samples=w_samples),
+                    inner=l_body, outer=k_body)
     tol = run.tol
     o = l_body.center
     _require_o_symmetric(l_body, o, "inner body")
@@ -715,8 +720,7 @@ def check_theorem3(l_body, k_body, apexes=12, m=64, lines=32, w_samples=16,
                   needed=needed, segments=segments)
 
     run.fit_stage("inner-ellipsoid-fit", l_body, role="inner")
-    return run.report({"apexes": apexes, "m": m, "lines": lines,
-                       "w_samples": w_samples})
+    return run.report()
 
 
 def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
@@ -731,7 +735,7 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
     parallel to phi(u). Conclusion: the boundary is an elliptic quadric whose
     scaled tangent sections are centered on the conjugate axis.
     """
-    run = _CheckRun("t4", seed, tolerances, body=k_body)
+    run = _CheckRun("t4", seed, tolerances, dict(samples=samples, m=m), body=k_body)
     tol = run.tol
     o = k_body.center
     _require_o_symmetric(k_body, o, "body")
@@ -890,7 +894,7 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
         run.skip("scaled-section-centering", "conclusion",
                  "quadric fit is not elliptic")
 
-    return run.report({"samples": samples, "m": m}, inputs={"radius": r})
+    return run.report(inputs={"radius": r})
 
 
 def check_theorem_basico(k_body, p, eps=0.2, planes=8, offsets=7, m=64,
@@ -905,7 +909,8 @@ def check_theorem_basico(k_body, p, eps=0.2, planes=8, offsets=7, m=64,
     away from p the report takes the FCT-case branch and the derived stage
     is skipped. Conclusion: elliptic quadric fit of the boundary.
     """
-    run = _CheckRun("basico", seed, tolerances, body=k_body)
+    run = _CheckRun("basico", seed, tolerances,
+                    dict(planes=planes, offsets=offsets, m=m, sym_m=sym_m), body=k_body)
     tol = run.tol
     if not k_body.is_smooth:
         raise NonSmoothBody("slab sections need a strictly convex smooth body")
@@ -987,16 +992,15 @@ def check_theorem_basico(k_body, p, eps=0.2, planes=8, offsets=7, m=64,
                       min_signed_rel=float(rel), slabs=used)
 
     run.fit_stage("ellipsoid-fit", k_body)
-    return run.report({"planes": planes, "offsets": offsets, "m": m,
-                       "sym_m": sym_m},
-                      inputs={"p": [float(t) for t in p], "eps": eps},
+    return run.report(inputs={"p": [float(t) for t in p], "eps": eps},
                       branch=branch)
 
 
 def check_theorem_radon(k_body, planes=6, diameters=128, seed=0,
                         tolerances=None):
     """Central sections as Radon curves; conclusion: elliptic quadric."""
-    run = _CheckRun("radon", seed, tolerances, body=k_body)
+    run = _CheckRun("radon", seed, tolerances,
+                    dict(planes=planes, diameters=diameters), body=k_body)
     o = k_body.center
     _require_o_symmetric(k_body, o, "body")
     # a generator: each section is cut just before its Radon test
@@ -1006,4 +1010,4 @@ def check_theorem_radon(k_body, planes=6, diameters=128, seed=0,
     run.radon_stage("central-sections-radon", "hypothesis", sections,
                     diameters, planes=int(planes), diameters=int(diameters))
     run.fit_stage("ellipsoid-fit", k_body)
-    return run.report({"planes": planes, "diameters": diameters})
+    return run.report()

@@ -203,6 +203,13 @@ def test_check_pole_non_finite_point_exits_one(specs, capsys):
     assert "NonFiniteInput" in capsys.readouterr().err
 
 
+def test_check_empty_sample_exits_one(specs, capsys):
+    # zero planes would pass the hypothesis stage without testing anything
+    assert main(["check", "radon", "--body", specs["ball1"],
+                 "--planes", "0"]) == 1
+    assert "check radon needs planes >= 1" in capsys.readouterr().err
+
+
 def test_check_pole_l4_exits_two(specs, capsys):
     code = main(["check", "pole", "--body", specs["l4"], "--point", "2,0,0"])
     assert code == 2

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ellipsoid_forge import (
     ELLIPSE,
@@ -23,12 +24,15 @@ from ellipsoid_forge.numeric import sphere_directions
 from oracles import ellipsoid_section_center, fit_plane_rms
 
 
-def _ellipse_cloud(center, axes, angle, m=40):
-    t = np.linspace(0, 2 * np.pi, m, endpoint=False)
+def _rotation(angle):
     c, s = np.cos(angle), np.sin(angle)
-    rot = np.array([[c, -s], [s, c]])
+    return np.array([[c, -s], [s, c]])
+
+
+def _ellipse_cloud(center, axes, angle, m=40, phase=0.0):
+    t = phase + np.linspace(0, 2 * np.pi, m, endpoint=False)
     pts = np.column_stack([axes[0] * np.cos(t), axes[1] * np.sin(t)])
-    return pts @ rot.T + np.asarray(center)
+    return pts @ _rotation(angle).T + np.asarray(center)
 
 
 def test_fit_hyperplane_exact_and_noisy():
@@ -73,6 +77,37 @@ def test_fit_conic_hyperbola():
     t = np.linspace(-1.2, 1.2, 30)
     branch = np.column_stack([np.cosh(t), np.sinh(t)])
     cloud = np.vstack([branch, -branch])
+    res = fit_conic_2d(cloud)
+    assert res.classification == HYPERBOLA
+    assert res.detail["disc"] > 0
+
+
+@given(st.floats(0.1, 10.0), st.floats(1.0, 10.0), st.floats(-5.0, 5.0),
+       st.floats(-5.0, 5.0), st.floats(0.0, np.pi))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_fit_conic_is_the_quadric_fit_in_the_plane(major, ratio, cx, cy, angle):
+    center, axes = np.array([cx, cy]), (major, major / ratio)
+    res = fit_conic_2d(_ellipse_cloud(center, axes, angle, m=24))
+    assert res.classification == ELLIPSE
+    assert np.abs(res.detail["center"] - center).max() <= 1e-9
+    form, mu, scale = res.detail["form"], res.detail["mu"], res.detail["scale"]
+
+    def value(p):
+        z = np.append((p - mu) / scale, 1.0)
+        return float(z @ form @ z)
+
+    held_out = _ellipse_cloud(center, axes, angle, m=24, phase=np.pi / 24)
+    assert max(abs(value(p)) for p in held_out) <= 1e-9
+    assert value(center) < 0.0
+
+
+@given(st.floats(0.2, 5.0), st.floats(0.2, 5.0), st.floats(-5.0, 5.0),
+       st.floats(-5.0, 5.0), st.floats(0.0, np.pi))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_fit_conic_random_hyperbolas(a, b, cx, cy, angle):
+    t = np.linspace(-1.2, 1.2, 15)
+    branch = np.column_stack([a * np.cosh(t), b * np.sinh(t)])
+    cloud = np.vstack([branch, -branch]) @ _rotation(angle).T + [cx, cy]
     res = fit_conic_2d(cloud)
     assert res.classification == HYPERBOLA
     assert res.detail["disc"] > 0

@@ -18,6 +18,7 @@ from ellipsoid_forge import (
 )
 from ellipsoid_forge.errors import (
     EndpointNotOnBoundary,
+    NoSignChange,
     NotANorm,
     NotFound,
     PlaneMissesBody,
@@ -336,3 +337,17 @@ def test_radon_determinism(l4_central_section):
     b = is_radon_curve(l4_central_section, k=64, seed=5)
     assert a.worst_defect == b.worst_defect
     assert a.worst_asymmetry == b.worst_asymmetry
+
+
+def test_section_sweeps_reject_empty_samples(l4_central_section):
+    with pytest.raises(ValueError, match="central_symmetry needs m >= 1"):
+        central_symmetry(l4_central_section, m=0)
+    for sizes in ({"k": 0}, {"cross_pairs": 0}):
+        with pytest.raises(ValueError, match="is_radon_curve needs"):
+            is_radon_curve(l4_central_section, **sizes)
+
+
+def test_support2_without_a_sign_change_raises_typed_error():
+    sec = section(Ellipsoid.ball(1.0), Hyperplane(np.array([0, 0, 1.0]), 0.2))
+    with pytest.raises(NoSignChange):
+        sec.support2([np.nan, 0.0])

@@ -148,6 +148,15 @@ def test_hyperplane_requires_unit_normal():
             Hyperplane(np.array(normal), offset)
 
 
+def test_line_requires_finite_point_and_direction():
+    for point, direction in (([np.nan, 0.0, 0.0], [1.0, 0.0, 0.0]),
+                             ([0.0, np.inf, 0.0], [1.0, 0.0, 0.0]),
+                             ([0.0, 0.0, 0.0], [np.nan, 1.0, 0.0]),
+                             ([0.0, 0.0, 0.0], [-np.inf, 0.0, 0.0])):
+        with pytest.raises(NonFiniteInput):
+            Line(np.array(point), np.array(direction))
+
+
 def test_fit_hyperplane_projective_exact_plane():
     rng = np.random.default_rng(5)
     n = np.array([1.0, -2.0, 2.0]) / 3.0

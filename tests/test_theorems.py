@@ -398,6 +398,19 @@ def test_checks_need_three_dimensional_bodies(theorem, run):
         run()
 
 
+@pytest.mark.parametrize("size, run", [
+    ("planes", lambda: check_theorem_radon(PBall(4.0, (1, 1, 1)), planes=0)),
+    ("apexes", lambda: check_theorem1(PBall(4.0, (0.5,) * 3),
+                                      Ellipsoid.ball(2.0), apexes=0)),
+    ("samples", lambda: check_theorem4(PBall(4.0, (2,) * 3), 1.0, samples=0)),
+], ids=["radon", "t1", "t4"])
+def test_checks_reject_empty_samples(size, run):
+    # an empty sample would pass the hypothesis stage without testing
+    # anything, and a counterexample body would then end conclusion-violated
+    with pytest.raises(ValueError, match=r"check \w+ needs %s >= 1" % size):
+        run()
+
+
 # ------------------------------------------------------- verdict assembly
 
 
