@@ -7,8 +7,8 @@ cylinder). A boundary point p is a contact point iff g(p) = <a - w p, nu(p)>
 is 0. The sweep turns 2-planes about an axis through a base point and finds,
 in each, the sign change of g along the section boundary. For a smooth
 strictly convex section seen from an in-plane exterior apex the visible arc
-is connected, so g changes sign exactly once per half-turn and brentq is
-safe. The sweep needs two directions orthogonal to the axis: n >= 3.
+is connected, so g changes sign exactly once on the half-turn (0, pi) and
+brentq is safe. The sweep needs two directions orthogonal to the axis: n >= 3.
 """
 
 import json
@@ -24,13 +24,11 @@ from .errors import (
     LineMissesBody,
     NonFiniteInput,
     NonSmoothBody,
-    NotEllipsoidal,
-    RayNotInterior,
     UnsupportedDimension,
     ZeroDirection,
 )
 from .fitting import ELLIPSE, fit_planar_conic
-from .numeric import angle_between, normalize, unit_frame
+from .numeric import normalize, unit_frame
 from .projective import Hyperplane, Line
 
 
@@ -59,9 +57,8 @@ class CurveSample:
 class SupportCone:
     """Cone generated from an exterior apex over a body, held by samples."""
 
-    def __init__(self, apex, body, contact):
+    def __init__(self, apex, contact):
         self.apex = np.asarray(apex, dtype=float)
-        self.body = body
         self.contact = contact
         diffs = contact.points - self.apex
         self.generator_dirs = diffs / np.linalg.norm(diffs, axis=1)[:, None]
@@ -96,14 +93,14 @@ def _exterior_apex(body, apex):
     return apex
 
 
-def _tangency_sweep(body, base, axis, apexes, m, seed, halves=((0.0, np.pi),)):
+def _tangency_sweep(body, base, axis, apexes, m, seed):
     """Tangency points of homogeneous apexes in m sweep planes about an axis.
 
-    Sweep plane j is span(axis, v_j) through base. For each apex (a, w) and
-    each half-turn (lo, hi) the root of g(phi) = <a - w gamma, nu(gamma)> in
-    (lo, hi) is the in-plane, and so the full, tangency. Returns the points,
-    shape (m, apexes, halves, n), their residuals |g| (divided by |a - p| for
-    a finite apex), the plane directions v_j, and the sweep's curve meta.
+    Sweep plane j is span(axis, v_j) through base. For each apex (a, w) the
+    root of g(phi) = <a - w gamma, nu(gamma)> in (0, pi) is the in-plane, and
+    so the full, tangency. Returns the points, shape (m, apexes, n), their
+    residuals |g| (divided by |a - p| for a finite apex), the plane
+    directions v_j, and the sweep's curve meta.
     """
     if body.dim < 3:
         raise UnsupportedDimension(
@@ -114,8 +111,8 @@ def _tangency_sweep(body, base, axis, apexes, m, seed, halves=((0.0, np.pi),)):
     phi0 = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi / max(m, 1))
     angles = phi0 + 2.0 * np.pi * np.arange(m) / m
     planes = [np.cos(th) * w1 + np.sin(th) * w2 for th in angles]
-    pts = np.empty((m, len(apexes), len(halves), body.dim))
-    res = np.empty(pts.shape[:3])
+    pts = np.empty((m, len(apexes), body.dim))
+    res = np.empty(pts.shape[:2])
     for j, v in enumerate(planes):
         for i, (a, w) in enumerate(apexes):
             # a - w p as a branch: w is 1 or 0, and g is the sweep's hot loop
@@ -123,12 +120,11 @@ def _tangency_sweep(body, base, axis, apexes, m, seed, halves=((0.0, np.pi),)):
                 p = ray_exit(body, base, np.cos(phi) * axis + np.sin(phi) * v)
                 return float(((a - p) if w else a) @ body.normal_at(p))
 
-            for k, (lo, hi) in enumerate(halves):
-                phi = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
-                p = ray_exit(body, base, np.cos(phi) * axis + np.sin(phi) * v)
-                r = abs(float(((a - p) if w else a) @ body.normal_at(p)))
-                pts[j, i, k] = p
-                res[j, i, k] = r / np.linalg.norm(a - p) if w else r
+            phi = brentq(g, 0.0, np.pi, xtol=1e-14, rtol=8.9e-16)
+            p = ray_exit(body, base, np.cos(phi) * axis + np.sin(phi) * v)
+            r = abs(float(((a - p) if w else a) @ body.normal_at(p)))
+            pts[j, i] = p
+            res[j, i] = r / np.linalg.norm(a - p) if w else r
     meta = {
         "axis_point": [float(t) for t in base],
         "axis_dir": [float(t) for t in axis],
@@ -156,11 +152,11 @@ def graze(body, apex, m=200, seed=0):
     pts, res, _, sweep = _tangency_sweep(body, c, normalize(apex - c),
                                          [(apex, 1.0)], m, seed)
     return _curve("graze", body, {"apex": [float(t) for t in apex]}, m, seed,
-                  pts[:, 0, 0], res[:, 0, 0], sweep)
+                  pts[:, 0], res[:, 0], sweep)
 
 
 def support_cone(body, apex, m=200, seed=0):
-    return SupportCone(apex, body, graze(body, apex, m=m, seed=seed))
+    return SupportCone(apex, graze(body, apex, m=m, seed=seed))
 
 
 def shadow_boundary(body, direction, m=200, seed=0):
@@ -174,7 +170,7 @@ def shadow_boundary(body, direction, m=200, seed=0):
     pts, res, _, sweep = _tangency_sweep(body, body.center, u, [(u, 0.0)],
                                          m, seed)
     return _curve("shadow", body, {"direction": [float(t) for t in u]}, m,
-                  seed, pts[:, 0, 0], res[:, 0, 0], sweep)
+                  seed, pts[:, 0], res[:, 0], sweep)
 
 
 def cone_intersection(body, x, y, m=200, seed=0):
@@ -201,7 +197,7 @@ def cone_intersection(body, x, y, m=200, seed=0):
         body, base, e, [(y, 1.0), (x, 1.0)], m, seed)
     pts = np.empty((m, body.dim))
     for j, v in enumerate(planes):
-        py, px = tangents[j, 0, 0], tangents[j, 1, 0]
+        py, px = tangents[j, 0], tangents[j, 1]
         # intersect the two tangent rays inside the sweep plane
         chart = np.vstack([e, v])
         x2, y2 = chart @ (x - base), chart @ (y - base)
@@ -218,7 +214,7 @@ def cone_intersection(body, x, y, m=200, seed=0):
         pts[j] = base + q2[0] * e + q2[1] * v
     apexes = [[float(t) for t in x], [float(t) for t in y]]
     return _curve("cone-intersection", body, {"apexes": apexes}, m, seed, pts,
-                  res.max(axis=(1, 2)), sweep)
+                  res.max(axis=1), sweep)
 
 
 def _bounded_section_points(cone, normal, dist=1.0, min_cos=0.05):
@@ -271,80 +267,6 @@ def is_ellipsoidal_cone(cone, tol=1e-6, seed=0):
     base_fit.detail.update(alt_rms=alt_rms, max_rms=worst,
                            ellipsoidal=bool(all_ellipse), tol=tol)
     return base_fit
-
-
-def centered_section(cone, ray, tol=1e-6, seed=0):
-    """Hyperplane whose section of the cone is an ellipse centered on the ray.
-
-    Construction: in a bounded reference section, take the polar line of the
-    ray's trace with respect to the section conic, span it with the apex, and
-    return the parallel hyperplane through the trace. A polar line at
-    infinity (ray through the conic center) degenerates to the plane parallel
-    to the reference section.
-    """
-    fit = is_ellipsoidal_cone(cone, tol=tol, seed=seed)
-    if not fit.detail["ellipsoidal"]:
-        raise NotEllipsoidal("max section rms %.3e" % fit.detail["max_rms"])
-    apex = cone.apex
-    if np.linalg.norm(np.cross(ray.direction, ray.point - apex)) > 1e-9 * (
-            1.0 + np.linalg.norm(ray.point - apex)):
-        raise RayNotInterior("ray does not pass through the apex")
-    w = cone.mean_generator
-    d = ray.direction if ray.direction @ w > 0 else -ray.direction
-    if d @ w <= 1e-9:
-        raise RayNotInterior("ray direction is orthogonal to the cone opening")
-    p = apex + d / (d @ w)  # trace on the reference section plane
-    mu, scale = fit.detail["mu"], fit.detail["scale"]
-    origin, basis = fit.detail["chart_origin"], fit.detail["chart_basis"]
-    conic = fit.detail["form"]
-    p_h = np.append((basis.T @ (p - origin) - mu) / scale, 1.0)
-    c_h = np.append((np.asarray(fit.detail["center"]) - mu) / scale, 1.0)
-    value_p, value_c = float(p_h @ conic @ p_h), float(c_h @ conic @ c_h)
-    if not (value_p * value_c > 0.0 and abs(value_p) > 1e-9 * abs(value_c)):
-        raise RayNotInterior("ray trace is not interior to the section conic")
-    line = conic @ p_h
-    l2 = np.hypot(line[0], line[1])
-    if l2 <= 1e-9 * abs(line[2]):
-        # polar of the conic center: section is already centered on the ray
-        return Hyperplane.from_point_normal(p, w)
-    foot_hat = -line[2] * line[:2] / (l2 * l2)
-    dir_hat = np.array([-line[1], line[0]]) / l2
-    z1_hat, z2_hat = foot_hat, foot_hat + dir_hat
-    z1 = origin + basis @ (mu + scale * z1_hat)
-    z2 = origin + basis @ (mu + scale * z2_hat)
-    n_gamma = normalize(np.cross(z1 - apex, z2 - apex))
-    return Hyperplane.from_point_normal(p, n_gamma)
-
-
-def is_symmetric_cone(cone, axis, k=64, tol=1e-7, seed=0):
-    """Does the axis bisect every 2-plane angular section through it?
-
-    Returns (verdict, max bisector residual in radians).
-    """
-    body = cone.body
-    _require_smooth(body)
-    apex = cone.apex
-    if np.linalg.norm(np.cross(axis.direction, axis.point - apex)) > 1e-9 * (
-            1.0 + np.linalg.norm(axis.point - apex)):
-        raise RayNotInterior("axis does not pass through the apex")
-    a = axis.direction
-    if a @ cone.mean_generator < 0:
-        a = -a
-    # the gauge is convex along the line and above 1 at the apex, so the ray
-    # from the apex enters the body iff the line minimum is inside and ahead
-    line = Line(apex, a)
-    t, g, _ = line_min_gauge(body, line)
-    if g >= 1.0 - 1e-9 or t <= 0.0:
-        raise RayNotInterior("axis ray misses the body interior")
-    # apex sits on the -a side of base: g changes sign on each half-turn
-    tangents, _, _, _ = _tangency_sweep(body, line.at(t), a, [(apex, 1.0)], k,
-                                        seed, halves=((0.0, np.pi), (np.pi, 2.0 * np.pi)))
-    worst = 0.0
-    for p_plus, p_minus in tangents[:, 0]:
-        d_plus = normalize(p_plus - apex)
-        d_minus = normalize(p_minus - apex)
-        worst = max(worst, abs(angle_between(d_plus, a) - angle_between(d_minus, a)))
-    return worst <= tol, worst
 
 
 def write_curve_csv(sample, path):

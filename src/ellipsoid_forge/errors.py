@@ -70,14 +70,6 @@ class DegenerateCone(GeometryError):
     """Cone has empty interior or admits no bounded section."""
 
 
-class RayNotInterior(GeometryError):
-    """Ray or axis is not strictly interior to the cone."""
-
-
-class NotEllipsoidal(GeometryError):
-    """Cone failed the ellipsoidal-section test required by this operation."""
-
-
 # planar
 class PlaneMissesBody(GeometryError):
     """Plane does not meet the interior of the body."""

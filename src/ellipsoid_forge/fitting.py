@@ -116,7 +116,6 @@ def fit_planar_conic(points, plane, tol=DEFAULT_ELLIPSE_TOL):
     origin = plane.normal * plane.offset
     chart = (pts - origin) @ basis
     res = fit_conic_2d(chart, tol=tol)
-    res.detail.update(chart_origin=origin, chart_basis=basis)
     if "center" in res.detail:
         res.detail["center_world"] = origin + basis @ res.detail["center"]
     return res

@@ -127,10 +127,12 @@ def floored(value, floor):
     return float(max(value, floor))
 
 
-def require_sizes(what, sizes):
+def require_sizes(what, sizes, least=None):
     """Sample sizes as ints; raise ValueError naming what and the size when
-    one is below 1 (an empty sample passes every test that loops over it)."""
+    one is below its least value, by default 1 (an empty sample passes every
+    test that loops over it)."""
     for name, size in sizes.items():
-        if size < 1:
-            raise ValueError("%s needs %s >= 1; got %s" % (what, name, size))
+        low = (least or {}).get(name, 1)
+        if size < low:
+            raise ValueError("%s needs %s >= %d; got %s" % (what, name, low, size))
     return {name: int(size) for name, size in sizes.items()}

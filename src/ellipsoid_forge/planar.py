@@ -160,8 +160,9 @@ class SymmetryResult:
 
 
 def central_symmetry(sec, tol=1e-7, m=96, seed=0):
-    """Least-squares center from h(u) - h(-u) = 2<c,u> over sampled u."""
-    require_sizes("central_symmetry", {"m": m})
+    """Least-squares center from h(u) - h(-u) = 2<c,u> over sampled u; m >= 3,
+    one more than the centre's two unknowns."""
+    require_sizes("central_symmetry", {"m": m}, least={"m": 3})
     rng = np.random.default_rng(seed)
     phi0 = rng.uniform(0.0, np.pi / m)
     rows = np.empty((m, 2))
@@ -184,29 +185,12 @@ def _check_on_boundary(sec, p2, tol=1e-8):
 
 def affine_diameter_residual(sec, a2, b2):
     """Angular defect between the outer normals at the endpoints and exact
-    anti-parallelism (smooth sections)."""
+    anti-parallelism. Needs a smooth body: normal_at raises NonSmoothBody."""
     a2 = np.asarray(a2, dtype=float)
     b2 = np.asarray(b2, dtype=float)
     _check_on_boundary(sec, a2)
     _check_on_boundary(sec, b2)
-    if sec.body.is_smooth:
-        return angle_between(sec.normal2_at(a2), -sec.normal2_at(b2))
-    # support-gap sweep for non-smooth sections
-    def gap(alpha):
-        n = np.array([np.cos(alpha), np.sin(alpha)])
-        return ((sec.support2(n) - float(a2 @ n))
-                + (sec.support2(-n) + float(b2 @ n))) / sec.diameter2()
-    grid = np.linspace(0.0, 2.0 * np.pi, 257)[:-1]
-    vals = [gap(al) for al in grid]
-    j = int(np.argmin(vals))
-    r = minimize_scalar(gap, bounds=(grid[j] - 0.05, grid[j] + 0.05),
-                        method="bounded", options={"xatol": 1e-12})
-    return float(r.fun)
-
-
-def is_affine_diameter(sec, a2, b2, tol=1e-7):
-    """Do parallel supporting lines exist at the two chord endpoints?"""
-    return affine_diameter_residual(sec, a2, b2) <= tol
+    return angle_between(sec.normal2_at(a2), -sec.normal2_at(b2))
 
 
 def conjugate_diameter(sec, a2, b2, contact_tol=1e-8):

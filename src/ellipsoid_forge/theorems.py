@@ -84,12 +84,19 @@ RESIDUAL_FLOOR = 1e-12
 
 
 def _merge_tolerances(tolerances):
+    """Defaults updated by the overrides. A gate that is NaN, infinite or not
+    above 0 rejects everything or nothing, so such a value is an error."""
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         unknown = sorted(set(tolerances) - set(tol))
         if unknown:
             raise ValueError("unknown tolerance keys: %s" % ", ".join(unknown))
-        tol.update({k: float(v) for k, v in tolerances.items()})
+        for k, v in tolerances.items():
+            v = float(v)
+            if not (np.isfinite(v) and v > 0.0):
+                raise ValueError("tolerance %s must be finite and > 0; got %r"
+                                 % (k, v))
+            tol[k] = v
     return tol
 
 
@@ -175,7 +182,7 @@ class _CheckRun:
     """One run of a check: merged tolerances, the clock, the dimension and
     sample-size contracts, the stages under one pass rule, and the CheckReport."""
 
-    def __init__(self, theorem, seed, tolerances, sizes, **bodies):
+    def __init__(self, theorem, seed, tolerances, sizes, least=None, **bodies):
         self.start = time.perf_counter()
         self.theorem = theorem
         self.seed = int(seed)
@@ -185,7 +192,7 @@ class _CheckRun:
             raise UnsupportedDimension(
                 "check %s needs 3-D bodies; got dimension %s"
                 % (theorem, ", ".join(str(d) for d in dims)))
-        self.sizes = require_sizes("check " + theorem, sizes)
+        self.sizes = require_sizes("check " + theorem, sizes, least)
         self.bodies = bodies
         self.stages = []
 
@@ -455,8 +462,9 @@ def check_theorem1(l_body, k_body, apexes=16, m=64, pairs=8, seed=0,
     fitted intersection planes. Conclusion: the inner boundary is a quadric
     of elliptic type.
     """
+    # each apex is paired with the next one, so one apex would pair with itself
     run = _CheckRun("t1", seed, tolerances, dict(apexes=apexes, m=m, pairs=pairs),
-                    inner=l_body, outer=k_body)
+                    least={"apexes": 2}, inner=l_body, outer=k_body)
     tol = run.tol
     _nesting_gate(l_body, k_body, tol["margin"])
     o = l_body.center
@@ -910,7 +918,8 @@ def check_theorem_basico(k_body, p, eps=0.2, planes=8, offsets=7, m=64,
     is skipped. Conclusion: elliptic quadric fit of the boundary.
     """
     run = _CheckRun("basico", seed, tolerances,
-                    dict(planes=planes, offsets=offsets, m=m, sym_m=sym_m), body=k_body)
+                    dict(planes=planes, offsets=offsets, m=m, sym_m=sym_m),
+                    least={"sym_m": 3}, body=k_body)
     tol = run.tol
     if not k_body.is_smooth:
         raise NonSmoothBody("slab sections need a strictly convex smooth body")

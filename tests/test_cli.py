@@ -208,6 +208,10 @@ def test_check_empty_sample_exits_one(specs, capsys):
     assert main(["check", "radon", "--body", specs["ball1"],
                  "--planes", "0"]) == 1
     assert "check radon needs planes >= 1" in capsys.readouterr().err
+    # two directions fit a section centre exactly, so basico needs three
+    assert main(["check", "basico", "--body", specs["l4"],
+                 "--sym-m", "2"]) == 1
+    assert "check basico needs sym_m >= 3" in capsys.readouterr().err
 
 
 def test_check_pole_l4_exits_two(specs, capsys):
@@ -233,6 +237,14 @@ def test_bad_tolerance_inputs(specs, capsys, monkeypatch):
                  "--tol", "pole"]) == 1
     monkeypatch.setenv("ELLIPSOID_FORGE_TOLERANCES", "wat=1e-3")
     assert main(["check", "radon", "--body", specs["ellipsoid"]]) == 1
+    monkeypatch.delenv("ELLIPSOID_FORGE_TOLERANCES")
+    capsys.readouterr()
+    # a NaN or non-positive gate fails every stage of the unit ball, an
+    # infinite one passes every stage: each would be a false verdict
+    for item in ("ellipse=nan", "ellipse=-1", "ellipse=0", "contact=inf"):
+        assert main(["check", "radon", "--body", specs["ball1"],
+                     "--planes", "1", "--diameters", "8", "--tol", item]) == 1
+        assert "must be finite and > 0" in capsys.readouterr().err
 
 
 def test_sample_graze_csv(specs, tmp_path, capsys):

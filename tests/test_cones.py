@@ -14,30 +14,25 @@ import pytest
 from ellipsoid_forge import (
     CurveSample,
     Ellipsoid,
-    Line,
     PBall,
     Polytope,
     cone_intersection,
     graze,
     is_ellipsoidal_cone,
-    is_symmetric_cone,
     shadow_boundary,
     support_cone,
     write_curve_csv,
 )
-from ellipsoid_forge.cones import centered_section
 from ellipsoid_forge.errors import (
     ApexInsideBody,
     CoincidentApexes,
     LineMissesBody,
     NonFiniteInput,
     NonSmoothBody,
-    NotEllipsoidal,
-    RayNotInterior,
     UnsupportedDimension,
     ZeroDirection,
 )
-from ellipsoid_forge.fitting import ELLIPSE, fit_planar_conic
+from ellipsoid_forge.fitting import ELLIPSE
 
 from oracles import (
     ball_cone_midcircle,
@@ -252,57 +247,6 @@ def test_l4_support_cone_is_not_ellipsoidal(l4_unit):
     fit = is_ellipsoidal_cone(cone)
     assert not fit.detail["ellipsoidal"]
     assert fit.detail["max_rms"] > 0.03
-
-
-def test_centered_section_on_axis(unit_ball):
-    cone = support_cone(unit_ball, np.array([2.0, 0.0, 0.0]), m=120)
-    axis = Line(np.array([2.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]))
-    plane = centered_section(cone, axis)
-    assert abs(abs(plane.normal[0]) - 1.0) < 1e-9
-
-
-def test_centered_section_skew_ray(unit_ball):
-    apex = np.array([2.0, 0.0, 0.0])
-    cone = support_cone(unit_ball, apex, m=160)
-    ray = Line(apex, np.array([-1.0, 0.15, -0.1]))
-    plane = centered_section(cone, ray)
-    # slice the sampled generators by the returned plane and refit
-    proj = cone.generator_dirs @ plane.normal
-    sgn = 1.0 if np.median(proj) > 0 else -1.0
-    t = (plane.offset - apex @ plane.normal) / (sgn * np.abs(proj))
-    pts = apex + t[:, None] * cone.generator_dirs
-    fit = fit_planar_conic(pts, plane)
-    assert fit.classification == ELLIPSE
-    denom = float(ray.direction @ plane.normal)
-    trace = ray.at((plane.offset - apex @ plane.normal) / denom)
-    scale = np.linalg.norm(pts - trace, axis=1).max()
-    assert np.linalg.norm(fit.detail["center_world"] - trace) < 1e-6 * scale
-
-
-def test_centered_section_errors(unit_ball, l4_unit):
-    cone = support_cone(unit_ball, np.array([2.0, 0.0, 0.0]), m=100)
-    with pytest.raises(RayNotInterior):
-        centered_section(cone, Line(np.array([0.0, 0.0, 0.0]),
-                                    np.array([0.0, 1.0, 0.0])))
-    with pytest.raises(RayNotInterior):
-        centered_section(cone, Line(np.array([2.0, 0.0, 0.0]),
-                                    np.array([0.0, 1.0, 0.0])))
-    l4_cone = support_cone(l4_unit, np.array([2.0, 0.0, 0.0]), m=100)
-    with pytest.raises(NotEllipsoidal):
-        centered_section(l4_cone, Line(np.array([2.0, 0.0, 0.0]),
-                                       np.array([-1.0, 0.0, 0.0])))
-
-
-def test_symmetric_cone_about_its_axis(unit_ball):
-    apex = np.array([2.0, 0.0, 0.0])
-    cone = support_cone(unit_ball, apex, m=60)
-    ok, worst = is_symmetric_cone(cone, Line(apex, np.array([-1.0, 0.0, 0.0])))
-    assert ok
-    assert worst < 1e-9
-    ok2, worst2 = is_symmetric_cone(
-        cone, Line(apex, np.array([-1.0, 0.15, 0.0])))
-    assert not ok2
-    assert worst2 > 1e-3
 
 
 # -------------------------------------------------------------------- io

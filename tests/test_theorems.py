@@ -108,6 +108,11 @@ def test_polar_of_tolerance_plumbing(l4_unit):
     assert res.classification == "projective hyperplane of symmetry"
     with pytest.raises(ValueError):
         polar_of(l4_unit, np.array([2.0, 0.0, 0.0]), tolerances={"nope": 1.0})
+    # a NaN or non-positive gate fails every stage, an infinite one passes it
+    for value in (np.nan, -1.0, 0.0, np.inf):
+        with pytest.raises(ValueError, match="tolerance pole must be finite"):
+            polar_of(l4_unit, np.array([2.0, 0.0, 0.0]),
+                     tolerances={"pole": value})
 
 
 def test_polar_of_boundary_point_rejected(unit_ball):
@@ -398,16 +403,26 @@ def test_checks_need_three_dimensional_bodies(theorem, run):
         run()
 
 
-@pytest.mark.parametrize("size, run", [
-    ("planes", lambda: check_theorem_radon(PBall(4.0, (1, 1, 1)), planes=0)),
-    ("apexes", lambda: check_theorem1(PBall(4.0, (0.5,) * 3),
-                                      Ellipsoid.ball(2.0), apexes=0)),
-    ("samples", lambda: check_theorem4(PBall(4.0, (2,) * 3), 1.0, samples=0)),
-], ids=["radon", "t1", "t4"])
-def test_checks_reject_empty_samples(size, run):
+@pytest.mark.parametrize("size, least, run", [
+    ("planes", 1, lambda: check_theorem_radon(PBall(4.0, (1, 1, 1)), planes=0)),
+    ("apexes", 2, lambda: check_theorem1(PBall(4.0, (0.5,) * 3),
+                                         Ellipsoid.ball(2.0), apexes=0)),
+    ("samples", 1, lambda: check_theorem4(PBall(4.0, (2,) * 3), 1.0, samples=0)),
+    # one apex would be paired with itself into a zero-length line
+    ("apexes", 2, lambda: check_theorem1(PBall(4.0, (0.5,) * 3),
+                                         Ellipsoid.ball(2.0), apexes=1, m=16,
+                                         pairs=1)),
+    # two directions fit the section centre's two unknowns exactly, so the
+    # l4 sections would pass the symmetry hypothesis
+    ("sym_m", 3, lambda: check_theorem_basico(PBall(4.0, (1, 1, 1)), np.zeros(3),
+                                              planes=2, offsets=3, m=16,
+                                              sym_m=2)),
+], ids=["radon", "t1", "t4", "t1-one-apex", "basico-two-directions"])
+def test_checks_reject_empty_samples(size, least, run):
     # an empty sample would pass the hypothesis stage without testing
     # anything, and a counterexample body would then end conclusion-violated
-    with pytest.raises(ValueError, match=r"check \w+ needs %s >= 1" % size):
+    with pytest.raises(ValueError,
+                       match=r"check \w+ needs %s >= %d" % (size, least)):
         run()
 
 
