@@ -165,18 +165,14 @@ class Ellipsoid(ConvexBody):
     def normal_at(self, x):
         return normalize(self._q @ (np.asarray(x, dtype=float) - self._c))
 
-    def _ray_quadratic(self, z, d):
-        """(a, b, c0, disc) of (v + t d)^T Q (v + t d) = 1 with v = z - c,
-        written a t^2 + 2 b t + c0 = 0; its roots are (-b +- sqrt(disc)) / a."""
+    def boundary_point(self, z, d):
+        # (v + t d)^T Q (v + t d) = 1 with v = z - c, as a t^2 + 2 b t + c0 = 0
+        d = normalize(d)
         v = np.asarray(z, dtype=float) - self._c
         a = d @ self._q @ d
         b = d @ self._q @ v
         c0 = v @ self._q @ v - 1.0
-        return a, b, c0, b * b - a * c0
-
-    def boundary_point(self, z, d):
-        d = normalize(d)
-        a, b, c0, disc = self._ray_quadratic(z, d)
+        disc = b * b - a * c0
         if c0 >= -1e-14 or disc <= 0.0:
             raise ValueError("ray base point is not interior")
         t = (-b + np.sqrt(disc)) / a
@@ -349,36 +345,32 @@ def ray_exit(body, base, d):
 
 
 def line_min_gauge(body, line):
-    """Gauge minimum along a line: (t, gauge at line.at(t), span). The bracket
+    """Gauge minimum along a line: (t, gauge at line.at(t)). The bracket
     [-span, span] covers the ball holding the body, so the whole chord too."""
     span = float(np.linalg.norm(line.point - body.center)) + body.radius_bound()
     g = lambda t: body.gauge(line.at(t))
     r = minimize_scalar(g, bounds=(-span, span), method="bounded",
                         options={"xatol": 1e-12 * (1.0 + span)})
-    return float(r.x), float(r.fun), span
+    return float(r.x), float(r.fun)
 
 
 def line_boundary_points(body, line):
-    """The two intersections of a line with bd K, ordered by the parameter.
+    """The two intersections of a line with bd K, ordered by the parameter:
+    the ray exits backwards and forwards from one interior point of the line,
+    line.point when it is interior, else the gauge minimum along the line.
 
     Raises LineMissesBody when the line never reaches the interior (the gauge
     minimum along the line stays >= 1).
     """
     if not isinstance(line, Line):
         raise TypeError("expected a Line")
-    if isinstance(body, Ellipsoid):
-        a, b, _, disc = body._ray_quadratic(line.point, line.direction)
-        if disc <= 1e-14 * a:
-            raise LineMissesBody("line misses the ellipsoid interior")
-        root = np.sqrt(disc)
-        return line.at((-b - root) / a), line.at((-b + root) / a)
-    t0, g0, span = line_min_gauge(body, line)
-    if g0 >= 1.0 - 1e-12:
-        raise LineMissesBody("gauge minimum along the line is %.6f" % g0)
-    f = lambda t: body.gauge(line.at(t)) - 1.0
-    ta = brentq(f, -span, t0, xtol=1e-15 * span, rtol=8.9e-16)
-    tb = brentq(f, t0, span, xtol=1e-15 * span, rtol=8.9e-16)
-    return line.at(ta), line.at(tb)
+    base = line.point
+    if body.gauge(base) >= 1.0 - 1e-12:
+        t0, g0 = line_min_gauge(body, line)
+        if g0 >= 1.0 - 1e-12:
+            raise LineMissesBody("gauge minimum along the line is %.6f" % g0)
+        base = line.at(t0)
+    return ray_exit(body, base, -line.direction), ray_exit(body, base, line.direction)
 
 
 def o_symmetry_residual(body, center=None, m=512, seed=0):

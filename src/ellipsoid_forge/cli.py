@@ -16,7 +16,7 @@ import numpy as np
 
 from .bodies import PBall, load_body
 from .cones import CurveSample, cone_intersection, graze, shadow_boundary, write_curve_csv
-from .errors import BodySpecError, GeometryError
+from .errors import BodySpecError, GeometryError, NonFiniteInput, ZeroDirection
 from .numeric import circle_directions
 from .planar import section
 from .projective import Hyperplane, InfinityHyperplane
@@ -118,6 +118,10 @@ def _cmd_body_validate(args):
 
 
 def _section_sample(body, normal, offset, m, seed, hint):
+    if not np.all(np.isfinite(normal)):
+        raise NonFiniteInput("section normal %s is not finite" % normal.tolist())
+    if not normal.any():
+        raise ZeroDirection("the section normal is zero")
     nrm = normal / np.linalg.norm(normal)
     plane = Hyperplane(nrm, float(offset))  # offset in unit-normal scale
     sec = section(body, plane, interior_hint=hint)

@@ -188,7 +188,7 @@ def cone_intersection(body, x, y, m=200, seed=0):
     base = line.at(float((body.center - line.point) @ line.direction))
     if not (np.linalg.norm(base - body.center) <= 1e-9 * body.diameter()
             and body.gauge(base) < 1.0 - 1e-9):
-        t, g, _ = line_min_gauge(body, line)
+        t, g = line_min_gauge(body, line)
         if g >= 1.0 - 1e-9:
             raise LineMissesBody("minimum gauge along the line is %.9f" % g)
         base = line.at(t)

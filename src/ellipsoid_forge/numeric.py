@@ -1,8 +1,6 @@
 """Deterministic direction sampling, frames, and small numeric helpers."""
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 
 def normalize(v):
@@ -58,7 +56,7 @@ def sphere_directions(n, m, seed=0):
     """m quasi-uniform unit vectors in R^n, deterministic for a given seed.
 
     n=2 uses the rotated regular polygon; n=3 a Fibonacci lattice under a
-    seed-derived rotation; higher n falls back to a Sobol/normal construction.
+    seed-derived rotation; higher n takes normalised Gaussian rows.
     """
     if n == 2:
         return circle_directions(m, seed)
@@ -71,12 +69,8 @@ def sphere_directions(n, m, seed=0):
         t = golden * i
         pts = np.column_stack([r * np.cos(t), r * np.sin(t), z])
         return pts @ rotation_from_seed(3, seed).T
-    eng = qmc.Sobol(d=n, scramble=True, seed=seed)
-    u = eng.random(m)
-    g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return g / norms
+    g = np.random.default_rng(seed).standard_normal((m, n))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
 def pairwise_sq_dists(p, q):

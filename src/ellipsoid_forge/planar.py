@@ -62,7 +62,7 @@ class PlanarSection:
         for _ in range(12):
             for b in frame:
                 line = Line(z, b)
-                t, g, _ = line_min_gauge(body, line)
+                t, g = line_min_gauge(body, line)
                 z = line.at(t)
             if g < 1.0 - 1e-9:
                 return z - plane.signed_distance(z) * plane.normal
@@ -248,7 +248,7 @@ def _section_norm(sec, c2, v2):
     return float(r / np.linalg.norm(b2 - c2))
 
 
-def birkhoff_normal(sec, x, y, center=None, slack=1e-9):
+def birkhoff_normal(sec, x, y, center=None):
     """Birkhoff normality x ⊣ y in the normed plane whose unit ball is the
     (centrally symmetric) section: ||x + a y|| >= ||x|| for all a."""
     if center is None:
@@ -264,7 +264,7 @@ def birkhoff_normal(sec, x, y, center=None, slack=1e-9):
     r = minimize_scalar(f, bounds=(-bound, bound), method="bounded",
                         options={"xatol": 1e-10 * (1.0 + bound)})
     fmin = min(float(r.fun), nx)  # alpha = 0 is always feasible
-    ok = fmin >= nx * (1.0 - slack)
+    ok = fmin >= nx * (1.0 - 1e-9)  # relative slack for rounding in the norm
     return BirkhoffResult(bool(ok), fmin / nx, float(r.x))
 
 

@@ -368,7 +368,7 @@ def _reflection_residual(sec, center2, k=48):
     return worst
 
 
-def polar_of(body, o, m=64, seed=0, tolerances=None, graze_m=None):
+def polar_of(body, o, m=64, seed=0, tolerances=None):
     """Harmonic-conjugate test: is o a pole of the body?
 
     Draws m lines through o meeting the interior, collects the harmonic
@@ -392,17 +392,16 @@ def polar_of(body, o, m=64, seed=0, tolerances=None, graze_m=None):
     diam = body.diameter()
     c = body.center
     dirs = sphere_directions(n, m, seed=seed)
-    if not interior:
-        # aim at interior targets so every line crosses the body
-        dirs = np.array([
-            normalize(c + 0.85 * (body.boundary_from_center(w) - c) - o)
-            for w in dirs
-        ])
+    if interior:
+        chords = [Line(o, d) for d in dirs]
+    else:
+        # through interior targets, so every chord starts inside the body
+        targets = [c + 0.85 * (body.boundary_from_center(w) - c) for w in dirs]
+        chords = [Line(t, t - o) for t in targets]
     o_h = HPoint.from_affine(o)
     conjugates = []
     lines = []
-    for d in dirs:
-        ln = Line(o, d)
+    for ln in chords:
         a, b = line_boundary_points(body, ln)
         conjugates.append(
             harmonic_conjugate(HPoint.from_affine(a), HPoint.from_affine(b), o_h))
@@ -433,7 +432,7 @@ def polar_of(body, o, m=64, seed=0, tolerances=None, graze_m=None):
     if (not interior and classification != "not a pole"
             and isinstance(polar, Hyperplane) and body.is_smooth):
         # the polar of an exterior pole must cut the boundary along the graze
-        gm = int(graze_m) if graze_m else max(64, int(m))
+        gm = max(64, int(m))
         graze_hausdorff = _graze_polar_agreement(body, o, polar, m=gm, seed=seed) / diam
         detail["graze_m"] = gm
         if graze_hausdorff > tol["hausdorff"]:

@@ -17,6 +17,7 @@ from ellipsoid_forge import (
     serialize_body,
 )
 from ellipsoid_forge.errors import BodySpecError, LineMissesBody, NonSmoothBody
+from ellipsoid_forge.numeric import sphere_directions
 
 from oracles import (
     ellipsoid_support,
@@ -266,6 +267,14 @@ def test_line_boundary_points_ellipsoid_quadratic():
     roots = np.sort(np.roots([qa, 2 * qb, qc]).real)
     assert np.allclose(a, line.at(roots[0]), atol=1e-9)
     assert np.allclose(b, line.at(roots[1]), atol=1e-9)
+    # from an exterior line point the chord starts at the gauge minimum
+    outside = Line(line.point - 3.0 * d, d)
+    assert body.gauge(outside.point) > 1.0
+    a, b = line_boundary_points(body, outside)
+    roots = np.sort(np.roots([qa, 2 * qb - 6.0 * qa, qc - 6.0 * qb + 9.0 * qa]).real)
+    assert np.linalg.norm(a - outside.at(roots[0])) <= 1e-12
+    assert np.linalg.norm(b - outside.at(roots[1])) <= 1e-12
+    assert (a - outside.point) @ d < (b - outside.point) @ d
 
 
 def test_line_boundary_points_pball_and_miss(l4_unit):
@@ -276,6 +285,42 @@ def test_line_boundary_points_pball_and_miss(l4_unit):
     miss = Line(np.array([3.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
     with pytest.raises(LineMissesBody):
         line_boundary_points(l4_unit, miss)
+    # through the centre both ends come from the closed-form ray
+    a, b = line_boundary_points(l4_unit, Line(np.zeros(3), line.direction))
+    assert np.array_equal(a, -b)
+    # from an exterior line point the chord starts at the gauge minimum
+    d = line.direction
+    outside = Line(line.point - 3.0 * d, d)
+    assert l4_unit.gauge(outside.point) > 1.0
+    a, b = line_boundary_points(l4_unit, outside)
+    for x in (a, b):
+        assert abs(lp_norm(x, 4.0) - 1.0) <= 1e-12
+    assert (a - outside.point) @ d < (b - outside.point) @ d
+
+
+def test_line_boundary_points_polytope():
+    vertices = np.vstack([np.eye(3), -np.eye(3)])
+    octahedron = Polytope(vertices)
+    d = np.array([1.0, 0.5, -0.25]) / np.linalg.norm([1.0, 0.5, -0.25])
+    a, b = line_boundary_points(octahedron, Line(np.zeros(3), d))
+    assert np.array_equal(a, -b)
+    assert polytope_gauge_lp(vertices, b) == pytest.approx(1.0, abs=1e-12)
+    outside = Line(np.array([0.1, 0.2, 0.0]) - 3.0 * d, d)
+    assert octahedron.gauge(outside.point) > 1.0
+    a, b = line_boundary_points(octahedron, outside)
+    for x in (a, b):
+        assert abs(polytope_gauge_lp(vertices, x) - 1.0) <= 1e-12
+    assert (a - outside.point) @ d < (b - outside.point) @ d
+    with pytest.raises(LineMissesBody):
+        line_boundary_points(octahedron, Line(np.array([2.0, 0.0, 0.0]), [0.0, 1.0, 0.0]))
+
+
+def test_sphere_directions_beyond_three_dimensions():
+    dirs = sphere_directions(4, 64, seed=3)
+    assert dirs.shape == (64, 4)
+    assert np.abs(np.linalg.norm(dirs, axis=1) - 1.0).max() <= 1e-15
+    assert np.array_equal(dirs, sphere_directions(4, 64, seed=3))
+    assert not np.array_equal(dirs, sphere_directions(4, 64, seed=4))
 
 
 # ------------------------------------------------------------- spec files

@@ -1,12 +1,16 @@
 """Command-line surface: exit codes, report files, tolerance plumbing.
 
-Everything calls main() in process; exit codes are the contract (0 consistent
-or completed, 2 hypothesis-violated / not a pole, 3 conclusion-violated,
-1 usage, I/O, or geometry errors).
+Everything calls main() in process, except the import-cost test, which needs
+a fresh interpreter; exit codes are the contract (0 consistent or completed,
+2 hypothesis-violated / not a pole, 3 conclusion-violated, 1 usage, I/O, or
+geometry errors).
 """
 
 import inspect
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from ellipsoid_forge import (
     polar_of,
     save_body,
 )
+from ellipsoid_forge import cli
 from ellipsoid_forge.cli import build_parser, main
 
 
@@ -273,6 +278,26 @@ def test_sample_section_circle(specs, tmp_path):
     radii = np.linalg.norm(rows[:, :3], axis=1)
     assert np.abs(radii - 1.0).max() < 1e-9
     assert np.abs(rows[:, 2]).max() < 1e-12
+
+
+@pytest.mark.parametrize("normal, error", [("0,0,0", "ZeroDirection"),
+                                           ("nan,0,0", "NonFiniteInput"),
+                                           ("inf,0,0", "NonFiniteInput")])
+def test_sample_section_bad_normal_exits_one(specs, tmp_path, capsys, normal, error):
+    code = main(["sample", "section", "--body", specs["ball1"],
+                 "--normal=" + normal, "--out", str(tmp_path / "s.csv")])
+    assert code == 1
+    assert error in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats would be about half of the import time
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys; sys.path.insert(0, %r); import ellipsoid_forge.cli; "
+            "print('scipy.stats' in sys.modules)" % src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_sample_missing_flags_exit_one(specs, tmp_path, capsys):
