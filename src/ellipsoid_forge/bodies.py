@@ -373,12 +373,12 @@ def line_boundary_points(body, line):
     return ray_exit(body, base, -line.direction), ray_exit(body, base, line.direction)
 
 
-def o_symmetry_residual(body, center=None, m=512, seed=0):
-    """max_u |h(u) - h(-u) - 2<c,u>| / diameter over sampled directions."""
+def o_symmetry_residual(body, center=None, seed=0):
+    """max_u |h(u) - h(-u) - 2<c,u>| / diameter over 512 sampled directions."""
     if center is None:
         center = np.zeros(body.dim)
     center = np.asarray(center, dtype=float)
-    dirs = sphere_directions(body.dim, m, seed=seed)
+    dirs = sphere_directions(body.dim, 512, seed=seed)
     worst = 0.0
     for u in dirs:
         r = abs(body.support(u) - body.support(-u) - 2.0 * float(center @ u))
@@ -386,10 +386,10 @@ def o_symmetry_residual(body, center=None, m=512, seed=0):
     return worst / body.diameter()
 
 
-def is_o_symmetric(body, center=None, tol=1e-7, m=512, seed=0):
+def is_o_symmetric(body, center=None):
     """Centrally symmetric about center, via the support identity
-    h(u) - h(-u) = 2<c,u> sampled over m quasi-uniform directions."""
-    return o_symmetry_residual(body, center, m=m, seed=seed) <= tol
+    h(u) - h(-u) = 2<c,u> to 1e-7 over 512 quasi-uniform directions."""
+    return o_symmetry_residual(body, center) <= 1e-7
 
 
 # ---------------------------------------------------------------------------

@@ -117,14 +117,14 @@ def _cmd_body_validate(args):
     return status
 
 
-def _section_sample(body, normal, offset, m, seed, hint):
+def _section_sample(body, normal, offset, m, seed):
     if not np.all(np.isfinite(normal)):
         raise NonFiniteInput("section normal %s is not finite" % normal.tolist())
     if not normal.any():
         raise ZeroDirection("the section normal is zero")
     nrm = normal / np.linalg.norm(normal)
     plane = Hyperplane(nrm, float(offset))  # offset in unit-normal scale
-    sec = section(body, plane, interior_hint=hint)
+    sec = section(body, plane)
     pts = np.array([sec.to_world(sec.boundary2(d2))
                     for d2 in circle_directions(m, seed=seed)])
     res = np.array([abs(body.gauge(z) - 1.0) for z in pts])
@@ -158,9 +158,8 @@ def _cmd_sample(args):
     else:
         if args.normal is None:
             raise _UsageError("sample section needs --normal")
-        hint = _vec(args.hint) if args.hint else None
         sample = _section_sample(body, _vec(args.normal), args.offset,
-                                 args.m, args.seed, hint)
+                                 args.m, args.seed)
     write_curve_csv(sample, args.out)
     print("wrote %d points to %s  (max residual %.3e)"
           % (len(sample), args.out, sample.max_residual))
@@ -297,7 +296,6 @@ def build_parser():
     sample.add_argument("--direction")
     sample.add_argument("--normal")
     sample.add_argument("--offset", type=float, default=0.0)
-    sample.add_argument("--hint")
     sample.add_argument("--m", type=int, default=200)
     sample.add_argument("--seed", type=int, default=0)
     sample.add_argument("--out", required=True)

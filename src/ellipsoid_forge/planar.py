@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .bodies import line_min_gauge, ray_exit
+from .bodies import ray_exit
 from .errors import (EndpointNotOnBoundary, NoSignChange, NotANorm, NotFound,
                      PlaneMissesBody, UnsupportedDimension)
 from .numeric import angle_between, normalize, require_sizes, unit_frame
-from .projective import Hyperplane, Line
+from .projective import Hyperplane
 
 
 def _rot90(v):
@@ -39,34 +39,31 @@ def _widen(ok, t):
 class PlanarSection:
     """Section of a convex body by a hyperplane, as a 2-D support oracle."""
 
-    def __init__(self, body, plane, interior_hint=None):
+    def __init__(self, body, plane):
         self.body = body
         self.plane = plane
-        self.origin = self._find_origin(interior_hint)
+        self.origin = self._find_origin()
         self.basis = unit_frame(plane.normal).T  # rows b1, b2
         self._diameter2 = None
 
-    def _find_origin(self, hint):
+    def _find_origin(self):
+        """The foot of the centre c when it is interior; else the point where
+        the segment from c to the support point on the far side of the plane
+        crosses it. The gauge is 1-homogeneous about c, so that crossing has
+        gauge reach exactly, and reach >= 1 means the plane misses the
+        interior."""
         body, plane = self.body, self.plane
-        scale = body.diameter()
-        candidates = []
-        if hint is not None:
-            candidates.append(np.asarray(hint, dtype=float))
-        candidates.append(body.center - (plane.signed_distance(body.center)) * plane.normal)
-        for z in candidates:
-            if abs(plane.signed_distance(z)) <= 1e-9 * scale and body.gauge(z) < 1.0 - 1e-9:
-                return z - plane.signed_distance(z) * plane.normal
-        # alternating 1-D descent of the (convex) gauge inside the plane
-        z = candidates[-1]
-        frame = unit_frame(plane.normal).T
-        for _ in range(12):
-            for b in frame:
-                line = Line(z, b)
-                t, g = line_min_gauge(body, line)
-                z = line.at(t)
-            if g < 1.0 - 1e-9:
-                return z - plane.signed_distance(z) * plane.normal
-        raise PlaneMissesBody("gauge on the plane stays at %.6f" % g)
+        n, s = plane.normal, plane.signed_distance(body.center)
+        z = body.center - s * n
+        if body.gauge(z) >= 1.0 - 1e-9:
+            far = body.support_point(-np.sign(s) * n)
+            reach = s / (s - plane.signed_distance(far))
+            if not reach < 1.0 - 1e-9:
+                raise PlaneMissesBody("the plane misses the interior: it cuts "
+                                      "the ray to the far support point at "
+                                      "reach %.6f" % reach)
+            z = body.center + reach * (far - body.center)
+        return z - plane.signed_distance(z) * n
 
     def to_world(self, p2):
         return self.origin + self.basis.T @ np.asarray(p2, dtype=float)
@@ -137,7 +134,7 @@ class PlanarSection:
         return self._diameter2
 
 
-def section(body, plane, interior_hint=None):
+def section(body, plane):
     """Restriction oracle: the planar convex figure plane ∩ body, for a 3-D
     body and a plane in R^3."""
     if not isinstance(plane, Hyperplane):
@@ -147,7 +144,7 @@ def section(body, plane, interior_hint=None):
             "section needs a 3-D body and a plane in R^3; the body has "
             "dimension %d, the plane normal shape %s"
             % (body.dim, plane.normal.shape))
-    return PlanarSection(body, plane, interior_hint=interior_hint)
+    return PlanarSection(body, plane)
 
 
 @dataclass

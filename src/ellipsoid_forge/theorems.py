@@ -579,7 +579,7 @@ def check_theorem2(l_body, k_body, p, apexes=12, m=64, chords=48, radon_k=128,
         pts = omega.points
         _, _, vt = np.linalg.svd(pts - p, full_matrices=False)
         plane = Hyperplane.from_point_normal(p, vt[-1])
-        sec = section(k_body, plane, interior_hint=p)
+        sec = section(k_body, plane)
         base2 = sec.to_chart(p)
         matched = _matched_section_cloud(sec, pts, base2)
         defect = hausdorff(pts, matched) / diam_k
@@ -709,7 +709,7 @@ def check_theorem3(l_body, k_body, apexes=12, m=64, lines=32, w_samples=16,
         if not isinstance(polar, Hyperplane):
             continue
         central = Hyperplane.from_point_normal(o, polar.normal)
-        sec = section(k_body, central, interior_hint=o)
+        sec = section(k_body, central)
         for th in np.linspace(0.0, 2.0 * np.pi, w_samples, endpoint=False):
             w2 = sec.boundary2(np.array([np.cos(th), np.sin(th)]))
             w = sec.to_world(w2)
@@ -764,7 +764,7 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
     all_ellipse = True
     for u in us:
         plane = Hyperplane.from_point_normal(o + r * u, u)
-        sec = section(k_body, plane, interior_hint=o + r * u)
+        sec = section(k_body, plane)
         pts = np.array([sec.to_world(sec.boundary2(d2))
                         for d2 in circle_directions(m, seed=seed)])
         fit = fit_planar_conic(pts, plane, tol=tol["ellipse"])
@@ -789,30 +789,26 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
     # antipodal section is the reflection of this one, so the translation
     # K_u = phi(u) + K_{-u} holds iff the section is symmetric about c, and
     # then phi(u) = 2 (c - o)
-    phis = {}
+    phis = []
     worst_translate = 0.0
     lipschitz = 0.0
-    for idx, (u, sec) in enumerate(zip(us, secs)):
+    for sec in secs:
         sym = central_symmetry(sec, tol=tol["symmetry"], m=m, seed=seed)
-        phis[idx] = 2.0 * (np.asarray(sym.center_world) - o)
+        phis.append(2.0 * (np.asarray(sym.center_world) - o))
         worst_translate = max(
             worst_translate,
             _reflection_residual(sec, np.asarray(sym.center)) / diam)
-    translated = sorted(phis)
-    for a, b in zip(translated, translated[1:]):
-        ang = angle_between(us[a], us[b])
+    for u_a, u_b, phi_a, phi_b in zip(us, us[1:], phis, phis[1:]):
+        ang = angle_between(u_a, u_b)
         if ang > 1e-9:
-            lipschitz = max(lipschitz, float(
-                np.linalg.norm(phis[a] - phis[b]) / ang))
+            lipschitz = max(lipschitz, float(np.linalg.norm(phi_a - phi_b) / ang))
     run.stage("parallel-translation", "derived", worst_translate, "hausdorff",
-              sections=len(translated), lipschitz_estimate=lipschitz)
+              sections=len(phis), lipschitz_estimate=lipschitz)
 
     # phi at directions orthogonal to phi(u); also feeds the midpoint stage
     worst_orth = 0.0
     locus_jobs = []
-    for idx in translated[:4]:
-        u = us[idx]
-        phi_u = phis[idx]
+    for u, phi_u in zip(us[:4], phis):
         npu = float(np.linalg.norm(phi_u))
         if npu <= 1e-12 * diam:
             continue
@@ -822,7 +818,7 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
         for th in np.linspace(0.0, np.pi, 8, endpoint=False):
             v = np.cos(th) * f1 + np.sin(th) * f2
             plane_v = Hyperplane.from_point_normal(o + r * v, v)
-            sec_v = section(k_body, plane_v, interior_hint=o + r * v)
+            sec_v = section(k_body, plane_v)
             sym_v = central_symmetry(sec_v, tol=tol["symmetry"], m=m, seed=seed)
             phi_v = 2.0 * (np.asarray(sym_v.center_world) - o)
             npv = float(np.linalg.norm(phi_v))
@@ -830,15 +826,13 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
                 continue
             worst_orth = max(worst_orth, float(abs(phi_v @ u)) / npv)
             if first:
-                locus_jobs.append((idx, v, sec_v, np.asarray(sym_v.center)))
+                locus_jobs.append((u, phi_u, v, sec_v, np.asarray(sym_v.center)))
                 first = False
     run.stage("translation-orthogonality", "derived", worst_orth, "bisector")
 
     worst_locus = 0.0
     loci = 0
-    for idx, v, sec_v, c2 in locus_jobs:
-        u = us[idx]
-        phi_u = phis[idx]
+    for u, phi_u, v, sec_v, c2 in locus_jobs:
         d_w = np.cross(np.asarray(u), v)
         nd = float(np.linalg.norm(d_w))
         if nd < 1e-9:
@@ -880,13 +874,12 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
         shape_inv = np.linalg.inv(shape)
         worst_center = 0.0
         checked = 0
-        for idx in translated[:4]:
-            u = np.asarray(us[idx])
+        for u in us[:4]:
             for scale in (0.35, 0.7):
                 h = scale * r
                 plane = Hyperplane.from_point_normal(o + h * u, u)
                 predicted = o + h * (shape_inv @ u) / float(u @ shape_inv @ u)
-                sec_s = section(k_body, plane, interior_hint=predicted)
+                sec_s = section(k_body, plane)
                 worst_center = max(
                     worst_center,
                     _reflection_residual(sec_s, sec_s.to_chart(predicted)) / diam)
@@ -942,7 +935,7 @@ def check_theorem_basico(k_body, p, eps=0.2, planes=8, offsets=7, m=64,
         for k_off, off in enumerate(offs):
             plane = Hyperplane(nrm, base_off + float(off))
             try:
-                sec = section(k_body, plane, interior_hint=p + off * nrm)
+                sec = section(k_body, plane)
             except PlaneMissesBody:
                 missed += 1
                 continue
@@ -1012,8 +1005,7 @@ def check_theorem_radon(k_body, planes=6, diameters=128, seed=0,
     o = k_body.center
     _require_o_symmetric(k_body, o, "body")
     # a generator: each section is cut just before its Radon test
-    sections = (section(k_body, Hyperplane.from_point_normal(o, nrm),
-                        interior_hint=o)
+    sections = (section(k_body, Hyperplane.from_point_normal(o, nrm))
                 for nrm in sphere_directions(k_body.dim, planes, seed=seed))
     run.radon_stage("central-sections-radon", "hypothesis", sections,
                     diameters, planes=int(planes), diameters=int(diameters))

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ellipsoid_forge import AffineImage, Ellipsoid, PBall
+
+# every property test draws the same examples on every run, so two runs of
+# one commit test the same inputs; a slow example is not a failure
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -104,7 +104,7 @@ p_values = st.floats(1.3, 8.0)
 
 
 @given(p_values, st.integers(0, 10 ** 6))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_pball_support_matches_dual_norm(p, seed):
     rng = np.random.default_rng(seed)
     axes = rng.uniform(0.4, 2.5, 3)
@@ -178,7 +178,7 @@ def test_polytope_gauge_on_cube():
 
 
 @given(st.integers(0, 10 ** 6), st.booleans(), st.integers(4, 12))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_polytope_facet_gauge_matches_lp(seed, symmetric, k):
     # a +-v hull or a random vertex cloud; points inside and outside it
     rng = np.random.default_rng(seed)

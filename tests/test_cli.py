@@ -47,6 +47,7 @@ def specs(tmp_path_factory):
     put("ball2", Ellipsoid.ball(2.0))
     put("ball_half", Ellipsoid.ball(0.5))
     put("ellipsoid", Ellipsoid(np.zeros(3), np.diag([1.0, 4.0, 9.0])))
+    put("thin", Ellipsoid.from_semi_axes([4.0, 1.0, 0.1]))
     put("l4", PBall(4.0, (1.0, 1.0, 1.0)))
     put("l4_double", PBall(4.0, (2.0, 2.0, 2.0)))
     put("disc", Ellipsoid.ball(1.0, dim=2))
@@ -278,6 +279,20 @@ def test_sample_section_circle(specs, tmp_path):
     radii = np.linalg.norm(rows[:, :3], axis=1)
     assert np.abs(radii - 1.0).max() < 1e-9
     assert np.abs(rows[:, 2]).max() < 1e-12
+
+
+def test_sample_section_of_thin_body(specs, tmp_path):
+    # the plane holds (-2, 0, 0), of gauge 0.5, though the centre's foot on
+    # it lies outside the body
+    out = tmp_path / "thin.csv"
+    code = main(["sample", "section", "--body", specs["thin"],
+                 "--normal", "1,1,1", "--offset", "-1.1547005383792517",
+                 "--m", "16", "--out", str(out)])
+    assert code == 0
+    rows = np.array([[float(t) for t in ln.split(",")]
+                     for ln in out.read_text().splitlines()[1:]])
+    assert rows.shape == (16, 4)
+    assert np.abs(rows[:, :3].sum(axis=1) + 2.0).max() < 1e-9
 
 
 @pytest.mark.parametrize("normal, error", [("0,0,0", "ZeroDirection"),

@@ -84,7 +84,7 @@ def test_fit_conic_hyperbola():
 
 @given(st.floats(0.1, 10.0), st.floats(1.0, 10.0), st.floats(-5.0, 5.0),
        st.floats(-5.0, 5.0), st.floats(0.0, np.pi))
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 def test_fit_conic_is_the_quadric_fit_in_the_plane(major, ratio, cx, cy, angle):
     center, axes = np.array([cx, cy]), (major, major / ratio)
     res = fit_conic_2d(_ellipse_cloud(center, axes, angle, m=24))
@@ -103,7 +103,7 @@ def test_fit_conic_is_the_quadric_fit_in_the_plane(major, ratio, cx, cy, angle):
 
 @given(st.floats(0.2, 5.0), st.floats(0.2, 5.0), st.floats(-5.0, 5.0),
        st.floats(-5.0, 5.0), st.floats(0.0, np.pi))
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 def test_fit_conic_random_hyperbolas(a, b, cx, cy, angle):
     t = np.linspace(-1.2, 1.2, 15)
     branch = np.column_stack([a * np.cosh(t), b * np.sinh(t)])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ellipsoid_forge import (
     AffineImage,
@@ -94,9 +95,9 @@ def test_plane_misses_body_raises(unit_ball):
         section(unit_ball, Hyperplane(np.array([0.0, 0.0, 1.0]), 2.0))
 
 
-def test_section_origin_found_by_descent():
-    # the centre's projection onto the plane has gauge 3.55, so with no hint
-    # the section origin comes from the in-plane gauge descent
+def test_section_origin_from_far_support_point():
+    # the centre's projection onto the plane has gauge 3.55, so the section
+    # origin is where the plane cuts the segment to the far support point
     c = np.array([0.3, -0.2, 0.1])
     q = np.diag([1e-2, 1.0, 1.0])  # semi-axes 10, 1, 1
     body = Ellipsoid(c, q)
@@ -108,6 +109,60 @@ def test_section_origin_found_by_descent():
     sym = central_symmetry(sec)
     want = ellipsoid_section_center(c, q, nrm, offset)
     assert np.abs(np.asarray(sym.center_world) - want).max() < 1e-12
+
+
+_THIN_AXES = np.array([4.0, 1.0, 0.1])
+_THIN_PLANE = Hyperplane.from_point_normal([-2.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("body", [
+    Ellipsoid.from_semi_axes(_THIN_AXES),
+    Polytope(np.vstack([np.eye(3), -np.eye(3)]) * _THIN_AXES),
+], ids=["ellipsoid", "octahedron"])
+def test_thin_section_origin_is_interior(body):
+    # (-2, 0, 0) lies on the plane with gauge 0.5, but the centre's foot is
+    # outside and an in-plane descent stalls along the long axis
+    assert body.gauge(np.array([-2.0, 0.0, 0.0])) == pytest.approx(0.5)
+    sec = section(body, _THIN_PLANE)
+    assert body.gauge(sec.origin) < 1.0
+    assert abs(_THIN_PLANE.signed_distance(sec.origin)) < 1e-12
+    if isinstance(body, Ellipsoid):
+        want = ellipsoid_section_center(body.center, body.shape_matrix,
+                                        _THIN_PLANE.normal, _THIN_PLANE.offset)
+        got = np.asarray(central_symmetry(sec).center_world)
+        assert np.abs(got - want).max() < 1e-12
+
+
+def _thin_body(kind, rng):
+    """A rotated and shifted body with semi-axes between 0.05 and 5."""
+    axes = np.exp(rng.uniform(np.log(0.05), np.log(5.0), 3))
+    rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    shift = rng.uniform(-1.0, 1.0, 3)
+    if kind == "ellipsoid":
+        return Ellipsoid(shift, rot @ np.diag(1.0 / axes ** 2) @ rot.T)
+    if kind == "pball":
+        return AffineImage(rot, shift, PBall(rng.uniform(1.2, 8.0), axes))
+    pts = rng.normal(size=(int(rng.integers(6, 16)), 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    return Polytope(pts * axes @ rot.T + shift)
+
+
+@given(st.sampled_from(["ellipsoid", "pball", "polytope"]),
+       st.integers(0, 10 ** 6), st.floats(0.01, 0.99), st.floats(1e-6, 2.0))
+@settings(max_examples=300)
+def test_section_exists_exactly_when_plane_meets_interior(kind, seed, frac, beyond):
+    rng = np.random.default_rng(seed)
+    body = _thin_body(kind, rng)
+    nrm = rng.normal(size=3)
+    nrm /= np.linalg.norm(nrm)
+    lo, hi = -body.support(-nrm), body.support(nrm)
+    plane = Hyperplane(nrm, lo + frac * (hi - lo))
+    sec = section(body, plane)
+    assert body.gauge(sec.origin) < 1.0
+    assert abs(plane.signed_distance(sec.origin)) <= 1e-12 * (1.0 + body.diameter())
+    for offset in (hi + beyond * (hi - lo), lo - beyond * (hi - lo)):
+        with pytest.raises(PlaneMissesBody):
+            section(body, Hyperplane(nrm, offset))
 
 
 def test_section_type_check(unit_ball):

@@ -32,7 +32,7 @@ finite_param = st.floats(-50.0, 50.0)
 
 @given(st.integers(0, 10 ** 6),
        st.tuples(finite_param, finite_param, finite_param, finite_param))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_cross_ratio_matches_parameter_oracle(seed, params):
     ta, tb, tc, td = params
     # keep the quadruple away from the degenerate denominators
@@ -66,7 +66,7 @@ def test_cross_ratio_degenerate_quadruple():
 
 
 @given(st.integers(0, 10 ** 6), finite_param, finite_param, finite_param)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_harmonic_conjugate_matches_oracle(seed, ta, tb, to):
     if abs(ta - tb) < 1e-2 or abs(to - ta) < 1e-2 or abs(to - tb) < 1e-2:
         return
