@@ -55,9 +55,12 @@ def _vec(text):
 def _grid(text):
     try:
         lo, hi, n = text.split(":")
-        return np.linspace(float(lo), float(hi), int(n))
+        grid = np.linspace(float(lo), float(hi), int(n))
     except ValueError:
         raise _UsageError("cannot parse grid %r (want lo:hi:count)" % text)
+    if grid.size < 1:
+        raise _UsageError("grid %r is empty (want count >= 1)" % text)
+    return grid
 
 
 def _tol_pairs(text):

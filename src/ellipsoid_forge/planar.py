@@ -13,7 +13,7 @@ support points at full solver accuracy, which the conjugacy gates need.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .bodies import ray_exit
 from .errors import (EndpointNotOnBoundary, NoSignChange, NotANorm, NotFound,
@@ -116,8 +116,15 @@ class PlanarSection:
             base_w = self.to_world(base2)
         return self.to_chart(ray_exit(self.body, base_w, self.basis.T @ normalize(d2)))
 
-    def gauge2(self, p2):
-        return _section_norm(self, np.zeros(2), p2)
+    def gauge2(self, p2, base2=None):
+        """Gauge of the step p2 from base2 (default: chart origin): 1 exactly
+        when base2 + p2 is on the section boundary; one ray exit."""
+        base2 = np.zeros(2) if base2 is None else np.asarray(base2, dtype=float)
+        p2 = np.asarray(p2, dtype=float)
+        r = np.linalg.norm(p2)
+        if r == 0.0:
+            return 0.0
+        return float(r / np.linalg.norm(self.boundary2(p2 / r, base2=base2) - base2))
 
     def normal2_at(self, p2):
         """In-plane outer normal of the section at a boundary point."""
@@ -175,7 +182,7 @@ def central_symmetry(sec, tol=1e-7, m=96, seed=0):
 
 
 def _check_on_boundary(sec, p2, tol=1e-8):
-    g = sec.gauge2(p2) if np.linalg.norm(p2) > 0 else 0.0
+    g = sec.gauge2(p2)
     if abs(g - 1.0) > tol:
         raise EndpointNotOnBoundary("gauge %.9f at a chord endpoint" % g)
 
@@ -226,7 +233,6 @@ def conjugate_diameter(sec, a2, b2, contact_tol=1e-8):
 class BirkhoffResult:
     ok: bool
     min_ratio: float
-    alpha: float
 
 
 def _norm_gate(sec, tol=1e-6):
@@ -236,33 +242,25 @@ def _norm_gate(sec, tol=1e-6):
     return sym
 
 
-def _section_norm(sec, c2, v2):
-    v2 = np.asarray(v2, dtype=float)
-    r = np.linalg.norm(v2)
-    if r == 0.0:
-        return 0.0
-    b2 = sec.boundary2(v2 / r, base2=c2)
-    return float(r / np.linalg.norm(b2 - c2))
-
-
 def birkhoff_normal(sec, x, y, center=None):
-    """Birkhoff normality x ⊣ y in the normed plane whose unit ball is the
-    (centrally symmetric) section: ||x + a y|| >= ||x|| for all a."""
+    """Birkhoff normality x ⊣ y in the normed plane whose unit ball B is the
+    (centrally symmetric) section about center: ||x + a y|| >= ||x|| for all a.
+    By norm duality the line's minimum is <n, x> / h_B(n), n the unit normal
+    of y with <n, x> >= 0, h_B(n) = support2(n) - <center, n>; a = 0 caps it."""
     if center is None:
         center = _norm_gate(sec).center
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    nx = _section_norm(sec, center, x)
-    ny = _section_norm(sec, center, y)
+    nx = sec.gauge2(x, base2=center)
+    ny = float(np.linalg.norm(y))
     if nx == 0.0 or ny == 0.0:
         raise ValueError("birkhoff_normal needs nonzero vectors")
-    bound = 10.0 * nx / ny
-    f = lambda a: _section_norm(sec, center, x + a * y)
-    r = minimize_scalar(f, bounds=(-bound, bound), method="bounded",
-                        options={"xatol": 1e-10 * (1.0 + bound)})
-    fmin = min(float(r.fun), nx)  # alpha = 0 is always feasible
+    n = _rot90(y / ny)
+    if n @ x < 0.0:
+        n = -n
+    fmin = min(float(n @ x) / (sec.support2(n) - float(center @ n)), nx)
     ok = fmin >= nx * (1.0 - 1e-9)  # relative slack for rounding in the norm
-    return BirkhoffResult(bool(ok), fmin / nx, float(r.x))
+    return BirkhoffResult(bool(ok), fmin / nx)
 
 
 @dataclass

@@ -20,6 +20,7 @@ from .bodies import (
     line_boundary_points,
     line_min_gauge,
     o_symmetry_residual,
+    ray_exit,
 )
 from .cones import (_finite_vector, cone_intersection, graze, is_ellipsoidal_cone,
                     shadow_boundary, support_cone)
@@ -319,33 +320,25 @@ def _tangent_planes_through_line(body, p0, e):
 def _graze_polar_agreement(body, apex, plane, m, seed):
     """Worst distance between graze points and the matched trace of plane.
 
-    For every sweep angle of the graze the candidate partner is the boundary
-    point of (sweep plane) cap (polar plane) on the same side of the axis, so
-    the comparison is grid-matched and needs no cloud Hausdorff.
+    Every sweep plane span(e, u) holds the point z where the sweep axis meets
+    the polar plane, and cuts the polar along the line through z with
+    direction u - (<u, nu> / <e, nu>) e; its exit on the +u side is the graze
+    point's partner. When z is not interior (a plane only a loosened pole gate
+    admits) the graze points' worst distance to the plane stands in.
     """
     gr = graze(body, apex, m=m, seed=seed)
     c = np.asarray(gr.meta["axis_point"])
     e = np.asarray(gr.meta["axis_dir"])
     w1 = np.asarray(gr.meta["frame"][0])
     w2 = np.asarray(gr.meta["frame"][1])
-    nrm, off = plane.normal, plane.offset
+    meet = plane.intersect_line(Line(c, e))
+    if meet.is_infinite() or not body.gauge(meet.affine()) < 1.0 - 1e-9:
+        return max(abs(plane.signed_distance(p)) for p in gr.points)
+    z, nrm = meet.affine(), plane.normal
     worst = 0.0
     for p, th in zip(gr.points, gr.meta["angles"]):
         u = np.cos(th) * w1 + np.sin(th) * w2
-        ge, gu = float(e @ nrm), float(u @ nrm)
-        denom = ge * ge + gu * gu
-        if denom <= 1e-18:
-            worst = max(worst, abs(plane.signed_distance(p)))
-            continue
-        alpha = (off - float(c @ nrm)) / denom
-        base = c + alpha * (ge * e + gu * u)
-        direction = -gu * e + ge * u
-        try:
-            a, b = line_boundary_points(body, Line(base, direction))
-        except LineMissesBody:
-            worst = max(worst, abs(plane.signed_distance(p)))
-            continue
-        q = a if float((a - c) @ u) >= float((b - c) @ u) else b
+        q = ray_exit(body, z, u - (float(u @ nrm) / float(e @ nrm)) * e)
         worst = max(worst, float(np.linalg.norm(p - q)))
     return worst
 
@@ -358,13 +351,8 @@ def _reflection_residual(sec, center2, k=48):
     for th in np.linspace(0.0, np.pi, k, endpoint=False):
         u = np.array([np.cos(th), np.sin(th)])
         b = sec.boundary2(u, base2=center2)
-        reflected = 2.0 * center2 - b
-        d2 = center2 - b
-        nd = float(np.linalg.norm(d2))
-        if nd <= 1e-15:
-            continue
-        q = sec.boundary2(d2 / nd, base2=center2)
-        worst = max(worst, float(np.linalg.norm(q - reflected)))
+        q = sec.boundary2(-u, base2=center2)
+        worst = max(worst, float(np.linalg.norm(q - (2.0 * center2 - b))))
     return worst
 
 
@@ -749,8 +737,8 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
     if not k_body.is_smooth:
         raise NonSmoothBody("tangent-plane sections need a smooth body")
     r = float(radius)
-    if r <= 0.0:
-        raise ValueError("ball radius must be positive")
+    if not (np.isfinite(r) and r > 0.0):
+        raise ValueError("ball radius must be finite and > 0; got %r" % r)
     diam = k_body.diameter()
     inradius = min(float(k_body.support(u) - o @ u)
                    for u in sphere_directions(k_body.dim, 128, seed=seed))
@@ -917,8 +905,8 @@ def check_theorem_basico(k_body, p, eps=0.2, planes=8, offsets=7, m=64,
         raise NonSmoothBody("slab sections need a strictly convex smooth body")
     p = _require_interior(k_body, p, "body")
     eps = float(eps)
-    if eps <= 0.0:
-        raise ValueError("slab width must be positive")
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise ValueError("slab width eps must be finite and > 0; got %r" % eps)
     diam = k_body.diameter()
 
     normals = sphere_directions(k_body.dim, planes, seed=seed)

@@ -138,6 +138,15 @@ def birkhoff_min_ratio_lp(x, y, p, span=8.0):
     return float(r.fun / lp_norm(x, p))
 
 
+def birkhoff_min_ratio_l1(x, y):
+    """min_t ||x + t y||_1 / ||x||_1, exactly: the sum of |x_i + t y_i| is
+    convex and piecewise linear, so its minimum sits at a kink t = -x_i / y_i."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    kinks = [-xi / yi for xi, yi in zip(x, y) if yi != 0.0]
+    return min(float(np.abs(x + t * y).sum()) for t in kinks) / float(np.abs(x).sum())
+
+
 def lp_plane_conjugate(x_dir, p):
     """The conjugate-diameter direction for the lp disk: the boundary point
     where the supporting line is parallel to x (support point of rot90 x)."""

@@ -348,6 +348,15 @@ def test_usage_error_exits_one(capsys):
     assert "usage" in captured.err
 
 
+def test_sweep_rejects_an_empty_grid(tmp_path, capsys):
+    report = tmp_path / "sweep.json"
+    code = main(["sweep", "--check", "radon", "--exponents", "1.5:3:0",
+                 "--report", str(report)])
+    assert code == 1
+    assert "grid" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_sweep_radon_over_exponents(specs, tmp_path, capsys):
     report = tmp_path / "sweep.json"
     code = main(["sweep", "--check", "radon", "--exponents", "1.6:2.4:3",

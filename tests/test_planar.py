@@ -28,6 +28,7 @@ from ellipsoid_forge.errors import (
 )
 
 from oracles import (
+    birkhoff_min_ratio_l1,
     birkhoff_min_ratio_lp,
     ellipsoid_section_center,
     lp_plane_conjugate,
@@ -356,6 +357,40 @@ def test_birkhoff_asymmetric_pair_near_one_half(l4_central_section):
     want = birkhoff_min_ratio_lp(np.append(x, 0.0), np.append(y, 0.0), 4.0)
     assert fwd.min_ratio == pytest.approx(want, abs=1e-6)
     assert fwd.min_ratio == pytest.approx(0.91016, abs=1e-4)
+
+
+def test_birkhoff_octahedron_section_is_exact_l1():
+    """The octahedron's central sections carry the l1 norm of world
+    coordinates, whose line minimum sits at a kink; the duality form finds it
+    to rounding."""
+    octahedron = Polytope(np.vstack([np.eye(3), -np.eye(3)]))
+    nrm = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+    sec = section(octahedron, Hyperplane(nrm, 0.0))
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        x, y = rng.standard_normal(2), rng.standard_normal(2)
+        got = birkhoff_normal(sec, x, y, center=np.zeros(2)).min_ratio
+        want = birkhoff_min_ratio_l1(sec.basis.T @ x, sec.basis.T @ y)
+        assert got == pytest.approx(want, abs=1e-11)
+
+
+def test_birkhoff_tilted_off_centre_ellipse_section(ellipsoid149):
+    """An off-centre section of diag(1, 4, 9) is the ellipse
+    s^T A s <= 1 about its centre c2 != 0, A = B Q B^T / (1 - x0^T Q x0); the
+    line minimum is sqrt(x^T A x - (x^T A y)^2 / y^T A y)."""
+    q = ellipsoid149.shape_matrix
+    nrm = np.array([1.0, 1.0, 2.0]) / np.sqrt(6.0)
+    sec = section(ellipsoid149, Hyperplane(nrm, 0.2))
+    x0 = ellipsoid_section_center(np.zeros(3), q, nrm, 0.2)
+    c2 = sec.to_chart(x0)
+    assert np.linalg.norm(c2) > 0.05
+    a = sec.basis @ q @ sec.basis.T / (1.0 - x0 @ q @ x0)
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        x, y = rng.standard_normal(2), rng.standard_normal(2)
+        got = birkhoff_normal(sec, x, y, center=c2).min_ratio
+        want = np.sqrt(x @ a @ x - (x @ a @ y) ** 2 / (y @ a @ y)) / np.sqrt(x @ a @ x)
+        assert got == pytest.approx(want, abs=1e-11)
 
 
 # ------------------------------------------------------------------ radon

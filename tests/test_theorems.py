@@ -10,7 +10,9 @@ from ellipsoid_forge import (
     DEFAULT_TOLERANCES,
     INFINITY_HYPERPLANE,
     SCHEMA,
+    AffineImage,
     Ellipsoid,
+    Hyperplane,
     PBall,
     Polytope,
     check_theorem1,
@@ -31,6 +33,9 @@ from ellipsoid_forge.errors import (
     PointOnBoundary,
     UnsupportedDimension,
 )
+from ellipsoid_forge.theorems import _graze_polar_agreement
+
+from conftest import random_affine
 
 
 class _MiscenteredBall(Ellipsoid):
@@ -113,6 +118,36 @@ def test_polar_of_tolerance_plumbing(l4_unit):
         with pytest.raises(ValueError, match="tolerance pole must be finite"):
             polar_of(l4_unit, np.array([2.0, 0.0, 0.0]),
                      tolerances={"pole": value})
+
+
+def test_polar_of_graze_comparison(unit_ball, l4_unit):
+    """The polar of an exterior pole cuts the boundary along the graze; a
+    plane admitted only by a loosened pole gate does not, and the graze
+    comparison turns the verdict."""
+    a, b = random_affine(7)
+    body = AffineImage(a, b, unit_ball)
+    o = body.center + 2.5 * (body.boundary_from_center(np.array([1.0, 0.4, -0.3]))
+                             - body.center)
+    pole = polar_of(body, o)
+    assert pole.classification == "projective hyperplane of symmetry"
+    assert pole.graze_hausdorff < 1e-12
+    loose = polar_of(l4_unit, np.array([2.0, 0.3, 0.1]), tolerances={"pole": 100.0})
+    assert loose.classification == "not a pole"
+    assert loose.detail["graze_disagrees"]
+    assert loose.graze_hausdorff == pytest.approx(0.0968, abs=1e-4)
+
+
+def test_graze_polar_agreement_off_the_body(unit_ball):
+    """A plane whose meet with the sweep axis is not interior, or that holds
+    the axis, is scored by the graze points' worst distance to it."""
+    apex = np.array([2.0, 0.0, 0.0])
+    outside = Hyperplane(np.array([1.0, 0.0, 0.0]), 1.5)
+    assert _graze_polar_agreement(unit_ball, apex, outside, 16, 0) == pytest.approx(1.0)
+    holds_axis = Hyperplane(np.array([0.0, 0.6, 0.8]), 0.0)
+    got = _graze_polar_agreement(unit_ball, apex, holds_axis, 16, 0)
+    # 16 points of the graze circle x = 1/2 of radius sqrt(3)/2, which the
+    # plane cuts through its centre
+    assert np.sqrt(3.0) / 2.0 * np.cos(np.pi / 16) <= got <= np.sqrt(3.0) / 2.0
 
 
 def test_polar_of_boundary_point_rejected(unit_ball):
@@ -302,8 +337,9 @@ def test_t4_l4_violates_section_hypothesis(l4_double):
 
 
 def test_t4_input_gates(l4_double):
-    with pytest.raises(ValueError):
-        check_theorem4(Ellipsoid.ball(2.0), -1.0)
+    for radius in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="ball radius"):
+            check_theorem4(Ellipsoid.ball(2.0), radius)
     with pytest.raises(BallTooLarge):
         check_theorem4(Ellipsoid.ball(2.0), 2.5)
     with pytest.raises(NotOSymmetric):
@@ -345,8 +381,9 @@ def test_basico_l4_violates_symmetry_hypothesis(l4_unit):
 def test_basico_input_gates(unit_ball):
     with pytest.raises(GeometryError):
         check_theorem_basico(unit_ball, np.array([1.5, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        check_theorem_basico(unit_ball, np.zeros(3), eps=0.0)
+    for eps in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="eps"):
+            check_theorem_basico(unit_ball, np.zeros(3), eps=eps)
     with pytest.raises(UnsupportedDimension):
         check_theorem_basico(unit_ball, np.zeros(4))
     with pytest.raises(GeometryError, match="interior"):
