@@ -4,6 +4,12 @@ Concrete kinds: ellipsoid, p-ball, polytope, affine image. Higher modules are
 kind-agnostic: everything downstream consumes the oracle interface only.
 Gauges are Minkowski functionals about each body's designated center, which
 makes the center ray boundary solve closed form (1-homogeneity).
+
+The point oracles (gauge, normal_at, boundary_from_center, boundary_point,
+ray_exit) take one point or direction of shape (n,), or rows of shape
+(..., n), and answer row by row: a Python float or an (n,) point for one
+input, an array of shape (...) or (..., n) for rows. A row's answer equals
+the one-point answer to the last bit or two, so a caller may batch freely.
 """
 
 import hashlib
@@ -16,6 +22,11 @@ from scipy.spatial import ConvexHull, QhullError
 from .errors import BodySpecError, LineMissesBody, NonSmoothBody
 from .numeric import normalize, sphere_directions
 from .projective import Line
+
+
+def _value(a):
+    """A gauge per row: a Python float for one point, else an array."""
+    return a if a.ndim else float(a)
 
 
 def _finite(name, value):
@@ -49,11 +60,13 @@ class ConvexBody:
         raise NotImplementedError
 
     def gauge(self, x):
-        """Minkowski functional about the center: 1 on the boundary."""
+        """Minkowski functional about the center: 1 on the boundary.
+        x is one point (a float back) or (..., n) rows (an array back)."""
         raise NotImplementedError
 
     def normal_at(self, x):
-        """Outer unit normal at a boundary point (smooth kinds only)."""
+        """Outer unit normal at a boundary point, or at each of (..., n) rows
+        (smooth kinds only)."""
         raise NonSmoothBody("%s has no normal oracle" % self.kind)
 
     def contains(self, x, tol=1e-10):
@@ -78,21 +91,32 @@ class ConvexBody:
         return self._diameter
 
     def boundary_from_center(self, d):
-        """Boundary point along the ray center + t*d, t > 0. Closed form."""
+        """Boundary point along the ray center + t*d, t > 0, for each row of
+        d. Closed form."""
+        d = np.asarray(d, dtype=float)
         g = self.gauge(self.center + d)
-        return self.center + np.asarray(d, dtype=float) / g
+        return self.center + (d / g[..., None] if d.ndim > 1 else d / g)
 
     def boundary_point(self, z, d):
-        """Boundary point along z + t*d, t > 0, for interior z."""
-        z = np.asarray(z, dtype=float)
-        d = normalize(d)
-        if self.gauge(z) >= 1.0 - 1e-12:
-            raise ValueError("ray base point is not interior")
-        # body is inside ball(center, R): the exit time is below t_hi
-        t_hi = float(np.linalg.norm(z - self.center)) + self.radius_bound()
-        f = lambda t: self.gauge(z + t * d) - 1.0
-        t = brentq(f, 0.0, t_hi, xtol=1e-15 * t_hi, rtol=8.9e-16)
-        return z + t * d
+        """Boundary point along z + t*d, t > 0, for interior z; z and d
+        broadcast as rows, and each row is one brentq on the gauge."""
+
+        def exit_point(z, d):
+            d = normalize(d)
+            if self.gauge(z) >= 1.0 - 1e-12:
+                raise ValueError("ray base point is not interior")
+            # body is inside ball(center, R): the exit time is below t_hi
+            t_hi = float(np.linalg.norm(z - self.center)) + self.radius_bound()
+            f = lambda t: self.gauge(z + t * d) - 1.0
+            t = brentq(f, 0.0, t_hi, xtol=1e-15 * t_hi, rtol=8.9e-16)
+            return z + t * d
+
+        z, d = np.asarray(z, dtype=float), np.asarray(d, dtype=float)
+        if z.ndim == d.ndim == 1:
+            return exit_point(z, d)
+        z, d = np.broadcast_arrays(z, d)
+        rows = zip(z.reshape(-1, self.dim), d.reshape(-1, self.dim))
+        return np.reshape([exit_point(zk, dk) for zk, dk in rows], z.shape)
 
     def body_id(self):
         digest = hashlib.blake2b(
@@ -160,23 +184,25 @@ class Ellipsoid(ConvexBody):
 
     def gauge(self, x):
         v = np.asarray(x, dtype=float) - self._c
-        return float(np.sqrt(v @ self._q @ v))
+        return _value(np.sqrt(np.vecdot(np.vecmat(v, self._q), v)))
 
     def normal_at(self, x):
-        return normalize(self._q @ (np.asarray(x, dtype=float) - self._c))
+        return normalize(np.matvec(self._q, np.asarray(x, dtype=float) - self._c))
 
     def boundary_point(self, z, d):
         # (v + t d)^T Q (v + t d) = 1 with v = z - c, as a t^2 + 2 b t + c0 = 0
         d = normalize(d)
-        v = np.asarray(z, dtype=float) - self._c
-        a = d @ self._q @ d
-        b = d @ self._q @ v
-        c0 = v @ self._q @ v - 1.0
+        z = np.asarray(z, dtype=float)
+        v = z - self._c
+        qd = np.vecmat(d, self._q)
+        a = np.vecdot(qd, d)
+        b = np.vecdot(qd, v)
+        c0 = np.vecdot(np.vecmat(v, self._q), v) - 1.0
         disc = b * b - a * c0
-        if c0 >= -1e-14 or disc <= 0.0:
+        if np.any(c0 >= -1e-14) or np.any(disc <= 0.0):
             raise ValueError("ray base point is not interior")
         t = (-b + np.sqrt(disc)) / a
-        return z + t * d
+        return z + (t[..., None] if t.ndim else t) * d
 
 
 class PBall(ConvexBody):
@@ -225,7 +251,8 @@ class PBall(ConvexBody):
         return self._a * y
 
     def gauge(self, x):
-        return float(np.linalg.norm(np.asarray(x, dtype=float) / self._a, ord=self._p))
+        return _value(np.linalg.norm(np.asarray(x, dtype=float) / self._a,
+                                     ord=self._p, axis=-1))
 
     def normal_at(self, x):
         v = np.asarray(x, dtype=float) / self._a
@@ -278,7 +305,7 @@ class Polytope(ConvexBody):
 
     def gauge(self, x):
         v = np.asarray(x, dtype=float) - self._c
-        return float((self._a @ v / self._b).max())
+        return _value((np.matvec(self._a, v) / self._b).max(axis=-1))
 
 
 class AffineImage(ConvexBody):
@@ -329,17 +356,20 @@ class AffineImage(ConvexBody):
         return self._a @ self._inner.support_point(self._a.T @ u) + self._b
 
     def gauge(self, x):
-        return self._inner.gauge(self._ainv @ (np.asarray(x, dtype=float) - self._b))
+        return self._inner.gauge(
+            np.matvec(self._ainv, np.asarray(x, dtype=float) - self._b))
 
     def normal_at(self, x):
-        x_in = self._ainv @ (np.asarray(x, dtype=float) - self._b)
-        return normalize(self._ainv.T @ self._inner.normal_at(x_in))
+        x_in = np.matvec(self._ainv, np.asarray(x, dtype=float) - self._b)
+        return normalize(np.matvec(self._ainv.T, self._inner.normal_at(x_in)))
 
 
 def ray_exit(body, base, d):
-    """Boundary point along base + t*d, t > 0, for interior base. From the
-    center it takes the closed-form ray, keeping curve symmetries bit-exact."""
-    if np.linalg.norm(base - body.center) <= 1e-13 * (1.0 + body.diameter()):
+    """Boundary point along base + t*d, t > 0, for interior base; base and d
+    broadcast as rows. One base point at the center takes the closed-form
+    ray, keeping curve symmetries bit-exact."""
+    off = np.asarray(base, dtype=float) - body.center
+    if off.ndim == 1 and np.sqrt(np.vecdot(off, off)) <= 1e-13 * (1.0 + body.diameter()):
         return body.boundary_from_center(d)
     return body.boundary_point(base, d)
 

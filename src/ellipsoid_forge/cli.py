@@ -130,7 +130,7 @@ def _section_sample(body, normal, offset, m, seed):
     sec = section(body, plane)
     pts = np.array([sec.to_world(sec.boundary2(d2))
                     for d2 in circle_directions(m, seed=seed)])
-    res = np.array([abs(body.gauge(z) - 1.0) for z in pts])
+    res = np.abs(body.gauge(pts) - 1.0)
     meta = {
         "curve": "section",
         "body": body.body_id(),

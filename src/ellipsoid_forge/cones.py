@@ -7,23 +7,27 @@ cylinder). A boundary point p is a contact point iff g(p) = <a - w p, nu(p)>
 is 0. The sweep turns 2-planes about an axis through a base point and finds,
 in each, the sign change of g along the section boundary. For a smooth
 strictly convex section seen from an in-plane exterior apex the visible arc
-is connected, so g changes sign exactly once on the half-turn (0, pi) and
-brentq is safe. The sweep needs two directions orthogonal to the axis: n >= 3.
+is connected, so g changes sign exactly once on the half-turn (0, pi) and a
+bracketing solver is safe. All planes and apexes are one vectorised
+Chandrupatla solve (scipy.optimize.elementwise.find_root) over the row
+oracles. The sweep needs two directions orthogonal to the axis: n >= 3.
 """
 
 import json
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
 
 from .bodies import line_min_gauge, ray_exit
 from .errors import (
     ApexInsideBody,
     CoincidentApexes,
     DegenerateCone,
+    GeometryError,
     LineMissesBody,
     NonFiniteInput,
     NonSmoothBody,
+    NoSignChange,
     UnsupportedDimension,
     ZeroDirection,
 )
@@ -93,14 +97,24 @@ def _exterior_apex(body, apex):
     return apex
 
 
+#: find_root's statuses other than convergence, by what they mean here
+_SWEEP_FAILURES = {-1: "g has no sign change on (0, pi)",
+                   -2: "the root solve hit its iteration limit",
+                   -3: "g is not finite"}
+
+
 def _tangency_sweep(body, base, axis, apexes, m, seed):
     """Tangency points of homogeneous apexes in m sweep planes about an axis.
 
     Sweep plane j is span(axis, v_j) through base. For each apex (a, w) the
     root of g(phi) = <a - w gamma, nu(gamma)> in (0, pi) is the in-plane, and
-    so the full, tangency. Returns the points, shape (m, apexes, n), their
-    residuals |g| (divided by |a - p| for a finite apex), the plane
-    directions v_j, and the sweep's curve meta.
+    so the full, tangency. One find_root solves all m x apexes rows at once;
+    row r is plane r // k and apex r % k, and the row indices go through
+    args because find_root hands g only the rows still active. Returns the
+    points, shape (m, apexes, n), their residuals |g| (divided by |a - p| for
+    a finite apex), the plane directions v_j as rows, and the sweep's curve
+    meta. A row that does not converge raises a GeometryError naming its
+    plane and apex (NoSignChange when (0, pi) brackets no root).
     """
     if body.dim < 3:
         raise UnsupportedDimension(
@@ -110,21 +124,34 @@ def _tangency_sweep(body, base, axis, apexes, m, seed):
     # tiny seeded phase so axis-aligned coordinate flats are never hit exactly
     phi0 = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi / max(m, 1))
     angles = phi0 + 2.0 * np.pi * np.arange(m) / m
-    planes = [np.cos(th) * w1 + np.sin(th) * w2 for th in angles]
-    pts = np.empty((m, len(apexes), body.dim))
-    res = np.empty(pts.shape[:2])
-    for j, v in enumerate(planes):
-        for i, (a, w) in enumerate(apexes):
-            # a - w p as a branch: w is 1 or 0, and g is the sweep's hot loop
-            def g(phi):
-                p = ray_exit(body, base, np.cos(phi) * axis + np.sin(phi) * v)
-                return float(((a - p) if w else a) @ body.normal_at(p))
+    planes = np.cos(angles)[:, None] * w1 + np.sin(angles)[:, None] * w2
+    k = len(apexes)
+    a = np.array([ap for ap, _ in apexes], dtype=float)
+    w = np.array([wt for _, wt in apexes], dtype=float)
 
-            phi = brentq(g, 0.0, np.pi, xtol=1e-14, rtol=8.9e-16)
-            p = ray_exit(body, base, np.cos(phi) * axis + np.sin(phi) * v)
-            r = abs(float(((a - p) if w else a) @ body.normal_at(p)))
-            pts[j, i] = p
-            res[j, i] = r / np.linalg.norm(a - p) if w else r
+    def contact(phi, r):
+        """Points, aims a - w p and g on rows r at angles phi."""
+        dirs = (np.cos(phi)[:, None] * axis
+                + np.sin(phi)[:, None] * planes[r // k])
+        p = ray_exit(body, base, dirs)
+        aim = a[r % k] - w[r % k, None] * p
+        return p, aim, np.vecdot(aim, body.normal_at(p))
+
+    rows = np.arange(m * k)
+    sol = find_root(lambda phi, r: contact(phi, r)[2],
+                    (np.zeros(m * k), np.full(m * k, np.pi)), args=(rows,),
+                    tolerances=dict(xatol=1e-14, xrtol=8.9e-16))
+    failed = np.flatnonzero(sol.status)
+    if failed.size:
+        r, status = int(failed[0]), int(sol.status[failed[0]])
+        raise (NoSignChange if status == -1 else GeometryError)(
+            "tangency sweep, plane %d, apex %d: %s (find_root status %d)"
+            % (r // k, r % k, _SWEEP_FAILURES.get(status, "failed"), status))
+    p, aim, g = contact(sol.x, rows)
+    finite = w[rows % k] != 0.0
+    res = np.abs(g) / np.where(finite, np.sqrt(np.vecdot(aim, aim)), 1.0)
+    pts = p.reshape(m, k, body.dim)
+    res = res.reshape(m, k)
     meta = {
         "axis_point": [float(t) for t in base],
         "axis_dir": [float(t) for t in axis],
@@ -195,23 +222,32 @@ def cone_intersection(body, x, y, m=200, seed=0):
     # apex y lies on the +e side of base, apex x on the -e side
     tangents, res, planes, sweep = _tangency_sweep(
         body, base, e, [(y, 1.0), (x, 1.0)], m, seed)
-    pts = np.empty((m, body.dim))
-    for j, v in enumerate(planes):
-        py, px = tangents[j, 0], tangents[j, 1]
-        # intersect the two tangent rays inside the sweep plane
-        chart = np.vstack([e, v])
-        x2, y2 = chart @ (x - base), chart @ (y - base)
-        px2, py2 = chart @ (px - base), chart @ (py - base)
-        a_mat = np.column_stack([px2 - x2, -(py2 - y2)])
-        det = np.linalg.det(a_mat)
-        scale = max(np.linalg.norm(px2 - x2), np.linalg.norm(py2 - y2))
-        if abs(det) <= 1e-12 * scale * scale:
+
+    def chart(q):
+        """In-plane coordinates (along e, along v_j) of q - base, per plane."""
+        q = q - base
+        return np.stack(np.broadcast_arrays(np.vecdot(q, e),
+                                            np.vecdot(q, planes)), axis=-1)
+
+    # intersect the two tangent rays x + t (px - x), y + s (py - y) inside
+    # every sweep plane: one stacked 2x2 solve
+    x2, y2 = chart(x), chart(y)
+    ray_x, ray_y = chart(tangents[:, 1]) - x2, chart(tangents[:, 0]) - y2
+    a_mat = np.stack([ray_x, -ray_y], axis=-1)
+    det = np.linalg.det(a_mat)
+    scale = np.maximum(np.linalg.norm(ray_x, axis=1), np.linalg.norm(ray_y, axis=1))
+    parallel = np.abs(det) <= 1e-12 * scale * scale
+    # a parallel plane gets the identity in place of its singular matrix
+    ts = np.linalg.solve(np.where(parallel[:, None, None], np.eye(2), a_mat),
+                         (y2 - x2)[:, :, None])[:, :, 0]
+    behind = (ts <= 0.0).any(axis=1) & ~parallel
+    if (parallel | behind).any():
+        j = int(np.argmax(parallel | behind))
+        if parallel[j]:
             raise DegenerateCone("tangent rays are parallel in sweep plane %d" % j)
-        t, s = np.linalg.solve(a_mat, y2 - x2)
-        if t <= 0.0 or s <= 0.0:
-            raise DegenerateCone("tangent rays meet behind an apex (plane %d)" % j)
-        q2 = x2 + t * (px2 - x2)
-        pts[j] = base + q2[0] * e + q2[1] * v
+        raise DegenerateCone("tangent rays meet behind an apex (plane %d)" % j)
+    q2 = x2 + ts[:, :1] * ray_x
+    pts = base + q2[:, :1] * e + q2[:, 1:] * planes
     apexes = [[float(t) for t in x], [float(t) for t in y]]
     return _curve("cone-intersection", body, {"apexes": apexes}, m, seed, pts,
                   res.max(axis=1), sweep)

@@ -4,11 +4,12 @@ import numpy as np
 
 
 def normalize(v):
+    """v / |v| along the last axis, so row by row for an (..., n) array."""
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n == 0.0:
+    n = np.sqrt(np.vecdot(v, v))
+    if not (n.all() if n.ndim else n):
         raise ValueError("cannot normalize the zero vector")
-    return v / n
+    return v / n[..., None] if n.ndim else v / n
 
 
 def unit_frame(u):

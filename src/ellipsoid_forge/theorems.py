@@ -278,8 +278,7 @@ class PoleResult:
 
 
 def _boundary_cloud(body, m, seed=0):
-    dirs = sphere_directions(body.dim, m, seed=seed)
-    return np.array([body.boundary_from_center(u) for u in dirs])
+    return body.boundary_from_center(sphere_directions(body.dim, m, seed=seed))
 
 
 def _nesting_gate(inner, outer, margin, m=128, seed=0):
@@ -335,12 +334,10 @@ def _graze_polar_agreement(body, apex, plane, m, seed):
     if meet.is_infinite() or not body.gauge(meet.affine()) < 1.0 - 1e-9:
         return max(abs(plane.signed_distance(p)) for p in gr.points)
     z, nrm = meet.affine(), plane.normal
-    worst = 0.0
-    for p, th in zip(gr.points, gr.meta["angles"]):
-        u = np.cos(th) * w1 + np.sin(th) * w2
-        q = ray_exit(body, z, u - (float(u @ nrm) / float(e @ nrm)) * e)
-        worst = max(worst, float(np.linalg.norm(p - q)))
-    return worst
+    th = np.asarray(gr.meta["angles"])
+    u = np.cos(th)[:, None] * w1 + np.sin(th)[:, None] * w2
+    q = ray_exit(body, z, u - (np.vecdot(u, nrm) / float(e @ nrm))[:, None] * e)
+    return float(np.linalg.norm(gr.points - q, axis=1).max())
 
 
 def _reflection_residual(sec, center2, k=48):
@@ -384,7 +381,7 @@ def polar_of(body, o, m=64, seed=0, tolerances=None):
         chords = [Line(o, d) for d in dirs]
     else:
         # through interior targets, so every chord starts inside the body
-        targets = [c + 0.85 * (body.boundary_from_center(w) - c) for w in dirs]
+        targets = c + 0.85 * (body.boundary_from_center(dirs) - c)
         chords = [Line(t, t - o) for t in targets]
     o_h = HPoint.from_affine(o)
     conjugates = []
@@ -555,9 +552,8 @@ def check_theorem2(l_body, k_body, p, apexes=12, m=64, chords=48, radon_k=128,
     kept = []  # (sec, base2, plane, x, y) per usable apex
     worst_defect = 0.0
     failures = []
-    for u in apex_dirs:
-        x = k_body.boundary_point(p, u)
-        y = k_body.boundary_point(p, -u)
+    for x, y in zip(k_body.boundary_point(p, apex_dirs),
+                    k_body.boundary_point(p, -apex_dirs)):
         try:
             omega = cone_intersection(l_body, x, y, m=m, seed=seed)
         except GeometryError as exc:
@@ -668,8 +664,7 @@ def check_theorem3(l_body, k_body, apexes=12, m=64, lines=32, w_samples=16,
     for x in apex_pts:
         omega = cone_intersection(l_body, x, 2.0 * o - x, m=m, seed=seed)
         omegas.append(omega.points)
-        max_gauge = max(max_gauge,
-                        max(float(k_body.gauge(q)) for q in omega.points))
+        max_gauge = max(max_gauge, float(k_body.gauge(omega.points).max()))
     allowed = 1.0 - tol["margin"]
     run.stage("cone-intersections-inside-outer", "hypothesis",
               max(0.0, max_gauge - allowed), None, max_gauge < allowed,

@@ -16,8 +16,11 @@ from ellipsoid_forge import (
     parse_body,
     serialize_body,
 )
+from ellipsoid_forge.bodies import ray_exit
 from ellipsoid_forge.errors import BodySpecError, LineMissesBody, NonSmoothBody
 from ellipsoid_forge.numeric import sphere_directions
+
+from conftest import random_affine
 
 from oracles import (
     ellipsoid_support,
@@ -222,6 +225,50 @@ def test_affine_image_rejects_singular_matrix():
         Polytope([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, np.inf]])
     with pytest.raises(ValueError, match="do not span"):  # flat
         Polytope([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.5, 0.2, 0]])
+
+
+# ------------------------------------------------------------- row oracles
+
+
+def _row_body(kind, p, affine, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "ellipsoid":
+        body = Ellipsoid(rng.uniform(-0.5, 0.5, 3), _random_spd(rng))
+    elif kind == "pball":
+        body = PBall(p, rng.uniform(0.5, 2.0, 3))
+    else:
+        body = Polytope(rng.normal(size=(12, 3)))
+    if affine:
+        body = AffineImage(*random_affine(seed), body)
+    return body
+
+
+@given(st.sampled_from(["ellipsoid", "pball", "polytope"]), st.floats(1.05, 40.0),
+       st.booleans(), st.integers(0, 10 ** 6))
+@settings(max_examples=60)
+def test_row_oracles_equal_point_calls(kind, p, affine, seed):
+    body = _row_body(kind, p, affine, seed)
+    rng = np.random.default_rng(seed + 1)
+    dirs = rng.normal(size=(2, 4, 3))
+    c = body.center
+
+    def agree(oracle, rows):
+        batch = np.asarray(oracle(rows)).reshape(8, -1)
+        single = np.array([np.atleast_1d(oracle(x)) for x in rows.reshape(8, 3)])
+        scale = np.abs(single).max(axis=1, keepdims=True)
+        assert np.all(np.abs(batch - single) <= 1e-15 * scale)
+
+    pts = c + 0.3 * dirs
+    agree(body.gauge, pts)
+    assert type(body.gauge(pts[0, 0])) is float
+    agree(body.boundary_from_center, dirs)
+    agree(lambda d: ray_exit(body, c, d), dirs)
+    z = c + 0.4 * (body.boundary_from_center(rng.normal(size=3)) - c)
+    agree(lambda d: body.boundary_point(z, d), dirs)
+    agree(lambda d: ray_exit(body, z, d), dirs)
+    if body.is_smooth:
+        agree(body.normal_at, body.boundary_from_center(dirs))
+        assert body.normal_at(pts[0, 0]).shape == (3,)
 
 
 # --------------------------------------------------------------- symmetry

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from ellipsoid_forge import (
+    AffineImage,
     CurveSample,
     Ellipsoid,
+    Line,
     PBall,
     Polytope,
     cone_intersection,
@@ -23,10 +25,13 @@ from ellipsoid_forge import (
     support_cone,
     write_curve_csv,
 )
+from ellipsoid_forge.bodies import line_min_gauge
 from ellipsoid_forge.errors import (
     ApexInsideBody,
     CoincidentApexes,
+    GeometryError,
     LineMissesBody,
+    NoSignChange,
     NonFiniteInput,
     NonSmoothBody,
     UnsupportedDimension,
@@ -78,6 +83,57 @@ def test_graze_tangency_on_generic_ellipsoid():
         assert abs((apex - p) @ body.normal_at(p)) < 1e-10 * np.linalg.norm(apex - p)
     assert sample.meta["curve"] == "graze"
     assert sample.meta["m"] == 80
+
+
+def test_off_centre_ellipsoid_graze_lies_on_the_polar_plane():
+    # the contact curve of {(x-c)' Q (x-c) <= 1} seen from a is its cut by the
+    # polar plane <x - c, Q (a - c)> = 1
+    q = np.array([[2.0, 0.3, -0.2], [0.3, 1.0, 0.1], [-0.2, 0.1, 3.0]])
+    c = np.array([0.4, -0.3, 0.2])
+    body = Ellipsoid(c, q)
+    apex = c + np.array([1.5, 1.0, -0.8])
+    sample = graze(body, apex, m=5000, seed=2)
+    nrm = q @ (apex - c)
+    dist = np.abs((sample.points - c) @ nrm - 1.0) / np.linalg.norm(nrm)
+    assert len(sample) == 5000
+    assert dist.max() < 1e-12
+
+
+def test_graze_solves_all_planes_at_once():
+    # one normal_at call per solver iteration over all 200 sweep planes, not
+    # one per plane: a per-row loop would make thousands
+    body = PBall(4.0, (1.0, 0.8, 1.2))
+    calls = []
+    normal_at = body.normal_at
+    body.normal_at = lambda x: calls.append(np.shape(x)) or normal_at(x)
+    sample = graze(body, np.array([2.0, 0.3, 0.1]), m=200)
+    assert sample.max_residual < 1e-11
+    assert 0 < len(calls) <= 60
+
+
+class _NaNNormalBall(Ellipsoid):
+    """A unit ball whose normal oracle yields NaN above the plane z = 0.5."""
+
+    def normal_at(self, x):
+        return np.where(np.asarray(x)[..., 2:] > 0.5, np.nan, super().normal_at(x))
+
+
+class _FixedNormalBall(Ellipsoid):
+    """A unit ball whose normal oracle always says e1: no tangency anywhere."""
+
+    def normal_at(self, x):
+        return np.broadcast_to(np.array([1.0, 0.0, 0.0]), np.shape(x))
+
+
+def test_sweep_failures_are_typed():
+    nan_body = _NaNNormalBall(np.zeros(3), np.eye(3))
+    with pytest.raises(GeometryError, match=r"plane 1, apex 0: g is not finite"):
+        graze(nan_body, np.array([2.0, 0.3, 0.1]), m=16)
+    with pytest.raises(GeometryError, match=r"plane \d+, apex 0: g is not finite"):
+        shadow_boundary(nan_body, np.array([1.0, 0.0, 0.0]), m=16)
+    flat = _FixedNormalBall(np.zeros(3), np.eye(3))
+    with pytest.raises(NoSignChange, match=r"plane 0, apex 0"):
+        graze(flat, np.array([2.0, 0.3, 0.1]), m=16)
 
 
 def test_graze_rejects_bad_input(unit_ball):
@@ -155,6 +211,25 @@ def test_cone_intersection_apex_line_off_centre():
     from_y = np.abs(z @ q @ (y - c) - 1.0) / np.sqrt(beta)
     assert np.abs(from_x - from_y).max() < 1e-10
     assert sample.max_residual < 1e-12
+
+
+@pytest.mark.parametrize("body", [
+    PBall(4.0, (1.0, 0.8, 1.2)),
+    AffineImage(np.array([[1.2, 0.3, -0.1], [0.0, 0.9, 0.4], [0.2, -0.3, 1.1]]),
+                np.array([0.1, 0.2, -0.1]), PBall(3.0, (1.0, 0.8, 1.2))),
+], ids=["pball", "affine-image"])
+def test_cone_intersection_off_centre_lies_on_both_cones(body):
+    # the apex line passes 0.3 from the centre, so the sweep rays leave from
+    # an off-centre base through the row-looped boundary_point
+    c = body.center
+    x = c + np.array([2.5, 0.2, -0.1])
+    y = c + np.array([-2.5, 0.4, 0.1])
+    sample = cone_intersection(body, x, y, m=24, seed=1)
+    assert np.linalg.norm(np.asarray(sample.meta["axis_point"]) - c) > 0.1
+    for apex in (x, y):
+        for q in sample.points:
+            _, g = line_min_gauge(body, Line(apex, q - apex))
+            assert abs(g - 1.0) < 1e-9
 
 
 def test_l4_cone_intersection_nonplanar_off_axis(l4_unit):
