@@ -5,10 +5,10 @@ kind-agnostic: everything downstream consumes the oracle interface only.
 Gauges are Minkowski functionals about each body's designated center, which
 makes the center ray boundary solve closed form (1-homogeneity).
 
-The point oracles (gauge, normal_at, boundary_from_center, boundary_point,
-ray_exit) take one point or direction of shape (n,), or rows of shape
-(..., n), and answer row by row: a Python float or an (n,) point for one
-input, an array of shape (...) or (..., n) for rows. A row's answer equals
+Every oracle (support, support_point, gauge, normal_at, boundary_from_center,
+boundary_point, ray_exit) takes one point or direction of shape (n,), or rows
+of shape (..., n), and answers row by row: a Python float or an (n,) point for
+one input, an array of shape (...) or (..., n) for rows. A row's answer equals
 the one-point answer to the last bit or two, so a caller may batch freely.
 """
 
@@ -20,13 +20,8 @@ from scipy.optimize import brentq, minimize_scalar
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import BodySpecError, LineMissesBody, NonSmoothBody
-from .numeric import normalize, sphere_directions
+from .numeric import _value, normalize, sphere_directions
 from .projective import Line
-
-
-def _value(a):
-    """A gauge per row: a Python float for one point, else an array."""
-    return a if a.ndim else float(a)
 
 
 def _finite(name, value):
@@ -52,11 +47,11 @@ class ConvexBody:
         raise NotImplementedError
 
     def support(self, u):
-        """h(u) = sup over the body of <x, u>; u need not be unit."""
+        """h(u) = sup over the body of <x, u>, per row; u need not be unit."""
         raise NotImplementedError
 
     def support_point(self, u):
-        """An argmax of <x, u> over the body."""
+        """An argmax of <x, u> over the body, for each of (..., n) rows."""
         raise NotImplementedError
 
     def gauge(self, x):
@@ -76,8 +71,7 @@ class ConvexBody:
         """Radius of a ball about the center certainly containing the body."""
         if not hasattr(self, "_radius_bound"):
             dirs = sphere_directions(self.dim, 64, seed=0)
-            c = self.center
-            r = max(self.support(u) - float(np.dot(c, u)) for u in dirs)
+            r = float((self.support(dirs) - np.vecdot(dirs, self.center)).max())
             self._radius_bound = 1.5 * r + 1e-12
         return self._radius_bound
 
@@ -85,9 +79,7 @@ class ConvexBody:
         """Deterministic scale estimate: max sampled width."""
         if not hasattr(self, "_diameter"):
             dirs = sphere_directions(self.dim, 64, seed=0)
-            self._diameter = max(
-                self.support(u) + self.support(-u) for u in dirs
-            )
+            self._diameter = float((self.support(dirs) + self.support(-dirs)).max())
         return self._diameter
 
     def boundary_from_center(self, d):
@@ -175,12 +167,14 @@ class Ellipsoid(ConvexBody):
 
     def support(self, u):
         u = np.asarray(u, dtype=float)
-        return float(self._c @ u + np.sqrt(u @ self._qinv @ u))
+        return _value(np.vecdot(self._c, u)
+                      + np.sqrt(np.vecdot(np.vecmat(u, self._qinv), u)))
 
     def support_point(self, u):
         u = np.asarray(u, dtype=float)
-        w = self._qinv @ u
-        return self._c + w / np.sqrt(u @ w)
+        w = np.matvec(self._qinv, u)
+        s = np.sqrt(np.vecdot(u, w))
+        return self._c + (w / s[..., None] if s.ndim else w / s)
 
     def gauge(self, x):
         v = np.asarray(x, dtype=float) - self._c
@@ -240,15 +234,15 @@ class PBall(ConvexBody):
 
     def support(self, u):
         w = self._a * np.asarray(u, dtype=float)
-        return float(np.linalg.norm(w, ord=self._q))
+        return _value(np.linalg.norm(w, ord=self._q, axis=-1))
 
     def support_point(self, u):
         w = self._a * np.asarray(u, dtype=float)
-        nq = np.linalg.norm(w, ord=self._q)
-        if nq == 0.0:
+        nq = np.linalg.norm(w, ord=self._q, axis=-1)
+        if not (nq.all() if nq.ndim else nq):
             raise ValueError("zero direction")
-        y = np.sign(w) * np.abs(w / nq) ** (self._q - 1.0)
-        return self._a * y
+        y = np.abs(w / (nq[..., None] if nq.ndim else nq)) ** (self._q - 1.0)
+        return self._a * np.sign(w) * y
 
     def gauge(self, x):
         return _value(np.linalg.norm(np.asarray(x, dtype=float) / self._a,
@@ -297,11 +291,13 @@ class Polytope(ConvexBody):
         return self._v
 
     def support(self, u):
-        return float((self._v @ np.asarray(u, dtype=float)).max())
+        scores = np.matvec(self._v, np.asarray(u, dtype=float))
+        # one reduction per row; max() without an axis keeps one point fast
+        return scores.max(axis=-1) if scores.ndim > 1 else float(scores.max())
 
     def support_point(self, u):
-        scores = self._v @ np.asarray(u, dtype=float)
-        return self._v[int(np.argmax(scores))].copy()
+        scores = np.matvec(self._v, np.asarray(u, dtype=float))
+        return self._v[scores.argmax(axis=-1)].copy()
 
     def gauge(self, x):
         v = np.asarray(x, dtype=float) - self._c
@@ -349,11 +345,12 @@ class AffineImage(ConvexBody):
 
     def support(self, u):
         u = np.asarray(u, dtype=float)
-        return float(self._b @ u) + self._inner.support(self._a.T @ u)
+        return _value(np.vecdot(self._b, u)
+                      + self._inner.support(np.vecmat(u, self._a)))
 
     def support_point(self, u):
-        u = np.asarray(u, dtype=float)
-        return self._a @ self._inner.support_point(self._a.T @ u) + self._b
+        u = np.vecmat(np.asarray(u, dtype=float), self._a)
+        return np.matvec(self._a, self._inner.support_point(u)) + self._b
 
     def gauge(self, x):
         return self._inner.gauge(
@@ -409,11 +406,8 @@ def o_symmetry_residual(body, center=None, seed=0):
         center = np.zeros(body.dim)
     center = np.asarray(center, dtype=float)
     dirs = sphere_directions(body.dim, 512, seed=seed)
-    worst = 0.0
-    for u in dirs:
-        r = abs(body.support(u) - body.support(-u) - 2.0 * float(center @ u))
-        worst = max(worst, r)
-    return worst / body.diameter()
+    r = body.support(dirs) - body.support(-dirs) - 2.0 * np.vecdot(dirs, center)
+    return float(np.abs(r).max()) / body.diameter()
 
 
 def is_o_symmetric(body, center=None):

@@ -17,7 +17,7 @@ import numpy as np
 from .bodies import PBall, load_body
 from .cones import CurveSample, cone_intersection, graze, shadow_boundary, write_curve_csv
 from .errors import BodySpecError, GeometryError, NonFiniteInput, ZeroDirection
-from .numeric import circle_directions
+from .numeric import circle_directions, require_sizes
 from .planar import section
 from .projective import Hyperplane, InfinityHyperplane
 from .theorems import (
@@ -121,6 +121,7 @@ def _cmd_body_validate(args):
 
 
 def _section_sample(body, normal, offset, m, seed):
+    require_sizes("section sample", {"m": m}, least={"m": 3})
     if not np.all(np.isfinite(normal)):
         raise NonFiniteInput("section normal %s is not finite" % normal.tolist())
     if not normal.any():
@@ -128,8 +129,7 @@ def _section_sample(body, normal, offset, m, seed):
     nrm = normal / np.linalg.norm(normal)
     plane = Hyperplane(nrm, float(offset))  # offset in unit-normal scale
     sec = section(body, plane)
-    pts = np.array([sec.to_world(sec.boundary2(d2))
-                    for d2 in circle_directions(m, seed=seed)])
+    pts = sec.to_world(sec.boundary2(circle_directions(m, seed=seed)))
     res = np.abs(body.gauge(pts) - 1.0)
     meta = {
         "curve": "section",

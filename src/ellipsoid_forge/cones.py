@@ -32,7 +32,7 @@ from .errors import (
     ZeroDirection,
 )
 from .fitting import ELLIPSE, fit_planar_conic
-from .numeric import normalize, unit_frame
+from .numeric import normalize, require_sizes, unit_frame
 from .projective import Hyperplane, Line
 
 
@@ -171,6 +171,7 @@ def graze(body, apex, m=200, seed=0):
     """Contact curve of the support cone: points of bd L whose tangent
     hyperplane passes through the apex. Ordered by sweep angle about the
     apex-center axis."""
+    require_sizes("graze", {"m": m}, least={"m": 3})
     _require_smooth(body)
     apex = _exterior_apex(body, apex)
     c = body.center
@@ -189,6 +190,7 @@ def support_cone(body, apex, m=200, seed=0):
 def shadow_boundary(body, direction, m=200, seed=0):
     """Contact curve of the circumscribed cylinder: boundary points whose
     outer normal is orthogonal to the illumination direction."""
+    require_sizes("shadow_boundary", {"m": m}, least={"m": 3})
     _require_smooth(body)
     u = _finite_vector(body, direction, "direction")
     if not u.any():
@@ -204,6 +206,7 @@ def cone_intersection(body, x, y, m=200, seed=0):
     """Sampled intersection curve of the two support-cone boundaries from
     apexes x and y. Requires the apex line to cross the body interior so that
     every sweep plane through it sections the body."""
+    require_sizes("cone_intersection", {"m": m}, least={"m": 3})
     _require_smooth(body)
     x, y = _exterior_apex(body, x), _exterior_apex(body, y)
     if np.linalg.norm(x - y) <= 1e-9 * body.diameter():

@@ -3,6 +3,11 @@
 import numpy as np
 
 
+def _value(a):
+    """One answer per row: a Python float for a 0-d result, else the array."""
+    return a if a.ndim else float(a)
+
+
 def normalize(v):
     """v / |v| along the last axis, so row by row for an (..., n) array."""
     v = np.asarray(v, dtype=float)

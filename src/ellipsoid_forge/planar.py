@@ -8,6 +8,10 @@ every body h_K(w + t n) - t d is convex in t, and its derivative is selected
 monotonically by <support_point(w + t n), n> - d, so the root of that (on a
 polytope, the point where it jumps) is the minimizer; this keeps section
 support points at full solver accuracy, which the conjugacy gates need.
+
+The section oracles (support2, support_point2, boundary2, gauge2, normal2_at,
+to_world, to_chart) take rows like the body oracles; the restriction
+minimizer is one brentq per row.
 """
 
 from dataclasses import dataclass, field
@@ -18,12 +22,12 @@ from scipy.optimize import brentq
 from .bodies import ray_exit
 from .errors import (EndpointNotOnBoundary, NoSignChange, NotANorm, NotFound,
                      PlaneMissesBody, UnsupportedDimension)
-from .numeric import angle_between, normalize, require_sizes, unit_frame
+from .numeric import _value, angle_between, normalize, require_sizes, unit_frame
 from .projective import Hyperplane
 
 
 def _rot90(v):
-    return np.array([-v[1], v[0]])
+    return np.stack([-v[..., 1], v[..., 0]], axis=-1)
 
 
 def _widen(ok, t):
@@ -66,78 +70,83 @@ class PlanarSection:
         return z - plane.signed_distance(z) * n
 
     def to_world(self, p2):
-        return self.origin + self.basis.T @ np.asarray(p2, dtype=float)
+        return self.origin + np.vecmat(np.asarray(p2, dtype=float), self.basis)
 
     def to_chart(self, z):
-        return self.basis @ (np.asarray(z, dtype=float) - self.origin)
+        return np.matvec(self.basis, np.asarray(z, dtype=float) - self.origin)
 
     def _restriction_minimizer(self, w_world):
-        """Minimizer t of psi(t) = h(w + t n) - t d, and a step that brentq's
-        tolerance guarantees to carry t across it."""
+        """Minimizer t of psi(t) = h(w + t n) - t d for each row w of
+        w_world, and a step that brentq's tolerance guarantees to carry t
+        across it; one brentq per row."""
         body, n, d = self.body, self.plane.normal, self.plane.offset
-        t_hi = 1.0 + float(np.linalg.norm(w_world))
-        dpsi = lambda t: float(body.support_point(w_world + t * n) @ n) - d
-        lo = _widen(lambda t: dpsi(t) < 0.0, -t_hi)
-        hi = _widen(lambda t: dpsi(t) > 0.0, t_hi)
-        xtol = 1e-13 * max(1.0, abs(lo), abs(hi))
-        t = brentq(dpsi, lo, hi, xtol=xtol, rtol=8.9e-16)
-        return t, 2.0 * (xtol + 8.9e-16 * abs(t))
+
+        def minimizer(w):
+            t_hi = 1.0 + float(np.linalg.norm(w))
+            dpsi = lambda t: float(body.support_point(w + t * n) @ n) - d
+            lo = _widen(lambda t: dpsi(t) < 0.0, -t_hi)
+            hi = _widen(lambda t: dpsi(t) > 0.0, t_hi)
+            xtol = 1e-13 * max(1.0, abs(lo), abs(hi))
+            t = brentq(dpsi, lo, hi, xtol=xtol, rtol=8.9e-16)
+            return t, 2.0 * (xtol + 8.9e-16 * abs(t))
+
+        if w_world.ndim == 1:
+            return minimizer(w_world)
+        rows = [minimizer(w) for w in w_world.reshape(-1, body.dim)]
+        return np.moveaxis(np.reshape(rows, w_world.shape[:-1] + (2,)), -1, 0)
 
     def support2(self, w):
-        w = np.asarray(w, dtype=float)
-        w_world = self.basis.T @ w
+        w_world = np.vecmat(np.asarray(w, dtype=float), self.basis)
         t, _ = self._restriction_minimizer(w_world)
         n, d = self.plane.normal, self.plane.offset
-        h = self.body.support(w_world + t * n) - t * d
-        return float(h - self.origin @ w_world)
+        h = self.body.support(w_world + np.multiply.outer(t, n)) - t * d
+        return _value(h - np.vecdot(self.origin, w_world))
 
     def support_point2(self, w):
-        w = np.asarray(w, dtype=float)
-        w_world = self.basis.T @ w
+        w_world = np.vecmat(np.asarray(w, dtype=float), self.basis)
         t, step = self._restriction_minimizer(w_world)
         n, dist = self.plane.normal, self.plane.signed_distance
         if self.body.is_smooth:
-            z = self.body.support_point(w_world + t * n)
-            return self.to_chart(z - dist(z) * n)
+            z = self.body.support_point(w_world + np.multiply.outer(t, n))
+            return self.to_chart(z - np.multiply.outer(dist(z), n))
         # psi kinks at t: the support points just below and just above it
         # span an exposed face of K, which meets the plane in the section's
-        # support point
-        a = self.body.support_point(w_world + (t - step) * n)
-        b = self.body.support_point(w_world + (t + step) * n)
+        # support point (a itself when the face is parallel to the plane)
+        a = self.body.support_point(w_world + np.multiply.outer(t - step, n))
+        b = self.body.support_point(w_world + np.multiply.outer(t + step, n))
         da, db = dist(a), dist(b)
-        z = a if da == db else a + da / (da - db) * (b - a)
-        return self.to_chart(z)
+        same = np.equal(da, db)
+        frac = np.expand_dims(da / np.where(same, 1.0, da - db), -1)
+        return self.to_chart(np.where(same[..., None], a, a + frac * (b - a)))
 
     def boundary2(self, d2, base2=None):
         """Section boundary point from base2 (default: chart origin) along d2."""
-        if base2 is None:
-            base_w = self.origin
-        else:
-            base_w = self.to_world(base2)
-        return self.to_chart(ray_exit(self.body, base_w, self.basis.T @ normalize(d2)))
+        base_w = self.origin if base2 is None else self.to_world(base2)
+        return self.to_chart(ray_exit(self.body, base_w,
+                                      np.vecmat(normalize(d2), self.basis)))
 
     def gauge2(self, p2, base2=None):
         """Gauge of the step p2 from base2 (default: chart origin): 1 exactly
         when base2 + p2 is on the section boundary; one ray exit."""
         base2 = np.zeros(2) if base2 is None else np.asarray(base2, dtype=float)
         p2 = np.asarray(p2, dtype=float)
-        r = np.linalg.norm(p2)
-        if r == 0.0:
-            return 0.0
-        return float(r / np.linalg.norm(self.boundary2(p2 / r, base2=base2) - base2))
+        r = np.sqrt(np.vecdot(p2, p2))
+        # a zero step has gauge 0 along any ray: its ray is taken along (1, 0)
+        zero = r == 0.0
+        d2 = (p2 + np.multiply.outer(zero, (1.0, 0.0))) / np.expand_dims(r + zero, -1)
+        q = self.boundary2(d2, base2=base2) - base2
+        return _value(r / np.sqrt(np.vecdot(q, q)))
 
     def normal2_at(self, p2):
         """In-plane outer normal of the section at a boundary point."""
         nu = self.body.normal_at(self.to_world(p2))
-        return normalize(self.basis @ nu)
+        return normalize(np.matvec(self.basis, nu))
 
     def diameter2(self):
         if self._diameter2 is None:
-            widths = []
-            for th in np.linspace(0.0, np.pi, 17)[:-1]:
-                u = np.array([np.cos(th), np.sin(th)])
-                widths.append(self.support2(u) + self.support2(-u))
-            self._diameter2 = max(widths)
+            th = np.linspace(0.0, np.pi, 17)[:-1]
+            u = np.column_stack([np.cos(th), np.sin(th)])
+            self._diameter2 = float((self.support2(u) + self.support2(-u)).max())
         return self._diameter2
 
 
@@ -168,14 +177,10 @@ def central_symmetry(sec, tol=1e-7, m=96, seed=0):
     one more than the centre's two unknowns."""
     require_sizes("central_symmetry", {"m": m}, least={"m": 3})
     rng = np.random.default_rng(seed)
-    phi0 = rng.uniform(0.0, np.pi / m)
-    rows = np.empty((m, 2))
-    rhs = np.empty(m)
-    for j in range(m):
-        th = phi0 + np.pi * j / m
-        u = np.array([np.cos(th), np.sin(th)])
-        rows[j] = 2.0 * u
-        rhs[j] = sec.support2(u) - sec.support2(-u)
+    th = rng.uniform(0.0, np.pi / m) + np.pi * np.arange(m) / m
+    u = np.column_stack([np.cos(th), np.sin(th)])
+    rows = 2.0 * u
+    rhs = sec.support2(u) - sec.support2(-u)
     c, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
     residual = float(np.abs(rhs - rows @ c).max()) / sec.diameter2()
     return SymmetryResult(bool(residual <= tol), c, sec.to_world(c), residual, tol)
@@ -287,33 +292,30 @@ def is_radon_curve(sec, k=128, contact_tol=1e-8, seed=0, cross_pairs=16):
     sym = _norm_gate(sec)
     c2 = sym.center
     rng = np.random.default_rng(seed)
-    phi0 = rng.uniform(0.0, np.pi / k)
+    th = rng.uniform(0.0, np.pi / k) + np.pi * np.arange(k) / k
+    u = np.column_stack([np.cos(th), np.sin(th)])
+    e_plus = sec.boundary2(u, base2=c2)
+    e_minus = sec.boundary2(-u, base2=c2)
     worst_defect = -1.0
     worst_dir = np.array([1.0, 0.0])
     conj_ok = True
     for j in range(k):
-        th = phi0 + np.pi * j / k
-        u = np.array([np.cos(th), np.sin(th)])
-        e_plus = sec.boundary2(u, base2=c2)
-        e_minus = sec.boundary2(-u, base2=c2)
         try:
             _, defect = conjugate_diameter(
-                sec, e_minus, e_plus, contact_tol=contact_tol)
+                sec, e_minus[j], e_plus[j], contact_tol=contact_tol)
         except NotFound as exc:
             defect = exc.defect
             conj_ok = False
         if defect > worst_defect:
             worst_defect = defect
-            worst_dir = u
+            worst_dir = u[j]
     worst_asym = 0.0
     norm_ok = True
-    step = max(1, k // cross_pairs)
-    for j in range(0, k, step):
-        th = phi0 + np.pi * j / k
-        u = np.array([np.cos(th), np.sin(th)])
-        x = sec.boundary2(u, base2=c2) - c2
-        n_d = _rot90(u)
-        y = sec.support_point2(n_d) - c2
+    # p = min(k, cross_pairs) of the k diameters, evenly spaced
+    p = min(k, cross_pairs)
+    pairs = np.arange(p) * k // p
+    ys = sec.support_point2(_rot90(u[pairs])) - c2
+    for x, y in zip(e_plus[pairs] - c2, ys):
         fwd = birkhoff_normal(sec, x, y, center=c2)
         bwd = birkhoff_normal(sec, y, x, center=c2)
         asym = max(1.0 - fwd.min_ratio, 1.0 - bwd.min_ratio)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateQuadruple, NonCollinear, NonFiniteInput
-from .numeric import normalize
+from .numeric import _value, normalize
 
 _PROP_TOL = 1e-12
 
@@ -130,7 +130,8 @@ class Hyperplane:
         return False
 
     def signed_distance(self, x):
-        return float(np.dot(self.normal, np.asarray(x, dtype=float)) - self.offset)
+        """<normal, x> - offset for one point, or for each of (..., n) rows."""
+        return _value(np.vecdot(self.normal, np.asarray(x, dtype=float)) - self.offset)
 
     def contains(self, x, tol=1e-9):
         return abs(self.signed_distance(x)) <= tol

@@ -284,8 +284,8 @@ def _boundary_cloud(body, m, seed=0):
 def _nesting_gate(inner, outer, margin, m=128, seed=0):
     """Raise unless inner sits strictly inside outer with relative slack."""
     diam = outer.diameter()
-    gap = max(float(inner.support(u) - outer.support(u))
-              for u in sphere_directions(inner.dim, m, seed=seed))
+    dirs = sphere_directions(inner.dim, m, seed=seed)
+    gap = float((inner.support(dirs) - outer.support(dirs)).max())
     if gap > -margin * diam:
         raise BodiesNotNested("support gap %.3e, needed below %.3e"
                               % (gap, -margin * diam))
@@ -302,11 +302,11 @@ def _tangent_planes_through_line(body, p0, e):
     p0 = np.asarray(p0, dtype=float)
 
     def f(psi):
-        nrm = np.cos(psi) * f1 + np.sin(psi) * f2
-        return float(body.support(nrm) - p0 @ nrm)
+        nrm = np.multiply.outer(np.cos(psi), f1) + np.multiply.outer(np.sin(psi), f2)
+        return body.support(nrm) - np.vecdot(p0, nrm)
 
     grid = np.linspace(0.0, 2.0 * np.pi, 257)
-    vals = np.array([f(t) for t in grid])
+    vals = f(grid)
     roots = []
     for i in range(256):
         if vals[i] * vals[i + 1] < 0.0:
@@ -332,7 +332,7 @@ def _graze_polar_agreement(body, apex, plane, m, seed):
     w2 = np.asarray(gr.meta["frame"][1])
     meet = plane.intersect_line(Line(c, e))
     if meet.is_infinite() or not body.gauge(meet.affine()) < 1.0 - 1e-9:
-        return max(abs(plane.signed_distance(p)) for p in gr.points)
+        return float(np.abs(plane.signed_distance(gr.points)).max())
     z, nrm = meet.affine(), plane.normal
     th = np.asarray(gr.meta["angles"])
     u = np.cos(th)[:, None] * w1 + np.sin(th)[:, None] * w2
@@ -344,13 +344,11 @@ def _reflection_residual(sec, center2, k=48):
     """Worst absolute gap between the reflection of boundary samples through
     center2 and the section boundary, found along matched rays."""
     center2 = np.asarray(center2, dtype=float)
-    worst = 0.0
-    for th in np.linspace(0.0, np.pi, k, endpoint=False):
-        u = np.array([np.cos(th), np.sin(th)])
-        b = sec.boundary2(u, base2=center2)
-        q = sec.boundary2(-u, base2=center2)
-        worst = max(worst, float(np.linalg.norm(q - (2.0 * center2 - b))))
-    return worst
+    th = np.linspace(0.0, np.pi, k, endpoint=False)
+    u = np.column_stack([np.cos(th), np.sin(th)])
+    gap = sec.boundary2(-u, base2=center2) - (2.0 * center2
+                                              - sec.boundary2(u, base2=center2))
+    return float(np.sqrt(np.vecdot(gap, gap)).max())
 
 
 def polar_of(body, o, m=64, seed=0, tolerances=None):
@@ -378,16 +376,17 @@ def polar_of(body, o, m=64, seed=0, tolerances=None):
     c = body.center
     dirs = sphere_directions(n, m, seed=seed)
     if interior:
-        chords = [Line(o, d) for d in dirs]
+        starts, chords = o, [Line(o, d) for d in dirs]
     else:
         # through interior targets, so every chord starts inside the body
-        targets = c + 0.85 * (body.boundary_from_center(dirs) - c)
-        chords = [Line(t, t - o) for t in targets]
+        starts = c + 0.85 * (body.boundary_from_center(dirs) - c)
+        chords = [Line(t, t - o) for t in starts]
+    aims = np.array([ln.direction for ln in chords])
     o_h = HPoint.from_affine(o)
     conjugates = []
     lines = []
-    for ln in chords:
-        a, b = line_boundary_points(body, ln)
+    for ln, a, b in zip(chords, ray_exit(body, starts, -aims),
+                        ray_exit(body, starts, aims)):
         conjugates.append(
             harmonic_conjugate(HPoint.from_affine(a), HPoint.from_affine(b), o_h))
         lines.append((ln, a, b))
@@ -514,17 +513,13 @@ def check_theorem1(l_body, k_body, apexes=16, m=64, pairs=8, seed=0,
 
 
 def _matched_section_cloud(sec, pts_world, base2):
-    """Boundary points of the section in the chart directions of pts_world."""
-    out = np.empty_like(np.asarray(pts_world, dtype=float))
-    for i, z in enumerate(pts_world):
-        w2 = sec.to_chart(z)
-        d2 = w2 - base2
-        nd = float(np.linalg.norm(d2))
-        if nd <= 1e-14:
-            out[i] = sec.to_world(base2)
-            continue
-        q2 = sec.boundary2(d2 / nd, base2=base2)
-        out[i] = sec.to_world(q2)
+    """Boundary points of the section in the chart directions of pts_world;
+    a point at base2 is its own match."""
+    d2 = sec.to_chart(pts_world) - base2
+    nd = np.sqrt(np.vecdot(d2, d2))
+    far = nd > 1e-14
+    out = np.tile(sec.to_world(base2), (len(d2), 1))
+    out[far] = sec.to_world(sec.boundary2(d2[far] / nd[far, None], base2=base2))
     return out
 
 
@@ -588,11 +583,11 @@ def check_theorem2(l_body, k_body, p, apexes=12, m=64, chords=48, radon_k=128,
                   "angular")
 
         worst_chord = 0.0
+        th = np.linspace(0.0, np.pi, chords, endpoint=False)
+        u2 = np.column_stack([np.cos(th), np.sin(th)])
         for sec, base2, plane, x, y in kept[:3]:
-            for th in np.linspace(0.0, np.pi, chords, endpoint=False):
-                u2 = np.array([np.cos(th), np.sin(th)])
-                a2 = sec.boundary2(u2, base2=base2)
-                b2 = sec.boundary2(-u2, base2=base2)
+            for a2, b2 in zip(sec.boundary2(u2, base2=base2),
+                              sec.boundary2(-u2, base2=base2)):
                 worst_chord = max(worst_chord,
                                   affine_diameter_residual(sec, a2, b2))
         run.stage("section-chords-affine-diameters", "derived", worst_chord,
@@ -693,9 +688,9 @@ def check_theorem3(l_body, k_body, apexes=12, m=64, lines=32, w_samples=16,
             continue
         central = Hyperplane.from_point_normal(o, polar.normal)
         sec = section(k_body, central)
-        for th in np.linspace(0.0, 2.0 * np.pi, w_samples, endpoint=False):
-            w2 = sec.boundary2(np.array([np.cos(th), np.sin(th)]))
-            w = sec.to_world(w2)
+        th = np.linspace(0.0, 2.0 * np.pi, w_samples, endpoint=False)
+        w2 = np.column_stack([np.cos(th), np.sin(th)])
+        for w in sec.to_world(sec.boundary2(w2)):
             min_line_gauge = min(min_line_gauge,
                                  line_min_gauge(l_body, Line(z, w - z))[1])
             segments += 1
@@ -735,8 +730,8 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
     if not (np.isfinite(r) and r > 0.0):
         raise ValueError("ball radius must be finite and > 0; got %r" % r)
     diam = k_body.diameter()
-    inradius = min(float(k_body.support(u) - o @ u)
-                   for u in sphere_directions(k_body.dim, 128, seed=seed))
+    dirs = sphere_directions(k_body.dim, 128, seed=seed)
+    inradius = float((k_body.support(dirs) - np.vecdot(dirs, o)).min())
     if r * (1.0 + tol["margin"]) >= inradius:
         raise BallTooLarge("radius %.6g does not leave the inscribed margin %.6g"
                            % (r, inradius))
@@ -748,8 +743,7 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
     for u in us:
         plane = Hyperplane.from_point_normal(o + r * u, u)
         sec = section(k_body, plane)
-        pts = np.array([sec.to_world(sec.boundary2(d2))
-                        for d2 in circle_directions(m, seed=seed)])
+        pts = sec.to_world(sec.boundary2(circle_directions(m, seed=seed)))
         fit = fit_planar_conic(pts, plane, tol=tol["ellipse"])
         worst_fit = max(worst_fit, fit.rms_residual)
         all_ellipse = all_ellipse and fit.classification == ELLIPSE
@@ -757,12 +751,10 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
     run.stage("tangent-sections-ellipses", "hypothesis", worst_fit, "ellipse",
               all_ellipse and worst_fit < tol["ellipse"], samples=len(us))
 
-    min_margin = np.inf
-    for u, sec in zip(us, secs):
-        touch2 = sec.to_chart(o + r * np.asarray(u))
-        for v2 in circle_directions(32, seed=seed):
-            margin = float(sec.support2(v2) - touch2 @ v2 - r)
-            min_margin = min(min_margin, margin)
+    v2 = circle_directions(32, seed=seed)
+    min_margin = min(
+        float((sec.support2(v2) - np.vecdot(sec.to_chart(o + r * u), v2) - r).min())
+        for u, sec in zip(us, secs))
     rel = min_margin / diam
     run.stage("ball-inside-section-hulls", "hypothesis",
               max(0.0, tol["margin"] - rel), None, rel > tol["margin"],
@@ -953,18 +945,17 @@ def check_theorem_basico(k_body, p, eps=0.2, planes=8, offsets=7, m=64,
                 continue  # concentric section: the translation vanishes
             shadow = shadow_boundary(k_body, u_g, m=m, seed=seed)
             c2 = np.asarray(sr.center)
-            for q in shadow.points:
-                t = (plane.offset - float(q @ plane.normal)) / denom
-                q2 = sec.to_chart(q + t * u_g)
-                d2 = q2 - c2
-                ndq = float(np.linalg.norm(d2))
-                if ndq <= 1e-12 * diam:
-                    b2 = sec.boundary2(np.array([1.0, 0.0]), base2=c2)
-                    signed = -float(np.linalg.norm(b2 - c2))
-                else:
-                    b2 = sec.boundary2(d2 / ndq, base2=c2)
-                    signed = ndq - float(np.linalg.norm(b2 - c2))
-                min_signed = min(min_signed, signed)
+            q = shadow.points
+            t = -plane.signed_distance(q) / denom
+            d2 = sec.to_chart(q + np.multiply.outer(t, u_g)) - c2
+            ndq = np.sqrt(np.vecdot(d2, d2))
+            # a point at the centre is measured along (1, 0)
+            near = ndq <= 1e-12 * diam
+            dirs = np.where(near[:, None], (1.0, 0.0),
+                            d2 / np.where(near, 1.0, ndq)[:, None])
+            b2 = sec.boundary2(dirs, base2=c2) - c2
+            signed = np.where(near, 0.0, ndq) - np.sqrt(np.vecdot(b2, b2))
+            min_signed = min(min_signed, float(signed.min()))
             used += 1
         if used == 0:
             run.skip("translation-and-shadow-containment", "derived",

@@ -261,6 +261,11 @@ def test_row_oracles_equal_point_calls(kind, p, affine, seed):
     pts = c + 0.3 * dirs
     agree(body.gauge, pts)
     assert type(body.gauge(pts[0, 0])) is float
+    agree(body.support, dirs)
+    assert type(body.support(dirs[0, 0])) is float
+    agree(body.support_point, dirs)
+    if kind == "polytope" and not affine:
+        assert not np.shares_memory(body.support_point(dirs[0, 0]), body.vertices)
     agree(body.boundary_from_center, dirs)
     agree(lambda d: ray_exit(body, c, d), dirs)
     z = c + 0.4 * (body.boundary_from_center(rng.normal(size=3)) - c)

@@ -305,6 +305,18 @@ def test_sample_section_bad_normal_exits_one(specs, tmp_path, capsys, normal, er
     assert error in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, flags, m", [
+    ("section", ["--normal", "0,0,1"], "0"),
+    ("graze", ["--apex", "2,0,0"], "-1"),
+    ("shadow", ["--direction", "1,0,0"], "2"),
+])
+def test_sample_needs_three_points(specs, tmp_path, capsys, kind, flags, m):
+    code = main(["sample", kind, "--body", specs["ball1"], *flags, "--m", m,
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == 1
+    assert "needs m >= 3; got %s" % m in capsys.readouterr().err
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats would be about half of the import time
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

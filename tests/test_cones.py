@@ -299,6 +299,21 @@ def test_constructions_reject_bad_points(unit_ball, construct, error):
         construct(unit_ball)
 
 
+@pytest.mark.parametrize("construct, name", [
+    (lambda body, m: graze(body, np.array([2.0, 0.0, 0.0]), m=m), "graze"),
+    (lambda body, m: shadow_boundary(body, np.array([1.0, 0.0, 0.0]), m=m),
+     "shadow_boundary"),
+    (lambda body, m: cone_intersection(body, np.array([2.0, 0.0, 0.0]),
+                                       np.array([-2.0, 0.0, 0.0]), m=m),
+     "cone_intersection"),
+], ids=["graze", "shadow", "cone-intersection"])
+@pytest.mark.parametrize("m", [-1, 0, 2])
+def test_curve_constructions_need_three_points(unit_ball, construct, name, m):
+    with pytest.raises(ValueError, match="%s needs m >= 3; got %d" % (name, m)):
+        construct(unit_ball, m)
+    assert len(construct(unit_ball, 3)) == 3
+
+
 # ------------------------------------------------------------- cone tests
 
 

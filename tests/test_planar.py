@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ellipsoid_forge import planar
 from ellipsoid_forge import (
     AffineImage,
     Ellipsoid,
@@ -26,6 +27,8 @@ from ellipsoid_forge.errors import (
     PlaneMissesBody,
     UnsupportedDimension,
 )
+
+from conftest import random_affine
 
 from oracles import (
     birkhoff_min_ratio_l1,
@@ -206,6 +209,53 @@ def test_octahedron_section_support_points_lie_on_the_section(central):
             p = sec.support_point2(w)
             assert abs(_OCTAHEDRON.gauge(sec.to_world(p)) - 1.0) <= 1e-12
             assert abs(float(w @ p) - sec.support2(w)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["ellipsoid", "l4", "octahedron", "affine-image"])
+@pytest.mark.parametrize("central", [True, False], ids=["central", "off-centre"])
+def test_section_rows_equal_one_row_calls(kind, central):
+    body = {
+        "ellipsoid": Ellipsoid(np.array([0.1, -0.2, 0.05]), np.diag([1.0, 4.0, 9.0])),
+        "l4": PBall(4.0, (1.0, 1.0, 1.0)),
+        "octahedron": Polytope(np.vstack([np.eye(3), -np.eye(3)])),
+        "affine-image": AffineImage(*random_affine(4), PBall(3.0, (1.0, 0.8, 1.2))),
+    }[kind]
+    nrm = np.array([1.0, 2.0, -0.5]) / np.linalg.norm([1.0, 2.0, -0.5])
+    c = float(nrm @ body.center)
+    offset = c if central else c + 0.3 * (body.support(nrm) - c)
+    sec = section(body, Hyperplane(nrm, offset))
+    rng = np.random.default_rng(7)
+    w = rng.normal(size=(2, 3, 2))
+    base2 = 0.1 * rng.normal(size=2)
+
+    def agree(oracle, rows):
+        batch = oracle(rows)
+        single = np.array([oracle(x) for x in rows.reshape(6, -1)])
+        assert batch.shape == rows.shape[:-1] + single.shape[1:]
+        scale = np.abs(single).reshape(6, -1).max(axis=1)
+        gap = np.abs(batch.reshape(single.shape) - single).reshape(6, -1)
+        assert np.all(gap.max(axis=1) <= 1e-15 * scale)
+
+    agree(sec.support2, w)
+    agree(sec.support_point2, w)
+    if kind == "octahedron":
+        # z = 0 holds four vertices: each support point is a vertex on the
+        # plane, so both sides of the kink give the same point
+        flat = section(body, Hyperplane(np.array([0.0, 0.0, 1.0]), 0.0))
+        agree(flat.support_point2, w)
+    agree(sec.boundary2, w)
+    agree(lambda d: sec.boundary2(d, base2=base2), w)
+    steps = 0.5 * sec.boundary2(w)
+    steps[0, 0] = 0.0  # a zero step has gauge 0
+    agree(sec.gauge2, steps)
+    agree(lambda p: sec.gauge2(p, base2=base2), steps)
+    assert sec.gauge2(steps)[0, 0] == 0.0
+    if body.is_smooth:
+        agree(sec.normal2_at, sec.boundary2(w))
+    agree(sec.to_world, w)
+    agree(sec.to_chart, sec.to_world(w) + 0.1 * nrm)
+    assert type(sec.support2(w[0, 0])) is float
+    assert type(sec.gauge2(w[0, 0])) is float
 
 
 # ------------------------------------------------------- central symmetry
@@ -446,6 +496,20 @@ def test_section_sweeps_reject_empty_samples(l4_central_section):
     for sizes in ({"k": 0}, {"cross_pairs": 0}):
         with pytest.raises(ValueError, match="is_radon_curve needs"):
             is_radon_curve(l4_central_section, **sizes)
+
+
+@pytest.mark.parametrize("k, cross_pairs, pairs", [
+    (100, 16, 16), (20, 16, 16), (8, 16, 8), (128, 16, 16), (16, 1, 1)])
+def test_radon_runs_min_k_cross_pairs_birkhoff_pairs(monkeypatch, k, cross_pairs,
+                                                     pairs):
+    sec = section(Ellipsoid.from_semi_axes([1.0, 2.0, 3.0]),
+                  Hyperplane(np.array([0.0, 0.0, 1.0]), 0.0))
+    calls = []
+    real = planar.birkhoff_normal
+    monkeypatch.setattr(planar, "birkhoff_normal",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    assert is_radon_curve(sec, k=k, cross_pairs=cross_pairs).ok
+    assert len(calls) == 2 * pairs  # each pair is tested both ways
 
 
 def test_support2_without_a_sign_change_raises_typed_error():
