@@ -10,6 +10,7 @@ boundary_point, ray_exit) takes one point or direction of shape (n,), or rows
 of shape (..., n), and answers row by row: a Python float or an (n,) point for
 one input, an array of shape (...) or (..., n) for rows. A row's answer equals
 the one-point answer to the last bit or two, so a caller may batch freely.
+support and support_point raise ZeroDirection for a zero direction or row.
 """
 
 import hashlib
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 from scipy.spatial import ConvexHull, QhullError
 
-from .errors import BodySpecError, LineMissesBody, NonSmoothBody
+from .errors import BodySpecError, LineMissesBody, NonSmoothBody, ZeroDirection
 from .numeric import _value, normalize, sphere_directions
 from .projective import Line
 
@@ -29,6 +30,13 @@ def _finite(name, value):
     if not np.all(np.isfinite(a)):
         raise ValueError("%s must be finite" % name)
     return a
+
+
+def _nonzero(norms):
+    """norms, a norm of each direction row; ZeroDirection when one is 0."""
+    if not (norms.all() if norms.ndim else norms):
+        raise ZeroDirection("a support direction is zero")
+    return norms
 
 
 class ConvexBody:
@@ -168,12 +176,12 @@ class Ellipsoid(ConvexBody):
     def support(self, u):
         u = np.asarray(u, dtype=float)
         return _value(np.vecdot(self._c, u)
-                      + np.sqrt(np.vecdot(np.vecmat(u, self._qinv), u)))
+                      + _nonzero(np.sqrt(np.vecdot(np.vecmat(u, self._qinv), u))))
 
     def support_point(self, u):
         u = np.asarray(u, dtype=float)
         w = np.matvec(self._qinv, u)
-        s = np.sqrt(np.vecdot(u, w))
+        s = _nonzero(np.sqrt(np.vecdot(u, w)))
         return self._c + (w / s[..., None] if s.ndim else w / s)
 
     def gauge(self, x):
@@ -234,13 +242,11 @@ class PBall(ConvexBody):
 
     def support(self, u):
         w = self._a * np.asarray(u, dtype=float)
-        return _value(np.linalg.norm(w, ord=self._q, axis=-1))
+        return _value(_nonzero(np.linalg.norm(w, ord=self._q, axis=-1)))
 
     def support_point(self, u):
         w = self._a * np.asarray(u, dtype=float)
-        nq = np.linalg.norm(w, ord=self._q, axis=-1)
-        if not (nq.all() if nq.ndim else nq):
-            raise ValueError("zero direction")
+        nq = _nonzero(np.linalg.norm(w, ord=self._q, axis=-1))
         y = np.abs(w / (nq[..., None] if nq.ndim else nq)) ** (self._q - 1.0)
         return self._a * np.sign(w) * y
 
@@ -290,14 +296,23 @@ class Polytope(ConvexBody):
     def vertices(self):
         return self._v
 
-    def support(self, u):
+    def _scores(self, u):
+        """<v, u> for each vertex v, per row. The vertices span R^n, so only
+        a zero row scores 0 on every vertex; such a row raises ZeroDirection,
+        looked for only where the first vertex scores 0."""
         scores = np.matvec(self._v, np.asarray(u, dtype=float))
+        first = scores[..., 0]
+        if not (first.all() if first.ndim else first):
+            _nonzero(np.abs(scores[first == 0.0]).max(axis=-1))
+        return scores
+
+    def support(self, u):
+        scores = self._scores(u)
         # one reduction per row; max() without an axis keeps one point fast
         return scores.max(axis=-1) if scores.ndim > 1 else float(scores.max())
 
     def support_point(self, u):
-        scores = np.matvec(self._v, np.asarray(u, dtype=float))
-        return self._v[scores.argmax(axis=-1)].copy()
+        return self._v[self._scores(u).argmax(axis=-1)].copy()
 
     def gauge(self, x):
         v = np.asarray(x, dtype=float) - self._c

@@ -23,16 +23,14 @@ from .errors import (
     ApexInsideBody,
     CoincidentApexes,
     DegenerateCone,
-    GeometryError,
     LineMissesBody,
     NonFiniteInput,
     NonSmoothBody,
-    NoSignChange,
     UnsupportedDimension,
     ZeroDirection,
 )
 from .fitting import ELLIPSE, fit_planar_conic
-from .numeric import normalize, require_sizes, unit_frame
+from .numeric import check_roots, normalize, require_sizes, unit_frame
 from .projective import Hyperplane, Line
 
 
@@ -97,12 +95,6 @@ def _exterior_apex(body, apex):
     return apex
 
 
-#: find_root's statuses other than convergence, by what they mean here
-_SWEEP_FAILURES = {-1: "g has no sign change on (0, pi)",
-                   -2: "the root solve hit its iteration limit",
-                   -3: "g is not finite"}
-
-
 def _tangency_sweep(body, base, axis, apexes, m, seed):
     """Tangency points of homogeneous apexes in m sweep planes about an axis.
 
@@ -141,12 +133,8 @@ def _tangency_sweep(body, base, axis, apexes, m, seed):
     sol = find_root(lambda phi, r: contact(phi, r)[2],
                     (np.zeros(m * k), np.full(m * k, np.pi)), args=(rows,),
                     tolerances=dict(xatol=1e-14, xrtol=8.9e-16))
-    failed = np.flatnonzero(sol.status)
-    if failed.size:
-        r, status = int(failed[0]), int(sol.status[failed[0]])
-        raise (NoSignChange if status == -1 else GeometryError)(
-            "tangency sweep, plane %d, apex %d: %s (find_root status %d)"
-            % (r // k, r % k, _SWEEP_FAILURES.get(status, "failed"), status))
+    check_roots(sol, lambda r: "tangency sweep, plane %d, apex %d"
+                % (r // k, r % k), "g", "(0, pi)")
     p, aim, g = contact(sol.x, rows)
     finite = w[rows % k] != 0.0
     res = np.abs(g) / np.where(finite, np.sqrt(np.vecdot(aim, aim)), 1.0)

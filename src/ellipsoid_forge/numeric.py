@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from .errors import GeometryError, NoSignChange
+
 
 def _value(a):
     """One answer per row: a Python float for a 0-d result, else the array."""
@@ -125,6 +127,20 @@ def floored(value, floor):
     if value <= 0.0:
         return 0.0
     return float(max(value, floor))
+
+
+def check_roots(sol, where, f, bracket="the bracket"):
+    """Raise for the first row of an elementwise find_root result that did
+    not converge: NoSignChange when f has no sign change on its bracket, else
+    GeometryError. where(r) names row r in the message."""
+    failed = np.flatnonzero(sol.status)
+    if failed.size:
+        r, status = int(failed[0]), int(sol.status[failed[0]])
+        why = {-1: "%s has no sign change on %s" % (f, bracket),
+               -2: "the root solve hit its iteration limit",
+               -3: "%s is not finite" % f}.get(status, "failed")
+        raise (NoSignChange if status == -1 else GeometryError)(
+            "%s: %s (find_root status %d)" % (where(r), why, status))
 
 
 def require_sizes(what, sizes, least=None):

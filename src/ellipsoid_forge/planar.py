@@ -10,19 +10,23 @@ polytope, the point where it jumps) is the minimizer; this keeps section
 support points at full solver accuracy, which the conjugacy gates need.
 
 The section oracles (support2, support_point2, boundary2, gauge2, normal2_at,
-to_world, to_chart) take rows like the body oracles; the restriction
-minimizer is one brentq per row.
+to_world, to_chart) take rows like the body oracles. The restriction
+minimizer is one vectorised Chandrupatla solve
+(scipy.optimize.elementwise.find_root) over all the rows of a call, so
+conjugate_diameter and birkhoff_normal take rows too, and is_radon_curve
+makes one call of each for all its diameters and Birkhoff pairs.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
 
 from .bodies import ray_exit
 from .errors import (EndpointNotOnBoundary, NoSignChange, NotANorm, NotFound,
                      PlaneMissesBody, UnsupportedDimension)
-from .numeric import _value, angle_between, normalize, require_sizes, unit_frame
+from .numeric import (_value, angle_between, check_roots, normalize,
+                      require_sizes, unit_frame)
 from .projective import Hyperplane
 
 
@@ -30,14 +34,9 @@ def _rot90(v):
     return np.stack([-v[..., 1], v[..., 0]], axis=-1)
 
 
-def _widen(ok, t):
-    """Double t until ok(t) holds; raise NoSignChange after 60 tries."""
-    for _ in range(60):
-        if ok(t):
-            return t
-        t *= 2.0
-    raise NoSignChange("the restriction derivative keeps its sign up to "
-                       "t = %.3g" % (t / 2.0))
+def _row_note(index, rows):
+    """' at row i' for a flat row index of an (..., 2) input; '' for one row."""
+    return " at row %d" % index if np.ndim(rows) > 1 else ""
 
 
 class PlanarSection:
@@ -77,23 +76,47 @@ class PlanarSection:
 
     def _restriction_minimizer(self, w_world):
         """Minimizer t of psi(t) = h(w + t n) - t d for each row w of
-        w_world, and a step that brentq's tolerance guarantees to carry t
-        across it; one brentq per row."""
+        w_world, and the ends (t_a, t_b) of the final bracket, which straddle
+        it.
+
+        Each row's bracket starts at +-(1 + |w|), and an end doubles until
+        the derivative <support_point(w + t n), n> - d has the right sign
+        there (60 tries). One find_root then solves every row on its bracket
+        rescaled to [0, 1], to 5e-14 of the bracket width. A row that fails
+        raises NoSignChange or GeometryError naming its flat index."""
         body, n, d = self.body, self.plane.normal, self.plane.offset
+        w = w_world.reshape(-1, body.dim)
 
-        def minimizer(w):
-            t_hi = 1.0 + float(np.linalg.norm(w))
-            dpsi = lambda t: float(body.support_point(w + t * n) @ n) - d
-            lo = _widen(lambda t: dpsi(t) < 0.0, -t_hi)
-            hi = _widen(lambda t: dpsi(t) > 0.0, t_hi)
-            xtol = 1e-13 * max(1.0, abs(lo), abs(hi))
-            t = brentq(dpsi, lo, hi, xtol=xtol, rtol=8.9e-16)
-            return t, 2.0 * (xtol + 8.9e-16 * abs(t))
+        def dpsi(t, r):
+            z = w[r] + np.multiply.outer(t, n)
+            return np.vecdot(body.support_point(z), n) - d
 
-        if w_world.ndim == 1:
-            return minimizer(w_world)
-        rows = [minimizer(w) for w in w_world.reshape(-1, body.dim)]
-        return np.moveaxis(np.reshape(rows, w_world.shape[:-1] + (2,)), -1, 0)
+        # column 0 wants dpsi < 0, column 1 dpsi > 0
+        t0 = 1.0 + np.sqrt(np.vecdot(w, w))
+        ends = np.stack([-t0, t0], axis=-1)
+        sign = np.array([-1.0, 1.0])
+        wrong = np.ones(ends.shape, dtype=bool)
+        for _ in range(60):
+            r, e = np.nonzero(wrong)
+            wrong[r, e] = ~(sign[e] * dpsi(ends[r, e], r) > 0.0)
+            if not wrong.any():
+                break
+            ends[wrong] *= 2.0
+        else:
+            r, e = np.argwhere(wrong)[0]
+            raise NoSignChange("restriction solve%s: the derivative keeps its "
+                               "sign up to t = %.3g"
+                               % (_row_note(r, w_world), ends[r, e] / 2.0))
+        lo, width = ends[:, 0], ends[:, 1] - ends[:, 0]
+        sol = find_root(lambda s, r: dpsi(lo[r] + s * width[r], r),
+                        (np.zeros(len(w)), np.ones(len(w))),
+                        args=(np.arange(len(w)),),
+                        tolerances=dict(xatol=5e-14, xrtol=0.0))
+        check_roots(sol, lambda r: "restriction solve" + _row_note(r, w_world),
+                    "the derivative")
+        shape = w_world.shape[:-1]
+        t = (lo + sol.x * width).reshape(shape)
+        return t, [(lo + s * width).reshape(shape) for s in sol.bracket]
 
     def support2(self, w):
         w_world = np.vecmat(np.asarray(w, dtype=float), self.basis)
@@ -104,16 +127,17 @@ class PlanarSection:
 
     def support_point2(self, w):
         w_world = np.vecmat(np.asarray(w, dtype=float), self.basis)
-        t, step = self._restriction_minimizer(w_world)
+        t, bracket = self._restriction_minimizer(w_world)
         n, dist = self.plane.normal, self.plane.signed_distance
         if self.body.is_smooth:
             z = self.body.support_point(w_world + np.multiply.outer(t, n))
             return self.to_chart(z - np.multiply.outer(dist(z), n))
-        # psi kinks at t: the support points just below and just above it
-        # span an exposed face of K, which meets the plane in the section's
-        # support point (a itself when the face is parallel to the plane)
-        a = self.body.support_point(w_world + np.multiply.outer(t - step, n))
-        b = self.body.support_point(w_world + np.multiply.outer(t + step, n))
+        # psi kinks at t: the support points at the ends of the final bracket
+        # straddle it and span an exposed face of K, which meets the plane in
+        # the section's support point (a itself when the face is parallel to
+        # the plane)
+        a, b = self.body.support_point(
+            w_world + np.multiply.outer(np.stack(bracket), n))
         da, db = dist(a), dist(b)
         same = np.equal(da, db)
         frac = np.expand_dims(da / np.where(same, 1.0, da - db), -1)
@@ -146,7 +170,8 @@ class PlanarSection:
         if self._diameter2 is None:
             th = np.linspace(0.0, np.pi, 17)[:-1]
             u = np.column_stack([np.cos(th), np.sin(th)])
-            self._diameter2 = float((self.support2(u) + self.support2(-u)).max())
+            h = self.support2(np.concatenate([u, -u]))
+            self._diameter2 = float((h[:16] + h[16:]).max())
         return self._diameter2
 
 
@@ -180,7 +205,8 @@ def central_symmetry(sec, tol=1e-7, m=96, seed=0):
     th = rng.uniform(0.0, np.pi / m) + np.pi * np.arange(m) / m
     u = np.column_stack([np.cos(th), np.sin(th)])
     rows = 2.0 * u
-    rhs = sec.support2(u) - sec.support2(-u)
+    h = sec.support2(np.concatenate([u, -u]))
+    rhs = h[:m] - h[m:]
     c, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
     residual = float(np.abs(rhs - rows @ c).max()) / sec.diameter2()
     return SymmetryResult(bool(residual <= tol), c, sec.to_world(c), residual, tol)
@@ -210,28 +236,42 @@ def conjugate_diameter(sec, a2, b2, contact_tol=1e-8):
     the chord [q-, q+]; the parallelogram closes iff the sides parallel to it
     support the figure at a and b, and the closure defect is exactly that
     contact residual. Returns ((q-, q+), defect) or raises NotFound carrying
-    the defect.
+    the defect. a2 and b2 may be (..., 2) rows of chords, solved in one
+    support_point2 and one support2 call: then q± and the defect are rows,
+    and NotFound, raised when any row fails, carries the defect of every row
+    (inf where the contacts coincide).
     """
     a2 = np.asarray(a2, dtype=float)
     b2 = np.asarray(b2, dtype=float)
     diam = sec.diameter2()
     chord = b2 - a2
-    if np.linalg.norm(chord) < 1e-6 * diam:
-        raise ValueError("degenerate chord")
-    n_d = _rot90(chord / np.linalg.norm(chord))
-    q_plus = sec.support_point2(n_d)
-    q_minus = sec.support_point2(-n_d)
-    if np.linalg.norm(q_plus - q_minus) < 1e-6 * diam:
-        raise NotFound("conjugate contacts coincide", defect=float("inf"))
-    n_p = _rot90((q_plus - q_minus) / np.linalg.norm(q_plus - q_minus))
+    length = np.sqrt(np.vecdot(chord, chord))
+    short = np.flatnonzero(length < 1e-6 * diam)
+    if short.size:
+        raise ValueError("degenerate chord%s" % _row_note(short[0], chord))
+    n_d = _rot90(chord / np.expand_dims(length, -1))
+    q_plus, q_minus = sec.support_point2(np.stack([n_d, -n_d]))
+    span = q_plus - q_minus
+    gap = np.sqrt(np.vecdot(span, span))
+    apart = gap >= 1e-6 * diam
+    # a row whose contacts coincide has no conjugate: aim it along n_d, so
+    # that support2 sees a unit direction, and give it an infinite defect
+    n_p = np.where(np.expand_dims(apart, -1),
+                   _rot90(span / np.expand_dims(np.where(apart, gap, 1.0), -1)),
+                   n_d)
     # pair each original endpoint with the side it should touch
-    hi, lo = (b2, a2) if b2 @ n_p >= a2 @ n_p else (a2, b2)
-    defect = max(sec.support2(n_p) - float(hi @ n_p),
-                 sec.support2(-n_p) + float(lo @ n_p)) / diam
-    defect = float(max(defect, 0.0))
-    if defect > contact_tol:
-        raise NotFound("parallelogram closure defect %.3e" % defect, defect=defect)
-    return (q_minus, q_plus), defect
+    sa, sb = np.vecdot(a2, n_p), np.vecdot(b2, n_p)
+    h_plus, h_minus = sec.support2(np.stack([n_p, -n_p]))
+    defect = np.maximum(h_plus - np.maximum(sa, sb),
+                        h_minus + np.minimum(sa, sb)) / diam
+    defect = np.where(apart, np.maximum(defect, 0.0), np.inf)
+    failed = np.flatnonzero(defect > contact_tol)
+    if failed.size:
+        r = failed[np.argmax(defect.ravel()[failed])]
+        why = ("parallelogram closure defect %.3e" % defect.ravel()[r]
+               if apart.ravel()[r] else "conjugate contacts coincide")
+        raise NotFound(why + _row_note(r, chord), defect=_value(defect))
+    return (q_minus, q_plus), _value(defect)
 
 
 @dataclass
@@ -251,21 +291,25 @@ def birkhoff_normal(sec, x, y, center=None):
     """Birkhoff normality x ⊣ y in the normed plane whose unit ball B is the
     (centrally symmetric) section about center: ||x + a y|| >= ||x|| for all a.
     By norm duality the line's minimum is <n, x> / h_B(n), n the unit normal
-    of y with <n, x> >= 0, h_B(n) = support2(n) - <center, n>; a = 0 caps it."""
+    of y with <n, x> >= 0, h_B(n) = support2(n) - <center, n>; a = 0 caps it.
+    x and y may be (..., 2) rows, tested in one gauge2 and one support2 call;
+    the result then holds a row of verdicts and ratios."""
     if center is None:
         center = _norm_gate(sec).center
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    nx = sec.gauge2(x, base2=center)
-    ny = float(np.linalg.norm(y))
-    if nx == 0.0 or ny == 0.0:
-        raise ValueError("birkhoff_normal needs nonzero vectors")
-    n = _rot90(y / ny)
-    if n @ x < 0.0:
-        n = -n
-    fmin = min(float(n @ x) / (sec.support2(n) - float(center @ n)), nx)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
+    nx = np.asarray(sec.gauge2(x, base2=center))
+    ny = np.sqrt(np.vecdot(y, y))
+    zero = np.flatnonzero((nx == 0.0) | (ny == 0.0))
+    if zero.size:
+        raise ValueError("birkhoff_normal needs nonzero vectors%s"
+                         % _row_note(zero[0], x))
+    n = _rot90(y / np.expand_dims(ny, -1))
+    n = np.where(np.expand_dims(np.vecdot(n, x) < 0.0, -1), -n, n)
+    fmin = np.minimum(np.vecdot(n, x) / (sec.support2(n) - np.vecdot(center, n)),
+                      nx)
     ok = fmin >= nx * (1.0 - 1e-9)  # relative slack for rounding in the norm
-    return BirkhoffResult(bool(ok), fmin / nx)
+    return BirkhoffResult(ok if ok.ndim else bool(ok), _value(fmin / nx))
 
 
 @dataclass
@@ -296,34 +340,26 @@ def is_radon_curve(sec, k=128, contact_tol=1e-8, seed=0, cross_pairs=16):
     u = np.column_stack([np.cos(th), np.sin(th)])
     e_plus = sec.boundary2(u, base2=c2)
     e_minus = sec.boundary2(-u, base2=c2)
-    worst_defect = -1.0
-    worst_dir = np.array([1.0, 0.0])
-    conj_ok = True
-    for j in range(k):
-        try:
-            _, defect = conjugate_diameter(
-                sec, e_minus[j], e_plus[j], contact_tol=contact_tol)
-        except NotFound as exc:
-            defect = exc.defect
-            conj_ok = False
-        if defect > worst_defect:
-            worst_defect = defect
-            worst_dir = u[j]
-    worst_asym = 0.0
-    norm_ok = True
-    # p = min(k, cross_pairs) of the k diameters, evenly spaced
+    try:
+        _, defect = conjugate_diameter(sec, e_minus, e_plus,
+                                       contact_tol=contact_tol)
+        conj_ok = True
+    except NotFound as exc:
+        defect, conj_ok = exc.defect, False
+    worst = int(np.argmax(defect))
+    # p = min(k, cross_pairs) of the k diameters, evenly spaced, each pair
+    # tested both ways in one call
     p = min(k, cross_pairs)
     pairs = np.arange(p) * k // p
+    xs = e_plus[pairs] - c2
     ys = sec.support_point2(_rot90(u[pairs])) - c2
-    for x, y in zip(e_plus[pairs] - c2, ys):
-        fwd = birkhoff_normal(sec, x, y, center=c2)
-        bwd = birkhoff_normal(sec, y, x, center=c2)
-        asym = max(1.0 - fwd.min_ratio, 1.0 - bwd.min_ratio)
-        worst_asym = max(worst_asym, asym)
-        if not (fwd.ok and bwd.ok):
-            norm_ok = False
+    both = birkhoff_normal(sec, np.concatenate([xs, ys]),
+                           np.concatenate([ys, xs]), center=c2)
+    ratio = np.minimum(both.min_ratio[:p], both.min_ratio[p:])
+    worst_asym = np.max(1.0 - ratio, initial=0.0)
+    norm_ok = bool(both.ok.all())
     ok = conj_ok and norm_ok
     return RadonResult(bool(ok), bool(conj_ok), bool(norm_ok),
-                       float(worst_defect), worst_dir, float(worst_asym), c2,
+                       float(defect[worst]), u[worst], float(worst_asym), c2,
                        detail={"k": k, "contact_tol": contact_tol,
                                "symmetry_residual": sym.residual})

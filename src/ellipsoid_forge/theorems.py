@@ -815,8 +815,9 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
         d_w = d_w / nd
         d2 = normalize(sec_v.basis @ d_w)
         e2 = np.array([-d2[1], d2[0]])
-        h_plus = float(sec_v.support2(e2) - c2 @ e2)
-        h_minus = float(sec_v.support2(-e2) + c2 @ e2)
+        h = sec_v.support2(np.stack([e2, -e2]))
+        h_plus = float(h[0] - c2 @ e2)
+        h_minus = float(h[1] + c2 @ e2)
         mids = []
         for s in np.linspace(-0.8 * h_minus, 0.8 * h_plus, 15):
             base_w = sec_v.to_world(c2 + s * e2)

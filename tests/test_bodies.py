@@ -17,7 +17,8 @@ from ellipsoid_forge import (
     serialize_body,
 )
 from ellipsoid_forge.bodies import ray_exit
-from ellipsoid_forge.errors import BodySpecError, LineMissesBody, NonSmoothBody
+from ellipsoid_forge.errors import (BodySpecError, LineMissesBody, NonSmoothBody,
+                                   ZeroDirection)
 from ellipsoid_forge.numeric import sphere_directions
 
 from conftest import random_affine
@@ -274,6 +275,22 @@ def test_row_oracles_equal_point_calls(kind, p, affine, seed):
     if body.is_smooth:
         agree(body.normal_at, body.boundary_from_center(dirs))
         assert body.normal_at(pts[0, 0]).shape == (3,)
+
+
+@pytest.mark.parametrize("body", [
+    Ellipsoid(np.array([0.1, -0.2, 0.05]), np.diag([1.0, 4.0, 9.0])),
+    PBall(4.0, (1.0, 1.0, 1.0)),
+    Polytope(np.vstack([np.eye(3), -np.eye(3)])),
+    AffineImage(*random_affine(4), PBall(3.0, (1.0, 0.8, 1.2))),
+], ids=["ellipsoid", "pball", "polytope", "affine-image"])
+def test_support_of_a_zero_direction_raises_typed_error(body):
+    rows = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    for u in (np.zeros(3), rows, rows.reshape(1, 3, 3)):
+        for oracle in (body.support, body.support_point):
+            with pytest.raises(ZeroDirection):
+                oracle(u)
+    # a NaN direction is not zero: it passes through, as before
+    assert np.isnan(body.support(np.array([np.nan, 0.0, 0.0])))
 
 
 # --------------------------------------------------------------- symmetry

@@ -20,6 +20,7 @@ from ellipsoid_forge import (
 )
 from ellipsoid_forge.errors import (
     EndpointNotOnBoundary,
+    GeometryError,
     NoSignChange,
     NonSmoothBody,
     NotANorm,
@@ -211,15 +212,18 @@ def test_octahedron_section_support_points_lie_on_the_section(central):
             assert abs(float(w @ p) - sec.support2(w)) <= 1e-12
 
 
-@pytest.mark.parametrize("kind", ["ellipsoid", "l4", "octahedron", "affine-image"])
+_ROW_BODIES = {
+    "ellipsoid": Ellipsoid(np.array([0.1, -0.2, 0.05]), np.diag([1.0, 4.0, 9.0])),
+    "l4": PBall(4.0, (1.0, 1.0, 1.0)),
+    "octahedron": Polytope(np.vstack([np.eye(3), -np.eye(3)])),
+    "affine-image": AffineImage(*random_affine(4), PBall(3.0, (1.0, 0.8, 1.2))),
+}
+
+
+@pytest.mark.parametrize("kind", list(_ROW_BODIES))
 @pytest.mark.parametrize("central", [True, False], ids=["central", "off-centre"])
 def test_section_rows_equal_one_row_calls(kind, central):
-    body = {
-        "ellipsoid": Ellipsoid(np.array([0.1, -0.2, 0.05]), np.diag([1.0, 4.0, 9.0])),
-        "l4": PBall(4.0, (1.0, 1.0, 1.0)),
-        "octahedron": Polytope(np.vstack([np.eye(3), -np.eye(3)])),
-        "affine-image": AffineImage(*random_affine(4), PBall(3.0, (1.0, 0.8, 1.2))),
-    }[kind]
+    body = _ROW_BODIES[kind]
     nrm = np.array([1.0, 2.0, -0.5]) / np.linalg.norm([1.0, 2.0, -0.5])
     c = float(nrm @ body.center)
     offset = c if central else c + 0.3 * (body.support(nrm) - c)
@@ -256,6 +260,32 @@ def test_section_rows_equal_one_row_calls(kind, central):
     agree(sec.to_chart, sec.to_world(w) + 0.1 * nrm)
     assert type(sec.support2(w[0, 0])) is float
     assert type(sec.gauge2(w[0, 0])) is float
+
+
+@pytest.mark.parametrize("kind", list(_ROW_BODIES))
+@pytest.mark.parametrize("central", [True, False], ids=["central", "off-centre"])
+def test_restriction_solve_over_many_rows(kind, central):
+    """One restriction solve over 40 rows gives each row's one-row answer, a
+    boundary support point p with <p, w> = support2(w), and names a failing
+    row."""
+    body = _ROW_BODIES[kind]
+    nrm = np.array([0.3, -1.0, 0.6]) / np.linalg.norm([0.3, -1.0, 0.6])
+    c = float(nrm @ body.center)
+    offset = c if central else c - 0.4 * (body.support(-nrm) + c)
+    sec = section(body, Hyperplane(nrm, offset))
+    w = np.random.default_rng(11).normal(size=(40, 2))
+    tol = 1e-12 * sec.diameter2()
+    h, p = sec.support2(w), sec.support_point2(w)
+    assert h.shape == (40,) and p.shape == (40, 2)
+    assert np.abs(h - [sec.support2(x) for x in w]).max() <= tol
+    assert np.abs(p - [sec.support_point2(x) for x in w]).max() <= tol
+    assert np.abs(np.vecdot(p, w) - h).max() <= tol
+    assert np.abs(sec.gauge2(p) - 1.0).max() <= 1e-9
+    bad = w.copy()
+    bad[17] = np.nan
+    for oracle in (sec.support2, sec.support_point2):
+        with pytest.raises(GeometryError, match="row 17:"):
+            oracle(bad)
 
 
 # ------------------------------------------------------- central symmetry
@@ -364,6 +394,53 @@ def test_conjugate_diameter_fails_on_l4(l4_central_section):
     with pytest.raises(NotFound) as exc:
         conjugate_diameter(sec, a2, b2)
     assert 0.02 < exc.value.defect < 0.07
+
+
+def test_conjugate_diameter_rows_equal_one_row_calls():
+    body = Ellipsoid(np.zeros(3), np.diag([1.0, 4.0, 9.0]))
+    sec = section(body, Hyperplane(np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0), 0.1))
+    c2 = central_symmetry(sec).center
+    d = np.array([_dir2(th) for th in (0.2, 0.9, 1.7, 2.6)])
+    a2, b2 = sec.boundary2(-d, base2=c2), sec.boundary2(d, base2=c2)
+    (qm, qp), defect = conjugate_diameter(sec, a2, b2)
+    assert qm.shape == qp.shape == (4, 2) and defect.shape == (4,)
+    for j in range(4):
+        (qm_j, qp_j), defect_j = conjugate_diameter(sec, a2[j], b2[j])
+        assert type(defect_j) is float
+        assert np.abs(qm[j] - qm_j).max() <= 1e-14
+        assert np.abs(qp[j] - qp_j).max() <= 1e-14
+        assert abs(defect[j] - defect_j) <= 1e-14
+
+
+def test_conjugate_diameter_rows_carry_every_defect(l4_central_section):
+    sec = l4_central_section
+    d = np.array([[1.0, 0.0], [1.0, 0.5]])
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    a2, b2 = sec.boundary2(-d), sec.boundary2(d)
+    with pytest.raises(NotFound, match="row 1") as exc:
+        conjugate_diameter(sec, a2, b2)
+    # the axis diameter closes; the tilted one is the l4 witness
+    assert exc.value.defect.shape == (2,)
+    assert exc.value.defect[0] <= 1e-8
+    assert 0.02 < exc.value.defect[1] < 0.07
+    with pytest.raises(ValueError, match="degenerate chord at row 0"):
+        conjugate_diameter(sec, b2, b2)
+
+
+def test_birkhoff_rows_equal_one_row_calls(l4_central_section):
+    sec = l4_central_section
+    rng = np.random.default_rng(8)
+    x, y = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
+    both = birkhoff_normal(sec, x, y, center=np.zeros(2))
+    assert both.ok.shape == both.min_ratio.shape == (6,)
+    for j in range(6):
+        one = birkhoff_normal(sec, x[j], y[j], center=np.zeros(2))
+        assert type(one.ok) is bool and type(one.min_ratio) is float
+        assert one.ok == both.ok[j]
+        assert abs(one.min_ratio - both.min_ratio[j]) <= 1e-14
+    y[4] = 0.0
+    with pytest.raises(ValueError, match="nonzero vectors at row 4"):
+        birkhoff_normal(sec, x, y, center=np.zeros(2))
 
 
 def test_degenerate_chord_rejected(unit_ball):
@@ -504,12 +581,34 @@ def test_radon_runs_min_k_cross_pairs_birkhoff_pairs(monkeypatch, k, cross_pairs
                                                      pairs):
     sec = section(Ellipsoid.from_semi_axes([1.0, 2.0, 3.0]),
                   Hyperplane(np.array([0.0, 0.0, 1.0]), 0.0))
-    calls = []
+    rows = []
     real = planar.birkhoff_normal
     monkeypatch.setattr(planar, "birkhoff_normal",
-                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+                        lambda *a, **kw: rows.append(len(a[1])) or real(*a, **kw))
     assert is_radon_curve(sec, k=k, cross_pairs=cross_pairs).ok
-    assert len(calls) == 2 * pairs  # each pair is tested both ways
+    assert sum(rows) == 2 * pairs  # each pair is tested both ways
+
+
+def test_radon_section_calls_do_not_grow_with_k(monkeypatch):
+    """The k diameters and the Birkhoff pairs are rows of a fixed number of
+    section calls."""
+    calls = []
+    for name in ("support2", "support_point2"):
+        real = getattr(planar.PlanarSection, name)
+        monkeypatch.setattr(planar.PlanarSection, name,
+                            lambda self, w, _real=real, _name=name:
+                            calls.append(_name) or _real(self, w))
+
+    def counts(k):
+        sec = section(PBall(4.0, (1.0, 1.0, 1.0)),
+                      Hyperplane(np.array([0.0, 0.0, 1.0]), 0.0))
+        calls.clear()
+        assert not is_radon_curve(sec, k=k).ok
+        return sorted(calls)
+
+    # the norm gate's symmetry fit and diameter, the k conjugate diameters
+    # (contacts, then closure), the Birkhoff pairs' y and their normality
+    assert counts(16) == counts(128) == ["support2"] * 4 + ["support_point2"] * 2
 
 
 def test_support2_without_a_sign_change_raises_typed_error():
