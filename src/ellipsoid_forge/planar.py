@@ -12,9 +12,10 @@ support points at full solver accuracy, which the conjugacy gates need.
 The section oracles (support2, support_point2, boundary2, gauge2, normal2_at,
 to_world, to_chart) take rows like the body oracles. The restriction
 minimizer is one vectorised Chandrupatla solve
-(scipy.optimize.elementwise.find_root) over all the rows of a call, so
-conjugate_diameter and birkhoff_normal take rows too, and is_radon_curve
-makes one call of each for all its diameters and Birkhoff pairs.
+(scipy.optimize.elementwise.find_root) over all the rows of a call, each row
+with its own plane, so conjugate_diameter and birkhoff_normal take rows too,
+is_radon_curve makes one call of each for all its diameters and Birkhoff
+pairs, and central_symmetry solves a list of sections of one body at once.
 """
 
 from dataclasses import dataclass, field
@@ -37,6 +38,18 @@ def _rot90(v):
 def _row_note(index, rows):
     """' at row i' for a flat row index of an (..., 2) input; '' for one row."""
     return " at row %d" % index if np.ndim(rows) > 1 else ""
+
+
+def _width_rows():
+    """diameter2's 16 directions over a half-turn, then their opposites."""
+    th = np.linspace(0.0, np.pi, 17)[:-1]
+    u = np.column_stack([np.cos(th), np.sin(th)])
+    return np.concatenate([u, -u])
+
+
+def _width(h):
+    """diameter2 from the section's support at the _width_rows()."""
+    return float((h[:16] + h[16:]).max())
 
 
 class PlanarSection:
@@ -74,61 +87,15 @@ class PlanarSection:
     def to_chart(self, z):
         return np.matvec(self.basis, np.asarray(z, dtype=float) - self.origin)
 
-    def _restriction_minimizer(self, w_world):
-        """Minimizer t of psi(t) = h(w + t n) - t d for each row w of
-        w_world, and the ends (t_a, t_b) of the final bracket, which straddle
-        it.
-
-        Each row's bracket starts at +-(1 + |w|), and an end doubles until
-        the derivative <support_point(w + t n), n> - d has the right sign
-        there (60 tries). One find_root then solves every row on its bracket
-        rescaled to [0, 1], to 5e-14 of the bracket width. A row that fails
-        raises NoSignChange or GeometryError naming its flat index."""
-        body, n, d = self.body, self.plane.normal, self.plane.offset
-        w = w_world.reshape(-1, body.dim)
-
-        def dpsi(t, r):
-            z = w[r] + np.multiply.outer(t, n)
-            return np.vecdot(body.support_point(z), n) - d
-
-        # column 0 wants dpsi < 0, column 1 dpsi > 0
-        t0 = 1.0 + np.sqrt(np.vecdot(w, w))
-        ends = np.stack([-t0, t0], axis=-1)
-        sign = np.array([-1.0, 1.0])
-        wrong = np.ones(ends.shape, dtype=bool)
-        for _ in range(60):
-            r, e = np.nonzero(wrong)
-            wrong[r, e] = ~(sign[e] * dpsi(ends[r, e], r) > 0.0)
-            if not wrong.any():
-                break
-            ends[wrong] *= 2.0
-        else:
-            r, e = np.argwhere(wrong)[0]
-            raise NoSignChange("restriction solve%s: the derivative keeps its "
-                               "sign up to t = %.3g"
-                               % (_row_note(r, w_world), ends[r, e] / 2.0))
-        lo, width = ends[:, 0], ends[:, 1] - ends[:, 0]
-        sol = find_root(lambda s, r: dpsi(lo[r] + s * width[r], r),
-                        (np.zeros(len(w)), np.ones(len(w))),
-                        args=(np.arange(len(w)),),
-                        tolerances=dict(xatol=5e-14, xrtol=0.0))
-        check_roots(sol, lambda r: "restriction solve" + _row_note(r, w_world),
-                    "the derivative")
-        shape = w_world.shape[:-1]
-        t = (lo + sol.x * width).reshape(shape)
-        return t, [(lo + s * width).reshape(shape) for s in sol.bracket]
-
     def support2(self, w):
-        w_world = np.vecmat(np.asarray(w, dtype=float), self.basis)
-        t, _ = self._restriction_minimizer(w_world)
-        n, d = self.plane.normal, self.plane.offset
-        h = self.body.support(w_world + np.multiply.outer(t, n)) - t * d
-        return _value(h - np.vecdot(self.origin, w_world))
+        return _value(_support2([self], [np.asarray(w, dtype=float)])[0])
 
     def support_point2(self, w):
         w_world = np.vecmat(np.asarray(w, dtype=float), self.basis)
-        t, bracket = self._restriction_minimizer(w_world)
         n, dist = self.plane.normal, self.plane.signed_distance
+        t, bracket = _restriction_minimizer(self.body, w_world, n,
+                                            self.plane.offset,
+                                            lambda r: _row_note(r, w_world))
         if self.body.is_smooth:
             z = self.body.support_point(w_world + np.multiply.outer(t, n))
             return self.to_chart(z - np.multiply.outer(dist(z), n))
@@ -167,12 +134,92 @@ class PlanarSection:
         return normalize(np.matvec(self.basis, nu))
 
     def diameter2(self):
+        """Widest of 16 widths h(u) + h(-u) over a half-turn; cached, and
+        filled in by central_symmetry's solve when not cached yet."""
         if self._diameter2 is None:
-            th = np.linspace(0.0, np.pi, 17)[:-1]
-            u = np.column_stack([np.cos(th), np.sin(th)])
-            h = self.support2(np.concatenate([u, -u]))
-            self._diameter2 = float((h[:16] + h[16:]).max())
+            self._diameter2 = _width(self.support2(_width_rows()))
         return self._diameter2
+
+
+def _restriction_minimizer(body, w_world, n, d, where):
+    """Minimizer t of psi(t) = h(w + t n) - t d for each row w of w_world,
+    each row with its own plane: n and d broadcast against the rows, so one
+    solve can serve the sections of one body. Returns t and the ends
+    (t_a, t_b) of the final bracket, which straddle it.
+
+    Each row's bracket starts at +-(1 + |w|), and an end doubles until
+    the derivative <support_point(w + t n), n> - d has the right sign
+    there (60 tries). One find_root then solves every row on its bracket
+    rescaled to [0, 1], to 5e-14 of the bracket width. A row that fails
+    raises NoSignChange or GeometryError naming it by where(flat index)."""
+    shape, dim = w_world.shape[:-1], body.dim
+    w = w_world.reshape(-1, dim)
+    # each row as [w | n | d], so that a row's plane costs no second lookup
+    rows = np.concatenate([w, np.broadcast_to(n, w.shape),
+                           np.broadcast_to(d, shape).reshape(-1, 1)], axis=1)
+
+    def dpsi(t, r):
+        q = rows[r]
+        n_r = q[:, dim:-1]
+        return np.vecdot(body.support_point(q[:, :dim] + t[:, None] * n_r),
+                         n_r) - q[:, -1]
+
+    # column 0 wants dpsi < 0, column 1 dpsi > 0
+    t0 = 1.0 + np.sqrt(np.vecdot(w, w))
+    ends = np.stack([-t0, t0], axis=-1)
+    sign = np.array([-1.0, 1.0])
+    wrong = np.ones(ends.shape, dtype=bool)
+    for _ in range(60):
+        r, e = np.nonzero(wrong)
+        wrong[r, e] = ~(sign[e] * dpsi(ends[r, e], r) > 0.0)
+        if not wrong.any():
+            break
+        ends[wrong] *= 2.0
+    else:
+        r, e = np.argwhere(wrong)[0]
+        raise NoSignChange("restriction solve%s: the derivative keeps its "
+                           "sign up to t = %.3g" % (where(r), ends[r, e] / 2.0))
+    lo, width = ends[:, 0], ends[:, 1] - ends[:, 0]
+    sol = find_root(lambda s, r: dpsi(lo[r] + s * width[r], r),
+                    (np.zeros(len(w)), np.ones(len(w))),
+                    args=(np.arange(len(w)),),
+                    tolerances=dict(xatol=5e-14, xrtol=0.0))
+    check_roots(sol, lambda r: "restriction solve" + where(r), "the derivative")
+    t = (lo + sol.x * width).reshape(shape)
+    return t, [(lo + s * width).reshape(shape) for s in sol.bracket]
+
+
+def _support2(secs, w2):
+    """support2 of each section secs[i] at its directions w2[i], from one
+    restriction solve over the rows of all of them. The sections share one
+    body (ValueError otherwise); with two or more, each w2[i] is (k, 2)
+    rows and a failed row is named by its section and its row there. An
+    empty list returns [] without solving."""
+    if not secs:
+        return []
+    body = secs[0].body
+    if any(sec.body is not body for sec in secs):
+        raise ValueError("one restriction solve needs sections of one body")
+    parts = [np.vecmat(w, sec.basis) for sec, w in zip(secs, w2)]
+    if len(secs) == 1:
+        (sec,), (w_world,) = secs, parts
+        n, d, origin = sec.plane.normal, sec.plane.offset, sec.origin
+        where = lambda r: _row_note(r, w_world)
+    else:
+        sizes = [len(p) for p in parts]
+        stops = np.cumsum(sizes)
+        w_world = np.concatenate(parts)
+        n = np.repeat([sec.plane.normal for sec in secs], sizes, axis=0)
+        d = np.repeat([sec.plane.offset for sec in secs], sizes)
+        origin = np.repeat([sec.origin for sec in secs], sizes, axis=0)
+
+        def where(r):
+            i = int(np.searchsorted(stops, r, side="right"))
+            return " at section %d, row %d" % (i, r - stops[i] + sizes[i])
+    t, _ = _restriction_minimizer(body, w_world, n, d, where)
+    h = body.support(w_world + np.expand_dims(t, -1) * n) - t * d
+    h = h - np.vecdot(origin, w_world)
+    return np.split(h, stops[:-1]) if len(secs) > 1 else [h]
 
 
 def section(body, plane):
@@ -199,17 +246,32 @@ class SymmetryResult:
 
 def central_symmetry(sec, tol=1e-7, m=96, seed=0):
     """Least-squares center from h(u) - h(-u) = 2<c,u> over sampled u; m >= 3,
-    one more than the centre's two unknowns."""
+    one more than the centre's two unknowns.
+
+    sec may be a list of sections of one body: the result is then the list
+    of their SymmetryResults, from one restriction solve over the 2m rows of
+    every section, plus the 32 diameter2 width rows of each section whose
+    diameter2 is not cached yet. A single section is solved the same way."""
     require_sizes("central_symmetry", {"m": m}, least={"m": 3})
+    secs = sec if isinstance(sec, list) else [sec]
     rng = np.random.default_rng(seed)
     th = rng.uniform(0.0, np.pi / m) + np.pi * np.arange(m) / m
     u = np.column_stack([np.cos(th), np.sin(th)])
     rows = 2.0 * u
-    h = sec.support2(np.concatenate([u, -u]))
-    rhs = h[:m] - h[m:]
-    c, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-    residual = float(np.abs(rhs - rows @ c).max()) / sec.diameter2()
-    return SymmetryResult(bool(residual <= tol), c, sec.to_world(c), residual, tol)
+    dirs = np.concatenate([u, -u])
+    fresh = [s._diameter2 is None for s in secs]
+    hs = _support2(secs, [np.concatenate([dirs, _width_rows()]) if f else dirs
+                          for f in fresh])
+    results = []
+    for s, f, h in zip(secs, fresh, hs):
+        if f:
+            s._diameter2 = _width(h[2 * m:])
+        rhs = h[:m] - h[m:2 * m]
+        c, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
+        residual = float(np.abs(rhs - rows @ c).max()) / s.diameter2()
+        results.append(SymmetryResult(bool(residual <= tol), c, s.to_world(c),
+                                      residual, tol))
+    return results if isinstance(sec, list) else results[0]
 
 
 def _check_on_boundary(sec, p2, tol=1e-8):

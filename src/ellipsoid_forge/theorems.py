@@ -49,7 +49,8 @@ from .numeric import (
     sphere_directions,
     unit_frame,
 )
-from .planar import affine_diameter_residual, central_symmetry, is_radon_curve, section
+from .planar import (_support2, affine_diameter_residual, central_symmetry,
+                     is_radon_curve, section)
 from .projective import (
     HPoint,
     Hyperplane,
@@ -753,8 +754,8 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
 
     v2 = circle_directions(32, seed=seed)
     min_margin = min(
-        float((sec.support2(v2) - np.vecdot(sec.to_chart(o + r * u), v2) - r).min())
-        for u, sec in zip(us, secs))
+        float((h - np.vecdot(sec.to_chart(o + r * u), v2) - r).min())
+        for u, sec, h in zip(us, secs, _support2(secs, [v2] * len(secs))))
     rel = min_margin / diam
     run.stage("ball-inside-section-hulls", "hypothesis",
               max(0.0, tol["margin"] - rel), None, rel > tol["margin"],
@@ -767,8 +768,8 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
     phis = []
     worst_translate = 0.0
     lipschitz = 0.0
-    for sec in secs:
-        sym = central_symmetry(sec, tol=tol["symmetry"], m=m, seed=seed)
+    for sec, sym in zip(secs, central_symmetry(secs, tol=tol["symmetry"],
+                                               m=m, seed=seed)):
         phis.append(2.0 * (np.asarray(sym.center_world) - o))
         worst_translate = max(
             worst_translate,
@@ -782,32 +783,33 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
 
     # phi at directions orthogonal to phi(u); also feeds the midpoint stage
     worst_orth = 0.0
-    locus_jobs = []
-    for u, phi_u in zip(us[:4], phis):
+    grid = []
+    for i, (u, phi_u) in enumerate(zip(us[:4], phis)):
         npu = float(np.linalg.norm(phi_u))
         if npu <= 1e-12 * diam:
             continue
         frame = unit_frame(phi_u / npu)
         f1, f2 = frame[:, 0], frame[:, 1]
-        first = True
         for th in np.linspace(0.0, np.pi, 8, endpoint=False):
             v = np.cos(th) * f1 + np.sin(th) * f2
             plane_v = Hyperplane.from_point_normal(o + r * v, v)
-            sec_v = section(k_body, plane_v)
-            sym_v = central_symmetry(sec_v, tol=tol["symmetry"], m=m, seed=seed)
-            phi_v = 2.0 * (np.asarray(sym_v.center_world) - o)
-            npv = float(np.linalg.norm(phi_v))
-            if npv <= 1e-12 * diam:
-                continue
-            worst_orth = max(worst_orth, float(abs(phi_v @ u)) / npv)
-            if first:
-                locus_jobs.append((u, phi_u, v, sec_v, np.asarray(sym_v.center)))
-                first = False
+            grid.append((i, v, section(k_body, plane_v)))
+    syms = central_symmetry([sec_v for _, _, sec_v in grid],
+                            tol=tol["symmetry"], m=m, seed=seed)
+    locus_jobs = {}  # u's index -> its first usable v
+    for (i, v, sec_v), sym_v in zip(grid, syms):
+        phi_v = 2.0 * (np.asarray(sym_v.center_world) - o)
+        npv = float(np.linalg.norm(phi_v))
+        if npv <= 1e-12 * diam:
+            continue
+        worst_orth = max(worst_orth, float(abs(phi_v @ us[i])) / npv)
+        locus_jobs.setdefault(i, (us[i], phis[i], v, sec_v,
+                                  np.asarray(sym_v.center)))
     run.stage("translation-orthogonality", "derived", worst_orth, "bisector")
 
     worst_locus = 0.0
     loci = 0
-    for u, phi_u, v, sec_v, c2 in locus_jobs:
+    for u, phi_u, v, sec_v, c2 in locus_jobs.values():
         d_w = np.cross(np.asarray(u), v)
         nd = float(np.linalg.norm(d_w))
         if nd < 1e-9:
@@ -900,32 +902,32 @@ def check_theorem_basico(k_body, p, eps=0.2, planes=8, offsets=7, m=64,
     normals = sphere_directions(k_body.dim, planes, seed=seed)
     offs = np.linspace(-eps / 2.0, eps / 2.0, offsets)
     central_idx = int(np.argmin(np.abs(offs)))
-    worst_sym = 0.0
-    all_sym = True
-    central = {}
-    top = {}
-    sections_done = 0
+    slabs = []
     missed = 0
     for i, nrm in enumerate(normals):
         base_off = float(nrm @ p)
         for k_off, off in enumerate(offs):
             plane = Hyperplane(nrm, base_off + float(off))
             try:
-                sec = section(k_body, plane)
+                slabs.append((i, k_off, plane, section(k_body, plane)))
             except PlaneMissesBody:
                 missed += 1
-                continue
-            sr = central_symmetry(sec, tol=tol["symmetry"], m=sym_m, seed=seed)
-            worst_sym = max(worst_sym, sr.residual)
-            all_sym = all_sym and sr.ok
-            sections_done += 1
-            if k_off == central_idx:
-                central[i] = sr
-            if k_off == len(offs) - 1:
-                top[i] = (sec, sr, plane)
+    worst_sym = 0.0
+    all_sym = True
+    central = {}
+    top = {}
+    syms = central_symmetry([sec for *_, sec in slabs], tol=tol["symmetry"],
+                            m=sym_m, seed=seed)
+    for (i, k_off, plane, sec), sr in zip(slabs, syms):
+        worst_sym = max(worst_sym, sr.residual)
+        all_sym = all_sym and sr.ok
+        if k_off == central_idx:
+            central[i] = sr
+        if k_off == len(offs) - 1:
+            top[i] = (sec, sr, plane)
     run.stage("slab-sections-centrally-symmetric", "hypothesis", worst_sym,
               "symmetry", all_sym, planes=len(normals), offsets=int(offsets),
-              sections=sections_done, missed=missed)
+              sections=len(slabs), missed=missed)
 
     centered = bool(central) and all(
         float(np.linalg.norm(np.asarray(sr.center_world) - p)) <= 1e-6 * diam

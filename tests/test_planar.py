@@ -310,6 +310,72 @@ def test_central_symmetry_determinism(l4_central_section):
     assert np.array_equal(a.center, b.center)
 
 
+def _row_sections(body):
+    """Three sections of body: a central plane and two off-centre ones."""
+    secs = []
+    for nrm, reach in (((1.0, 2.0, -0.5), 0.0), ((0.3, -1.0, 0.8), 0.4),
+                       ((-0.7, 0.2, 1.0), -0.25)):
+        nrm = np.array(nrm) / np.linalg.norm(nrm)
+        c = float(nrm @ body.center)
+        h = body.support(nrm) if reach >= 0.0 else -body.support(-nrm)
+        secs.append(section(body, Hyperplane(nrm, c + abs(reach) * (h - c))))
+    return secs
+
+
+@pytest.mark.parametrize("kind", list(_ROW_BODIES))
+def test_central_symmetry_list_equals_one_section_calls(kind):
+    body = _ROW_BODIES[kind]
+    singles = [central_symmetry(sec, m=24) for sec in _row_sections(body)]
+    single_diameters = [sec.diameter2() for sec in _row_sections(body)]
+    secs = _row_sections(body)
+    secs[1].diameter2()  # a cached section adds no width rows to the solve
+    batched = central_symmetry(secs, m=24)
+    assert len(batched) == 3
+    for one, many, sec, diameter in zip(singles, batched, secs, single_diameters):
+        assert np.array_equal(one.center, many.center)
+        assert np.array_equal(one.center_world, many.center_world)
+        assert one.residual == many.residual
+        assert one.ok == many.ok
+        assert sec.diameter2() == diameter
+
+
+def test_central_symmetry_one_solve_and_width_rows_only_when_uncached(
+        monkeypatch, ellipsoid149):
+    rows = []
+    real = planar.find_root
+    monkeypatch.setattr(planar, "find_root", lambda f, init, **kw:
+                        rows.append(len(init[0])) or real(f, init, **kw))
+    secs = _row_sections(ellipsoid149)
+    secs[0].diameter2()
+    rows.clear()
+    central_symmetry(secs, m=24)
+    assert rows == [3 * 48 + 2 * 32]
+    rows.clear()
+    central_symmetry(secs, m=24)
+    assert rows == [3 * 48]
+    rows.clear()
+    assert central_symmetry([], m=24) == []
+    assert rows == []
+
+
+def test_central_symmetry_list_needs_one_body(ellipsoid149, l4_unit):
+    with pytest.raises(ValueError, match="sections of one body"):
+        central_symmetry([_row_sections(ellipsoid149)[0],
+                          _row_sections(l4_unit)[0]])
+
+
+def test_batched_restriction_failure_names_section_and_row(ellipsoid149):
+    secs = _row_sections(ellipsoid149)
+    good = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    bad = np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(GeometryError,
+                       match=r"restriction solve at section 2, row 1: "):
+        planar._support2(secs, [good, good, bad])
+    # one section keeps its flat row index
+    with pytest.raises(NoSignChange, match=r"restriction solve at row 1: "):
+        secs[2].support2(bad)
+
+
 def test_tilted_l4_section_is_not_symmetric(l4_unit):
     nrm = np.array([-0.4, 0.0, 1.0])
     nrm = nrm / np.linalg.norm(nrm)
@@ -591,13 +657,16 @@ def test_radon_runs_min_k_cross_pairs_birkhoff_pairs(monkeypatch, k, cross_pairs
 
 def test_radon_section_calls_do_not_grow_with_k(monkeypatch):
     """The k diameters and the Birkhoff pairs are rows of a fixed number of
-    section calls."""
+    section calls and restriction solves."""
     calls = []
     for name in ("support2", "support_point2"):
         real = getattr(planar.PlanarSection, name)
         monkeypatch.setattr(planar.PlanarSection, name,
                             lambda self, w, _real=real, _name=name:
                             calls.append(_name) or _real(self, w))
+    real_find_root = planar.find_root
+    monkeypatch.setattr(planar, "find_root", lambda *a, **kw:
+                        calls.append("find_root") or real_find_root(*a, **kw))
 
     def counts(k):
         sec = section(PBall(4.0, (1.0, 1.0, 1.0)),
@@ -606,9 +675,11 @@ def test_radon_section_calls_do_not_grow_with_k(monkeypatch):
         assert not is_radon_curve(sec, k=k).ok
         return sorted(calls)
 
-    # the norm gate's symmetry fit and diameter, the k conjugate diameters
-    # (contacts, then closure), the Birkhoff pairs' y and their normality
-    assert counts(16) == counts(128) == ["support2"] * 4 + ["support_point2"] * 2
+    # one solve each: the norm gate's symmetry fit with the diameter rows,
+    # the k conjugate diameters (contacts, then closure), the Birkhoff pairs'
+    # y and their normality; the gate solves without a support2 call
+    assert counts(16) == counts(128) == (
+        ["find_root"] * 5 + ["support2"] * 2 + ["support_point2"] * 2)
 
 
 def test_support2_without_a_sign_change_raises_typed_error():

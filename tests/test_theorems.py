@@ -329,6 +329,41 @@ def test_t4_sphere_witness_consistent():
         (np.sqrt(3.0) - 1.0) / 4.0, abs=1e-6)
 
 
+def _count_restriction_solves(monkeypatch):
+    from ellipsoid_forge import planar
+    solves = []
+    real = planar.find_root
+    monkeypatch.setattr(planar, "find_root",
+                        lambda *a, **kw: solves.append(1) or real(*a, **kw))
+    return solves
+
+
+def test_t4_restriction_solves_do_not_grow_with_samples(monkeypatch):
+    solves = _count_restriction_solves(monkeypatch)
+    counts = []
+    for samples in (4, 9):
+        solves.clear()
+        _assert_clean(check_theorem4(Ellipsoid.ball(2.0), 1.0,
+                                     samples=samples, m=16))
+        counts.append(len(solves))
+    # the margin, symmetry and orthogonality stages, and one per midpoint
+    # locus (at most four)
+    assert counts == [7, 7]
+
+
+def test_basico_restriction_solves_do_not_grow_with_sections(monkeypatch,
+                                                             ellipsoid149):
+    solves = _count_restriction_solves(monkeypatch)
+    counts = []
+    for planes, offsets in ((2, 3), (5, 6)):
+        solves.clear()
+        _assert_clean(check_theorem_basico(ellipsoid149, np.zeros(3),
+                                           planes=planes, offsets=offsets,
+                                           m=16, sym_m=16))
+        counts.append(len(solves))
+    assert counts == [1, 1]
+
+
 def test_t4_l4_violates_section_hypothesis(l4_double):
     report = check_theorem4(l4_double, 1.0, samples=8, m=48)
     assert report.verdict == "hypothesis-violated"
