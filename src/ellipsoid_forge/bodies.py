@@ -10,7 +10,9 @@ boundary_point, ray_exit) takes one point or direction of shape (n,), or rows
 of shape (..., n), and answers row by row: a Python float or an (n,) point for
 one input, an array of shape (...) or (..., n) for rows. A row's answer equals
 the one-point answer to the last bit or two, so a caller may batch freely.
-support and support_point raise ZeroDirection for a zero direction or row.
+support and support_point raise ZeroDirection for a zero direction or row;
+the ray exits (boundary_point, ray_exit) raise NonFiniteInput for a non-finite
+base or direction and RayBaseNotInterior for a base outside the interior.
 """
 
 import hashlib
@@ -20,7 +22,8 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 from scipy.spatial import ConvexHull, QhullError
 
-from .errors import BodySpecError, LineMissesBody, NonSmoothBody, ZeroDirection
+from .errors import (BodySpecError, LineMissesBody, NonFiniteInput,
+                     NonSmoothBody, RayBaseNotInterior, ZeroDirection)
 from .numeric import _value, normalize, sphere_directions
 from .projective import Line
 
@@ -30,6 +33,15 @@ def _finite(name, value):
     if not np.all(np.isfinite(a)):
         raise ValueError("%s must be finite" % name)
     return a
+
+
+def _ray(z, d):
+    """A ray's base z and direction d as float arrays; NonFiniteInput when a
+    coordinate of either is NaN or infinite."""
+    z, d = np.asarray(z, dtype=float), np.asarray(d, dtype=float)
+    if not (np.isfinite(z).all() and np.isfinite(d).all()):
+        raise NonFiniteInput("ray base point or direction is not finite")
+    return z, d
 
 
 def _nonzero(norms):
@@ -99,19 +111,21 @@ class ConvexBody:
 
     def boundary_point(self, z, d):
         """Boundary point along z + t*d, t > 0, for interior z; z and d
-        broadcast as rows, and each row is one brentq on the gauge."""
+        broadcast as rows, and each row is one brentq on the gauge. Raises
+        NonFiniteInput for a non-finite z or d, RayBaseNotInterior when a z
+        is not interior."""
 
         def exit_point(z, d):
             d = normalize(d)
             if self.gauge(z) >= 1.0 - 1e-12:
-                raise ValueError("ray base point is not interior")
+                raise RayBaseNotInterior("ray base point is not interior")
             # body is inside ball(center, R): the exit time is below t_hi
             t_hi = float(np.linalg.norm(z - self.center)) + self.radius_bound()
             f = lambda t: self.gauge(z + t * d) - 1.0
             t = brentq(f, 0.0, t_hi, xtol=1e-15 * t_hi, rtol=8.9e-16)
             return z + t * d
 
-        z, d = np.asarray(z, dtype=float), np.asarray(d, dtype=float)
+        z, d = _ray(z, d)
         if z.ndim == d.ndim == 1:
             return exit_point(z, d)
         z, d = np.broadcast_arrays(z, d)
@@ -193,8 +207,8 @@ class Ellipsoid(ConvexBody):
 
     def boundary_point(self, z, d):
         # (v + t d)^T Q (v + t d) = 1 with v = z - c, as a t^2 + 2 b t + c0 = 0
+        z, d = _ray(z, d)
         d = normalize(d)
-        z = np.asarray(z, dtype=float)
         v = z - self._c
         qd = np.vecmat(d, self._q)
         a = np.vecdot(qd, d)
@@ -202,7 +216,7 @@ class Ellipsoid(ConvexBody):
         c0 = np.vecdot(np.vecmat(v, self._q), v) - 1.0
         disc = b * b - a * c0
         if np.any(c0 >= -1e-14) or np.any(disc <= 0.0):
-            raise ValueError("ray base point is not interior")
+            raise RayBaseNotInterior("ray base point is not interior")
         t = (-b + np.sqrt(disc)) / a
         return z + (t[..., None] if t.ndim else t) * d
 
@@ -379,8 +393,11 @@ class AffineImage(ConvexBody):
 def ray_exit(body, base, d):
     """Boundary point along base + t*d, t > 0, for interior base; base and d
     broadcast as rows. One base point at the center takes the closed-form
-    ray, keeping curve symmetries bit-exact."""
-    off = np.asarray(base, dtype=float) - body.center
+    ray, keeping curve symmetries bit-exact. Raises NonFiniteInput for a
+    non-finite base or direction, RayBaseNotInterior for a base that is not
+    interior, on every body kind."""
+    base, d = _ray(base, d)
+    off = base - body.center
     if off.ndim == 1 and np.sqrt(np.vecdot(off, off)) <= 1e-13 * (1.0 + body.diameter()):
         return body.boundary_from_center(d)
     return body.boundary_point(base, d)

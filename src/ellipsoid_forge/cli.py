@@ -344,11 +344,11 @@ def main(argv=None):
         if args.command == "check":
             return _cmd_check(args)
         return _cmd_sweep(args)
-    except (_UsageError, OSError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
     except GeometryError as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 1
+    except (_UsageError, OSError, ValueError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
         return 1
 
 

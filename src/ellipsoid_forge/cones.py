@@ -9,14 +9,13 @@ in each, the sign change of g along the section boundary. For a smooth
 strictly convex section seen from an in-plane exterior apex the visible arc
 is connected, so g changes sign exactly once on the half-turn (0, pi) and a
 bracketing solver is safe. All planes and apexes are one vectorised
-Chandrupatla solve (scipy.optimize.elementwise.find_root) over the row
-oracles. The sweep needs two directions orthogonal to the axis: n >= 3.
+Chandrupatla solve (numeric.find_root) over the row oracles. The sweep
+needs two directions orthogonal to the axis: n >= 3.
 """
 
 import json
 
 import numpy as np
-from scipy.optimize.elementwise import find_root
 
 from .bodies import line_min_gauge, ray_exit
 from .errors import (
@@ -30,7 +29,8 @@ from .errors import (
     ZeroDirection,
 )
 from .fitting import ELLIPSE, fit_planar_conic
-from .numeric import check_roots, normalize, require_sizes, unit_frame
+from .numeric import (check_roots, find_root, normalize, require_sizes,
+                      unit_frame)
 from .projective import Hyperplane, Line
 
 

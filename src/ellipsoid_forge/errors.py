@@ -35,6 +35,12 @@ class LineMissesBody(GeometryError):
     """The line never enters the interior of the body."""
 
 
+class RayBaseNotInterior(GeometryError, ValueError):
+    """A ray exit starts from a base point outside the body's interior.
+
+    Also a ValueError, which the ray exits raised for it before."""
+
+
 class BodySpecError(ValueError):
     """Malformed body spec text; carries the offending line number."""
 

@@ -1,5 +1,8 @@
 """Deterministic direction sampling, frames, and small numeric helpers."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 
 from .errors import GeometryError, NoSignChange
@@ -129,9 +132,103 @@ def floored(value, floor):
     return float(max(value, floor))
 
 
+def find_root(f, init, args=(), tolerances=None, maxiter=None):
+    """Roots of f(x, *args) = 0, one per row, each on its bracket init = (a, b).
+
+    Chandrupatla's bracketed method (Chandrupatla 1997, Adv. Eng. Software
+    28(3)) over rows in plain numpy, with the arithmetic, defaults and
+    termination tests of scipy.optimize.elementwise.find_root, so both give
+    the same x, status, bracket, nit and nfev. a, b and args broadcast
+    together; f gets the rows still active, with their args. tolerances may
+    set xatol (default 4 * smallest normal), xrtol (4 * eps), fatol (smallest
+    normal) and frtol (0, scaled by min(|f(a)|, |f(b)|)). Status per row: 0
+    converged, -1 no sign change, -2 iteration limit, -3 not finite.
+
+    Even a one-row call costs a few hundred microseconds, 6-9 times a
+    scalar brentq on the same ray exit, so callers gather their points into
+    the rows of one call."""
+    finfo = np.finfo(float)
+    tol = dict(xatol=4 * finfo.smallest_normal, xrtol=4 * finfo.eps,
+               fatol=finfo.smallest_normal, frtol=0.0)
+    tol.update(tolerances or {})
+    if maxiter is None:
+        maxiter = math.log2(finfo.max) - math.log2(finfo.smallest_normal)
+    xs = np.broadcast_arrays(*init, *args)
+    shape = xs[0].shape
+    x1, x2 = (np.array(x, dtype=float) for x in xs[:2])
+    f1, f2 = (np.asarray(f(x, *xs[2:]), dtype=float).ravel() for x in (x1, x2))
+    x1, x2 = x1.ravel(), x2.ravel()
+    args = [np.ravel(a) for a in xs[2:]]
+    frtol = tol["frtol"] * np.minimum(np.abs(f1), np.abs(f2))
+    n = x1.size
+    out = np.zeros((6, n))  # x, f_x and the bracket ends with their f
+    status, nit_out, nfev_out = (np.zeros(n, np.int32) for _ in range(3))
+    active = np.arange(n)
+    nit, nfev, t = 0, 2, 0.5
+    while True:
+        # termination tests, in scipy's order
+        i = np.abs(f1) < np.abs(f2)
+        xmin, fmin = np.where(i, x1, x2), np.where(i, f1, f2)
+        st = np.ones(len(x1), np.int32)
+        st[np.abs(fmin) <= tol["fatol"] + frtol] = 0
+        st[(np.sign(f1) == np.sign(f2)) & (st == 1)] = -1
+        st[(~(np.isfinite(x1) & np.isfinite(x2))
+            | (np.isnan(f1) & np.isnan(f2))) & (st == 1)] = -3
+        xmin[st < 0] = fmin[st < 0] = np.nan
+        dx = np.abs(x2 - x1)
+        xtol = np.abs(xmin) * tol["xrtol"] + tol["xatol"]
+        st[dx < xtol] = 0
+        if nit >= maxiter:
+            st[st == 1] = -2
+        stop = st != 1
+        if stop.any():
+            done = active[stop]
+            out[:, done] = np.stack([xmin, fmin, x1, f1, x2, f2])[:, stop]
+            status[done], nit_out[done], nfev_out[done] = st[stop], nit, nfev
+            keep = ~stop
+            active, x1, f1, x2, f2, frtol, dx, xtol = (
+                v[keep] for v in (active, x1, f1, x2, f2, frtol, dx, xtol))
+            args = [a[keep] for a in args]
+            if nit:
+                x3, f3 = x3[keep], f3[keep]
+        if not active.size:
+            break
+        if nit:
+            # inverse quadratic step where it is accepted, else bisection
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xi1 = (x1 - x2) / (x3 - x2)
+                phi1 = (f1 - f2) / (f3 - f2)
+                alpha = (x3 - x1) / (x2 - x1)
+                j = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
+                t = np.where(j, f1 / (f1 - f2) * f3 / (f3 - f2)
+                             - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+                tl = 0.5 * xtol / dx
+            t = np.clip(t, tl, 1 - tl)
+        x = x1 + t * (x2 - x1)
+        fx = np.asarray(f(x, *args), dtype=float)
+        nfev += 1
+        j = np.sign(fx) == np.sign(f1)
+        x3, f3 = np.where(j, x1, x2), np.where(j, f1, f2)
+        x2, f2 = np.where(j, x2, x1), np.where(j, f2, f1)
+        x1, f1 = x, fx
+        nit += 1
+    # the bracket comes back as (left, right) ends, with their f
+    ordered = out[2] < out[4]
+    lo = np.where(ordered, out[2:4], out[4:6])
+    hi = np.where(ordered, out[4:6], out[2:4])
+
+    def shaped(v):
+        return v.reshape(shape)[()]
+    return SimpleNamespace(
+        x=shaped(out[0]), f_x=shaped(out[1]), status=shaped(status),
+        success=shaped(status == 0), nit=shaped(nit_out), nfev=shaped(nfev_out),
+        bracket=(shaped(lo[0]), shaped(hi[0])),
+        f_bracket=(shaped(lo[1]), shaped(hi[1])))
+
+
 def check_roots(sol, where, f, bracket="the bracket"):
-    """Raise for the first row of an elementwise find_root result that did
-    not converge: NoSignChange when f has no sign change on its bracket, else
+    """Raise for the first row of a find_root result that did not converge:
+    NoSignChange when f has no sign change on its bracket, else
     GeometryError. where(r) names row r in the message."""
     failed = np.flatnonzero(sol.status)
     if failed.size:

@@ -11,23 +11,22 @@ support points at full solver accuracy, which the conjugacy gates need.
 
 The section oracles (support2, support_point2, boundary2, gauge2, normal2_at,
 to_world, to_chart) take rows like the body oracles. The restriction
-minimizer is one vectorised Chandrupatla solve
-(scipy.optimize.elementwise.find_root) over all the rows of a call, each row
-with its own plane, so conjugate_diameter and birkhoff_normal take rows too,
-is_radon_curve makes one call of each for all its diameters and Birkhoff
-pairs, and central_symmetry solves a list of sections of one body at once.
+minimizer is one vectorised Chandrupatla solve (numeric.find_root) over
+all the rows of a call, each row with its own plane, so conjugate_diameter
+and birkhoff_normal take rows too, is_radon_curve makes one call of each
+for all its diameters and Birkhoff pairs, and central_symmetry solves a
+list of sections of one body at once.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize.elementwise import find_root
 
 from .bodies import ray_exit
 from .errors import (EndpointNotOnBoundary, NoSignChange, NotANorm, NotFound,
                      PlaneMissesBody, UnsupportedDimension)
-from .numeric import (_value, angle_between, check_roots, normalize,
-                      require_sizes, unit_frame)
+from .numeric import (_value, angle_between, check_roots, find_root,
+                      normalize, require_sizes, unit_frame)
 from .projective import Hyperplane
 
 

@@ -17,8 +17,10 @@ from ellipsoid_forge import (
     serialize_body,
 )
 from ellipsoid_forge.bodies import ray_exit
-from ellipsoid_forge.errors import (BodySpecError, LineMissesBody, NonSmoothBody,
-                                   ZeroDirection)
+from ellipsoid_forge.planar import section
+from ellipsoid_forge.projective import Hyperplane
+from ellipsoid_forge.errors import (BodySpecError, LineMissesBody, NonFiniteInput,
+                                   NonSmoothBody, RayBaseNotInterior, ZeroDirection)
 from ellipsoid_forge.numeric import sphere_directions
 
 from conftest import random_affine
@@ -291,6 +293,36 @@ def test_support_of_a_zero_direction_raises_typed_error(body):
                 oracle(u)
     # a NaN direction is not zero: it passes through, as before
     assert np.isnan(body.support(np.array([np.nan, 0.0, 0.0])))
+
+
+@pytest.mark.parametrize("body", [
+    Ellipsoid(np.array([0.1, -0.2, 0.05]), np.diag([1.0, 4.0, 9.0])),
+    PBall(4.0, (1.0, 1.0, 1.0)),
+    Polytope(np.vstack([np.eye(3), -np.eye(3)])),
+    AffineImage(*random_affine(4), PBall(3.0, (1.0, 0.8, 1.2))),
+], ids=["ellipsoid", "pball", "polytope", "affine-image"])
+def test_ray_exit_failures_are_typed_on_every_kind(body):
+    c, d = body.center, np.array([1.0, 0.0, 0.0])
+    inside = c + 0.1 * (body.boundary_from_center(d) - c)
+    outside = c + 3.0 * body.radius_bound() * d
+    for base, dirs in ((np.array([np.nan, 0.0, 0.0]), d),
+                       (c, [np.inf, 0.0, 0.0]), (inside, [0.0, np.nan, 0.0]),
+                       (np.stack([inside, c + np.nan]), np.stack([d, d]))):
+        with pytest.raises(NonFiniteInput):
+            ray_exit(body, base, dirs)
+        with pytest.raises(NonFiniteInput):
+            body.boundary_point(base, dirs)
+    for base in (outside, np.stack([inside, outside])):
+        with pytest.raises(RayBaseNotInterior):
+            ray_exit(body, base, d)
+        with pytest.raises(RayBaseNotInterior):
+            body.boundary_point(base, d)
+    # through a section chart too
+    sec = section(body, Hyperplane(np.array([0.0, 0.0, 1.0]), float(c[2])))
+    with pytest.raises(NonFiniteInput):
+        sec.boundary2([1.0, 0.0], base2=[np.nan, 0.0])
+    with pytest.raises(RayBaseNotInterior):
+        sec.boundary2([1.0, 0.0], base2=[3.0 * body.radius_bound(), 0.0])
 
 
 # --------------------------------------------------------------- symmetry

@@ -1,0 +1,140 @@
+"""numeric.find_root against scipy's elementwise find_root, its reference.
+
+Both run Chandrupatla's method with the same arithmetic, so on the same
+brackets and args they must agree exactly: the same root, status, final
+bracket, iteration count and evaluation count on every row.
+"""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from scipy.optimize.elementwise import find_root as scipy_find_root
+
+from ellipsoid_forge import cones, planar
+from ellipsoid_forge.numeric import find_root
+
+TOLERANCES = [dict(xatol=1e-14, xrtol=8.9e-16), dict(xatol=5e-14, xrtol=0.0)]
+
+
+def _smooth(c):
+    return lambda x, r: np.tanh(3.0 * (x - c[r])) + 0.1 * (x - c[r]) ** 3
+
+
+def _step(c):
+    return lambda x, r: np.where(x < c[r], -1.0, 2.0)
+
+
+def _nan_rows(c):
+    # every third row is NaN everywhere; every fifth turns NaN right of its root
+    def f(x, r):
+        y = np.where(r % 3 == 0, np.nan, np.expm1(x) - c[r])
+        return np.where((r % 5 == 0) & (x > c[r]), np.nan, y)
+    return f
+
+
+def _no_sign_change(c):
+    # odd rows stay positive on the whole bracket
+    return lambda x, r: np.where(r % 2 == 1, (x - c[r]) ** 2 + 0.05, x - c[r])
+
+
+CASES = {"smooth": _smooth, "step": _step, "nan-rows": _nan_rows,
+         "no-sign-change": _no_sign_change}
+
+
+def _brackets(seed, n):
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-1.0, 1.0, n)
+    a, b = rng.uniform(-3.0, -1.0, n), rng.uniform(1.0, 3.0, n)
+    flip = rng.random(n) < 0.3  # some brackets are given right end first
+    return c, np.where(flip, b, a), np.where(flip, a, b)
+
+
+def _assert_same(ours, ref):
+    for key in ("x", "f_x", "status", "success", "nit", "nfev"):
+        assert np.array_equal(getattr(ours, key), getattr(ref, key),
+                              equal_nan=True), key
+        assert np.shape(getattr(ours, key)) == np.shape(getattr(ref, key)), key
+    for mine, theirs in zip(ours.bracket + ours.f_bracket,
+                            ref.bracket + ref.f_bracket):
+        assert np.array_equal(mine, theirs, equal_nan=True)
+
+
+@pytest.mark.parametrize("tolerances", TOLERANCES, ids=["xrtol", "xatol-only"])
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("seed", range(4))
+def test_find_root_equals_scipy(case, tolerances, seed):
+    n = 40
+    c, a, b = _brackets(seed, n)
+    f, args = CASES[case](c), (np.arange(n),)
+    ours = find_root(f, (a, b), args=args, tolerances=tolerances)
+    _assert_same(ours, scipy_find_root(f, (a, b), args=args,
+                                       tolerances=tolerances))
+    # the case reaches the statuses it is there for
+    want = {"smooth": {0}, "step": {0}, "nan-rows": {0, -3},
+            "no-sign-change": {0, -1}}[case]
+    assert want <= set(np.unique(ours.status).tolist())
+
+
+def test_find_root_infinite_ends_equal_scipy():
+    """An infinite end stops its row at once: -1 when f has one sign on the
+    bracket, else -3, as scipy orders its tests."""
+    a = np.array([-np.inf, -np.inf, 0.5, -1.0])
+    b = np.array([1.0, -0.5, np.inf, 1.0])
+    f = lambda x: np.tanh(x)
+    ours = find_root(f, (a, b))
+    _assert_same(ours, scipy_find_root(f, (a, b)))
+    assert ours.status.tolist() == [-3, -1, -1, 0]
+
+
+@pytest.mark.parametrize("tolerances", TOLERANCES, ids=["xrtol", "xatol-only"])
+def test_find_root_iteration_limit_equals_scipy(tolerances):
+    c, a, b = _brackets(7, 30)
+    f, args = _smooth(c), (np.arange(30),)
+    ours = find_root(f, (a, b), args=args, tolerances=tolerances, maxiter=3)
+    _assert_same(ours, scipy_find_root(f, (a, b), args=args,
+                                       tolerances=tolerances, maxiter=3))
+    assert np.all(ours.status == -2) and np.all(ours.nit == 3)
+
+
+@pytest.mark.parametrize("tolerances", TOLERANCES, ids=["xrtol", "xatol-only"])
+def test_find_root_one_row_equals_scipy(tolerances):
+    f = lambda x, c: x ** 3 - 2.0 * x - c
+    for init in ((0.0, 3.0), (np.zeros(1), np.full(1, 3.0))):
+        ours = find_root(f, init, args=(5.0,), tolerances=tolerances)
+        _assert_same(ours, scipy_find_root(f, init, args=(5.0,),
+                                           tolerances=tolerances))
+        assert np.all(ours.status == 0)
+
+
+def test_find_root_active_rows_take_their_args():
+    """f sees only the rows still active, with their own args: converged
+    rows leave the active set."""
+    seen = []
+    c = np.array([0.5, -0.25, 0.125])
+    width = np.array([1.0, 1e3, 1e6])  # bisection needs more steps on wider brackets
+
+    def f(x, r):
+        seen.append(r.copy())
+        return np.where(x < c[r], -1.0, 1.0)
+
+    sol = find_root(f, (c - width, c + 0.5 * width), args=(np.arange(3),))
+    assert np.all(sol.status == 0)
+    assert np.allclose(sol.x, c, atol=1e-12, rtol=0.0)
+    assert [len(r) for r in seen[:3]] == [3, 3, 3]
+    assert all(np.isin(later, earlier).all() for earlier, later in zip(seen, seen[1:]))
+    assert len(seen[-1]) == 1 and seen[-1][0] == 2
+
+
+def test_library_solves_with_its_own_find_root():
+    assert planar.find_root is find_root and cones.find_root is find_root
+    src = os.path.dirname(os.path.dirname(os.path.abspath(planar.__file__)))
+    code = ("import sys; sys.path.insert(0, %r); import ellipsoid_forge.cli; "
+            "import ellipsoid_forge.theorems; "
+            "print(sorted(m for m in sys.modules if 'elementwise' in m "
+            "or 'chandrupatla' in m))" % src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
