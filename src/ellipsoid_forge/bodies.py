@@ -3,7 +3,9 @@
 Concrete kinds: ellipsoid, p-ball, polytope, affine image. Higher modules are
 kind-agnostic: everything downstream consumes the oracle interface only.
 Gauges are Minkowski functionals about each body's designated center, which
-makes the center ray boundary solve closed form (1-homogeneity).
+makes the center ray boundary solve closed form (1-homogeneity). Off the
+center the ellipsoid's and the polytope's ray exits are closed form too; the
+other kinds take one row solve (numeric.find_root) on the gauge per call.
 
 Every oracle (support, support_point, gauge, normal_at, boundary_from_center,
 boundary_point, ray_exit) takes one point or direction of shape (n,), or rows
@@ -12,19 +14,20 @@ one input, an array of shape (...) or (..., n) for rows. A row's answer equals
 the one-point answer to the last bit or two, so a caller may batch freely.
 support and support_point raise ZeroDirection for a zero direction or row;
 the ray exits (boundary_point, ray_exit) raise NonFiniteInput for a non-finite
-base or direction and RayBaseNotInterior for a base outside the interior.
+base or direction, ZeroDirection for a zero direction or row, and
+RayBaseNotInterior for a base outside the interior.
 """
 
 import hashlib
 import io
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (BodySpecError, LineMissesBody, NonFiniteInput,
                      NonSmoothBody, RayBaseNotInterior, ZeroDirection)
-from .numeric import _value, normalize, sphere_directions
+from .numeric import _value, check_roots, find_root, normalize, sphere_directions
 from .projective import Line
 
 
@@ -37,10 +40,12 @@ def _finite(name, value):
 
 def _ray(z, d):
     """A ray's base z and direction d as float arrays; NonFiniteInput when a
-    coordinate of either is NaN or infinite."""
+    coordinate of either is NaN or infinite; ZeroDirection for a zero d row."""
     z, d = np.asarray(z, dtype=float), np.asarray(d, dtype=float)
     if not (np.isfinite(z).all() and np.isfinite(d).all()):
         raise NonFiniteInput("ray base point or direction is not finite")
+    if not np.any(d, axis=-1).all():
+        raise ZeroDirection("a ray direction is zero")
     return z, d
 
 
@@ -111,26 +116,23 @@ class ConvexBody:
 
     def boundary_point(self, z, d):
         """Boundary point along z + t*d, t > 0, for interior z; z and d
-        broadcast as rows, and each row is one brentq on the gauge. Raises
-        NonFiniteInput for a non-finite z or d, RayBaseNotInterior when a z
-        is not interior."""
-
-        def exit_point(z, d):
-            d = normalize(d)
-            if self.gauge(z) >= 1.0 - 1e-12:
-                raise RayBaseNotInterior("ray base point is not interior")
-            # body is inside ball(center, R): the exit time is below t_hi
-            t_hi = float(np.linalg.norm(z - self.center)) + self.radius_bound()
-            f = lambda t: self.gauge(z + t * d) - 1.0
-            t = brentq(f, 0.0, t_hi, xtol=1e-15 * t_hi, rtol=8.9e-16)
-            return z + t * d
-
+        broadcast as rows, and one find_root on the gauge solves them all.
+        Raises NonFiniteInput for a non-finite z or d, ZeroDirection for a
+        zero d, RayBaseNotInterior when a z is not interior."""
         z, d = _ray(z, d)
-        if z.ndim == d.ndim == 1:
-            return exit_point(z, d)
-        z, d = np.broadcast_arrays(z, d)
-        rows = zip(z.reshape(-1, self.dim), d.reshape(-1, self.dim))
-        return np.reshape([exit_point(zk, dk) for zk, dk in rows], z.shape)
+        d = normalize(d)
+        if np.any(self.gauge(z) >= 1.0 - 1e-12):
+            raise RayBaseNotInterior("ray base point is not interior")
+        shape = np.broadcast_shapes(z.shape, d.shape)
+        z, d = (np.broadcast_to(a, shape).reshape(-1, self.dim) for a in (z, d))
+        # body is inside ball(center, R): each exit time is below its t_hi;
+        # each row solves for s = t / t_hi in [0, 1], to 1e-15 t_hi + 8.9e-16 t
+        t_hi = np.linalg.norm(z - self.center, axis=-1) + self.radius_bound()
+        f = lambda s, r: self.gauge(z[r] + (s * t_hi[r])[:, None] * d[r]) - 1.0
+        sol = find_root(f, (0.0, 1.0), args=(np.arange(len(z)),),
+                        tolerances=dict(xatol=1e-15, xrtol=8.9e-16))
+        check_roots(sol, lambda r: "ray exit at row %d" % r, "gauge - 1", "[0, t_hi]")
+        return (z + (sol.x * t_hi)[:, None] * d).reshape(shape)
 
     def body_id(self):
         digest = hashlib.blake2b(
@@ -332,6 +334,18 @@ class Polytope(ConvexBody):
         v = np.asarray(x, dtype=float) - self._c
         return _value((np.matvec(self._a, v) / self._b).max(axis=-1))
 
+    def boundary_point(self, z, d):
+        # the ray leaves through the first facet it reaches: t is the least
+        # slack b_i - <a_i, z - c> over <a_i, d> among the facets with <a_i, d> > 0
+        z, d = _ray(z, d)
+        az = np.matvec(self._a, z - self._c)
+        if np.any((az / self._b).max(axis=-1) >= 1.0 - 1e-12):
+            raise RayBaseNotInterior("ray base point is not interior")
+        ad = np.matvec(self._a, d)
+        t = np.divide(self._b - az, ad, where=ad > 0.0,
+                      out=np.full(np.broadcast_shapes(az.shape, ad.shape), np.inf))
+        return z + np.expand_dims(t.min(axis=-1), -1) * d
+
 
 class AffineImage(ConvexBody):
     """A K + b for an invertible matrix A and an inner body K."""
@@ -394,8 +408,8 @@ def ray_exit(body, base, d):
     """Boundary point along base + t*d, t > 0, for interior base; base and d
     broadcast as rows. One base point at the center takes the closed-form
     ray, keeping curve symmetries bit-exact. Raises NonFiniteInput for a
-    non-finite base or direction, RayBaseNotInterior for a base that is not
-    interior, on every body kind."""
+    non-finite base or direction, ZeroDirection for a zero direction,
+    RayBaseNotInterior for a base that is not interior, on every body kind."""
     base, d = _ray(base, d)
     off = base - body.center
     if off.ndim == 1 and np.sqrt(np.vecdot(off, off)) <= 1e-13 * (1.0 + body.diameter()):
@@ -429,7 +443,7 @@ def line_boundary_points(body, line):
         if g0 >= 1.0 - 1e-12:
             raise LineMissesBody("gauge minimum along the line is %.6f" % g0)
         base = line.at(t0)
-    return ray_exit(body, base, -line.direction), ray_exit(body, base, line.direction)
+    return tuple(ray_exit(body, base, np.stack([-line.direction, line.direction])))
 
 
 def o_symmetry_residual(body, center=None, seed=0):

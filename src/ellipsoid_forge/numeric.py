@@ -144,9 +144,8 @@ def find_root(f, init, args=(), tolerances=None, maxiter=None):
     normal) and frtol (0, scaled by min(|f(a)|, |f(b)|)). Status per row: 0
     converged, -1 no sign change, -2 iteration limit, -3 not finite.
 
-    Even a one-row call costs a few hundred microseconds, 6-9 times a
-    scalar brentq on the same ray exit, so callers gather their points into
-    the rows of one call."""
+    Even a one-row call costs a few hundred microseconds, so callers gather
+    their points into the rows of one call."""
     finfo = np.finfo(float)
     tol = dict(xatol=4 * finfo.smallest_normal, xrtol=4 * finfo.eps,
                fatol=finfo.smallest_normal, frtol=0.0)

@@ -112,8 +112,7 @@ class PlanarSection:
     def boundary2(self, d2, base2=None):
         """Section boundary point from base2 (default: chart origin) along d2."""
         base_w = self.origin if base2 is None else self.to_world(base2)
-        return self.to_chart(ray_exit(self.body, base_w,
-                                      np.vecmat(normalize(d2), self.basis)))
+        return self.to_chart(ray_exit(self.body, base_w, np.vecmat(d2, self.basis)))
 
     def gauge2(self, p2, base2=None):
         """Gauge of the step p2 from base2 (default: chart origin): 1 exactly
@@ -275,8 +274,9 @@ def central_symmetry(sec, tol=1e-7, m=96, seed=0):
 
 def _check_on_boundary(sec, p2, tol=1e-8):
     g = sec.gauge2(p2)
-    if abs(g - 1.0) > tol:
-        raise EndpointNotOnBoundary("gauge %.9f at a chord endpoint" % g)
+    far = np.abs(g - 1.0) > tol
+    if far.any():
+        raise EndpointNotOnBoundary("gauge %.9f at a chord endpoint" % g[far][0])
 
 
 def affine_diameter_residual(sec, a2, b2):
@@ -284,8 +284,7 @@ def affine_diameter_residual(sec, a2, b2):
     anti-parallelism. Needs a smooth body: normal_at raises NonSmoothBody."""
     a2 = np.asarray(a2, dtype=float)
     b2 = np.asarray(b2, dtype=float)
-    _check_on_boundary(sec, a2)
-    _check_on_boundary(sec, b2)
+    _check_on_boundary(sec, np.stack([a2, b2]))
     return angle_between(sec.normal2_at(a2), -sec.normal2_at(b2))
 
 

@@ -13,11 +13,9 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bodies import (
     is_o_symmetric,
-    line_boundary_points,
     line_min_gauge,
     o_symmetry_residual,
     ray_exit,
@@ -29,7 +27,6 @@ from .errors import (
     BodiesNotNested,
     DegenerateLines,
     GeometryError,
-    LineMissesBody,
     NonSmoothBody,
     NotOSymmetric,
     PlaneMissesBody,
@@ -40,7 +37,9 @@ from .fitting import ELLIPSE, fit_hyperplane, fit_planar_conic, fit_quadric
 from .numeric import (
     angle_between,
     circle_directions,
+    check_roots,
     cloud_diameter,
+    find_root,
     floored,
     hausdorff,
     line_angle,
@@ -308,13 +307,13 @@ def _tangent_planes_through_line(body, p0, e):
 
     grid = np.linspace(0.0, 2.0 * np.pi, 257)
     vals = f(grid)
-    roots = []
-    for i in range(256):
-        if vals[i] * vals[i + 1] < 0.0:
-            roots.append(brentq(f, grid[i], grid[i + 1], xtol=1e-14, rtol=8.9e-16))
-    if len(roots) != 2:
+    cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    if len(cells) != 2:
         return None
-    return [np.cos(t) * f1 + np.sin(t) * f2 for t in roots]
+    sol = find_root(f, (grid[cells], grid[cells + 1]),
+                    tolerances=dict(xatol=1e-14, xrtol=8.9e-16))
+    check_roots(sol, lambda r: "tangent plane %d" % r, "h(nu) - <p0, nu>")
+    return [np.cos(t) * f1 + np.sin(t) * f2 for t in sol.x]
 
 
 def _graze_polar_agreement(body, apex, plane, m, seed):
@@ -817,20 +816,15 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
         d_w = d_w / nd
         d2 = normalize(sec_v.basis @ d_w)
         e2 = np.array([-d2[1], d2[0]])
-        h = sec_v.support2(np.stack([e2, -e2]))
-        h_plus = float(h[0] - c2 @ e2)
-        h_minus = float(h[1] + c2 @ e2)
-        mids = []
-        for s in np.linspace(-0.8 * h_minus, 0.8 * h_plus, 15):
-            base_w = sec_v.to_world(c2 + s * e2)
-            try:
-                a, b = line_boundary_points(k_body, Line(base_w, d_w))
-            except LineMissesBody:
-                continue
-            mids.append(0.5 * (a + b))
-        if len(mids) < 5:
-            continue
-        mids = np.array(mids)
+        # the chord at offset s along e2 passes through c2 + (s / k)(q - c2), with
+        # q the support point on s's side and k = <q - c2, e2>: interior by convexity
+        q = sec_v.support_point2(np.stack([e2, -e2]))
+        k = np.vecdot(q - c2, e2)
+        s = np.linspace(0.8 * k[1], 0.8 * k[0], 15)
+        j = (s < 0.0).astype(int)
+        bases = sec_v.to_world(c2 + (s / k[j])[:, None] * (q[j] - c2))
+        a, b = ray_exit(k_body, bases, np.stack([-d_w, d_w])[:, None])
+        mids = 0.5 * (a + b)
         spread = cloud_diameter(mids)
         if spread <= 1e-12 * diam:
             continue

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import ConvexHull
 
 from ellipsoid_forge import (
     AffineImage,
+    ConvexBody,
     Ellipsoid,
     Line,
     PBall,
@@ -296,6 +298,35 @@ def test_support_of_a_zero_direction_raises_typed_error(body):
 
 
 @pytest.mark.parametrize("body", [
+    Ellipsoid(np.array([0.1, -0.2, 0.05]), _random_spd(np.random.default_rng(6))),
+    Polytope(np.random.default_rng(7).normal(size=(14, 3))),
+    Polytope([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]),
+], ids=["ellipsoid", "polytope", "cube"])
+def test_exact_ray_exits_match_the_generic_row_solve(body):
+    # the closed-form exits against ConvexBody's row solve on the gauge, from
+    # random interior bases, from bases 1e-6 inside the boundary, and, on a
+    # polytope, along the facet nearest such a base (<a_i, d> = 0 rows, to
+    # the last bit on the cube's axis-aligned facets)
+    rng = np.random.default_rng(9)
+    c = body.center
+    reach = np.concatenate([rng.uniform(0.0, 0.95, 48), np.full(24, 1.0 - 1e-6)])
+    z = c + reach[:, None] * (body.boundary_from_center(rng.normal(size=(72, 3))) - c)
+    d = rng.normal(size=(72, 3))
+    if isinstance(body, Polytope):
+        eq = ConvexHull(body.vertices).equations
+        a, b = eq[:, :3], -eq[:, 3] - eq[:, :3] @ c
+        facet = a[(np.matvec(a, z[48:] - c) / b).argmax(axis=-1)]
+        along = d[48:] - np.vecdot(d[48:], facet)[:, None] * facet
+        z, d = np.concatenate([z, z[48:]]), np.concatenate([d, along])
+    exact = body.boundary_point(z, d)
+    generic = ConvexBody.boundary_point(body, z, d)
+    assert np.abs(exact - generic).max() <= 1e-13 * body.diameter()
+    for x in (exact, generic):
+        assert np.abs(body.gauge(x) - 1.0).max() <= 1e-13
+        assert np.all(np.vecdot(x - z, d) > 0.0)
+
+
+@pytest.mark.parametrize("body", [
     Ellipsoid(np.array([0.1, -0.2, 0.05]), np.diag([1.0, 4.0, 9.0])),
     PBall(4.0, (1.0, 1.0, 1.0)),
     Polytope(np.vstack([np.eye(3), -np.eye(3)])),
@@ -317,12 +348,24 @@ def test_ray_exit_failures_are_typed_on_every_kind(body):
             ray_exit(body, base, d)
         with pytest.raises(RayBaseNotInterior):
             body.boundary_point(base, d)
+    zero = np.zeros(3)
+    for base, dirs in ((c, zero), (inside, zero), (c, np.stack([d, zero])),
+                       (np.stack([c, inside]), np.stack([zero, d]))):
+        with pytest.raises(ZeroDirection):
+            ray_exit(body, base, dirs)
+        with pytest.raises(ZeroDirection):
+            body.boundary_point(base, dirs)
     # through a section chart too
     sec = section(body, Hyperplane(np.array([0.0, 0.0, 1.0]), float(c[2])))
     with pytest.raises(NonFiniteInput):
         sec.boundary2([1.0, 0.0], base2=[np.nan, 0.0])
     with pytest.raises(RayBaseNotInterior):
         sec.boundary2([1.0, 0.0], base2=[3.0 * body.radius_bound(), 0.0])
+    for base2 in (None, sec.to_chart(inside)):
+        with pytest.raises(ZeroDirection):
+            sec.boundary2([0.0, 0.0], base2=base2)
+        with pytest.raises(ZeroDirection):
+            sec.boundary2([[1.0, 0.0], [0.0, 0.0]], base2=base2)
 
 
 # --------------------------------------------------------------- symmetry

@@ -220,7 +220,7 @@ def test_cone_intersection_apex_line_off_centre():
 ], ids=["pball", "affine-image"])
 def test_cone_intersection_off_centre_lies_on_both_cones(body):
     # the apex line passes 0.3 from the centre, so the sweep rays leave from
-    # an off-centre base through the row-looped boundary_point
+    # an off-centre base through the generic boundary_point's row solve
     c = body.center
     x = c + np.array([2.5, 0.2, -0.1])
     y = c + np.array([-2.5, 0.4, 0.1])

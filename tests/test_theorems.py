@@ -33,7 +33,8 @@ from ellipsoid_forge.errors import (
     PointOnBoundary,
     UnsupportedDimension,
 )
-from ellipsoid_forge.theorems import _graze_polar_agreement
+from ellipsoid_forge.theorems import (_graze_polar_agreement,
+                                     _tangent_planes_through_line)
 
 from conftest import random_affine
 
@@ -135,6 +136,26 @@ def test_polar_of_graze_comparison(unit_ball, l4_unit):
     assert loose.classification == "not a pole"
     assert loose.detail["graze_disagrees"]
     assert loose.graze_hausdorff == pytest.approx(0.0968, abs=1e-4)
+
+
+def test_tangent_planes_through_line_match_the_ball_closed_form():
+    """A line at distance D from the centre of a ball of radius R < D lies in
+    the two supporting planes whose normals sit at +-arccos(R / D) from the
+    foot direction, about the line; a line through the ball lies in none."""
+    r, dist = 1.3, 2.1
+    c = np.array([0.2, -0.1, 0.4])
+    ball = Ellipsoid.ball(r, center=c)
+    foot = np.array([1.0, 0.4, -0.3]) / np.linalg.norm([1.0, 0.4, -0.3])
+    e = np.cross(foot, [0.2, 1.0, 0.5])
+    e /= np.linalg.norm(e)
+    w = np.cross(e, foot)
+    alpha = np.arccos(r / dist)
+    want = [np.cos(alpha) * foot + sign * np.sin(alpha) * w for sign in (1.0, -1.0)]
+    got = _tangent_planes_through_line(ball, c + dist * foot + 0.7 * e, e)
+    assert len(got) == 2
+    got = sorted(got, key=lambda nu: -float(nu @ w))
+    assert np.abs(np.array(got) - want).max() <= 1e-12
+    assert _tangent_planes_through_line(ball, c + 0.8 * r * foot, e) is None
 
 
 def test_graze_polar_agreement_off_the_body(unit_ball):
