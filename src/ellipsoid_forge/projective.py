@@ -234,19 +234,16 @@ def harmonic_conjugate(a, b, o):
     return HPoint(coords)
 
 
-def fit_hyperplane_projective(points, spatial_scale=1.0):
-    """Least-squares projective hyperplane through HPoints.
+def fit_hyperplane_projective(rows, spatial_scale=1.0):
+    """Least-squares projective hyperplane through (m, n+1) homogeneous rows.
 
     Spatial coordinates are pre-divided by spatial_scale for conditioning.
     Returns (hyperplane_or_infinity, max_incidence_residual, rank_gap) where
     the residual is |c . p| over unit-normalized rows and coefficients.
     """
-    rows = []
-    for p in points:
-        c = p.coords.copy()
-        c[:-1] = c[:-1] / spatial_scale
-        rows.append(c / np.linalg.norm(c))
-    m = np.stack(rows)
+    m = np.array(rows, dtype=float)
+    m[:, :-1] /= spatial_scale
+    m /= np.sqrt(np.vecdot(m, m))[:, None]
     u, s, vt = np.linalg.svd(m, full_matrices=True)
     n1 = m.shape[1]  # n+1
     rank_gap = s[n1 - 2] / s[0] if len(s) >= n1 - 1 else 0.0

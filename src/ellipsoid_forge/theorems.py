@@ -26,8 +26,10 @@ from .errors import (
     BallTooLarge,
     BodiesNotNested,
     DegenerateLines,
+    DegenerateQuadruple,
     GeometryError,
     NonSmoothBody,
+    NotANorm,
     NotOSymmetric,
     PlaneMissesBody,
     PointOnBoundary,
@@ -54,9 +56,7 @@ from .projective import (
     HPoint,
     Hyperplane,
     Line,
-    cross_ratio,
     fit_hyperplane_projective,
-    harmonic_conjugate,
 )
 
 SCHEMA = "ellipsoid-forge/report-v1"
@@ -222,14 +222,18 @@ class _CheckRun:
         return fit
 
     def radon_stage(self, name, kind, sections, k, /, **detail):
-        """Worst conjugacy defect of is_radon_curve over the sections."""
-        worst, ok = 0.0, True
+        """Worst conjugacy defect of is_radon_curve; an asymmetric section scores 1.0."""
+        worst, ok, asymmetric = 0.0, True, 0
         for sec in sections:
-            rr = is_radon_curve(sec, k=k, contact_tol=self.tol["contact"],
-                                seed=self.seed)
-            ok = ok and rr.ok
-            d = rr.worst_defect
+            try:
+                rr = is_radon_curve(sec, k=k, contact_tol=self.tol["contact"],
+                                    seed=self.seed)
+                ok, d = ok and rr.ok, rr.worst_defect
+            except NotANorm:
+                ok, d, asymmetric = False, np.inf, asymmetric + 1
             worst = max(worst, d if np.isfinite(d) else 1.0)
+        if asymmetric:
+            detail["not_centrally_symmetric"] = asymmetric
         self.stage(name, kind, worst, "contact", ok, **detail)
 
     def report(self, inputs=None, branch=None):
@@ -375,31 +379,30 @@ def polar_of(body, o, m=64, seed=0, tolerances=None):
     diam = body.diameter()
     c = body.center
     dirs = sphere_directions(n, m, seed=seed)
-    if interior:
-        starts, chords = o, [Line(o, d) for d in dirs]
-    else:
-        # through interior targets, so every chord starts inside the body
-        starts = c + 0.85 * (body.boundary_from_center(dirs) - c)
-        chords = [Line(t, t - o) for t in starts]
-    aims = np.array([ln.direction for ln in chords])
-    o_h = HPoint.from_affine(o)
-    conjugates = []
-    lines = []
-    for ln, a, b in zip(chords, ray_exit(body, starts, -aims),
-                        ray_exit(body, starts, aims)):
-        conjugates.append(
-            harmonic_conjugate(HPoint.from_affine(a), HPoint.from_affine(b), o_h))
-        lines.append((ln, a, b))
+    # exterior lines run through interior targets, so every chord starts inside
+    starts = o if interior else c + 0.85 * (body.boundary_from_center(dirs) - c)
+    aims = normalize(dirs if interior else starts - o)
+    # on the line o + t * aim the chord ends sit at t = ta, tb, and the harmonic
+    # conjugate of o at t = 2 ta tb / s: the row (s o + 2 ta tb aim, s)
+    ta, tb = np.vecdot(ray_exit(body, starts, np.stack([-aims, aims])) - o, aims)
+    s = ta + tb
     polar, fit_residual, rank_gap = fit_hyperplane_projective(
-        conjugates, spatial_scale=diam)
+        np.column_stack([np.multiply.outer(s, o) + (2.0 * ta * tb)[:, None] * aims, s]),
+        spatial_scale=diam)
     if rank_gap <= 1e-9:
         raise DegenerateLines("conjugate cloud is rank deficient (gap %.3e)"
                               % rank_gap)
-    cr_residual = 0.0
-    for ln, a, b in lines:
-        q = polar.intersect_line(ln)
-        cr = cross_ratio(HPoint.from_affine(a), HPoint.from_affine(b), o_h, q)
-        cr_residual = max(cr_residual, abs(cr + 1.0))
+    # the polar meets each line at t = num / den, (1 : 0) where they are parallel
+    num, den = ((1.0, 0.0) if polar.is_infinite
+                else (polar.offset - polar.normal @ o, aims @ polar.normal))
+    far = np.abs(den) <= 1e-14 * (1.0 + np.abs(num))
+    num, den = np.where(far, 1.0, num), np.where(far, 0.0, den)
+    # cross ratio [a, b; o, q] = ta (tb den - num) / (tb (ta den - num))
+    gap = ta * den - num
+    at_a = np.flatnonzero(np.abs(gap) <= 1e-14 * (np.abs(ta * den) + np.abs(num)))
+    if at_a.size:
+        raise DegenerateQuadruple("the polar meets chord %d at an end" % at_a[0])
+    cr_residual = float(np.abs(ta * (tb * den - num) / (tb * gap) + 1.0).max())
     residual = fit_residual + cr_residual
     if residual <= tol["pole"]:
         classification = ("projective centre" if interior
@@ -423,7 +426,7 @@ def polar_of(body, o, m=64, seed=0, tolerances=None):
             classification = "not a pole"
             detail["graze_disagrees"] = True
     return PoleResult(
-        pole=o_h,
+        pole=HPoint.from_affine(o),
         polar=polar,
         classification=classification,
         residual=float(residual),

@@ -164,7 +164,7 @@ def test_fit_hyperplane_projective_exact_plane():
     e1, e2 = np.linalg.svd(n.reshape(1, 3))[2][1:]
     pts = [HPoint.from_affine(offset * n + a * e1 + b * e2)
            for a, b in rng.uniform(-1, 1, (12, 2))]
-    h, resid, _ = fit_hyperplane_projective(pts)
+    h, resid, _ = fit_hyperplane_projective(np.stack([p.coords for p in pts]))
     assert not h.is_infinite
     assert resid < 1e-12
     # orientation is normalized, so compare against both signs explicitly
@@ -176,6 +176,6 @@ def test_fit_hyperplane_projective_exact_plane():
 def test_fit_hyperplane_projective_at_infinity():
     rng = np.random.default_rng(6)
     pts = [HPoint.at_infinity(rng.normal(size=3)) for _ in range(8)]
-    h, resid, _ = fit_hyperplane_projective(pts)
+    h, resid, _ = fit_hyperplane_projective(np.stack([p.coords for p in pts]))
     assert h is INFINITY_HYPERPLANE
     assert resid < 1e-12

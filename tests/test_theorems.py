@@ -12,7 +12,9 @@ from ellipsoid_forge import (
     SCHEMA,
     AffineImage,
     Ellipsoid,
+    HPoint,
     Hyperplane,
+    Line,
     PBall,
     Polytope,
     check_theorem1,
@@ -21,11 +23,17 @@ from ellipsoid_forge import (
     check_theorem4,
     check_theorem_basico,
     check_theorem_radon,
+    cross_ratio,
+    fit_hyperplane_projective,
+    harmonic_conjugate,
+    line_boundary_points,
     polar_of,
+    theorems,
 )
 from ellipsoid_forge.errors import (
     BallTooLarge,
     BodiesNotNested,
+    DegenerateQuadruple,
     GeometryError,
     NonFiniteInput,
     NonSmoothBody,
@@ -33,6 +41,7 @@ from ellipsoid_forge.errors import (
     PointOnBoundary,
     UnsupportedDimension,
 )
+from ellipsoid_forge.numeric import normalize, sphere_directions
 from ellipsoid_forge.theorems import (_graze_polar_agreement,
                                      _tangent_planes_through_line)
 
@@ -183,6 +192,81 @@ def test_polar_of_checks_its_point(unit_ball):
         polar_of(unit_ball, np.array([2.0, 0.0]))
 
 
+def _reference_polar(body, o, m, seed):
+    """polar_of's projective route, one chord at a time: the harmonic
+    conjugate of each chord, one fit over their coordinates, and the cross
+    ratio of each chord against where the fitted polar meets its line."""
+    o_h = HPoint.from_affine(o)
+    dirs = sphere_directions(3, m, seed=seed)
+    interior = body.gauge(o) < 1.0
+    if interior:
+        lines = [Line(o, d) for d in dirs]
+    else:
+        c = body.center
+        lines = [Line(t, t - o) for t in c + 0.85 * (body.boundary_from_center(dirs) - c)]
+    chords = [line_boundary_points(body, ln) for ln in lines]
+    conjugates = [harmonic_conjugate(a, b, o_h) for a, b in chords]
+    polar, fit_residual, _ = fit_hyperplane_projective(
+        np.stack([q.coords for q in conjugates]), spatial_scale=body.diameter())
+    cr_residual = max(abs(cross_ratio(a, b, o_h, polar.intersect_line(ln)) + 1.0)
+                      for ln, (a, b) in zip(lines, chords))
+    if fit_residual + cr_residual > DEFAULT_TOLERANCES["pole"]:
+        classification = "not a pole"
+    elif interior:
+        classification = "projective centre"
+    else:
+        classification = "projective hyperplane of symmetry"
+    return polar, fit_residual, cr_residual, classification
+
+
+def _reference_bodies():
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(3, 3))
+    return {
+        "ball": Ellipsoid(np.zeros(3), np.eye(3)),
+        "ellipsoid": Ellipsoid(np.array([0.2, -0.1, 0.3]), a @ a.T + 0.5 * np.eye(3)),
+        "l4": PBall(4.0, (1.0, 1.0, 1.0)),
+        "octahedron": Polytope(np.vstack([np.eye(3), -np.eye(3)])),
+        "affine l3": AffineImage(*random_affine(3), PBall(3.0, (1.0, 0.8, 1.2))),
+    }
+
+
+@pytest.mark.parametrize("where", ["interior", "centre", "exterior"])
+@pytest.mark.parametrize("name", list(_reference_bodies()))
+def test_polar_of_matches_the_projective_reference(name, where):
+    """The row computation on the chord parameter gives the polar, the
+    residuals and the classification of the per-chord projective route.
+    The graze cross-check runs after both and is not rebuilt here."""
+    body = _reference_bodies()[name]
+    c = body.center
+    u = normalize(np.array([0.6, -0.3, 0.45]))
+    o = {"interior": c + 0.3 * (body.boundary_from_center(u) - c),
+         "centre": c,
+         "exterior": c + 2.5 * (body.boundary_from_center(u) - c)}[where]
+    m, seed = 32, 3
+    polar, fit_residual, cr_residual, classification = _reference_polar(body, o, m, seed)
+    res = polar_of(body, o, m=m, seed=seed)
+    assert res.classification == classification
+    assert res.polar.is_infinite == polar.is_infinite
+    if not polar.is_infinite:
+        assert np.abs(res.polar.normal - polar.normal).max() <= 1e-12
+        assert res.polar.offset == pytest.approx(polar.offset, abs=1e-12)
+    assert res.fit_residual == pytest.approx(fit_residual, abs=1e-12)
+    assert res.cr_residual == pytest.approx(cr_residual, abs=1e-12)
+
+
+def test_polar_of_raises_when_the_polar_meets_a_chord_end(unit_ball, monkeypatch):
+    """A polar through a chord end makes that chord's cross ratio unbounded:
+    a typed failure naming the chord, never an inf or NaN residual."""
+    m, seed = 16, 0
+    end = -sphere_directions(3, m, seed=seed)[0]  # chord 0's end on the -aim side
+    plane = Hyperplane.from_point_normal(end, np.array([1.0, 2.0, 3.0]))
+    monkeypatch.setattr(theorems, "fit_hyperplane_projective",
+                        lambda rows, spatial_scale: (plane, 0.0, 1.0))
+    with pytest.raises(DegenerateQuadruple, match="chord 0"):
+        polar_of(unit_ball, np.zeros(3), m=m, seed=seed)
+
+
 # --------------------------------------------------------------------- t1
 
 
@@ -285,6 +369,20 @@ def test_t2_l4_outer_violates_matching_hypothesis(l4_unit):
     assert stage.residual > stage.tolerance
     assert _stage(report, "concentric-centers").verdict == "skip"
     assert _stage(report, "homothetic-shapes").verdict == "skip"
+
+def test_t2_off_centre_sections_that_are_not_symmetric_fail_the_radon_stage(l4_unit):
+    """Sections of the l4 ball through an off-centre p are not centrally
+    symmetric: each is scored as a failed Radon section, and the report
+    comes back instead of the Radon test raising NotANorm."""
+    report = check_theorem2(Ellipsoid.ball(0.5), l4_unit, [0.1, 0.05, -0.03],
+                            apexes=4, m=32, chords=12, radon_k=16)
+    assert report.verdict == "hypothesis-violated"
+    stage = _stage(report, "cone-intersection-matches-section")
+    assert stage.verdict == "fail"
+    assert stage.residual == pytest.approx(0.296, abs=1e-3)
+    radon = _stage(report, "sections-are-radon")
+    assert radon.residual == 1.0
+    assert radon.detail["not_centrally_symmetric"] == 2
 
 
 # --------------------------------------------------------------------- t3
