@@ -406,15 +406,27 @@ class AffineImage(ConvexBody):
 
 def ray_exit(body, base, d):
     """Boundary point along base + t*d, t > 0, for interior base; base and d
-    broadcast as rows. One base point at the center takes the closed-form
-    ray, keeping curve symmetries bit-exact. Raises NonFiniteInput for a
-    non-finite base or direction, ZeroDirection for a zero direction,
+    broadcast as rows. A base at the center, one point or row by row, takes
+    the closed-form ray, keeping curve symmetries bit-exact; the other rows
+    take one boundary_point call. Raises NonFiniteInput for a non-finite
+    base or direction, ZeroDirection for a zero direction,
     RayBaseNotInterior for a base that is not interior, on every body kind."""
     base, d = _ray(base, d)
     off = base - body.center
-    if off.ndim == 1 and np.sqrt(np.vecdot(off, off)) <= 1e-13 * (1.0 + body.diameter()):
-        return body.boundary_from_center(d)
-    return body.boundary_point(base, d)
+    near = np.sqrt(np.vecdot(off, off)) <= 1e-13 * (1.0 + body.diameter())
+    if near.ndim == 0:
+        return body.boundary_from_center(d) if near else body.boundary_point(base, d)
+    if near.all():
+        return body.boundary_from_center(
+            np.broadcast_to(d, np.broadcast_shapes(base.shape, d.shape)))
+    if not near.any():
+        return body.boundary_point(base, d)
+    base, d = np.broadcast_arrays(base, d)
+    near = np.broadcast_to(near, base.shape[:-1])
+    out = np.empty(base.shape)
+    out[near] = body.boundary_from_center(d[near])
+    out[~near] = body.boundary_point(base[~near], d[~near])
+    return out
 
 
 def line_min_gauge(body, line):

@@ -8,9 +8,13 @@ is 0. The sweep turns 2-planes about an axis through a base point and finds,
 in each, the sign change of g along the section boundary. For a smooth
 strictly convex section seen from an in-plane exterior apex the visible arc
 is connected, so g changes sign exactly once on the half-turn (0, pi) and a
-bracketing solver is safe. All planes and apexes are one vectorised
-Chandrupatla solve (numeric.find_root) over the row oracles. The sweep
-needs two directions orthogonal to the axis: n >= 3.
+bracketing solver is safe. All curves, planes and apexes of a call are one
+vectorised Chandrupatla solve (numeric.find_root) over the row oracles. The
+sweep needs two directions orthogonal to the axis: n >= 3.
+
+graze and cone_intersection take one apex (or pair) of shape (n,) and give
+one CurveSample, or (k, n) rows and give a list of k CurveSamples from one
+sweep, each equal to the curve of its row; an error then names the row.
 """
 
 import json
@@ -76,77 +80,102 @@ def _require_smooth(body):
             "tangency sweeps need a smooth body; got kind %r" % body.kind)
 
 
-def _finite_vector(body, v, what):
+def _row(v, r):
+    """' row r' when v holds (k, n) rows; '' for one (n,) vector."""
+    return " row %d" % r if np.ndim(v) > 1 else ""
+
+
+def _finite_vector(body, v, what, rows=False):
+    """v as one (n,) vector, or as (k, n) rows when rows is set, each of
+    them finite."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (body.dim,):
+    if v.shape[-1:] != (body.dim,) or v.ndim > 1 + rows or not v.size:
         raise UnsupportedDimension("%s has shape %s; the body has dimension %d"
                                    % (what, v.shape, body.dim))
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteInput("%s %s is not finite" % (what, v.tolist()))
+    if not np.isfinite(v).all():
+        r = int(np.argmin(np.isfinite(np.atleast_2d(v)).all(axis=1)))
+        raise NonFiniteInput("%s%s %s is not finite"
+                             % (what, _row(v, r), np.atleast_2d(v)[r].tolist()))
     return v
 
 
 def _exterior_apex(body, apex):
-    """apex as a point, when it is finite and strictly outside the body."""
-    apex = _finite_vector(body, apex, "apex")
-    g = body.gauge(apex)
-    if g <= 1.0 + 1e-9:
-        raise ApexInsideBody("apex gauge %.9f" % g)
+    """apex as one point or (k, n) rows, when each is finite and strictly
+    outside the body."""
+    apex = _finite_vector(body, apex, "apex", rows=True)
+    g = np.atleast_1d(body.gauge(apex))
+    inside = g <= 1.0 + 1e-9
+    if inside.any():
+        r = int(np.argmax(inside))
+        raise ApexInsideBody("apex%s gauge %.9f" % (_row(apex, r), g[r]))
     return apex
 
 
-def _tangency_sweep(body, base, axis, apexes, m, seed):
-    """Tangency points of homogeneous apexes in m sweep planes about an axis.
+def _tangency_sweep(body, base, axes, apexes, w, m, seed):
+    """Tangency points of homogeneous apexes in m sweep planes about each of
+    S axes.
 
-    Sweep plane j is span(axis, v_j) through base. For each apex (a, w) the
-    root of g(phi) = <a - w gamma, nu(gamma)> in (0, pi) is the in-plane, and
-    so the full, tangency. One find_root solves all m x apexes rows at once;
-    row r is plane r // k and apex r % k, and the row indices go through
-    args because find_root hands g only the rows still active. Returns the
-    points, shape (m, apexes, n), their residuals |g| (divided by |a - p| for
-    a finite apex), the plane directions v_j as rows, and the sweep's curve
-    meta. A row that does not converge raises a GeometryError naming its
-    plane and apex (NoSignChange when (0, pi) brackets no root).
+    Sweep s turns the planes span(axes[s], v_sj), j < m, about the line
+    through base[s] (one (n,) base serves every sweep, and a base at the
+    center keeps ray_exit's closed form). Its k apexes are (apexes[s, i], w):
+    w = 1 for points, w = 0 for directions at infinity. For each apex the
+    root of g(phi) = <a - w gamma, nu(gamma)> in (0, pi) is the in-plane,
+    and so the full, tangency. One find_root solves all S x m x k rows at
+    once. Row r is sweep r // (m k), plane r // k % m and apex r % k; each
+    row's axis, plane, apex and base are laid out before the solve, and the
+    row indices go through args because find_root hands g only the rows
+    still active. Returns the points, shape (S, m, k, n), their residuals
+    |g| (divided by |a - p| for finite apexes), shape (S, m, k), the plane
+    directions v_sj, shape (S, m, n), and a list of S curve metas. A row
+    that does not converge raises a GeometryError naming its plane and apex,
+    and its curve when axes are (S, n) rows; one (n,) axis is one sweep
+    whose curve goes unnamed (NoSignChange when (0, pi) brackets no root).
     """
     if body.dim < 3:
         raise UnsupportedDimension(
             "tangency sweeps need dimension >= 3; got %d" % body.dim)
-    frame = unit_frame(axis)
-    w1, w2 = frame[:, 0], frame[:, 1]
+    named = np.ndim(axes) > 1
+    axes = np.atleast_2d(axes)
+    n, sweeps = body.dim, len(axes)
+    apexes = np.reshape(apexes, (sweeps, -1, n))
+    k = apexes.shape[1]
+    frames = np.stack([unit_frame(axis) for axis in axes])
     # tiny seeded phase so axis-aligned coordinate flats are never hit exactly
     phi0 = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi / max(m, 1))
     angles = phi0 + 2.0 * np.pi * np.arange(m) / m
-    planes = np.cos(angles)[:, None] * w1 + np.sin(angles)[:, None] * w2
-    k = len(apexes)
-    a = np.array([ap for ap, _ in apexes], dtype=float)
-    w = np.array([wt for _, wt in apexes], dtype=float)
+    planes = (np.cos(angles)[:, None] * frames[:, None, :, 0]
+              + np.sin(angles)[:, None] * frames[:, None, :, 1])
+    # the rows' axes, planes, apexes and bases, in row order
+    row_axis = np.repeat(axes, m * k, axis=0)
+    row_plane = np.repeat(planes.reshape(-1, n), k, axis=0)
+    row_apex = np.broadcast_to(apexes[:, None], (sweeps, m, k, n)).reshape(-1, n)
+    row_base = base if np.ndim(base) == 1 else np.repeat(base, m * k, axis=0)
 
     def contact(phi, r):
         """Points, aims a - w p and g on rows r at angles phi."""
-        dirs = (np.cos(phi)[:, None] * axis
-                + np.sin(phi)[:, None] * planes[r // k])
-        p = ray_exit(body, base, dirs)
-        aim = a[r % k] - w[r % k, None] * p
+        dirs = (np.cos(phi)[:, None] * row_axis[r]
+                + np.sin(phi)[:, None] * row_plane[r])
+        p = ray_exit(body, row_base if row_base.ndim == 1 else row_base[r], dirs)
+        aim = row_apex[r] - w * p
         return p, aim, np.vecdot(aim, body.normal_at(p))
 
-    rows = np.arange(m * k)
+    rows = np.arange(sweeps * m * k)
     sol = find_root(lambda phi, r: contact(phi, r)[2],
-                    (np.zeros(m * k), np.full(m * k, np.pi)), args=(rows,),
-                    tolerances=dict(xatol=1e-14, xrtol=8.9e-16))
-    check_roots(sol, lambda r: "tangency sweep, plane %d, apex %d"
-                % (r // k, r % k), "g", "(0, pi)")
+                    (np.zeros(rows.size), np.full(rows.size, np.pi)),
+                    args=(rows,), tolerances=dict(xatol=1e-14, xrtol=8.9e-16))
+
+    def where(r):
+        s, j, i = np.unravel_index(r, (sweeps, m, k))
+        return "tangency sweep, %splane %d, apex %d" % (
+            "curve %d, " % s if named else "", j, i)
+    check_roots(sol, where, "g", "(0, pi)")
     p, aim, g = contact(sol.x, rows)
-    finite = w[rows % k] != 0.0
-    res = np.abs(g) / np.where(finite, np.sqrt(np.vecdot(aim, aim)), 1.0)
-    pts = p.reshape(m, k, body.dim)
-    res = res.reshape(m, k)
-    meta = {
-        "axis_point": [float(t) for t in base],
-        "axis_dir": [float(t) for t in axis],
-        "frame": [[float(t) for t in w1], [float(t) for t in w2]],
-        "angles": [float(t) for t in angles],
-    }
-    return pts, res, planes, meta
+    res = np.abs(g) / np.sqrt(np.vecdot(aim, aim)) if w else np.abs(g)
+    metas = [{"axis_point": b.tolist(), "axis_dir": a.tolist(),
+              "frame": f.T[:2].tolist(), "angles": angles.tolist()}
+             for b, a, f in zip(np.broadcast_to(base, axes.shape), axes, frames)]
+    return (p.reshape(sweeps, m, k, n), res.reshape(sweeps, m, k), planes,
+            metas)
 
 
 def _curve(kind, body, inputs, m, seed, points, residuals, sweep_meta):
@@ -158,17 +187,20 @@ def _curve(kind, body, inputs, m, seed, points, residuals, sweep_meta):
 def graze(body, apex, m=200, seed=0):
     """Contact curve of the support cone: points of bd L whose tangent
     hyperplane passes through the apex. Ordered by sweep angle about the
-    apex-center axis."""
+    apex-center axis. apex may be (k, n) rows: the result is then a list of
+    k curves from one sweep, each equal to the graze of its row."""
     require_sizes("graze", {"m": m}, least={"m": 3})
     _require_smooth(body)
     apex = _exterior_apex(body, apex)
     c = body.center
     # g(0) > 0 and g(pi) < 0: the ray from the center toward the apex exits
     # through a point whose normal has positive axis component
-    pts, res, _, sweep = _tangency_sweep(body, c, normalize(apex - c),
-                                         [(apex, 1.0)], m, seed)
-    return _curve("graze", body, {"apex": [float(t) for t in apex]}, m, seed,
-                  pts[:, 0], res[:, 0], sweep)
+    pts, res, _, sweeps = _tangency_sweep(body, c, normalize(apex - c), apex,
+                                          1.0, m, seed)
+    curves = [_curve("graze", body, {"apex": a.tolist()}, m, seed, p[:, 0],
+                     r[:, 0], sweep)
+              for a, p, r, sweep in zip(np.atleast_2d(apex), pts, res, sweeps)]
+    return curves if apex.ndim > 1 else curves[0]
 
 
 def support_cone(body, apex, m=200, seed=0):
@@ -184,64 +216,80 @@ def shadow_boundary(body, direction, m=200, seed=0):
     if not u.any():
         raise ZeroDirection("the illumination direction is zero")
     u = normalize(u)
-    pts, res, _, sweep = _tangency_sweep(body, body.center, u, [(u, 0.0)],
-                                         m, seed)
-    return _curve("shadow", body, {"direction": [float(t) for t in u]}, m,
-                  seed, pts[:, 0], res[:, 0], sweep)
+    pts, res, _, (sweep,) = _tangency_sweep(body, body.center, u, u, 0.0, m,
+                                            seed)
+    return _curve("shadow", body, {"direction": u.tolist()}, m, seed,
+                  pts[0, :, 0], res[0, :, 0], sweep)
 
 
 def cone_intersection(body, x, y, m=200, seed=0):
     """Sampled intersection curve of the two support-cone boundaries from
     apexes x and y. Requires the apex line to cross the body interior so that
-    every sweep plane through it sections the body."""
+    every sweep plane through it sections the body. x and y may be (k, n)
+    rows of apex pairs: the result is then a list of k curves from one
+    sweep, each equal to the curve of its pair, and an error names the row
+    of its pair."""
     require_sizes("cone_intersection", {"m": m}, least={"m": 3})
     _require_smooth(body)
-    x, y = _exterior_apex(body, x), _exterior_apex(body, y)
-    if np.linalg.norm(x - y) <= 1e-9 * body.diameter():
-        raise CoincidentApexes("apexes are %.3e apart" % np.linalg.norm(x - y))
-    e = normalize(y - x)
-    line = Line(x, e)
-    # snap the base to the center when the line passes through it, which
-    # keeps reflection symmetries bit-exact
-    base = line.at(float((body.center - line.point) @ line.direction))
-    if not (np.linalg.norm(base - body.center) <= 1e-9 * body.diameter()
-            and body.gauge(base) < 1.0 - 1e-9):
-        t, g = line_min_gauge(body, line)
-        if g >= 1.0 - 1e-9:
-            raise LineMissesBody("minimum gauge along the line is %.9f" % g)
-        base = line.at(t)
+    x, y = np.broadcast_arrays(_exterior_apex(body, x), _exterior_apex(body, y))
+    xs, ys = np.atleast_2d(x), np.atleast_2d(y)
+    e = normalize(ys - xs)
+    bases = []
+    for r, (xr, yr) in enumerate(zip(xs, ys)):
+        gap = np.sqrt(np.vecdot(xr - yr, xr - yr))
+        if gap <= 1e-9 * body.diameter():
+            raise CoincidentApexes("apexes%s are %.3e apart" % (_row(x, r), gap))
+        line = Line(xr, e[r])
+        # snap the base to the center when the line passes through it, which
+        # keeps reflection symmetries bit-exact
+        base = line.at(float((body.center - line.point) @ line.direction))
+        if not (np.linalg.norm(base - body.center) <= 1e-9 * body.diameter()
+                and body.gauge(base) < 1.0 - 1e-9):
+            t, g = line_min_gauge(body, line)
+            if g >= 1.0 - 1e-9:
+                raise LineMissesBody("minimum gauge along the line%s is %.9f"
+                                     % (_row(x, r), g))
+            base = line.at(t)
+        bases.append(base)
+    base = np.array(bases)
     # apex y lies on the +e side of base, apex x on the -e side
-    tangents, res, planes, sweep = _tangency_sweep(
-        body, base, e, [(y, 1.0), (x, 1.0)], m, seed)
+    tangents, res, planes, sweeps = _tangency_sweep(
+        body, base[0] if (base == base[0]).all() else base, e.reshape(x.shape),
+        np.stack([ys, xs], axis=1), 1.0, m, seed)
 
     def chart(q):
         """In-plane coordinates (along e, along v_j) of q - base, per plane."""
-        q = q - base
-        return np.stack(np.broadcast_arrays(np.vecdot(q, e),
+        q = q - base[:, None]
+        return np.stack(np.broadcast_arrays(np.vecdot(q, e[:, None]),
                                             np.vecdot(q, planes)), axis=-1)
 
     # intersect the two tangent rays x + t (px - x), y + s (py - y) inside
     # every sweep plane: one stacked 2x2 solve
-    x2, y2 = chart(x), chart(y)
-    ray_x, ray_y = chart(tangents[:, 1]) - x2, chart(tangents[:, 0]) - y2
+    x2, y2 = chart(xs[:, None]), chart(ys[:, None])
+    ray_x, ray_y = chart(tangents[:, :, 1]) - x2, chart(tangents[:, :, 0]) - y2
     a_mat = np.stack([ray_x, -ray_y], axis=-1)
     det = np.linalg.det(a_mat)
-    scale = np.maximum(np.linalg.norm(ray_x, axis=1), np.linalg.norm(ray_y, axis=1))
+    scale = np.maximum(np.linalg.norm(ray_x, axis=-1),
+                       np.linalg.norm(ray_y, axis=-1))
     parallel = np.abs(det) <= 1e-12 * scale * scale
     # a parallel plane gets the identity in place of its singular matrix
-    ts = np.linalg.solve(np.where(parallel[:, None, None], np.eye(2), a_mat),
-                         (y2 - x2)[:, :, None])[:, :, 0]
-    behind = (ts <= 0.0).any(axis=1) & ~parallel
+    ts = np.linalg.solve(np.where(parallel[..., None, None], np.eye(2), a_mat),
+                         (y2 - x2)[..., None])[..., 0]
+    behind = (ts <= 0.0).any(axis=-1) & ~parallel
     if (parallel | behind).any():
-        j = int(np.argmax(parallel | behind))
-        if parallel[j]:
-            raise DegenerateCone("tangent rays are parallel in sweep plane %d" % j)
-        raise DegenerateCone("tangent rays meet behind an apex (plane %d)" % j)
-    q2 = x2 + ts[:, :1] * ray_x
-    pts = base + q2[:, :1] * e + q2[:, 1:] * planes
-    apexes = [[float(t) for t in x], [float(t) for t in y]]
-    return _curve("cone-intersection", body, {"apexes": apexes}, m, seed, pts,
-                  res.max(axis=1), sweep)
+        r, j = np.argwhere(parallel | behind)[0]
+        curve = ", curve %d" % r if x.ndim > 1 else ""
+        if parallel[r, j]:
+            raise DegenerateCone("tangent rays are parallel in sweep plane %d%s"
+                                 % (j, curve))
+        raise DegenerateCone("tangent rays meet behind an apex (plane %d%s)"
+                             % (j, curve))
+    q2 = x2 + ts[..., :1] * ray_x
+    pts = base[:, None] + q2[..., :1] * e[:, None] + q2[..., 1:] * planes
+    curves = [_curve("cone-intersection", body, {"apexes": [xr.tolist(), yr.tolist()]},
+                     m, seed, p, r.max(axis=1), sweep)
+              for xr, yr, p, r, sweep in zip(xs, ys, pts, res, sweeps)]
+    return curves if x.ndim > 1 else curves[0]
 
 
 def _bounded_section_points(cone, normal, dist=1.0, min_cos=0.05):

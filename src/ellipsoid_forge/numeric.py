@@ -106,13 +106,16 @@ def cloud_diameter(p):
 
 
 def angle_between(u, v):
-    """Angle in [0, pi] between two nonzero vectors.
+    """Angle in [0, pi] between two nonzero vectors, or one per row of two
+    (..., n) arrays: a float for one pair, an array of shape (...) for rows.
 
     Kahan's 2*atan2 form: full precision near 0 and pi, where arccos of a
     rounded cosine loses half the digits.
     """
     a, b = normalize(u), normalize(v)
-    return float(2.0 * np.arctan2(np.linalg.norm(a - b), np.linalg.norm(a + b)))
+    dif, tot = a - b, a + b
+    return _value(2.0 * np.arctan2(np.sqrt(np.vecdot(dif, dif)),
+                                   np.sqrt(np.vecdot(tot, tot))))
 
 
 def line_angle(u, v):

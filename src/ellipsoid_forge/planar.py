@@ -272,20 +272,23 @@ def central_symmetry(sec, tol=1e-7, m=96, seed=0):
     return results if isinstance(sec, list) else results[0]
 
 
-def _check_on_boundary(sec, p2, tol=1e-8):
-    g = sec.gauge2(p2)
-    far = np.abs(g - 1.0) > tol
-    if far.any():
-        raise EndpointNotOnBoundary("gauge %.9f at a chord endpoint" % g[far][0])
-
-
 def affine_diameter_residual(sec, a2, b2):
     """Angular defect between the outer normals at the endpoints and exact
-    anti-parallelism. Needs a smooth body: normal_at raises NonSmoothBody."""
-    a2 = np.asarray(a2, dtype=float)
-    b2 = np.asarray(b2, dtype=float)
-    _check_on_boundary(sec, np.stack([a2, b2]))
-    return angle_between(sec.normal2_at(a2), -sec.normal2_at(b2))
+    anti-parallelism. Needs a smooth body: normal_at raises NonSmoothBody.
+    a2 and b2 may be (..., 2) rows of chords, one angle per row, from one
+    gauge2 and one normal2_at call; EndpointNotOnBoundary names the first
+    row with an end off the boundary."""
+    a2, b2 = np.broadcast_arrays(np.asarray(a2, dtype=float),
+                                 np.asarray(b2, dtype=float))
+    ends = np.stack([a2, b2])
+    g = np.asarray(sec.gauge2(ends)).reshape(2, -1)
+    off = np.argwhere((np.abs(g - 1.0) > 1e-8).T)  # (row, end), row-major
+    if off.size:
+        r, e = off[0]
+        raise EndpointNotOnBoundary("gauge %.9f at a chord endpoint%s"
+                                    % (g[e, r], _row_note(r, a2)))
+    nu = sec.normal2_at(ends)
+    return angle_between(nu[0], -nu[1])
 
 
 def conjugate_diameter(sec, a2, b2, contact_tol=1e-8):

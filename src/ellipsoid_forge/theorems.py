@@ -20,8 +20,8 @@ from .bodies import (
     o_symmetry_residual,
     ray_exit,
 )
-from .cones import (_finite_vector, cone_intersection, graze, is_ellipsoidal_cone,
-                    shadow_boundary, support_cone)
+from .cones import (SupportCone, _finite_vector, _row, cone_intersection, graze,
+                    is_ellipsoidal_cone, shadow_boundary)
 from .errors import (
     BallTooLarge,
     BodiesNotNested,
@@ -320,28 +320,38 @@ def _tangent_planes_through_line(body, p0, e):
     return [np.cos(t) * f1 + np.sin(t) * f2 for t in sol.x]
 
 
-def _graze_polar_agreement(body, apex, plane, m, seed):
-    """Worst distance between graze points and the matched trace of plane.
+def _graze_polar_agreement(body, apexes, planes, m, seed):
+    """Worst distance between graze points and the matched trace of a plane.
 
     Every sweep plane span(e, u) holds the point z where the sweep axis meets
     the polar plane, and cuts the polar along the line through z with
     direction u - (<u, nu> / <e, nu>) e; its exit on the +u side is the graze
     point's partner. When z is not interior (a plane only a loosened pole gate
-    admits) the graze points' worst distance to the plane stands in.
+    admits) the graze points' worst distance to the plane stands in. The
+    apexes are (k, n) rows, each with its plane in the list planes: one
+    graze call and one ray_exit call give the array of k distances.
     """
-    gr = graze(body, apex, m=m, seed=seed)
-    c = np.asarray(gr.meta["axis_point"])
-    e = np.asarray(gr.meta["axis_dir"])
-    w1 = np.asarray(gr.meta["frame"][0])
-    w2 = np.asarray(gr.meta["frame"][1])
-    meet = plane.intersect_line(Line(c, e))
-    if meet.is_infinite() or not body.gauge(meet.affine()) < 1.0 - 1e-9:
-        return float(np.abs(plane.signed_distance(gr.points)).max())
-    z, nrm = meet.affine(), plane.normal
-    th = np.asarray(gr.meta["angles"])
-    u = np.cos(th)[:, None] * w1 + np.sin(th)[:, None] * w2
-    q = ray_exit(body, z, u - (np.vecdot(u, nrm) / float(e @ nrm))[:, None] * e)
-    return float(np.linalg.norm(gr.points - q, axis=1).max())
+    curves = graze(body, apexes, m=m, seed=seed)
+    dist = np.empty(len(curves))
+    traced = []  # (curve index, z, trace directions)
+    for i, (gr, pl) in enumerate(zip(curves, planes)):
+        c = np.asarray(gr.meta["axis_point"])
+        e = np.asarray(gr.meta["axis_dir"])
+        w1, w2 = np.asarray(gr.meta["frame"])
+        meet = pl.intersect_line(Line(c, e))
+        if meet.is_infinite() or not body.gauge(meet.affine()) < 1.0 - 1e-9:
+            dist[i] = np.abs(pl.signed_distance(gr.points)).max()
+            continue
+        z, nrm = meet.affine(), pl.normal
+        th = np.asarray(gr.meta["angles"])
+        u = np.cos(th)[:, None] * w1 + np.sin(th)[:, None] * w2
+        traced.append((i, np.broadcast_to(z, u.shape),
+                       u - (np.vecdot(u, nrm) / float(e @ nrm))[:, None] * e))
+    if traced:
+        idx, zs, dirs = zip(*traced)
+        for i, q in zip(idx, ray_exit(body, np.stack(zs), np.stack(dirs))):
+            dist[i] = np.linalg.norm(curves[i].points - q, axis=1).max()
+    return dist
 
 
 def _reflection_residual(sec, center2, k=48):
@@ -366,12 +376,20 @@ def polar_of(body, o, m=64, seed=0, tolerances=None):
     back against the fitted polar. Exterior poles of smooth bodies are also
     compared against the graze curve: the polar must cut the boundary exactly
     along it.
+
+    o may be (k, n) rows of points: the result is then a list of k
+    PoleResults, each equal to the one of its row, from one ray_exit call
+    over every chord and one row graze call for the exterior poles that
+    pass the harmonic fit; an error names the row of its point.
     """
     tol = _merge_tolerances(tolerances)
-    o = _finite_vector(body, o, "point")
-    g0 = body.gauge(o)
-    if abs(g0 - 1.0) <= 1e-9:
-        raise PointOnBoundary("gauge of o is %.12f" % g0)
+    o = _finite_vector(body, o, "point", rows=True)
+    pts = np.atleast_2d(o)
+    g0 = np.atleast_1d(body.gauge(o))
+    on = np.abs(g0 - 1.0) <= 1e-9
+    if on.any():
+        r = int(np.argmax(on))
+        raise PointOnBoundary("gauge of o%s is %.12f" % (_row(o, r), g0[r]))
     interior = g0 < 1.0
     n = body.dim
     if m < n + 2:
@@ -380,61 +398,68 @@ def polar_of(body, o, m=64, seed=0, tolerances=None):
     c = body.center
     dirs = sphere_directions(n, m, seed=seed)
     # exterior lines run through interior targets, so every chord starts inside
-    starts = o if interior else c + 0.85 * (body.boundary_from_center(dirs) - c)
-    aims = normalize(dirs if interior else starts - o)
+    inner = interior[:, None, None]
+    starts = np.where(inner, pts[:, None],
+                      c if interior.all()
+                      else c + 0.85 * (body.boundary_from_center(dirs) - c))
+    aims = normalize(np.where(inner, dirs, starts - pts[:, None]))
     # on the line o + t * aim the chord ends sit at t = ta, tb, and the harmonic
     # conjugate of o at t = 2 ta tb / s: the row (s o + 2 ta tb aim, s)
-    ta, tb = np.vecdot(ray_exit(body, starts, np.stack([-aims, aims])) - o, aims)
-    s = ta + tb
-    polar, fit_residual, rank_gap = fit_hyperplane_projective(
-        np.column_stack([np.multiply.outer(s, o) + (2.0 * ta * tb)[:, None] * aims, s]),
-        spatial_scale=diam)
-    if rank_gap <= 1e-9:
-        raise DegenerateLines("conjugate cloud is rank deficient (gap %.3e)"
-                              % rank_gap)
-    # the polar meets each line at t = num / den, (1 : 0) where they are parallel
-    num, den = ((1.0, 0.0) if polar.is_infinite
-                else (polar.offset - polar.normal @ o, aims @ polar.normal))
-    far = np.abs(den) <= 1e-14 * (1.0 + np.abs(num))
-    num, den = np.where(far, 1.0, num), np.where(far, 0.0, den)
-    # cross ratio [a, b; o, q] = ta (tb den - num) / (tb (ta den - num))
-    gap = ta * den - num
-    at_a = np.flatnonzero(np.abs(gap) <= 1e-14 * (np.abs(ta * den) + np.abs(num)))
-    if at_a.size:
-        raise DegenerateQuadruple("the polar meets chord %d at an end" % at_a[0])
-    cr_residual = float(np.abs(ta * (tb * den - num) / (tb * gap) + 1.0).max())
-    residual = fit_residual + cr_residual
-    if residual <= tol["pole"]:
-        classification = ("projective centre" if interior
-                          else "projective hyperplane of symmetry")
-    else:
-        classification = "not a pole"
-    detail = {
-        "m": int(m),
-        "seed": int(seed),
-        "rank_gap": float(rank_gap),
-        "interior": bool(interior),
-    }
-    graze_hausdorff = None
-    if (not interior and classification != "not a pole"
-            and isinstance(polar, Hyperplane) and body.is_smooth):
+    ends = ray_exit(body, starts, np.stack([-aims, aims])) - pts[:, None]
+    results, grazing = [], []
+    for i, (oi, ta, tb, aim) in enumerate(zip(pts, *np.vecdot(ends, aims), aims)):
+        s = ta + tb
+        polar, fit_residual, rank_gap = fit_hyperplane_projective(
+            np.column_stack([np.multiply.outer(s, oi) + (2.0 * ta * tb)[:, None] * aim, s]),
+            spatial_scale=diam)
+        if rank_gap <= 1e-9:
+            raise DegenerateLines("conjugate cloud%s is rank deficient (gap %.3e)"
+                                  % (_row(o, i), rank_gap))
+        # the polar meets each line at t = num / den, (1 : 0) where they are parallel
+        num, den = ((1.0, 0.0) if polar.is_infinite
+                    else (polar.offset - polar.normal @ oi, aim @ polar.normal))
+        far = np.abs(den) <= 1e-14 * (1.0 + np.abs(num))
+        num, den = np.where(far, 1.0, num), np.where(far, 0.0, den)
+        # cross ratio [a, b; o, q] = ta (tb den - num) / (tb (ta den - num))
+        gap = ta * den - num
+        at_a = np.flatnonzero(np.abs(gap) <= 1e-14 * (np.abs(ta * den) + np.abs(num)))
+        if at_a.size:
+            raise DegenerateQuadruple("the polar%s meets chord %d at an end"
+                                      % (_row(o, i), at_a[0]))
+        cr_residual = float(np.abs(ta * (tb * den - num) / (tb * gap) + 1.0).max())
+        residual = fit_residual + cr_residual
+        if residual <= tol["pole"]:
+            classification = ("projective centre" if interior[i]
+                              else "projective hyperplane of symmetry")
+        else:
+            classification = "not a pole"
+        results.append(PoleResult(
+            pole=HPoint.from_affine(oi),
+            polar=polar,
+            classification=classification,
+            residual=float(residual),
+            fit_residual=float(fit_residual),
+            cr_residual=float(cr_residual),
+            detail={"m": int(m), "seed": int(seed), "rank_gap": float(rank_gap),
+                    "interior": bool(interior[i])},
+        ))
+        if (not interior[i] and classification != "not a pole"
+                and isinstance(polar, Hyperplane) and body.is_smooth):
+            grazing.append(i)
+    if grazing:
         # the polar of an exterior pole must cut the boundary along the graze
         gm = max(64, int(m))
-        graze_hausdorff = _graze_polar_agreement(body, o, polar, m=gm, seed=seed) / diam
-        detail["graze_m"] = gm
-        if graze_hausdorff > tol["hausdorff"]:
-            classification = "not a pole"
-            detail["graze_disagrees"] = True
-    return PoleResult(
-        pole=HPoint.from_affine(o),
-        polar=polar,
-        classification=classification,
-        residual=float(residual),
-        fit_residual=float(fit_residual),
-        cr_residual=float(cr_residual),
-        graze_hausdorff=graze_hausdorff,
-        detail=detail,
-    )
+        hausdorff = _graze_polar_agreement(
+            body, pts[grazing], [results[i].polar for i in grazing], m=gm,
+            seed=seed) / diam
+        for i, h in zip(grazing, hausdorff):
+            pr = results[i]
+            pr.graze_hausdorff = float(h)
+            pr.detail["graze_m"] = gm
+            if h > tol["hausdorff"]:
+                pr.classification = "not a pole"
+                pr.detail["graze_disagrees"] = True
+    return results if o.ndim > 1 else results[0]
 
 
 def check_theorem1(l_body, k_body, apexes=16, m=64, pairs=8, seed=0,
@@ -462,9 +487,9 @@ def check_theorem1(l_body, k_body, apexes=16, m=64, pairs=8, seed=0,
 
     worst_rms = 0.0
     all_ellipsoidal = True
-    for x in apex_pts:
-        fit = is_ellipsoidal_cone(support_cone(l_body, x, m=m, seed=seed),
-                                  tol=tol["ellipse"], seed=seed)
+    for x, contact in zip(apex_pts, graze(l_body, apex_pts, m=m, seed=seed)):
+        fit = is_ellipsoidal_cone(SupportCone(x, contact), tol=tol["ellipse"],
+                                  seed=seed)
         worst_rms = max(worst_rms, fit.detail["max_rms"])
         all_ellipsoidal = all_ellipsoidal and fit.detail["ellipsoidal"]
     run.stage("ellipsoidal-cones", "hypothesis", worst_rms, "ellipse",
@@ -474,8 +499,8 @@ def check_theorem1(l_body, k_body, apexes=16, m=64, pairs=8, seed=0,
     fitted_planes = []
     worst_planarity = 0.0
     planar_ok = True
-    for x in apex_pts:
-        delta = cone_intersection(l_body, x, 2.0 * o - x, m=m, seed=seed)
+    for delta in cone_intersection(l_body, apex_pts, 2.0 * o - apex_pts, m=m,
+                                   seed=seed):
         fit = fit_hyperplane(delta.points)
         fitted_planes.append(fit.model)
         worst_planarity = max(worst_planarity, fit.rms_residual)
@@ -546,16 +571,25 @@ def check_theorem2(l_body, k_body, p, apexes=12, m=64, chords=48, radon_k=128,
     p = _require_interior(k_body, p, "outer body")
     diam_k = k_body.diameter()
 
+    def intersections(xs, ys):
+        """The curve of each pair from one call; when that raises, the
+        pairs again one by one, each failed pair's error in its slot."""
+        try:
+            return cone_intersection(l_body, xs, ys, m=m, seed=seed)
+        except GeometryError as exc:
+            if len(xs) == 1:
+                return [exc]
+            return [intersections(x[None], y[None])[0] for x, y in zip(xs, ys)]
+
     apex_dirs = sphere_directions(k_body.dim, apexes, seed=seed)
+    xs = k_body.boundary_point(p, apex_dirs)
+    ys = k_body.boundary_point(p, -apex_dirs)
     kept = []  # (sec, base2, plane, x, y) per usable apex
     worst_defect = 0.0
     failures = []
-    for x, y in zip(k_body.boundary_point(p, apex_dirs),
-                    k_body.boundary_point(p, -apex_dirs)):
-        try:
-            omega = cone_intersection(l_body, x, y, m=m, seed=seed)
-        except GeometryError as exc:
-            failures.append(type(exc).__name__)
+    for x, y, omega in zip(xs, ys, intersections(xs, ys)):
+        if isinstance(omega, GeometryError):
+            failures.append(type(omega).__name__)
             worst_defect = max(worst_defect, 1.0)
             continue
         pts = omega.points
@@ -588,11 +622,10 @@ def check_theorem2(l_body, k_body, p, apexes=12, m=64, chords=48, radon_k=128,
         worst_chord = 0.0
         th = np.linspace(0.0, np.pi, chords, endpoint=False)
         u2 = np.column_stack([np.cos(th), np.sin(th)])
-        for sec, base2, plane, x, y in kept[:3]:
-            for a2, b2 in zip(sec.boundary2(u2, base2=base2),
-                              sec.boundary2(-u2, base2=base2)):
-                worst_chord = max(worst_chord,
-                                  affine_diameter_residual(sec, a2, b2))
+        for sec, base2, *_ in kept[:3]:
+            worst_chord = max(worst_chord, float(affine_diameter_residual(
+                sec, sec.boundary2(u2, base2=base2),
+                sec.boundary2(-u2, base2=base2)).max()))
         run.stage("section-chords-affine-diameters", "derived", worst_chord,
                   "diameter", chords=int(chords))
         run.radon_stage("sections-are-radon", "derived",
@@ -649,8 +682,7 @@ def check_theorem3(l_body, k_body, apexes=12, m=64, lines=32, w_samples=16,
     pole_worst = 0.0
     pole_ok = True
     polars = []
-    for x in apex_pts:
-        pr = polar_of(l_body, x, m=lines, seed=seed, tolerances=tol)
+    for pr in polar_of(l_body, apex_pts, m=lines, seed=seed, tolerances=tol):
         pole_worst = max(pole_worst, pr.residual)
         pole_ok = pole_ok and pr.classification != "not a pole"
         polars.append(pr.polar)
@@ -659,8 +691,8 @@ def check_theorem3(l_body, k_body, apexes=12, m=64, lines=32, w_samples=16,
 
     omegas = []
     max_gauge = 0.0
-    for x in apex_pts:
-        omega = cone_intersection(l_body, x, 2.0 * o - x, m=m, seed=seed)
+    for omega in cone_intersection(l_body, apex_pts, 2.0 * o - apex_pts, m=m,
+                                   seed=seed):
         omegas.append(omega.points)
         max_gauge = max(max_gauge, float(k_body.gauge(omega.points).max()))
     allowed = 1.0 - tol["margin"]

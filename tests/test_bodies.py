@@ -368,6 +368,29 @@ def test_ray_exit_failures_are_typed_on_every_kind(body):
             sec.boundary2([[1.0, 0.0], [0.0, 0.0]], base2=base2)
 
 
+@pytest.mark.parametrize("body", [
+    Ellipsoid(np.array([0.1, -0.2, 0.05]), np.diag([1.0, 4.0, 9.0])),
+    PBall(4.0, (1.0, 1.0, 1.0)),
+    Polytope(np.vstack([np.eye(3), -np.eye(3)])),
+    AffineImage(*random_affine(4), PBall(3.0, (1.0, 0.8, 1.2))),
+], ids=["ellipsoid", "pball", "polytope", "affine-image"])
+def test_ray_exit_rows_mixing_centre_and_off_centre_bases(body):
+    # centre rows take the closed form and the others one boundary_point
+    # call, each row equal to its own call to the last bit
+    rng = np.random.default_rng(11)
+    c = body.center
+    z = c + 0.6 * (body.boundary_from_center(rng.normal(size=(6, 3))) - c)
+    z[[0, 3, 4]] = c
+    d = rng.normal(size=(2, 6, 3))
+    rows = ray_exit(body, z, d)
+    assert rows.shape == (2, 6, 3)
+    for i in range(2):
+        for r in range(6):
+            assert np.array_equal(rows[i, r], ray_exit(body, z[r], d[i, r]))
+    assert np.array_equal(ray_exit(body, z[[0, 3]], d[0, [0, 3]]),
+                          body.boundary_from_center(d[0, [0, 3]]))
+
+
 # --------------------------------------------------------------- symmetry
 
 

@@ -38,6 +38,7 @@ from ellipsoid_forge.errors import (
     ZeroDirection,
 )
 from ellipsoid_forge.fitting import ELLIPSE
+from ellipsoid_forge.numeric import sphere_directions
 
 from oracles import (
     ball_cone_midcircle,
@@ -237,6 +238,93 @@ def test_l4_cone_intersection_nonplanar_off_axis(l4_unit):
         l4_unit, np.array([2.0, 1.0, 0.5]), np.array([-2.0, -1.0, -0.5]), m=100)
     _, _, rel = fit_plane_rms(sample.points)
     assert 0.03 < rel < 0.07
+
+
+# ---------------------------------------------------------------- row forms
+
+
+_ROW_BODIES = {
+    "ellipsoid": Ellipsoid(np.array([0.2, -0.1, 0.3]),
+                           np.array([[2.0, 0.3, -0.2], [0.3, 1.0, 0.1],
+                                     [-0.2, 0.1, 3.0]])),
+    "pball": PBall(4.0, (1.0, 1.0, 1.0)),
+    "affine-image": AffineImage(
+        np.array([[1.2, 0.3, -0.1], [0.0, 0.9, 0.4], [0.2, -0.3, 1.1]]),
+        np.array([0.1, 0.2, -0.1]), PBall(3.0, (1.0, 0.8, 1.2))),
+}
+
+
+def _assert_same_curve(row, one):
+    assert np.array_equal(row.points, one.points)
+    assert np.array_equal(row.residuals, one.residuals)
+    assert row.meta == one.meta
+
+
+def _apex_pairs(body):
+    """Apex pairs as the checks place them: two reflected through the
+    centre (t1, t3), and two on lines through an off-centre point (t2),
+    whose sweeps leave from off-centre bases."""
+    c = body.center
+    u = sphere_directions(3, 4, seed=5)
+    edge = body.boundary_from_center(u) - c
+    p = c + 0.25 * edge[3]
+    x = np.stack([c + 2.0 * edge[0], p + 2.5 * edge[1], c + 2.2 * edge[2],
+                  p + 2.5 * edge[2]])
+    y = np.stack([c - 2.0 * edge[0], p - 2.5 * edge[1], c - 2.2 * edge[2],
+                  p - 2.0 * edge[2]])
+    return x, y
+
+
+@pytest.mark.parametrize("name", list(_ROW_BODIES))
+def test_row_graze_equals_point_calls(name):
+    body = _ROW_BODIES[name]
+    x, _ = _apex_pairs(body)
+    curves = graze(body, x, m=24, seed=2)
+    assert isinstance(curves, list) and len(curves) == len(x)
+    for apex, curve in zip(x, curves):
+        _assert_same_curve(curve, graze(body, apex, m=24, seed=2))
+    (one,) = graze(body, x[:1], m=24, seed=2)
+    _assert_same_curve(one, curves[0])
+
+
+@pytest.mark.parametrize("name", list(_ROW_BODIES))
+def test_row_cone_intersection_equals_point_calls(name):
+    body = _ROW_BODIES[name]
+    x, y = _apex_pairs(body)
+    curves = cone_intersection(body, x, y, m=24, seed=2)
+    assert len(curves) == len(x)
+    # pairs 1 and 3 sweep about off-centre bases, 0 and 2 about the centre
+    bases = np.array([cur.meta["axis_point"] for cur in curves])
+    off = np.linalg.norm(bases - body.center, axis=1) > 1e-3
+    assert off.tolist() == [False, True, False, True]
+    for xi, yi, curve in zip(x, y, curves):
+        _assert_same_curve(curve, cone_intersection(body, xi, yi, m=24, seed=2))
+
+
+def test_row_sweep_failure_names_its_curve():
+    nan_body = _NaNNormalBall(np.zeros(3), np.eye(3))
+    # the first two contact circles stay at z = -0.5, below the NaN normals
+    apexes = np.array([[0.0, 0.0, -2.0], [0.0, 0.0, -2.5], [2.0, 0.3, 0.1]])
+    with pytest.raises(GeometryError, match=r"^tangency sweep, curve 2, plane 1, "
+                                            r"apex 0: g is not finite"):
+        graze(nan_body, apexes, m=16)
+    assert len(graze(nan_body, apexes[:2], m=16)) == 2
+
+
+def test_row_calls_name_the_row_of_a_bad_input(unit_ball):
+    apexes = np.array([[2.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.5, 0.0, 0.0]])
+    with pytest.raises(ApexInsideBody, match="apex row 2 gauge 0.5"):
+        graze(unit_ball, apexes)
+    with pytest.raises(NonFiniteInput, match=r"apex row 1 \[nan"):
+        graze(unit_ball, np.array([[2.0, 0.0, 0.0], [np.nan, 2.0, 0.0]]))
+    with pytest.raises(UnsupportedDimension):
+        graze(unit_ball, np.zeros((0, 3)))
+    x = np.array([[2.0, 0.0, 0.0], [2.0, 2.0, 0.0]])
+    y = np.array([[-2.0, 0.0, 0.0], [2.0, 2.0, 5.0]])
+    with pytest.raises(LineMissesBody, match="line row 1"):
+        cone_intersection(unit_ball, x, y)
+    with pytest.raises(CoincidentApexes, match="apexes row 0"):
+        cone_intersection(unit_ball, x, x + 1e-12)
 
 
 # ----------------------------------------------------------------- shadow

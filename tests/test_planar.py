@@ -28,6 +28,7 @@ from ellipsoid_forge.errors import (
     PlaneMissesBody,
     UnsupportedDimension,
 )
+from ellipsoid_forge.numeric import angle_between, normalize
 
 from conftest import random_affine
 
@@ -410,6 +411,34 @@ def test_affine_diameter_requires_boundary_endpoints(unit_ball):
     sec = section(unit_ball, Hyperplane(np.array([0.0, 0.0, 1.0]), 0.0))
     with pytest.raises(EndpointNotOnBoundary):
         affine_diameter_residual(sec, np.array([0.1, 0.0]), np.array([1.0, 0.0]))
+
+
+def test_affine_diameter_rows_equal_chord_calls(l4_unit):
+    # off-centre chords of an l4 section: one angle per row, each equal to
+    # its own call, from one gauge2 and one normal2_at call
+    sec = section(l4_unit, Hyperplane(normalize(np.array([0.2, -0.3, 1.0])), 0.15))
+    base2 = np.array([0.1, -0.2])
+    th = np.linspace(0.0, np.pi, 7, endpoint=False)
+    u2 = np.column_stack([np.cos(th), np.sin(th)])
+    a2, b2 = sec.boundary2(u2, base2=base2), sec.boundary2(-u2, base2=base2)
+    rows = affine_diameter_residual(sec, a2, b2)
+    assert rows.shape == (7,) and rows.max() > 1e-2
+    for r in range(7):
+        assert rows[r] == affine_diameter_residual(sec, a2[r], b2[r])
+    b2[4] *= 0.9
+    with pytest.raises(EndpointNotOnBoundary, match="at row 4$"):
+        affine_diameter_residual(sec, a2, b2)
+
+
+def test_angle_between_rows_equal_pair_calls():
+    rng = np.random.default_rng(3)
+    u, v = rng.normal(size=(2, 50, 3))
+    v[0] = u[0]
+    v[1] = -2.0 * u[1]
+    rows = angle_between(u, v)
+    assert rows[0] == 0.0 and rows[1] == np.pi
+    assert all(rows[r] == angle_between(u[r], v[r]) for r in range(50))
+    assert isinstance(angle_between(u[2], v[2]), float)
 
 
 _CUBE = Polytope([[sx, sy, sz] for sx in (-1, 1)

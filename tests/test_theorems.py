@@ -172,9 +172,10 @@ def test_graze_polar_agreement_off_the_body(unit_ball):
     the axis, is scored by the graze points' worst distance to it."""
     apex = np.array([2.0, 0.0, 0.0])
     outside = Hyperplane(np.array([1.0, 0.0, 0.0]), 1.5)
-    assert _graze_polar_agreement(unit_ball, apex, outside, 16, 0) == pytest.approx(1.0)
     holds_axis = Hyperplane(np.array([0.0, 0.6, 0.8]), 0.0)
-    got = _graze_polar_agreement(unit_ball, apex, holds_axis, 16, 0)
+    far, got = _graze_polar_agreement(unit_ball, np.stack([apex, apex]),
+                                      [outside, holds_axis], 16, 0)
+    assert far == pytest.approx(1.0)
     # 16 points of the graze circle x = 1/2 of radius sqrt(3)/2, which the
     # plane cuts through its centre
     assert np.sqrt(3.0) / 2.0 * np.cos(np.pi / 16) <= got <= np.sqrt(3.0) / 2.0
@@ -265,6 +266,47 @@ def test_polar_of_raises_when_the_polar_meets_a_chord_end(unit_ball, monkeypatch
                         lambda rows, spatial_scale: (plane, 0.0, 1.0))
     with pytest.raises(DegenerateQuadruple, match="chord 0"):
         polar_of(unit_ball, np.zeros(3), m=m, seed=seed)
+
+
+def _assert_same_pole(row, one):
+    assert row.classification == one.classification
+    assert (row.residual, row.fit_residual, row.cr_residual, row.graze_hausdorff) == (
+        one.residual, one.fit_residual, one.cr_residual, one.graze_hausdorff)
+    assert np.array_equal(row.pole.coords, one.pole.coords)
+    assert row.polar.is_infinite == one.polar.is_infinite
+    if not one.polar.is_infinite:
+        assert np.array_equal(row.polar.normal, one.polar.normal)
+        assert row.polar.offset == one.polar.offset
+    assert row.detail == one.detail
+
+
+@pytest.mark.parametrize("loose", [False, True], ids=["default", "loose-gate"])
+@pytest.mark.parametrize("name", ["ellipsoid", "l4", "affine l3"])
+def test_polar_of_rows_equal_point_calls(name, loose):
+    """Exterior points, an interior one and the centre in one call; the
+    loosened pole gate sends the non-ellipsoids' exterior points through the
+    row graze comparison too."""
+    body = _reference_bodies()[name]
+    c = body.center
+    edge = body.boundary_from_center(sphere_directions(3, 4, seed=1)) - c
+    o = np.stack([c + 2.5 * edge[0], c + 0.3 * edge[1], c, c + 1.8 * edge[2],
+                  c + 3.0 * edge[3]])
+    tol = {"pole": 100.0} if loose else None
+    rows = polar_of(body, o, m=16, seed=2, tolerances=tol)
+    assert len(rows) == len(o)
+    for oi, row in zip(o, rows):
+        _assert_same_pole(row, polar_of(body, oi, m=16, seed=2, tolerances=tol))
+    # only exterior poles that pass the harmonic fit are compared with a graze
+    grazed = [r.graze_hausdorff is not None for r in rows]
+    pole = loose or name == "ellipsoid"
+    assert grazed == [pole, False, False, pole, pole]
+
+
+def test_polar_of_rows_name_the_row_of_a_bad_point(unit_ball):
+    with pytest.raises(PointOnBoundary, match="gauge of o row 1 is"):
+        polar_of(unit_ball, np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    with pytest.raises(NonFiniteInput, match="point row 0"):
+        polar_of(unit_ball, np.array([[np.inf, 0.0, 0.0], [0.0, 2.0, 0.0]]))
 
 
 # --------------------------------------------------------------------- t1
@@ -385,6 +427,34 @@ def test_t2_off_centre_sections_that_are_not_symmetric_fail_the_radon_stage(l4_u
     assert radon.detail["not_centrally_symmetric"] == 2
 
 
+def test_t2_attributes_failures_to_their_pairs():
+    """Five of the twelve apex lines through p miss the small inner ball:
+    the batched cone_intersection raises, and the pairs are run one by one,
+    so each failure is recorded and the seven good pairs still feed the
+    later stages."""
+    report = check_theorem2(Ellipsoid.ball(0.3), Ellipsoid.ball(1.0),
+                            [0.35, 0.0, 0.0], apexes=12, m=32, chords=12,
+                            radon_k=16)
+    first = report.stages[0].to_dict()
+    assert first == {
+        "name": "cone-intersection-matches-section", "kind": "hypothesis",
+        "residual": 1.0, "tolerance": 1e-6, "verdict": "fail",
+        "detail": {"apexes": 12, "search_failed": True,
+                   "errors": ["LineMissesBody"] * 5}}
+    assert report.verdict == "hypothesis-violated"
+    assert [(s.name, s.verdict) for s in report.stages[1:]] == [
+        ("supporting-planes-parallel", "info"),
+        ("section-chords-affine-diameters", "info"),
+        ("sections-are-radon", "info"),
+        ("ellipsoid-fits", "info"),
+        ("concentric-centers", "info"),
+        ("homothetic-shapes", "info"),
+    ]
+    assert report.stages[1].residual == pytest.approx(np.pi / 2, rel=1e-12)
+    assert report.stages[2].residual == pytest.approx(0.7151422072910205,
+                                                      rel=1e-12)
+
+
 # --------------------------------------------------------------------- t3
 
 
@@ -481,6 +551,36 @@ def test_basico_restriction_solves_do_not_grow_with_sections(monkeypatch,
                                            m=16, sym_m=16))
         counts.append(len(solves))
     assert counts == [1, 1]
+
+
+def test_cone_sweep_solves_do_not_grow_with_apexes(monkeypatch, ellipsoid149,
+                                                  ball3, ball2):
+    """Every cone stage of t1, t2 and t3 is one tangency sweep over all its
+    apexes: t1's cones and intersections, t2's intersections, and t3's
+    pole grazes and intersections."""
+    from ellipsoid_forge import cones
+    solves = []
+    real = cones.find_root
+    monkeypatch.setattr(cones, "find_root",
+                        lambda *a, **kw: solves.append(1) or real(*a, **kw))
+    t3_inner = Ellipsoid(np.zeros(3), np.diag([1.0, 2.0, 4.0]) / 0.16)
+    runs = {
+        "t1": lambda k: check_theorem1(ellipsoid149, ball3, apexes=k, m=24,
+                                       pairs=2),
+        "t2": lambda k: check_theorem2(Ellipsoid.ball(2.0 ** -0.5),
+                                       Ellipsoid.ball(1.0), np.zeros(3),
+                                       apexes=k, m=24, chords=8, radon_k=16),
+        "t3": lambda k: check_theorem3(t3_inner, ball2, apexes=k, m=24,
+                                       lines=12, w_samples=4),
+    }
+    counts = {}
+    for name, run in runs.items():
+        for k in (4, 12):
+            solves.clear()
+            _assert_clean(run(k))
+            counts[name, k] = len(solves)
+    assert counts == {("t1", 4): 2, ("t1", 12): 2, ("t2", 4): 1, ("t2", 12): 1,
+                      ("t3", 4): 2, ("t3", 12): 2}
 
 
 def test_t4_l4_violates_section_hypothesis(l4_double):
