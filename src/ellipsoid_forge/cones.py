@@ -12,9 +12,10 @@ bracketing solver is safe. All curves, planes and apexes of a call are one
 vectorised Chandrupatla solve (numeric.find_root) over the row oracles. The
 sweep needs two directions orthogonal to the axis: n >= 3.
 
-graze and cone_intersection take one apex (or pair) of shape (n,) and give
-one CurveSample, or (k, n) rows and give a list of k CurveSamples from one
-sweep, each equal to the curve of its row; an error then names the row.
+graze, shadow_boundary and cone_intersection take one apex, direction or
+pair of shape (n,) and give one CurveSample, or (k, n) rows and give a list
+of k CurveSamples from one sweep, each equal to the curve of its row; an
+error then names the row.
 """
 
 import json
@@ -209,17 +210,22 @@ def support_cone(body, apex, m=200, seed=0):
 
 def shadow_boundary(body, direction, m=200, seed=0):
     """Contact curve of the circumscribed cylinder: boundary points whose
-    outer normal is orthogonal to the illumination direction."""
+    outer normal is orthogonal to the illumination direction. direction may
+    be (k, n) rows: the result is then a list of k curves from one sweep,
+    each equal to the shadow boundary of its row."""
     require_sizes("shadow_boundary", {"m": m}, least={"m": 3})
     _require_smooth(body)
-    u = _finite_vector(body, direction, "direction")
-    if not u.any():
-        raise ZeroDirection("the illumination direction is zero")
+    u = _finite_vector(body, direction, "direction", rows=True)
+    zero = ~np.atleast_2d(u).any(axis=1)
+    if zero.any():
+        raise ZeroDirection("the illumination direction%s is zero"
+                            % _row(u, int(np.argmax(zero))))
     u = normalize(u)
-    pts, res, _, (sweep,) = _tangency_sweep(body, body.center, u, u, 0.0, m,
-                                            seed)
-    return _curve("shadow", body, {"direction": u.tolist()}, m, seed,
-                  pts[0, :, 0], res[0, :, 0], sweep)
+    pts, res, _, sweeps = _tangency_sweep(body, body.center, u, u, 0.0, m, seed)
+    curves = [_curve("shadow", body, {"direction": d.tolist()}, m, seed,
+                     p[:, 0], r[:, 0], sweep)
+              for d, p, r, sweep in zip(np.atleast_2d(u), pts, res, sweeps)]
+    return curves if u.ndim > 1 else curves[0]
 
 
 def cone_intersection(body, x, y, m=200, seed=0):

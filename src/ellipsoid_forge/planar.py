@@ -12,10 +12,14 @@ support points at full solver accuracy, which the conjugacy gates need.
 The section oracles (support2, support_point2, boundary2, gauge2, normal2_at,
 to_world, to_chart) take rows like the body oracles. The restriction
 minimizer is one vectorised Chandrupatla solve (numeric.find_root) over
-all the rows of a call, each row with its own plane, so conjugate_diameter
-and birkhoff_normal take rows too, is_radon_curve makes one call of each
-for all its diameters and Birkhoff pairs, and central_symmetry solves a
-list of sections of one body at once.
+all the rows of a call, each row with its own plane. The module functions
+behind the oracles (_support2, _support_point2, _boundary2, _gauge2) take
+rows of several sections of one body, each row tagged with its section, so
+that one solve or one ray exit serves them all; a section's own oracle is
+the one-section call. conjugate_diameter and birkhoff_normal take rows,
+central_symmetry solves a list of sections at once, and is_radon_curve
+tests a list of sections in three restriction solves and two ray exits,
+whatever k and however many sections.
 """
 
 from dataclasses import dataclass, field
@@ -23,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import ray_exit
-from .errors import (EndpointNotOnBoundary, NoSignChange, NotANorm, NotFound,
-                     PlaneMissesBody, UnsupportedDimension)
+from .errors import (EndpointNotOnBoundary, GeometryError, NoSignChange,
+                     NotANorm, NotFound, PlaneMissesBody, UnsupportedDimension)
 from .numeric import (_value, angle_between, check_roots, find_root,
                       normalize, require_sizes, unit_frame)
 from .projective import Hyperplane
@@ -37,6 +41,16 @@ def _rot90(v):
 def _row_note(index, rows):
     """' at row i' for a flat row index of an (..., 2) input; '' for one row."""
     return " at row %d" % index if np.ndim(rows) > 1 else ""
+
+
+def _where(secs, of, rows):
+    """where(r), naming row r of a call: ' at section i, row j' (its row
+    among the rows of secs[i]) when of tags the rows with two or more
+    sections, else _row_note's flat index."""
+    if of is None or len(secs) < 2:
+        return lambda r: _row_note(r, rows)
+    return lambda r: " at section %d, row %d" % (
+        of[r], np.count_nonzero(of[:r] == of[r]))
 
 
 def _width_rows():
@@ -87,44 +101,19 @@ class PlanarSection:
         return np.matvec(self.basis, np.asarray(z, dtype=float) - self.origin)
 
     def support2(self, w):
-        return _value(_support2([self], [np.asarray(w, dtype=float)])[0])
+        return _value(_support2([self], w))
 
     def support_point2(self, w):
-        w_world = np.vecmat(np.asarray(w, dtype=float), self.basis)
-        n, dist = self.plane.normal, self.plane.signed_distance
-        t, bracket = _restriction_minimizer(self.body, w_world, n,
-                                            self.plane.offset,
-                                            lambda r: _row_note(r, w_world))
-        if self.body.is_smooth:
-            z = self.body.support_point(w_world + np.multiply.outer(t, n))
-            return self.to_chart(z - np.multiply.outer(dist(z), n))
-        # psi kinks at t: the support points at the ends of the final bracket
-        # straddle it and span an exposed face of K, which meets the plane in
-        # the section's support point (a itself when the face is parallel to
-        # the plane)
-        a, b = self.body.support_point(
-            w_world + np.multiply.outer(np.stack(bracket), n))
-        da, db = dist(a), dist(b)
-        same = np.equal(da, db)
-        frac = np.expand_dims(da / np.where(same, 1.0, da - db), -1)
-        return self.to_chart(np.where(same[..., None], a, a + frac * (b - a)))
+        return _support_point2([self], w)
 
     def boundary2(self, d2, base2=None):
         """Section boundary point from base2 (default: chart origin) along d2."""
-        base_w = self.origin if base2 is None else self.to_world(base2)
-        return self.to_chart(ray_exit(self.body, base_w, np.vecmat(d2, self.basis)))
+        return _boundary2([self], d2, base2)
 
     def gauge2(self, p2, base2=None):
         """Gauge of the step p2 from base2 (default: chart origin): 1 exactly
         when base2 + p2 is on the section boundary; one ray exit."""
-        base2 = np.zeros(2) if base2 is None else np.asarray(base2, dtype=float)
-        p2 = np.asarray(p2, dtype=float)
-        r = np.sqrt(np.vecdot(p2, p2))
-        # a zero step has gauge 0 along any ray: its ray is taken along (1, 0)
-        zero = r == 0.0
-        d2 = (p2 + np.multiply.outer(zero, (1.0, 0.0))) / np.expand_dims(r + zero, -1)
-        q = self.boundary2(d2, base2=base2) - base2
-        return _value(r / np.sqrt(np.vecdot(q, q)))
+        return _value(_gauge2([self], p2, base2))
 
     def normal2_at(self, p2):
         """In-plane outer normal of the section at a boundary point."""
@@ -187,37 +176,118 @@ def _restriction_minimizer(body, w_world, n, d, where):
     return t, [(lo + s * width).reshape(shape) for s in sol.bracket]
 
 
-def _support2(secs, w2):
-    """support2 of each section secs[i] at its directions w2[i], from one
-    restriction solve over the rows of all of them. The sections share one
-    body (ValueError otherwise); with two or more, each w2[i] is (k, 2)
-    rows and a failed row is named by its section and its row there. An
-    empty list returns [] without solving."""
-    if not secs:
-        return []
-    body = secs[0].body
-    if any(sec.body is not body for sec in secs):
-        raise ValueError("one restriction solve needs sections of one body")
-    parts = [np.vecmat(w, sec.basis) for sec, w in zip(secs, w2)]
-    if len(secs) == 1:
-        (sec,), (w_world,) = secs, parts
-        n, d, origin = sec.plane.normal, sec.plane.offset, sec.origin
-        where = lambda r: _row_note(r, w_world)
-    else:
-        sizes = [len(p) for p in parts]
-        stops = np.cumsum(sizes)
-        w_world = np.concatenate(parts)
-        n = np.repeat([sec.plane.normal for sec in secs], sizes, axis=0)
-        d = np.repeat([sec.plane.offset for sec in secs], sizes)
-        origin = np.repeat([sec.origin for sec in secs], sizes, axis=0)
+class _SectionRows:
+    """Chart rows w2 of sections of one body (ValueError otherwise), laid out
+    for one restriction solve or one ray exit: each row carries its
+    section's plane normal and offset and its chart origin. With of, an (N,)
+    array, row r of the (N, 2) rows lies in secs[of[r]]; with of None the
+    rows, of any shape (..., 2), all lie in secs[0], whose plane and chart
+    broadcast unrepeated. where(r) names a failed row (see _where)."""
 
-        def where(r):
-            i = int(np.searchsorted(stops, r, side="right"))
-            return " at section %d, row %d" % (i, r - stops[i] + sizes[i])
-    t, _ = _restriction_minimizer(body, w_world, n, d, where)
-    h = body.support(w_world + np.expand_dims(t, -1) * n) - t * d
-    h = h - np.vecdot(origin, w_world)
-    return np.split(h, stops[:-1]) if len(secs) > 1 else [h]
+    def __init__(self, secs, w2, of=None):
+        self.body = secs[0].body
+        if any(sec.body is not self.body for sec in secs):
+            raise ValueError("one restriction solve needs sections of one body")
+        if of is None and len(secs) > 1:
+            raise ValueError("rows of %d sections need of, the section of "
+                             "each row" % len(secs))
+        self.secs, self.of = secs, of
+        pick = (lambda v: v[0]) if of is None else (lambda v: np.asarray(v)[of])
+        self.normal = pick([sec.plane.normal for sec in secs])
+        self.offset = pick([sec.plane.offset for sec in secs])
+        self.origin = pick([sec.origin for sec in secs])
+        w2 = np.asarray(w2, dtype=float)
+        self.world = self.each(lambda sec, w: np.vecmat(w, sec.basis), w2)
+        self.where = _where(secs, of, w2)
+
+    def each(self, f, x):
+        """f(sec, the rows of x in sec) over the sections, back in row order;
+        a chart map then runs on each section's own basis, bits and all."""
+        if self.of is None:
+            return f(self.secs[0], x)
+        out = None
+        for i in np.unique(self.of):
+            rows = self.of == i
+            y = f(self.secs[i], x[rows])
+            if out is None:
+                out = np.empty(x.shape[:1] + y.shape[1:])
+            out[rows] = y
+        return out
+
+    def to_world(self, p2):
+        return self.each(PlanarSection.to_world, p2)
+
+    def to_chart(self, z):
+        return self.each(PlanarSection.to_chart, z)
+
+
+def _support2(secs, w2, of=None):
+    """support2 of each row of w2 in its section (see _SectionRows), from
+    one restriction solve; a failed row is named by its section and its row
+    there when the rows span two or more sections."""
+    rows = _SectionRows(secs, w2, of)
+    t, _ = _restriction_minimizer(rows.body, rows.world, rows.normal,
+                                  rows.offset, rows.where)
+    h = rows.body.support(rows.world + np.expand_dims(t, -1) * rows.normal)
+    return h - t * rows.offset - np.vecdot(rows.origin, rows.world)
+
+
+def _support_point2(secs, w2, of=None):
+    """support_point2 of each row of w2 in its section, from one restriction
+    solve, as _support2."""
+    rows = _SectionRows(secs, w2, of)
+    n = rows.normal
+    dist = lambda z: np.vecdot(n, z) - rows.offset
+    t, bracket = _restriction_minimizer(rows.body, rows.world, n, rows.offset,
+                                        rows.where)
+    if rows.body.is_smooth:
+        z = rows.body.support_point(rows.world + np.expand_dims(t, -1) * n)
+        return rows.to_chart(z - np.expand_dims(dist(z), -1) * n)
+    # psi kinks at t: the support points at the ends of the final bracket
+    # straddle it and span an exposed face of K, which meets the plane in
+    # the section's support point (a itself when the face is parallel to
+    # the plane)
+    a, b = rows.body.support_point(
+        rows.world + np.expand_dims(np.stack(bracket), -1) * n)
+    da, db = dist(a), dist(b)
+    same = np.equal(da, db)
+    frac = np.expand_dims(da / np.where(same, 1.0, da - db), -1)
+    return rows.to_chart(np.where(same[..., None], a, a + frac * (b - a)))
+
+
+def _boundary2(secs, d2, base2=None, of=None):
+    """boundary2 of each row of d2 in its section, from base2 (default: the
+    chart origin; rows like d2 when of is given), in one ray_exit call.
+    Over two or more sections a failed ray raises its error again, naming
+    its section and its row there."""
+    rows = _SectionRows(secs, d2, of)
+    base = rows.origin if base2 is None else rows.to_world(base2)
+    try:
+        z = ray_exit(rows.body, base, rows.world)
+    except GeometryError as exc:
+        if of is None or len(secs) < 2:
+            raise
+        # find the first failing row: rows solve independently
+        for r in range(len(rows.world)):
+            try:
+                ray_exit(rows.body, base[r], rows.world[r])
+            except GeometryError as one:
+                raise type(one)("ray exit%s: %s" % (rows.where(r), one)) from exc
+        raise
+    return rows.to_chart(z)
+
+
+def _gauge2(secs, p2, base2=None, of=None):
+    """gauge2 of each step p2 in its section, from base2 (default: the chart
+    origin), in one ray exit, as _boundary2."""
+    base2 = np.zeros(2) if base2 is None else np.asarray(base2, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    r = np.sqrt(np.vecdot(p2, p2))
+    # a zero step has gauge 0 along any ray: its ray is taken along (1, 0)
+    zero = r == 0.0
+    d2 = (p2 + np.multiply.outer(zero, (1.0, 0.0))) / np.expand_dims(r + zero, -1)
+    q = _boundary2(secs, d2, base2, of) - base2
+    return r / np.sqrt(np.vecdot(q, q))
 
 
 def section(body, plane):
@@ -252,14 +322,19 @@ def central_symmetry(sec, tol=1e-7, m=96, seed=0):
     diameter2 is not cached yet. A single section is solved the same way."""
     require_sizes("central_symmetry", {"m": m}, least={"m": 3})
     secs = sec if isinstance(sec, list) else [sec]
+    if not secs:
+        return []
     rng = np.random.default_rng(seed)
     th = rng.uniform(0.0, np.pi / m) + np.pi * np.arange(m) / m
     u = np.column_stack([np.cos(th), np.sin(th)])
     rows = 2.0 * u
     dirs = np.concatenate([u, -u])
     fresh = [s._diameter2 is None for s in secs]
-    hs = _support2(secs, [np.concatenate([dirs, _width_rows()]) if f else dirs
-                          for f in fresh])
+    parts = [np.concatenate([dirs, _width_rows()]) if f else dirs for f in fresh]
+    sizes = [len(w) for w in parts]
+    hs = np.split(_support2(secs, np.concatenate(parts),
+                            np.repeat(np.arange(len(secs)), sizes)),
+                  np.cumsum(sizes)[:-1])
     results = []
     for s, f, h in zip(secs, fresh, hs):
         if f:
@@ -291,6 +366,41 @@ def affine_diameter_residual(sec, a2, b2):
     return angle_between(nu[0], -nu[1])
 
 
+def _contact_normals(a2, b2, diam, where):
+    """Unit normals rot90 of the chords [a, b], which the circumscribed
+    parallelogram's sides parallel to each chord have; ValueError, naming
+    the row by where, for a chord shorter than 1e-6 diam."""
+    chord = b2 - a2
+    length = np.sqrt(np.vecdot(chord, chord))
+    short = np.flatnonzero(length < 1e-6 * diam)
+    if short.size:
+        raise ValueError("degenerate chord%s" % where(short[0]))
+    return _rot90(chord / np.expand_dims(length, -1))
+
+
+def _closure_normals(q_plus, q_minus, n_d, diam):
+    """Unit normal n_p of each candidate conjugate [q-, q+] and whether its
+    contacts are apart. A row whose contacts coincide has no conjugate: it
+    is aimed along n_d, so that support2 sees a unit direction."""
+    span = q_plus - q_minus
+    gap = np.sqrt(np.vecdot(span, span))
+    apart = gap >= 1e-6 * diam
+    n_p = np.where(np.expand_dims(apart, -1),
+                   _rot90(span / np.expand_dims(np.where(apart, gap, 1.0), -1)),
+                   n_d)
+    return n_p, apart
+
+
+def _closure_defect(a2, b2, n_p, apart, h_plus, h_minus, diam):
+    """Parallelogram closure defect of each chord [a, b]: how far the sides
+    with normals +-n_p (support values h+-) stand off the endpoint each
+    should touch, over diam; inf where the contacts coincide."""
+    sa, sb = np.vecdot(a2, n_p), np.vecdot(b2, n_p)
+    defect = np.maximum(h_plus - np.maximum(sa, sb),
+                        h_minus + np.minimum(sa, sb)) / diam
+    return np.where(apart, np.maximum(defect, 0.0), np.inf)
+
+
 def conjugate_diameter(sec, a2, b2, contact_tol=1e-8):
     """Conjugate affine diameter via the circumscribed parallelogram.
 
@@ -307,33 +417,17 @@ def conjugate_diameter(sec, a2, b2, contact_tol=1e-8):
     a2 = np.asarray(a2, dtype=float)
     b2 = np.asarray(b2, dtype=float)
     diam = sec.diameter2()
-    chord = b2 - a2
-    length = np.sqrt(np.vecdot(chord, chord))
-    short = np.flatnonzero(length < 1e-6 * diam)
-    if short.size:
-        raise ValueError("degenerate chord%s" % _row_note(short[0], chord))
-    n_d = _rot90(chord / np.expand_dims(length, -1))
+    n_d = _contact_normals(a2, b2, diam, lambda r: _row_note(r, b2 - a2))
     q_plus, q_minus = sec.support_point2(np.stack([n_d, -n_d]))
-    span = q_plus - q_minus
-    gap = np.sqrt(np.vecdot(span, span))
-    apart = gap >= 1e-6 * diam
-    # a row whose contacts coincide has no conjugate: aim it along n_d, so
-    # that support2 sees a unit direction, and give it an infinite defect
-    n_p = np.where(np.expand_dims(apart, -1),
-                   _rot90(span / np.expand_dims(np.where(apart, gap, 1.0), -1)),
-                   n_d)
-    # pair each original endpoint with the side it should touch
-    sa, sb = np.vecdot(a2, n_p), np.vecdot(b2, n_p)
+    n_p, apart = _closure_normals(q_plus, q_minus, n_d, diam)
     h_plus, h_minus = sec.support2(np.stack([n_p, -n_p]))
-    defect = np.maximum(h_plus - np.maximum(sa, sb),
-                        h_minus + np.minimum(sa, sb)) / diam
-    defect = np.where(apart, np.maximum(defect, 0.0), np.inf)
+    defect = _closure_defect(a2, b2, n_p, apart, h_plus, h_minus, diam)
     failed = np.flatnonzero(defect > contact_tol)
     if failed.size:
         r = failed[np.argmax(defect.ravel()[failed])]
         why = ("parallelogram closure defect %.3e" % defect.ravel()[r]
                if apart.ravel()[r] else "conjugate contacts coincide")
-        raise NotFound(why + _row_note(r, chord), defect=_value(defect))
+        raise NotFound(why + _row_note(r, n_d), defect=_value(defect))
     return (q_minus, q_plus), _value(defect)
 
 
@@ -343,11 +437,37 @@ class BirkhoffResult:
     min_ratio: float
 
 
-def _norm_gate(sec, tol=1e-6):
-    sym = central_symmetry(sec, tol=tol)
+#: the norm gate: a section is a norm's unit ball when its central symmetry
+#: residual is within this
+_NORM_TOL = 1e-6
+
+
+def _norm_gate(sec):
+    sym = central_symmetry(sec, tol=_NORM_TOL)
     if not sym.ok:
         raise NotANorm("section symmetry residual %.3e" % sym.residual)
     return sym
+
+
+def _birkhoff_normals(x, y, nx, where):
+    """Unit normal n of each y, turned so that <n, x> >= 0; ValueError,
+    naming the row by where, when x (gauge nx) or y is zero."""
+    ny = np.sqrt(np.vecdot(y, y))
+    zero = np.flatnonzero((nx == 0.0) | (ny == 0.0))
+    if zero.size:
+        raise ValueError("birkhoff_normal needs nonzero vectors%s"
+                         % where(zero[0]))
+    n = _rot90(y / np.expand_dims(ny, -1))
+    return np.where(np.expand_dims(np.vecdot(n, x) < 0.0, -1), -n, n)
+
+
+def _birkhoff_ratio(x, nx, n, h, center):
+    """Whether x ⊣ y and min_a ||x + a y|| / ||x||, for the unit normal n of
+    y from _birkhoff_normals: by norm duality <n, x> / h_B(n), capped by
+    a = 0, with h_B(n) = h - <center, n> and h the section's support at n."""
+    fmin = np.minimum(np.vecdot(n, x) / (h - np.vecdot(center, n)), nx)
+    # relative slack for rounding in the norm
+    return fmin >= nx * (1.0 - 1e-9), fmin / nx
 
 
 def birkhoff_normal(sec, x, y, center=None):
@@ -362,17 +482,9 @@ def birkhoff_normal(sec, x, y, center=None):
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(y, dtype=float))
     nx = np.asarray(sec.gauge2(x, base2=center))
-    ny = np.sqrt(np.vecdot(y, y))
-    zero = np.flatnonzero((nx == 0.0) | (ny == 0.0))
-    if zero.size:
-        raise ValueError("birkhoff_normal needs nonzero vectors%s"
-                         % _row_note(zero[0], x))
-    n = _rot90(y / np.expand_dims(ny, -1))
-    n = np.where(np.expand_dims(np.vecdot(n, x) < 0.0, -1), -n, n)
-    fmin = np.minimum(np.vecdot(n, x) / (sec.support2(n) - np.vecdot(center, n)),
-                      nx)
-    ok = fmin >= nx * (1.0 - 1e-9)  # relative slack for rounding in the norm
-    return BirkhoffResult(ok if ok.ndim else bool(ok), _value(fmin / nx))
+    n = _birkhoff_normals(x, y, nx, lambda r: _row_note(r, x))
+    ok, ratio = _birkhoff_ratio(x, nx, n, sec.support2(n), center)
+    return BirkhoffResult(ok if ok.ndim else bool(ok), _value(ratio))
 
 
 @dataclass
@@ -393,36 +505,69 @@ def is_radon_curve(sec, k=128, contact_tol=1e-8, seed=0, cross_pairs=16):
     Primary route: every swept diameter admits a conjugate diameter (the
     circumscribed-parallelogram closure defect stays under tolerance).
     Cross-check route: Birkhoff normality is symmetric on the sampled
-    conjugate pairs. Both are computed and both must agree for a pass.
+    conjugate pairs, min(k, cross_pairs) of the k diameters, evenly spaced,
+    each tested both ways. Both are computed and both must agree for a pass.
+    A section whose central symmetry residual exceeds the norm gate raises
+    NotANorm.
+
+    sec may be a list of sections of one body: the result is then the list
+    of their RadonResults, None for a section that fails the norm gate.
+    Every section, and a single one the same way, takes three restriction
+    solves in all, whatever k and however many sections: central_symmetry;
+    one support_point2 over every section's conjugate contacts and the
+    Birkhoff pairs' second vectors; one support2 over every closure side and
+    Birkhoff normal. The diameters' ends are one ray exit and the Birkhoff
+    gauges one more. In a list of two or more sections a failed row names
+    its section and its row there.
     """
     require_sizes("is_radon_curve", {"k": k, "cross_pairs": cross_pairs})
-    sym = _norm_gate(sec)
-    c2 = sym.center
+    listed = isinstance(sec, list)
+    secs = sec if listed else [sec]
+    syms = central_symmetry(secs, tol=_NORM_TOL) if listed else [_norm_gate(sec)]
+    live = np.flatnonzero([sym.ok for sym in syms])
+    if not live.size:
+        return [None] * len(secs)
     rng = np.random.default_rng(seed)
     th = rng.uniform(0.0, np.pi / k) + np.pi * np.arange(k) / k
     u = np.column_stack([np.cos(th), np.sin(th)])
-    e_plus = sec.boundary2(u, base2=c2)
-    e_minus = sec.boundary2(-u, base2=c2)
-    try:
-        _, defect = conjugate_diameter(sec, e_minus, e_plus,
-                                       contact_tol=contact_tol)
-        conj_ok = True
-    except NotFound as exc:
-        defect, conj_ok = exc.defect, False
-    worst = int(np.argmax(defect))
-    # p = min(k, cross_pairs) of the k diameters, evenly spaced, each pair
-    # tested both ways in one call
     p = min(k, cross_pairs)
     pairs = np.arange(p) * k // p
-    xs = e_plus[pairs] - c2
-    ys = sec.support_point2(_rot90(u[pairs])) - c2
-    both = birkhoff_normal(sec, np.concatenate([xs, ys]),
-                           np.concatenate([ys, xs]), center=c2)
-    ratio = np.minimum(both.min_ratio[:p], both.min_ratio[p:])
-    worst_asym = np.max(1.0 - ratio, initial=0.0)
-    norm_ok = bool(both.ok.all())
-    ok = conj_ok and norm_ok
-    return RadonResult(bool(ok), bool(conj_ok), bool(norm_ok),
-                       float(defect[worst]), u[worst], float(worst_asym), c2,
-                       detail={"k": k, "contact_tol": contact_tol,
-                               "symmetry_residual": sym.residual})
+    # the L live sections' rows are (L, m, 2) stacks, passed flat with of(m),
+    # the section of each flat row, and centres(m), its section's centre
+    c2 = np.stack([syms[i].center for i in live])
+    diam = np.array([secs[i].diameter2() for i in live])[:, None]
+    of = lambda m: np.repeat(live, m)
+    centres = lambda m: np.repeat(c2, m, axis=0)
+    flat = lambda a: a.reshape(-1, 2)
+    stack = lambda a: a.reshape(len(live), -1, *a.shape[1:])
+
+    ends = stack(_boundary2(secs, np.tile(np.concatenate([u, -u]), (len(live), 1)),
+                            centres(2 * k), of(2 * k)))
+    e_plus, e_minus = ends[:, :k], ends[:, k:]
+    n_d = _contact_normals(e_minus, e_plus, diam, _where(secs, of(k), e_plus))
+    y_dirs = np.broadcast_to(_rot90(u[pairs]), (len(live), p, 2))
+    q = stack(_support_point2(secs, flat(np.concatenate([n_d, -n_d, y_dirs], axis=1)),
+                              of(2 * k + p)))
+    n_p, apart = _closure_normals(q[:, :k], q[:, k:2 * k], n_d, diam)
+    xs, ys = e_plus[:, pairs] - c2[:, None], q[:, 2 * k:] - c2[:, None]
+    x, y = np.concatenate([xs, ys], axis=1), np.concatenate([ys, xs], axis=1)
+    nx = stack(_gauge2(secs, flat(x), centres(2 * p), of(2 * p)))
+    n_b = _birkhoff_normals(x, y, nx, _where(secs, of(2 * p), x))
+    h = stack(_support2(secs, flat(np.concatenate([n_p, -n_p, n_b], axis=1)),
+                        of(2 * k + 2 * p)))
+    defect = _closure_defect(e_minus, e_plus, n_p, apart, h[:, :k],
+                             h[:, k:2 * k], diam)
+    normal, ratio = _birkhoff_ratio(x, nx, n_b, h[:, 2 * k:], c2[:, None])
+    asymmetry = 1.0 - np.minimum(ratio[:, :p], ratio[:, p:])
+
+    results = [None] * len(secs)
+    for j, i in enumerate(live):
+        worst = int(np.argmax(defect[j]))
+        conj_ok = not (defect[j] > contact_tol).any()
+        norm_ok = bool(normal[j].all())
+        results[i] = RadonResult(
+            conj_ok and norm_ok, conj_ok, norm_ok, float(defect[j, worst]),
+            u[worst], float(np.max(asymmetry[j], initial=0.0)), syms[i].center,
+            detail={"k": k, "contact_tol": contact_tol,
+                    "symmetry_residual": syms[i].residual})
+    return results if listed else results[0]

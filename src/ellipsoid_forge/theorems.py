@@ -29,7 +29,6 @@ from .errors import (
     DegenerateQuadruple,
     GeometryError,
     NonSmoothBody,
-    NotANorm,
     NotOSymmetric,
     PlaneMissesBody,
     PointOnBoundary,
@@ -50,8 +49,8 @@ from .numeric import (
     sphere_directions,
     unit_frame,
 )
-from .planar import (_support2, affine_diameter_residual, central_symmetry,
-                     is_radon_curve, section)
+from .planar import (_boundary2, _support2, affine_diameter_residual,
+                     central_symmetry, is_radon_curve, section)
 from .projective import (
     HPoint,
     Hyperplane,
@@ -222,19 +221,17 @@ class _CheckRun:
         return fit
 
     def radon_stage(self, name, kind, sections, k, /, **detail):
-        """Worst conjugacy defect of is_radon_curve; an asymmetric section scores 1.0."""
-        worst, ok, asymmetric = 0.0, True, 0
-        for sec in sections:
-            try:
-                rr = is_radon_curve(sec, k=k, contact_tol=self.tol["contact"],
-                                    seed=self.seed)
-                ok, d = ok and rr.ok, rr.worst_defect
-            except NotANorm:
-                ok, d, asymmetric = False, np.inf, asymmetric + 1
-            worst = max(worst, d if np.isfinite(d) else 1.0)
+        """Worst conjugacy defect of one is_radon_curve call over the
+        sections; a section that fails the norm gate scores 1.0."""
+        results = is_radon_curve(sections, k=k, contact_tol=self.tol["contact"],
+                                 seed=self.seed)
+        worst = max((1.0 if rr is None or not np.isfinite(rr.worst_defect)
+                     else rr.worst_defect for rr in results), default=0.0)
+        asymmetric = sum(rr is None for rr in results)
         if asymmetric:
             detail["not_centrally_symmetric"] = asymmetric
-        self.stage(name, kind, worst, "contact", ok, **detail)
+        self.stage(name, kind, worst, "contact",
+                   all(rr is not None and rr.ok for rr in results), **detail)
 
     def report(self, inputs=None, branch=None):
         report = CheckReport(
@@ -787,9 +784,11 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
               all_ellipse and worst_fit < tol["ellipse"], samples=len(us))
 
     v2 = circle_directions(32, seed=seed)
+    hs = _support2(secs, np.tile(v2, (len(secs), 1)),
+                   np.repeat(np.arange(len(secs)), len(v2)))
     min_margin = min(
         float((h - np.vecdot(sec.to_chart(o + r * u), v2) - r).min())
-        for u, sec, h in zip(us, secs, _support2(secs, [v2] * len(secs))))
+        for u, sec, h in zip(us, secs, hs.reshape(len(secs), -1)))
     rel = min_margin / diam
     run.stage("ball-inside-section-hulls", "hypothesis",
               max(0.0, tol["margin"] - rel), None, rel > tol["margin"],
@@ -968,35 +967,42 @@ def check_theorem_basico(k_body, p, eps=0.2, planes=8, offsets=7, m=64,
                  "sections symmetric about a centre away from p",
                  branch="FCT-case")
     else:
-        min_signed = np.inf
-        used = 0
-        for i, (sec, sr, plane) in top.items():
+        # the top sections whose translation -2 (c - p) does not vanish
+        moved = []
+        for sec, sr, plane in top.values():
             u_g = -2.0 * (np.asarray(sr.center_world) - p)
             denom = float(u_g @ plane.normal)
             if np.linalg.norm(u_g) <= 1e-9 * diam or abs(denom) <= 1e-15:
                 continue  # concentric section: the translation vanishes
-            shadow = shadow_boundary(k_body, u_g, m=m, seed=seed)
-            c2 = np.asarray(sr.center)
-            q = shadow.points
-            t = -plane.signed_distance(q) / denom
-            d2 = sec.to_chart(q + np.multiply.outer(t, u_g)) - c2
+            moved.append((sec, np.asarray(sr.center), plane, u_g, denom))
+        if not moved:
+            run.skip("translation-and-shadow-containment", "derived",
+                     "translation vectors vanish")
+        else:
+            # one shadow sweep over every translation, each shadow point moved
+            # along its translation onto its section, then one ray exit from
+            # each section's centre through all of them
+            shadows = shadow_boundary(k_body, np.array([t[3] for t in moved]),
+                                      m=m, seed=seed)
+            d2 = []
+            for (sec, c2, plane, u_g, denom), shadow in zip(moved, shadows):
+                q = shadow.points
+                t = -plane.signed_distance(q) / denom
+                d2.append(sec.to_chart(q + np.multiply.outer(t, u_g)) - c2)
+            d2 = np.concatenate(d2)
+            c2 = np.repeat([t[1] for t in moved], m, axis=0)
             ndq = np.sqrt(np.vecdot(d2, d2))
             # a point at the centre is measured along (1, 0)
             near = ndq <= 1e-12 * diam
             dirs = np.where(near[:, None], (1.0, 0.0),
                             d2 / np.where(near, 1.0, ndq)[:, None])
-            b2 = sec.boundary2(dirs, base2=c2) - c2
+            b2 = _boundary2([sec for sec, *_ in moved], dirs, c2,
+                            np.repeat(np.arange(len(moved)), m)) - c2
             signed = np.where(near, 0.0, ndq) - np.sqrt(np.vecdot(b2, b2))
-            min_signed = min(min_signed, float(signed.min()))
-            used += 1
-        if used == 0:
-            run.skip("translation-and-shadow-containment", "derived",
-                     "translation vectors vanish")
-        else:
-            rel = min_signed / diam
+            rel = float(signed.min()) / diam
             run.stage("translation-and-shadow-containment", "derived",
                       max(0.0, -rel), "contact", rel >= -tol["contact"],
-                      min_signed_rel=float(rel), slabs=used)
+                      min_signed_rel=float(rel), slabs=len(moved))
 
     run.fit_stage("ellipsoid-fit", k_body)
     return run.report(inputs={"p": [float(t) for t in p], "eps": eps},
@@ -1010,9 +1016,9 @@ def check_theorem_radon(k_body, planes=6, diameters=128, seed=0,
                     dict(planes=planes, diameters=diameters), body=k_body)
     o = k_body.center
     _require_o_symmetric(k_body, o, "body")
-    # a generator: each section is cut just before its Radon test
-    sections = (section(k_body, Hyperplane.from_point_normal(o, nrm))
-                for nrm in sphere_directions(k_body.dim, planes, seed=seed))
+    # all the sections up front: one is_radon_curve call tests them together
+    sections = [section(k_body, Hyperplane.from_point_normal(o, nrm))
+                for nrm in sphere_directions(k_body.dim, planes, seed=seed)]
     run.radon_stage("central-sections-radon", "hypothesis", sections,
                     diameters, planes=int(planes), diameters=int(diameters))
     run.fit_stage("ellipsoid-fit", k_body)

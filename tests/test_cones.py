@@ -301,6 +301,34 @@ def test_row_cone_intersection_equals_point_calls(name):
         _assert_same_curve(curve, cone_intersection(body, xi, yi, m=24, seed=2))
 
 
+@pytest.mark.parametrize("name", list(_ROW_BODIES))
+def test_row_shadow_boundary_equals_direction_calls(name):
+    body = _ROW_BODIES[name]
+    u = np.array([[1.0, 2.0, -1.0], [0.0, 0.0, 3.0], [-0.4, 0.1, 0.2]])
+    curves = shadow_boundary(body, u, m=24, seed=2)
+    assert isinstance(curves, list) and len(curves) == len(u)
+    for d, curve in zip(u, curves):
+        _assert_same_curve(curve, shadow_boundary(body, d, m=24, seed=2))
+    (one,) = shadow_boundary(body, u[:1], m=24, seed=2)
+    _assert_same_curve(one, curves[0])
+
+
+def test_row_shadow_boundary_names_the_row():
+    nan_body = _NaNNormalBall(np.zeros(3), np.eye(3))
+    # the shadows along +-e3 are the equator, below the NaN normals
+    u = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(GeometryError, match=r"^tangency sweep, curve 2, plane \d+, "
+                                            r"apex 0: g is not finite"):
+        shadow_boundary(nan_body, u, m=16)
+    assert len(shadow_boundary(nan_body, u[:2], m=16)) == 2
+    with pytest.raises(ZeroDirection, match="illumination direction row 1 is zero"):
+        shadow_boundary(nan_body, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    with pytest.raises(ZeroDirection, match="illumination direction is zero"):
+        shadow_boundary(nan_body, np.zeros(3))
+    with pytest.raises(NonFiniteInput, match=r"direction row 1 \[0.0, nan"):
+        shadow_boundary(nan_body, np.array([[1.0, 0.0, 0.0], [0.0, np.nan, 1.0]]))
+
+
 def test_row_sweep_failure_names_its_curve():
     nan_body = _NaNNormalBall(np.zeros(3), np.eye(3))
     # the first two contact circles stay at z = -0.5, below the NaN normals

@@ -22,13 +22,15 @@ from ellipsoid_forge.errors import (
     EndpointNotOnBoundary,
     GeometryError,
     NoSignChange,
+    NonFiniteInput,
     NonSmoothBody,
     NotANorm,
     NotFound,
     PlaneMissesBody,
     UnsupportedDimension,
 )
-from ellipsoid_forge.numeric import angle_between, normalize
+from ellipsoid_forge.numeric import angle_between, normalize, sphere_directions
+from ellipsoid_forge.theorems import RESIDUAL_FLOOR
 
 from conftest import random_affine
 
@@ -342,10 +344,7 @@ def test_central_symmetry_list_equals_one_section_calls(kind):
 
 def test_central_symmetry_one_solve_and_width_rows_only_when_uncached(
         monkeypatch, ellipsoid149):
-    rows = []
-    real = planar.find_root
-    monkeypatch.setattr(planar, "find_root", lambda f, init, **kw:
-                        rows.append(len(init[0])) or real(f, init, **kw))
+    rows = _count_solve_rows(monkeypatch)
     secs = _row_sections(ellipsoid149)
     secs[0].diameter2()
     rows.clear()
@@ -371,7 +370,8 @@ def test_batched_restriction_failure_names_section_and_row(ellipsoid149):
     bad = np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(GeometryError,
                        match=r"restriction solve at section 2, row 1: "):
-        planar._support2(secs, [good, good, bad])
+        planar._support2(secs, np.concatenate([good, good, bad]),
+                         np.repeat([0, 1, 2], 3))
     # one section keeps its flat row index
     with pytest.raises(NoSignChange, match=r"restriction solve at row 1: "):
         secs[2].support2(bad)
@@ -670,45 +670,153 @@ def test_section_sweeps_reject_empty_samples(l4_central_section):
             is_radon_curve(l4_central_section, **sizes)
 
 
+def _count_solve_rows(monkeypatch):
+    """The row count of every restriction solve planar makes."""
+    rows = []
+    real = planar.find_root
+    monkeypatch.setattr(planar, "find_root", lambda f, init, **kw:
+                        rows.append(len(init[0])) or real(f, init, **kw))
+    return rows
+
+
 @pytest.mark.parametrize("k, cross_pairs, pairs", [
     (100, 16, 16), (20, 16, 16), (8, 16, 8), (128, 16, 16), (16, 1, 1)])
 def test_radon_runs_min_k_cross_pairs_birkhoff_pairs(monkeypatch, k, cross_pairs,
                                                      pairs):
-    sec = section(Ellipsoid.from_semi_axes([1.0, 2.0, 3.0]),
-                  Hyperplane(np.array([0.0, 0.0, 1.0]), 0.0))
-    rows = []
-    real = planar.birkhoff_normal
-    monkeypatch.setattr(planar, "birkhoff_normal",
-                        lambda *a, **kw: rows.append(len(a[1])) or real(*a, **kw))
-    assert is_radon_curve(sec, k=k, cross_pairs=cross_pairs).ok
-    assert sum(rows) == 2 * pairs  # each pair is tested both ways
+    """Each section adds its 2k conjugate contacts and its `pairs` Birkhoff
+    y points to the support_point2 solve, and its 2k closure sides and
+    2 * pairs Birkhoff normals (each pair both ways) to the support2 solve."""
+    body = Ellipsoid.from_semi_axes([1.0, 2.0, 3.0])
+    cut = lambda: [section(body, Hyperplane(normalize(np.array(nrm)), 0.0))
+                   for nrm in ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0])]
+    rows = _count_solve_rows(monkeypatch)
+    for sec in cut():
+        rows.clear()
+        assert is_radon_curve(sec, k=k, cross_pairs=cross_pairs).ok
+        # the norm gate's 2 x 96 symmetry rows and 32 width rows
+        assert rows == [2 * 96 + 32, 2 * k + pairs, 2 * k + 2 * pairs]
+    rows.clear()
+    assert all(rr.ok for rr in is_radon_curve(cut(), k=k, cross_pairs=cross_pairs))
+    assert rows == [3 * (2 * 96 + 32), 3 * (2 * k + pairs), 3 * (2 * k + 2 * pairs)]
 
 
 def test_radon_section_calls_do_not_grow_with_k(monkeypatch):
-    """The k diameters and the Birkhoff pairs are rows of a fixed number of
-    section calls and restriction solves."""
+    """The k diameters and the Birkhoff pairs of every section are rows of
+    three restriction solves and two ray exits, whatever k and however many
+    sections: the section oracles are not called one section at a time."""
     calls = []
-    for name in ("support2", "support_point2"):
+    for name in ("support2", "support_point2", "boundary2", "gauge2"):
         real = getattr(planar.PlanarSection, name)
         monkeypatch.setattr(planar.PlanarSection, name,
-                            lambda self, w, _real=real, _name=name:
-                            calls.append(_name) or _real(self, w))
-    real_find_root = planar.find_root
-    monkeypatch.setattr(planar, "find_root", lambda *a, **kw:
-                        calls.append("find_root") or real_find_root(*a, **kw))
+                            lambda self, *a, _real=real, _name=name:
+                            calls.append(_name) or _real(self, *a))
+    for name in ("find_root", "ray_exit"):
+        real = getattr(planar, name)
+        monkeypatch.setattr(planar, name, lambda *a, _real=real, _name=name, **kw:
+                            calls.append(_name) or _real(*a, **kw))
+    body = PBall(4.0, (1.0, 1.0, 1.0))
 
-    def counts(k):
-        sec = section(PBall(4.0, (1.0, 1.0, 1.0)),
-                      Hyperplane(np.array([0.0, 0.0, 1.0]), 0.0))
+    def counts(k, planes):
+        secs = [section(body, Hyperplane(nrm, 0.0))
+                for nrm in sphere_directions(3, planes, seed=1)]
         calls.clear()
-        assert not is_radon_curve(sec, k=k).ok
+        results = is_radon_curve(secs if planes > 1 else secs[0], k=k)
+        assert not any(rr.ok for rr in np.atleast_1d(results))
         return sorted(calls)
 
     # one solve each: the norm gate's symmetry fit with the diameter rows,
-    # the k conjugate diameters (contacts, then closure), the Birkhoff pairs'
-    # y and their normality; the gate solves without a support2 call
-    assert counts(16) == counts(128) == (
-        ["find_root"] * 5 + ["support2"] * 2 + ["support_point2"] * 2)
+    # the conjugate contacts with the Birkhoff pairs' y, and the closure
+    # sides with the Birkhoff normals; one ray exit for the diameters' ends
+    # and one for the Birkhoff gauges
+    want = ["find_root"] * 3 + ["ray_exit"] * 2
+    assert counts(16, 1) == counts(128, 1) == want
+    assert counts(16, 4) == counts(128, 6) == want
+
+
+def _radon_or_none(sec, **kw):
+    try:
+        return is_radon_curve(sec, **kw)
+    except NotANorm:
+        return None
+
+
+@pytest.mark.parametrize("kind", list(_ROW_BODIES))
+def test_radon_list_equals_one_section_calls(kind):
+    """The list form's verdicts equal the one-section calls', and its
+    residuals agree within the report's residual floor; a section that
+    fails the norm gate (NotANorm alone) is None in the list."""
+    body = _ROW_BODIES[kind]
+    singles = [_radon_or_none(sec, k=24, seed=3) for sec in _row_sections(body)]
+    batched = is_radon_curve(_row_sections(body), k=24, seed=3)
+    assert len(batched) == 3
+    assert singles[0] is not None  # the central section is a norm's ball
+    for one, many in zip(singles, batched):
+        assert (one is None) == (many is None)
+        if one is None:
+            continue
+        assert (one.ok, one.conjugacy_ok, one.normality_ok) == (
+            many.ok, many.conjugacy_ok, many.normality_ok)
+        assert abs(one.worst_defect - many.worst_defect) <= RESIDUAL_FLOOR
+        assert abs(one.worst_asymmetry - many.worst_asymmetry) <= RESIDUAL_FLOOR
+        assert np.array_equal(one.center, many.center)
+        assert one.detail == many.detail
+    (alone,) = is_radon_curve(_row_sections(body)[:1], k=24, seed=3)
+    assert alone.worst_defect == singles[0].worst_defect
+
+
+def test_radon_list_keeps_a_slot_for_an_asymmetric_section(l4_unit):
+    nrm = normalize(np.array([-0.4, 0.0, 1.0]))
+    tilted = section(l4_unit, Hyperplane(nrm, 0.3 * nrm[2]))
+    central = section(l4_unit, Hyperplane(np.array([0.0, 0.0, 1.0]), 0.0))
+    with pytest.raises(NotANorm, match="section symmetry residual"):
+        is_radon_curve(tilted, k=16)
+    first, second, third = is_radon_curve([tilted, central, tilted], k=16)
+    assert first is None and third is None
+    assert not second.ok and second.worst_defect > 0.05
+    assert is_radon_curve([tilted], k=16) == [None]
+    assert is_radon_curve([], k=16) == []
+
+
+def test_batched_support_point_failure_names_section_and_row(ellipsoid149):
+    secs = _row_sections(ellipsoid149)
+    good = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    bad = np.array([[1.0, 0.0], [0.0, 1.0], [np.nan, 1.0]])
+    with pytest.raises(NoSignChange,
+                       match=r"restriction solve at section 1, row 2: "):
+        planar._support_point2(secs, np.concatenate([good, bad, good]),
+                               np.repeat([0, 1, 2], 3))
+
+
+def test_batched_ray_exit_failure_names_section_and_row(ellipsoid149):
+    secs = _row_sections(ellipsoid149)
+    d2 = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [np.nan, 0.0]])
+    of = np.array([0, 2, 1, 1])
+    with pytest.raises(NonFiniteInput,
+                       match=r"^ray exit at section 1, row 1: ray base point "):
+        planar._boundary2(secs, d2, np.zeros((4, 2)), of)
+    with pytest.raises(NonFiniteInput, match=r"^ray exit at section 1, row 1: "):
+        planar._gauge2(secs, d2, np.zeros((4, 2)), of)
+    # one section keeps the ray exit's own message
+    with pytest.raises(NonFiniteInput, match=r"^ray base point"):
+        secs[1].boundary2(d2[2:])
+    # rows of several sections must say which section each row is in
+    with pytest.raises(ValueError, match="rows of 3 sections need of"):
+        planar._boundary2(secs, d2)
+
+
+def test_batched_row_checks_name_section_and_row(ellipsoid149):
+    secs = _row_sections(ellipsoid149)
+    of = np.repeat([0, 2], 2)
+    a2 = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 0.5]]])
+    b2 = -a2
+    b2[1, 1] = a2[1, 1]
+    with pytest.raises(ValueError, match=r"degenerate chord at section 2, row 1$"):
+        planar._contact_normals(a2, b2, 1.0, planar._where(secs, of, a2))
+    x = np.ones((2, 2, 2))
+    y = x.copy()
+    y[1, 0] = 0.0
+    with pytest.raises(ValueError, match=r"nonzero vectors at section 2, row 0$"):
+        planar._birkhoff_normals(x, y, np.ones((2, 2)), planar._where(secs, of, x))
 
 
 def test_support2_without_a_sign_change_raises_typed_error():

@@ -28,6 +28,7 @@ from ellipsoid_forge import (
     harmonic_conjugate,
     line_boundary_points,
     polar_of,
+    section,
     theorems,
 )
 from ellipsoid_forge.errors import (
@@ -427,6 +428,18 @@ def test_t2_off_centre_sections_that_are_not_symmetric_fail_the_radon_stage(l4_u
     assert radon.detail["not_centrally_symmetric"] == 2
 
 
+def test_radon_stage_fails_on_sections_that_are_not_symmetric(l4_unit):
+    from ellipsoid_forge.theorems import _CheckRun
+    nrm = np.array([-0.4, 0.0, 1.0]) / np.linalg.norm([-0.4, 0.0, 1.0])
+    tilted = section(l4_unit, Hyperplane(nrm, 0.3 * nrm[2]))
+    run = _CheckRun("radon", 0, None, {}, body=l4_unit)
+    run.radon_stage("sections-are-radon", "hypothesis", [tilted, tilted], 16)
+    (stage,) = run.stages
+    assert stage.verdict == "fail"
+    assert stage.residual == 1.0
+    assert stage.detail["not_centrally_symmetric"] == 2
+
+
 def test_t2_attributes_failures_to_their_pairs():
     """Five of the twelve apex lines through p miss the small inner ball:
     the batched cone_intersection raises, and the pairs are run one by one,
@@ -551,6 +564,40 @@ def test_basico_restriction_solves_do_not_grow_with_sections(monkeypatch,
                                            m=16, sym_m=16))
         counts.append(len(solves))
     assert counts == [1, 1]
+
+
+def test_radon_stages_make_three_restriction_solves(monkeypatch, ellipsoid149):
+    """The radon check's and t2's radon stages test all their sections in
+    one is_radon_curve call: three restriction solves, whatever the number
+    of sections (the radon check made 5 per section before)."""
+    solves = _count_restriction_solves(monkeypatch)
+    for planes, diameters in ((2, 32), (6, 128)):
+        solves.clear()
+        _assert_clean(check_theorem_radon(ellipsoid149, planes=planes,
+                                          diameters=diameters))
+        assert len(solves) == 3
+    solves.clear()
+    report = check_theorem2(Ellipsoid.ball(2.0 ** -0.5), Ellipsoid.ball(1.0),
+                            np.zeros(3), apexes=4, m=24, chords=8, radon_k=16)
+    _assert_clean(report)
+    assert _stage(report, "sections-are-radon").verdict == "pass"
+    assert len(solves) == 3
+
+
+def test_basico_shadow_stage_is_one_tangency_sweep(monkeypatch, ellipsoid149):
+    from ellipsoid_forge import cones
+    sweeps = []
+    real = cones.find_root
+    monkeypatch.setattr(cones, "find_root",
+                        lambda *a, **kw: sweeps.append(1) or real(*a, **kw))
+    for planes in (2, 5):
+        sweeps.clear()
+        report = check_theorem_basico(ellipsoid149, np.zeros(3), planes=planes,
+                                      offsets=3, m=16, sym_m=16)
+        _assert_clean(report)
+        stage = _stage(report, "translation-and-shadow-containment")
+        assert stage.detail["slabs"] == planes
+        assert len(sweeps) == 1
 
 
 def test_cone_sweep_solves_do_not_grow_with_apexes(monkeypatch, ellipsoid149,
