@@ -8,21 +8,23 @@ center the ellipsoid's and the polytope's ray exits are closed form too; the
 other kinds take one row solve (numeric.find_root) on the gauge per call.
 
 Every oracle (support, support_point, gauge, normal_at, boundary_from_center,
-boundary_point, ray_exit) takes one point or direction of shape (n,), or rows
-of shape (..., n), and answers row by row: a Python float or an (n,) point for
-one input, an array of shape (...) or (..., n) for rows. A row's answer equals
-the one-point answer to the last bit or two, so a caller may batch freely.
-support and support_point raise ZeroDirection for a zero direction or row;
-the ray exits (boundary_point, ray_exit) raise NonFiniteInput for a non-finite
-base or direction, ZeroDirection for a zero direction or row, and
-RayBaseNotInterior for a base outside the interior.
+boundary_point, ray_exit, line_min_gauge) takes one point or direction of
+shape (n,), or rows of shape (..., n), and answers row by row: a Python float
+or an (n,) point for one input, an array of shape (...) or (..., n) for rows.
+A row's answer equals the one-point answer to the last bit or two, so a
+caller may batch freely. support and support_point raise ZeroDirection for a
+zero direction or row; the ray exits (boundary_point, ray_exit) raise
+NonFiniteInput for a non-finite base or direction, ZeroDirection for a zero
+direction or row, and RayBaseNotInterior for a base outside the interior.
+line_min_gauge(p, d) gives (t, g): the least gauge g along each line p + t d,
+at t in units of d; one row solve on smooth kinds, closed form on polytopes;
+NonFiniteInput and ZeroDirection as for the ray exits.
 """
 
 import hashlib
 import io
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (BodySpecError, LineMissesBody, NonFiniteInput,
@@ -133,6 +135,33 @@ class ConvexBody:
                         tolerances=dict(xatol=1e-15, xrtol=8.9e-16))
         check_roots(sol, lambda r: "ray exit at row %d" % r, "gauge - 1", "[0, t_hi]")
         return (z + (sol.x * t_hi)[:, None] * d).reshape(shape)
+
+    def line_min_gauge(self, p, d):
+        """Gauge minimum along each line p + t d, p and d broadcast as rows:
+        (t, g) with g = gauge(p + t d) least at t, in units of d. g is convex
+        along a line, with the slope sign of <normal_at(b), d> at the radial
+        boundary point b of p + t d: one find_root on that sign solves every
+        row on t_foot +- g(foot) R / |d| (R = radius_bound()), as the
+        minimiser x* has |x* - c| <= g(x*) R. A line through the center
+        (g(foot) <= 1e-13) takes its foot, unsolved."""
+        p, d = _ray(p, d)
+        shape = np.broadcast_shapes(p.shape, d.shape)
+        v, e = (np.broadcast_to(a, shape).reshape(-1, self.dim)
+                for a in (p - self.center, d))
+        t = -np.vecdot(v, e) / np.vecdot(e, e)
+        g_foot = self.gauge(self.center + v + t[:, None] * e)
+        half = g_foot * self.radius_bound() / np.sqrt(np.vecdot(e, e))
+        slope = lambda s, r: np.vecdot(self.normal_at(self.boundary_from_center(
+            v[r] + (t[r] + s * half[r])[:, None] * e[r])), e[r])
+        solve = np.flatnonzero(g_foot > 1e-13)
+        if solve.size:
+            sol = find_root(slope, (-1.0, 1.0), args=(solve,),
+                            tolerances=dict(xatol=1e-15, xrtol=8.9e-16))
+            check_roots(sol, lambda r: "line minimum at row %d" % solve[r],
+                        "<normal, d>", "t_foot +- g(foot) R / |d|")
+            t[solve] += sol.x * half[solve]
+        t = t.reshape(shape[:-1])
+        return _value(t), self.gauge(p + t[..., None] * d)
 
     def body_id(self):
         digest = hashlib.blake2b(
@@ -346,6 +375,22 @@ class Polytope(ConvexBody):
                       out=np.full(np.broadcast_shapes(az.shape, ad.shape), np.inf))
         return z + np.expand_dims(t.min(axis=-1), -1) * d
 
+    def line_min_gauge(self, p, d):
+        # along the line the gauge is max_i (al_i + be_i t) over the facets,
+        # least where a rising facet (be_i > 0) crosses a falling one highest
+        p, d = _ray(p, d)
+        al = np.matvec(self._a, p - self._c) / self._b
+        be = np.matvec(self._a, d) / self._b
+        ai, aj = al[..., :, None], al[..., None, :]
+        bi, bj = be[..., :, None], be[..., None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            level = np.where((bi > 0.0) & (bj < 0.0),
+                             (ai * -bj + aj * bi) / (bi - bj), -np.inf)
+            cross = (aj - ai) / (bi - bj)
+        best = level == level.max(axis=(-2, -1), keepdims=True)
+        t = np.where(best, cross, -np.inf).max(axis=(-2, -1))
+        return _value(t), self.gauge(p + t[..., None] * d)
+
 
 class AffineImage(ConvexBody):
     """A K + b for an invertible matrix A and an inner body K."""
@@ -403,6 +448,13 @@ class AffineImage(ConvexBody):
         x_in = np.matvec(self._ainv, np.asarray(x, dtype=float) - self._b)
         return normalize(np.matvec(self._ainv.T, self._inner.normal_at(x_in)))
 
+    def line_min_gauge(self, p, d):
+        # the preimage line A^-1 (p - b) + t A^-1 d has the same t
+        p, d = np.asarray(p, dtype=float), np.asarray(d, dtype=float)
+        t, _ = self._inner.line_min_gauge(np.matvec(self._ainv, p - self._b),
+                                          np.matvec(self._ainv, d))
+        return t, self.gauge(p + np.expand_dims(t, -1) * d)
+
 
 def ray_exit(body, base, d):
     """Boundary point along base + t*d, t > 0, for interior base; base and d
@@ -429,16 +481,6 @@ def ray_exit(body, base, d):
     return out
 
 
-def line_min_gauge(body, line):
-    """Gauge minimum along a line: (t, gauge at line.at(t)). The bracket
-    [-span, span] covers the ball holding the body, so the whole chord too."""
-    span = float(np.linalg.norm(line.point - body.center)) + body.radius_bound()
-    g = lambda t: body.gauge(line.at(t))
-    r = minimize_scalar(g, bounds=(-span, span), method="bounded",
-                        options={"xatol": 1e-12 * (1.0 + span)})
-    return float(r.x), float(r.fun)
-
-
 def line_boundary_points(body, line):
     """The two intersections of a line with bd K, ordered by the parameter:
     the ray exits backwards and forwards from one interior point of the line,
@@ -451,7 +493,7 @@ def line_boundary_points(body, line):
         raise TypeError("expected a Line")
     base = line.point
     if body.gauge(base) >= 1.0 - 1e-12:
-        t0, g0 = line_min_gauge(body, line)
+        t0, g0 = body.line_min_gauge(line.point, line.direction)
         if g0 >= 1.0 - 1e-12:
             raise LineMissesBody("gauge minimum along the line is %.6f" % g0)
         base = line.at(t0)

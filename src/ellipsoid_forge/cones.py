@@ -22,7 +22,7 @@ import json
 
 import numpy as np
 
-from .bodies import line_min_gauge, ray_exit
+from .bodies import ray_exit
 from .errors import (
     ApexInsideBody,
     CoincidentApexes,
@@ -36,7 +36,7 @@ from .errors import (
 from .fitting import ELLIPSE, fit_planar_conic
 from .numeric import (check_roots, find_root, normalize, require_sizes,
                       unit_frame)
-from .projective import Hyperplane, Line
+from .projective import Hyperplane
 
 
 class CurveSample:
@@ -239,25 +239,22 @@ def cone_intersection(body, x, y, m=200, seed=0):
     _require_smooth(body)
     x, y = np.broadcast_arrays(_exterior_apex(body, x), _exterior_apex(body, y))
     xs, ys = np.atleast_2d(x), np.atleast_2d(y)
+    gap = np.sqrt(np.vecdot(xs - ys, xs - ys))
+    near = gap <= 1e-9 * body.diameter()
+    if near.any():
+        r = int(np.argmax(near))
+        raise CoincidentApexes("apexes%s are %.3e apart" % (_row(x, r), gap[r]))
     e = normalize(ys - xs)
-    bases = []
-    for r, (xr, yr) in enumerate(zip(xs, ys)):
-        gap = np.sqrt(np.vecdot(xr - yr, xr - yr))
-        if gap <= 1e-9 * body.diameter():
-            raise CoincidentApexes("apexes%s are %.3e apart" % (_row(x, r), gap))
-        line = Line(xr, e[r])
-        # snap the base to the center when the line passes through it, which
-        # keeps reflection symmetries bit-exact
-        base = line.at(float((body.center - line.point) @ line.direction))
-        if not (np.linalg.norm(base - body.center) <= 1e-9 * body.diameter()
-                and body.gauge(base) < 1.0 - 1e-9):
-            t, g = line_min_gauge(body, line)
-            if g >= 1.0 - 1e-9:
-                raise LineMissesBody("minimum gauge along the line%s is %.9f"
-                                     % (_row(x, r), g))
-            base = line.at(t)
-        bases.append(base)
-    base = np.array(bases)
+    # each sweep turns about its apex line from the line's gauge minimum,
+    # the foot of the center when the line passes through it (ray_exit's
+    # closed form then keeps reflection symmetries bit-exact)
+    t, g = body.line_min_gauge(xs, e)
+    miss = g >= 1.0 - 1e-9
+    if miss.any():
+        r = int(np.argmax(miss))
+        raise LineMissesBody("minimum gauge along the line%s is %.9f"
+                             % (_row(x, r), g[r]))
+    base = xs + t[:, None] * e
     # apex y lies on the +e side of base, apex x on the -e side
     tangents, res, planes, sweeps = _tangency_sweep(
         body, base[0] if (base == base[0]).all() else base, e.reshape(x.shape),

@@ -140,7 +140,7 @@ def find_root(f, init, args=(), tolerances=None, maxiter=None):
 
     Chandrupatla's bracketed method (Chandrupatla 1997, Adv. Eng. Software
     28(3)) over rows in plain numpy, with the arithmetic, defaults and
-    termination tests of scipy.optimize.elementwise.find_root, so both give
+    termination tests of scipy's elementwise find_root, so both give
     the same x, status, bracket, nit and nfev. a, b and args broadcast
     together; f gets the rows still active, with their args. tolerances may
     set xatol (default 4 * smallest normal), xrtol (4 * eps), fatol (smallest

@@ -14,12 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bodies import (
-    is_o_symmetric,
-    line_min_gauge,
-    o_symmetry_residual,
-    ray_exit,
-)
+from .bodies import is_o_symmetric, o_symmetry_residual, ray_exit
 from .cones import (SupportCone, _finite_vector, _row, cone_intersection, graze,
                     is_ellipsoidal_cone, shadow_boundary)
 from .errors import (
@@ -293,28 +288,29 @@ def _nesting_gate(inner, outer, margin, m=128, seed=0):
 
 
 def _tangent_planes_through_line(body, p0, e):
-    """Outer normals of the supporting planes containing the line p0 + t e.
-
-    A smooth strictly convex body missed by the line has exactly two; returns
-    None when the sign sweep does not isolate exactly two roots.
-    """
-    frame = unit_frame(normalize(e))
-    f1, f2 = frame[:, 0], frame[:, 1]
+    """Outer normals of the supporting planes containing each line p0 + t e,
+    for (k, n) rows: a smooth strictly convex body missed by a line has two.
+    Returns the (k,) mask of the lines whose sign sweep isolates exactly two
+    roots and their normals, shape (count, 2, n), from one find_root."""
+    frames = np.stack([unit_frame(normalize(row)) for row in e])
+    f1, f2 = frames[..., 0], frames[..., 1]
     p0 = np.asarray(p0, dtype=float)
 
-    def f(psi):
-        nrm = np.multiply.outer(np.cos(psi), f1) + np.multiply.outer(np.sin(psi), f2)
-        return body.support(nrm) - np.vecdot(p0, nrm)
+    def f(psi, r):
+        nrm = np.cos(psi)[..., None] * f1[r] + np.sin(psi)[..., None] * f2[r]
+        return body.support(nrm) - np.vecdot(p0[r], nrm)
 
     grid = np.linspace(0.0, 2.0 * np.pi, 257)
-    vals = f(grid)
-    cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-    if len(cells) != 2:
-        return None
-    sol = find_root(f, (grid[cells], grid[cells + 1]),
+    vals = f(grid, np.arange(len(p0))[:, None])
+    flips = vals[:, :-1] * vals[:, 1:] < 0.0
+    two = np.count_nonzero(flips, axis=1) == 2
+    rows, cells = np.nonzero(flips & two[:, None])
+    sol = find_root(f, (grid[cells], grid[cells + 1]), args=(rows,),
                     tolerances=dict(xatol=1e-14, xrtol=8.9e-16))
-    check_roots(sol, lambda r: "tangent plane %d" % r, "h(nu) - <p0, nu>")
-    return [np.cos(t) * f1 + np.sin(t) * f2 for t in sol.x]
+    check_roots(sol, lambda r: "tangent plane %d of line %d" % (r % 2, rows[r]),
+                "h(nu) - <p0, nu>")
+    return two, (np.cos(sol.x)[:, None] * f1[rows]
+                 + np.sin(sol.x)[:, None] * f2[rows]).reshape(-1, 2, body.dim)
 
 
 def _graze_polar_agreement(body, apexes, planes, m, seed):
@@ -493,45 +489,39 @@ def check_theorem1(l_body, k_body, apexes=16, m=64, pairs=8, seed=0,
               all_ellipsoidal, apexes=len(apex_pts))
 
     # intersection of the cones from x and from the reflected apex 2o - x
-    fitted_planes = []
+    fitted_normals = []
     worst_planarity = 0.0
     planar_ok = True
     for delta in cone_intersection(l_body, apex_pts, 2.0 * o - apex_pts, m=m,
                                    seed=seed):
         fit = fit_hyperplane(delta.points)
-        fitted_planes.append(fit.model)
+        fitted_normals.append(fit.model.normal)
         worst_planarity = max(worst_planarity, fit.rms_residual)
         planar_ok = planar_ok and fit.rms_residual < tol["planarity"]
     run.stage("cone-intersection-planarity", "derived", worst_planarity,
               "planarity", planar_ok)
 
-    # contact chord of the supporting planes through the apex line, against
-    # the meet of the two fitted intersection planes
-    worst_angle = 0.0
-    used = 0
-    for i in range(len(apex_pts)):
-        if used >= pairs:
-            break
-        j = (i + 1) % len(apex_pts)
-        xi, xj = apex_pts[i], apex_pts[j]
-        if line_min_gauge(l_body, Line(xi, xj - xi))[1] <= 1.0 + tol["margin"]:
-            continue
-        meet = np.cross(fitted_planes[i].normal, fitted_planes[j].normal)
-        if np.linalg.norm(meet) < 1e-3:
-            continue  # nearly parallel planes leave the meet ill-conditioned
-        normals = _tangent_planes_through_line(l_body, xi, xj - xi)
-        if normals is None:
-            continue
-        a = l_body.support_point(normals[0])
-        b = l_body.support_point(normals[1])
-        worst_angle = max(worst_angle, line_angle(a - b, meet))
-        used += 1
-    if used == 0:
+    # on the first `pairs` neighbouring apex pairs whose line misses the
+    # inner body, the contact chord of the supporting planes through the line
+    # against the meet of the fitted intersection planes (not nearly
+    # parallel, which leaves the meet ill-conditioned)
+    meet = np.cross(fitted_normals, np.roll(fitted_normals, -1, axis=0))
+    step = np.roll(apex_pts, -1, axis=0) - apex_pts
+    cand = np.flatnonzero(
+        (l_body.line_min_gauge(apex_pts, step)[1] > 1.0 + tol["margin"])
+        & (np.linalg.norm(meet, axis=1) >= 1e-3))
+    angles = []
+    if cand.size:
+        two, normals = _tangent_planes_through_line(l_body, apex_pts[cand],
+                                                    step[cand])
+        angles = [line_angle(np.subtract(*l_body.support_point(nrm)), meet[i])
+                  for i, nrm in zip(cand[two][:pairs], normals)]
+    if not angles:
         run.skip("contact-chord-parallelism", "derived",
                  "no apex pair whose line misses the inner body")
     else:
-        run.stage("contact-chord-parallelism", "derived", worst_angle,
-                  "angular", pairs=used)
+        run.stage("contact-chord-parallelism", "derived", max(angles),
+                  "angular", pairs=len(angles))
 
     run.fit_stage("inner-ellipsoid-fit", l_body, role="inner")
     return run.report()
@@ -713,28 +703,27 @@ def check_theorem3(l_body, k_body, apexes=12, m=64, lines=32, w_samples=16,
         run.stage("central-plane-alignment", "derived", worst_align,
                   "planarity", curves=aligned)
 
-    min_line_gauge = np.inf
-    segments = 0
-    for z, polar in zip(apex_pts[:4], polars[:4]):
-        if not isinstance(polar, Hyperplane):
-            continue
-        central = Hyperplane.from_point_normal(o, polar.normal)
-        sec = section(k_body, central)
-        th = np.linspace(0.0, 2.0 * np.pi, w_samples, endpoint=False)
-        w2 = np.column_stack([np.cos(th), np.sin(th)])
-        for w in sec.to_world(sec.boundary2(w2)):
-            min_line_gauge = min(min_line_gauge,
-                                 line_min_gauge(l_body, Line(z, w - z))[1])
-            segments += 1
-    if segments == 0:
+    # segments from each of the first 4 apexes to the boundary of the
+    # central section parallel to its polar
+    keep = [i for i, polar in enumerate(polars[:4]) if isinstance(polar, Hyperplane)]
+    if not keep:
         run.skip("almost-free-segments", "derived",
                  "no affine polar planes available")
     else:
+        secs = [section(k_body, Hyperplane.from_point_normal(o, polars[i].normal))
+                for i in keep]
+        th = np.linspace(0.0, 2.0 * np.pi, w_samples, endpoint=False)
+        w2 = np.column_stack([np.cos(th), np.sin(th)])
+        ends = _boundary2(secs, np.tile(w2, (len(keep), 1)),
+                          of=np.repeat(np.arange(len(keep)), w_samples))
+        ends = np.concatenate([sec.to_world(q) for sec, q in
+                               zip(secs, np.split(ends, len(keep)))])
+        z = np.repeat(apex_pts[keep], w_samples, axis=0)
+        min_gauge = float(l_body.line_min_gauge(z, ends - z)[1].min())
         needed = 1.0 + tol["margin"]
-        run.stage("almost-free-segments", "derived",
-                  max(0.0, needed - min_line_gauge), None,
-                  min_line_gauge > needed, min_gauge=float(min_line_gauge),
-                  needed=needed, segments=segments)
+        run.stage("almost-free-segments", "derived", max(0.0, needed - min_gauge),
+                  None, min_gauge > needed, min_gauge=min_gauge, needed=needed,
+                  segments=len(z))
 
     run.fit_stage("inner-ellipsoid-fit", l_body, role="inner")
     return run.report()

@@ -138,6 +138,19 @@ def birkhoff_min_ratio_lp(x, y, p, span=8.0):
     return float(r.fun / lp_norm(x, p))
 
 
+def line_min_gauge_scalar(body, p, d):
+    """Gauge minimum along the line p + t d, one line at a time, by bounded
+    scalar minimisation over [-span, span] in unit steps, span = |p - c| +
+    radius_bound() (the whole chord for a line through or near the body).
+    Returns (t in units of d, g)."""
+    p, d = np.asarray(p, dtype=float), np.asarray(d, dtype=float)
+    unit = d / np.linalg.norm(d)
+    span = float(np.linalg.norm(p - body.center)) + body.radius_bound()
+    r = minimize_scalar(lambda t: body.gauge(p + t * unit), bounds=(-span, span),
+                        method="bounded", options={"xatol": 1e-12 * (1.0 + span)})
+    return float(r.x) / float(np.linalg.norm(d)), float(r.fun)
+
+
 def birkhoff_min_ratio_l1(x, y):
     """min_t ||x + t y||_1 / ||x||_1, exactly: the sum of |x_i + t y_i| is
     convex and piecewise linear, so its minimum sits at a kink t = -x_i / y_i."""

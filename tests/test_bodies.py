@@ -29,6 +29,7 @@ from conftest import random_affine
 
 from oracles import (
     ellipsoid_support,
+    line_min_gauge_scalar,
     lp_boundary_on_ray,
     lp_norm,
     lp_support,
@@ -480,6 +481,76 @@ def test_line_boundary_points_polytope():
     assert (a - outside.point) @ d < (b - outside.point) @ d
     with pytest.raises(LineMissesBody):
         line_boundary_points(octahedron, Line(np.array([2.0, 0.0, 0.0]), [0.0, 1.0, 0.0]))
+
+
+def test_line_boundary_points_affine_polytope():
+    # an affine image of a polytope takes its line minimum from its inner
+    # polytope; the image vertices give an independent LP gauge
+    vertices = np.vstack([np.eye(3), -np.eye(3)])
+    a_mat = np.array([[1.2, 0.3, -0.1], [0.0, 0.9, 0.4], [0.2, -0.3, 1.1]])
+    offset = np.array([0.1, 0.2, -0.1])
+    body = AffineImage(a_mat, offset, Polytope(vertices))
+    image = vertices @ a_mat.T + offset
+    d = np.array([1.0, 0.5, -0.25]) / np.linalg.norm([1.0, 0.5, -0.25])
+    outside = Line(offset + np.array([0.1, 0.2, 0.0]) - 3.0 * d, d)
+    assert body.gauge(outside.point) > 1.0
+    a, b = line_boundary_points(body, outside)
+    for x in (a, b):
+        assert abs(polytope_gauge_lp(image, x) - 1.0) <= 1e-12
+    assert (a - outside.point) @ d < (b - outside.point) @ d
+    # the preimage line (2, t, 0) misses the octahedron
+    miss = Line(a_mat @ [2.0, 0.0, 0.0] + offset, a_mat @ [0.0, 1.0, 0.0])
+    with pytest.raises(LineMissesBody):
+        line_boundary_points(body, miss)
+
+
+def test_line_min_gauge_bracket_holds_a_far_minimiser():
+    # the line runs 1000 from a needle of semi-axes (100, 1, 1), and its
+    # minimiser lies 5e4 along it: beyond |p - c| + radius_bound, but within
+    # g(foot) radius_bound of the foot
+    body = Ellipsoid.from_semi_axes([100.0, 1.0, 1.0])
+    line = Line([0.0, 1000.0, 0.0], [1.0, 0.01, 0.0])
+    t, g = body.line_min_gauge(line.point, line.direction)
+    assert isinstance(t, float) and isinstance(g, float)
+    # closed form: g(t)^2 = |L (p + t d)|^2 with L = diag(1 / a), quadratic in t
+    lp, ld = line.point / [100.0, 1.0, 1.0], line.direction / [100.0, 1.0, 1.0]
+    t_min = -(lp @ ld) / (ld @ ld)
+    assert t_min == pytest.approx(-50002.5, abs=0.01)
+    assert t == pytest.approx(t_min, rel=1e-9)
+    assert g == pytest.approx(np.linalg.norm(lp + t_min * ld), rel=1e-14)
+    # a line through the centre has its minimum 0 at the foot of the centre
+    assert body.line_min_gauge([5.0, 0.0, 0.0], [2.0, 0.0, 0.0]) == (-2.5, 0.0)
+
+
+_LINE_BODIES = {
+    "ellipsoid": lambda: Ellipsoid(np.array([0.2, -0.1, 0.3]),
+                                   _random_spd(np.random.default_rng(3))),
+    "l4": lambda: PBall(4.0, (1.0, 0.8, 1.2)),
+    "p1.3": lambda: PBall(1.3, (1.0, 0.8, 1.2)),
+    "affine-l4": lambda: AffineImage(
+        np.array([[1.2, 0.3, -0.1], [0.0, 0.9, 0.4], [0.2, -0.3, 1.1]]),
+        np.array([0.1, 0.2, -0.1]), PBall(4.0, (1.0, 0.8, 1.2))),
+    "octahedron": lambda: Polytope(np.vstack([np.eye(3), -np.eye(3)])),
+    "hull-30": lambda: Polytope(np.random.default_rng(4).standard_normal((30, 3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LINE_BODIES))
+def test_line_min_gauge_rows_against_scalar_minimisation(name):
+    """Every row's minimum is at most the scalar minimiser's, and its g is
+    the gauge at its t; one line gives two floats equal to its row."""
+    body = _LINE_BODIES[name]()
+    rng = np.random.default_rng(5)
+    p = body.center + 2.0 * rng.standard_normal((40, 3))
+    d = rng.standard_normal((40, 3)) * rng.uniform(0.1, 10.0, (40, 1))
+    t, g = body.line_min_gauge(p, d)
+    assert t.shape == g.shape == (40,)
+    ref = np.array([line_min_gauge_scalar(body, pi, di)[1] for pi, di in zip(p, d)])
+    assert np.all(g <= ref + 1e-12 * (1.0 + g))
+    assert np.all(np.abs(body.gauge(p + t[:, None] * d) - g) <= 1e-14 * (1.0 + g))
+    t0, g0 = body.line_min_gauge(p[0], d[0])
+    assert isinstance(t0, float) and isinstance(g0, float)
+    assert abs(g0 - g[0]) <= 1e-15 * (1.0 + g0)
 
 
 def test_sphere_directions_beyond_three_dimensions():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.optimize.elementwise import find_root as scipy_find_root
 
-from ellipsoid_forge import cones, planar
+from ellipsoid_forge import Ellipsoid, PBall, bodies, cones, planar, theorems
 from ellipsoid_forge.numeric import find_root
 
 TOLERANCES = [dict(xatol=1e-14, xrtol=8.9e-16), dict(xatol=5e-14, xrtol=0.0)]
@@ -129,12 +129,33 @@ def test_find_root_active_rows_take_their_args():
 
 
 def test_library_solves_with_its_own_find_root():
-    assert planar.find_root is find_root and cones.find_root is find_root
+    assert all(mod.find_root is find_root for mod in (bodies, cones, planar, theorems))
     src = os.path.dirname(os.path.dirname(os.path.abspath(planar.__file__)))
     code = ("import sys; sys.path.insert(0, %r); import ellipsoid_forge.cli; "
             "import ellipsoid_forge.theorems; "
             "print(sorted(m for m in sys.modules if 'elementwise' in m "
-            "or 'chandrupatla' in m))" % src)
+            "or 'chandrupatla' in m or m.startswith('scipy.optimize')))" % src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("check, inner, outer, solves", [
+    ("check_theorem1", Ellipsoid(np.zeros(3), np.diag([1.0, 4.0, 9.0])), 3.0, 4),
+    ("check_theorem1", PBall(4.0, (0.5, 0.5, 0.5)), 2.0, 4),
+    ("check_theorem3", Ellipsoid(np.zeros(3), np.diag([1.0, 2.0, 4.0]) / 0.16), 2.0, 3),
+    ("check_theorem3", PBall(4.0, (0.4, 0.4, 0.4)), 2.0, 3),
+], ids=["t1-witness", "t1-cex", "t3-witness", "t3-cex"])
+def test_cone_checks_solve_once_per_stage(monkeypatch, check, inner, outer, solves):
+    # at the check defaults: t1 makes its graze, cone-intersection,
+    # line-minimum and tangent-plane solves, t3 its two sweeps and one
+    # line-minimum solve; a per-line loop would make dozens
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return find_root(*args, **kwargs)
+    for mod in (bodies, cones, planar, theorems):
+        monkeypatch.setattr(mod, "find_root", counted)
+    getattr(theorems, check)(inner, Ellipsoid.ball(outer))
+    assert len(calls) == solves

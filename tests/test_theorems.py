@@ -161,11 +161,12 @@ def test_tangent_planes_through_line_match_the_ball_closed_form():
     w = np.cross(e, foot)
     alpha = np.arccos(r / dist)
     want = [np.cos(alpha) * foot + sign * np.sin(alpha) * w for sign in (1.0, -1.0)]
-    got = _tangent_planes_through_line(ball, c + dist * foot + 0.7 * e, e)
-    assert len(got) == 2
-    got = sorted(got, key=lambda nu: -float(nu @ w))
+    # the lines go in as rows of one call, each answered on its own
+    two, got = _tangent_planes_through_line(
+        ball, [c + dist * foot + 0.7 * e, c + 0.8 * r * foot], [e, e])
+    assert two.tolist() == [True, False] and got.shape == (1, 2, 3)
+    got = sorted(got[0], key=lambda nu: -float(nu @ w))
     assert np.abs(np.array(got) - want).max() <= 1e-12
-    assert _tangent_planes_through_line(ball, c + 0.8 * r * foot, e) is None
 
 
 def test_graze_polar_agreement_off_the_body(unit_ball):
@@ -346,6 +347,15 @@ def test_t1_ball_inside_l4_consistent(l4_double):
     inner = Ellipsoid.ball(0.5)
     report = check_theorem1(inner, l4_double, apexes=8, m=48, pairs=4)
     _assert_clean(report)
+
+
+def test_t1_contact_chord_skips_when_every_apex_line_meets_the_inner_body():
+    # apexes on a 1.1-sphere about a unit ball: each line through two
+    # neighbouring apexes cuts the ball, so no pair has a contact chord
+    report = check_theorem1(Ellipsoid.ball(1.0), Ellipsoid.ball(1.1))
+    stage = _stage(report, "contact-chord-parallelism")
+    assert stage.verdict == "skip"
+    assert stage.detail["reason"] == "no apex pair whose line misses the inner body"
 
 
 def test_t1_rejects_non_nested_bodies(unit_ball, ball2):
