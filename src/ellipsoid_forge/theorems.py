@@ -44,8 +44,9 @@ from .numeric import (
     sphere_directions,
     unit_frame,
 )
-from .planar import (_boundary2, _support2, affine_diameter_residual,
-                     central_symmetry, is_radon_curve, section)
+from .planar import (_boundary2, _support2, _support_point2,
+                     affine_diameter_residual, central_symmetry, is_radon_curve,
+                     section)
 from .projective import (
     HPoint,
     Hyperplane,
@@ -347,15 +348,18 @@ def _graze_polar_agreement(body, apexes, planes, m, seed):
     return dist
 
 
-def _reflection_residual(sec, center2, k=48):
-    """Worst absolute gap between the reflection of boundary samples through
-    center2 and the section boundary, found along matched rays."""
-    center2 = np.asarray(center2, dtype=float)
+def _reflection_residual(secs, centres2, k=48):
+    """Worst absolute gap, per section, between the reflection of boundary
+    samples through its chart centre and the section boundary, along matched
+    rays -u then +u, from one _boundary2 call over every section."""
+    centres2 = np.asarray(centres2, dtype=float)
     th = np.linspace(0.0, np.pi, k, endpoint=False)
     u = np.column_stack([np.cos(th), np.sin(th)])
-    gap = sec.boundary2(-u, base2=center2) - (2.0 * center2
-                                              - sec.boundary2(u, base2=center2))
-    return float(np.sqrt(np.vecdot(gap, gap)).max())
+    ends = _boundary2(secs, np.tile(np.concatenate([-u, u]), (len(secs), 1)),
+                      np.repeat(centres2, 2 * k, axis=0),
+                      np.repeat(np.arange(len(secs)), 2 * k)).reshape(-1, 2, k, 2)
+    gap = ends[:, 0] - (2.0 * centres2[:, None] - ends[:, 1])
+    return np.sqrt(np.vecdot(gap, gap)).max(axis=1)
 
 
 def polar_of(body, o, m=64, seed=0, tolerances=None):
@@ -466,9 +470,10 @@ def check_theorem1(l_body, k_body, apexes=16, m=64, pairs=8, seed=0,
     fitted intersection planes. Conclusion: the inner boundary is a quadric
     of elliptic type.
     """
-    # each apex is paired with the next one, so one apex would pair with itself
+    # each apex is paired with the next one, so one apex would pair with itself;
+    # each cone's conic fit needs 8 contact points
     run = _CheckRun("t1", seed, tolerances, dict(apexes=apexes, m=m, pairs=pairs),
-                    least={"apexes": 2}, inner=l_body, outer=k_body)
+                    least={"apexes": 2, "m": 8}, inner=l_body, outer=k_body)
     tol = run.tol
     _nesting_gate(l_body, k_body, tol["margin"])
     o = l_body.center
@@ -478,15 +483,11 @@ def check_theorem1(l_body, k_body, apexes=16, m=64, pairs=8, seed=0,
 
     apex_pts = _boundary_cloud(k_body, apexes, seed=seed)
 
-    worst_rms = 0.0
-    all_ellipsoidal = True
-    for x, contact in zip(apex_pts, graze(l_body, apex_pts, m=m, seed=seed)):
-        fit = is_ellipsoidal_cone(SupportCone(x, contact), tol=tol["ellipse"],
-                                  seed=seed)
-        worst_rms = max(worst_rms, fit.detail["max_rms"])
-        all_ellipsoidal = all_ellipsoidal and fit.detail["ellipsoidal"]
-    run.stage("ellipsoidal-cones", "hypothesis", worst_rms, "ellipse",
-              all_ellipsoidal, apexes=len(apex_pts))
+    fits = [is_ellipsoidal_cone(SupportCone(x, contact), tol=tol["ellipse"],
+                                seed=seed).detail
+            for x, contact in zip(apex_pts, graze(l_body, apex_pts, m=m, seed=seed))]
+    run.stage("ellipsoidal-cones", "hypothesis", max(f["max_rms"] for f in fits),
+              "ellipse", all(f["ellipsoidal"] for f in fits), apexes=len(apex_pts))
 
     # intersection of the cones from x and from the reflected apex 2o - x
     fitted_normals = []
@@ -741,7 +742,9 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
     parallel to phi(u). Conclusion: the boundary is an elliptic quadric whose
     scaled tangent sections are centered on the conjugate axis.
     """
-    run = _CheckRun("t4", seed, tolerances, dict(samples=samples, m=m), body=k_body)
+    # each tangent section's conic fit needs 8 points
+    run = _CheckRun("t4", seed, tolerances, dict(samples=samples, m=m),
+                    least={"m": 8}, body=k_body)
     tol = run.tol
     o = k_body.center
     _require_o_symmetric(k_body, o, "body")
@@ -758,19 +761,15 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
                            % (r, inradius))
 
     us = sphere_directions(k_body.dim, samples, seed=seed)
-    secs = []
-    worst_fit = 0.0
-    all_ellipse = True
-    for u in us:
-        plane = Hyperplane.from_point_normal(o + r * u, u)
-        sec = section(k_body, plane)
-        pts = sec.to_world(sec.boundary2(circle_directions(m, seed=seed)))
-        fit = fit_planar_conic(pts, plane, tol=tol["ellipse"])
-        worst_fit = max(worst_fit, fit.rms_residual)
-        all_ellipse = all_ellipse and fit.classification == ELLIPSE
-        secs.append(sec)
+    secs = [section(k_body, Hyperplane.from_point_normal(o + r * u, u)) for u in us]
+    clouds = _boundary2(secs, np.tile(circle_directions(m, seed=seed), (len(secs), 1)),
+                        of=np.repeat(np.arange(len(secs)), m))
+    fits = [fit_planar_conic(sec.to_world(q), sec.plane, tol=tol["ellipse"])
+            for sec, q in zip(secs, np.split(clouds, len(secs)))]
+    worst_fit = max(fit.rms_residual for fit in fits)
     run.stage("tangent-sections-ellipses", "hypothesis", worst_fit, "ellipse",
-              all_ellipse and worst_fit < tol["ellipse"], samples=len(us))
+              all(fit.classification == ELLIPSE for fit in fits)
+              and worst_fit < tol["ellipse"], samples=len(us))
 
     v2 = circle_directions(32, seed=seed)
     hs = _support2(secs, np.tile(v2, (len(secs), 1)),
@@ -787,104 +786,90 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
     # antipodal section is the reflection of this one, so the translation
     # K_u = phi(u) + K_{-u} holds iff the section is symmetric about c, and
     # then phi(u) = 2 (c - o)
-    phis = []
-    worst_translate = 0.0
-    lipschitz = 0.0
-    for sec, sym in zip(secs, central_symmetry(secs, tol=tol["symmetry"],
-                                               m=m, seed=seed)):
-        phis.append(2.0 * (np.asarray(sym.center_world) - o))
-        worst_translate = max(
-            worst_translate,
-            _reflection_residual(sec, np.asarray(sym.center)) / diam)
-    for u_a, u_b, phi_a, phi_b in zip(us, us[1:], phis, phis[1:]):
-        ang = angle_between(u_a, u_b)
-        if ang > 1e-9:
-            lipschitz = max(lipschitz, float(np.linalg.norm(phi_a - phi_b) / ang))
+    syms = central_symmetry(secs, tol=tol["symmetry"], m=m, seed=seed)
+    phis = [2.0 * (np.asarray(sym.center_world) - o) for sym in syms]
+    worst_translate = float(_reflection_residual(
+        secs, [sym.center for sym in syms]).max()) / diam
+    steps = [(angle_between(u_a, u_b), np.linalg.norm(phi_a - phi_b))
+             for u_a, u_b, phi_a, phi_b in zip(us, us[1:], phis, phis[1:])]
+    lipschitz = max((float(d / ang) for ang, d in steps if ang > 1e-9), default=0.0)
     run.stage("parallel-translation", "derived", worst_translate, "hausdorff",
               sections=len(phis), lipschitz_estimate=lipschitz)
 
     # phi at directions orthogonal to phi(u); also feeds the midpoint stage
     worst_orth = 0.0
     grid = []
-    for i, (u, phi_u) in enumerate(zip(us[:4], phis)):
+    for i, phi_u in enumerate(phis[:4]):
         npu = float(np.linalg.norm(phi_u))
         if npu <= 1e-12 * diam:
             continue
-        frame = unit_frame(phi_u / npu)
-        f1, f2 = frame[:, 0], frame[:, 1]
+        f1, f2 = unit_frame(phi_u / npu).T[:2]
         for th in np.linspace(0.0, np.pi, 8, endpoint=False):
             v = np.cos(th) * f1 + np.sin(th) * f2
-            plane_v = Hyperplane.from_point_normal(o + r * v, v)
-            grid.append((i, v, section(k_body, plane_v)))
+            grid.append((i, v, section(k_body,
+                                       Hyperplane.from_point_normal(o + r * v, v))))
     syms = central_symmetry([sec_v for _, _, sec_v in grid],
                             tol=tol["symmetry"], m=m, seed=seed)
-    locus_jobs = {}  # u's index -> its first usable v
+    # each u's first usable v, unless along u, gives a midpoint locus: (phi(u),
+    # sec_v, its centre c2, the chord direction d_w = u x v, its chart normal e2)
+    loci, seen = [], set()
     for (i, v, sec_v), sym_v in zip(grid, syms):
         phi_v = 2.0 * (np.asarray(sym_v.center_world) - o)
         npv = float(np.linalg.norm(phi_v))
         if npv <= 1e-12 * diam:
             continue
         worst_orth = max(worst_orth, float(abs(phi_v @ us[i])) / npv)
-        locus_jobs.setdefault(i, (us[i], phis[i], v, sec_v,
-                                  np.asarray(sym_v.center)))
+        if i in seen:
+            continue
+        seen.add(i)
+        d_w = np.cross(us[i], v)
+        nd = float(np.linalg.norm(d_w))
+        if nd >= 1e-9:
+            d2 = normalize(sec_v.basis @ (d_w / nd))
+            loci.append((phis[i], sec_v, np.asarray(sym_v.center), d_w / nd,
+                         np.array([-d2[1], d2[0]])))
     run.stage("translation-orthogonality", "derived", worst_orth, "bisector")
 
-    worst_locus = 0.0
-    loci = 0
-    for u, phi_u, v, sec_v, c2 in locus_jobs.values():
-        d_w = np.cross(np.asarray(u), v)
-        nd = float(np.linalg.norm(d_w))
-        if nd < 1e-9:
-            continue
-        d_w = d_w / nd
-        d2 = normalize(sec_v.basis @ d_w)
-        e2 = np.array([-d2[1], d2[0]])
+    scores = []  # per locus whose midpoints spread: the worse of rms and angle
+    if loci:
+        phi_l, secs_l, c2, d_w, e2 = zip(*loci)
+        c2, d_w, e2 = np.array(c2)[:, None], np.array(d_w), np.array(e2)[:, None]
         # the chord at offset s along e2 passes through c2 + (s / k)(q - c2), with
         # q the support point on s's side and k = <q - c2, e2>: interior by convexity
-        q = sec_v.support_point2(np.stack([e2, -e2]))
+        q = _support_point2(secs_l, np.concatenate([e2, -e2], axis=1).reshape(-1, 2),
+                            np.repeat(np.arange(len(loci)), 2)).reshape(-1, 2, 2)
         k = np.vecdot(q - c2, e2)
-        s = np.linspace(0.8 * k[1], 0.8 * k[0], 15)
+        s = np.linspace(0.8 * k[:, 1], 0.8 * k[:, 0], 15, axis=-1)
         j = (s < 0.0).astype(int)
-        bases = sec_v.to_world(c2 + (s / k[j])[:, None] * (q[j] - c2))
-        a, b = ray_exit(k_body, bases, np.stack([-d_w, d_w])[:, None])
-        mids = 0.5 * (a + b)
-        spread = cloud_diameter(mids)
-        if spread <= 1e-12 * diam:
-            continue
-        _, sv, vt = np.linalg.svd(mids - mids.mean(axis=0), full_matrices=False)
-        rel_rms = float(np.sqrt(np.sum(sv[1:] ** 2) / len(mids)) / spread)
-        angle = line_angle(vt[0], phi_u)
-        worst_locus = max(worst_locus, rel_rms, angle)
-        loci += 1
-    if loci == 0:
+        chart = c2 + (s / np.take_along_axis(k, j, 1))[..., None] * (
+            np.take_along_axis(q, j[..., None], 1) - c2)
+        bases = np.stack([sec.to_world(p) for sec, p in zip(secs_l, chart)])
+        a, b = ray_exit(k_body, bases, np.stack([-d_w, d_w])[:, :, None])
+        for phi_u, mids in zip(phi_l, 0.5 * (a + b)):
+            spread = cloud_diameter(mids)
+            if spread > 1e-12 * diam:
+                _, sv, vt = np.linalg.svd(mids - mids.mean(axis=0), full_matrices=False)
+                rms = float(np.sqrt(np.sum(sv[1:] ** 2) / len(mids)) / spread)
+                scores.append(max(rms, line_angle(vt[0], phi_u)))
+    if not scores:
         run.skip("midpoint-locus-line", "derived", "no usable section pair")
     else:
-        run.stage("midpoint-locus-line", "derived", worst_locus, "angular",
-                  loci=loci)
+        run.stage("midpoint-locus-line", "derived", max(scores), "angular",
+                  loci=len(scores))
 
     qfit = run.fit_stage("ellipsoid-fit", k_body)
 
     if qfit.classification == ELLIPSE:
-        shape = np.asarray(qfit.detail["shape_normalized"])
-        shape_inv = np.linalg.inv(shape)
-        worst_center = 0.0
-        checked = 0
-        for u in us[:4]:
-            for scale in (0.35, 0.7):
-                h = scale * r
-                plane = Hyperplane.from_point_normal(o + h * u, u)
-                predicted = o + h * (shape_inv @ u) / float(u @ shape_inv @ u)
-                sec_s = section(k_body, plane)
-                worst_center = max(
-                    worst_center,
-                    _reflection_residual(sec_s, sec_s.to_chart(predicted)) / diam)
-                checked += 1
-        if checked == 0:
-            run.skip("scaled-section-centering", "conclusion",
-                     "no translation vectors available")
-        else:
-            run.stage("scaled-section-centering", "conclusion", worst_center,
-                      "symmetry", sections=checked)
+        shape_inv = np.linalg.inv(np.asarray(qfit.detail["shape_normalized"]))
+        # two scaled sections per u, each centred on the conjugate axis
+        scaled = [(u, scale * r) for u in us[:4] for scale in (0.35, 0.7)]
+        secs_s = [section(k_body, Hyperplane.from_point_normal(o + h * u, u))
+                  for u, h in scaled]
+        predicted = [sec.to_chart(o + h * (shape_inv @ u) / float(u @ shape_inv @ u))
+                     for sec, (u, h) in zip(secs_s, scaled)]
+        run.stage("scaled-section-centering", "conclusion",
+                  float(_reflection_residual(secs_s, predicted).max()) / diam,
+                  "symmetry", sections=len(secs_s))
     else:
         run.skip("scaled-section-centering", "conclusion",
                  "quadric fit is not elliptic")
@@ -906,7 +891,7 @@ def check_theorem_basico(k_body, p, eps=0.2, planes=8, offsets=7, m=64,
     """
     run = _CheckRun("basico", seed, tolerances,
                     dict(planes=planes, offsets=offsets, m=m, sym_m=sym_m),
-                    least={"sym_m": 3}, body=k_body)
+                    least={"m": 3, "sym_m": 3}, body=k_body)
     tol = run.tol
     if not k_body.is_smooth:
         raise NonSmoothBody("slab sections need a strictly convex smooth body")

@@ -151,6 +151,19 @@ def line_min_gauge_scalar(body, p, d):
     return float(r.x) / float(np.linalg.norm(d)), float(r.fun)
 
 
+def reflection_residual_one(sec, center2, k=48):
+    """Worst gap between the reflection of one section's boundary samples
+    through center2 and the section boundary along matched rays, one
+    boundary2 call per direction set: the one-section form that
+    theorems._reflection_residual over a list of sections must equal."""
+    center2 = np.asarray(center2, dtype=float)
+    th = np.linspace(0.0, np.pi, k, endpoint=False)
+    u = np.column_stack([np.cos(th), np.sin(th)])
+    gap = sec.boundary2(-u, base2=center2) - (2.0 * center2
+                                              - sec.boundary2(u, base2=center2))
+    return float(np.sqrt(np.vecdot(gap, gap)).max())
+
+
 def birkhoff_min_ratio_l1(x, y):
     """min_t ||x + t y||_1 / ||x||_1, exactly: the sum of |x_i + t y_i| is
     convex and piecewise linear, so its minimum sits at a kink t = -x_i / y_i."""

@@ -17,16 +17,20 @@ from ellipsoid_forge import (
     Line,
     PBall,
     Polytope,
+    bodies,
+    central_symmetry,
     check_theorem1,
     check_theorem2,
     check_theorem3,
     check_theorem4,
     check_theorem_basico,
     check_theorem_radon,
+    cones,
     cross_ratio,
     fit_hyperplane_projective,
     harmonic_conjugate,
     line_boundary_points,
+    planar,
     polar_of,
     section,
     theorems,
@@ -42,11 +46,12 @@ from ellipsoid_forge.errors import (
     PointOnBoundary,
     UnsupportedDimension,
 )
-from ellipsoid_forge.numeric import normalize, sphere_directions
+from ellipsoid_forge.numeric import find_root, normalize, sphere_directions
 from ellipsoid_forge.theorems import (_graze_polar_agreement,
                                      _tangent_planes_through_line)
 
 from conftest import random_affine
+from oracles import reflection_residual_one
 
 
 class _MiscenteredBall(Ellipsoid):
@@ -542,7 +547,6 @@ def test_t4_sphere_witness_consistent():
 
 
 def _count_restriction_solves(monkeypatch):
-    from ellipsoid_forge import planar
     solves = []
     real = planar.find_root
     monkeypatch.setattr(planar, "find_root",
@@ -558,9 +562,67 @@ def test_t4_restriction_solves_do_not_grow_with_samples(monkeypatch):
         _assert_clean(check_theorem4(Ellipsoid.ball(2.0), 1.0,
                                      samples=samples, m=16))
         counts.append(len(solves))
-    # the margin, symmetry and orthogonality stages, and one per midpoint
-    # locus (at most four)
-    assert counts == [7, 7]
+    # the margin, symmetry and orthogonality stages, and one support-point
+    # solve over every midpoint locus
+    assert counts == [4, 4]
+
+
+_T4_AFFINE = AffineImage(np.array([[1.2, 0.3, 0.0], [0.0, 1.0, 0.2],
+                                   [0.1, 0.0, 0.9]]),
+                         np.array([0.1, -0.2, 0.3]), Ellipsoid.ball(2.0))
+
+
+@pytest.mark.parametrize("body, most", [
+    (Ellipsoid.ball(2.0), 4),
+    (PBall(4.0, (2.0, 2.0, 2.0)), 7),
+    (_T4_AFFINE, 8),
+], ids=["ball", "l4", "affine-ball"])
+def test_t4_solves_once_per_stage(monkeypatch, body, most):
+    """Every find_root of t4, in any module: the three section solves and
+    the loci's support points, plus, off the ellipsoid's closed-form rays,
+    one ray exit each for the tangent-section clouds, the translation
+    stage, the loci's chords and the scaled sections (skipped on l4)."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return find_root(*args, **kwargs)
+    for mod in (bodies, cones, planar, theorems):
+        monkeypatch.setattr(mod, "find_root", counted)
+    counts = []
+    for samples in (4, 9):
+        calls.clear()
+        check_theorem4(body, 0.8, samples=samples, m=16)
+        counts.append(len(calls))
+    # the ball's 4 restriction solves are pinned above, so it makes exactly 4
+    assert counts[0] == counts[1] <= most
+
+
+def _tangent_sections(body, radius, count):
+    o = body.center
+    return [section(body, Hyperplane.from_point_normal(o + radius * u, u))
+            for u in sphere_directions(3, count, seed=2)]
+
+
+@pytest.mark.parametrize("body", [PBall(4.0, (2.0, 2.0, 2.0)), _T4_AFFINE],
+                         ids=["l4", "affine-ellipsoid"])
+def test_reflection_residual_list_equals_one_section_reference(body):
+    secs = _tangent_sections(body, 0.8, 5)
+    # off-centre chart points: each section's centre, and a point moved off it
+    centres = [sym.center for sym in central_symmetry(secs, m=32)]
+    centres += [c + (0.05, -0.03) for c in centres]
+    got = theorems._reflection_residual(secs + secs, centres)
+    want = [reflection_residual_one(sec, c) for sec, c in zip(secs + secs, centres)]
+    assert got.tolist() == want
+    assert got[5:].min() > 1e-3  # the moved centres are not centres
+
+
+def test_reflection_residual_failed_ray_names_section_and_row():
+    secs = _tangent_sections(PBall(4.0, (2.0, 2.0, 2.0)), 0.8, 3)
+    centres = [np.zeros(2), np.array([50.0, 0.0]), np.zeros(2)]
+    with pytest.raises(GeometryError,
+                       match=r"^ray exit at section 1, row 0: ray base point "):
+        theorems._reflection_residual(secs, centres)
 
 
 def test_basico_restriction_solves_do_not_grow_with_sections(monkeypatch,
@@ -595,7 +657,6 @@ def test_radon_stages_make_three_restriction_solves(monkeypatch, ellipsoid149):
 
 
 def test_basico_shadow_stage_is_one_tangency_sweep(monkeypatch, ellipsoid149):
-    from ellipsoid_forge import cones
     sweeps = []
     real = cones.find_root
     monkeypatch.setattr(cones, "find_root",
@@ -615,7 +676,6 @@ def test_cone_sweep_solves_do_not_grow_with_apexes(monkeypatch, ellipsoid149,
     """Every cone stage of t1, t2 and t3 is one tangency sweep over all its
     apexes: t1's cones and intersections, t2's intersections, and t3's
     pole grazes and intersections."""
-    from ellipsoid_forge import cones
     solves = []
     real = cones.find_root
     monkeypatch.setattr(cones, "find_root",
@@ -756,6 +816,12 @@ def test_checks_need_three_dimensional_bodies(theorem, run):
     ("apexes", 2, lambda: check_theorem1(PBall(4.0, (0.5,) * 3),
                                          Ellipsoid.ball(2.0), apexes=0)),
     ("samples", 1, lambda: check_theorem4(PBall(4.0, (2,) * 3), 1.0, samples=0)),
+    # a conic or quadric fit needs 8 points, and a shadow boundary 3
+    ("m", 8, lambda: check_theorem1(PBall(4.0, (0.5,) * 3), Ellipsoid.ball(2.0),
+                                    m=7)),
+    ("m", 8, lambda: check_theorem4(Ellipsoid.ball(2.0), 1.0, m=7)),
+    ("m", 3, lambda: check_theorem_basico(Ellipsoid.ball(2.0), np.zeros(3),
+                                          m=2)),
     # one apex would be paired with itself into a zero-length line
     ("apexes", 2, lambda: check_theorem1(PBall(4.0, (0.5,) * 3),
                                          Ellipsoid.ball(2.0), apexes=1, m=16,
@@ -765,7 +831,8 @@ def test_checks_need_three_dimensional_bodies(theorem, run):
     ("sym_m", 3, lambda: check_theorem_basico(PBall(4.0, (1, 1, 1)), np.zeros(3),
                                               planes=2, offsets=3, m=16,
                                               sym_m=2)),
-], ids=["radon", "t1", "t4", "t1-one-apex", "basico-two-directions"])
+], ids=["radon", "t1", "t4", "t1-m", "t4-m", "basico-m", "t1-one-apex",
+        "basico-two-directions"])
 def test_checks_reject_empty_samples(size, least, run):
     # an empty sample would pass the hypothesis stage without testing
     # anything, and a counterexample body would then end conclusion-violated
