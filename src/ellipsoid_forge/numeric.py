@@ -119,9 +119,10 @@ def angle_between(u, v):
 
 
 def line_angle(u, v):
-    """Angle in [0, pi/2] between two directions regarded as unoriented lines."""
+    """Angle in [0, pi/2] between two directions regarded as unoriented lines,
+    or one per row of two (..., n) arrays: a float or an array, as angle_between."""
     a = angle_between(u, v)
-    return min(a, np.pi - a)
+    return _value(np.minimum(a, np.pi - a))
 
 
 def floored(value, floor):

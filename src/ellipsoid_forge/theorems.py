@@ -511,32 +511,21 @@ def check_theorem1(l_body, k_body, apexes=16, m=64, pairs=8, seed=0,
     cand = np.flatnonzero(
         (l_body.line_min_gauge(apex_pts, step)[1] > 1.0 + tol["margin"])
         & (np.linalg.norm(meet, axis=1) >= 1e-3))
-    angles = []
+    angles = np.empty(0)
     if cand.size:
         two, normals = _tangent_planes_through_line(l_body, apex_pts[cand],
                                                     step[cand])
-        angles = [line_angle(np.subtract(*l_body.support_point(nrm)), meet[i])
-                  for i, nrm in zip(cand[two][:pairs], normals)]
-    if not angles:
+        ends = l_body.support_point(normals[:pairs])
+        angles = line_angle(ends[:, 0] - ends[:, 1], meet[cand[two][:pairs]])
+    if not angles.size:
         run.skip("contact-chord-parallelism", "derived",
                  "no apex pair whose line misses the inner body")
     else:
-        run.stage("contact-chord-parallelism", "derived", max(angles),
+        run.stage("contact-chord-parallelism", "derived", angles.max(),
                   "angular", pairs=len(angles))
 
     run.fit_stage("inner-ellipsoid-fit", l_body, role="inner")
     return run.report()
-
-
-def _matched_section_cloud(sec, pts_world, base2):
-    """Boundary points of the section in the chart directions of pts_world;
-    a point at base2 is its own match."""
-    d2 = sec.to_chart(pts_world) - base2
-    nd = np.sqrt(np.vecdot(d2, d2))
-    far = nd > 1e-14
-    out = np.tile(sec.to_world(base2), (len(d2), 1))
-    out[far] = sec.to_world(sec.boundary2(d2[far] / nd[far, None], base2=base2))
-    return out
 
 
 def check_theorem2(l_body, k_body, p, apexes=12, m=64, chords=48, radon_k=128,
@@ -551,9 +540,10 @@ def check_theorem2(l_body, k_body, p, apexes=12, m=64, chords=48, radon_k=128,
     pass the conjugate-diameter test. Conclusion: both bodies are quadrics of
     elliptic type, concentric and homothetic.
     """
+    # a cone intersection needs 3 points
     run = _CheckRun("t2", seed, tolerances,
                     dict(apexes=apexes, m=m, chords=chords, radon_k=radon_k),
-                    inner=l_body, outer=k_body)
+                    least={"m": 3}, inner=l_body, outer=k_body)
     tol = run.tol
     _nesting_gate(l_body, k_body, tol["margin"])
     p = _require_interior(k_body, p, "outer body")
@@ -570,54 +560,60 @@ def check_theorem2(l_body, k_body, p, apexes=12, m=64, chords=48, radon_k=128,
             return [intersections(x[None], y[None])[0] for x, y in zip(xs, ys)]
 
     apex_dirs = sphere_directions(k_body.dim, apexes, seed=seed)
-    xs = k_body.boundary_point(p, apex_dirs)
-    ys = k_body.boundary_point(p, -apex_dirs)
-    kept = []  # (sec, base2, plane, x, y) per usable apex
-    worst_defect = 0.0
-    failures = []
-    for x, y, omega in zip(xs, ys, intersections(xs, ys)):
-        if isinstance(omega, GeometryError):
-            failures.append(type(omega).__name__)
-            worst_defect = max(worst_defect, 1.0)
-            continue
-        pts = omega.points
-        _, _, vt = np.linalg.svd(pts - p, full_matrices=False)
-        plane = Hyperplane.from_point_normal(p, vt[-1])
-        sec = section(k_body, plane)
-        base2 = sec.to_chart(p)
-        matched = _matched_section_cloud(sec, pts, base2)
-        defect = hausdorff(pts, matched) / diam_k
-        worst_defect = max(worst_defect, defect)
-        kept.append((sec, base2, plane, x, y))
-    search_failed = worst_defect > 10.0 * tol["hausdorff"]
+    xs, ys = k_body.boundary_point(p, np.stack([apex_dirs, -apex_dirs]))
+    omegas = intersections(xs, ys)
+    failures = [type(w).__name__ for w in omegas if isinstance(w, GeometryError)]
+    kept = [i for i, w in enumerate(omegas) if not isinstance(w, GeometryError)]
+    curves = [omegas[i].points for i in kept]
+    planes = [Hyperplane.from_point_normal(
+        p, np.linalg.svd(pts - p, full_matrices=False)[2][-1]) for pts in curves]
+    secs = [section(k_body, plane) for plane in planes]
+    defects = [1.0] * len(failures)  # a failed pair scores 1.0
+    if secs:
+        # each curve point against the boundary point of its section in its
+        # chart direction from p, from one _boundary2 call; a point at p is
+        # its own match
+        base2 = np.array([sec.to_chart(p) for sec in secs])
+        sizes = [len(pts) for pts in curves]
+        of = np.repeat(np.arange(len(secs)), sizes)
+        matched = base2[of]
+        d2 = np.concatenate([sec.to_chart(pts)
+                             for sec, pts in zip(secs, curves)]) - matched
+        nd = np.sqrt(np.vecdot(d2, d2))
+        far = nd > 1e-14
+        matched[far] = _boundary2(secs, d2[far] / nd[far, None], matched[far],
+                                  of[far])
+        defects += [hausdorff(pts, sec.to_world(q)) / diam_k for sec, pts, q in
+                    zip(secs, curves, np.split(matched, np.cumsum(sizes)[:-1]))]
+    worst_defect = max(defects)
     run.stage("cone-intersection-matches-section", "hypothesis", worst_defect,
-              "hausdorff", apexes=int(apexes), search_failed=search_failed,
-              errors=failures)
+              "hausdorff", apexes=int(apexes),
+              search_failed=worst_defect > 10.0 * tol["hausdorff"], errors=failures)
 
-    if not kept:
+    if not secs:
         for name in ("supporting-planes-parallel", "section-chords-affine-diameters",
                      "sections-are-radon"):
             run.skip(name, "derived", "no section plane found")
     else:
-        worst_parallel = 0.0
-        for sec, base2, plane, x, y in kept:
-            worst_parallel = max(worst_parallel,
-                                 line_angle(k_body.normal_at(x), plane.normal),
-                                 line_angle(k_body.normal_at(y), plane.normal))
-        run.stage("supporting-planes-parallel", "derived", worst_parallel,
+        normals = k_body.normal_at(np.stack([xs[kept], ys[kept]]))
+        run.stage("supporting-planes-parallel", "derived",
+                  line_angle(normals, [plane.normal for plane in planes]).max(),
                   "angular")
 
-        worst_chord = 0.0
+        # both chord ends of the first three sections from one _boundary2 call
         th = np.linspace(0.0, np.pi, chords, endpoint=False)
         u2 = np.column_stack([np.cos(th), np.sin(th)])
-        for sec, base2, *_ in kept[:3]:
-            worst_chord = max(worst_chord, float(affine_diameter_residual(
-                sec, sec.boundary2(u2, base2=base2),
-                sec.boundary2(-u2, base2=base2)).max()))
+        first = secs[:3]
+        ends = _boundary2(first, np.tile(np.concatenate([u2, -u2]), (len(first), 1)),
+                          np.repeat(base2[:3], 2 * chords, axis=0),
+                          np.repeat(np.arange(len(first)), 2 * chords))
+        worst_chord = max(
+            float(affine_diameter_residual(sec, a, b).max()) for sec, (a, b)
+            in zip(first, ends.reshape(len(first), 2, chords, 2)))
         run.stage("section-chords-affine-diameters", "derived", worst_chord,
                   "diameter", chords=int(chords))
-        run.radon_stage("sections-are-radon", "derived",
-                        [sec for sec, *_ in kept[:2]], radon_k, k=int(radon_k))
+        run.radon_stage("sections-are-radon", "derived", secs[:2], radon_k,
+                        k=int(radon_k))
 
     fit_l = fit_quadric(_boundary_cloud(l_body, 256, seed=seed),
                         tol=tol["ellipse"])
@@ -656,9 +652,10 @@ def check_theorem3(l_body, k_body, apexes=12, m=64, lines=32, w_samples=16,
     section of the outer boundary miss the inner body. Conclusion: the inner
     boundary is a quadric of elliptic type.
     """
+    # a cone intersection needs 3 points, and the polar fit n + 2 lines
     run = _CheckRun("t3", seed, tolerances,
                     dict(apexes=apexes, m=m, lines=lines, w_samples=w_samples),
-                    inner=l_body, outer=k_body)
+                    least={"m": 3, "lines": 5}, inner=l_body, outer=k_body)
     tol = run.tol
     o = l_body.center
     _require_o_symmetric(l_body, o, "inner body")
@@ -677,12 +674,9 @@ def check_theorem3(l_body, k_body, apexes=12, m=64, lines=32, w_samples=16,
     run.stage("boundary-points-are-poles", "hypothesis", pole_worst, "pole",
               pole_ok and pole_worst <= tol["pole"], lines=int(lines))
 
-    omegas = []
-    max_gauge = 0.0
-    for omega in cone_intersection(l_body, apex_pts, 2.0 * o - apex_pts, m=m,
-                                   seed=seed):
-        omegas.append(omega.points)
-        max_gauge = max(max_gauge, float(k_body.gauge(omega.points).max()))
+    omegas = [omega.points for omega in cone_intersection(
+        l_body, apex_pts, 2.0 * o - apex_pts, m=m, seed=seed)]
+    max_gauge = float(k_body.gauge(np.concatenate(omegas)).max())
     allowed = 1.0 - tol["margin"]
     run.stage("cone-intersections-inside-outer", "hypothesis",
               max(0.0, max_gauge - allowed), None, max_gauge < allowed,
@@ -754,6 +748,10 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
     if not (np.isfinite(r) and r > 0.0):
         raise ValueError("ball radius must be finite and > 0; got %r" % r)
     diam = k_body.diameter()
+    # phi(u) is about 2r long, and below this floor its rounding fails the gates
+    if r < 1e-6 * diam:
+        raise ValueError("ball radius %.6g is below 1e-6 of the body's "
+                         "diameter %.6g" % (r, diam))
     dirs = sphere_directions(k_body.dim, 128, seed=seed)
     inradius = float((k_body.support(dirs) - np.vecdot(dirs, o)).min())
     if r * (1.0 + tol["margin"]) >= inradius:

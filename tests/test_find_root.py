@@ -6,6 +6,7 @@ bracket, iteration count and evaluation count on every row.
 """
 
 import os
+import re
 import subprocess
 import sys
 
@@ -140,16 +141,49 @@ def test_library_solves_with_its_own_find_root():
     assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("check, inner, outer, solves", [
-    ("check_theorem1", Ellipsoid(np.zeros(3), np.diag([1.0, 4.0, 9.0])), 3.0, 4),
-    ("check_theorem1", PBall(4.0, (0.5, 0.5, 0.5)), 2.0, 4),
-    ("check_theorem3", Ellipsoid(np.zeros(3), np.diag([1.0, 2.0, 4.0]) / 0.16), 2.0, 3),
-    ("check_theorem3", PBall(4.0, (0.4, 0.4, 0.4)), 2.0, 3),
-], ids=["t1-witness", "t1-cex", "t3-witness", "t3-cex"])
-def test_cone_checks_solve_once_per_stage(monkeypatch, check, inner, outer, solves):
+def test_src_has_one_solver():
+    """numeric.find_root is the library's one solver: no module of the
+    package imports scipy.optimize or calls another solver, and no other
+    module defines a find_root."""
+    pkg = os.path.dirname(os.path.abspath(planar.__file__))
+    other = re.compile(r"scipy\.optimize|from scipy import .*optimize"
+                       r"|(brentq|minimize_scalar|linprog|bracket_root)\(")
+    defines = []
+    for name in sorted(f for f in os.listdir(pkg) if f.endswith(".py")):
+        with open(os.path.join(pkg, name)) as fh:
+            for n, line in enumerate(fh, 1):
+                assert not other.search(line), "%s:%d: %s" % (name, n, line)
+                if re.match(r"\s*def find_root\(", line):
+                    defines.append(name)
+    assert defines == ["numeric.py"]
+
+
+@pytest.mark.parametrize("check, inner, outer, args, solves", [
+    ("check_theorem1", Ellipsoid(np.zeros(3), np.diag([1.0, 4.0, 9.0])),
+     Ellipsoid.ball(3.0), (), 4),
+    ("check_theorem1", PBall(4.0, (0.5, 0.5, 0.5)), Ellipsoid.ball(2.0), (), 4),
+    ("check_theorem3", Ellipsoid(np.zeros(3), np.diag([1.0, 2.0, 4.0]) / 0.16),
+     Ellipsoid.ball(2.0), (), 3),
+    ("check_theorem3", PBall(4.0, (0.4, 0.4, 0.4)), Ellipsoid.ball(2.0), (), 3),
+    ("check_theorem2", Ellipsoid.ball(2.0 ** -0.5), Ellipsoid.ball(1.0),
+     (np.zeros(3),), 4),
+    ("check_theorem2", Ellipsoid.ball(0.5), PBall(4.0, (1.0, 1.0, 1.0)),
+     (np.zeros(3),), 5),
+], ids=["t1-witness", "t1-cex", "t3-witness", "t3-cex", "t2-witness", "t2-cex"])
+def test_cone_checks_solve_once_per_stage(monkeypatch, check, inner, outer, args,
+                                          solves):
     # at the check defaults: t1 makes its graze, cone-intersection,
     # line-minimum and tangent-plane solves, t3 its two sweeps and one
-    # line-minimum solve; a per-line loop would make dozens
+    # line-minimum solve, t2 at the centre its sweep and three Radon solves,
+    # and on the l4 ball one ray exit for the apex pairs; a per-line loop
+    # would make dozens
+    calls = _count_solves(monkeypatch)
+    getattr(theorems, check)(inner, outer, *args)
+    assert len(calls) == solves
+
+
+def _count_solves(monkeypatch):
+    """The list that every find_root call of the library appends to."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -157,5 +191,20 @@ def test_cone_checks_solve_once_per_stage(monkeypatch, check, inner, outer, solv
         return find_root(*args, **kwargs)
     for mod in (bodies, cones, planar, theorems):
         monkeypatch.setattr(mod, "find_root", counted)
-    getattr(theorems, check)(inner, Ellipsoid.ball(outer))
-    assert len(calls) == solves
+    return calls
+
+
+def test_t2_solves_once_per_stage(monkeypatch):
+    """Off the centre of an l4 ball, at the check defaults: one ray exit for
+    the apex pairs, the cone intersection's line-minimum and sweep solves,
+    one ray exit for the matched clouds and one for the chord ends, the
+    three chords' gauges and the Radon norm gate, whatever the apexes."""
+    calls = _count_solves(monkeypatch)
+    counts = []
+    for apexes in (4, 6, 12):
+        calls.clear()
+        theorems.check_theorem2(Ellipsoid.ball(0.5), PBall(4.0, (1.0, 1.0, 1.0)),
+                                [0.1, 0.05, -0.03], apexes=apexes)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2] <= 9
+

@@ -483,6 +483,24 @@ def test_t2_attributes_failures_to_their_pairs():
                                                       rel=1e-12)
 
 
+def test_t2_skips_the_derived_stages_when_every_apex_line_misses_the_inner_body():
+    """From p near the outer boundary no line through p reaches the tiny
+    inner ball: every pair fails, no section plane is found, and the three
+    derived stages skip instead of scoring an empty sample."""
+    report = check_theorem2(Ellipsoid.ball(0.01), Ellipsoid.ball(1.0),
+                            [0.9, 0.0, 0.0], apexes=12, m=32, chords=12,
+                            radon_k=16)
+    first = report.stages[0]
+    assert (first.verdict, first.residual) == ("fail", 1.0)
+    assert first.detail["errors"] == ["LineMissesBody"] * 12
+    assert report.verdict == "hypothesis-violated"
+    assert [(s.name, s.verdict, s.detail.get("reason"))
+            for s in report.stages[1:4]] == [
+        (name, "skip", "no section plane found")
+        for name in ("supporting-planes-parallel",
+                     "section-chords-affine-diameters", "sections-are-radon")]
+
+
 # --------------------------------------------------------------------- t3
 
 
@@ -708,7 +726,8 @@ def test_t4_l4_violates_section_hypothesis(l4_double):
 
 
 def test_t4_input_gates(l4_double):
-    for radius in (-1.0, np.nan, np.inf):
+    # below 1e-6 of the diameter the section centres' rounding fails a witness
+    for radius in (-1.0, np.nan, np.inf, 1e-10):
         with pytest.raises(ValueError, match="ball radius"):
             check_theorem4(Ellipsoid.ball(2.0), radius)
     with pytest.raises(BallTooLarge):
@@ -831,8 +850,15 @@ def test_checks_need_three_dimensional_bodies(theorem, run):
     ("sym_m", 3, lambda: check_theorem_basico(PBall(4.0, (1, 1, 1)), np.zeros(3),
                                               planes=2, offsets=3, m=16,
                                               sym_m=2)),
+    # a cone intersection needs 3 points, and a polar fit in R^3 5 lines
+    ("m", 3, lambda: check_theorem2(Ellipsoid.ball(0.5), Ellipsoid.ball(1.0),
+                                    np.zeros(3), m=2)),
+    ("m", 3, lambda: check_theorem3(PBall(4.0, (0.4,) * 3), Ellipsoid.ball(2.0),
+                                    m=2)),
+    ("lines", 5, lambda: check_theorem3(PBall(4.0, (0.4,) * 3),
+                                        Ellipsoid.ball(2.0), lines=4)),
 ], ids=["radon", "t1", "t4", "t1-m", "t4-m", "basico-m", "t1-one-apex",
-        "basico-two-directions"])
+        "basico-two-directions", "t2-m", "t3-m", "t3-lines"])
 def test_checks_reject_empty_samples(size, least, run):
     # an empty sample would pass the hypothesis stage without testing
     # anything, and a counterexample body would then end conclusion-violated
