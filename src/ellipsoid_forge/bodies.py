@@ -131,7 +131,7 @@ class ConvexBody:
         # each row solves for s = t / t_hi in [0, 1], to 1e-15 t_hi + 8.9e-16 t
         t_hi = np.linalg.norm(z - self.center, axis=-1) + self.radius_bound()
         f = lambda s, r: self.gauge(z[r] + (s * t_hi[r])[:, None] * d[r]) - 1.0
-        sol = find_root(f, (0.0, 1.0), args=(np.arange(len(z)),),
+        sol = find_root(f, (np.zeros(len(z)), np.ones(len(z))),
                         tolerances=dict(xatol=1e-15, xrtol=8.9e-16))
         check_roots(sol, lambda r: "ray exit at row %d" % r, "gauge - 1", "[0, t_hi]")
         return (z + (sol.x * t_hi)[:, None] * d).reshape(shape)
@@ -155,7 +155,8 @@ class ConvexBody:
             v[r] + (t[r] + s * half[r])[:, None] * e[r])), e[r])
         solve = np.flatnonzero(g_foot > 1e-13)
         if solve.size:
-            sol = find_root(slope, (-1.0, 1.0), args=(solve,),
+            sol = find_root(lambda s, r: slope(s, solve[r]),
+                            (np.full(solve.size, -1.0), np.ones(solve.size)),
                             tolerances=dict(xatol=1e-15, xrtol=8.9e-16))
             check_roots(sol, lambda r: "line minimum at row %d" % solve[r],
                         "<normal, d>", "t_foot +- g(foot) R / |d|")

@@ -123,14 +123,14 @@ def _tangency_sweep(body, base, axes, apexes, w, m, seed):
     root of g(phi) = <a - w gamma, nu(gamma)> in (0, pi) is the in-plane,
     and so the full, tangency. One find_root solves all S x m x k rows at
     once. Row r is sweep r // (m k), plane r // k % m and apex r % k; each
-    row's axis, plane, apex and base are laid out before the solve, and the
-    row indices go through args because find_root hands g only the rows
-    still active. Returns the points, shape (S, m, k, n), their residuals
-    |g| (divided by |a - p| for finite apexes), shape (S, m, k), the plane
-    directions v_sj, shape (S, m, n), and a list of S curve metas. A row
-    that does not converge raises a GeometryError naming its plane and apex,
-    and its curve when axes are (S, n) rows; one (n,) axis is one sweep
-    whose curve goes unnamed (NoSignChange when (0, pi) brackets no root).
+    row's axis, plane, apex and base are laid out before the solve, and g
+    looks them up by the row indices that find_root hands it. Returns the
+    points, shape (S, m, k, n), their residuals |g| (divided by |a - p| for
+    finite apexes), shape (S, m, k), the plane directions v_sj, shape
+    (S, m, n), and a list of S curve metas. A row that does not converge
+    raises a GeometryError naming its plane and apex, and its curve when
+    axes are (S, n) rows; one (n,) axis is one sweep whose curve goes
+    unnamed (NoSignChange when (0, pi) brackets no root).
     """
     if body.dim < 3:
         raise UnsupportedDimension(
@@ -163,7 +163,7 @@ def _tangency_sweep(body, base, axes, apexes, w, m, seed):
     rows = np.arange(sweeps * m * k)
     sol = find_root(lambda phi, r: contact(phi, r)[2],
                     (np.zeros(rows.size), np.full(rows.size, np.pi)),
-                    args=(rows,), tolerances=dict(xatol=1e-14, xrtol=8.9e-16))
+                    tolerances=dict(xatol=1e-14, xrtol=8.9e-16))
 
     def where(r):
         s, j, i = np.unravel_index(r, (sweeps, m, k))

@@ -136,16 +136,17 @@ def floored(value, floor):
     return float(max(value, floor))
 
 
-def find_root(f, init, args=(), tolerances=None, maxiter=None):
-    """Roots of f(x, *args) = 0, one per row, each on its bracket init = (a, b).
+def find_root(f, init, tolerances=None, maxiter=None):
+    """Roots of f(x, r) = 0, one per row, each on its bracket init = (a, b).
 
     Chandrupatla's bracketed method (Chandrupatla 1997, Adv. Eng. Software
     28(3)) over rows in plain numpy, with the arithmetic, defaults and
     termination tests of scipy's elementwise find_root, so both give
-    the same x, status, bracket, nit and nfev. a, b and args broadcast
-    together; f gets the rows still active, with their args. tolerances may
-    set xatol (default 4 * smallest normal), xrtol (4 * eps), fatol (smallest
-    normal) and frtol (0, scaled by min(|f(a)|, |f(b)|)). Status per row: 0
+    the same x, status, bracket, nit and nfev. a and b broadcast together;
+    f gets x on the rows still active and r, their flat row indices, so
+    that it can look up each row's own data. tolerances may set xatol
+    (default 4 * smallest normal), xrtol (4 * eps), fatol (smallest normal)
+    and frtol (0, scaled by min(|f(a)|, |f(b)|)). Status per row: 0
     converged, -1 no sign change, -2 iteration limit, -3 not finite.
 
     Even a one-row call costs a few hundred microseconds, so callers gather
@@ -156,17 +157,15 @@ def find_root(f, init, args=(), tolerances=None, maxiter=None):
     tol.update(tolerances or {})
     if maxiter is None:
         maxiter = math.log2(finfo.max) - math.log2(finfo.smallest_normal)
-    xs = np.broadcast_arrays(*init, *args)
-    shape = xs[0].shape
-    x1, x2 = (np.array(x, dtype=float) for x in xs[:2])
-    f1, f2 = (np.asarray(f(x, *xs[2:]), dtype=float).ravel() for x in (x1, x2))
-    x1, x2 = x1.ravel(), x2.ravel()
-    args = [np.ravel(a) for a in xs[2:]]
-    frtol = tol["frtol"] * np.minimum(np.abs(f1), np.abs(f2))
+    x1, x2 = np.broadcast_arrays(*init)
+    shape = x1.shape
+    x1, x2 = (np.array(x, dtype=float).ravel() for x in (x1, x2))
     n = x1.size
+    active = np.arange(n)
+    f1, f2 = (np.asarray(f(x, active), dtype=float).ravel() for x in (x1, x2))
+    frtol = tol["frtol"] * np.minimum(np.abs(f1), np.abs(f2))
     out = np.zeros((6, n))  # x, f_x and the bracket ends with their f
     status, nit_out, nfev_out = (np.zeros(n, np.int32) for _ in range(3))
-    active = np.arange(n)
     nit, nfev, t = 0, 2, 0.5
     while True:
         # termination tests, in scipy's order
@@ -191,7 +190,6 @@ def find_root(f, init, args=(), tolerances=None, maxiter=None):
             keep = ~stop
             active, x1, f1, x2, f2, frtol, dx, xtol = (
                 v[keep] for v in (active, x1, f1, x2, f2, frtol, dx, xtol))
-            args = [a[keep] for a in args]
             if nit:
                 x3, f3 = x3[keep], f3[keep]
         if not active.size:
@@ -208,7 +206,7 @@ def find_root(f, init, args=(), tolerances=None, maxiter=None):
                 tl = 0.5 * xtol / dx
             t = np.clip(t, tl, 1 - tl)
         x = x1 + t * (x2 - x1)
-        fx = np.asarray(f(x, *args), dtype=float)
+        fx = np.asarray(f(x, active), dtype=float)
         nfev += 1
         j = np.sign(fx) == np.sign(f1)
         x3, f3 = np.where(j, x1, x2), np.where(j, f1, f2)

@@ -14,10 +14,11 @@ to_world, to_chart) take rows like the body oracles. The restriction
 minimizer is one vectorised Chandrupatla solve (numeric.find_root) over
 all the rows of a call, each row with its own plane. The module functions
 behind the oracles (_support2, _support_point2, _boundary2, _gauge2) take
-rows of several sections of one body, each row tagged with its section, so
-that one solve or one ray exit serves them all; a section's own oracle is
-the one-section call. conjugate_diameter and birkhoff_normal take rows,
-central_symmetry solves a list of sections at once, and is_radon_curve
+a stack of rows for several sections of one body, shape (S, ..., 2) with
+the rows of secs[i] at [i], and return their results in the same layout,
+so that one solve or one ray exit serves them all; a section's own oracle
+is the call on a stack of one. conjugate_diameter and birkhoff_normal take
+rows, central_symmetry solves a list of sections at once, and is_radon_curve
 tests a list of sections in three restriction solves and two ray exits,
 whatever k and however many sections.
 """
@@ -43,14 +44,16 @@ def _row_note(index, rows):
     return " at row %d" % index if np.ndim(rows) > 1 else ""
 
 
-def _where(secs, of, rows):
-    """where(r), naming row r of a call: ' at section i, row j' (its row
-    among the rows of secs[i]) when of tags the rows with two or more
-    sections, else _row_note's flat index."""
-    if of is None or len(secs) < 2:
-        return lambda r: _row_note(r, rows)
-    return lambda r: " at section %d, row %d" % (
-        of[r], np.count_nonzero(of[:r] == of[r]))
+def _where(rows, index=None):
+    """where(r), naming flat row r of a stack of rows, shape (S, k..., 2):
+    ' at section i, row j', with i = r // k (index[i] when index renames the
+    sections) and j = r % k, over two or more sections or with an index;
+    else _row_note's flat index in the one section's rows."""
+    if index is None and len(rows) < 2:
+        return lambda r: _row_note(r, rows[0])
+    k = np.prod(rows.shape[1:-1], dtype=int)
+    index = range(len(rows)) if index is None else index
+    return lambda r: " at section %d, row %d" % (index[r // k], r % k)
 
 
 def _width_rows():
@@ -101,19 +104,19 @@ class PlanarSection:
         return np.matvec(self.basis, np.asarray(z, dtype=float) - self.origin)
 
     def support2(self, w):
-        return _value(_support2([self], w))
+        return _value(_support2([self], [w])[0])
 
     def support_point2(self, w):
-        return _support_point2([self], w)
+        return _support_point2([self], [w])[0]
 
     def boundary2(self, d2, base2=None):
         """Section boundary point from base2 (default: chart origin) along d2."""
-        return _boundary2([self], d2, base2)
+        return _boundary2([self], [d2], None if base2 is None else [base2])[0]
 
     def gauge2(self, p2, base2=None):
         """Gauge of the step p2 from base2 (default: chart origin): 1 exactly
         when base2 + p2 is on the section boundary; one ray exit."""
-        return _value(_gauge2([self], p2, base2))
+        return _value(_gauge2([self], [p2], None if base2 is None else [base2])[0])
 
     def normal2_at(self, p2):
         """In-plane outer normal of the section at a boundary point."""
@@ -131,7 +134,7 @@ class PlanarSection:
 def _restriction_minimizer(body, w_world, n, d, where):
     """Minimizer t of psi(t) = h(w + t n) - t d for each row w of w_world,
     each row with its own plane: n and d broadcast against the rows, so one
-    solve can serve the sections of one body. Returns t and the ends
+    solve can serve a stack of sections of one body. Returns t and the ends
     (t_a, t_b) of the final bracket, which straddle it.
 
     Each row's bracket starts at +-(1 + |w|), and an end doubles until
@@ -142,7 +145,7 @@ def _restriction_minimizer(body, w_world, n, d, where):
     shape, dim = w_world.shape[:-1], body.dim
     w = w_world.reshape(-1, dim)
     # each row as [w | n | d], so that a row's plane costs no second lookup
-    rows = np.concatenate([w, np.broadcast_to(n, w.shape),
+    rows = np.concatenate([w, np.broadcast_to(n, w_world.shape).reshape(-1, dim),
                            np.broadcast_to(d, shape).reshape(-1, 1)], axis=1)
 
     def dpsi(t, r):
@@ -169,7 +172,6 @@ def _restriction_minimizer(body, w_world, n, d, where):
     lo, width = ends[:, 0], ends[:, 1] - ends[:, 0]
     sol = find_root(lambda s, r: dpsi(lo[r] + s * width[r], r),
                     (np.zeros(len(w)), np.ones(len(w))),
-                    args=(np.arange(len(w)),),
                     tolerances=dict(xatol=5e-14, xrtol=0.0))
     check_roots(sol, lambda r: "restriction solve" + where(r), "the derivative")
     t = (lo + sol.x * width).reshape(shape)
@@ -177,42 +179,35 @@ def _restriction_minimizer(body, w_world, n, d, where):
 
 
 class _SectionRows:
-    """Chart rows w2 of sections of one body (ValueError otherwise), laid out
-    for one restriction solve or one ray exit: each row carries its
-    section's plane normal and offset and its chart origin. With of, an (N,)
-    array, row r of the (N, 2) rows lies in secs[of[r]]; with of None the
-    rows, of any shape (..., 2), all lie in secs[0], whose plane and chart
-    broadcast unrepeated. where(r) names a failed row (see _where)."""
+    """A stack w2 of chart rows, shape (S, ..., 2) with the rows of secs[i]
+    at w2[i], laid out for one restriction solve or one ray exit over
+    sections of one body; ValueError for sections of two bodies or another
+    leading axis. Each section's plane normal and offset and its chart
+    origin are (S, 1..., ·) arrays that broadcast over its block of rows.
+    where(r) names a failed row (see _where, whose index renames the
+    sections)."""
 
-    def __init__(self, secs, w2, of=None):
+    def __init__(self, secs, w2, index=None):
         self.body = secs[0].body
         if any(sec.body is not self.body for sec in secs):
             raise ValueError("one restriction solve needs sections of one body")
-        if of is None and len(secs) > 1:
-            raise ValueError("rows of %d sections need of, the section of "
-                             "each row" % len(secs))
-        self.secs, self.of = secs, of
-        pick = (lambda v: v[0]) if of is None else (lambda v: np.asarray(v)[of])
-        self.normal = pick([sec.plane.normal for sec in secs])
-        self.offset = pick([sec.plane.offset for sec in secs])
-        self.origin = pick([sec.origin for sec in secs])
         w2 = np.asarray(w2, dtype=float)
+        if w2.ndim < 2 or len(w2) != len(secs):
+            raise ValueError("rows of %d sections need a stack of shape (%d, ..., 2); "
+                             "got %s" % (len(secs), len(secs), w2.shape))
+        self.secs = secs
+        block = (len(secs),) + (1,) * (w2.ndim - 2)
+        self.normal = np.array([sec.plane.normal for sec in secs]).reshape(block + (-1,))
+        self.offset = np.array([sec.plane.offset for sec in secs]).reshape(block)
+        self.origin = np.array([sec.origin for sec in secs]).reshape(block + (-1,))
         self.world = self.each(lambda sec, w: np.vecmat(w, sec.basis), w2)
-        self.where = _where(secs, of, w2)
+        self.where = _where(w2, index)
 
     def each(self, f, x):
-        """f(sec, the rows of x in sec) over the sections, back in row order;
-        a chart map then runs on each section's own basis, bits and all."""
-        if self.of is None:
-            return f(self.secs[0], x)
-        out = None
-        for i in np.unique(self.of):
-            rows = self.of == i
-            y = f(self.secs[i], x[rows])
-            if out is None:
-                out = np.empty(x.shape[:1] + y.shape[1:])
-            out[rows] = y
-        return out
+        """f(sec, x[i]) over the sections and their blocks of the stack x,
+        stacked; a chart map then runs on each section's own basis, bits
+        and all."""
+        return np.array([f(sec, xi) for sec, xi in zip(self.secs, x)])
 
     def to_world(self, p2):
         return self.each(PlanarSection.to_world, p2)
@@ -221,21 +216,21 @@ class _SectionRows:
         return self.each(PlanarSection.to_chart, z)
 
 
-def _support2(secs, w2, of=None):
-    """support2 of each row of w2 in its section (see _SectionRows), from
-    one restriction solve; a failed row is named by its section and its row
-    there when the rows span two or more sections."""
-    rows = _SectionRows(secs, w2, of)
+def _support2(secs, w2, index=None):
+    """support2 of each row of the stack w2 (see _SectionRows), from one
+    restriction solve; a failed row is named by its section and its row
+    there over two or more sections or with an index."""
+    rows = _SectionRows(secs, w2, index)
     t, _ = _restriction_minimizer(rows.body, rows.world, rows.normal,
                                   rows.offset, rows.where)
     h = rows.body.support(rows.world + np.expand_dims(t, -1) * rows.normal)
     return h - t * rows.offset - np.vecdot(rows.origin, rows.world)
 
 
-def _support_point2(secs, w2, of=None):
-    """support_point2 of each row of w2 in its section, from one restriction
+def _support_point2(secs, w2, index=None):
+    """support_point2 of each row of the stack w2, from one restriction
     solve, as _support2."""
-    rows = _SectionRows(secs, w2, of)
+    rows = _SectionRows(secs, w2, index)
     n = rows.normal
     dist = lambda z: np.vecdot(n, z) - rows.offset
     t, bracket = _restriction_minimizer(rows.body, rows.world, n, rows.offset,
@@ -255,38 +250,41 @@ def _support_point2(secs, w2, of=None):
     return rows.to_chart(np.where(same[..., None], a, a + frac * (b - a)))
 
 
-def _boundary2(secs, d2, base2=None, of=None):
-    """boundary2 of each row of d2 in its section, from base2 (default: the
-    chart origin; rows like d2 when of is given), in one ray_exit call.
-    Over two or more sections a failed ray raises its error again, naming
-    its section and its row there."""
-    rows = _SectionRows(secs, d2, of)
+def _boundary2(secs, d2, base2=None, index=None):
+    """boundary2 of each row of the stack d2, from base2 (default: the
+    chart origin; a stack that broadcasts against d2), in one ray_exit
+    call. Over two or more sections, or with an index, a failed ray raises
+    its error again, naming its section and its row there."""
+    rows = _SectionRows(secs, d2, index)
     base = rows.origin if base2 is None else rows.to_world(base2)
     try:
         z = ray_exit(rows.body, base, rows.world)
     except GeometryError as exc:
-        if of is None or len(secs) < 2:
+        if index is None and len(secs) < 2:
             raise
         # find the first failing row: rows solve independently
-        for r in range(len(rows.world)):
+        world = rows.world.reshape(-1, 3)
+        base = np.broadcast_to(base, rows.world.shape).reshape(-1, 3)
+        for r in range(len(world)):
             try:
-                ray_exit(rows.body, base[r], rows.world[r])
+                ray_exit(rows.body, base[r], world[r])
             except GeometryError as one:
                 raise type(one)("ray exit%s: %s" % (rows.where(r), one)) from exc
         raise
     return rows.to_chart(z)
 
 
-def _gauge2(secs, p2, base2=None, of=None):
-    """gauge2 of each step p2 in its section, from base2 (default: the chart
+def _gauge2(secs, p2, base2=None, index=None):
+    """gauge2 of each step of the stack p2, from base2 (default: the chart
     origin), in one ray exit, as _boundary2."""
-    base2 = np.zeros(2) if base2 is None else np.asarray(base2, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     r = np.sqrt(np.vecdot(p2, p2))
     # a zero step has gauge 0 along any ray: its ray is taken along (1, 0)
     zero = r == 0.0
     d2 = (p2 + np.multiply.outer(zero, (1.0, 0.0))) / np.expand_dims(r + zero, -1)
-    q = _boundary2(secs, d2, base2, of) - base2
+    q = _boundary2(secs, d2, base2, index)
+    if base2 is not None:
+        q = q - base2
     return r / np.sqrt(np.vecdot(q, q))
 
 
@@ -318,8 +316,10 @@ def central_symmetry(sec, tol=1e-7, m=96, seed=0):
 
     sec may be a list of sections of one body: the result is then the list
     of their SymmetryResults, from one restriction solve over the 2m rows of
-    every section, plus the 32 diameter2 width rows of each section whose
-    diameter2 is not cached yet. A single section is solved the same way."""
+    every section. When any section's diameter2 is not cached yet, the 32
+    diameter2 width rows join every section's rows, and each uncached
+    section caches its width from them. A single section is solved the same
+    way."""
     require_sizes("central_symmetry", {"m": m}, least={"m": 3})
     secs = sec if isinstance(sec, list) else [sec]
     if not secs:
@@ -328,16 +328,14 @@ def central_symmetry(sec, tol=1e-7, m=96, seed=0):
     th = rng.uniform(0.0, np.pi / m) + np.pi * np.arange(m) / m
     u = np.column_stack([np.cos(th), np.sin(th)])
     rows = 2.0 * u
-    dirs = np.concatenate([u, -u])
-    fresh = [s._diameter2 is None for s in secs]
-    parts = [np.concatenate([dirs, _width_rows()]) if f else dirs for f in fresh]
-    sizes = [len(w) for w in parts]
-    hs = np.split(_support2(secs, np.concatenate(parts),
-                            np.repeat(np.arange(len(secs)), sizes)),
-                  np.cumsum(sizes)[:-1])
+    dirs = [u, -u]
+    if any(s._diameter2 is None for s in secs):
+        dirs.append(_width_rows())
+    dirs = np.concatenate(dirs)
+    hs = _support2(secs, np.broadcast_to(dirs, (len(secs),) + dirs.shape))
     results = []
-    for s, f, h in zip(secs, fresh, hs):
-        if f:
+    for s, h in zip(secs, hs):
+        if s._diameter2 is None:
             s._diameter2 = _width(h[2 * m:])
         rhs = h[:m] - h[m:2 * m]
         c, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
@@ -518,7 +516,7 @@ def is_radon_curve(sec, k=128, contact_tol=1e-8, seed=0, cross_pairs=16):
     Birkhoff pairs' second vectors; one support2 over every closure side and
     Birkhoff normal. The diameters' ends are one ray exit and the Birkhoff
     gauges one more. In a list of two or more sections a failed row names
-    its section and its row there.
+    its section in the list and its row there.
     """
     require_sizes("is_radon_curve", {"k": k, "cross_pairs": cross_pairs})
     listed = isinstance(sec, list)
@@ -532,32 +530,28 @@ def is_radon_curve(sec, k=128, contact_tol=1e-8, seed=0, cross_pairs=16):
     u = np.column_stack([np.cos(th), np.sin(th)])
     p = min(k, cross_pairs)
     pairs = np.arange(p) * k // p
-    # the L live sections' rows are (L, m, 2) stacks, passed flat with of(m),
-    # the section of each flat row, and centres(m), its section's centre
-    c2 = np.stack([syms[i].center for i in live])
-    diam = np.array([secs[i].diameter2() for i in live])[:, None]
-    of = lambda m: np.repeat(live, m)
-    centres = lambda m: np.repeat(c2, m, axis=0)
-    flat = lambda a: a.reshape(-1, 2)
-    stack = lambda a: a.reshape(len(live), -1, *a.shape[1:])
+    # the rows of the L live sections are (L, ..., 2) stacks; a failed row
+    # names its section by its index in secs
+    secs_l = [secs[i] for i in live]
+    index = live if len(secs) > 1 else None
+    c2 = np.stack([syms[i].center for i in live])[:, None]
+    diam = np.array([sec.diameter2() for sec in secs_l])[:, None]
 
-    ends = stack(_boundary2(secs, np.tile(np.concatenate([u, -u]), (len(live), 1)),
-                            centres(2 * k), of(2 * k)))
+    d2 = np.concatenate([u, -u])
+    ends = _boundary2(secs_l, np.broadcast_to(d2, (len(live),) + d2.shape), c2, index)
     e_plus, e_minus = ends[:, :k], ends[:, k:]
-    n_d = _contact_normals(e_minus, e_plus, diam, _where(secs, of(k), e_plus))
+    n_d = _contact_normals(e_minus, e_plus, diam, _where(e_plus, index))
     y_dirs = np.broadcast_to(_rot90(u[pairs]), (len(live), p, 2))
-    q = stack(_support_point2(secs, flat(np.concatenate([n_d, -n_d, y_dirs], axis=1)),
-                              of(2 * k + p)))
+    q = _support_point2(secs_l, np.concatenate([n_d, -n_d, y_dirs], axis=1), index)
     n_p, apart = _closure_normals(q[:, :k], q[:, k:2 * k], n_d, diam)
-    xs, ys = e_plus[:, pairs] - c2[:, None], q[:, 2 * k:] - c2[:, None]
+    xs, ys = e_plus[:, pairs] - c2, q[:, 2 * k:] - c2
     x, y = np.concatenate([xs, ys], axis=1), np.concatenate([ys, xs], axis=1)
-    nx = stack(_gauge2(secs, flat(x), centres(2 * p), of(2 * p)))
-    n_b = _birkhoff_normals(x, y, nx, _where(secs, of(2 * p), x))
-    h = stack(_support2(secs, flat(np.concatenate([n_p, -n_p, n_b], axis=1)),
-                        of(2 * k + 2 * p)))
+    nx = _gauge2(secs_l, x, c2, index)
+    n_b = _birkhoff_normals(x, y, nx, _where(x, index))
+    h = _support2(secs_l, np.concatenate([n_p, -n_p, n_b], axis=1), index)
     defect = _closure_defect(e_minus, e_plus, n_p, apart, h[:, :k],
                              h[:, k:2 * k], diam)
-    normal, ratio = _birkhoff_ratio(x, nx, n_b, h[:, 2 * k:], c2[:, None])
+    normal, ratio = _birkhoff_ratio(x, nx, n_b, h[:, 2 * k:], c2)
     asymmetry = 1.0 - np.minimum(ratio[:, :p], ratio[:, p:])
 
     results = [None] * len(secs)

@@ -306,7 +306,7 @@ def _tangent_planes_through_line(body, p0, e):
     flips = vals[:, :-1] * vals[:, 1:] < 0.0
     two = np.count_nonzero(flips, axis=1) == 2
     rows, cells = np.nonzero(flips & two[:, None])
-    sol = find_root(f, (grid[cells], grid[cells + 1]), args=(rows,),
+    sol = find_root(lambda psi, i: f(psi, rows[i]), (grid[cells], grid[cells + 1]),
                     tolerances=dict(xatol=1e-14, xrtol=8.9e-16))
     check_roots(sol, lambda r: "tangent plane %d of line %d" % (r % 2, rows[r]),
                 "h(nu) - <p0, nu>")
@@ -352,13 +352,12 @@ def _reflection_residual(secs, centres2, k=48):
     """Worst absolute gap, per section, between the reflection of boundary
     samples through its chart centre and the section boundary, along matched
     rays -u then +u, from one _boundary2 call over every section."""
-    centres2 = np.asarray(centres2, dtype=float)
+    centres2 = np.asarray(centres2, dtype=float)[:, None, None]
     th = np.linspace(0.0, np.pi, k, endpoint=False)
     u = np.column_stack([np.cos(th), np.sin(th)])
-    ends = _boundary2(secs, np.tile(np.concatenate([-u, u]), (len(secs), 1)),
-                      np.repeat(centres2, 2 * k, axis=0),
-                      np.repeat(np.arange(len(secs)), 2 * k)).reshape(-1, 2, k, 2)
-    gap = ends[:, 0] - (2.0 * centres2[:, None] - ends[:, 1])
+    ends = _boundary2(secs, np.broadcast_to(np.stack([-u, u]), (len(secs), 2, k, 2)),
+                      centres2)
+    gap = ends[:, 0] - (2.0 * centres2[:, 0] - ends[:, 1])
     return np.sqrt(np.vecdot(gap, gap)).max(axis=1)
 
 
@@ -571,20 +570,16 @@ def check_theorem2(l_body, k_body, p, apexes=12, m=64, chords=48, radon_k=128,
     defects = [1.0] * len(failures)  # a failed pair scores 1.0
     if secs:
         # each curve point against the boundary point of its section in its
-        # chart direction from p, from one _boundary2 call; a point at p is
-        # its own match
-        base2 = np.array([sec.to_chart(p) for sec in secs])
-        sizes = [len(pts) for pts in curves]
-        of = np.repeat(np.arange(len(secs)), sizes)
-        matched = base2[of]
-        d2 = np.concatenate([sec.to_chart(pts)
-                             for sec, pts in zip(secs, curves)]) - matched
+        # chart direction from p, from one _boundary2 call over the (S, m)
+        # curve points; a point at p is aimed along (1, 0) and is its own match
+        base2 = np.stack([sec.to_chart(p) for sec in secs])[:, None]
+        d2 = np.stack([sec.to_chart(pts) for sec, pts in zip(secs, curves)]) - base2
         nd = np.sqrt(np.vecdot(d2, d2))
-        far = nd > 1e-14
-        matched[far] = _boundary2(secs, d2[far] / nd[far, None], matched[far],
-                                  of[far])
-        defects += [hausdorff(pts, sec.to_world(q)) / diam_k for sec, pts, q in
-                    zip(secs, curves, np.split(matched, np.cumsum(sizes)[:-1]))]
+        far = (nd > 1e-14)[..., None]
+        dirs = np.where(far, d2 / np.where(far, nd[..., None], 1.0), (1.0, 0.0))
+        matched = np.where(far, _boundary2(secs, dirs, base2), base2)
+        defects += [hausdorff(pts, sec.to_world(q)) / diam_k
+                    for sec, pts, q in zip(secs, curves, matched)]
     worst_defect = max(defects)
     run.stage("cone-intersection-matches-section", "hypothesis", worst_defect,
               "hausdorff", apexes=int(apexes),
@@ -604,12 +599,11 @@ def check_theorem2(l_body, k_body, p, apexes=12, m=64, chords=48, radon_k=128,
         th = np.linspace(0.0, np.pi, chords, endpoint=False)
         u2 = np.column_stack([np.cos(th), np.sin(th)])
         first = secs[:3]
-        ends = _boundary2(first, np.tile(np.concatenate([u2, -u2]), (len(first), 1)),
-                          np.repeat(base2[:3], 2 * chords, axis=0),
-                          np.repeat(np.arange(len(first)), 2 * chords))
-        worst_chord = max(
-            float(affine_diameter_residual(sec, a, b).max()) for sec, (a, b)
-            in zip(first, ends.reshape(len(first), 2, chords, 2)))
+        ends = _boundary2(first, np.broadcast_to(np.stack([u2, -u2]),
+                                                 (len(first), 2, chords, 2)),
+                          base2[:3, None])
+        worst_chord = max(float(affine_diameter_residual(sec, a, b).max())
+                          for sec, (a, b) in zip(first, ends))
         run.stage("section-chords-affine-diameters", "derived", worst_chord,
                   "diameter", chords=int(chords))
         run.radon_stage("sections-are-radon", "derived", secs[:2], radon_k,
@@ -709,16 +703,14 @@ def check_theorem3(l_body, k_body, apexes=12, m=64, lines=32, w_samples=16,
                 for i in keep]
         th = np.linspace(0.0, 2.0 * np.pi, w_samples, endpoint=False)
         w2 = np.column_stack([np.cos(th), np.sin(th)])
-        ends = _boundary2(secs, np.tile(w2, (len(keep), 1)),
-                          of=np.repeat(np.arange(len(keep)), w_samples))
-        ends = np.concatenate([sec.to_world(q) for sec, q in
-                               zip(secs, np.split(ends, len(keep)))])
-        z = np.repeat(apex_pts[keep], w_samples, axis=0)
+        ends = _boundary2(secs, np.broadcast_to(w2, (len(keep), w_samples, 2)))
+        ends = np.stack([sec.to_world(q) for sec, q in zip(secs, ends)])
+        z = apex_pts[keep, None]
         min_gauge = float(l_body.line_min_gauge(z, ends - z)[1].min())
         needed = 1.0 + tol["margin"]
         run.stage("almost-free-segments", "derived", max(0.0, needed - min_gauge),
                   None, min_gauge > needed, min_gauge=min_gauge, needed=needed,
-                  segments=len(z))
+                  segments=len(keep) * w_samples)
 
     run.fit_stage("inner-ellipsoid-fit", l_body, role="inner")
     return run.report()
@@ -760,21 +752,20 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
 
     us = sphere_directions(k_body.dim, samples, seed=seed)
     secs = [section(k_body, Hyperplane.from_point_normal(o + r * u, u)) for u in us]
-    clouds = _boundary2(secs, np.tile(circle_directions(m, seed=seed), (len(secs), 1)),
-                        of=np.repeat(np.arange(len(secs)), m))
+    clouds = _boundary2(secs, np.broadcast_to(circle_directions(m, seed=seed),
+                                              (len(secs), m, 2)))
     fits = [fit_planar_conic(sec.to_world(q), sec.plane, tol=tol["ellipse"])
-            for sec, q in zip(secs, np.split(clouds, len(secs)))]
+            for sec, q in zip(secs, clouds)]
     worst_fit = max(fit.rms_residual for fit in fits)
     run.stage("tangent-sections-ellipses", "hypothesis", worst_fit, "ellipse",
               all(fit.classification == ELLIPSE for fit in fits)
               and worst_fit < tol["ellipse"], samples=len(us))
 
     v2 = circle_directions(32, seed=seed)
-    hs = _support2(secs, np.tile(v2, (len(secs), 1)),
-                   np.repeat(np.arange(len(secs)), len(v2)))
+    hs = _support2(secs, np.broadcast_to(v2, (len(secs),) + v2.shape))
     min_margin = min(
         float((h - np.vecdot(sec.to_chart(o + r * u), v2) - r).min())
-        for u, sec, h in zip(us, secs, hs.reshape(len(secs), -1)))
+        for u, sec, h in zip(us, secs, hs))
     rel = min_margin / diam
     run.stage("ball-inside-section-hulls", "hypothesis",
               max(0.0, tol["margin"] - rel), None, rel > tol["margin"],
@@ -794,66 +785,50 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
     run.stage("parallel-translation", "derived", worst_translate, "hausdorff",
               sections=len(phis), lipschitz_estimate=lipschitz)
 
-    # phi at directions orthogonal to phi(u); also feeds the midpoint stage
-    worst_orth = 0.0
+    # phi at 8 directions v orthogonal to each of the first 4 phi(u); |phi(u)|
+    # and |phi(v)| are at least 2r, as each section's centre lies in its plane
     grid = []
     for i, phi_u in enumerate(phis[:4]):
-        npu = float(np.linalg.norm(phi_u))
-        if npu <= 1e-12 * diam:
-            continue
-        f1, f2 = unit_frame(phi_u / npu).T[:2]
+        f1, f2 = unit_frame(phi_u / float(np.linalg.norm(phi_u))).T[:2]
         for th in np.linspace(0.0, np.pi, 8, endpoint=False):
             v = np.cos(th) * f1 + np.sin(th) * f2
             grid.append((i, v, section(k_body,
                                        Hyperplane.from_point_normal(o + r * v, v))))
     syms = central_symmetry([sec_v for _, _, sec_v in grid],
                             tol=tol["symmetry"], m=m, seed=seed)
-    # each u's first usable v, unless along u, gives a midpoint locus: (phi(u),
-    # sec_v, its centre c2, the chord direction d_w = u x v, its chart normal e2)
-    loci, seen = [], set()
-    for (i, v, sec_v), sym_v in zip(grid, syms):
+    worst_orth = 0.0
+    for (i, _, _), sym_v in zip(grid, syms):
         phi_v = 2.0 * (np.asarray(sym_v.center_world) - o)
-        npv = float(np.linalg.norm(phi_v))
-        if npv <= 1e-12 * diam:
-            continue
-        worst_orth = max(worst_orth, float(abs(phi_v @ us[i])) / npv)
-        if i in seen:
-            continue
-        seen.add(i)
-        d_w = np.cross(us[i], v)
-        nd = float(np.linalg.norm(d_w))
-        if nd >= 1e-9:
-            d2 = normalize(sec_v.basis @ (d_w / nd))
-            loci.append((phis[i], sec_v, np.asarray(sym_v.center), d_w / nd,
-                         np.array([-d2[1], d2[0]])))
+        worst_orth = max(worst_orth,
+                         float(abs(phi_v @ us[i])) / float(np.linalg.norm(phi_v)))
     run.stage("translation-orthogonality", "derived", worst_orth, "bisector")
 
-    scores = []  # per locus whose midpoints spread: the worse of rms and angle
-    if loci:
-        phi_l, secs_l, c2, d_w, e2 = zip(*loci)
-        c2, d_w, e2 = np.array(c2)[:, None], np.array(d_w), np.array(e2)[:, None]
-        # the chord at offset s along e2 passes through c2 + (s / k)(q - c2), with
-        # q the support point on s's side and k = <q - c2, e2>: interior by convexity
-        q = _support_point2(secs_l, np.concatenate([e2, -e2], axis=1).reshape(-1, 2),
-                            np.repeat(np.arange(len(loci)), 2)).reshape(-1, 2, 2)
-        k = np.vecdot(q - c2, e2)
-        s = np.linspace(0.8 * k[:, 1], 0.8 * k[:, 0], 15, axis=-1)
-        j = (s < 0.0).astype(int)
-        chart = c2 + (s / np.take_along_axis(k, j, 1))[..., None] * (
-            np.take_along_axis(q, j[..., None], 1) - c2)
-        bases = np.stack([sec.to_world(p) for sec, p in zip(secs_l, chart)])
-        a, b = ray_exit(k_body, bases, np.stack([-d_w, d_w])[:, :, None])
-        for phi_u, mids in zip(phi_l, 0.5 * (a + b)):
-            spread = cloud_diameter(mids)
-            if spread > 1e-12 * diam:
-                _, sv, vt = np.linalg.svd(mids - mids.mean(axis=0), full_matrices=False)
-                rms = float(np.sqrt(np.sum(sv[1:] ** 2) / len(mids)) / spread)
-                scores.append(max(rms, line_angle(vt[0], phi_u)))
-    if not scores:
-        run.skip("midpoint-locus-line", "derived", "no usable section pair")
-    else:
-        run.stage("midpoint-locus-line", "derived", max(scores), "angular",
-                  loci=len(scores))
+    # each u's first v gives a midpoint locus: sec_v, its centre c2, the chord
+    # direction d_w = u x v, at least 2r / |phi(u)| long, and its chart normal e2
+    secs_l = [sec_v for _, _, sec_v in grid[::8]]
+    c2 = np.array([sym_v.center for sym_v in syms[::8]])[:, None]
+    d_w = np.array([d / float(np.linalg.norm(d))
+                    for d in (np.cross(us[i], v) for i, v, _ in grid[::8])])
+    d2 = [normalize(sec.basis @ d) for sec, d in zip(secs_l, d_w)]
+    e2 = np.array([[-d[1], d[0]] for d in d2])[:, None]
+    # the chord at offset s along e2 passes through c2 + (s / k)(q - c2), with
+    # q the support point on s's side and k = <q - c2, e2>: interior by convexity
+    q = _support_point2(secs_l, np.concatenate([e2, -e2], axis=1))
+    k = np.vecdot(q - c2, e2)
+    s = np.linspace(0.8 * k[:, 1], 0.8 * k[:, 0], 15, axis=-1)
+    j = (s < 0.0).astype(int)
+    chart = c2 + (s / np.take_along_axis(k, j, 1))[..., None] * (
+        np.take_along_axis(q, j[..., None], 1) - c2)
+    bases = np.stack([sec.to_world(p) for sec, p in zip(secs_l, chart)])
+    a, b = ray_exit(k_body, bases, np.stack([-d_w, d_w])[:, :, None])
+    scores = []  # per locus: the worse of its rms off a line and its angle
+    for phi_u, mids in zip(phis, 0.5 * (a + b)):
+        spread = cloud_diameter(mids)  # the offsets span 0.8 of the width
+        _, sv, vt = np.linalg.svd(mids - mids.mean(axis=0), full_matrices=False)
+        rms = float(np.sqrt(np.sum(sv[1:] ** 2) / len(mids)) / spread)
+        scores.append(max(rms, line_angle(vt[0], phi_u)))
+    run.stage("midpoint-locus-line", "derived", max(scores), "angular",
+              loci=len(scores))
 
     qfit = run.fit_stage("ellipsoid-fit", k_body)
 
@@ -961,15 +936,14 @@ def check_theorem_basico(k_body, p, eps=0.2, planes=8, offsets=7, m=64,
                 q = shadow.points
                 t = -plane.signed_distance(q) / denom
                 d2.append(sec.to_chart(q + np.multiply.outer(t, u_g)) - c2)
-            d2 = np.concatenate(d2)
-            c2 = np.repeat([t[1] for t in moved], m, axis=0)
+            d2 = np.stack(d2)
+            c2 = np.stack([t[1] for t in moved])[:, None]
             ndq = np.sqrt(np.vecdot(d2, d2))
             # a point at the centre is measured along (1, 0)
             near = ndq <= 1e-12 * diam
-            dirs = np.where(near[:, None], (1.0, 0.0),
-                            d2 / np.where(near, 1.0, ndq)[:, None])
-            b2 = _boundary2([sec for sec, *_ in moved], dirs, c2,
-                            np.repeat(np.arange(len(moved)), m)) - c2
+            dirs = np.where(near[..., None], (1.0, 0.0),
+                            d2 / np.where(near, 1.0, ndq)[..., None])
+            b2 = _boundary2([sec for sec, *_ in moved], dirs, c2) - c2
             signed = np.where(near, 0.0, ndq) - np.sqrt(np.vecdot(b2, b2))
             rel = float(signed.min()) / diam
             run.stage("translation-and-shadow-containment", "derived",

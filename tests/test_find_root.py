@@ -1,8 +1,10 @@
 """numeric.find_root against scipy's elementwise find_root, its reference.
 
 Both run Chandrupatla's method with the same arithmetic, so on the same
-brackets and args they must agree exactly: the same root, status, final
-bracket, iteration count and evaluation count on every row.
+brackets they must agree exactly: the same root, status, final bracket,
+iteration count and evaluation count on every row. Ours hands f the flat
+indices of the rows still active; scipy, given args=(np.arange(n),), hands
+f the same indices.
 """
 
 import os
@@ -69,9 +71,9 @@ def _assert_same(ours, ref):
 def test_find_root_equals_scipy(case, tolerances, seed):
     n = 40
     c, a, b = _brackets(seed, n)
-    f, args = CASES[case](c), (np.arange(n),)
-    ours = find_root(f, (a, b), args=args, tolerances=tolerances)
-    _assert_same(ours, scipy_find_root(f, (a, b), args=args,
+    f = CASES[case](c)
+    ours = find_root(f, (a, b), tolerances=tolerances)
+    _assert_same(ours, scipy_find_root(f, (a, b), args=(np.arange(n),),
                                        tolerances=tolerances))
     # the case reaches the statuses it is there for
     want = {"smooth": {0}, "step": {0}, "nan-rows": {0, -3},
@@ -85,7 +87,7 @@ def test_find_root_infinite_ends_equal_scipy():
     a = np.array([-np.inf, -np.inf, 0.5, -1.0])
     b = np.array([1.0, -0.5, np.inf, 1.0])
     f = lambda x: np.tanh(x)
-    ours = find_root(f, (a, b))
+    ours = find_root(lambda x, r: f(x), (a, b))
     _assert_same(ours, scipy_find_root(f, (a, b)))
     assert ours.status.tolist() == [-3, -1, -1, 0]
 
@@ -93,25 +95,24 @@ def test_find_root_infinite_ends_equal_scipy():
 @pytest.mark.parametrize("tolerances", TOLERANCES, ids=["xrtol", "xatol-only"])
 def test_find_root_iteration_limit_equals_scipy(tolerances):
     c, a, b = _brackets(7, 30)
-    f, args = _smooth(c), (np.arange(30),)
-    ours = find_root(f, (a, b), args=args, tolerances=tolerances, maxiter=3)
-    _assert_same(ours, scipy_find_root(f, (a, b), args=args,
+    f = _smooth(c)
+    ours = find_root(f, (a, b), tolerances=tolerances, maxiter=3)
+    _assert_same(ours, scipy_find_root(f, (a, b), args=(np.arange(30),),
                                        tolerances=tolerances, maxiter=3))
     assert np.all(ours.status == -2) and np.all(ours.nit == 3)
 
 
 @pytest.mark.parametrize("tolerances", TOLERANCES, ids=["xrtol", "xatol-only"])
 def test_find_root_one_row_equals_scipy(tolerances):
-    f = lambda x, c: x ** 3 - 2.0 * x - c
+    f = lambda x: x ** 3 - 2.0 * x - 5.0
     for init in ((0.0, 3.0), (np.zeros(1), np.full(1, 3.0))):
-        ours = find_root(f, init, args=(5.0,), tolerances=tolerances)
-        _assert_same(ours, scipy_find_root(f, init, args=(5.0,),
-                                           tolerances=tolerances))
+        ours = find_root(lambda x, r: f(x), init, tolerances=tolerances)
+        _assert_same(ours, scipy_find_root(f, init, tolerances=tolerances))
         assert np.all(ours.status == 0)
 
 
-def test_find_root_active_rows_take_their_args():
-    """f sees only the rows still active, with their own args: converged
+def test_find_root_hands_f_the_active_rows():
+    """f sees only the rows still active, as their row indices: converged
     rows leave the active set."""
     seen = []
     c = np.array([0.5, -0.25, 0.125])
@@ -121,7 +122,7 @@ def test_find_root_active_rows_take_their_args():
         seen.append(r.copy())
         return np.where(x < c[r], -1.0, 1.0)
 
-    sol = find_root(f, (c - width, c + 0.5 * width), args=(np.arange(3),))
+    sol = find_root(f, (c - width, c + 0.5 * width))
     assert np.all(sol.status == 0)
     assert np.allclose(sol.x, c, atol=1e-12, rtol=0.0)
     assert [len(r) for r in seen[:3]] == [3, 3, 3]

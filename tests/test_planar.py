@@ -349,7 +349,8 @@ def test_central_symmetry_one_solve_and_width_rows_only_when_uncached(
     secs[0].diameter2()
     rows.clear()
     central_symmetry(secs, m=24)
-    assert rows == [3 * 48 + 2 * 32]
+    # two uncached sections: the 32 width rows join every section's rows
+    assert rows == [3 * (48 + 32)]
     rows.clear()
     central_symmetry(secs, m=24)
     assert rows == [3 * 48]
@@ -370,8 +371,7 @@ def test_batched_restriction_failure_names_section_and_row(ellipsoid149):
     bad = np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(GeometryError,
                        match=r"restriction solve at section 2, row 1: "):
-        planar._support2(secs, np.concatenate([good, good, bad]),
-                         np.repeat([0, 1, 2], 3))
+        planar._support2(secs, np.stack([good, good, bad]))
     # one section keeps its flat row index
     with pytest.raises(NoSignChange, match=r"restriction solve at row 1: "):
         secs[2].support2(bad)
@@ -783,40 +783,55 @@ def test_batched_support_point_failure_names_section_and_row(ellipsoid149):
     bad = np.array([[1.0, 0.0], [0.0, 1.0], [np.nan, 1.0]])
     with pytest.raises(NoSignChange,
                        match=r"restriction solve at section 1, row 2: "):
-        planar._support_point2(secs, np.concatenate([good, bad, good]),
-                               np.repeat([0, 1, 2], 3))
+        planar._support_point2(secs, np.stack([good, bad, good]))
 
 
 def test_batched_ray_exit_failure_names_section_and_row(ellipsoid149):
     secs = _row_sections(ellipsoid149)
-    d2 = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [np.nan, 0.0]])
-    of = np.array([0, 2, 1, 1])
+    d2 = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [np.nan, 0.0]],
+                   [[0.0, 1.0], [1.0, 0.0]]])
     with pytest.raises(NonFiniteInput,
                        match=r"^ray exit at section 1, row 1: ray base point "):
-        planar._boundary2(secs, d2, np.zeros((4, 2)), of)
+        planar._boundary2(secs, d2, np.zeros((3, 2, 2)))
     with pytest.raises(NonFiniteInput, match=r"^ray exit at section 1, row 1: "):
-        planar._gauge2(secs, d2, np.zeros((4, 2)), of)
+        planar._gauge2(secs, d2, np.zeros((3, 1, 2)))
+    # an index renames the sections, as is_radon_curve's live sections
+    with pytest.raises(NonFiniteInput, match=r"^ray exit at section 5, row 1: "):
+        planar._boundary2(secs[1:], d2[1:], index=[5, 6])
     # one section keeps the ray exit's own message
     with pytest.raises(NonFiniteInput, match=r"^ray base point"):
-        secs[1].boundary2(d2[2:])
-    # rows of several sections must say which section each row is in
-    with pytest.raises(ValueError, match="rows of 3 sections need of"):
-        planar._boundary2(secs, d2)
+        secs[1].boundary2(d2[1])
 
 
-def test_batched_row_checks_name_section_and_row(ellipsoid149):
-    secs = _row_sections(ellipsoid149)
-    of = np.repeat([0, 2], 2)
+def test_batched_row_checks_name_section_and_row():
+    # a stack of the rows of sections 0 and 2 of a caller's list
+    index = [0, 2]
     a2 = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 0.5]]])
     b2 = -a2
     b2[1, 1] = a2[1, 1]
     with pytest.raises(ValueError, match=r"degenerate chord at section 2, row 1$"):
-        planar._contact_normals(a2, b2, 1.0, planar._where(secs, of, a2))
+        planar._contact_normals(a2, b2, 1.0, planar._where(a2, index))
     x = np.ones((2, 2, 2))
     y = x.copy()
     y[1, 0] = 0.0
     with pytest.raises(ValueError, match=r"nonzero vectors at section 2, row 0$"):
-        planar._birkhoff_normals(x, y, np.ones((2, 2)), planar._where(secs, of, x))
+        planar._birkhoff_normals(x, y, np.ones((2, 2)), planar._where(x, index))
+    # without an index, section i of the stack is section i
+    with pytest.raises(ValueError, match=r"nonzero vectors at section 1, row 0$"):
+        planar._birkhoff_normals(x, y, np.ones((2, 2)), planar._where(x))
+
+
+def test_section_stack_needs_one_block_per_section(ellipsoid149):
+    """The rows of S sections are a stack of shape (S, ..., 2): flat rows,
+    or a stack with another leading axis, raise ValueError."""
+    secs = _row_sections(ellipsoid149)
+    w2 = np.array([[1.0, 0.0], [0.0, 1.0]])
+    for rows in (w2, np.stack([w2, w2]), np.stack([w2] * 4), np.ones(2)):
+        for oracle in (planar._support2, planar._support_point2,
+                       planar._boundary2, planar._gauge2):
+            with pytest.raises(ValueError, match="rows of 3 sections need a stack"):
+                oracle(secs, rows)
+    assert planar._support2(secs, np.stack([w2] * 3)).shape == (3, 2)
 
 
 def test_support2_without_a_sign_change_raises_typed_error():

@@ -2,6 +2,7 @@
 right stage, and failed hypotheses own the verdict."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -656,6 +657,17 @@ def test_basico_restriction_solves_do_not_grow_with_sections(monkeypatch,
     assert counts == [1, 1]
 
 
+def test_checks_pass_section_rows_as_stacks():
+    """The checks hand planar the rows of S sections as one (S, ..., 2)
+    stack: no call tags flat rows with their sections (of=), and no row
+    layout is rebuilt around a section call by repeating, tiling or
+    splitting."""
+    layout = re.compile(r"\bof=|np\.repeat\(np\.arange\(|np\.tile\(|np\.split\(")
+    with open(theorems.__file__) as fh:
+        for n, line in enumerate(fh, 1):
+            assert not layout.search(line), "theorems.py:%d: %s" % (n, line)
+
+
 def test_radon_stages_make_three_restriction_solves(monkeypatch, ellipsoid149):
     """The radon check's and t2's radon stages test all their sections in
     one is_radon_curve call: three restriction solves, whatever the number
@@ -757,6 +769,17 @@ def test_basico_off_center_point_takes_fct_branch(unit_ball):
     _assert_clean(report)
     assert report.branch == "FCT-case"
     assert _stage(report, "translation-and-shadow-containment").verdict == "skip"
+
+
+def test_basico_shadow_stage_skips_when_the_translations_vanish(ellipsoid149):
+    """In a slab 1e-12 wide every top section sits at p's plane, so its
+    centre is p within 1e-9 diam: no translation is left to move a shadow
+    by, and the derived stage skips. Only the stage is pinned here; the
+    report verdict of a skipped derived stage is an open question."""
+    report = check_theorem_basico(ellipsoid149, np.zeros(3), eps=1e-12)
+    stage = _stage(report, "translation-and-shadow-containment")
+    assert (stage.verdict, stage.detail["reason"]) == (
+        "skip", "translation vectors vanish")
 
 
 def test_basico_l4_violates_symmetry_hypothesis(l4_unit):
