@@ -469,10 +469,11 @@ def ray_exit(body, base, d):
     near = np.sqrt(np.vecdot(off, off)) <= 1e-13 * (1.0 + body.diameter())
     if near.ndim == 0:
         return body.boundary_from_center(d) if near else body.boundary_point(base, d)
-    if near.all():
+    centred = np.count_nonzero(near)
+    if centred == near.size:
         return body.boundary_from_center(
             np.broadcast_to(d, np.broadcast_shapes(base.shape, d.shape)))
-    if not near.any():
+    if not centred:
         return body.boundary_point(base, d)
     base, d = np.broadcast_arrays(base, d)
     near = np.broadcast_to(near, base.shape[:-1])

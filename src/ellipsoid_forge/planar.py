@@ -182,10 +182,10 @@ class _SectionRows:
     """A stack w2 of chart rows, shape (S, ..., 2) with the rows of secs[i]
     at w2[i], laid out for one restriction solve or one ray exit over
     sections of one body; ValueError for sections of two bodies or another
-    leading axis. Each section's plane normal and offset and its chart
-    origin are (S, 1..., ·) arrays that broadcast over its block of rows.
-    where(r) names a failed row (see _where, whose index renames the
-    sections)."""
+    leading axis. Each section's chart origin, and from plane() its plane
+    normal and offset, are (S, 1..., ·) arrays that broadcast over its block
+    of rows. where(r) names a failed row (see _where, whose index renames
+    the sections)."""
 
     def __init__(self, secs, w2, index=None):
         self.body = secs[0].body
@@ -196,12 +196,15 @@ class _SectionRows:
             raise ValueError("rows of %d sections need a stack of shape (%d, ..., 2); "
                              "got %s" % (len(secs), len(secs), w2.shape))
         self.secs = secs
-        block = (len(secs),) + (1,) * (w2.ndim - 2)
-        self.normal = np.array([sec.plane.normal for sec in secs]).reshape(block + (-1,))
-        self.offset = np.array([sec.plane.offset for sec in secs]).reshape(block)
-        self.origin = np.array([sec.origin for sec in secs]).reshape(block + (-1,))
+        self.block = (len(secs),) + (1,) * (w2.ndim - 2)
+        self.origin = np.array([sec.origin for sec in secs]).reshape(self.block + (-1,))
         self.world = self.each(lambda sec, w: np.vecmat(w, sec.basis), w2)
         self.where = _where(w2, index)
+
+    def plane(self):
+        """The plane normals and offsets, which only a restriction solve needs."""
+        return (np.array([sec.plane.normal for sec in self.secs]).reshape(self.block + (-1,)),
+                np.array([sec.plane.offset for sec in self.secs]).reshape(self.block))
 
     def each(self, f, x):
         """f(sec, x[i]) over the sections and their blocks of the stack x,
@@ -221,20 +224,19 @@ def _support2(secs, w2, index=None):
     restriction solve; a failed row is named by its section and its row
     there over two or more sections or with an index."""
     rows = _SectionRows(secs, w2, index)
-    t, _ = _restriction_minimizer(rows.body, rows.world, rows.normal,
-                                  rows.offset, rows.where)
-    h = rows.body.support(rows.world + np.expand_dims(t, -1) * rows.normal)
-    return h - t * rows.offset - np.vecdot(rows.origin, rows.world)
+    n, d = rows.plane()
+    t, _ = _restriction_minimizer(rows.body, rows.world, n, d, rows.where)
+    h = rows.body.support(rows.world + np.expand_dims(t, -1) * n)
+    return h - t * d - np.vecdot(rows.origin, rows.world)
 
 
 def _support_point2(secs, w2, index=None):
     """support_point2 of each row of the stack w2, from one restriction
     solve, as _support2."""
     rows = _SectionRows(secs, w2, index)
-    n = rows.normal
-    dist = lambda z: np.vecdot(n, z) - rows.offset
-    t, bracket = _restriction_minimizer(rows.body, rows.world, n, rows.offset,
-                                        rows.where)
+    n, d = rows.plane()
+    dist = lambda z: np.vecdot(n, z) - d
+    t, bracket = _restriction_minimizer(rows.body, rows.world, n, d, rows.where)
     if rows.body.is_smooth:
         z = rows.body.support_point(rows.world + np.expand_dims(t, -1) * n)
         return rows.to_chart(z - np.expand_dims(dist(z), -1) * n)
