@@ -4,8 +4,9 @@ Concrete kinds: ellipsoid, p-ball, polytope, affine image. Higher modules are
 kind-agnostic: everything downstream consumes the oracle interface only.
 Gauges are Minkowski functionals about each body's designated center, which
 makes the center ray boundary solve closed form (1-homogeneity). Off the
-center the ellipsoid's and the polytope's ray exits are closed form too; the
-other kinds take one row solve (numeric.find_root) on the gauge per call.
+center the ellipsoid's and the polytope's ray exits are closed form too, an
+affine image takes its inner body's exit on the preimage ray, and a p-ball
+takes one row solve (numeric.find_root) on the gauge per call.
 
 Every oracle (support, support_point, gauge, normal_at, boundary_from_center,
 boundary_point, ray_exit, line_min_gauge) takes one point or direction of
@@ -448,6 +449,13 @@ class AffineImage(ConvexBody):
     def normal_at(self, x):
         x_in = np.matvec(self._ainv, np.asarray(x, dtype=float) - self._b)
         return normalize(np.matvec(self._ainv.T, self._inner.normal_at(x_in)))
+
+    def boundary_point(self, z, d):
+        # the exit of the preimage ray A^-1 (z - b) + t A^-1 d, mapped back
+        z, d = _ray(z, d)
+        x = self._inner.boundary_point(np.matvec(self._ainv, z - self._b),
+                                       np.matvec(self._ainv, d))
+        return np.matvec(self._a, x) + self._b
 
     def line_min_gauge(self, p, d):
         # the preimage line A^-1 (p - b) + t A^-1 d has the same t

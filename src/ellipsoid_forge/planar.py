@@ -4,15 +4,20 @@ A PlanarSection wraps the 2-D convex figure cut from a body by a hyperplane
 (dimension 3 host: the section is a planar convex curve) behind a chart and a
 2-D support oracle. The support function of a section is computed by the
 standard restriction formula h_sec(w) = inf_t [h_K(w + t n) - t d]. For
-every body h_K(w + t n) - t d is convex in t, and its derivative is selected
-monotonically by <support_point(w + t n), n> - d, so the root of that (on a
-polytope, the point where it jumps) is the minimizer; this keeps section
-support points at full solver accuracy, which the conjugacy gates need.
+every body psi(t) = h_K(w + t n) - t d is convex in t, and its derivative is
+selected monotonically by <support_point(w + t n), n> - d. On a smooth body
+the root of that is the minimizer. On a polytope psi is piecewise linear and
+its derivative a step function, so the minimizer is where the supporting
+lines of psi at two support vertices tie: tie steps find it exactly, each
+bringing in a new vertex. This keeps section support points at full
+accuracy, which the conjugacy gates need.
 
 The section oracles (support2, support_point2, boundary2, gauge2, normal2_at,
 to_world, to_chart) take rows like the body oracles. The restriction
-minimizer is one vectorised Chandrupatla solve (numeric.find_root) over
-all the rows of a call, each row with its own plane. The module functions
+minimizer serves all the rows of a call at once, each row with its own
+plane: on a smooth body in one vectorised Chandrupatla solve
+(numeric.find_root), on a non-smooth one in tie steps over the rows still
+unsettled, no more than the polytope has vertices. The module functions
 behind the oracles (_support2, _support_point2, _boundary2, _gauge2) take
 a stack of rows for several sections of one body, shape (S, ..., 2) with
 the rows of secs[i] at [i], and return their results in the same layout,
@@ -131,37 +136,56 @@ class PlanarSection:
         return self._diameter2
 
 
+#: the tie steps a restriction row on a non-smooth body may take: each step
+#: brings in a support point not seen before, so on a polytope a row settles
+#: within its vertex count
+_TIE_STEPS = 64
+
+
 def _restriction_minimizer(body, w_world, n, d, where):
     """Minimizer t of psi(t) = h(w + t n) - t d for each row w of w_world,
     each row with its own plane: n and d broadcast against the rows, so one
-    solve can serve a stack of sections of one body. Returns t and the ends
-    (t_a, t_b) of the final bracket, which straddle it.
+    solve can serve a stack of sections of one body. Returns t and, on a
+    non-smooth body, the support points (v_a, v_b) whose supporting lines
+    of psi meet at t; None on a smooth body.
 
     Each row's bracket starts at +-(1 + |w|), and an end doubles until
     the derivative <support_point(w + t n), n> - d has the right sign
-    there (60 tries). One find_root then solves every row on its bracket
-    rescaled to [0, 1], to 5e-14 of the bracket width. A row that fails
-    raises NoSignChange or GeometryError naming it by where(flat index)."""
+    there (60 tries). On a smooth body one find_root then solves every row
+    on its bracket rescaled to [0, 1], to 5e-14 of the bracket width. On a
+    non-smooth body psi is piecewise linear: the support points v_a, v_b at
+    the ends give the supporting lines <v, w> + t s of psi, s = <v, n> - d,
+    and each tie step goes to where they meet, t = <v_a - v_b, w> / (s_b -
+    s_a). The row is done when v_t = support_point(w + t n) ties there,
+    <v_t - v_a, w + t n> = 0 to rounding, or when s_t = 0 (then v_a = v_b =
+    v_t); else v_t replaces the end whose slope sign it shares. A row that
+    fails raises NoSignChange or GeometryError (after _TIE_STEPS tie steps)
+    naming it by where(flat index)."""
     shape, dim = w_world.shape[:-1], body.dim
     w = w_world.reshape(-1, dim)
     # each row as [w | n | d], so that a row's plane costs no second lookup
     rows = np.concatenate([w, np.broadcast_to(n, w_world.shape).reshape(-1, dim),
                            np.broadcast_to(d, shape).reshape(-1, 1)], axis=1)
 
-    def dpsi(t, r):
+    def vertex(t, r):
+        """support_point(w + t n) on rows r, and its slope <v, n> - d."""
         q = rows[r]
         n_r = q[:, dim:-1]
-        return np.vecdot(body.support_point(q[:, :dim] + t[:, None] * n_r),
-                         n_r) - q[:, -1]
+        v = body.support_point(q[:, :dim] + t[:, None] * n_r)
+        return v, np.vecdot(v, n_r) - q[:, -1]
 
-    # column 0 wants dpsi < 0, column 1 dpsi > 0
+    # column 0 wants the slope < 0, column 1 > 0
     t0 = 1.0 + np.sqrt(np.vecdot(w, w))
     ends = np.stack([-t0, t0], axis=-1)
+    v, slope = np.empty(ends.shape + (dim,)), np.empty(ends.shape)
     sign = np.array([-1.0, 1.0])
     wrong = np.ones(ends.shape, dtype=bool)
     for _ in range(60):
         r, e = np.nonzero(wrong)
-        wrong[r, e] = ~(sign[e] * dpsi(ends[r, e], r) > 0.0)
+        v_re, s_re = vertex(ends[r, e], r)
+        wrong[r, e] = ~(sign[e] * s_re > 0.0)
+        if not body.is_smooth:  # the tie steps start from the ends
+            v[r, e], slope[r, e] = v_re, s_re
         if not wrong.any():
             break
         ends[wrong] *= 2.0
@@ -169,13 +193,36 @@ def _restriction_minimizer(body, w_world, n, d, where):
         r, e = np.argwhere(wrong)[0]
         raise NoSignChange("restriction solve%s: the derivative keeps its "
                            "sign up to t = %.3g" % (where(r), ends[r, e] / 2.0))
-    lo, width = ends[:, 0], ends[:, 1] - ends[:, 0]
-    sol = find_root(lambda s, r: dpsi(lo[r] + s * width[r], r),
-                    (np.zeros(len(w)), np.ones(len(w))),
-                    tolerances=dict(xatol=5e-14, xrtol=0.0))
-    check_roots(sol, lambda r: "restriction solve" + where(r), "the derivative")
-    t = (lo + sol.x * width).reshape(shape)
-    return t, [(lo + s * width).reshape(shape) for s in sol.bracket]
+    if body.is_smooth:
+        lo, width = ends[:, 0], ends[:, 1] - ends[:, 0]
+        sol = find_root(lambda s, r: vertex(lo[r] + s * width[r], r)[1],
+                        (np.zeros(len(w)), np.ones(len(w))),
+                        tolerances=dict(xatol=5e-14, xrtol=0.0))
+        check_roots(sol, lambda r: "restriction solve" + where(r), "the derivative")
+        return (lo + sol.x * width).reshape(shape), None
+    t = np.empty(len(w))
+    live = np.arange(len(w))
+    for _ in range(_TIE_STEPS):
+        va, vb, sa, sb = v[live, 0], v[live, 1], slope[live, 0], slope[live, 1]
+        t[live] = tie_t = np.vecdot(va - vb, w[live]) / (sb - sa)
+        vt, st = vertex(tie_t, live)
+        q = w[live] + tie_t[:, None] * rows[live, dim:-1]
+        # v_t is an argmax at q, so <v_t - v_a, q> >= 0 but for rounding
+        scale = np.sqrt(np.vecdot(q, q)) * (np.sqrt(np.vecdot(vt, vt))
+                                            + np.sqrt(np.vecdot(va, va)))
+        tie = np.vecdot(vt - va, q) <= 1e-14 * scale
+        flat = ~tie & (st == 0.0)
+        v[live[flat]] = vt[flat, None]
+        go = ~(tie | flat)
+        side = (st[go] > 0.0).astype(int)
+        v[live[go], side], slope[live[go], side] = vt[go], st[go]
+        live = live[go]
+        if not live.size:
+            break
+    else:
+        raise GeometryError("restriction solve%s: the support points did not "
+                            "settle in %d tie steps" % (where(live[0]), _TIE_STEPS))
+    return t.reshape(shape), tuple(v[:, e].reshape(w_world.shape) for e in (0, 1))
 
 
 class _SectionRows:
@@ -236,16 +283,15 @@ def _support_point2(secs, w2, index=None):
     rows = _SectionRows(secs, w2, index)
     n, d = rows.plane()
     dist = lambda z: np.vecdot(n, z) - d
-    t, bracket = _restriction_minimizer(rows.body, rows.world, n, d, rows.where)
-    if rows.body.is_smooth:
+    t, tied = _restriction_minimizer(rows.body, rows.world, n, d, rows.where)
+    if tied is None:
         z = rows.body.support_point(rows.world + np.expand_dims(t, -1) * n)
         return rows.to_chart(z - np.expand_dims(dist(z), -1) * n)
-    # psi kinks at t: the support points at the ends of the final bracket
-    # straddle it and span an exposed face of K, which meets the plane in
-    # the section's support point (a itself when the face is parallel to
-    # the plane)
-    a, b = rows.body.support_point(
-        rows.world + np.expand_dims(np.stack(bracket), -1) * n)
+    # psi kinks at t: the support points that tie there (one point on the
+    # plane when its slope is 0) span an exposed face of K, which meets the
+    # plane in the section's support point (a itself when the face is
+    # parallel to the plane)
+    a, b = tied
     da, db = dist(a), dist(b)
     same = np.equal(da, db)
     frac = np.expand_dims(da / np.where(same, 1.0, da - db), -1)

@@ -89,6 +89,19 @@ def polytope_gauge_lp(vertices, x):
     return float(res.fun)
 
 
+def polytope_section_support_lp(vertices, normal, offset, w):
+    """Support of the section conv(V) ∩ {<x, n> = d} in the world direction
+    w, by linear programming: max <V^T lam, w> over lam >= 0, sum(lam) = 1,
+    <V^T lam, n> = d."""
+    v = np.asarray(vertices, dtype=float)
+    res = linprog(-(v @ np.asarray(w, dtype=float)),
+                  A_eq=np.vstack([np.ones(len(v)), v @ np.asarray(normal, dtype=float)]),
+                  b_eq=[1.0, float(offset)], bounds=[(0.0, None)] * len(v),
+                  method="highs")
+    assert res.success, res.message
+    return float(-res.fun)
+
+
 def ellipsoid_support(center, shape, u):
     """h(u) = <c,u> + sqrt(u^T Q^{-1} u) for {c + x : x^T Q x <= 1}."""
     u = np.asarray(u, dtype=float)

@@ -302,9 +302,12 @@ def test_support_of_a_zero_direction_raises_typed_error(body):
     Ellipsoid(np.array([0.1, -0.2, 0.05]), _random_spd(np.random.default_rng(6))),
     Polytope(np.random.default_rng(7).normal(size=(14, 3))),
     Polytope([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]),
-], ids=["ellipsoid", "polytope", "cube"])
+    AffineImage(*random_affine(5), Ellipsoid(np.zeros(3), np.diag([1.0, 4.0, 9.0]))),
+    AffineImage(*random_affine(6), Polytope(np.random.default_rng(8).normal(size=(12, 3)))),
+], ids=["ellipsoid", "polytope", "cube", "affine-ellipsoid", "affine-polytope"])
 def test_exact_ray_exits_match_the_generic_row_solve(body):
-    # the closed-form exits against ConvexBody's row solve on the gauge, from
+    # the closed-form exits (an affine image's through its inner body's)
+    # against ConvexBody's row solve on the gauge, from
     # random interior bases, from bases 1e-6 inside the boundary, and, on a
     # polytope, along the facet nearest such a base (<a_i, d> = 0 rows, to
     # the last bit on the cube's axis-aligned facets)

@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 from scipy.optimize.elementwise import find_root as scipy_find_root
 
-from ellipsoid_forge import Ellipsoid, PBall, bodies, cones, planar, theorems
-from ellipsoid_forge.numeric import find_root
+from ellipsoid_forge import (Ellipsoid, Hyperplane, PBall, Polytope, bodies, cones,
+                             planar, theorems)
+from ellipsoid_forge.errors import GeometryError
+from ellipsoid_forge.numeric import find_root, normalize, sphere_directions
 
 TOLERANCES = [dict(xatol=1e-14, xrtol=8.9e-16), dict(xatol=5e-14, xrtol=0.0)]
 
@@ -209,3 +211,44 @@ def test_t2_solves_once_per_stage(monkeypatch):
         counts.append(len(calls))
     assert counts[0] == counts[1] == counts[2] <= 9
 
+
+_OCTAHEDRON = Polytope(np.vstack([np.eye(3), -np.eye(3)]))
+
+
+def test_polytope_restriction_rows_make_no_find_root_calls(monkeypatch):
+    """A polytope's restriction rows finish at the support-vertex tie, so
+    central_symmetry on central and off-centre sections of the octahedron,
+    is_radon_curve on the central ones and the radon check call no
+    find_root; on an ellipsoid the same central_symmetry is one."""
+    calls = _count_solves(monkeypatch)
+    nrms = sphere_directions(3, 3, seed=1)
+    central = [planar.section(_OCTAHEDRON, Hyperplane(nrm, 0.0)) for nrm in nrms]
+    off = planar.section(_OCTAHEDRON, Hyperplane(nrms[0], 0.3))
+    planar.central_symmetry(central + [off])
+    planar.is_radon_curve(central, k=16)
+    theorems.check_theorem_radon(_OCTAHEDRON, planes=2, diameters=16)
+    assert calls == []
+    planar.central_symmetry(planar.section(Ellipsoid.ball(1.0), off.plane))
+    assert len(calls) == 1
+
+
+def test_tie_steps_that_never_settle_name_the_row(monkeypatch):
+    """A support_point whose body grows with every call never ties: the
+    tie loop gives up after _TIE_STEPS steps with a GeometryError that names
+    the first unsettled row by its section (renamed by an index) and row."""
+    body = Polytope(_OCTAHEDRON.vertices)
+    real, grown = body.support_point, []
+
+    def growing(u):
+        grown.append(1)
+        u = np.asarray(u, dtype=float)
+        return real(u) + 1e-6 * len(grown) * normalize(u)
+    monkeypatch.setattr(body, "support_point", growing)
+    secs = [planar.section(body, Hyperplane(nrm, 0.0))
+            for nrm in sphere_directions(3, 2, seed=1)]
+    w2 = np.broadcast_to([[1.0, 0.0], [0.3, -1.0]], (2, 2, 2))
+    with pytest.raises(GeometryError, match=r"^restriction solve at section 5, "
+                       r"row 0: the support points did not settle in 64 tie steps$"):
+        planar._support2(secs, w2, index=[5, 7])
+    with pytest.raises(GeometryError, match=r"^restriction solve at section 0, row 0: "):
+        planar._support_point2(secs, w2)

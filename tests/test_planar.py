@@ -39,6 +39,7 @@ from oracles import (
     birkhoff_min_ratio_lp,
     ellipsoid_section_center,
     lp_plane_conjugate,
+    polytope_section_support_lp,
 )
 
 
@@ -838,3 +839,50 @@ def test_support2_without_a_sign_change_raises_typed_error():
     sec = section(Ellipsoid.ball(1.0), Hyperplane(np.array([0, 0, 1.0]), 0.2))
     with pytest.raises(NoSignChange):
         sec.support2([np.nan, 0.0])
+
+
+def _lp_polytopes():
+    """(body, its vertices) for an octahedron, a rotated box, a hull of +-v
+    and an affine image of a polytope."""
+    rng = np.random.default_rng(21)
+    rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    box = np.array([[x, y, z] for x in (-1.0, 1.0) for y in (-0.5, 0.5)
+                    for z in (-2.0, 2.0)]) @ rot.T + [0.2, -0.1, 0.3]
+    pm = rng.normal(size=(5, 3))
+    a, b = random_affine(8)
+    inner = np.vstack([np.eye(3), -np.eye(3), [[0.6, 0.6, 0.6]]])
+    return {"octahedron": (_OCTAHEDRON, _OCTAHEDRON.vertices),
+            "rotated-box": (Polytope(box), box),
+            "pm-hull": (Polytope(np.vstack([pm, -pm])), np.vstack([pm, -pm])),
+            "affine-polytope": (AffineImage(a, b, Polytope(inner)), inner @ a.T + b)}
+
+
+_LP_POLYTOPES = _lp_polytopes()
+
+
+@pytest.mark.parametrize("kind", list(_LP_POLYTOPES))
+def test_polytope_section_support_equals_lp(monkeypatch, kind):
+    """On central and off-centre sections of polytopes, support2 equals a
+    linear program over the vertices, every support_point2 lies on the
+    plane and on the boundary, and each row settles within as many tie
+    steps as the body has vertices."""
+    body, verts = _LP_POLYTOPES[kind]
+    monkeypatch.setattr(planar, "_TIE_STEPS", len(verts))
+    rng = np.random.default_rng(5)
+    secs = []
+    for nrm in sphere_directions(3, 4, seed=2):
+        c = float(nrm @ body.center)
+        for reach in (0.0, 0.5, -0.7):
+            h = body.support(nrm) if reach >= 0.0 else -body.support(-nrm)
+            secs.append(section(body, Hyperplane(nrm, c + abs(reach) * (h - c))))
+    w2 = rng.normal(size=(len(secs), 16, 2))
+    h, p = planar._support2(secs, w2), planar._support_point2(secs, w2)
+    for sec, h_s, p_s, w_s in zip(secs, h, p, w2):
+        world = w_s @ sec.basis
+        want = np.array([polytope_section_support_lp(
+            verts, sec.plane.normal, sec.plane.offset, x) for x in world])
+        got = h_s + world @ sec.origin
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        z = sec.to_world(p_s)
+        assert np.abs(z @ sec.plane.normal - sec.plane.offset).max() <= 1e-12
+        assert np.abs(body.gauge(z) - 1.0).max() <= 1e-12
