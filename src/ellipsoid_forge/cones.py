@@ -61,20 +61,6 @@ class CurveSample:
         return float(self.residuals.max())
 
 
-class SupportCone:
-    """Cone generated from an exterior apex over a body, held by samples."""
-
-    def __init__(self, apex, contact):
-        self.apex = np.asarray(apex, dtype=float)
-        self.contact = contact
-        diffs = contact.points - self.apex
-        self.generator_dirs = diffs / np.linalg.norm(diffs, axis=1)[:, None]
-
-    @property
-    def mean_generator(self):
-        return normalize(self.generator_dirs.mean(axis=0))
-
-
 def _require_smooth(body):
     if not body.is_smooth:
         raise NonSmoothBody(
@@ -140,7 +126,7 @@ def _tangency_sweep(body, base, axes, apexes, w, m, seed):
     n, sweeps = body.dim, len(axes)
     apexes = np.reshape(apexes, (sweeps, -1, n))
     k = apexes.shape[1]
-    frames = np.stack([unit_frame(axis) for axis in axes])
+    frames = unit_frame(axes)
     # tiny seeded phase so axis-aligned coordinate flats are never hit exactly
     phi0 = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi / max(m, 1))
     angles = phi0 + 2.0 * np.pi * np.arange(m) / m
@@ -179,10 +165,12 @@ def _tangency_sweep(body, base, axes, apexes, w, m, seed):
             metas)
 
 
-def _curve(kind, body, inputs, m, seed, points, residuals, sweep_meta):
-    meta = {"curve": kind, "body": body.body_id(), **inputs,
-            "m": int(m), "seed": int(seed), **sweep_meta}
-    return CurveSample(points, residuals, meta)
+def _curves(kind, body, inputs, m, seed, points, residuals, sweep_metas):
+    """One CurveSample per row of inputs, with the body's id computed once."""
+    body_id = body.body_id()
+    return [CurveSample(p, r, {"curve": kind, "body": body_id, **i,
+                               "m": int(m), "seed": int(seed), **sweep})
+            for i, p, r, sweep in zip(inputs, points, residuals, sweep_metas)]
 
 
 def graze(body, apex, m=200, seed=0):
@@ -198,14 +186,10 @@ def graze(body, apex, m=200, seed=0):
     # through a point whose normal has positive axis component
     pts, res, _, sweeps = _tangency_sweep(body, c, normalize(apex - c), apex,
                                           1.0, m, seed)
-    curves = [_curve("graze", body, {"apex": a.tolist()}, m, seed, p[:, 0],
-                     r[:, 0], sweep)
-              for a, p, r, sweep in zip(np.atleast_2d(apex), pts, res, sweeps)]
+    curves = _curves("graze", body,
+                     [{"apex": a.tolist()} for a in np.atleast_2d(apex)],
+                     m, seed, pts[:, :, 0], res[:, :, 0], sweeps)
     return curves if apex.ndim > 1 else curves[0]
-
-
-def support_cone(body, apex, m=200, seed=0):
-    return SupportCone(apex, graze(body, apex, m=m, seed=seed))
 
 
 def shadow_boundary(body, direction, m=200, seed=0):
@@ -222,9 +206,9 @@ def shadow_boundary(body, direction, m=200, seed=0):
                             % _row(u, int(np.argmax(zero))))
     u = normalize(u)
     pts, res, _, sweeps = _tangency_sweep(body, body.center, u, u, 0.0, m, seed)
-    curves = [_curve("shadow", body, {"direction": d.tolist()}, m, seed,
-                     p[:, 0], r[:, 0], sweep)
-              for d, p, r, sweep in zip(np.atleast_2d(u), pts, res, sweeps)]
+    curves = _curves("shadow", body,
+                     [{"direction": d.tolist()} for d in np.atleast_2d(u)],
+                     m, seed, pts[:, :, 0], res[:, :, 0], sweeps)
     return curves if u.ndim > 1 else curves[0]
 
 
@@ -289,62 +273,96 @@ def cone_intersection(body, x, y, m=200, seed=0):
                              % (j, curve))
     q2 = x2 + ts[..., :1] * ray_x
     pts = base[:, None] + q2[..., :1] * e[:, None] + q2[..., 1:] * planes
-    curves = [_curve("cone-intersection", body, {"apexes": [xr.tolist(), yr.tolist()]},
-                     m, seed, p, r.max(axis=1), sweep)
-              for xr, yr, p, r, sweep in zip(xs, ys, pts, res, sweeps)]
+    curves = _curves("cone-intersection", body,
+                     [{"apexes": [xr.tolist(), yr.tolist()]} for xr, yr in zip(xs, ys)],
+                     m, seed, pts, res.max(axis=2), sweeps)
     return curves if x.ndim > 1 else curves[0]
 
 
-def _bounded_section_points(cone, normal, dist=1.0, min_cos=0.05):
-    g = cone.generator_dirs
-    proj = g @ normal
-    if proj.min() <= min_cos:
-        return None
-    t = dist / proj
-    return cone.apex + t[:, None] * g
+def _bounded_sections(apex, dirs, normal, dist=1.0, min_cos=0.05):
+    """Sections of cones by the planes <p - apex, normal> = dist, for (k, n)
+    apexes and normals and (k, m, n) unit generators: the rows whose every
+    generator meets its plane at a cosine above min_cos, and the points
+    apex + t g of those rows, shape (rows, m, n)."""
+    proj = np.matmul(dirs, normal[..., None])[..., 0]
+    ok = np.flatnonzero(proj.min(axis=1) > min_cos)
+    t = dist / proj[ok]
+    return ok, apex[ok, None] + t[..., None] * dirs[ok]
 
 
-def is_ellipsoidal_cone(cone, tol=1e-6, seed=0):
-    """Fit a conic to a bounded hyper-section of the cone; the verdict must
+def is_ellipsoidal_cone(apex, contact, tol=1e-6, seed=0):
+    """Whether the support cone from apex over its contact curve (a graze)
+    is ellipsoidal, by conic fits to bounded sections in R^3.
+
+    The base section is orthogonal to the mean generator. The verdict must
     not depend on the section, so 3 tilted sections are re-tested and the
-    worst residual is reported."""
-    if cone.apex.shape[0] != 3:
+    worst residual is reported: the base section's FitResult, with
+    detail alt_rms, max_rms, ellipsoidal and tol. apex may be (k, 3) rows
+    with a list of k contact curves of one length: the result is then a
+    list of k fits from one fit_planar_conic call over all 4k sections,
+    each equal to the fit of its row, and a fit error names section row
+    4 i + s of cone i (s = 0 the base, then the tilts). Every cone draws
+    its tilts from its own default_rng(seed) stream, in its own order of
+    attempts.
+    """
+    apexes = np.atleast_2d(np.asarray(apex, dtype=float))
+    if apexes.shape[-1] != 3:
         raise UnsupportedDimension("cone sectioning needs dimension 3; got %d"
-                                   % cone.apex.shape[0])
-    w = cone.mean_generator
-    pts = _bounded_section_points(cone, w)
-    if pts is None:
-        raise DegenerateCone("no bounded section orthogonal to the mean generator")
-    plane = Hyperplane.from_point_normal(cone.apex + w, w)
-    base_fit = fit_planar_conic(pts, plane)
-    rng = np.random.default_rng(seed)
-    all_ellipse = base_fit.classification == ELLIPSE and base_fit.rms_residual < tol
-    worst = base_fit.rms_residual
-    alt_rms = []
-    for _ in range(3):
-        tilt = 0.3
+                                   % apexes.shape[-1])
+    curves = [contact] if np.ndim(apex) == 1 else list(contact)
+    if len(curves) != len(apexes):
+        raise ValueError("is_ellipsoidal_cone needs one contact curve per "
+                         "apex; got %d for %d" % (len(curves), len(apexes)))
+    k = len(apexes)
+    diffs = np.stack([c.points for c in curves]) - apexes[:, None]
+    dirs = diffs / np.linalg.norm(diffs, axis=-1)[..., None]
+    w = normalize(dirs.mean(axis=1))
+    ok, base = _bounded_sections(apexes, dirs, w)
+    if ok.size < k:
+        r = int(np.setdiff1d(np.arange(k), ok)[0])
+        raise DegenerateCone("no bounded section orthogonal to the mean "
+                             "generator%s" % _row(apex, r))
+    # sections s = 0 (base) and 1..3 (tilts), cone by cone
+    normals = np.empty((k, 4, 3))
+    sections = np.empty((k, 4) + diffs.shape[1:])
+    normals[:, 0], sections[:, 0] = w, base
+    # default_rng(seed).standard_normal(3) drawn 18 times is this one draw;
+    # each cone reads it from its own position
+    draws = np.random.default_rng(seed).standard_normal((18, 3))
+    drawn = np.zeros(k, dtype=int)
+    for s in range(1, 4):
+        tilt = np.full(k, 0.3)
+        todo = np.arange(k)
         for _attempt in range(6):
-            xi = rng.standard_normal(3)
-            xi -= (xi @ w) * w
-            nrm = np.linalg.norm(xi)
-            if nrm < 1e-12:
-                continue
-            w_alt = normalize(w + tilt * xi / nrm)
-            pts_alt = _bounded_section_points(cone, w_alt)
-            if pts_alt is not None:
+            xi = draws[drawn[todo]]
+            drawn[todo] += 1
+            xi = xi - np.vecdot(xi, w[todo])[:, None] * w[todo]
+            nrm = np.sqrt(np.vecdot(xi, xi))
+            # a draw along w tilts nothing: its cone takes the next one
+            live = nrm >= 1e-12
+            r = todo[live]
+            w_alt = normalize(w[r] + tilt[r, None] * xi[live] / nrm[live, None])
+            ok, pts = _bounded_sections(apexes[r], dirs[r], w_alt)
+            normals[r[ok], s], sections[r[ok], s] = w_alt[ok], pts
+            tilt[r] *= 0.5
+            todo = np.setdiff1d(todo, r[ok])
+            if not todo.size:
                 break
-            tilt *= 0.5
         else:
-            raise DegenerateCone("no bounded tilted section found")
-        plane_alt = Hyperplane.from_point_normal(cone.apex + w_alt, w_alt)
-        fit_alt = fit_planar_conic(pts_alt, plane_alt)
-        alt_rms.append(fit_alt.rms_residual)
-        worst = max(worst, fit_alt.rms_residual)
-        if fit_alt.classification != ELLIPSE or fit_alt.rms_residual >= tol:
-            all_ellipse = False
-    base_fit.detail.update(alt_rms=alt_rms, max_rms=worst,
-                           ellipsoidal=bool(all_ellipse), tol=tol)
-    return base_fit
+            raise DegenerateCone("no bounded tilted section found%s"
+                                 % _row(apex, int(todo[0])))
+    planes = [Hyperplane.from_point_normal(a + nr, nr)
+              for a, nrs in zip(apexes, normals) for nr in nrs]
+    fits = fit_planar_conic(sections.reshape((4 * k,) + diffs.shape[1:]), planes)
+    for i in range(k):
+        cone = fits[4 * i:4 * i + 4]
+        cone[0].detail.update(
+            alt_rms=[f.rms_residual for f in cone[1:]],
+            max_rms=max(f.rms_residual for f in cone),
+            ellipsoidal=all(f.classification == ELLIPSE and f.rms_residual < tol
+                            for f in cone),
+            tol=tol)
+    return fits[::4] if np.ndim(apex) > 1 else fits[0]
 
 
 def write_curve_csv(sample, path):

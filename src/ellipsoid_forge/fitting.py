@@ -3,6 +3,11 @@
 All residuals are reported relative to the point-cloud diameter (plane fits)
 or on unit-norm coefficients over rms-normalized coordinates (conic/quadric
 fits), so tolerance gates are scale free.
+
+Every fit takes one (m, n) cloud and gives one FitResult, or a (k, m, n)
+stack of k clouds and gives a list of k FitResults from one batched SVD,
+each equal to the fit of its cloud bit for bit; an error then names the
+first row that fails its test.
 """
 
 from dataclasses import dataclass, field
@@ -37,48 +42,60 @@ class FitResult:
             raise ValueError("residuals must be nonnegative")
 
 
+def _clouds(points, dim=None, what="points"):
+    """points as a (k, m, n) stack, and whether they came as one cloud."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim not in (2, 3) or (dim is not None and pts.shape[-1] != dim):
+        raise ValueError("%s must be (m, %s) or a (k, m, %s) stack; got %s"
+                         % (what, dim or "n", dim or "n", pts.shape))
+    return (pts[None], True) if pts.ndim == 2 else (pts, False)
+
+
+def _check(bad, one, error, message, *values):
+    """Raise error(message) for the first cloud flagged in bad, formatting
+    that cloud's entry of each of values into message and naming its row
+    in a stack."""
+    if bad.any():
+        r = int(np.argmax(bad))
+        text = message % tuple(v[r] for v in values)
+        raise error(text if one else "row %d: %s" % (r, text))
+
+
+def _results(fits, one):
+    return fits[0] if one else fits
+
+
 def fit_hyperplane(points):
     """Least-squares hyperplane through the centroid of an n-D point cloud.
 
     The normal is the smallest principal direction of the centered scatter;
     residuals are normal distances divided by the cloud diameter.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("points must be a 2-D array")
-    m, n = pts.shape
+    pts, one = _clouds(points)
+    k, m, n = pts.shape
     if m < n + 1:
         raise DegenerateCloud("need at least n+1 points, got %d" % m)
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
-    u, s, vt = np.linalg.svd(centered, full_matrices=True)
-    if s[0] == 0.0:
-        raise DegenerateCloud("all points coincide")
-    if n >= 2 and (len(s) < n - 1 or s[n - 2] <= 1e-12 * s[0]):
-        raise DegenerateCloud("scatter rank below n-1; hyperplane not determined")
-    normal = vt[-1]
-    k = int(np.argmax(np.abs(normal)))
-    if normal[k] < 0:
-        normal = -normal
-    dists = np.abs(centered @ normal)
+    centroid = pts.mean(axis=1)
+    centered = pts - centroid[:, None]
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    _check(s[:, 0] == 0.0, one, DegenerateCloud, "all points coincide")
+    if n >= 2:
+        _check(s[:, n - 2] <= 1e-12 * s[:, 0], one, DegenerateCloud,
+               "scatter rank below n-1; hyperplane not determined")
+    normal = vt[:, -1]
+    flip = normal[np.arange(k), np.argmax(np.abs(normal), axis=1)] < 0
+    normal = normal * np.where(flip, -1.0, 1.0)[:, None]
+    dists = np.abs(np.matmul(centered, normal[..., None])[..., 0])
     diam = cloud_diameter(pts)
-    plane = Hyperplane(normal, float(np.dot(normal, centroid)))
-    return FitResult(
-        model=plane,
-        rms_residual=float(np.sqrt(np.mean(dists**2)) / diam),
-        max_residual=float(dists.max() / diam),
-        classification=HYPERPLANE,
-        detail={"diameter": diam, "centroid": centroid},
-    )
-
-
-def _normalize_cloud(x):
-    mu = x.mean(axis=0)
-    centered = x - mu
-    scale = float(np.sqrt(np.mean(np.sum(centered**2, axis=1))))
-    if scale == 0.0:
-        raise DegenerateCloud("all points coincide")
-    return centered / scale, mu, scale
+    rms = np.sqrt(np.mean(dists**2, axis=1)) / diam
+    mx = dists.max(axis=1) / diam
+    offset = np.vecdot(normal, centroid)
+    return _results([
+        FitResult(model=Hyperplane(normal[r], offset[r]),
+                  rms_residual=float(rms[r]), max_residual=float(mx[r]),
+                  classification=HYPERPLANE,
+                  detail={"diameter": float(diam[r]), "centroid": centroid[r]})
+        for r in range(k)], one)
 
 
 def fit_conic_2d(xy, tol=DEFAULT_ELLIPSE_TOL):
@@ -88,37 +105,49 @@ def fit_conic_2d(xy, tol=DEFAULT_ELLIPSE_TOL):
     normalized coordinates; detail adds disc = b^2 - 4ac = -4 det Q and, for
     an ellipse, the center in the input coordinates.
     """
-    xy = np.asarray(xy, dtype=float)
-    if xy.ndim != 2 or xy.shape[1] != 2:
-        raise ValueError("xy must be (m, 2)")
-    res = fit_quadric(xy, tol=tol)
-    q = res.detail["form"]
-    res.detail["disc"] = float(4.0 * (q[0, 1] ** 2 - q[0, 0] * q[1, 1]))
-    if res.classification == ELLIPSE:
-        res.detail["center"] = res.detail.pop("center_world")
-    return res
+    xy, one = _clouds(xy, 2, "xy")
+    return _results(_conic_fits(xy, tol, one), one)
+
+
+def _conic_fits(xy, tol, one):
+    fits = _quadric_fits(xy, tol, one)
+    for res in fits:
+        q = res.detail["form"]
+        res.detail["disc"] = float(4.0 * (q[0, 1] ** 2 - q[0, 0] * q[1, 1]))
+        if res.classification == ELLIPSE:
+            res.detail["center"] = res.detail.pop("center_world")
+    return fits
 
 
 def fit_planar_conic(points, plane, tol=DEFAULT_ELLIPSE_TOL):
-    """Conic fit of coplanar 3-D points inside an orthonormal chart of plane."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError("fit_planar_conic expects 3-D points")
-    diam = cloud_diameter(pts)
-    if diam == 0.0:
-        raise DegenerateCloud("all points coincide")
-    off = np.abs(pts @ plane.normal - plane.offset)
-    if off.max() > 1e-9 * diam:
-        raise NotCoplanar(
-            "points deviate from the plane by %.3e relative" % (off.max() / diam)
-        )
-    basis = unit_frame(plane.normal)
-    origin = plane.normal * plane.offset
-    chart = (pts - origin) @ basis
-    res = fit_conic_2d(chart, tol=tol)
-    if "center" in res.detail:
-        res.detail["center_world"] = origin + basis @ res.detail["center"]
-    return res
+    """Conic fit of coplanar 3-D points inside an orthonormal chart of plane.
+
+    A (k, m, 3) stack takes a sequence of k planes, one per cloud. The
+    coincidence and coplanarity tests are scaled by the cloud's largest
+    distance from its first point: O(m), zero exactly when all points
+    coincide, and between half the diameter and the diameter, so the
+    coplanarity test is no looser than one scaled by the diameter.
+    """
+    pts, one = _clouds(points, 3, "fit_planar_conic points")
+    planes = [plane] if one else list(plane)
+    if len(planes) != len(pts):
+        raise ValueError("fit_planar_conic needs one plane per cloud; got %d "
+                         "planes for %d clouds" % (len(planes), len(pts)))
+    normal = np.array([p.normal for p in planes])
+    offset = np.array([p.offset for p in planes])
+    spread = pts - pts[:, :1]
+    spread = np.sqrt(np.vecdot(spread, spread)).max(axis=1, initial=0.0)
+    _check(spread == 0.0, one, DegenerateCloud, "all points coincide")
+    off = np.abs(np.vecdot(pts, normal[:, None]) - offset[:, None]).max(axis=1)
+    _check(off > 1e-9 * spread, one, NotCoplanar,
+           "points deviate from the plane by %.3e relative", off / spread)
+    basis = unit_frame(normal)
+    origin = normal * offset[:, None]
+    fits = _conic_fits(np.matmul(pts - origin[:, None], basis), tol, one)
+    for res, o, b in zip(fits, origin, basis):
+        if "center" in res.detail:
+            res.detail["center_world"] = o + b @ res.detail["center"]
+    return _results(fits, one)
 
 
 def _upper_pairs(n):
@@ -128,20 +157,23 @@ def _upper_pairs(n):
 
 
 def quadric_design(z):
-    """Monomial design matrix [x_i^2, x_i x_j (i<j), x_i, 1] for rows of z."""
-    i, j = _upper_pairs(z.shape[1])
-    return np.column_stack([z * z, z[:, i] * z[:, j], z, np.ones(len(z))])
+    """Monomial design matrix [x_i^2, x_i x_j (i<j), x_i, 1] for the rows of
+    z, or for each cloud of a (k, m, n) stack."""
+    i, j = _upper_pairs(z.shape[-1])
+    return np.concatenate([z * z, z[..., i] * z[..., j], z,
+                           np.ones(z.shape[:-1] + (1,))], axis=-1)
 
 
 def _quadric_form(coeffs, n):
-    """Homogeneous (n+1) x (n+1) matrix F with [z, 1] F [z, 1]^T the fitted
-    polynomial, for coefficients in quadric_design's column order."""
-    form = np.zeros((n + 1, n + 1))
+    """Homogeneous (..., n+1, n+1) matrices F with [z, 1] F [z, 1]^T the
+    fitted polynomial, for (..., ncoef) coefficients in quadric_design's
+    column order."""
+    form = np.zeros(coeffs.shape[:-1] + (n + 1, n + 1))
     i, j = _upper_pairs(n)
-    form[range(n), range(n)] = coeffs[:n]
-    form[i, j] = form[j, i] = coeffs[n:n + len(i)] / 2.0
-    form[:n, n] = form[n, :n] = coeffs[n + len(i):-1] / 2.0
-    form[n, n] = coeffs[-1]
+    form[..., range(n), range(n)] = coeffs[..., :n]
+    form[..., i, j] = form[..., j, i] = coeffs[..., n:n + len(i)] / 2.0
+    form[..., :n, n] = form[..., n, :n] = coeffs[..., n + len(i):-1] / 2.0
+    form[..., n, n] = coeffs[..., -1]
     return form
 
 
@@ -152,38 +184,50 @@ def fit_quadric(points, tol=DEFAULT_ELLIPSE_TOL):
     rms-normalized coordinates (x - mu) / scale; an ellipsoid also gets its
     world center and trace-normalized world shape matrix (for homothety).
     """
-    pts = np.asarray(points, dtype=float)
-    m, n = pts.shape
+    pts, one = _clouds(points)
+    return _results(_quadric_fits(pts, tol, one), one)
+
+
+def _quadric_fits(pts, tol, one):
+    """fit_quadric's results for each cloud of the (k, m, n) stack pts."""
+    k, m, n = pts.shape
     ncoef = n + n * (n - 1) // 2 + n + 1
     if m < ncoef + 2:
         raise DegenerateCloud("quadric fit needs at least %d points" % (ncoef + 2))
-    z, mu, scale = _normalize_cloud(pts)
-    design = quadric_design(z)
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    if s[-2] <= 1e-13 * s[0]:
-        raise DegenerateCloud("quadric coefficients not determined by the cloud")
-    coeffs = vt[-1]
+    mu = pts.mean(axis=1)
+    centered = pts - mu[:, None]
+    scale = np.sqrt(np.mean(np.sum(centered**2, axis=2), axis=1))
+    _check(scale == 0.0, one, DegenerateCloud, "all points coincide")
+    design = quadric_design(centered / scale[:, None, None])
+    _, s, vt = np.linalg.svd(design, full_matrices=False)
+    _check(s[:, -2] <= 1e-13 * s[:, 0], one, DegenerateCloud,
+           "quadric coefficients not determined by the cloud")
+    coeffs = vt[:, -1]
     form = _quadric_form(coeffs, n)
-    if np.trace(form[:n, :n]) < 0:  # deterministic sign
-        coeffs, form = -coeffs, -form
-    q, half_lin, const = form[:n, :n], form[:n, n], form[n, n]
-    resid = np.abs(design @ coeffs)
-    rms = float(np.sqrt(np.mean(resid**2)))
-    mx = float(resid.max())
+    # deterministic sign: the quadratic part has a nonnegative trace
+    sign = np.where(np.trace(form[:, :n, :n], axis1=1, axis2=2) < 0, -1.0, 1.0)
+    coeffs, form = coeffs * sign[:, None], form * sign[:, None, None]
+    q, half_lin, const = form[:, :n, :n], form[:, :n, n], form[:, n, n]
+    resid = np.abs(np.matmul(design, coeffs[..., None])[..., 0])
+    rms = np.sqrt(np.mean(resid**2, axis=1))
+    mx = resid.max(axis=1)
     eig = np.linalg.eigvalsh(q)
-    detail = {"mu": mu, "scale": scale, "eigenvalues": eig, "form": form}
-    if eig[0] > 1e-8 * eig[-1] and rms < tol:
-        center_n = np.linalg.solve(q, -half_lin)
-        level = const - center_n @ q @ center_n
-        if level < 0.0:  # nonempty real ellipsoid
-            classification = ELLIPSE
-            qw = q / (scale * scale)
-            detail["center_world"] = mu + scale * center_n
-            detail["shape_normalized"] = qw / np.trace(qw)
-        else:
-            classification = PARABOLA_OR_DEGENERATE
-    elif eig[0] < -1e-8 * abs(eig).max() and rms < tol:
-        classification = HYPERBOLA
-    else:
-        classification = PARABOLA_OR_DEGENERATE
-    return FitResult(coeffs, rms, mx, classification, detail)
+    fit = rms < tol
+    definite = fit & (eig[:, 0] > 1e-8 * eig[:, -1])
+    cls = np.full(k, PARABOLA_OR_DEGENERATE, dtype=object)
+    cls[fit & ~definite & (eig[:, 0] < -1e-8 * np.abs(eig).max(axis=1))] = HYPERBOLA
+    # a definite form is an ellipsoid when its level set is a nonempty real one
+    e = np.flatnonzero(definite)
+    center_n = np.linalg.solve(q[e], -half_lin[e][..., None])[..., 0]
+    level = const[e] - (center_n[:, None] @ q[e] @ center_n[..., None])[:, 0, 0]
+    e, center_n = e[level < 0.0], center_n[level < 0.0]
+    cls[e] = ELLIPSE
+    qw = q[e] / (scale[e] * scale[e])[:, None, None]
+    shape = qw / np.trace(qw, axis1=1, axis2=2)[:, None, None]
+    center = mu[e] + scale[e, None] * center_n
+    details = [{"mu": mu[r], "scale": float(scale[r]), "eigenvalues": eig[r],
+                "form": form[r]} for r in range(k)]
+    for r, c, sh in zip(e, center, shape):
+        details[r].update(center_world=c, shape_normalized=sh)
+    return [FitResult(coeffs[r], float(rms[r]), float(mx[r]), cls[r], details[r])
+            for r in range(k)]

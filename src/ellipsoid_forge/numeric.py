@@ -23,25 +23,24 @@ def normalize(v):
 
 
 def unit_frame(u):
-    """Orthonormal columns spanning the complement of the unit vector u.
+    """Orthonormal columns spanning the complement of the unit vector u, or
+    of each row of a (..., n) array of them: shape (n, n-1) or (..., n, n-1).
 
     Deterministic: built from the identity columns away from the largest
-    component of u, Gram-Schmidt'ed in index order. Returns an (n, n-1) array.
+    component of u, Gram-Schmidt'ed in index order, one column for every
+    row at once.
     """
     u = normalize(u)
-    n = u.shape[0]
-    skip = int(np.argmax(np.abs(u)))
-    cols = []
-    for k in range(n):
-        if k == skip:
-            continue
-        v = np.zeros(n)
-        v[k] = 1.0
-        v = v - np.dot(v, u) * u
+    n = u.shape[-1]
+    skip = np.argmax(np.abs(u), axis=-1)
+    eye, cols = np.eye(n), []
+    for k in range(n - 1):
+        v = eye[k + (k >= skip)]
+        v = v - np.vecdot(v, u)[..., None] * u
         for w in cols:
-            v = v - np.dot(v, w) * w
+            v = v - np.vecdot(v, w)[..., None] * w
         cols.append(normalize(v))
-    return np.column_stack(cols)
+    return np.stack(cols, axis=-1)
 
 
 def rotation_from_seed(n, seed):
@@ -85,10 +84,12 @@ def sphere_directions(n, m, seed=0):
 
 
 def pairwise_sq_dists(p, q):
+    """Squared distances between the rows of p and q, or between those of
+    each pair of clouds in two (..., m, n) stacks."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    d = p[:, None, :] - q[None, :, :]
-    return np.einsum("ijk,ijk->ij", d, d)
+    d = p[..., :, None, :] - q[..., None, :, :]
+    return np.einsum("...ijk,...ijk->...ij", d, d)
 
 
 def hausdorff(p, q):
@@ -98,11 +99,12 @@ def hausdorff(p, q):
 
 
 def cloud_diameter(p):
-    """Exact max pairwise distance; fine for the few hundred points we use."""
+    """Exact max pairwise distance of an (m, n) cloud, or of each cloud of a
+    (..., m, n) stack; O(m^2), fine for the few hundred points we use."""
     p = np.asarray(p, dtype=float)
-    if len(p) < 2:
-        return 0.0
-    return float(np.sqrt(pairwise_sq_dists(p, p).max()))
+    if p.shape[-2] < 2:
+        return _value(np.zeros(p.shape[:-2]))
+    return _value(np.sqrt(pairwise_sq_dists(p, p).max(axis=(-2, -1))))
 
 
 def angle_between(u, v):
@@ -163,56 +165,82 @@ def find_root(f, init, tolerances=None, maxiter=None):
     n = x1.size
     active = np.arange(n)
     f1, f2 = (np.asarray(f(x, active), dtype=float).ravel() for x in (x1, x2))
-    frtol = tol["frtol"] * np.minimum(np.abs(f1), np.abs(f2))
+    # the active rows' state: x1, f1, x2, f2, x3, f3 and the f tolerance,
+    # compacted with one take when rows stop
+    s = np.zeros((7, n))
+    s[0], s[1], s[2], s[3] = x1, f1, x2, f2
+    s[6] = tol["fatol"] + tol["frtol"] * np.minimum(np.abs(f1), np.abs(f2))
     out = np.zeros((6, n))  # x, f_x and the bracket ends with their f
     status, nit_out, nfev_out = (np.zeros(n, np.int32) for _ in range(3))
     nit, nfev, t = 0, 2, 0.5
-    while True:
-        # termination tests, in scipy's order
-        i = np.abs(f1) < np.abs(f2)
-        xmin, fmin = np.where(i, x1, x2), np.where(i, f1, f2)
-        st = np.ones(len(x1), np.int32)
-        st[np.abs(fmin) <= tol["fatol"] + frtol] = 0
-        st[(np.sign(f1) == np.sign(f2)) & (st == 1)] = -1
-        st[(~(np.isfinite(x1) & np.isfinite(x2))
-            | (np.isnan(f1) & np.isnan(f2))) & (st == 1)] = -3
-        xmin[st < 0] = fmin[st < 0] = np.nan
-        dx = np.abs(x2 - x1)
-        xtol = np.abs(xmin) * tol["xrtol"] + tol["xatol"]
-        st[dx < xtol] = 0
-        if nit >= maxiter:
-            st[st == 1] = -2
-        stop = st != 1
-        if stop.any():
-            done = active[stop]
-            out[:, done] = np.stack([xmin, fmin, x1, f1, x2, f2])[:, stop]
-            status[done], nit_out[done], nfev_out[done] = st[stop], nit, nfev
-            keep = ~stop
-            active, x1, f1, x2, f2, frtol, dx, xtol = (
-                v[keep] for v in (active, x1, f1, x2, f2, frtol, dx, xtol))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            x1, f1, x2, f2, x3, f3, ftol = s
+            # termination tests, in scipy's order: |f| within its tolerance
+            # (status 0); else no sign change (-1) or a non-finite end or
+            # both f NaN (-3); else the bracket within xtol (0); else the
+            # iteration limit (-2)
+            af1, af2 = np.abs(f1), np.abs(f2)
+            i = af1 < af2
+            xmin = np.where(i, x1, x2)
+            converged = np.where(i, af1, af2) <= ftol
+            d21 = x2 - x1
+            dx = np.abs(d21)
+            xtol = np.abs(xmin) * tol["xrtol"] + tol["xatol"]
+            ok = converged | (dx < xtol)
+            fails = []  # (rows, status) of the failure tests that ran
+            if not nit:
+                # a step keeps f1 and f2 of opposite signs: it replaces the
+                # end whose sign f(x) shares, and a NaN matches no sign. So
+                # only the first bracket can lack a sign change.
+                fails.append(((np.sign(f1) == np.sign(f2)) & ~converged, -1))
+            # a non-finite end or a NaN f makes this sum non-finite
+            if not np.isfinite(d21 + f1 + f2).all():
+                fails.append(((~(np.isfinite(x1) & np.isfinite(x2))
+                               | (np.isnan(f1) & np.isnan(f2))) & ~converged, -3))
+            stop = ok
+            for bad, _ in fails:
+                stop = stop | bad
+            if nit >= maxiter:
+                stop = np.ones_like(stop)
+            if stop.any():
+                done = np.flatnonzero(stop)
+                st = np.where(ok[done], 0, -2)
+                xo, fo = xmin[done], np.where(i[done], f1[done], f2[done])
+                for bad, code in reversed(fails):  # the first test wins
+                    st[bad[done]] = code
+                    xo[bad[done]] = fo[bad[done]] = np.nan
+                rows = active[done]
+                out[0, rows], out[1, rows], out[2:, rows] = xo, fo, s[:4, done]
+                status[rows], nit_out[rows], nfev_out[rows] = st, nit, nfev
+                keep = np.flatnonzero(~stop)
+                active, d21, dx, xtol = active[keep], d21[keep], dx[keep], xtol[keep]
+                s = s.take(keep, axis=1)
+                x1, f1, x2, f2, x3, f3, ftol = s
+            if not active.size:
+                break
             if nit:
-                x3, f3 = x3[keep], f3[keep]
-        if not active.size:
-            break
-        if nit:
-            # inverse quadratic step where it is accepted, else bisection
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xi1 = (x1 - x2) / (x3 - x2)
-                phi1 = (f1 - f2) / (f3 - f2)
-                alpha = (x3 - x1) / (x2 - x1)
+                # inverse quadratic step where it is accepted, else
+                # bisection; x1 - x2 = -d21 and f2 - f3 = -(f3 - f2) exactly
+                f12, f32 = f1 - f2, f3 - f2
+                xi1 = d21 / (x2 - x3)
+                phi1 = f12 / f32
+                alpha = (x3 - x1) / d21
                 j = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
-                t = np.where(j, f1 / (f1 - f2) * f3 / (f3 - f2)
-                             - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+                t = np.where(j, f1 / f12 * f3 / f32
+                             + alpha * f1 / (f3 - f1) * f2 / f32, 0.5)
                 tl = 0.5 * xtol / dx
-            t = np.clip(t, tl, 1 - tl)
-        x = x1 + t * (x2 - x1)
-        fx = np.asarray(f(x, active), dtype=float)
-        nfev += 1
-        j = np.sign(fx) == np.sign(f1)
-        x3, f3 = np.where(j, x1, x2), np.where(j, f1, f2)
-        x2, f2 = np.where(j, x2, x1), np.where(j, f2, f1)
-        x1, f1 = x, fx
-        nit += 1
+                t = np.minimum(np.maximum(t, tl), 1 - tl)
+            x = x1 + t * d21
+            fx = np.asarray(f(x, active), dtype=float)
+            nfev += 1
+            # the end whose sign f(x) shares becomes x3; x takes its place
+            ends = s[:4].reshape(2, 2, -1)
+            j = np.sign(fx) == np.sign(f1)
+            s[4:6], s[2:4] = (np.where(j, ends[0], ends[1]),
+                              np.where(j, ends[1], ends[0]))
+            s[0], s[1] = x, fx
+            nit += 1
     # the bracket comes back as (left, right) ends, with their f
     ordered = out[2] < out[4]
     lo = np.where(ordered, out[2:4], out[4:6])

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .bodies import is_o_symmetric, o_symmetry_residual, ray_exit
-from .cones import (SupportCone, _finite_vector, _row, cone_intersection, graze,
+from .cones import (_finite_vector, _row, cone_intersection, graze,
                     is_ellipsoidal_cone, shadow_boundary)
 from .errors import (
     BallTooLarge,
@@ -293,7 +293,7 @@ def _tangent_planes_through_line(body, p0, e):
     for (k, n) rows: a smooth strictly convex body missed by a line has two.
     Returns the (k,) mask of the lines whose sign sweep isolates exactly two
     roots and their normals, shape (count, 2, n), from one find_root."""
-    frames = np.stack([unit_frame(normalize(row)) for row in e])
+    frames = unit_frame(normalize(e))
     f1, f2 = frames[..., 0], frames[..., 1]
     p0 = np.asarray(p0, dtype=float)
 
@@ -482,24 +482,19 @@ def check_theorem1(l_body, k_body, apexes=16, m=64, pairs=8, seed=0,
 
     apex_pts = _boundary_cloud(k_body, apexes, seed=seed)
 
-    fits = [is_ellipsoidal_cone(SupportCone(x, contact), tol=tol["ellipse"],
-                                seed=seed).detail
-            for x, contact in zip(apex_pts, graze(l_body, apex_pts, m=m, seed=seed))]
+    fits = [fit.detail for fit in is_ellipsoidal_cone(
+        apex_pts, graze(l_body, apex_pts, m=m, seed=seed), tol=tol["ellipse"],
+        seed=seed)]
     run.stage("ellipsoidal-cones", "hypothesis", max(f["max_rms"] for f in fits),
               "ellipse", all(f["ellipsoidal"] for f in fits), apexes=len(apex_pts))
 
     # intersection of the cones from x and from the reflected apex 2o - x
-    fitted_normals = []
-    worst_planarity = 0.0
-    planar_ok = True
-    for delta in cone_intersection(l_body, apex_pts, 2.0 * o - apex_pts, m=m,
-                                   seed=seed):
-        fit = fit_hyperplane(delta.points)
-        fitted_normals.append(fit.model.normal)
-        worst_planarity = max(worst_planarity, fit.rms_residual)
-        planar_ok = planar_ok and fit.rms_residual < tol["planarity"]
-    run.stage("cone-intersection-planarity", "derived", worst_planarity,
-              "planarity", planar_ok)
+    planes = fit_hyperplane(np.stack([delta.points for delta in cone_intersection(
+        l_body, apex_pts, 2.0 * o - apex_pts, m=m, seed=seed)]))
+    fitted_normals = [fit.model.normal for fit in planes]
+    rms = [fit.rms_residual for fit in planes]
+    run.stage("cone-intersection-planarity", "derived", max(rms), "planarity",
+              max(rms) < tol["planarity"])
 
     # on the first `pairs` neighbouring apex pairs whose line misses the
     # inner body, the contact chord of the supporting planes through the line
@@ -754,8 +749,8 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
     secs = [section(k_body, Hyperplane.from_point_normal(o + r * u, u)) for u in us]
     clouds = _boundary2(secs, np.broadcast_to(circle_directions(m, seed=seed),
                                               (len(secs), m, 2)))
-    fits = [fit_planar_conic(sec.to_world(q), sec.plane, tol=tol["ellipse"])
-            for sec, q in zip(secs, clouds)]
+    fits = fit_planar_conic(np.stack([sec.to_world(q) for sec, q in zip(secs, clouds)]),
+                            [sec.plane for sec in secs], tol=tol["ellipse"])
     worst_fit = max(fit.rms_residual for fit in fits)
     run.stage("tangent-sections-ellipses", "hypothesis", worst_fit, "ellipse",
               all(fit.classification == ELLIPSE for fit in fits)

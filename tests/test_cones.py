@@ -21,7 +21,6 @@ from ellipsoid_forge import (
     graze,
     is_ellipsoidal_cone,
     shadow_boundary,
-    support_cone,
     write_curve_csv,
 )
 from ellipsoid_forge.errors import (
@@ -431,25 +430,44 @@ def test_curve_constructions_need_three_points(unit_ball, construct, name, m):
 
 
 def test_ball_support_cone_is_ellipsoidal(unit_ball):
-    cone = support_cone(unit_ball, np.array([2.0, 0.0, 0.0]), m=120)
-    fit = is_ellipsoidal_cone(cone)
+    apex = np.array([2.0, 0.0, 0.0])
+    fit = is_ellipsoidal_cone(apex, graze(unit_ball, apex, m=120))
     assert fit.detail["ellipsoidal"]
     assert fit.classification == ELLIPSE
     assert fit.detail["max_rms"] < 1e-8
 
 
 def test_cone_sectioning_needs_dimension_three():
-    cone = support_cone(Ellipsoid.ball(1.0, dim=4),
-                        np.array([2.0, 0.0, 0.0, 0.0]), m=16)
+    apex = np.array([2.0, 0.0, 0.0, 0.0])
+    contact = graze(Ellipsoid.ball(1.0, dim=4), apex, m=16)
     with pytest.raises(UnsupportedDimension):
-        is_ellipsoidal_cone(cone)
+        is_ellipsoidal_cone(apex, contact)
 
 
 def test_l4_support_cone_is_not_ellipsoidal(l4_unit):
-    cone = support_cone(l4_unit, np.array([2.0, 0.0, 0.0]), m=120)
-    fit = is_ellipsoidal_cone(cone)
+    apex = np.array([2.0, 0.0, 0.0])
+    fit = is_ellipsoidal_cone(apex, graze(l4_unit, apex, m=120))
     assert not fit.detail["ellipsoidal"]
     assert fit.detail["max_rms"] > 0.03
+
+
+def test_stacked_cone_fits_equal_one_cone_calls(ellipsoid149, l4_unit):
+    """One call over k apexes and their grazes gives each apex's own fit,
+    tilts and all; an ellipsoid's cones pass and the l4 ball's fail."""
+    apexes = 2.0 * sphere_directions(3, 5, seed=2)
+    for body, ellipsoidal in ((ellipsoid149, True), (l4_unit, False)):
+        apex_rows = apexes * (3.5 if ellipsoidal else 1.0)
+        contacts = graze(body, apex_rows, m=32)
+        fits = is_ellipsoidal_cone(apex_rows, contacts, seed=3)
+        assert len(fits) == len(apex_rows)
+        for apex, contact, fit in zip(apex_rows, contacts, fits):
+            one = is_ellipsoidal_cone(apex, contact, seed=3)
+            assert np.array_equal(fit.model, one.model)
+            assert fit.detail["alt_rms"] == one.detail["alt_rms"]
+            assert fit.detail["max_rms"] == one.detail["max_rms"]
+            assert fit.detail["ellipsoidal"] == one.detail["ellipsoidal"] == ellipsoidal
+    with pytest.raises(ValueError, match="one contact curve per apex"):
+        is_ellipsoidal_cone(apexes, contacts[:2])
 
 
 # -------------------------------------------------------------------- io

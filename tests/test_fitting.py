@@ -19,7 +19,7 @@ from ellipsoid_forge import (
     section,
 )
 from ellipsoid_forge.errors import DegenerateCloud, NotCoplanar
-from ellipsoid_forge.numeric import sphere_directions
+from ellipsoid_forge.numeric import normalize, sphere_directions, unit_frame
 
 from oracles import ellipsoid_section_center, fit_plane_rms
 
@@ -210,3 +210,103 @@ def test_parabola_label_for_exact_parabola():
     pts = np.column_stack([t, t * t])
     res = fit_conic_2d(pts)
     assert res.classification == PARABOLA_OR_DEGENERATE
+
+
+# ------------------------------------------------------------------ stacks
+
+
+def _assert_same_fit(a, b):
+    """Two FitResults equal bit for bit, detail and all."""
+    if isinstance(a.model, Hyperplane):
+        assert np.array_equal(a.model.normal, b.model.normal)
+        assert a.model.offset == b.model.offset
+    else:
+        assert np.array_equal(a.model, b.model)
+    assert (a.rms_residual, a.max_residual, a.classification) == (
+        b.rms_residual, b.max_residual, b.classification)
+    assert a.detail.keys() == b.detail.keys()
+    for key in a.detail:
+        assert np.array_equal(a.detail[key], b.detail[key]), key
+
+
+def _conic_clouds(m=40, seed=0):
+    """Seeded ellipses, hyperbolas and l4 circles in the plane, m points each."""
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0, 2 * np.pi, m, endpoint=False)
+    circle = np.column_stack([np.cos(t), np.sin(t)])
+    l4 = circle / (np.sum(circle**4, axis=1) ** 0.25)[:, None]
+    clouds = []
+    for _ in range(3):
+        clouds.append(_ellipse_cloud(rng.uniform(-1, 1, 2), rng.uniform(0.3, 2.0, 2),
+                                     rng.uniform(0, np.pi), m))
+        s = np.linspace(-1.5, 1.5, m // 2)
+        branch = rng.uniform(0.5, 2.0, 2) * np.column_stack([np.cosh(s), np.sinh(s)])
+        clouds.append(np.vstack([branch, -branch]) @ _rotation(rng.uniform(0, np.pi))
+                      + rng.uniform(-1, 1, 2))
+        clouds.append(rng.uniform(0.5, 2.0) * l4 + rng.uniform(-1, 1, 2))
+    return np.stack(clouds)
+
+
+def _in_planes(xy, seed=1):
+    """The planar clouds xy carried into seeded planes of R^3."""
+    rng = np.random.default_rng(seed)
+    planes = [Hyperplane(normalize(rng.standard_normal(3)), rng.uniform(-1, 1))
+              for _ in xy]
+    pts = np.stack([p.normal * p.offset + c @ unit_frame(p.normal).T
+                    for c, p in zip(xy, planes)])
+    return planes, pts
+
+
+def _solid_clouds():
+    bodies = [Ellipsoid(np.array([0.1, -0.2, 0.3]), np.diag([1.0, 4.0, 9.0])),
+              PBall(4.0, (1.0, 1.0, 1.0)), PBall(4.0, (0.5, 1.0, 2.0))]
+    return np.stack([_ellipsoid_cloud(b, m=60, seed=i) for i, b in enumerate(bodies)])
+
+
+def test_stacked_fits_equal_their_one_cloud_calls():
+    xy = _conic_clouds()
+    planes, pts = _in_planes(xy)
+    solid = _solid_clouds()
+    noisy = pts + 1e-3 * np.random.default_rng(2).standard_normal(pts.shape)
+    assert ({f.classification for f in fit_conic_2d(xy)}
+            == {ELLIPSE, HYPERBOLA, PARABOLA_OR_DEGENERATE})
+    assert {f.classification for f in fit_quadric(solid)} == {
+        ELLIPSE, PARABOLA_OR_DEGENERATE}
+    for fit, stack in [(fit_conic_2d, xy), (fit_quadric, xy), (fit_quadric, solid),
+                       (fit_hyperplane, pts), (fit_hyperplane, noisy),
+                       (fit_hyperplane, solid)]:
+        fits = fit(stack)
+        assert len(fits) == len(stack)
+        for cloud, res in zip(stack, fits):
+            _assert_same_fit(res, fit(cloud))
+    fits = fit_planar_conic(pts, planes)
+    assert [f.classification for f in fits] == [
+        f.classification for f in fit_conic_2d(xy)]
+    for cloud, plane, res in zip(pts, planes, fits):
+        _assert_same_fit(res, fit_planar_conic(cloud, plane))
+
+
+def test_stacked_fits_name_the_row_of_a_bad_cloud():
+    xy = _conic_clouds()[:3]
+    planes, pts = _in_planes(xy)
+    # a point whose mean over the cloud is exact, so that every fit sees
+    # a zero spread
+    coincident = np.broadcast_to([0.5, -0.25, 1.0], pts[0].shape)
+    off = pts[2] + 1e-3 * np.linspace(0, 1, len(pts[2]))[:, None] * planes[2].normal
+    with pytest.raises(DegenerateCloud, match="^row 1: all points coincide$"):
+        fit_planar_conic(np.stack([pts[0], coincident, off]), planes)
+    with pytest.raises(NotCoplanar, match="^row 2: points deviate from the plane"):
+        fit_planar_conic(np.stack([pts[0], pts[1], off]), planes)
+    with pytest.raises(NotCoplanar, match="^points deviate from the plane"):
+        fit_planar_conic(off, planes[2])
+    for fit in (fit_quadric, fit_hyperplane):
+        with pytest.raises(DegenerateCloud, match="^row 1: all points coincide$"):
+            fit(np.stack([pts[0], coincident]))
+        with pytest.raises(DegenerateCloud, match="^all points coincide$"):
+            fit(coincident)
+    line = np.column_stack([np.linspace(0, 1, 40), np.zeros(40)])
+    with pytest.raises(DegenerateCloud,
+                       match="^row 1: quadric coefficients not determined"):
+        fit_conic_2d(np.stack([xy[0], line]))
+    with pytest.raises(ValueError, match="one plane per cloud"):
+        fit_planar_conic(pts, planes[:2])

@@ -29,6 +29,7 @@ from ellipsoid_forge import (
     cones,
     cross_ratio,
     fit_hyperplane_projective,
+    fitting,
     harmonic_conjugate,
     line_boundary_points,
     planar,
@@ -728,6 +729,27 @@ def test_cone_sweep_solves_do_not_grow_with_apexes(monkeypatch, ellipsoid149,
             counts[name, k] = len(solves)
     assert counts == {("t1", 4): 2, ("t1", 12): 2, ("t2", 4): 1, ("t2", 12): 1,
                       ("t3", 4): 2, ("t3", 12): 2}
+
+
+def test_t1_and_t4_make_one_fit_call_per_stage(monkeypatch, ellipsoid149, ball3):
+    """t1 fits the 4 sections of every cone in one fit_planar_conic call and
+    the planes of its cone intersections in one fit_hyperplane call; t4 fits
+    its tangent sections in one call. The list holds each call's stack."""
+    calls = []
+    for mod, name in ((cones, "fit_planar_conic"), (theorems, "fit_planar_conic"),
+                      (theorems, "fit_hyperplane")):
+        real = getattr(fitting, name)
+
+        def counted(points, *args, real=real, name=name, **kwargs):
+            calls.append((name, np.shape(points)))
+            return real(points, *args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    _assert_clean(check_theorem1(ellipsoid149, ball3, apexes=6, m=24, pairs=2))
+    assert calls == [("fit_planar_conic", (24, 24, 3)),
+                     ("fit_hyperplane", (6, 24, 3))]
+    calls.clear()
+    _assert_clean(check_theorem4(Ellipsoid.ball(2.0), 1.0, samples=8, m=48))
+    assert calls == [("fit_planar_conic", (8, 48, 3))]
 
 
 def test_t4_l4_violates_section_hypothesis(l4_double):
