@@ -19,7 +19,7 @@ from .cones import CurveSample, cone_intersection, graze, shadow_boundary, write
 from .errors import BodySpecError, GeometryError, NonFiniteInput, ZeroDirection
 from .numeric import circle_directions, require_sizes
 from .planar import section
-from .projective import Hyperplane, InfinityHyperplane
+from .projective import Hyperplane
 from .theorems import (
     SCHEMA,
     check_theorem1,
@@ -191,7 +191,7 @@ def _cmd_check(args):
 
 
 def _finish_pole(result, body, point, args):
-    if isinstance(result.polar, InfinityHyperplane):
+    if result.polar.is_infinite:
         polar_desc = {"at_infinity": True}
     else:
         polar_desc = {"normal": [float(t) for t in result.polar.normal],

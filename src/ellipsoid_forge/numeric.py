@@ -1,6 +1,7 @@
 """Deterministic direction sampling, frames, and small numeric helpers."""
 
 import math
+import numbers
 from types import SimpleNamespace
 
 import numpy as np
@@ -271,9 +272,12 @@ def check_roots(sol, where, f, bracket="the bracket"):
 
 def require_sizes(what, sizes, least=None):
     """Sample sizes as ints; raise ValueError naming what and the size when
-    one is below its least value, by default 1 (an empty sample passes every
-    test that loops over it)."""
+    one is not an integer, or is below its least value, by default 1 (an
+    empty sample passes every test that loops over it)."""
     for name, size in sizes.items():
+        if not isinstance(size, numbers.Integral):
+            raise ValueError("%s needs %s to be an integer; got %s"
+                             % (what, name, size))
         low = (least or {}).get(name, 1)
         if size < low:
             raise ValueError("%s needs %s >= %d; got %s" % (what, name, low, size))

@@ -244,7 +244,7 @@ def fit_hyperplane_projective(rows, spatial_scale=1.0):
     m = np.array(rows, dtype=float)
     m[:, :-1] /= spatial_scale
     m /= np.sqrt(np.vecdot(m, m))[:, None]
-    u, s, vt = np.linalg.svd(m, full_matrices=True)
+    _, s, vt = np.linalg.svd(m, full_matrices=False)
     n1 = m.shape[1]  # n+1
     rank_gap = s[n1 - 2] / s[0] if len(s) >= n1 - 1 else 0.0
     coeff = vt[-1]

@@ -47,12 +47,7 @@ from .numeric import (
 from .planar import (_boundary2, _support2, _support_point2,
                      affine_diameter_residual, central_symmetry, is_radon_curve,
                      section)
-from .projective import (
-    HPoint,
-    Hyperplane,
-    Line,
-    fit_hyperplane_projective,
-)
+from .projective import HPoint, Hyperplane, fit_hyperplane_projective
 
 SCHEMA = "ellipsoid-forge/report-v1"
 
@@ -326,26 +321,30 @@ def _graze_polar_agreement(body, apexes, planes, m, seed):
     graze call and one ray_exit call give the array of k distances.
     """
     curves = graze(body, apexes, m=m, seed=seed)
-    dist = np.empty(len(curves))
-    traced = []  # (curve index, z, trace directions)
-    for i, (gr, pl) in enumerate(zip(curves, planes)):
-        c = np.asarray(gr.meta["axis_point"])
-        e = np.asarray(gr.meta["axis_dir"])
-        w1, w2 = np.asarray(gr.meta["frame"])
-        meet = pl.intersect_line(Line(c, e))
-        if meet.is_infinite() or not body.gauge(meet.affine()) < 1.0 - 1e-9:
-            dist[i] = np.abs(pl.signed_distance(gr.points)).max()
-            continue
-        z, nrm = meet.affine(), pl.normal
-        th = np.asarray(gr.meta["angles"])
-        u = np.cos(th)[:, None] * w1 + np.sin(th)[:, None] * w2
-        traced.append((i, np.broadcast_to(z, u.shape),
-                       u - (np.vecdot(u, nrm) / float(e @ nrm))[:, None] * e))
-    if traced:
-        idx, zs, dirs = zip(*traced)
-        for i, q in zip(idx, ray_exit(body, np.stack(zs), np.stack(dirs))):
-            dist[i] = np.linalg.norm(curves[i].points - q, axis=1).max()
-    return dist
+    pts = np.stack([gr.points for gr in curves])
+    nrm = np.stack([pl.normal for pl in planes])
+    offset = np.array([pl.offset for pl in planes])
+    gap = np.abs(np.vecdot(nrm[:, None], pts) - offset[:, None])
+    # graze sweeps about the axis through body.center along e, in the planes
+    # span(e, u), u = cos(th) w1 + sin(th) w2 on its frame (w1, w2); the
+    # axis meets the polar at distance num / den from the centre, or nowhere
+    # when they are parallel (polar_of's rule, on the unit axis)
+    c = body.center
+    e = np.array([gr.meta["axis_dir"] for gr in curves])
+    axis = normalize(e)
+    num, den = offset - np.vecdot(nrm, c), np.vecdot(axis, nrm)
+    parallel = np.abs(den) <= 1e-14 * (1.0 + np.abs(num))
+    z = c + (num / np.where(parallel, 1.0, den))[:, None] * axis
+    traced = np.flatnonzero(~parallel & (body.gauge(z) < 1.0 - 1e-9))
+    if traced.size:
+        w = np.array([curves[i].meta["frame"] for i in traced])[:, None]
+        th = np.array([curves[i].meta["angles"] for i in traced])[..., None]
+        u = np.cos(th) * w[..., 0, :] + np.sin(th) * w[..., 1, :]
+        e, nrm = e[traced, None], nrm[traced, None]
+        dirs = u - (np.vecdot(u, nrm) / np.vecdot(e, nrm))[..., None] * e
+        q = ray_exit(body, np.broadcast_to(z[traced, None], dirs.shape), dirs)
+        gap[traced] = np.linalg.norm(pts[traced] - q, axis=-1)
+    return gap.max(axis=1)
 
 
 def _reflection_residual(secs, centres2, k=48):
@@ -388,6 +387,8 @@ def polar_of(body, o, m=64, seed=0, tolerances=None):
         raise PointOnBoundary("gauge of o%s is %.12f" % (_row(o, r), g0[r]))
     interior = g0 < 1.0
     n = body.dim
+    # fewer than n + 2 lines is a DegenerateLines, 0 lines too
+    m = require_sizes("polar_of", {"m": m}, least={"m": 0})["m"]
     if m < n + 2:
         raise DegenerateLines("need at least %d lines through o" % (n + 2))
     diam = body.diameter()
@@ -436,15 +437,15 @@ def polar_of(body, o, m=64, seed=0, tolerances=None):
             residual=float(residual),
             fit_residual=float(fit_residual),
             cr_residual=float(cr_residual),
-            detail={"m": int(m), "seed": int(seed), "rank_gap": float(rank_gap),
+            detail={"m": m, "seed": int(seed), "rank_gap": float(rank_gap),
                     "interior": bool(interior[i])},
         ))
-        if (not interior[i] and classification != "not a pole"
-                and isinstance(polar, Hyperplane) and body.is_smooth):
+        # an exterior pole's polar is affine (the argument is in check_theorem3)
+        if not interior[i] and classification != "not a pole" and body.is_smooth:
             grazing.append(i)
     if grazing:
         # the polar of an exterior pole must cut the boundary along the graze
-        gm = max(64, int(m))
+        gm = max(64, m)
         hausdorff = _graze_polar_agreement(
             body, pts[grazing], [results[i].polar for i in grazing], m=gm,
             seed=seed) / diam
@@ -604,10 +605,9 @@ def check_theorem2(l_body, k_body, p, apexes=12, m=64, chords=48, radon_k=128,
         run.radon_stage("sections-are-radon", "derived", secs[:2], radon_k,
                         k=int(radon_k))
 
-    fit_l = fit_quadric(_boundary_cloud(l_body, 256, seed=seed),
-                        tol=tol["ellipse"])
-    fit_k = fit_quadric(_boundary_cloud(k_body, 256, seed=seed),
-                        tol=tol["ellipse"])
+    fit_l, fit_k = fit_quadric(np.stack([_boundary_cloud(body, 256, seed=seed)
+                                         for body in (l_body, k_body)]),
+                               tol=tol["ellipse"])
     worst_fit = max(fit_l.rms_residual, fit_k.rms_residual)
     both = (fit_l.classification == ELLIPSE
             and fit_k.classification == ELLIPSE
@@ -653,59 +653,46 @@ def check_theorem3(l_body, k_body, apexes=12, m=64, lines=32, w_samples=16,
 
     apex_pts = _boundary_cloud(k_body, apexes, seed=seed)
 
-    pole_worst = 0.0
-    pole_ok = True
-    polars = []
-    for pr in polar_of(l_body, apex_pts, m=lines, seed=seed, tolerances=tol):
-        pole_worst = max(pole_worst, pr.residual)
-        pole_ok = pole_ok and pr.classification != "not a pole"
-        polars.append(pr.polar)
+    poles = polar_of(l_body, apex_pts, m=lines, seed=seed, tolerances=tol)
+    pole_worst = max(pr.residual for pr in poles)
     run.stage("boundary-points-are-poles", "hypothesis", pole_worst, "pole",
-              pole_ok and pole_worst <= tol["pole"], lines=int(lines))
+              pole_worst <= tol["pole"]
+              and all(pr.classification != "not a pole" for pr in poles),
+              lines=int(lines))
+    # every polar is affine: _nesting_gate puts each apex outside l_body, so
+    # on each chord through it both ends lie beyond it (ta, tb > 0) and each
+    # harmonic conjugate, at 2 ta tb / (ta + tb), is a finite point of its
+    # chord; the hyperplane at infinity is the polar of the centre only
+    normals = np.stack([pr.polar.normal for pr in poles])
 
-    omegas = [omega.points for omega in cone_intersection(
-        l_body, apex_pts, 2.0 * o - apex_pts, m=m, seed=seed)]
-    max_gauge = float(k_body.gauge(np.concatenate(omegas)).max())
+    omegas = np.stack([omega.points for omega in cone_intersection(
+        l_body, apex_pts, 2.0 * o - apex_pts, m=m, seed=seed)])
+    max_gauge = float(k_body.gauge(omegas.reshape(-1, 3)).max())
     allowed = 1.0 - tol["margin"]
     run.stage("cone-intersections-inside-outer", "hypothesis",
               max(0.0, max_gauge - allowed), None, max_gauge < allowed,
               max_gauge=float(max_gauge), allowed=allowed)
 
-    worst_align = 0.0
-    aligned = 0
-    for pts, polar in zip(omegas, polars):
-        if not isinstance(polar, Hyperplane):
-            continue
-        dists = (pts - o) @ polar.normal
-        worst_align = max(worst_align, float(
-            np.sqrt(np.mean(dists ** 2)) / cloud_diameter(pts)))
-        aligned += 1
-    if aligned == 0:
-        run.skip("central-plane-alignment", "derived",
-                 "no affine polar planes available")
-    else:
-        run.stage("central-plane-alignment", "derived", worst_align,
-                  "planarity", curves=aligned)
+    dists = np.vecdot(omegas - o, normals[:, None])
+    worst_align = float((np.sqrt(np.mean(dists ** 2, axis=1))
+                         / cloud_diameter(omegas)).max())
+    run.stage("central-plane-alignment", "derived", worst_align, "planarity",
+              curves=len(omegas))
 
     # segments from each of the first 4 apexes to the boundary of the
     # central section parallel to its polar
-    keep = [i for i, polar in enumerate(polars[:4]) if isinstance(polar, Hyperplane)]
-    if not keep:
-        run.skip("almost-free-segments", "derived",
-                 "no affine polar planes available")
-    else:
-        secs = [section(k_body, Hyperplane.from_point_normal(o, polars[i].normal))
-                for i in keep]
-        th = np.linspace(0.0, 2.0 * np.pi, w_samples, endpoint=False)
-        w2 = np.column_stack([np.cos(th), np.sin(th)])
-        ends = _boundary2(secs, np.broadcast_to(w2, (len(keep), w_samples, 2)))
-        ends = np.stack([sec.to_world(q) for sec, q in zip(secs, ends)])
-        z = apex_pts[keep, None]
-        min_gauge = float(l_body.line_min_gauge(z, ends - z)[1].min())
-        needed = 1.0 + tol["margin"]
-        run.stage("almost-free-segments", "derived", max(0.0, needed - min_gauge),
-                  None, min_gauge > needed, min_gauge=min_gauge, needed=needed,
-                  segments=len(keep) * w_samples)
+    secs = [section(k_body, Hyperplane.from_point_normal(o, nrm))
+            for nrm in normals[:4]]
+    th = np.linspace(0.0, 2.0 * np.pi, w_samples, endpoint=False)
+    w2 = np.column_stack([np.cos(th), np.sin(th)])
+    ends = _boundary2(secs, np.broadcast_to(w2, (len(secs), w_samples, 2)))
+    ends = np.stack([sec.to_world(q) for sec, q in zip(secs, ends)])
+    z = apex_pts[:len(secs), None]
+    min_gauge = float(l_body.line_min_gauge(z, ends - z)[1].min())
+    needed = 1.0 + tol["margin"]
+    run.stage("almost-free-segments", "derived", max(0.0, needed - min_gauge),
+              None, min_gauge > needed, min_gauge=min_gauge, needed=needed,
+              segments=len(secs) * w_samples)
 
     run.fit_stage("inner-ellipsoid-fit", l_body, role="inner")
     return run.report()

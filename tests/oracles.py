@@ -2,12 +2,16 @@
 
 Everything here is computed by routes independent of the package: closed
 forms from the tangency/support algebra, 1-D parameter identities, and
-brute-force scans. Tests compare package output against these, never the
-other way around.
+brute-force scans; or, for a package route that works on stacks of rows,
+by the same steps taken one section or one curve at a time. Tests compare
+package output against these, never the other way around.
 """
 
 import numpy as np
 from scipy.optimize import linprog, minimize_scalar
+
+from ellipsoid_forge import Line, graze
+from ellipsoid_forge.bodies import ray_exit
 
 
 def ball_graze(radius, apex_dist):
@@ -175,6 +179,29 @@ def reflection_residual_one(sec, center2, k=48):
     gap = sec.boundary2(-u, base2=center2) - (2.0 * center2
                                               - sec.boundary2(u, base2=center2))
     return float(np.sqrt(np.vecdot(gap, gap)).max())
+
+
+def graze_polar_agreement_per_curve(body, apexes, planes, m, seed):
+    """Worst distance between each graze curve and the trace of its plane,
+    one curve at a time: the plane meets the sweep axis through a Line, and
+    each interior meet z is traced along u - (<u, nu> / <e, nu>) e in every
+    sweep plane span(e, u), one ray exit per curve; a plane parallel to the
+    axis or met outside the body scores the curve's worst distance to it.
+    The per-curve form that theorems._graze_polar_agreement must equal."""
+    dist = []
+    for gr, pl in zip(graze(body, apexes, m=m, seed=seed), planes):
+        e = np.asarray(gr.meta["axis_dir"])
+        meet = pl.intersect_line(Line(np.asarray(gr.meta["axis_point"]), e))
+        if meet.is_infinite() or not body.gauge(meet.affine()) < 1.0 - 1e-9:
+            dist.append(np.abs(pl.signed_distance(gr.points)).max())
+            continue
+        w1, w2 = np.asarray(gr.meta["frame"])
+        th = np.asarray(gr.meta["angles"])
+        u = np.cos(th)[:, None] * w1 + np.sin(th)[:, None] * w2
+        dirs = u - (np.vecdot(u, pl.normal) / float(e @ pl.normal))[:, None] * e
+        q = ray_exit(body, np.broadcast_to(meet.affine(), u.shape), dirs)
+        dist.append(np.linalg.norm(gr.points - q, axis=1).max())
+    return np.array(dist)
 
 
 def birkhoff_min_ratio_l1(x, y):

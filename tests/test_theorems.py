@@ -30,7 +30,9 @@ from ellipsoid_forge import (
     cross_ratio,
     fit_hyperplane_projective,
     fitting,
+    graze,
     harmonic_conjugate,
+    is_radon_curve,
     line_boundary_points,
     planar,
     polar_of,
@@ -40,6 +42,7 @@ from ellipsoid_forge import (
 from ellipsoid_forge.errors import (
     BallTooLarge,
     BodiesNotNested,
+    DegenerateLines,
     DegenerateQuadruple,
     GeometryError,
     NonFiniteInput,
@@ -53,7 +56,7 @@ from ellipsoid_forge.theorems import (_graze_polar_agreement,
                                      _tangent_planes_through_line)
 
 from conftest import random_affine
-from oracles import reflection_residual_one
+from oracles import graze_polar_agreement_per_curve, reflection_residual_one
 
 
 class _MiscenteredBall(Ellipsoid):
@@ -316,6 +319,66 @@ def test_polar_of_rows_name_the_row_of_a_bad_point(unit_ball):
         polar_of(unit_ball, np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     with pytest.raises(NonFiniteInput, match="point row 0"):
         polar_of(unit_ball, np.array([[np.inf, 0.0, 0.0], [0.0, 2.0, 0.0]]))
+
+
+@pytest.mark.parametrize("name", list(_reference_bodies()))
+def test_exterior_points_have_affine_polars(name):
+    """On every chord through an exterior point both chord ends lie beyond
+    it, so each harmonic conjugate is a finite point of its chord and the
+    fitted polar is affine, near the boundary and far from it."""
+    body = _reference_bodies()[name]
+    c = body.center
+    edge = body.boundary_from_center(sphere_directions(3, 4, seed=5)) - c
+    o = np.concatenate([c + f * edge for f in (1.001, 1.5, 4.0, 30.0)])
+    for res in polar_of(body, o, m=16, seed=1, tolerances={"pole": 1e-3}):
+        assert isinstance(res.polar, Hyperplane)
+
+
+@pytest.mark.parametrize("far", ["point", "body"])
+def test_a_ball_far_out_has_an_affine_polar_or_degenerate_lines(far):
+    """1e9 diameters out, between the point and the ball or between the ball
+    and the origin, the polar loses digits but never goes to infinity: the
+    fit gives a plane, or its rank test raises."""
+    out = 2e9 * normalize(np.array([0.6, -0.3, 0.45]))
+    body = Ellipsoid.ball(1.0, center=out if far == "body" else np.zeros(3))
+    o = body.center + (out if far == "point" else np.array([2.0, 0.0, 0.0]))
+    try:
+        res = polar_of(body, o)
+    except DegenerateLines:
+        return
+    assert res.polar is not INFINITY_HYPERPLANE
+    assert isinstance(res.polar, Hyperplane)
+
+
+@pytest.mark.parametrize("loose", [False, True], ids=["default", "loose-gate"])
+@pytest.mark.parametrize("name", ["ball", "ellipsoid", "l4", "affine l3"])
+def test_graze_polar_agreement_equals_the_per_curve_route(name, loose):
+    """The array form of the graze comparison gives the per-curve route's
+    distances and so the same classifications; the loosened pole gate sends
+    planes that do not cut the body along the graze through it too."""
+    body = _reference_bodies()[name]
+    c = body.center
+    edge = body.boundary_from_center(sphere_directions(3, 5, seed=4)) - c
+    o = np.concatenate([c + f * edge for f in (1.05, 2.5, 12.0)])
+    tol = {"pole": 100.0} if loose else None
+    rows = polar_of(body, o, m=16, seed=2, tolerances=tol)
+    grazed = [i for i, r in enumerate(rows) if r.graze_hausdorff is not None]
+    assert len(grazed) == (len(o) if loose or name in ("ball", "ellipsoid") else 0)
+    want = graze_polar_agreement_per_curve(
+        body, o[grazed], [rows[i].polar for i in grazed], 64, 2) if grazed else []
+    for i, h in zip(grazed, np.divide(want, body.diameter())):
+        assert abs(rows[i].graze_hausdorff - h) <= 1e-15
+        disagrees = h > DEFAULT_TOLERANCES["hausdorff"]
+        assert rows[i].detail.get("graze_disagrees", False) == disagrees
+        assert (rows[i].classification == "not a pole") == disagrees
+    # planes met outside the body, holding the axis, or met inside it
+    apex = o[:3]
+    planes = [Hyperplane.from_point_normal(apex[0], edge[0]),
+              Hyperplane.from_point_normal(c, np.cross(apex[1] - c, [0.2, 1.0, 0.5])),
+              Hyperplane.from_point_normal(c + 0.1 * edge[2], edge[2] + 0.3 * edge[0])]
+    got = _graze_polar_agreement(body, apex, planes, 24, 1)
+    want = graze_polar_agreement_per_curve(body, apex, planes, 24, 1)
+    assert np.abs(got - want).max() <= 1e-15 * body.diameter()
 
 
 # --------------------------------------------------------------------- t1
@@ -910,6 +973,28 @@ def test_checks_reject_empty_samples(size, least, run):
     with pytest.raises(ValueError,
                        match=r"check \w+ needs %s >= %d" % (size, least)):
         run()
+
+
+def _unit_section():
+    return section(Ellipsoid.ball(1.0), Hyperplane(np.array([0.0, 0.0, 1.0]), 0.2))
+
+
+@pytest.mark.parametrize("what, size, value, run", [
+    ("central_symmetry", "m", 6.5, lambda v: central_symmetry(_unit_section(), m=v)),
+    ("is_radon_curve", "k", 16.5, lambda v: is_radon_curve(_unit_section(), k=v)),
+    ("graze", "m", 6.5, lambda v: graze(Ellipsoid.ball(1.0), [2.0, 0.0, 0.0], m=v)),
+    ("check radon", "planes", 2.5,
+     lambda v: check_theorem_radon(Ellipsoid.ball(1.0), planes=v, diameters=16)),
+    ("polar_of", "m", 6.5,
+     lambda v: polar_of(Ellipsoid.ball(1.0), [2.0, 0.0, 0.0], m=v)),
+], ids=["central_symmetry", "is_radon_curve", "graze", "radon", "polar_of"])
+def test_sample_sizes_must_be_integers(what, size, value, run):
+    """A fractional size would break a slice, or be rounded into a sample
+    that the report does not name; a numpy integer is an integer."""
+    with pytest.raises(ValueError, match=r"^%s needs %s to be an integer; got %s$"
+                       % (what, size, value)):
+        run(value)
+    run(np.int64(8))
 
 
 # ------------------------------------------------------- verdict assembly
