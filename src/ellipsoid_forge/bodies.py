@@ -26,7 +26,6 @@ import hashlib
 import io
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (BodySpecError, LineMissesBody, NonFiniteInput,
                      NonSmoothBody, RayBaseNotInterior, ZeroDirection)
@@ -321,6 +320,8 @@ class Polytope(ConvexBody):
         v = _finite("vertices", vertices)
         if v.ndim != 2 or v.shape[0] < v.shape[1] + 1:
             raise ValueError("polytope needs at least n+1 vertices")
+        # scipy.spatial is most of a cold start, so only a polytope loads it
+        from scipy.spatial import ConvexHull, QhullError
         try:
             eq = ConvexHull(v).equations  # rows (a, e): a.x + e <= 0 inside
         except QhullError as exc:

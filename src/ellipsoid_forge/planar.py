@@ -372,6 +372,15 @@ def central_symmetry(sec, tol=1e-7, m=96, seed=0):
     secs = sec if isinstance(sec, list) else [sec]
     if not secs:
         return []
+    results, _ = _central_symmetry(secs, tol, m, seed, np.empty((0, 2)))
+    return results if isinstance(sec, list) else results[0]
+
+
+def _central_symmetry(secs, tol, m, seed, extra):
+    """central_symmetry's results for the list secs, and each section's
+    support2 at the (k, 2) rows extra, shape (S, k), which join every
+    section's rows in the one restriction solve; a failed row is named as
+    _support2 names it."""
     rng = np.random.default_rng(seed)
     th = rng.uniform(0.0, np.pi / m) + np.pi * np.arange(m) / m
     u = np.column_stack([np.cos(th), np.sin(th)])
@@ -379,18 +388,18 @@ def central_symmetry(sec, tol=1e-7, m=96, seed=0):
     dirs = [u, -u]
     if any(s._diameter2 is None for s in secs):
         dirs.append(_width_rows())
-    dirs = np.concatenate(dirs)
+    dirs = np.concatenate(dirs + [extra])
     hs = _support2(secs, np.broadcast_to(dirs, (len(secs),) + dirs.shape))
     results = []
     for s, h in zip(secs, hs):
         if s._diameter2 is None:
-            s._diameter2 = _width(h[2 * m:])
+            s._diameter2 = _width(h[2 * m:2 * m + 32])
         rhs = h[:m] - h[m:2 * m]
         c, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
         residual = float(np.abs(rhs - rows @ c).max()) / s.diameter2()
         results.append(SymmetryResult(bool(residual <= tol), c, s.to_world(c),
                                       residual, tol))
-    return results if isinstance(sec, list) else results[0]
+    return results, hs[:, len(dirs) - len(extra):]
 
 
 def affine_diameter_residual(sec, a2, b2):

@@ -44,7 +44,7 @@ from .numeric import (
     sphere_directions,
     unit_frame,
 )
-from .planar import (_boundary2, _support2, _support_point2,
+from .planar import (_boundary2, _central_symmetry, _support_point2,
                      affine_diameter_residual, central_symmetry, is_radon_curve,
                      section)
 from .projective import HPoint, Hyperplane, fit_hyperplane_projective
@@ -743,8 +743,9 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
               all(fit.classification == ELLIPSE for fit in fits)
               and worst_fit < tol["ellipse"], samples=len(us))
 
+    # the margin rows join the tangent sections' symmetry solve
     v2 = circle_directions(32, seed=seed)
-    hs = _support2(secs, np.broadcast_to(v2, (len(secs),) + v2.shape))
+    syms, hs = _central_symmetry(secs, tol["symmetry"], m, seed, v2)
     min_margin = min(
         float((h - np.vecdot(sec.to_chart(o + r * u), v2) - r).min())
         for u, sec, h in zip(us, secs, hs))
@@ -757,7 +758,6 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
     # antipodal section is the reflection of this one, so the translation
     # K_u = phi(u) + K_{-u} holds iff the section is symmetric about c, and
     # then phi(u) = 2 (c - o)
-    syms = central_symmetry(secs, tol=tol["symmetry"], m=m, seed=seed)
     phis = [2.0 * (np.asarray(sym.center_world) - o) for sym in syms]
     worst_translate = float(_reflection_residual(
         secs, [sym.center for sym in syms]).max()) / diam

@@ -317,14 +317,23 @@ def test_sample_needs_three_points(specs, tmp_path, capsys, kind, flags, m):
     assert "needs m >= 3; got %s" % m in capsys.readouterr().err
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats would be about half of the import time
+def test_smooth_body_work_leaves_out_scipy():
+    """The package, its checks and its CLI import numpy only, and smooth-body
+    work loads no scipy module; the first Polytope loads scipy.spatial for
+    its hull."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    code = ("import sys; sys.path.insert(0, %r); import ellipsoid_forge.cli; "
-            "print('scipy.stats' in sys.modules)" % src)
+    code = ("import sys; sys.path.insert(0, %r)\n"
+            "import ellipsoid_forge, ellipsoid_forge.theorems, ellipsoid_forge.cli\n"
+            "from ellipsoid_forge import Ellipsoid, Polytope, check_theorem_radon, graze\n"
+            "ball = Ellipsoid.ball(1.0)\n"
+            "check_theorem_radon(ball, planes=2, diameters=16)\n"
+            "graze(ball, (2.0, 0.0, 0.0), m=16)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "Polytope([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])\n"
+            "print('scipy.spatial' in sys.modules)" % src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n")[:2] == ["[]", "True"]
 
 
 def test_sample_missing_flags_exit_one(specs, tmp_path, capsys):

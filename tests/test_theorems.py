@@ -645,9 +645,9 @@ def test_t4_restriction_solves_do_not_grow_with_samples(monkeypatch):
         _assert_clean(check_theorem4(Ellipsoid.ball(2.0), 1.0,
                                      samples=samples, m=16))
         counts.append(len(solves))
-    # the margin, symmetry and orthogonality stages, and one support-point
-    # solve over every midpoint locus
-    assert counts == [4, 4]
+    # the margin and symmetry stages together, the orthogonality stage, and
+    # one support-point solve over every midpoint locus
+    assert counts == [3, 3]
 
 
 _T4_AFFINE = AffineImage(np.array([[1.2, 0.3, 0.0], [0.0, 1.0, 0.2],
@@ -656,13 +656,14 @@ _T4_AFFINE = AffineImage(np.array([[1.2, 0.3, 0.0], [0.0, 1.0, 0.2],
 
 
 @pytest.mark.parametrize("body, most", [
-    (Ellipsoid.ball(2.0), 4),
-    (PBall(4.0, (2.0, 2.0, 2.0)), 7),
-    (_T4_AFFINE, 8),
+    (Ellipsoid.ball(2.0), 3),
+    (PBall(4.0, (2.0, 2.0, 2.0)), 6),
+    (_T4_AFFINE, 7),
 ], ids=["ball", "l4", "affine-ball"])
 def test_t4_solves_once_per_stage(monkeypatch, body, most):
-    """Every find_root of t4, in any module: the three section solves and
-    the loci's support points, plus, off the ellipsoid's closed-form rays,
+    """Every find_root of t4, in any module: the two section solves (the
+    ball margin joins the tangent sections' symmetry) and the loci's
+    support points, plus, off the ellipsoid's closed-form rays,
     one ray exit each for the tangent-section clouds, the translation
     stage, the loci's chords and the scaled sections (skipped on l4)."""
     calls = []
@@ -677,7 +678,7 @@ def test_t4_solves_once_per_stage(monkeypatch, body, most):
         calls.clear()
         check_theorem4(body, 0.8, samples=samples, m=16)
         counts.append(len(calls))
-    # the ball's 4 restriction solves are pinned above, so it makes exactly 4
+    # the ball's 3 restriction solves are pinned above, so it makes exactly 3
     assert counts[0] == counts[1] <= most
 
 
