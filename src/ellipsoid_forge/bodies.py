@@ -474,8 +474,20 @@ def ray_exit(body, base, d):
     base or direction, ZeroDirection for a zero direction,
     RayBaseNotInterior for a base that is not interior, on every body kind."""
     base, d = _ray(base, d)
+    return _routed_exit(body, base, d, _at_center(body, base))
+
+
+def _at_center(body, base):
+    """Which base rows ray_exit takes in closed form: those within
+    1e-13 (1 + diameter) of the center. A caller that exits from the same
+    bases many times decides this once and hands it to _routed_exit."""
     off = base - body.center
-    near = np.sqrt(np.vecdot(off, off)) <= 1e-13 * (1.0 + body.diameter())
+    return np.sqrt(np.vecdot(off, off)) <= 1e-13 * (1.0 + body.diameter())
+
+
+def _routed_exit(body, base, d, near):
+    """ray_exit after its checks: the exits from the finite bases base, whose
+    _at_center is near, along the nonzero directions d."""
     if near.ndim == 0:
         return body.boundary_from_center(d) if near else body.boundary_point(base, d)
     centred = np.count_nonzero(near)

@@ -22,7 +22,7 @@ import json
 
 import numpy as np
 
-from .bodies import ray_exit
+from .bodies import _at_center, _ray, _routed_exit
 from .errors import (
     ApexInsideBody,
     CoincidentApexes,
@@ -137,12 +137,17 @@ def _tangency_sweep(body, base, axes, apexes, w, m, seed):
     row_plane = np.repeat(planes.reshape(-1, n), k, axis=0)
     row_apex = np.broadcast_to(apexes[:, None], (sweeps, m, k, n)).reshape(-1, n)
     row_base = base if np.ndim(base) == 1 else np.repeat(base, m * k, axis=0)
+    # ray_exit's checks and its route for each row's base, decided once: the
+    # directions are unit by construction, and the bases stay put
+    row_base, _ = _ray(row_base, axes)
+    near = _at_center(body, row_base)
 
     def contact(phi, r):
         """Points, aims a - w p and g on rows r at angles phi."""
         dirs = (np.cos(phi)[:, None] * row_axis[r]
                 + np.sin(phi)[:, None] * row_plane[r])
-        p = ray_exit(body, row_base if row_base.ndim == 1 else row_base[r], dirs)
+        p = (_routed_exit(body, row_base, dirs, near) if near.ndim == 0
+             else _routed_exit(body, row_base[r], dirs, near[r]))
         aim = row_apex[r] - w * p
         return p, aim, np.vecdot(aim, body.normal_at(p))
 

@@ -24,7 +24,7 @@ the rows of secs[i] at [i], and return their results in the same layout,
 so that one solve or one ray exit serves them all; a section's own oracle
 is the call on a stack of one. conjugate_diameter and birkhoff_normal take
 rows, central_symmetry solves a list of sections at once, and is_radon_curve
-tests a list of sections in three restriction solves and two ray exits,
+tests a list of sections in two restriction solves and two ray exits,
 whatever k and however many sections.
 """
 
@@ -53,7 +53,9 @@ def _where(rows, index=None):
     """where(r), naming flat row r of a stack of rows, shape (S, k..., 2):
     ' at section i, row j', with i = r // k (index[i] when index renames the
     sections) and j = r % k, over two or more sections or with an index;
-    else _row_note's flat index in the one section's rows."""
+    else _row_note's flat index in the one section's rows. In a merged
+    solve (see _central_symmetry) j counts from the section's first
+    symmetry row, so a joined row's j is its place after those rows."""
     if index is None and len(rows) < 2:
         return lambda r: _row_note(r, rows[0])
     k = np.prod(rows.shape[1:-1], dtype=int)
@@ -266,36 +268,55 @@ class _SectionRows:
         return self.each(PlanarSection.to_chart, z)
 
 
+class _Restriction:
+    """One restriction solve over the stack w2 of chart rows (see
+    _SectionRows): the minimiser t of every row, from which values() gives
+    support2 and points() support_point2 at the rows of any cut of the
+    last row axis. A failed row is named by its section and its row there
+    over two or more sections or with an index, its row counted in the whole
+    stack."""
+
+    def __init__(self, secs, w2, index=None):
+        rows = self.rows = _SectionRows(secs, w2, index)
+        self.n, self.d = rows.plane()
+        self.t, self.tied = _restriction_minimizer(rows.body, rows.world, self.n,
+                                                   self.d, rows.where)
+
+    def values(self, cut=slice(None)):
+        rows, n, d = self.rows, self.n, self.d
+        world, t = rows.world[..., cut, :], self.t[..., cut]
+        h = rows.body.support(world + np.expand_dims(t, -1) * n)
+        return h - t * d - np.vecdot(rows.origin, world)
+
+    def points(self, cut=slice(None)):
+        rows, n, d = self.rows, self.n, self.d
+        dist = lambda z: np.vecdot(n, z) - d
+        if self.tied is None:
+            world, t = rows.world[..., cut, :], self.t[..., cut]
+            z = rows.body.support_point(world + np.expand_dims(t, -1) * n)
+            return rows.to_chart(z - np.expand_dims(dist(z), -1) * n)
+        # psi kinks at t: the support points that tie there (one point on the
+        # plane when its slope is 0) span an exposed face of K, which meets the
+        # plane in the section's support point (a itself when the face is
+        # parallel to the plane)
+        a, b = (v[..., cut, :] for v in self.tied)
+        da, db = dist(a), dist(b)
+        same = np.equal(da, db)
+        frac = np.expand_dims(da / np.where(same, 1.0, da - db), -1)
+        return rows.to_chart(np.where(same[..., None], a, a + frac * (b - a)))
+
+
 def _support2(secs, w2, index=None):
     """support2 of each row of the stack w2 (see _SectionRows), from one
     restriction solve; a failed row is named by its section and its row
     there over two or more sections or with an index."""
-    rows = _SectionRows(secs, w2, index)
-    n, d = rows.plane()
-    t, _ = _restriction_minimizer(rows.body, rows.world, n, d, rows.where)
-    h = rows.body.support(rows.world + np.expand_dims(t, -1) * n)
-    return h - t * d - np.vecdot(rows.origin, rows.world)
+    return _Restriction(secs, w2, index).values()
 
 
 def _support_point2(secs, w2, index=None):
     """support_point2 of each row of the stack w2, from one restriction
     solve, as _support2."""
-    rows = _SectionRows(secs, w2, index)
-    n, d = rows.plane()
-    dist = lambda z: np.vecdot(n, z) - d
-    t, tied = _restriction_minimizer(rows.body, rows.world, n, d, rows.where)
-    if tied is None:
-        z = rows.body.support_point(rows.world + np.expand_dims(t, -1) * n)
-        return rows.to_chart(z - np.expand_dims(dist(z), -1) * n)
-    # psi kinks at t: the support points that tie there (one point on the
-    # plane when its slope is 0) span an exposed face of K, which meets the
-    # plane in the section's support point (a itself when the face is
-    # parallel to the plane)
-    a, b = tied
-    da, db = dist(a), dist(b)
-    same = np.equal(da, db)
-    frac = np.expand_dims(da / np.where(same, 1.0, da - db), -1)
-    return rows.to_chart(np.where(same[..., None], a, a + frac * (b - a)))
+    return _Restriction(secs, w2, index).points()
 
 
 def _boundary2(secs, d2, base2=None, index=None):
@@ -372,15 +393,23 @@ def central_symmetry(sec, tol=1e-7, m=96, seed=0):
     secs = sec if isinstance(sec, list) else [sec]
     if not secs:
         return []
-    results, _ = _central_symmetry(secs, tol, m, seed, np.empty((0, 2)))
+    results, *_ = _central_symmetry(secs, tol, m, seed)
     return results if isinstance(sec, list) else results[0]
 
 
-def _central_symmetry(secs, tol, m, seed, extra):
-    """central_symmetry's results for the list secs, and each section's
-    support2 at the (k, 2) rows extra, shape (S, k), which join every
-    section's rows in the one restriction solve; a failed row is named as
-    _support2 names it."""
+#: no extra rows, for _central_symmetry
+_NO_ROWS = np.empty((0, 2))
+
+
+def _central_symmetry(secs, tol, m, seed, extra=_NO_ROWS, points=_NO_ROWS):
+    """central_symmetry's results for the list secs, and the rows of later
+    solves that are known before this one, solved with it: each section's
+    support2 at the (k, 2) rows extra, shape (S, k), and its support_point2
+    at the rows points, shape (S, p, 2), or None when points has no rows.
+    points is (p, 2), shared by every section, or (S, p, 2), a block per
+    section. These rows follow the symmetry and width rows in the one
+    restriction solve; a failed row is named as _support2 names it,
+    counting from the first symmetry row."""
     rng = np.random.default_rng(seed)
     th = rng.uniform(0.0, np.pi / m) + np.pi * np.arange(m) / m
     u = np.column_stack([np.cos(th), np.sin(th)])
@@ -389,7 +418,13 @@ def _central_symmetry(secs, tol, m, seed, extra):
     if any(s._diameter2 is None for s in secs):
         dirs.append(_width_rows())
     dirs = np.concatenate(dirs + [extra])
-    hs = _support2(secs, np.broadcast_to(dirs, (len(secs),) + dirs.shape))
+    w2 = np.broadcast_to(dirs, (len(secs),) + dirs.shape)
+    point_rows = points.shape[-2]
+    if point_rows:
+        points = np.broadcast_to(points, (len(secs),) + points.shape[-2:])
+        w2 = np.concatenate([w2, points], axis=1)
+    solve = _Restriction(secs, w2)
+    hs = solve.values(slice(len(dirs)))
     results = []
     for s, h in zip(secs, hs):
         if s._diameter2 is None:
@@ -399,7 +434,8 @@ def _central_symmetry(secs, tol, m, seed, extra):
         residual = float(np.abs(rhs - rows @ c).max()) / s.diameter2()
         results.append(SymmetryResult(bool(residual <= tol), c, s.to_world(c),
                                       residual, tol))
-    return results, hs[:, len(dirs) - len(extra):]
+    return (results, hs[:, len(dirs) - len(extra):],
+            solve.points(slice(len(dirs), None)) if point_rows else None)
 
 
 def affine_diameter_residual(sec, a2, b2):
@@ -421,15 +457,22 @@ def affine_diameter_residual(sec, a2, b2):
     return angle_between(nu[0], -nu[1])
 
 
-def _contact_normals(a2, b2, diam, where):
-    """Unit normals rot90 of the chords [a, b], which the circumscribed
-    parallelogram's sides parallel to each chord have; ValueError, naming
-    the row by where, for a chord shorter than 1e-6 diam."""
+def _chords(a2, b2, diam, where):
+    """The chords b - a and their lengths; ValueError, naming the row by
+    where, for a chord shorter than 1e-6 diam."""
     chord = b2 - a2
     length = np.sqrt(np.vecdot(chord, chord))
     short = np.flatnonzero(length < 1e-6 * diam)
     if short.size:
         raise ValueError("degenerate chord%s" % where(short[0]))
+    return chord, length
+
+
+def _contact_normals(a2, b2, diam, where):
+    """Unit normals rot90 of the chords [a, b], which the circumscribed
+    parallelogram's sides parallel to each chord have; ValueError for a
+    degenerate chord, as _chords."""
+    chord, length = _chords(a2, b2, diam, where)
     return _rot90(chord / np.expand_dims(length, -1))
 
 
@@ -497,8 +540,9 @@ class BirkhoffResult:
 _NORM_TOL = 1e-6
 
 
-def _norm_gate(sec):
-    sym = central_symmetry(sec, tol=_NORM_TOL)
+def _norm_gate(sym):
+    """A section's SymmetryResult at the norm gate's tol; NotANorm when the
+    section misses the gate."""
     if not sym.ok:
         raise NotANorm("section symmetry residual %.3e" % sym.residual)
     return sym
@@ -533,7 +577,7 @@ def birkhoff_normal(sec, x, y, center=None):
     x and y may be (..., 2) rows, tested in one gauge2 and one support2 call;
     the result then holds a row of verdicts and ratios."""
     if center is None:
-        center = _norm_gate(sec).center
+        center = _norm_gate(central_symmetry(sec, tol=_NORM_TOL)).center
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(y, dtype=float))
     nx = np.asarray(sec.gauge2(x, base2=center))
@@ -567,40 +611,52 @@ def is_radon_curve(sec, k=128, contact_tol=1e-8, seed=0, cross_pairs=16):
 
     sec may be a list of sections of one body: the result is then the list
     of their RadonResults, None for a section that fails the norm gate.
-    Every section, and a single one the same way, takes three restriction
-    solves in all, whatever k and however many sections: central_symmetry;
-    one support_point2 over every section's conjugate contacts and the
-    Birkhoff pairs' second vectors; one support2 over every closure side and
-    Birkhoff normal. The diameters' ends are one ray exit and the Birkhoff
-    gauges one more. In a list of two or more sections a failed row names
-    its section in the list and its row there.
+    Every section, and a single one the same way, takes two restriction
+    solves in all, whatever k and however many sections: the norm gate's
+    central_symmetry, whose solve also takes every section's conjugate
+    contacts and the Birkhoff pairs' second vectors as support_point2 rows;
+    and one support2 over every closure side and Birkhoff normal. The
+    diameters' ends are one ray exit and the Birkhoff gauges one more. In a
+    list of two or more sections a failed row names its section in the list
+    and its row there.
     """
     require_sizes("is_radon_curve", {"k": k, "cross_pairs": cross_pairs})
     listed = isinstance(sec, list)
     secs = sec if listed else [sec]
-    syms = central_symmetry(secs, tol=_NORM_TOL) if listed else [_norm_gate(sec)]
-    live = np.flatnonzero([sym.ok for sym in syms])
-    if not live.size:
-        return [None] * len(secs)
+    if not secs:
+        return []
     rng = np.random.default_rng(seed)
     th = rng.uniform(0.0, np.pi / k) + np.pi * np.arange(k) / k
     u = np.column_stack([np.cos(th), np.sin(th)])
     p = min(k, cross_pairs)
     pairs = np.arange(p) * k // p
+    # every diameter is the chord through the centre c2 along u: its ends
+    # are the ray exits from c2 along +-u, so the parallelogram's sides
+    # parallel to it have the normals +-n_d, n_d = rot90(u), whatever c2 is.
+    # Their contacts, and the Birkhoff pairs' second vectors at n_d[pairs],
+    # join the norm gate's symmetry solve as support points
+    n_d = _rot90(u)
+    syms, _, q = _central_symmetry(secs, _NORM_TOL, 96, 0,
+                                   points=np.concatenate([n_d, -n_d, n_d[pairs]]))
+    if not listed:
+        _norm_gate(syms[0])
+    live = np.flatnonzero([sym.ok for sym in syms])
+    if not live.size:
+        return [None] * len(secs)
     # the rows of the L live sections are (L, ..., 2) stacks; a failed row
     # names its section by its index in secs
     secs_l = [secs[i] for i in live]
     index = live if len(secs) > 1 else None
     c2 = np.stack([syms[i].center for i in live])[:, None]
     diam = np.array([sec.diameter2() for sec in secs_l])[:, None]
+    q = q[live]
 
     d2 = np.concatenate([u, -u])
     ends = _boundary2(secs_l, np.broadcast_to(d2, (len(live),) + d2.shape), c2, index)
     e_plus, e_minus = ends[:, :k], ends[:, k:]
-    n_d = _contact_normals(e_minus, e_plus, diam, _where(e_plus, index))
-    y_dirs = np.broadcast_to(_rot90(u[pairs]), (len(live), p, 2))
-    q = _support_point2(secs_l, np.concatenate([n_d, -n_d, y_dirs], axis=1), index)
-    n_p, apart = _closure_normals(q[:, :k], q[:, k:2 * k], n_d, diam)
+    _chords(e_minus, e_plus, diam, _where(e_plus, index))
+    n_p, apart = _closure_normals(q[:, :k], q[:, k:2 * k],
+                                  np.broadcast_to(n_d, e_plus.shape), diam)
     xs, ys = e_plus[:, pairs] - c2, q[:, 2 * k:] - c2
     x, y = np.concatenate([xs, ys], axis=1), np.concatenate([ys, xs], axis=1)
     nx = _gauge2(secs_l, x, c2, index)

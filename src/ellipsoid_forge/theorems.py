@@ -44,7 +44,7 @@ from .numeric import (
     sphere_directions,
     unit_frame,
 )
-from .planar import (_boundary2, _central_symmetry, _support_point2,
+from .planar import (_boundary2, _central_symmetry,
                      affine_diameter_residual, central_symmetry, is_radon_curve,
                      section)
 from .projective import HPoint, Hyperplane, fit_hyperplane_projective
@@ -745,7 +745,7 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
 
     # the margin rows join the tangent sections' symmetry solve
     v2 = circle_directions(32, seed=seed)
-    syms, hs = _central_symmetry(secs, tol["symmetry"], m, seed, v2)
+    syms, hs, _ = _central_symmetry(secs, tol["symmetry"], m, seed, v2)
     min_margin = min(
         float((h - np.vecdot(sec.to_chart(o + r * u), v2) - r).min())
         for u, sec, h in zip(us, secs, hs))
@@ -776,8 +776,16 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
             v = np.cos(th) * f1 + np.sin(th) * f2
             grid.append((i, v, section(k_body,
                                        Hyperplane.from_point_normal(o + r * v, v))))
-    syms = central_symmetry([sec_v for _, _, sec_v in grid],
-                            tol=tol["symmetry"], m=m, seed=seed)
+    # each grid section's chord direction d_w = u x v, at least 2r / |phi(u)|
+    # long, and its chart normal e2; e2 depends on the grid alone, so the
+    # support points at +-e2 join the grid's symmetry solve
+    secs_v = [sec_v for _, _, sec_v in grid]
+    d_w = np.array([d / float(np.linalg.norm(d))
+                    for d in (np.cross(us[i], v) for i, v, _ in grid)])
+    d2 = [normalize(sec.basis @ d) for sec, d in zip(secs_v, d_w)]
+    e2 = np.array([[-d[1], d[0]] for d in d2])[:, None]
+    syms, _, q = _central_symmetry(secs_v, tol["symmetry"], m, seed,
+                                   points=np.concatenate([e2, -e2], axis=1))
     worst_orth = 0.0
     for (i, _, _), sym_v in zip(grid, syms):
         phi_v = 2.0 * (np.asarray(sym_v.center_world) - o)
@@ -785,23 +793,17 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
                          float(abs(phi_v @ us[i])) / float(np.linalg.norm(phi_v)))
     run.stage("translation-orthogonality", "derived", worst_orth, "bisector")
 
-    # each u's first v gives a midpoint locus: sec_v, its centre c2, the chord
-    # direction d_w = u x v, at least 2r / |phi(u)| long, and its chart normal e2
-    secs_l = [sec_v for _, _, sec_v in grid[::8]]
+    # each u's first v gives a midpoint locus: sec_v, its centre c2, d_w and e2
     c2 = np.array([sym_v.center for sym_v in syms[::8]])[:, None]
-    d_w = np.array([d / float(np.linalg.norm(d))
-                    for d in (np.cross(us[i], v) for i, v, _ in grid[::8])])
-    d2 = [normalize(sec.basis @ d) for sec, d in zip(secs_l, d_w)]
-    e2 = np.array([[-d[1], d[0]] for d in d2])[:, None]
+    d_w, e2, q = d_w[::8], e2[::8], q[::8]
     # the chord at offset s along e2 passes through c2 + (s / k)(q - c2), with
     # q the support point on s's side and k = <q - c2, e2>: interior by convexity
-    q = _support_point2(secs_l, np.concatenate([e2, -e2], axis=1))
     k = np.vecdot(q - c2, e2)
     s = np.linspace(0.8 * k[:, 1], 0.8 * k[:, 0], 15, axis=-1)
     j = (s < 0.0).astype(int)
     chart = c2 + (s / np.take_along_axis(k, j, 1))[..., None] * (
         np.take_along_axis(q, j[..., None], 1) - c2)
-    bases = np.stack([sec.to_world(p) for sec, p in zip(secs_l, chart)])
+    bases = np.stack([sec.to_world(p) for sec, p in zip(secs_v[::8], chart)])
     a, b = ray_exit(k_body, bases, np.stack([-d_w, d_w])[:, :, None])
     scores = []  # per locus: the worse of its rms off a line and its angle
     for phi_u, mids in zip(phis, 0.5 * (a + b)):

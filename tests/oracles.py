@@ -3,8 +3,9 @@
 Everything here is computed by routes independent of the package: closed
 forms from the tangency/support algebra, 1-D parameter identities, and
 brute-force scans; or, for a package route that works on stacks of rows,
-by the same steps taken one section or one curve at a time. Tests compare
-package output against these, never the other way around.
+by the same steps taken one section or one curve at a time; or, for a
+package route that now takes fewer solves, by the route it replaced. Tests
+compare package output against these, never the other way around.
 """
 
 import numpy as np
@@ -12,6 +13,12 @@ from scipy.optimize import linprog, minimize_scalar
 
 from ellipsoid_forge import Line, graze
 from ellipsoid_forge.bodies import ray_exit
+from ellipsoid_forge.errors import NotANorm
+from ellipsoid_forge.planar import (RadonResult, _NORM_TOL, _birkhoff_normals,
+                                    _birkhoff_ratio, _boundary2, _closure_defect,
+                                    _closure_normals, _contact_normals, _gauge2,
+                                    _rot90, _support2, _support_point2, _where,
+                                    central_symmetry)
 
 
 def ball_graze(radius, apex_dist):
@@ -179,6 +186,63 @@ def reflection_residual_one(sec, center2, k=48):
     gap = sec.boundary2(-u, base2=center2) - (2.0 * center2
                                               - sec.boundary2(u, base2=center2))
     return float(np.sqrt(np.vecdot(gap, gap)).max())
+
+
+def radon_three_solves(sec, k=128, contact_tol=1e-8, seed=0, cross_pairs=16):
+    """is_radon_curve in three restriction solves, the route it replaces:
+    the norm gate's central_symmetry alone; then the diameters' ends by one
+    ray exit from each centre c2, their contact normals n_d from the chords
+    those ends span, and one support_point2 solve over the contacts at +-n_d
+    and the Birkhoff pairs' second vectors; then one support2 solve over the
+    closure sides and Birkhoff normals. The reference that the two-solve
+    is_radon_curve, which knows n_d = rot90(u) before the symmetry solve,
+    must agree with."""
+    listed = isinstance(sec, list)
+    secs = sec if listed else [sec]
+    syms = central_symmetry(secs, tol=_NORM_TOL)
+    if not listed and not syms[0].ok:
+        raise NotANorm("section symmetry residual %.3e" % syms[0].residual)
+    live = np.flatnonzero([sym.ok for sym in syms])
+    if not live.size:
+        return [None] * len(secs)
+    rng = np.random.default_rng(seed)
+    th = rng.uniform(0.0, np.pi / k) + np.pi * np.arange(k) / k
+    u = np.column_stack([np.cos(th), np.sin(th)])
+    p = min(k, cross_pairs)
+    pairs = np.arange(p) * k // p
+    secs_l = [secs[i] for i in live]
+    index = live if len(secs) > 1 else None
+    c2 = np.stack([syms[i].center for i in live])[:, None]
+    diam = np.array([s.diameter2() for s in secs_l])[:, None]
+
+    d2 = np.concatenate([u, -u])
+    ends = _boundary2(secs_l, np.broadcast_to(d2, (len(live),) + d2.shape), c2, index)
+    e_plus, e_minus = ends[:, :k], ends[:, k:]
+    n_d = _contact_normals(e_minus, e_plus, diam, _where(e_plus, index))
+    y_dirs = np.broadcast_to(_rot90(u[pairs]), (len(live), p, 2))
+    q = _support_point2(secs_l, np.concatenate([n_d, -n_d, y_dirs], axis=1), index)
+    n_p, apart = _closure_normals(q[:, :k], q[:, k:2 * k], n_d, diam)
+    xs, ys = e_plus[:, pairs] - c2, q[:, 2 * k:] - c2
+    x, y = np.concatenate([xs, ys], axis=1), np.concatenate([ys, xs], axis=1)
+    nx = _gauge2(secs_l, x, c2, index)
+    n_b = _birkhoff_normals(x, y, nx, _where(x, index))
+    h = _support2(secs_l, np.concatenate([n_p, -n_p, n_b], axis=1), index)
+    defect = _closure_defect(e_minus, e_plus, n_p, apart, h[:, :k],
+                             h[:, k:2 * k], diam)
+    normal, ratio = _birkhoff_ratio(x, nx, n_b, h[:, 2 * k:], c2)
+    asymmetry = 1.0 - np.minimum(ratio[:, :p], ratio[:, p:])
+
+    results = [None] * len(secs)
+    for j, i in enumerate(live):
+        worst = int(np.argmax(defect[j]))
+        conj_ok = not (defect[j] > contact_tol).any()
+        norm_ok = bool(normal[j].all())
+        results[i] = RadonResult(
+            conj_ok and norm_ok, conj_ok, norm_ok, float(defect[j, worst]),
+            u[worst], float(np.max(asymmetry[j], initial=0.0)), syms[i].center,
+            detail={"k": k, "contact_tol": contact_tol,
+                    "symmetry_residual": syms[i].residual})
+    return results if listed else results[0]
 
 
 def graze_polar_agreement_per_curve(body, apexes, planes, m, seed):

@@ -169,15 +169,15 @@ def test_src_has_one_solver():
      Ellipsoid.ball(2.0), (), 3),
     ("check_theorem3", PBall(4.0, (0.4, 0.4, 0.4)), Ellipsoid.ball(2.0), (), 3),
     ("check_theorem2", Ellipsoid.ball(2.0 ** -0.5), Ellipsoid.ball(1.0),
-     (np.zeros(3),), 4),
+     (np.zeros(3),), 3),
     ("check_theorem2", Ellipsoid.ball(0.5), PBall(4.0, (1.0, 1.0, 1.0)),
-     (np.zeros(3),), 5),
+     (np.zeros(3),), 4),
 ], ids=["t1-witness", "t1-cex", "t3-witness", "t3-cex", "t2-witness", "t2-cex"])
 def test_cone_checks_solve_once_per_stage(monkeypatch, check, inner, outer, args,
                                           solves):
     # at the check defaults: t1 makes its graze, cone-intersection,
     # line-minimum and tangent-plane solves, t3 its two sweeps and one
-    # line-minimum solve, t2 at the centre its sweep and three Radon solves,
+    # line-minimum solve, t2 at the centre its sweep and two Radon solves,
     # and on the l4 ball one ray exit for the apex pairs; a per-line loop
     # would make dozens
     calls = _count_solves(monkeypatch)

@@ -40,6 +40,7 @@ from oracles import (
     ellipsoid_section_center,
     lp_plane_conjugate,
     polytope_section_support_lp,
+    radon_three_solves,
 )
 
 
@@ -685,7 +686,7 @@ def _count_solve_rows(monkeypatch):
 def test_radon_runs_min_k_cross_pairs_birkhoff_pairs(monkeypatch, k, cross_pairs,
                                                      pairs):
     """Each section adds its 2k conjugate contacts and its `pairs` Birkhoff
-    y points to the support_point2 solve, and its 2k closure sides and
+    y points to the norm gate's symmetry solve, and its 2k closure sides and
     2 * pairs Birkhoff normals (each pair both ways) to the support2 solve."""
     body = Ellipsoid.from_semi_axes([1.0, 2.0, 3.0])
     cut = lambda: [section(body, Hyperplane(normalize(np.array(nrm)), 0.0))
@@ -695,15 +696,15 @@ def test_radon_runs_min_k_cross_pairs_birkhoff_pairs(monkeypatch, k, cross_pairs
         rows.clear()
         assert is_radon_curve(sec, k=k, cross_pairs=cross_pairs).ok
         # the norm gate's 2 x 96 symmetry rows and 32 width rows
-        assert rows == [2 * 96 + 32, 2 * k + pairs, 2 * k + 2 * pairs]
+        assert rows == [2 * 96 + 32 + 2 * k + pairs, 2 * k + 2 * pairs]
     rows.clear()
     assert all(rr.ok for rr in is_radon_curve(cut(), k=k, cross_pairs=cross_pairs))
-    assert rows == [3 * (2 * 96 + 32), 3 * (2 * k + pairs), 3 * (2 * k + 2 * pairs)]
+    assert rows == [3 * (2 * 96 + 32 + 2 * k + pairs), 3 * (2 * k + 2 * pairs)]
 
 
 def test_radon_section_calls_do_not_grow_with_k(monkeypatch):
     """The k diameters and the Birkhoff pairs of every section are rows of
-    three restriction solves and two ray exits, whatever k and however many
+    two restriction solves and two ray exits, whatever k and however many
     sections: the section oracles are not called one section at a time."""
     calls = []
     for name in ("support2", "support_point2", "boundary2", "gauge2"):
@@ -725,11 +726,11 @@ def test_radon_section_calls_do_not_grow_with_k(monkeypatch):
         assert not any(rr.ok for rr in np.atleast_1d(results))
         return sorted(calls)
 
-    # one solve each: the norm gate's symmetry fit with the diameter rows,
-    # the conjugate contacts with the Birkhoff pairs' y, and the closure
-    # sides with the Birkhoff normals; one ray exit for the diameters' ends
-    # and one for the Birkhoff gauges
-    want = ["find_root"] * 3 + ["ray_exit"] * 2
+    # one solve each: the norm gate's symmetry fit with the width rows, the
+    # conjugate contacts and the Birkhoff pairs' y, and the closure sides
+    # with the Birkhoff normals; one ray exit for the diameters' ends and
+    # one for the Birkhoff gauges
+    want = ["find_root"] * 2 + ["ray_exit"] * 2
     assert counts(16, 1) == counts(128, 1) == want
     assert counts(16, 4) == counts(128, 6) == want
 
@@ -776,6 +777,76 @@ def test_radon_list_keeps_a_slot_for_an_asymmetric_section(l4_unit):
     assert not second.ok and second.worst_defect > 0.05
     assert is_radon_curve([tilted], k=16) == [None]
     assert is_radon_curve([], k=16) == []
+
+
+def _central_sections(body, count):
+    return [section(body, Hyperplane.from_point_normal(body.center, nrm))
+            for nrm in sphere_directions(3, count, seed=0)]
+
+
+def _radon_reference_sections(case):
+    """Fresh sections for one case of the two-solve reference test, so that
+    no diameter2 is cached between the two routes."""
+    l4 = PBall(4.0, (1.0, 1.0, 1.0))
+    if case == "ellipsoid-off-centre":
+        return _row_sections(_ROW_BODIES["ellipsoid"])[1:]
+    if case == "l4":
+        # in the z = 0 plane every restriction row's minimiser has a zero
+        # coordinate, where the support map of l4 has unbounded slope
+        return _central_sections(l4, 6) + [
+            section(l4, Hyperplane(np.array([0.0, 0.0, 1.0]), 0.0))]
+    if case == "octahedron":
+        return _central_sections(Polytope(np.vstack([np.eye(3), -np.eye(3)])), 3)
+    if case == "affine-l3":
+        return _central_sections(
+            AffineImage(*random_affine(5), PBall(3.0, (1.0, 0.8, 1.2))), 3)
+    nrm = normalize(np.array([-0.4, 0.0, 1.0]))
+    tilted = section(l4, Hyperplane(nrm, 0.3 * nrm[2]))
+    return [tilted, section(l4, Hyperplane(np.array([0.0, 0.0, 1.0]), 0.0)),
+            section(l4, Hyperplane(nrm, 0.3 * nrm[2]))]
+
+
+def _reference_or_none(sec, **kw):
+    try:
+        return radon_three_solves(sec, **kw)
+    except NotANorm:
+        return None
+
+
+def _assert_radon_agrees(got, want):
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    assert (got.ok, got.conjugacy_ok, got.normality_ok) == (
+        want.ok, want.conjugacy_ok, want.normality_ok)
+    assert np.array_equal(got.center, want.center)
+    assert abs(got.worst_defect - want.worst_defect) <= 1e-14
+    assert abs(got.worst_asymmetry - want.worst_asymmetry) <= 1e-14
+    assert got.detail == want.detail
+
+
+@pytest.mark.parametrize("case", ["ellipsoid-off-centre", "l4", "octahedron",
+                                  "affine-l3", "asymmetric-slot"])
+def test_radon_two_solves_equal_three_solve_reference(case):
+    """is_radon_curve takes each diameter's conjugate contacts at
+    +-rot90(u) in the norm gate's symmetry solve; the three-solve reference
+    takes them after the diameters' ray exits, at the normals of the chords
+    those ends span. The two agree on every flag and centre bit for bit,
+    and on every defect and asymmetry within 1e-14, as a list (an
+    asymmetric section keeps its None slot) and one section at a time."""
+    kw = dict(k=64, seed=2)
+    got = is_radon_curve(_radon_reference_sections(case), **kw)
+    want = radon_three_solves(_radon_reference_sections(case), **kw)
+    assert len(got) == len(want)
+    for one_got, one_want in zip(got, want):
+        _assert_radon_agrees(one_got, one_want)
+    assert any(one is not None for one in got)
+    if case == "asymmetric-slot":
+        assert got[0] is None and got[2] is None and got[1] is not None
+    for sec_got, sec_want in zip(_radon_reference_sections(case),
+                                 _radon_reference_sections(case)):
+        _assert_radon_agrees(_radon_or_none(sec_got, **kw),
+                             _reference_or_none(sec_want, **kw))
 
 
 def test_batched_support_point_failure_names_section_and_row(ellipsoid149):

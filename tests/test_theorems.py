@@ -645,9 +645,9 @@ def test_t4_restriction_solves_do_not_grow_with_samples(monkeypatch):
         _assert_clean(check_theorem4(Ellipsoid.ball(2.0), 1.0,
                                      samples=samples, m=16))
         counts.append(len(solves))
-    # the margin and symmetry stages together, the orthogonality stage, and
-    # one support-point solve over every midpoint locus
-    assert counts == [3, 3]
+    # the margin and symmetry stages together, and the orthogonality stage
+    # with every midpoint locus's support points
+    assert counts == [2, 2]
 
 
 _T4_AFFINE = AffineImage(np.array([[1.2, 0.3, 0.0], [0.0, 1.0, 0.2],
@@ -656,14 +656,14 @@ _T4_AFFINE = AffineImage(np.array([[1.2, 0.3, 0.0], [0.0, 1.0, 0.2],
 
 
 @pytest.mark.parametrize("body, most", [
-    (Ellipsoid.ball(2.0), 3),
-    (PBall(4.0, (2.0, 2.0, 2.0)), 6),
-    (_T4_AFFINE, 7),
+    (Ellipsoid.ball(2.0), 2),
+    (PBall(4.0, (2.0, 2.0, 2.0)), 5),
+    (_T4_AFFINE, 6),
 ], ids=["ball", "l4", "affine-ball"])
 def test_t4_solves_once_per_stage(monkeypatch, body, most):
     """Every find_root of t4, in any module: the two section solves (the
-    ball margin joins the tangent sections' symmetry) and the loci's
-    support points, plus, off the ellipsoid's closed-form rays,
+    ball margin joins the tangent sections' symmetry, the loci's support
+    points the grid's), plus, off the ellipsoid's closed-form rays,
     one ray exit each for the tangent-section clouds, the translation
     stage, the loci's chords and the scaled sections (skipped on l4)."""
     calls = []
@@ -678,8 +678,56 @@ def test_t4_solves_once_per_stage(monkeypatch, body, most):
         calls.clear()
         check_theorem4(body, 0.8, samples=samples, m=16)
         counts.append(len(calls))
-    # the ball's 3 restriction solves are pinned above, so it makes exactly 3
+    # the ball's 2 restriction solves are pinned above, so it makes exactly 2
     assert counts[0] == counts[1] <= most
+
+
+@pytest.mark.parametrize("body", [PBall(4.0, (2.0, 2.0, 2.0)), _T4_AFFINE],
+                         ids=["l4", "affine-ball"])
+def test_t4_locus_points_from_the_grid_solve_equal_support_point2(monkeypatch,
+                                                                  body):
+    """t4 takes each grid section's support points at +-e2, e2 the chart
+    normal of its chord direction u x v, in the grid's symmetry solve. Its
+    rows are each section's own (e2 derived here from the section's plane
+    and u, to rounding), the points equal _support_point2 on the same rows
+    bit for bit, and the grid's symmetry results equal central_symmetry's.
+    Each locus's outermost chords start 0.8 of the way from its section's
+    centre to that section's own points."""
+    merged, chords = [], []
+
+    def recorded(secs, *args, **kwargs):
+        out = planar._central_symmetry(secs, *args, **kwargs)
+        if "points" in kwargs:
+            merged.append((secs, kwargs["points"], out))
+        return out
+
+    def exits(body, base, d):
+        if np.ndim(d) == 4:  # the loci's chords: (2, loci, 1, 3) directions
+            chords.append(base)
+        return bodies.ray_exit(body, base, d)
+    monkeypatch.setattr(theorems, "_central_symmetry", recorded)
+    monkeypatch.setattr(theorems, "ray_exit", exits)
+    samples, m, seed = 4, 16, 0
+    check_theorem4(body, 0.8, samples=samples, m=m, seed=seed)
+    ((secs, points, (syms, _, q)),) = merged
+    (bases,) = chords
+    us = sphere_directions(3, samples, seed=seed)
+    assert len(secs) == 32  # 8 directions v about each of the first 4 phi(u)
+    e2 = []
+    for j, sec in enumerate(secs):
+        d_w = np.cross(us[j // 8], sec.plane.normal)
+        d2 = normalize(sec.basis @ (d_w / float(np.linalg.norm(d_w))))
+        e2.append([[-d2[1], d2[0]], [d2[1], -d2[0]]])
+    e2 = np.array(e2)
+    assert np.abs(points - e2).max() <= 1e-14
+    assert np.array_equal(q, planar._support_point2(secs, points))
+    for i, j in enumerate(range(0, 32, 8)):
+        c2 = syms[j].center
+        far = [secs[j].to_world(c2 + 0.8 * (q_j - c2)) for q_j in q[j]]
+        assert np.abs(bases[i, [-1, 0]] - far).max() <= 1e-12
+    fresh = central_symmetry(secs, tol=syms[0].tol, m=m, seed=seed)
+    assert all(np.array_equal(a.center, b.center) and a.residual == b.residual
+               for a, b in zip(syms, fresh))
 
 
 def _tangent_sections(body, radius, count):
@@ -733,22 +781,22 @@ def test_checks_pass_section_rows_as_stacks():
             assert not layout.search(line), "theorems.py:%d: %s" % (n, line)
 
 
-def test_radon_stages_make_three_restriction_solves(monkeypatch, ellipsoid149):
+def test_radon_stages_make_two_restriction_solves(monkeypatch, ellipsoid149):
     """The radon check's and t2's radon stages test all their sections in
-    one is_radon_curve call: three restriction solves, whatever the number
+    one is_radon_curve call: two restriction solves, whatever the number
     of sections (the radon check made 5 per section before)."""
     solves = _count_restriction_solves(monkeypatch)
     for planes, diameters in ((2, 32), (6, 128)):
         solves.clear()
         _assert_clean(check_theorem_radon(ellipsoid149, planes=planes,
                                           diameters=diameters))
-        assert len(solves) == 3
+        assert len(solves) == 2
     solves.clear()
     report = check_theorem2(Ellipsoid.ball(2.0 ** -0.5), Ellipsoid.ball(1.0),
                             np.zeros(3), apexes=4, m=24, chords=8, radon_k=16)
     _assert_clean(report)
     assert _stage(report, "sections-are-radon").verdict == "pass"
-    assert len(solves) == 3
+    assert len(solves) == 2
 
 
 def test_basico_shadow_stage_is_one_tangency_sweep(monkeypatch, ellipsoid149):
