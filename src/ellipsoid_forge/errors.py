@@ -93,17 +93,6 @@ class NotANorm(GeometryError):
     """Section is not origin-symmetric within gate, so it induces no norm."""
 
 
-class NotFound(GeometryError):
-    """Conjugate-diameter search closed nothing within tolerance.
-
-    Carries the minimal closure defect that was observed.
-    """
-
-    def __init__(self, message, defect=None):
-        super().__init__(message)
-        self.defect = defect
-
-
 # theorems
 class PointOnBoundary(GeometryError):
     """Pole candidate sits on the boundary, where the polar degenerates."""

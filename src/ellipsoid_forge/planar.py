@@ -17,15 +17,16 @@ to_world, to_chart) take rows like the body oracles. The restriction
 minimizer serves all the rows of a call at once, each row with its own
 plane: on a smooth body in one vectorised Chandrupatla solve
 (numeric.find_root), on a non-smooth one in tie steps over the rows still
-unsettled, no more than the polytope has vertices. The module functions
-behind the oracles (_support2, _support_point2, _boundary2, _gauge2) take
-a stack of rows for several sections of one body, shape (S, ..., 2) with
-the rows of secs[i] at [i], and return their results in the same layout,
+unsettled, no more than the polytope has vertices. One restriction solve
+is a _Restriction, and one ray exit a _boundary2 or _gauge2 call: each
+takes a stack of rows for several sections of one body, shape (S, ..., 2)
+with the rows of secs[i] at [i], and gives its results in the same layout,
 so that one solve or one ray exit serves them all; a section's own oracle
-is the call on a stack of one. conjugate_diameter and birkhoff_normal take
-rows, central_symmetry solves a list of sections at once, and is_radon_curve
-tests a list of sections in two restriction solves and two ray exits,
-whatever k and however many sections.
+is the call on a stack of one. birkhoff_normal takes rows, central_symmetry
+solves a list of sections at once, and its solve also takes the rows that
+a caller knows before it; is_radon_curve so tests a list of sections in
+two restriction solves and two ray exits, whatever k and however many
+sections.
 """
 
 from dataclasses import dataclass, field
@@ -34,7 +35,7 @@ import numpy as np
 
 from .bodies import ray_exit
 from .errors import (EndpointNotOnBoundary, GeometryError, NoSignChange,
-                     NotANorm, NotFound, PlaneMissesBody, UnsupportedDimension)
+                     NotANorm, PlaneMissesBody, UnsupportedDimension)
 from .numeric import (_value, angle_between, check_roots, find_root,
                       normalize, require_sizes, unit_frame)
 from .projective import Hyperplane
@@ -53,9 +54,10 @@ def _where(rows, index=None):
     """where(r), naming flat row r of a stack of rows, shape (S, k..., 2):
     ' at section i, row j', with i = r // k (index[i] when index renames the
     sections) and j = r % k, over two or more sections or with an index;
-    else _row_note's flat index in the one section's rows. In a merged
-    solve (see _central_symmetry) j counts from the section's first
-    symmetry row, so a joined row's j is its place after those rows."""
+    else _row_note's flat index in the one section's rows. In
+    _central_symmetry's solve j counts from the section's first symmetry
+    row, so a caller's row j is its place after the symmetry and width
+    rows."""
     if index is None and len(rows) < 2:
         return lambda r: _row_note(r, rows[0])
     k = np.prod(rows.shape[1:-1], dtype=int)
@@ -111,10 +113,10 @@ class PlanarSection:
         return np.matvec(self.basis, np.asarray(z, dtype=float) - self.origin)
 
     def support2(self, w):
-        return _value(_support2([self], [w])[0])
+        return _value(_Restriction([self], [w]).values()[0])
 
     def support_point2(self, w):
-        return _support_point2([self], [w])[0]
+        return _Restriction([self], [w]).points()[0]
 
     def boundary2(self, d2, base2=None):
         """Section boundary point from base2 (default: chart origin) along d2."""
@@ -231,10 +233,10 @@ class _SectionRows:
     """A stack w2 of chart rows, shape (S, ..., 2) with the rows of secs[i]
     at w2[i], laid out for one restriction solve or one ray exit over
     sections of one body; ValueError for sections of two bodies or another
-    leading axis. Each section's chart origin, and from plane() its plane
-    normal and offset, are (S, 1..., ·) arrays that broadcast over its block
-    of rows. where(r) names a failed row (see _where, whose index renames
-    the sections)."""
+    leading axis. Each section's chart origin is an (S, 1..., 3) array
+    that broadcasts over its block of rows, block its shape but the last
+    axis. where(r) names a failed row (see _where, whose index renames the
+    sections)."""
 
     def __init__(self, secs, w2, index=None):
         self.body = secs[0].body
@@ -249,11 +251,6 @@ class _SectionRows:
         self.origin = np.array([sec.origin for sec in secs]).reshape(self.block + (-1,))
         self.world = self.each(lambda sec, w: np.vecmat(w, sec.basis), w2)
         self.where = _where(w2, index)
-
-    def plane(self):
-        """The plane normals and offsets, which only a restriction solve needs."""
-        return (np.array([sec.plane.normal for sec in self.secs]).reshape(self.block + (-1,)),
-                np.array([sec.plane.offset for sec in self.secs]).reshape(self.block))
 
     def each(self, f, x):
         """f(sec, x[i]) over the sections and their blocks of the stack x,
@@ -270,15 +267,17 @@ class _SectionRows:
 
 class _Restriction:
     """One restriction solve over the stack w2 of chart rows (see
-    _SectionRows): the minimiser t of every row, from which values() gives
-    support2 and points() support_point2 at the rows of any cut of the
-    last row axis. A failed row is named by its section and its row there
+    _SectionRows), each row on its section's plane: the minimiser t of
+    every row, from which values() gives support2 and points()
+    support_point2 at the rows of any cut of the last row axis, in the
+    stack's layout. A failed row is named by its section and its row there
     over two or more sections or with an index, its row counted in the whole
     stack."""
 
     def __init__(self, secs, w2, index=None):
         rows = self.rows = _SectionRows(secs, w2, index)
-        self.n, self.d = rows.plane()
+        self.n = np.array([sec.plane.normal for sec in secs]).reshape(rows.block + (-1,))
+        self.d = np.array([sec.plane.offset for sec in secs]).reshape(rows.block)
         self.t, self.tied = _restriction_minimizer(rows.body, rows.world, self.n,
                                                    self.d, rows.where)
 
@@ -304,19 +303,6 @@ class _Restriction:
         same = np.equal(da, db)
         frac = np.expand_dims(da / np.where(same, 1.0, da - db), -1)
         return rows.to_chart(np.where(same[..., None], a, a + frac * (b - a)))
-
-
-def _support2(secs, w2, index=None):
-    """support2 of each row of the stack w2 (see _SectionRows), from one
-    restriction solve; a failed row is named by its section and its row
-    there over two or more sections or with an index."""
-    return _Restriction(secs, w2, index).values()
-
-
-def _support_point2(secs, w2, index=None):
-    """support_point2 of each row of the stack w2, from one restriction
-    solve, as _support2."""
-    return _Restriction(secs, w2, index).points()
 
 
 def _boundary2(secs, d2, base2=None, index=None):
@@ -393,49 +379,44 @@ def central_symmetry(sec, tol=1e-7, m=96, seed=0):
     secs = sec if isinstance(sec, list) else [sec]
     if not secs:
         return []
-    results, *_ = _central_symmetry(secs, tol, m, seed)
+    results, _ = _central_symmetry(secs, tol, m, seed)
     return results if isinstance(sec, list) else results[0]
 
 
-#: no extra rows, for _central_symmetry
+#: no caller rows, for _central_symmetry
 _NO_ROWS = np.empty((0, 2))
 
 
-def _central_symmetry(secs, tol, m, seed, extra=_NO_ROWS, points=_NO_ROWS):
-    """central_symmetry's results for the list secs, and the rows of later
-    solves that are known before this one, solved with it: each section's
-    support2 at the (k, 2) rows extra, shape (S, k), and its support_point2
-    at the rows points, shape (S, p, 2), or None when points has no rows.
-    points is (p, 2), shared by every section, or (S, p, 2), a block per
-    section. These rows follow the symmetry and width rows in the one
-    restriction solve; a failed row is named as _support2 names it,
-    counting from the first symmetry row."""
+def _central_symmetry(secs, tol, m, seed, rows=_NO_ROWS):
+    """central_symmetry's results for the list secs, and its _Restriction,
+    which also solves the rows a caller knows before it: (p, 2) rows
+    shared by every section, or an (S, p, 2) block per section. They
+    follow the symmetry and width rows, so the caller reads them at
+    slice(-p, None), with solve.values for support2 or solve.points for
+    support_point2; a failed row is named counting from the first symmetry
+    row."""
     rng = np.random.default_rng(seed)
     th = rng.uniform(0.0, np.pi / m) + np.pi * np.arange(m) / m
     u = np.column_stack([np.cos(th), np.sin(th)])
-    rows = 2.0 * u
     dirs = [u, -u]
     if any(s._diameter2 is None for s in secs):
         dirs.append(_width_rows())
-    dirs = np.concatenate(dirs + [extra])
-    w2 = np.broadcast_to(dirs, (len(secs),) + dirs.shape)
-    point_rows = points.shape[-2]
-    if point_rows:
-        points = np.broadcast_to(points, (len(secs),) + points.shape[-2:])
-        w2 = np.concatenate([w2, points], axis=1)
-    solve = _Restriction(secs, w2)
+    dirs = np.concatenate(dirs)
+    solve = _Restriction(secs, np.concatenate(
+        [np.broadcast_to(dirs, (len(secs),) + dirs.shape),
+         np.broadcast_to(rows, (len(secs),) + rows.shape[-2:])], axis=1))
     hs = solve.values(slice(len(dirs)))
+    lhs = 2.0 * u
     results = []
     for s, h in zip(secs, hs):
         if s._diameter2 is None:
             s._diameter2 = _width(h[2 * m:2 * m + 32])
         rhs = h[:m] - h[m:2 * m]
-        c, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-        residual = float(np.abs(rhs - rows @ c).max()) / s.diameter2()
+        c, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+        residual = float(np.abs(rhs - lhs @ c).max()) / s.diameter2()
         results.append(SymmetryResult(bool(residual <= tol), c, s.to_world(c),
                                       residual, tol))
-    return (results, hs[:, len(dirs) - len(extra):],
-            solve.points(slice(len(dirs), None)) if point_rows else None)
+    return results, solve
 
 
 def affine_diameter_residual(sec, a2, b2):
@@ -468,14 +449,6 @@ def _chords(a2, b2, diam, where):
     return chord, length
 
 
-def _contact_normals(a2, b2, diam, where):
-    """Unit normals rot90 of the chords [a, b], which the circumscribed
-    parallelogram's sides parallel to each chord have; ValueError for a
-    degenerate chord, as _chords."""
-    chord, length = _chords(a2, b2, diam, where)
-    return _rot90(chord / np.expand_dims(length, -1))
-
-
 def _closure_normals(q_plus, q_minus, n_d, diam):
     """Unit normal n_p of each candidate conjugate [q-, q+] and whether its
     contacts are apart. A row whose contacts coincide has no conjugate: it
@@ -497,36 +470,6 @@ def _closure_defect(a2, b2, n_p, apart, h_plus, h_minus, diam):
     defect = np.maximum(h_plus - np.maximum(sa, sb),
                         h_minus + np.minimum(sa, sb)) / diam
     return np.where(apart, np.maximum(defect, 0.0), np.inf)
-
-
-def conjugate_diameter(sec, a2, b2, contact_tol=1e-8):
-    """Conjugate affine diameter via the circumscribed parallelogram.
-
-    The sides parallel to the chord [a,b] are forced: they touch at the
-    support points q± with normals ±rot90(dir). The candidate conjugate is
-    the chord [q-, q+]; the parallelogram closes iff the sides parallel to it
-    support the figure at a and b, and the closure defect is exactly that
-    contact residual. Returns ((q-, q+), defect) or raises NotFound carrying
-    the defect. a2 and b2 may be (..., 2) rows of chords, solved in one
-    support_point2 and one support2 call: then q± and the defect are rows,
-    and NotFound, raised when any row fails, carries the defect of every row
-    (inf where the contacts coincide).
-    """
-    a2 = np.asarray(a2, dtype=float)
-    b2 = np.asarray(b2, dtype=float)
-    diam = sec.diameter2()
-    n_d = _contact_normals(a2, b2, diam, lambda r: _row_note(r, b2 - a2))
-    q_plus, q_minus = sec.support_point2(np.stack([n_d, -n_d]))
-    n_p, apart = _closure_normals(q_plus, q_minus, n_d, diam)
-    h_plus, h_minus = sec.support2(np.stack([n_p, -n_p]))
-    defect = _closure_defect(a2, b2, n_p, apart, h_plus, h_minus, diam)
-    failed = np.flatnonzero(defect > contact_tol)
-    if failed.size:
-        r = failed[np.argmax(defect.ravel()[failed])]
-        why = ("parallelogram closure defect %.3e" % defect.ravel()[r]
-               if apart.ravel()[r] else "conjugate contacts coincide")
-        raise NotFound(why + _row_note(r, n_d), defect=_value(defect))
-    return (q_minus, q_plus), _value(defect)
 
 
 @dataclass
@@ -636,8 +579,8 @@ def is_radon_curve(sec, k=128, contact_tol=1e-8, seed=0, cross_pairs=16):
     # Their contacts, and the Birkhoff pairs' second vectors at n_d[pairs],
     # join the norm gate's symmetry solve as support points
     n_d = _rot90(u)
-    syms, _, q = _central_symmetry(secs, _NORM_TOL, 96, 0,
-                                   points=np.concatenate([n_d, -n_d, n_d[pairs]]))
+    contacts = np.concatenate([n_d, -n_d, n_d[pairs]])
+    syms, solve = _central_symmetry(secs, _NORM_TOL, 96, 0, rows=contacts)
     if not listed:
         _norm_gate(syms[0])
     live = np.flatnonzero([sym.ok for sym in syms])
@@ -649,7 +592,7 @@ def is_radon_curve(sec, k=128, contact_tol=1e-8, seed=0, cross_pairs=16):
     index = live if len(secs) > 1 else None
     c2 = np.stack([syms[i].center for i in live])[:, None]
     diam = np.array([sec.diameter2() for sec in secs_l])[:, None]
-    q = q[live]
+    q = solve.points(slice(-len(contacts), None))[live]
 
     d2 = np.concatenate([u, -u])
     ends = _boundary2(secs_l, np.broadcast_to(d2, (len(live),) + d2.shape), c2, index)
@@ -661,7 +604,8 @@ def is_radon_curve(sec, k=128, contact_tol=1e-8, seed=0, cross_pairs=16):
     x, y = np.concatenate([xs, ys], axis=1), np.concatenate([ys, xs], axis=1)
     nx = _gauge2(secs_l, x, c2, index)
     n_b = _birkhoff_normals(x, y, nx, _where(x, index))
-    h = _support2(secs_l, np.concatenate([n_p, -n_p, n_b], axis=1), index)
+    h = _Restriction(secs_l, np.concatenate([n_p, -n_p, n_b], axis=1),
+                     index).values()
     defect = _closure_defect(e_minus, e_plus, n_p, apart, h[:, :k],
                              h[:, k:2 * k], diam)
     normal, ratio = _birkhoff_ratio(x, nx, n_b, h[:, 2 * k:], c2)

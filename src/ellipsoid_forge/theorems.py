@@ -44,7 +44,7 @@ from .numeric import (
     sphere_directions,
     unit_frame,
 )
-from .planar import (_boundary2, _central_symmetry,
+from .planar import (_boundary2, _central_symmetry, _rot90,
                      affine_diameter_residual, central_symmetry, is_radon_curve,
                      section)
 from .projective import HPoint, Hyperplane, fit_hyperplane_projective
@@ -745,7 +745,8 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
 
     # the margin rows join the tangent sections' symmetry solve
     v2 = circle_directions(32, seed=seed)
-    syms, hs, _ = _central_symmetry(secs, tol["symmetry"], m, seed, v2)
+    syms, solve = _central_symmetry(secs, tol["symmetry"], m, seed, rows=v2)
+    hs = solve.values(slice(-len(v2), None))
     min_margin = min(
         float((h - np.vecdot(sec.to_chart(o + r * u), v2) - r).min())
         for u, sec, h in zip(us, secs, hs))
@@ -783,9 +784,10 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
     d_w = np.array([d / float(np.linalg.norm(d))
                     for d in (np.cross(us[i], v) for i, v, _ in grid)])
     d2 = [normalize(sec.basis @ d) for sec, d in zip(secs_v, d_w)]
-    e2 = np.array([[-d[1], d[0]] for d in d2])[:, None]
-    syms, _, q = _central_symmetry(secs_v, tol["symmetry"], m, seed,
-                                   points=np.concatenate([e2, -e2], axis=1))
+    e2 = _rot90(np.array(d2))[:, None]
+    syms, solve = _central_symmetry(secs_v, tol["symmetry"], m, seed,
+                                    rows=np.concatenate([e2, -e2], axis=1))
+    q = solve.points(slice(-2, None))
     worst_orth = 0.0
     for (i, _, _), sym_v in zip(grid, syms):
         phi_v = 2.0 * (np.asarray(sym_v.center_world) - o)

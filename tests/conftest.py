@@ -4,12 +4,34 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ellipsoid_forge import AffineImage, Ellipsoid, PBall
+from ellipsoid_forge import AffineImage, Ellipsoid, PBall, bodies, cones, planar, theorems
+from ellipsoid_forge.numeric import find_root
 
 # every property test draws the same examples on every run, so two runs of
 # one commit test the same inputs; a slow example is not a failure
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
+
+
+class SolveLog(list):
+    """(module, rows) of each find_root call, in call order."""
+
+    def rows(self, module):
+        """The row counts of the solves that module made."""
+        return [rows for mod, rows in self if mod == module]
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """A SolveLog that every find_root call of bodies, cones, planar and
+    theorems appends to while the test runs."""
+    log = SolveLog()
+    for mod in (bodies, cones, planar, theorems):
+        def counted(f, init, *args, _name=mod.__name__.rsplit(".", 1)[-1], **kwargs):
+            log.append((_name, len(init[0])))
+            return find_root(f, init, *args, **kwargs)
+        monkeypatch.setattr(mod, "find_root", counted)
+    return log
 
 
 @pytest.fixture(scope="session")

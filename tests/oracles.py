@@ -14,11 +14,10 @@ from scipy.optimize import linprog, minimize_scalar
 from ellipsoid_forge import Line, graze
 from ellipsoid_forge.bodies import ray_exit
 from ellipsoid_forge.errors import NotANorm
-from ellipsoid_forge.planar import (RadonResult, _NORM_TOL, _birkhoff_normals,
-                                    _birkhoff_ratio, _boundary2, _closure_defect,
-                                    _closure_normals, _contact_normals, _gauge2,
-                                    _rot90, _support2, _support_point2, _where,
-                                    central_symmetry)
+from ellipsoid_forge.planar import (RadonResult, _NORM_TOL, _Restriction,
+                                    _birkhoff_normals, _birkhoff_ratio, _boundary2,
+                                    _chords, _closure_defect, _closure_normals,
+                                    _gauge2, _rot90, _where, central_symmetry)
 
 
 def ball_graze(radius, apex_dist):
@@ -218,15 +217,16 @@ def radon_three_solves(sec, k=128, contact_tol=1e-8, seed=0, cross_pairs=16):
     d2 = np.concatenate([u, -u])
     ends = _boundary2(secs_l, np.broadcast_to(d2, (len(live),) + d2.shape), c2, index)
     e_plus, e_minus = ends[:, :k], ends[:, k:]
-    n_d = _contact_normals(e_minus, e_plus, diam, _where(e_plus, index))
+    chord, length = _chords(e_minus, e_plus, diam, _where(e_plus, index))
+    n_d = _rot90(chord / length[..., None])
     y_dirs = np.broadcast_to(_rot90(u[pairs]), (len(live), p, 2))
-    q = _support_point2(secs_l, np.concatenate([n_d, -n_d, y_dirs], axis=1), index)
+    q = _Restriction(secs_l, np.concatenate([n_d, -n_d, y_dirs], axis=1), index).points()
     n_p, apart = _closure_normals(q[:, :k], q[:, k:2 * k], n_d, diam)
     xs, ys = e_plus[:, pairs] - c2, q[:, 2 * k:] - c2
     x, y = np.concatenate([xs, ys], axis=1), np.concatenate([ys, xs], axis=1)
     nx = _gauge2(secs_l, x, c2, index)
     n_b = _birkhoff_normals(x, y, nx, _where(x, index))
-    h = _support2(secs_l, np.concatenate([n_p, -n_p, n_b], axis=1), index)
+    h = _Restriction(secs_l, np.concatenate([n_p, -n_p, n_b], axis=1), index).values()
     defect = _closure_defect(e_minus, e_plus, n_p, apart, h[:, :k],
                              h[:, k:2 * k], diam)
     normal, ratio = _birkhoff_ratio(x, nx, n_b, h[:, 2 * k:], c2)

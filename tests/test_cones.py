@@ -26,6 +26,7 @@ from ellipsoid_forge import (
 from ellipsoid_forge.errors import (
     ApexInsideBody,
     CoincidentApexes,
+    DegenerateCone,
     GeometryError,
     LineMissesBody,
     NoSignChange,
@@ -187,6 +188,29 @@ def test_cone_intersection_error_paths(unit_ball):
     with pytest.raises(LineMissesBody):
         cone_intersection(unit_ball, np.array([2.0, 2.0, 0.0]),
                           np.array([2.0, 2.0, 5.0]))
+
+
+def test_cone_intersection_parallel_tangent_rays(unit_ball):
+    """Apexes on the planes z = -1 and z = 1 that support the unit ball, on
+    a line off the centre along v: in the sweep plane turned to -v the
+    tangent rays of both apexes run along -v to the poles, parallel. That
+    plane is read from the sweep frame of a good pair on the same axis."""
+    good = cone_intersection(unit_ball, [0.0, 0.0, -3.0], [0.0, 0.0, 3.0], m=8)
+    (f0, f1), a = np.array(good.meta["frame"]), good.meta["angles"][0]
+    v = np.cos(a) * f0 + np.sin(a) * f1
+    with pytest.raises(DegenerateCone, match="^tangent rays are parallel in "
+                       "sweep plane 4$"):
+        cone_intersection(unit_ball, 0.5 * v - [0.0, 0.0, 1.0],
+                          0.5 * v + [0.0, 0.0, 1.0], m=8)
+
+
+def test_cone_intersection_tangent_rays_meeting_behind_an_apex(unit_ball):
+    """Apexes inside the slab |z| < 1, off the centre: in a sweep plane
+    turned across the centre each apex's tangent ray leans away from the
+    other apex, so the two rays meet only behind the apexes."""
+    with pytest.raises(DegenerateCone,
+                       match=r"^tangent rays meet behind an apex \(plane \d+\)$"):
+        cone_intersection(unit_ball, [0.8, 0.0, -0.9], [0.8, 0.0, 0.9], m=8)
 
 
 def test_cone_intersection_apex_line_off_centre():
@@ -487,6 +511,17 @@ def test_write_curve_csv_round_trip(tmp_path, unit_ball):
     meta = json.loads((tmp_path / "curve.csv.meta.json").read_text())
     assert meta["curve"] == "graze"
     assert meta["seed"] == 0
+
+
+def test_cone_around_its_apex_has_no_bounded_section():
+    """Generators spread over a whole circle about the apex average to
+    nothing along their plane: no section orthogonal to their mean is
+    bounded."""
+    th = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    circle = np.column_stack([np.cos(th), np.sin(th), np.zeros(16)])
+    with pytest.raises(DegenerateCone, match="^no bounded section orthogonal "
+                       "to the mean generator$"):
+        is_ellipsoidal_cone(np.zeros(3), CurveSample(circle, np.zeros(16), {}))
 
 
 def test_curve_sample_validation():

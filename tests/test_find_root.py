@@ -161,7 +161,7 @@ def test_src_has_one_solver():
     assert defines == ["numeric.py"]
 
 
-@pytest.mark.parametrize("check, inner, outer, args, solves", [
+@pytest.mark.parametrize("check, inner, outer, args, count", [
     ("check_theorem1", Ellipsoid(np.zeros(3), np.diag([1.0, 4.0, 9.0])),
      Ellipsoid.ball(3.0), (), 4),
     ("check_theorem1", PBall(4.0, (0.5, 0.5, 0.5)), Ellipsoid.ball(2.0), (), 4),
@@ -173,63 +173,48 @@ def test_src_has_one_solver():
     ("check_theorem2", Ellipsoid.ball(0.5), PBall(4.0, (1.0, 1.0, 1.0)),
      (np.zeros(3),), 4),
 ], ids=["t1-witness", "t1-cex", "t3-witness", "t3-cex", "t2-witness", "t2-cex"])
-def test_cone_checks_solve_once_per_stage(monkeypatch, check, inner, outer, args,
-                                          solves):
+def test_cone_checks_solve_once_per_stage(solves, check, inner, outer, args,
+                                          count):
     # at the check defaults: t1 makes its graze, cone-intersection,
     # line-minimum and tangent-plane solves, t3 its two sweeps and one
     # line-minimum solve, t2 at the centre its sweep and two Radon solves,
     # and on the l4 ball one ray exit for the apex pairs; a per-line loop
     # would make dozens
-    calls = _count_solves(monkeypatch)
     getattr(theorems, check)(inner, outer, *args)
-    assert len(calls) == solves
+    assert len(solves) == count
 
 
-def _count_solves(monkeypatch):
-    """The list that every find_root call of the library appends to."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return find_root(*args, **kwargs)
-    for mod in (bodies, cones, planar, theorems):
-        monkeypatch.setattr(mod, "find_root", counted)
-    return calls
-
-
-def test_t2_solves_once_per_stage(monkeypatch):
+def test_t2_solves_once_per_stage(solves):
     """Off the centre of an l4 ball, at the check defaults: one ray exit for
     the apex pairs, the cone intersection's line-minimum and sweep solves,
     one ray exit for the matched clouds and one for the chord ends, the
     three chords' gauges and the Radon norm gate, whatever the apexes."""
-    calls = _count_solves(monkeypatch)
     counts = []
     for apexes in (4, 6, 12):
-        calls.clear()
+        solves.clear()
         theorems.check_theorem2(Ellipsoid.ball(0.5), PBall(4.0, (1.0, 1.0, 1.0)),
                                 [0.1, 0.05, -0.03], apexes=apexes)
-        counts.append(len(calls))
+        counts.append(len(solves))
     assert counts[0] == counts[1] == counts[2] <= 9
 
 
 _OCTAHEDRON = Polytope(np.vstack([np.eye(3), -np.eye(3)]))
 
 
-def test_polytope_restriction_rows_make_no_find_root_calls(monkeypatch):
+def test_polytope_restriction_rows_make_no_find_root_calls(solves):
     """A polytope's restriction rows finish at the support-vertex tie, so
     central_symmetry on central and off-centre sections of the octahedron,
     is_radon_curve on the central ones and the radon check call no
     find_root; on an ellipsoid the same central_symmetry is one."""
-    calls = _count_solves(monkeypatch)
     nrms = sphere_directions(3, 3, seed=1)
     central = [planar.section(_OCTAHEDRON, Hyperplane(nrm, 0.0)) for nrm in nrms]
     off = planar.section(_OCTAHEDRON, Hyperplane(nrms[0], 0.3))
     planar.central_symmetry(central + [off])
     planar.is_radon_curve(central, k=16)
     theorems.check_theorem_radon(_OCTAHEDRON, planes=2, diameters=16)
-    assert calls == []
+    assert solves == []
     planar.central_symmetry(planar.section(Ellipsoid.ball(1.0), off.plane))
-    assert len(calls) == 1
+    assert len(solves) == 1
 
 
 def test_tie_steps_that_never_settle_name_the_row(monkeypatch):
@@ -249,6 +234,6 @@ def test_tie_steps_that_never_settle_name_the_row(monkeypatch):
     w2 = np.broadcast_to([[1.0, 0.0], [0.3, -1.0]], (2, 2, 2))
     with pytest.raises(GeometryError, match=r"^restriction solve at section 5, "
                        r"row 0: the support points did not settle in 64 tie steps$"):
-        planar._support2(secs, w2, index=[5, 7])
+        planar._Restriction(secs, w2, index=[5, 7]).values()
     with pytest.raises(GeometryError, match=r"^restriction solve at section 0, row 0: "):
-        planar._support_point2(secs, w2)
+        planar._Restriction(secs, w2).points()

@@ -13,7 +13,6 @@ from ellipsoid_forge import (
     Polytope,
     birkhoff_normal,
     central_symmetry,
-    conjugate_diameter,
     affine_diameter_residual,
     is_radon_curve,
     section,
@@ -25,7 +24,6 @@ from ellipsoid_forge.errors import (
     NonFiniteInput,
     NonSmoothBody,
     NotANorm,
-    NotFound,
     PlaneMissesBody,
     UnsupportedDimension,
 )
@@ -345,20 +343,19 @@ def test_central_symmetry_list_equals_one_section_calls(kind):
 
 
 def test_central_symmetry_one_solve_and_width_rows_only_when_uncached(
-        monkeypatch, ellipsoid149):
-    rows = _count_solve_rows(monkeypatch)
+        solves, ellipsoid149):
     secs = _row_sections(ellipsoid149)
     secs[0].diameter2()
-    rows.clear()
+    solves.clear()
     central_symmetry(secs, m=24)
     # two uncached sections: the 32 width rows join every section's rows
-    assert rows == [3 * (48 + 32)]
-    rows.clear()
+    assert solves == [("planar", 3 * (48 + 32))]
+    solves.clear()
     central_symmetry(secs, m=24)
-    assert rows == [3 * 48]
-    rows.clear()
+    assert solves == [("planar", 3 * 48)]
+    solves.clear()
     assert central_symmetry([], m=24) == []
-    assert rows == []
+    assert solves == []
 
 
 def test_central_symmetry_list_needs_one_body(ellipsoid149, l4_unit):
@@ -373,7 +370,7 @@ def test_batched_restriction_failure_names_section_and_row(ellipsoid149):
     bad = np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(GeometryError,
                        match=r"restriction solve at section 2, row 1: "):
-        planar._support2(secs, np.stack([good, good, bad]))
+        planar._Restriction(secs, np.stack([good, good, bad]))
     # one section keeps its flat row index
     with pytest.raises(NoSignChange, match=r"restriction solve at row 1: "):
         secs[2].support2(bad)
@@ -461,69 +458,6 @@ def test_affine_diameter_needs_a_smooth_section(body):
         affine_diameter_residual(sec, sec.boundary2(d), sec.boundary2(-d))
 
 
-def test_conjugate_diameter_on_circle(unit_ball):
-    sec = section(unit_ball, Hyperplane(np.array([0.0, 0.0, 1.0]), 0.0))
-    a2, b2 = sec.boundary2(_dir2(0.5)), sec.boundary2(-_dir2(0.5))
-    (qm, qp), defect = conjugate_diameter(sec, a2, b2)
-    assert defect < 1e-9
-    # conjugate of a circle diameter is the perpendicular diameter
-    assert abs(float(qp @ (b2 - a2))) < 1e-8
-    assert np.allclose(qm, -qp, atol=1e-8)
-
-
-def test_conjugate_diameter_mutuality_on_ellipse():
-    body = Ellipsoid(np.zeros(3), np.diag([1.0, 4.0, 9.0]))
-    sec = section(body, Hyperplane(np.array([0.0, 0.0, 1.0]), 0.0))
-    a2, b2 = sec.boundary2(_dir2(0.9)), sec.boundary2(-_dir2(0.9))
-    (qm, qp), defect = conjugate_diameter(sec, a2, b2)
-    assert defect < 1e-8
-    (rm, rp), defect2 = conjugate_diameter(sec, qm, qp)
-    assert defect2 < 1e-8
-    d0 = (b2 - a2) / np.linalg.norm(b2 - a2)
-    d2 = (rp - rm) / np.linalg.norm(rp - rm)
-    assert min(np.linalg.norm(d2 - d0), np.linalg.norm(d2 + d0)) < 1e-6
-
-
-def test_conjugate_diameter_fails_on_l4(l4_central_section):
-    sec = l4_central_section
-    d = np.array([1.0, 0.5]) / np.linalg.norm([1.0, 0.5])
-    a2, b2 = sec.boundary2(-d), sec.boundary2(d)
-    with pytest.raises(NotFound) as exc:
-        conjugate_diameter(sec, a2, b2)
-    assert 0.02 < exc.value.defect < 0.07
-
-
-def test_conjugate_diameter_rows_equal_one_row_calls():
-    body = Ellipsoid(np.zeros(3), np.diag([1.0, 4.0, 9.0]))
-    sec = section(body, Hyperplane(np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0), 0.1))
-    c2 = central_symmetry(sec).center
-    d = np.array([_dir2(th) for th in (0.2, 0.9, 1.7, 2.6)])
-    a2, b2 = sec.boundary2(-d, base2=c2), sec.boundary2(d, base2=c2)
-    (qm, qp), defect = conjugate_diameter(sec, a2, b2)
-    assert qm.shape == qp.shape == (4, 2) and defect.shape == (4,)
-    for j in range(4):
-        (qm_j, qp_j), defect_j = conjugate_diameter(sec, a2[j], b2[j])
-        assert type(defect_j) is float
-        assert np.abs(qm[j] - qm_j).max() <= 1e-14
-        assert np.abs(qp[j] - qp_j).max() <= 1e-14
-        assert abs(defect[j] - defect_j) <= 1e-14
-
-
-def test_conjugate_diameter_rows_carry_every_defect(l4_central_section):
-    sec = l4_central_section
-    d = np.array([[1.0, 0.0], [1.0, 0.5]])
-    d /= np.linalg.norm(d, axis=1, keepdims=True)
-    a2, b2 = sec.boundary2(-d), sec.boundary2(d)
-    with pytest.raises(NotFound, match="row 1") as exc:
-        conjugate_diameter(sec, a2, b2)
-    # the axis diameter closes; the tilted one is the l4 witness
-    assert exc.value.defect.shape == (2,)
-    assert exc.value.defect[0] <= 1e-8
-    assert 0.02 < exc.value.defect[1] < 0.07
-    with pytest.raises(ValueError, match="degenerate chord at row 0"):
-        conjugate_diameter(sec, b2, b2)
-
-
 def test_birkhoff_rows_equal_one_row_calls(l4_central_section):
     sec = l4_central_section
     rng = np.random.default_rng(8)
@@ -543,8 +477,8 @@ def test_birkhoff_rows_equal_one_row_calls(l4_central_section):
 def test_degenerate_chord_rejected(unit_ball):
     sec = section(unit_ball, Hyperplane(np.array([0.0, 0.0, 1.0]), 0.0))
     a2 = sec.boundary2(_dir2(0.1))
-    with pytest.raises(ValueError):
-        conjugate_diameter(sec, a2, a2)
+    with pytest.raises(ValueError, match="degenerate chord$"):
+        planar._chords(a2, a2, sec.diameter2(), lambda r: "")
 
 
 # ---------------------------------------------------------------- birkhoff
@@ -672,18 +606,9 @@ def test_section_sweeps_reject_empty_samples(l4_central_section):
             is_radon_curve(l4_central_section, **sizes)
 
 
-def _count_solve_rows(monkeypatch):
-    """The row count of every restriction solve planar makes."""
-    rows = []
-    real = planar.find_root
-    monkeypatch.setattr(planar, "find_root", lambda f, init, **kw:
-                        rows.append(len(init[0])) or real(f, init, **kw))
-    return rows
-
-
 @pytest.mark.parametrize("k, cross_pairs, pairs", [
     (100, 16, 16), (20, 16, 16), (8, 16, 8), (128, 16, 16), (16, 1, 1)])
-def test_radon_runs_min_k_cross_pairs_birkhoff_pairs(monkeypatch, k, cross_pairs,
+def test_radon_runs_min_k_cross_pairs_birkhoff_pairs(solves, k, cross_pairs,
                                                      pairs):
     """Each section adds its 2k conjugate contacts and its `pairs` Birkhoff
     y points to the norm gate's symmetry solve, and its 2k closure sides and
@@ -691,15 +616,15 @@ def test_radon_runs_min_k_cross_pairs_birkhoff_pairs(monkeypatch, k, cross_pairs
     body = Ellipsoid.from_semi_axes([1.0, 2.0, 3.0])
     cut = lambda: [section(body, Hyperplane(normalize(np.array(nrm)), 0.0))
                    for nrm in ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0])]
-    rows = _count_solve_rows(monkeypatch)
     for sec in cut():
-        rows.clear()
+        solves.clear()
         assert is_radon_curve(sec, k=k, cross_pairs=cross_pairs).ok
         # the norm gate's 2 x 96 symmetry rows and 32 width rows
-        assert rows == [2 * 96 + 32 + 2 * k + pairs, 2 * k + 2 * pairs]
-    rows.clear()
+        assert solves.rows("planar") == [2 * 96 + 32 + 2 * k + pairs, 2 * k + 2 * pairs]
+    solves.clear()
     assert all(rr.ok for rr in is_radon_curve(cut(), k=k, cross_pairs=cross_pairs))
-    assert rows == [3 * (2 * 96 + 32 + 2 * k + pairs), 3 * (2 * k + 2 * pairs)]
+    assert solves.rows("planar") == [3 * (2 * 96 + 32 + 2 * k + pairs),
+                                     3 * (2 * k + 2 * pairs)]
 
 
 def test_radon_section_calls_do_not_grow_with_k(monkeypatch):
@@ -849,13 +774,33 @@ def test_radon_two_solves_equal_three_solve_reference(case):
                              _reference_or_none(sec_want, **kw))
 
 
+@pytest.mark.parametrize("case", ["ellipsoid-off-centre", "l4", "octahedron"])
+def test_radon_joined_rows_equal_a_restriction_of_their_own(monkeypatch, case):
+    """is_radon_curve joins each section's conjugate contacts and Birkhoff
+    second vectors to the norm gate's symmetry solve as shared rows, and
+    reads them at the end of the stack: they equal a _Restriction of their
+    own on the same rows bit for bit."""
+    joined, real = [], planar._central_symmetry
+
+    def recorded(secs, *args, rows, **kwargs):
+        results, solve = real(secs, *args, rows=rows, **kwargs)
+        joined.append((secs, rows, solve))
+        return results, solve
+    monkeypatch.setattr(planar, "_central_symmetry", recorded)
+    is_radon_curve(_radon_reference_sections(case), k=16, cross_pairs=4)
+    ((secs, rows, solve),) = joined
+    assert rows.shape == (2 * 16 + 4, 2)
+    own = planar._Restriction(secs, np.broadcast_to(rows, (len(secs),) + rows.shape))
+    assert np.array_equal(solve.points(slice(-len(rows), None)), own.points())
+
+
 def test_batched_support_point_failure_names_section_and_row(ellipsoid149):
     secs = _row_sections(ellipsoid149)
     good = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     bad = np.array([[1.0, 0.0], [0.0, 1.0], [np.nan, 1.0]])
     with pytest.raises(NoSignChange,
                        match=r"restriction solve at section 1, row 2: "):
-        planar._support_point2(secs, np.stack([good, bad, good]))
+        planar._Restriction(secs, np.stack([good, bad, good]))
 
 
 def test_batched_ray_exit_failure_names_section_and_row(ellipsoid149):
@@ -882,7 +827,7 @@ def test_batched_row_checks_name_section_and_row():
     b2 = -a2
     b2[1, 1] = a2[1, 1]
     with pytest.raises(ValueError, match=r"degenerate chord at section 2, row 1$"):
-        planar._contact_normals(a2, b2, 1.0, planar._where(a2, index))
+        planar._chords(a2, b2, 1.0, planar._where(a2, index))
     x = np.ones((2, 2, 2))
     y = x.copy()
     y[1, 0] = 0.0
@@ -899,11 +844,10 @@ def test_section_stack_needs_one_block_per_section(ellipsoid149):
     secs = _row_sections(ellipsoid149)
     w2 = np.array([[1.0, 0.0], [0.0, 1.0]])
     for rows in (w2, np.stack([w2, w2]), np.stack([w2] * 4), np.ones(2)):
-        for oracle in (planar._support2, planar._support_point2,
-                       planar._boundary2, planar._gauge2):
+        for oracle in (planar._Restriction, planar._boundary2, planar._gauge2):
             with pytest.raises(ValueError, match="rows of 3 sections need a stack"):
                 oracle(secs, rows)
-    assert planar._support2(secs, np.stack([w2] * 3)).shape == (3, 2)
+    assert planar._Restriction(secs, np.stack([w2] * 3)).values().shape == (3, 2)
 
 
 def test_support2_without_a_sign_change_raises_typed_error():
@@ -947,7 +891,8 @@ def test_polytope_section_support_equals_lp(monkeypatch, kind):
             h = body.support(nrm) if reach >= 0.0 else -body.support(-nrm)
             secs.append(section(body, Hyperplane(nrm, c + abs(reach) * (h - c))))
     w2 = rng.normal(size=(len(secs), 16, 2))
-    h, p = planar._support2(secs, w2), planar._support_point2(secs, w2)
+    solve = planar._Restriction(secs, w2)
+    h, p = solve.values(), solve.points()
     for sec, h_s, p_s, w_s in zip(secs, h, p, w2):
         world = w_s @ sec.basis
         want = np.array([polytope_section_support_lp(

@@ -51,7 +51,7 @@ from ellipsoid_forge.errors import (
     PointOnBoundary,
     UnsupportedDimension,
 )
-from ellipsoid_forge.numeric import find_root, normalize, sphere_directions
+from ellipsoid_forge.numeric import normalize, sphere_directions
 from ellipsoid_forge.theorems import (_graze_polar_agreement,
                                      _tangent_planes_through_line)
 
@@ -196,6 +196,11 @@ def test_graze_polar_agreement_off_the_body(unit_ball):
 def test_polar_of_boundary_point_rejected(unit_ball):
     with pytest.raises(PointOnBoundary):
         polar_of(unit_ball, np.array([1.0, 0.0, 0.0]))
+
+
+def test_polar_of_needs_n_plus_2_lines(unit_ball):
+    with pytest.raises(DegenerateLines, match="^need at least 5 lines through o$"):
+        polar_of(unit_ball, np.zeros(3), m=4)
 
 
 def test_polar_of_checks_its_point(unit_ball):
@@ -629,22 +634,13 @@ def test_t4_sphere_witness_consistent():
         (np.sqrt(3.0) - 1.0) / 4.0, abs=1e-6)
 
 
-def _count_restriction_solves(monkeypatch):
-    solves = []
-    real = planar.find_root
-    monkeypatch.setattr(planar, "find_root",
-                        lambda *a, **kw: solves.append(1) or real(*a, **kw))
-    return solves
-
-
-def test_t4_restriction_solves_do_not_grow_with_samples(monkeypatch):
-    solves = _count_restriction_solves(monkeypatch)
+def test_t4_restriction_solves_do_not_grow_with_samples(solves):
     counts = []
     for samples in (4, 9):
         solves.clear()
         _assert_clean(check_theorem4(Ellipsoid.ball(2.0), 1.0,
                                      samples=samples, m=16))
-        counts.append(len(solves))
+        counts.append(len(solves.rows("planar")))
     # the margin and symmetry stages together, and the orthogonality stage
     # with every midpoint locus's support points
     assert counts == [2, 2]
@@ -660,24 +656,17 @@ _T4_AFFINE = AffineImage(np.array([[1.2, 0.3, 0.0], [0.0, 1.0, 0.2],
     (PBall(4.0, (2.0, 2.0, 2.0)), 5),
     (_T4_AFFINE, 6),
 ], ids=["ball", "l4", "affine-ball"])
-def test_t4_solves_once_per_stage(monkeypatch, body, most):
+def test_t4_solves_once_per_stage(solves, body, most):
     """Every find_root of t4, in any module: the two section solves (the
     ball margin joins the tangent sections' symmetry, the loci's support
     points the grid's), plus, off the ellipsoid's closed-form rays,
     one ray exit each for the tangent-section clouds, the translation
     stage, the loci's chords and the scaled sections (skipped on l4)."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return find_root(*args, **kwargs)
-    for mod in (bodies, cones, planar, theorems):
-        monkeypatch.setattr(mod, "find_root", counted)
     counts = []
     for samples in (4, 9):
-        calls.clear()
+        solves.clear()
         check_theorem4(body, 0.8, samples=samples, m=16)
-        counts.append(len(calls))
+        counts.append(len(solves))
     # the ball's 2 restriction solves are pinned above, so it makes exactly 2
     assert counts[0] == counts[1] <= most
 
@@ -689,16 +678,17 @@ def test_t4_locus_points_from_the_grid_solve_equal_support_point2(monkeypatch,
     """t4 takes each grid section's support points at +-e2, e2 the chart
     normal of its chord direction u x v, in the grid's symmetry solve. Its
     rows are each section's own (e2 derived here from the section's plane
-    and u, to rounding), the points equal _support_point2 on the same rows
-    bit for bit, and the grid's symmetry results equal central_symmetry's.
+    and u, to rounding), the points that its solve returns there equal a
+    _Restriction of their own on the same rows bit for bit, and the grid's
+    symmetry results equal central_symmetry's.
     Each locus's outermost chords start 0.8 of the way from its section's
     centre to that section's own points."""
     merged, chords = [], []
 
     def recorded(secs, *args, **kwargs):
         out = planar._central_symmetry(secs, *args, **kwargs)
-        if "points" in kwargs:
-            merged.append((secs, kwargs["points"], out))
+        if kwargs["rows"].ndim == 3:  # the grid's per-section blocks
+            merged.append((secs, kwargs["rows"], out))
         return out
 
     def exits(body, base, d):
@@ -709,7 +699,8 @@ def test_t4_locus_points_from_the_grid_solve_equal_support_point2(monkeypatch,
     monkeypatch.setattr(theorems, "ray_exit", exits)
     samples, m, seed = 4, 16, 0
     check_theorem4(body, 0.8, samples=samples, m=m, seed=seed)
-    ((secs, points, (syms, _, q)),) = merged
+    ((secs, points, (syms, solve)),) = merged
+    q = solve.points(slice(-2, None))
     (bases,) = chords
     us = sphere_directions(3, samples, seed=seed)
     assert len(secs) == 32  # 8 directions v about each of the first 4 phi(u)
@@ -720,7 +711,7 @@ def test_t4_locus_points_from_the_grid_solve_equal_support_point2(monkeypatch,
         e2.append([[-d2[1], d2[0]], [d2[1], -d2[0]]])
     e2 = np.array(e2)
     assert np.abs(points - e2).max() <= 1e-14
-    assert np.array_equal(q, planar._support_point2(secs, points))
+    assert np.array_equal(q, planar._Restriction(secs, points).points())
     for i, j in enumerate(range(0, 32, 8)):
         c2 = syms[j].center
         far = [secs[j].to_world(c2 + 0.8 * (q_j - c2)) for q_j in q[j]]
@@ -757,16 +748,15 @@ def test_reflection_residual_failed_ray_names_section_and_row():
         theorems._reflection_residual(secs, centres)
 
 
-def test_basico_restriction_solves_do_not_grow_with_sections(monkeypatch,
+def test_basico_restriction_solves_do_not_grow_with_sections(solves,
                                                              ellipsoid149):
-    solves = _count_restriction_solves(monkeypatch)
     counts = []
     for planes, offsets in ((2, 3), (5, 6)):
         solves.clear()
         _assert_clean(check_theorem_basico(ellipsoid149, np.zeros(3),
                                            planes=planes, offsets=offsets,
                                            m=16, sym_m=16))
-        counts.append(len(solves))
+        counts.append(len(solves.rows("planar")))
     assert counts == [1, 1]
 
 
@@ -781,48 +771,39 @@ def test_checks_pass_section_rows_as_stacks():
             assert not layout.search(line), "theorems.py:%d: %s" % (n, line)
 
 
-def test_radon_stages_make_two_restriction_solves(monkeypatch, ellipsoid149):
+def test_radon_stages_make_two_restriction_solves(solves, ellipsoid149):
     """The radon check's and t2's radon stages test all their sections in
     one is_radon_curve call: two restriction solves, whatever the number
     of sections (the radon check made 5 per section before)."""
-    solves = _count_restriction_solves(monkeypatch)
     for planes, diameters in ((2, 32), (6, 128)):
         solves.clear()
         _assert_clean(check_theorem_radon(ellipsoid149, planes=planes,
                                           diameters=diameters))
-        assert len(solves) == 2
+        assert len(solves.rows("planar")) == 2
     solves.clear()
     report = check_theorem2(Ellipsoid.ball(2.0 ** -0.5), Ellipsoid.ball(1.0),
                             np.zeros(3), apexes=4, m=24, chords=8, radon_k=16)
     _assert_clean(report)
     assert _stage(report, "sections-are-radon").verdict == "pass"
-    assert len(solves) == 2
+    assert len(solves.rows("planar")) == 2
 
 
-def test_basico_shadow_stage_is_one_tangency_sweep(monkeypatch, ellipsoid149):
-    sweeps = []
-    real = cones.find_root
-    monkeypatch.setattr(cones, "find_root",
-                        lambda *a, **kw: sweeps.append(1) or real(*a, **kw))
+def test_basico_shadow_stage_is_one_tangency_sweep(solves, ellipsoid149):
     for planes in (2, 5):
-        sweeps.clear()
+        solves.clear()
         report = check_theorem_basico(ellipsoid149, np.zeros(3), planes=planes,
                                       offsets=3, m=16, sym_m=16)
         _assert_clean(report)
         stage = _stage(report, "translation-and-shadow-containment")
         assert stage.detail["slabs"] == planes
-        assert len(sweeps) == 1
+        assert len(solves.rows("cones")) == 1
 
 
-def test_cone_sweep_solves_do_not_grow_with_apexes(monkeypatch, ellipsoid149,
+def test_cone_sweep_solves_do_not_grow_with_apexes(solves, ellipsoid149,
                                                   ball3, ball2):
     """Every cone stage of t1, t2 and t3 is one tangency sweep over all its
     apexes: t1's cones and intersections, t2's intersections, and t3's
     pole grazes and intersections."""
-    solves = []
-    real = cones.find_root
-    monkeypatch.setattr(cones, "find_root",
-                        lambda *a, **kw: solves.append(1) or real(*a, **kw))
     t3_inner = Ellipsoid(np.zeros(3), np.diag([1.0, 2.0, 4.0]) / 0.16)
     runs = {
         "t1": lambda k: check_theorem1(ellipsoid149, ball3, apexes=k, m=24,
@@ -838,7 +819,7 @@ def test_cone_sweep_solves_do_not_grow_with_apexes(monkeypatch, ellipsoid149,
         for k in (4, 12):
             solves.clear()
             _assert_clean(run(k))
-            counts[name, k] = len(solves)
+            counts[name, k] = len(solves.rows("cones"))
     assert counts == {("t1", 4): 2, ("t1", 12): 2, ("t2", 4): 1, ("t2", 12): 1,
                       ("t3", 4): 2, ("t3", 12): 2}
 
@@ -914,6 +895,17 @@ def test_basico_shadow_stage_skips_when_the_translations_vanish(ellipsoid149):
     stage = _stage(report, "translation-and-shadow-containment")
     assert (stage.verdict, stage.detail["reason"]) == (
         "skip", "translation vectors vanish")
+
+
+def test_basico_counts_the_slab_planes_that_miss_the_body():
+    """p near the end of the long axis, in a slab as wide as the body's
+    end: one of the 4 x 5 slab planes misses the body, and the symmetry
+    stage counts it as missed, not as a section."""
+    report = check_theorem_basico(Ellipsoid.from_semi_axes([1.0, 2.0, 3.0]),
+                                  [0.97, 0.0, 0.0], eps=1.0, planes=4, offsets=5,
+                                  m=16, sym_m=16)
+    stage = _stage(report, "slab-sections-centrally-symmetric")
+    assert (stage.detail["missed"], stage.detail["sections"]) == (1, 19)
 
 
 def test_basico_l4_violates_symmetry_hypothesis(l4_unit):
