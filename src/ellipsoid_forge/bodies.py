@@ -53,9 +53,17 @@ def _ray(z, d):
 
 def _nonzero(norms):
     """norms, a norm of each direction row; ZeroDirection when one is 0."""
-    if not (norms.all() if norms.ndim else norms):
+    if not (np.count_nonzero(norms) == norms.size if norms.ndim else norms):
         raise ZeroDirection("a support direction is zero")
     return norms
+
+
+def _lp_norm(x, p):
+    """np.linalg.norm(x, ord=p, axis=-1) for 1 < p < inf, bit for bit: the
+    ufuncs it runs, without its argument handling. Like it, p = 2 takes the
+    square root, which a one-point power would not match."""
+    s = np.add.reduce(np.abs(x) ** p, axis=-1)
+    return np.sqrt(s) if p == 2.0 else s ** (1.0 / p)
 
 
 class ConvexBody:
@@ -112,9 +120,9 @@ class ConvexBody:
     def boundary_from_center(self, d):
         """Boundary point along the ray center + t*d, t > 0, for each row of
         d. Closed form."""
-        d = np.asarray(d, dtype=float)
-        g = self.gauge(self.center + d)
-        return self.center + (d / g[..., None] if d.ndim > 1 else d / g)
+        d, c = np.asarray(d, dtype=float), self.center
+        g = self.gauge(c + d)
+        return c + (d / g[..., None] if d.ndim > 1 else d / g)
 
     def boundary_point(self, z, d):
         """Boundary point along z + t*d, t > 0, for interior z; z and d
@@ -130,7 +138,8 @@ class ConvexBody:
         # body is inside ball(center, R): each exit time is below its t_hi;
         # each row solves for s = t / t_hi in [0, 1], to 1e-15 t_hi + 8.9e-16 t
         t_hi = np.linalg.norm(z - self.center, axis=-1) + self.radius_bound()
-        f = lambda s, r: self.gauge(z[r] + (s * t_hi[r])[:, None] * d[r]) - 1.0
+        f = lambda s, r: self.gauge(z.take(r, axis=0) + (s * t_hi[r])[:, None]
+                                    * d.take(r, axis=0)) - 1.0
         sol = find_root(f, (np.zeros(len(z)), np.ones(len(z))),
                         tolerances=dict(xatol=1e-15, xrtol=8.9e-16))
         check_roots(sol, lambda r: "ray exit at row %d" % r, "gauge - 1", "[0, t_hi]")
@@ -288,17 +297,16 @@ class PBall(ConvexBody):
 
     def support(self, u):
         w = self._a * np.asarray(u, dtype=float)
-        return _value(_nonzero(np.linalg.norm(w, ord=self._q, axis=-1)))
+        return _value(_nonzero(_lp_norm(w, self._q)))
 
     def support_point(self, u):
         w = self._a * np.asarray(u, dtype=float)
-        nq = _nonzero(np.linalg.norm(w, ord=self._q, axis=-1))
+        nq = _nonzero(_lp_norm(w, self._q))
         y = np.abs(w / (nq[..., None] if nq.ndim else nq)) ** (self._q - 1.0)
         return self._a * np.sign(w) * y
 
     def gauge(self, x):
-        return _value(np.linalg.norm(np.asarray(x, dtype=float) / self._a,
-                                     ord=self._p, axis=-1))
+        return _value(_lp_norm(np.asarray(x, dtype=float) / self._a, self._p))
 
     def normal_at(self, x):
         v = np.asarray(x, dtype=float) / self._a

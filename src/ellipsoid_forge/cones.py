@@ -144,11 +144,11 @@ def _tangency_sweep(body, base, axes, apexes, w, m, seed):
 
     def contact(phi, r):
         """Points, aims a - w p and g on rows r at angles phi."""
-        dirs = (np.cos(phi)[:, None] * row_axis[r]
-                + np.sin(phi)[:, None] * row_plane[r])
+        dirs = (np.cos(phi)[:, None] * row_axis.take(r, axis=0)
+                + np.sin(phi)[:, None] * row_plane.take(r, axis=0))
         p = (_routed_exit(body, row_base, dirs, near) if near.ndim == 0
-             else _routed_exit(body, row_base[r], dirs, near[r]))
-        aim = row_apex[r] - w * p
+             else _routed_exit(body, row_base.take(r, axis=0), dirs, near[r]))
+        aim = row_apex.take(r, axis=0) - w * p
         return p, aim, np.vecdot(aim, body.normal_at(p))
 
     rows = np.arange(sweeps * m * k)

@@ -18,7 +18,7 @@ def normalize(v):
     """v / |v| along the last axis, so row by row for an (..., n) array."""
     v = np.asarray(v, dtype=float)
     n = np.sqrt(np.vecdot(v, v))
-    if not (n.all() if n.ndim else n):
+    if not (np.count_nonzero(n) == n.size if n.ndim else n):
         raise ValueError("cannot normalize the zero vector")
     return v / n[..., None] if n.ndim else v / n
 
@@ -139,7 +139,7 @@ def floored(value, floor):
     return float(max(value, floor))
 
 
-def find_root(f, init, tolerances=None, maxiter=None):
+def find_root(f, init, tolerances=None, maxiter=None, f_init=None):
     """Roots of f(x, r) = 0, one per row, each on its bracket init = (a, b).
 
     Chandrupatla's bracketed method (Chandrupatla 1997, Adv. Eng. Software
@@ -152,8 +152,13 @@ def find_root(f, init, tolerances=None, maxiter=None):
     and frtol (0, scaled by min(|f(a)|, |f(b)|)). Status per row: 0
     converged, -1 no sign change, -2 iteration limit, -3 not finite.
 
-    Even a one-row call costs a few hundred microseconds, so callers gather
-    their points into the rows of one call."""
+    A caller that has f at the bracket ends already, as the restriction
+    solve has its bracket slopes, passes them as f_init = (f(a), f(b)),
+    broadcasting like a and b: f is then not called on them, and nfev
+    still counts them, so the result is the same as without f_init.
+
+    Even a one-row call costs about 0.3 ms, so callers gather their points
+    into the rows of one call."""
     finfo = np.finfo(float)
     tol = dict(xatol=4 * finfo.smallest_normal, xrtol=4 * finfo.eps,
                fatol=finfo.smallest_normal, frtol=0.0)
@@ -165,7 +170,11 @@ def find_root(f, init, tolerances=None, maxiter=None):
     x1, x2 = (np.array(x, dtype=float).ravel() for x in (x1, x2))
     n = x1.size
     active = np.arange(n)
-    f1, f2 = (np.asarray(f(x, active), dtype=float).ravel() for x in (x1, x2))
+    if f_init is None:
+        f1, f2 = (np.asarray(f(x, active), dtype=float).ravel() for x in (x1, x2))
+    else:
+        f1, f2 = (np.broadcast_to(np.asarray(y, dtype=float), shape).ravel()
+                  for y in f_init)
     # the active rows' state: x1, f1, x2, f2, x3, f3 and the f tolerance,
     # compacted with one take when rows stop
     s = np.zeros((7, n))
@@ -196,7 +205,7 @@ def find_root(f, init, tolerances=None, maxiter=None):
                 # only the first bracket can lack a sign change.
                 fails.append(((np.sign(f1) == np.sign(f2)) & ~converged, -1))
             # a non-finite end or a NaN f makes this sum non-finite
-            if not np.isfinite(d21 + f1 + f2).all():
+            if np.count_nonzero(np.isfinite(d21 + f1 + f2)) < d21.size:
                 fails.append(((~(np.isfinite(x1) & np.isfinite(x2))
                                | (np.isnan(f1) & np.isnan(f2))) & ~converged, -3))
             stop = ok
@@ -204,17 +213,18 @@ def find_root(f, init, tolerances=None, maxiter=None):
                 stop = stop | bad
             if nit >= maxiter:
                 stop = np.ones_like(stop)
-            if stop.any():
-                done = np.flatnonzero(stop)
+            if np.count_nonzero(stop):
+                done = stop.nonzero()[0]
                 st = np.where(ok[done], 0, -2)
                 xo, fo = xmin[done], np.where(i[done], f1[done], f2[done])
                 for bad, code in reversed(fails):  # the first test wins
                     st[bad[done]] = code
                     xo[bad[done]] = fo[bad[done]] = np.nan
                 rows = active[done]
-                out[0, rows], out[1, rows], out[2:, rows] = xo, fo, s[:4, done]
+                out[0, rows], out[1, rows] = xo, fo
+                out[2:, rows] = s[:4].take(done, axis=1)
                 status[rows], nit_out[rows], nfev_out[rows] = st, nit, nfev
-                keep = np.flatnonzero(~stop)
+                keep = (~stop).nonzero()[0]
                 active, d21, dx, xtol = active[keep], d21[keep], dx[keep], xtol[keep]
                 s = s.take(keep, axis=1)
                 x1, f1, x2, f2, x3, f3, ftol = s

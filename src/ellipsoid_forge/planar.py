@@ -156,7 +156,8 @@ def _restriction_minimizer(body, w_world, n, d, where):
     Each row's bracket starts at +-(1 + |w|), and an end doubles until
     the derivative <support_point(w + t n), n> - d has the right sign
     there (60 tries). On a smooth body one find_root then solves every row
-    on its bracket rescaled to [0, 1], to 5e-14 of the bracket width. On a
+    on its bracket rescaled to [0, 1], to 5e-14 of the bracket width,
+    starting from the slopes the search found at the ends. On a
     non-smooth body psi is piecewise linear: the support points v_a, v_b at
     the ends give the supporting lines <v, w> + t s of psi, s = <v, n> - d,
     and each tie step goes to where they meet, t = <v_a - v_b, w> / (s_b -
@@ -173,7 +174,7 @@ def _restriction_minimizer(body, w_world, n, d, where):
 
     def vertex(t, r):
         """support_point(w + t n) on rows r, and its slope <v, n> - d."""
-        q = rows[r]
+        q = rows.take(r, axis=0)
         n_r = q[:, dim:-1]
         v = body.support_point(q[:, :dim] + t[:, None] * n_r)
         return v, np.vecdot(v, n_r) - q[:, -1]
@@ -185,12 +186,13 @@ def _restriction_minimizer(body, w_world, n, d, where):
     sign = np.array([-1.0, 1.0])
     wrong = np.ones(ends.shape, dtype=bool)
     for _ in range(60):
-        r, e = np.nonzero(wrong)
+        r, e = wrong.nonzero()
         v_re, s_re = vertex(ends[r, e], r)
         wrong[r, e] = ~(sign[e] * s_re > 0.0)
+        slope[r, e] = s_re
         if not body.is_smooth:  # the tie steps start from the ends
-            v[r, e], slope[r, e] = v_re, s_re
-        if not wrong.any():
+            v[r, e] = v_re
+        if not np.count_nonzero(wrong):
             break
         ends[wrong] *= 2.0
     else:
@@ -198,10 +200,16 @@ def _restriction_minimizer(body, w_world, n, d, where):
         raise NoSignChange("restriction solve%s: the derivative keeps its "
                            "sign up to t = %.3g" % (where(r), ends[r, e] / 2.0))
     if body.is_smooth:
+        # find_root starts from the slopes at the ends, s = 0 and 1; a row
+        # whose lo + 1.0 * width rounds off its upper end takes it there
         lo, width = ends[:, 0], ends[:, 1] - ends[:, 0]
+        off = (lo + width != ends[:, 1]).nonzero()[0]
+        if off.size:
+            slope[off, 1] = vertex(lo[off] + width[off], off)[1]
         sol = find_root(lambda s, r: vertex(lo[r] + s * width[r], r)[1],
                         (np.zeros(len(w)), np.ones(len(w))),
-                        tolerances=dict(xatol=5e-14, xrtol=0.0))
+                        tolerances=dict(xatol=5e-14, xrtol=0.0),
+                        f_init=(slope[:, 0], slope[:, 1]))
         check_roots(sol, lambda r: "restriction solve" + where(r), "the derivative")
         return (lo + sol.x * width).reshape(shape), None
     t = np.empty(len(w))

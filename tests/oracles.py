@@ -74,6 +74,20 @@ def lp_support_point(u, p):
     return v / lp_norm(v, p)
 
 
+def pball_oracles_by_norm(body, u, x):
+    """PBall's support(u), support_point(u) and gauge(x) by the
+    np.linalg.norm formula, the one the oracles used before they ran its
+    ufuncs directly: each row's norm, its support point and its gauge, a
+    0-d norm for one point."""
+    a, p = body.semi_axes, body.exponent
+    q = p / (p - 1.0)
+    w = a * np.asarray(u, dtype=float)
+    nq = np.linalg.norm(w, ord=q, axis=-1)
+    y = np.abs(w / (nq[..., None] if nq.ndim else nq)) ** (q - 1.0)
+    g = np.linalg.norm(np.asarray(x, dtype=float) / a, ord=p, axis=-1)
+    return nq, a * np.sign(w) * y, g
+
+
 def lp_boundary_on_ray(d, p):
     return np.asarray(d, dtype=float) / lp_norm(d, p)
 

@@ -18,12 +18,12 @@ from ellipsoid_forge import (
     parse_body,
     serialize_body,
 )
-from ellipsoid_forge.bodies import ray_exit
+from ellipsoid_forge.bodies import _nonzero, ray_exit
 from ellipsoid_forge.planar import section
 from ellipsoid_forge.projective import Hyperplane
 from ellipsoid_forge.errors import (BodySpecError, LineMissesBody, NonFiniteInput,
                                    NonSmoothBody, RayBaseNotInterior, ZeroDirection)
-from ellipsoid_forge.numeric import sphere_directions
+from ellipsoid_forge.numeric import normalize, sphere_directions
 
 from conftest import random_affine
 
@@ -34,6 +34,7 @@ from oracles import (
     lp_norm,
     lp_support,
     lp_support_point,
+    pball_oracles_by_norm,
     polytope_gauge_lp,
 )
 
@@ -127,6 +128,44 @@ def test_pball_support_matches_dual_norm(p, seed):
     assert np.allclose(sp, axes * lp_support_point(axes * u, p), atol=1e-10)
     assert body.gauge(sp) == pytest.approx(1.0, abs=1e-10)
     assert lp_norm(sp / axes, p) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("p", [4.0, 3.0, 2.0, 1.5])
+def test_pball_oracles_equal_the_linalg_norm_formula(p):
+    """support, support_point and gauge run np.linalg.norm's ufuncs
+    directly, and equal the np.linalg.norm formula bit for bit on 1, 64 and
+    3,000 rows and on each of those 3,000 as one point. For p = 2 norm takes
+    a square root, which a one-point power would miss on a few of them."""
+    body = PBall(p, (1.0, 0.8, 1.3))
+    rng = np.random.default_rng(int(10 * p))
+    for k in (1, 64, 3000):
+        u, x = rng.normal(size=(k, 3)), rng.uniform(-1.0, 1.0, (k, 3))
+        h, sp, g = pball_oracles_by_norm(body, u, x)
+        assert np.array_equal(body.support(u), h)
+        assert np.array_equal(body.support_point(u), sp)
+        assert np.array_equal(body.gauge(x), g)
+    for ui, xi in zip(u, x):
+        hi, spi, gi = pball_oracles_by_norm(body, ui, xi)
+        assert body.support(ui) == hi and body.gauge(xi) == gi
+        assert np.array_equal(body.support_point(ui), spi)
+    assert type(body.support(u[0])) is float and type(body.gauge(x[0])) is float
+
+
+def test_zero_norms_raise_and_nan_norms_pass():
+    """_nonzero and normalize raise on a zero row, of one point or of rows;
+    a NaN norm is not zero, and passes through."""
+    for norms in (np.float64(0.0), np.array([1.0, 0.0, 2.0]), np.zeros((2, 2))):
+        with pytest.raises(ZeroDirection, match="^a support direction is zero$"):
+            _nonzero(norms)
+    for v in (np.zeros(3), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+              np.zeros((1, 3, 3))):
+        with pytest.raises(ValueError, match="^cannot normalize the zero vector$"):
+            normalize(v)
+    nan = np.array([np.nan, 1.0])
+    assert _nonzero(nan) is nan and np.isnan(_nonzero(np.float64(np.nan)))
+    assert np.isnan(normalize([np.nan, 0.0, 0.0])).all()
+    rows = normalize(np.array([[np.nan, 0.0, 0.0], [2.0, 0.0, 0.0]]))
+    assert np.isnan(rows[0]).all() and rows[1].tolist() == [1.0, 0.0, 0.0]
 
 
 def test_pball_generic_boundary_search():

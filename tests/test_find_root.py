@@ -83,6 +83,30 @@ def test_find_root_equals_scipy(case, tolerances, seed):
     assert want <= set(np.unique(ours.status).tolist())
 
 
+@pytest.mark.parametrize("tolerances", TOLERANCES, ids=["xrtol", "xatol-only"])
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("seed", range(4))
+def test_find_root_with_f_init_equals_scipy(case, tolerances, seed):
+    """Given f at the bracket ends (f_init), find_root never calls f on them,
+    only once per iteration, and still equals scipy, nfev included."""
+    n = 40
+    c, a, b = _brackets(seed, n)
+    f = CASES[case](c)
+    rows = np.arange(n)
+    called = []
+
+    def spied(x, r):
+        called.append((x.copy(), r.copy()))
+        return f(x, r)
+    ours = find_root(spied, (a, b), tolerances=tolerances,
+                     f_init=(f(a, rows), f(b, rows)))
+    _assert_same(ours, scipy_find_root(f, (a, b), args=(rows,),
+                                       tolerances=tolerances))
+    assert len(called) == ours.nit.max()
+    for x, r in called:
+        assert not np.any((x == a[r]) | (x == b[r]))
+
+
 def test_find_root_infinite_ends_equal_scipy():
     """An infinite end stops its row at once: -1 when f has one sign on the
     bracket, else -3, as scipy orders its tests."""

@@ -291,6 +291,71 @@ def test_restriction_solve_over_many_rows(kind, central):
             oracle(bad)
 
 
+def _spy_restriction_solves(monkeypatch, seeded=True):
+    """Log each find_root call of planar as (f_init, f at the bracket ends
+    s = 0 and 1, every s the objective then runs at); seeded=False drops
+    f_init, so that the solve evaluates its ends itself."""
+    log, real = [], planar.find_root
+
+    def spied(f, init, *args, f_init=None, **kwargs):
+        rows = np.arange(len(init[0]))
+        ends = (f(init[0], rows), f(init[1], rows))
+        seen = []
+
+        def objective(s, r):
+            seen.append(s.copy())
+            return f(s, r)
+        log.append((f_init, ends, seen))
+        return real(objective, init, *args,
+                    f_init=f_init if seeded else None, **kwargs)
+    monkeypatch.setattr(planar, "find_root", spied)
+    return log
+
+
+@pytest.mark.parametrize("kind", ["ellipsoid", "l4", "affine-ball"])
+def test_smooth_restriction_solves_start_from_their_bracket_slopes(monkeypatch,
+                                                                   kind):
+    """A smooth body's restriction solve hands find_root the slopes its
+    bracket search found, equal bit for bit to the objective at s = 0 and
+    1, and the objective never runs there."""
+    body = (AffineImage(*random_affine(3), Ellipsoid.ball(1.0))
+            if kind == "affine-ball" else _ROW_BODIES[kind])
+    log = _spy_restriction_solves(monkeypatch)
+    planar._Restriction(_row_sections(body),
+                        np.random.default_rng(5).normal(size=(3, 40, 2)))
+    ((f_init, ends, seen),) = log
+    assert all(np.array_equal(a, b) for a, b in zip(f_init, ends))
+    s = np.concatenate(seen)
+    assert s.size and not np.any((s == 0.0) | (s == 1.0))
+
+
+def test_doubled_restriction_brackets_equal_the_unseeded_solve(monkeypatch):
+    """Rows whose minimiser lies beyond +-(1 + |w|) double their bracket,
+    and some of them then have lo + 1.0 * width round off the upper end:
+    the seeded slopes still equal the objective at s = 0 and 1, and the
+    values and points equal those of a solve that evaluates its own ends,
+    bit for bit. The body is a needle tilted 80 degrees from the planes'
+    normal, so its minimisers sit at t near -tan(80 deg) |w|."""
+    th = np.radians(80.0)
+    axis = np.array([np.sin(th), 0.0, np.cos(th)])
+    frame = np.column_stack([axis, [0.0, 1.0, 0.0], np.cross(axis, [0.0, 1.0, 0.0])])
+    body = Ellipsoid(np.zeros(3), frame @ np.diag([1 / 16.0, 25.0, 25.0]) @ frame.T)
+    secs = [section(body, Hyperplane(np.array([0.0, 0.0, 1.0]), off))
+            for off in (0.0, 0.3)]
+    w2 = np.random.default_rng(3).normal(size=(2, 64, 2))
+    log = _spy_restriction_solves(monkeypatch)
+    seeded = planar._Restriction(secs, w2)
+    ((f_init, ends, _),) = log
+    assert all(np.array_equal(a, b) for a, b in zip(f_init, ends))
+    world = seeded.rows.world
+    assert np.any(np.abs(seeded.t) > 1.0 + np.sqrt(np.vecdot(world, world)))
+    monkeypatch.undo()
+    _spy_restriction_solves(monkeypatch, seeded=False)
+    unseeded = planar._Restriction(secs, w2)
+    assert np.array_equal(seeded.values(), unseeded.values())
+    assert np.array_equal(seeded.points(), unseeded.points())
+
+
 # ------------------------------------------------------- central symmetry
 
 
