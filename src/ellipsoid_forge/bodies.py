@@ -13,7 +13,10 @@ boundary_point, ray_exit, line_min_gauge) takes one point or direction of
 shape (n,), or rows of shape (..., n), and answers row by row: a Python float
 or an (n,) point for one input, an array of shape (...) or (..., n) for rows.
 A row's answer equals the one-point answer to the last bit or two, so a
-caller may batch freely. support and support_point raise ZeroDirection for a
+caller may batch freely. Ellipsoid and AffineImage apply each square matrix
+to rows as x @ M with M C-contiguous, a product whose rows have the bits of
+one-point calls; Polytope keeps the per-row matvec, whose rows as an @
+product would not. support and support_point raise ZeroDirection for a
 zero direction or row; the ray exits (boundary_point, ray_exit) raise
 NonFiniteInput for a non-finite base or direction, ZeroDirection for a zero
 direction or row, and RayBaseNotInterior for a base outside the interior.
@@ -199,7 +202,8 @@ class Ellipsoid(ConvexBody):
             raise ValueError("shape matrix must be positive definite")
         self._c = c
         self._q = q
-        self._qinv = np.linalg.inv(q)
+        qinv = np.linalg.inv(q)
+        self._qinv = 0.5 * (qinv + qinv.T)
 
     @classmethod
     def ball(cls, radius, center=None, dim=3):
@@ -231,30 +235,30 @@ class Ellipsoid(ConvexBody):
     def support(self, u):
         u = np.asarray(u, dtype=float)
         return _value(np.vecdot(self._c, u)
-                      + _nonzero(np.sqrt(np.vecdot(np.vecmat(u, self._qinv), u))))
+                      + _nonzero(np.sqrt(np.vecdot(u @ self._qinv, u))))
 
     def support_point(self, u):
         u = np.asarray(u, dtype=float)
-        w = np.matvec(self._qinv, u)
+        w = u @ self._qinv
         s = _nonzero(np.sqrt(np.vecdot(u, w)))
         return self._c + (w / s[..., None] if s.ndim else w / s)
 
     def gauge(self, x):
         v = np.asarray(x, dtype=float) - self._c
-        return _value(np.sqrt(np.vecdot(np.vecmat(v, self._q), v)))
+        return _value(np.sqrt(np.vecdot(v @ self._q, v)))
 
     def normal_at(self, x):
-        return normalize(np.matvec(self._q, np.asarray(x, dtype=float) - self._c))
+        return normalize((np.asarray(x, dtype=float) - self._c) @ self._q)
 
     def boundary_point(self, z, d):
         # (v + t d)^T Q (v + t d) = 1 with v = z - c, as a t^2 + 2 b t + c0 = 0
         z, d = _ray(z, d)
         d = normalize(d)
         v = z - self._c
-        qd = np.vecmat(d, self._q)
+        qd = d @ self._q
         a = np.vecdot(qd, d)
         b = np.vecdot(qd, v)
-        c0 = np.vecdot(np.vecmat(v, self._q), v) - 1.0
+        c0 = np.vecdot(v @ self._q, v) - 1.0
         disc = b * b - a * c0
         if np.any(c0 >= -1e-14) or np.any(disc <= 0.0):
             raise RayBaseNotInterior("ray base point is not interior")
@@ -416,10 +420,14 @@ class AffineImage(ConvexBody):
         s = np.linalg.svd(a, compute_uv=False)
         if s[-1] <= 1e-12 * s[0]:
             raise ValueError("affine image matrix is numerically singular")
-        self._a = a
+        self._a = np.ascontiguousarray(a)
         self._b = _finite("affine image offset", b)
         self._inner = inner
-        self._ainv = np.linalg.inv(a)
+        self._ainv = np.ascontiguousarray(np.linalg.inv(a))
+        # transposes stored C-contiguous, so every map below is a row times
+        # a C-contiguous matrix, x @ M, whose rows keep a one-point call's bits
+        self._a_t = np.ascontiguousarray(self._a.T)
+        self._ainv_t = np.ascontiguousarray(self._ainv.T)
         self.is_smooth = inner.is_smooth
 
     @property
@@ -445,32 +453,30 @@ class AffineImage(ConvexBody):
     def support(self, u):
         u = np.asarray(u, dtype=float)
         return _value(np.vecdot(self._b, u)
-                      + self._inner.support(np.vecmat(u, self._a)))
+                      + self._inner.support(u @ self._a))
 
     def support_point(self, u):
-        u = np.vecmat(np.asarray(u, dtype=float), self._a)
-        return np.matvec(self._a, self._inner.support_point(u)) + self._b
+        u = np.asarray(u, dtype=float) @ self._a
+        return self._inner.support_point(u) @ self._a_t + self._b
 
     def gauge(self, x):
-        return self._inner.gauge(
-            np.matvec(self._ainv, np.asarray(x, dtype=float) - self._b))
+        return self._inner.gauge((np.asarray(x, dtype=float) - self._b) @ self._ainv_t)
 
     def normal_at(self, x):
-        x_in = np.matvec(self._ainv, np.asarray(x, dtype=float) - self._b)
-        return normalize(np.matvec(self._ainv.T, self._inner.normal_at(x_in)))
+        x_in = (np.asarray(x, dtype=float) - self._b) @ self._ainv_t
+        return normalize(self._inner.normal_at(x_in) @ self._ainv)
 
     def boundary_point(self, z, d):
         # the exit of the preimage ray A^-1 (z - b) + t A^-1 d, mapped back
         z, d = _ray(z, d)
-        x = self._inner.boundary_point(np.matvec(self._ainv, z - self._b),
-                                       np.matvec(self._ainv, d))
-        return np.matvec(self._a, x) + self._b
+        x = self._inner.boundary_point((z - self._b) @ self._ainv_t, d @ self._ainv_t)
+        return x @ self._a_t + self._b
 
     def line_min_gauge(self, p, d):
         # the preimage line A^-1 (p - b) + t A^-1 d has the same t
         p, d = np.asarray(p, dtype=float), np.asarray(d, dtype=float)
-        t, _ = self._inner.line_min_gauge(np.matvec(self._ainv, p - self._b),
-                                          np.matvec(self._ainv, d))
+        t, _ = self._inner.line_min_gauge((p - self._b) @ self._ainv_t,
+                                          d @ self._ainv_t)
         return t, self.gauge(p + np.expand_dims(t, -1) * d)
 
 

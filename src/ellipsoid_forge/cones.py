@@ -284,15 +284,16 @@ def cone_intersection(body, x, y, m=200, seed=0):
     return curves if x.ndim > 1 else curves[0]
 
 
-def _bounded_sections(apex, dirs, normal, dist=1.0, min_cos=0.05):
-    """Sections of cones by the planes <p - apex, normal> = dist, for (k, n)
-    apexes and normals and (k, m, n) unit generators: the rows whose every
-    generator meets its plane at a cosine above min_cos, and the points
-    apex + t g of those rows, shape (rows, m, n)."""
+def _bounded_sections(dirs, normal, dist=1.0, min_cos=0.05):
+    """Sections of cones by the planes <p, normal> = dist relative to their
+    apexes, for (k, n) normals and (k, m, n) unit generators: the rows whose
+    every generator meets its plane at a cosine above min_cos, and the points
+    t g of those rows, shape (rows, m, n). Relative to the apex, a section
+    carries no rounding of the apex's size."""
     proj = np.matmul(dirs, normal[..., None])[..., 0]
     ok = np.flatnonzero(proj.min(axis=1) > min_cos)
     t = dist / proj[ok]
-    return ok, apex[ok, None] + t[..., None] * dirs[ok]
+    return ok, t[..., None] * dirs[ok]
 
 
 def is_ellipsoidal_cone(apex, contact, tol=1e-6, seed=0):
@@ -322,7 +323,7 @@ def is_ellipsoidal_cone(apex, contact, tol=1e-6, seed=0):
     diffs = np.stack([c.points for c in curves]) - apexes[:, None]
     dirs = diffs / np.linalg.norm(diffs, axis=-1)[..., None]
     w = normalize(dirs.mean(axis=1))
-    ok, base = _bounded_sections(apexes, dirs, w)
+    ok, base = _bounded_sections(dirs, w)
     if ok.size < k:
         r = int(np.setdiff1d(np.arange(k), ok)[0])
         raise DegenerateCone("no bounded section orthogonal to the mean "
@@ -347,7 +348,7 @@ def is_ellipsoidal_cone(apex, contact, tol=1e-6, seed=0):
             live = nrm >= 1e-12
             r = todo[live]
             w_alt = normalize(w[r] + tilt[r, None] * xi[live] / nrm[live, None])
-            ok, pts = _bounded_sections(apexes[r], dirs[r], w_alt)
+            ok, pts = _bounded_sections(dirs[r], w_alt)
             normals[r[ok], s], sections[r[ok], s] = w_alt[ok], pts
             tilt[r] *= 0.5
             todo = np.setdiff1d(todo, r[ok])
@@ -356,11 +357,14 @@ def is_ellipsoidal_cone(apex, contact, tol=1e-6, seed=0):
         else:
             raise DegenerateCone("no bounded tilted section found%s"
                                  % _row(apex, int(todo[0])))
-    planes = [Hyperplane.from_point_normal(a + nr, nr)
-              for a, nrs in zip(apexes, normals) for nr in nrs]
+    # the sections and their planes are relative to each apex; a base
+    # section's centre is moved back to the world
+    planes = [Hyperplane.from_point_normal(nr, nr) for nr in normals.reshape(-1, 3)]
     fits = fit_planar_conic(sections.reshape((4 * k,) + diffs.shape[1:]), planes)
     for i in range(k):
         cone = fits[4 * i:4 * i + 4]
+        if "center_world" in cone[0].detail:
+            cone[0].detail["center_world"] = apexes[i] + cone[0].detail["center_world"]
         cone[0].detail.update(
             alt_rms=[f.rms_residual for f in cone[1:]],
             max_rms=max(f.rms_residual for f in cone),

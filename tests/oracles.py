@@ -14,6 +14,7 @@ from scipy.optimize import linprog, minimize_scalar
 from ellipsoid_forge import Line, graze
 from ellipsoid_forge.bodies import ray_exit
 from ellipsoid_forge.errors import NotANorm
+from ellipsoid_forge.numeric import normalize
 from ellipsoid_forge.planar import (RadonResult, _NORM_TOL, _Restriction,
                                     _birkhoff_normals, _birkhoff_ratio, _boundary2,
                                     _chords, _closure_defect, _closure_normals,
@@ -86,6 +87,25 @@ def pball_oracles_by_norm(body, u, x):
     y = np.abs(w / (nq[..., None] if nq.ndim else nq)) ** (q - 1.0)
     g = np.linalg.norm(np.asarray(x, dtype=float) / a, ord=p, axis=-1)
     return nq, a * np.sign(w) * y, g
+
+
+def ellipsoid_oracles_by_vecmat(body, u, x, z, d):
+    """Ellipsoid's support(u), gauge(x) and boundary_point(z, d) by the
+    np.vecmat formulas, the ones the oracles used before they applied their
+    matrix as x @ Q: each row's support, gauge and ray exit, 0-d or (3,) for
+    one point. The stored inverse stands in for Q^-1, so only the form of the
+    map differs from the oracles."""
+    c, q, qinv = body.center, body.shape_matrix, body._qinv
+    u, x = np.asarray(u, dtype=float), np.asarray(x, dtype=float)
+    h = np.vecdot(c, u) + np.sqrt(np.vecdot(np.vecmat(u, qinv), u))
+    g = np.sqrt(np.vecdot(np.vecmat(x - c, q), x - c))
+    z, d = np.asarray(z, dtype=float), normalize(d)
+    v = z - c
+    qd = np.vecmat(d, q)
+    a, b = np.vecdot(qd, d), np.vecdot(qd, v)
+    c0 = np.vecdot(np.vecmat(v, q), v) - 1.0
+    t = (-b + np.sqrt(b * b - a * c0)) / a
+    return h, g, z + (t[..., None] if t.ndim else t) * d
 
 
 def lp_boundary_on_ray(d, p):

@@ -28,6 +28,7 @@ from ellipsoid_forge.numeric import normalize, sphere_directions
 from conftest import random_affine
 
 from oracles import (
+    ellipsoid_oracles_by_vecmat,
     ellipsoid_support,
     line_min_gauge_scalar,
     lp_boundary_on_ray,
@@ -319,6 +320,79 @@ def test_row_oracles_equal_point_calls(kind, p, affine, seed):
     if body.is_smooth:
         agree(body.normal_at, body.boundary_from_center(dirs))
         assert body.normal_at(pts[0, 0]).shape == (3,)
+
+
+def _exact_row_bodies():
+    rng = np.random.default_rng(33)
+    e = Ellipsoid(rng.uniform(-0.5, 0.5, 3), _random_spd(rng))
+    m, b = random_affine(7)
+    return [e, AffineImage(m, b, e),
+            AffineImage(m, b, Polytope(rng.normal(size=(12, 3)))),
+            AffineImage(m, b, AffineImage(*random_affine(8), e)),
+            AffineImage(m.T, b, e)]
+
+
+@pytest.mark.parametrize("body", _exact_row_bodies(), ids=[
+    "ellipsoid", "affine-ellipsoid", "affine-polytope", "affine-affine-image",
+    "affine-fortran-matrix"])
+def test_matrix_rows_equal_one_point_calls_exactly(body):
+    """Ellipsoid and AffineImage apply their matrices to rows as x @ M, M
+    C-contiguous, and every row keeps the bits of its one-point call: on 1,
+    64 and 12,544 rows (where a BLAS kernel may switch) and on an (S, k, 3)
+    stack, for each oracle of the kind. Of the 12,544 rows, the 32 at each
+    end and every 5th are compared, every 97th for the two solved oracles.
+    A p-ball inner is left out: its own rows already differ from its
+    one-point calls in the last bit, numpy's array power against its scalar
+    power."""
+    rng = np.random.default_rng(12)
+    c = body.center
+    z = c + 0.05 * rng.normal(size=3)
+    oracles = {"support": lambda u, x: body.support(u),
+               "support_point": lambda u, x: body.support_point(u),
+               "gauge": lambda u, x: body.gauge(x),
+               "boundary_point": lambda u, x: body.boundary_point(z, u),
+               "line_min_gauge": lambda u, x: body.line_min_gauge(x, u)}
+    if body.is_smooth:
+        oracles["normal_at"] = lambda u, x: body.normal_at(x)
+    for shape in ((1, 3), (64, 3), (12544, 3), (4, 16, 3)):
+        u, x = rng.normal(size=shape), c + 0.4 * rng.normal(size=shape)
+        flat_u, flat_x = u.reshape(-1, 3), x.reshape(-1, 3)
+        for name, oracle in oracles.items():
+            rows = oracle(u, x)
+            rows = rows if isinstance(rows, tuple) else (rows,)
+            k = len(flat_u)
+            step = 97 if name in ("boundary_point", "line_min_gauge") else 5
+            check = np.arange(k)
+            if k > 64:
+                check = check[(check < 32) | (check >= k - 32) | (check % step == 0)]
+            ones = [oracle(flat_u[i], flat_x[i]) for i in check]
+            ones = ones if isinstance(ones[0], tuple) else [(o,) for o in ones]
+            for j, got in enumerate(rows):
+                got = np.asarray(got).reshape(k, -1)[check]
+                want = np.array([np.atleast_1d(o[j]) for o in ones])
+                assert np.array_equal(got, want), (name, shape)
+
+
+def test_ellipsoid_matrix_rows_keep_the_vecmat_bits():
+    """support, gauge and boundary_point apply Q and Q^-1 as x @ Q, and equal
+    their former np.vecmat formulas bit for bit on 1, 64 and 3,000 rows and
+    on each of those 3,000 as one point. The stored Q^-1 is exactly
+    symmetric, so support_point's u @ Q^-1 needs no transpose."""
+    rng = np.random.default_rng(21)
+    body = Ellipsoid(rng.uniform(-0.5, 0.5, 3), _random_spd(rng))
+    qinv = body._qinv
+    assert np.array_equal(qinv, qinv.T)
+    z = body.center + 0.1 * rng.normal(size=3)
+    for k in (1, 64, 3000):
+        u, x = rng.normal(size=(k, 3)), body.center + rng.normal(size=(k, 3))
+        h, g, exit_ = ellipsoid_oracles_by_vecmat(body, u, x, z, u)
+        assert np.array_equal(body.support(u), h)
+        assert np.array_equal(body.gauge(x), g)
+        assert np.array_equal(body.boundary_point(z, u), exit_)
+    for ui, xi in zip(u, x):
+        hi, gi, exit_i = ellipsoid_oracles_by_vecmat(body, ui, xi, z, ui)
+        assert body.support(ui) == hi and body.gauge(xi) == gi
+        assert np.array_equal(body.boundary_point(z, ui), exit_i)
 
 
 @pytest.mark.parametrize("body", [

@@ -459,6 +459,9 @@ def test_ball_support_cone_is_ellipsoidal(unit_ball):
     assert fit.detail["ellipsoidal"]
     assert fit.classification == ELLIPSE
     assert fit.detail["max_rms"] < 1e-8
+    # the base section is fitted relative to the apex, 1 from it along the
+    # axis, and its centre is reported in the world
+    assert np.abs(fit.detail["center_world"] - [1.0, 0.0, 0.0]).max() < 1e-8
 
 
 def test_cone_sectioning_needs_dimension_three():

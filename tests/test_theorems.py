@@ -406,6 +406,20 @@ def test_t1_ellipsoid_witness_consistent(t1_witness):
     ]
 
 
+@pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (1e6, 0.0), (1.0, 1e8)],
+                         ids=["unit", "scaled-1e6", "translated-1e8"])
+def test_t1_ellipsoid_witness_consistent_at_any_scale_and_place(scale, shift):
+    """The cone sections are taken relative to each apex, so the section
+    points carry no rounding of the apex's size into the coplanarity test:
+    the witness scaled by 1e6, or moved 1e8 along a generic direction,
+    still reads consistent."""
+    t = shift * np.array([0.36, -0.48, 0.8])
+    inner = Ellipsoid(t, np.diag([1.0, 4.0, 9.0]) / scale ** 2)
+    outer = Ellipsoid.ball(3.0 * scale, center=t)
+    report = check_theorem1(inner, outer, apexes=8, m=48, pairs=4)
+    assert report.verdict == "consistent"
+
+
 def test_t1_l4_inner_violates_cone_hypothesis(l4_half, ball2):
     report = check_theorem1(l4_half, ball2, apexes=8, m=48, pairs=4)
     assert report.verdict == "hypothesis-violated"
