@@ -49,7 +49,7 @@ def _ray(z, d):
     z, d = np.asarray(z, dtype=float), np.asarray(d, dtype=float)
     if not (np.isfinite(z).all() and np.isfinite(d).all()):
         raise NonFiniteInput("ray base point or direction is not finite")
-    if not np.any(d, axis=-1).all():
+    if not _columns(np.logical_or, d != 0.0).all():
         raise ZeroDirection("a ray direction is zero")
     return z, d
 
@@ -61,11 +61,20 @@ def _nonzero(norms):
     return norms
 
 
+def _columns(op, a):
+    """op.reduce(a, axis=-1) bit for bit, and a numpy scalar on one point, by
+    columns: numpy folds a short axis in the same order, but row by row."""
+    s = a[..., 0][()]
+    for k in range(1, a.shape[-1]):
+        s = op(s, a[..., k])
+    return s
+
+
 def _lp_norm(x, p):
     """np.linalg.norm(x, ord=p, axis=-1) for 1 < p < inf, bit for bit: the
     ufuncs it runs, without its argument handling. Like it, p = 2 takes the
     square root, which a one-point power would not match."""
-    s = np.add.reduce(np.abs(x) ** p, axis=-1)
+    s = _columns(np.add, np.abs(x) ** p)
     return np.sqrt(s) if p == 2.0 else s ** (1.0 / p)
 
 

@@ -180,9 +180,10 @@ def find_root(f, init, tolerances=None, maxiter=None, f_init=None):
     s = np.zeros((7, n))
     s[0], s[1], s[2], s[3] = x1, f1, x2, f2
     s[6] = tol["fatol"] + tol["frtol"] * np.minimum(np.abs(f1), np.abs(f2))
-    out = np.zeros((6, n))  # x, f_x and the bracket ends with their f
-    status, nit_out, nfev_out = (np.zeros(n, np.int32) for _ in range(3))
-    nit, nfev, t = 0, 2, 0.5
+    # each stopped row's x1, f1, x2, f2 and nit; its outputs follow after the loop
+    final = np.empty((4, n))
+    status, nit_out = np.zeros(n, np.int32), np.empty(n, np.int32)
+    nit, t, nonfinite = 0, 0.5, True
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             x1, f1, x2, f2, x3, f3, ftol = s
@@ -192,38 +193,28 @@ def find_root(f, init, tolerances=None, maxiter=None, f_init=None):
             # iteration limit (-2)
             af1, af2 = np.abs(f1), np.abs(f2)
             i = af1 < af2
-            xmin = np.where(i, x1, x2)
             converged = np.where(i, af1, af2) <= ftol
             d21 = x2 - x1
             dx = np.abs(d21)
-            xtol = np.abs(xmin) * tol["xrtol"] + tol["xatol"]
-            ok = converged | (dx < xtol)
-            fails = []  # (rows, status) of the failure tests that ran
-            if not nit:
+            xtol = np.abs(np.where(i, x1, x2)) * tol["xrtol"] + tol["xatol"]
+            stop = converged | (dx < xtol)
+            if nonfinite:
+                bad = ((~(np.isfinite(x1) & np.isfinite(x2))
+                        | (np.isnan(f1) & np.isnan(f2))) & ~converged)
+                status[active[bad]], stop = -3, stop | bad
+            if not nit:  # scipy's first failure test, so its -1 wins over -3
                 # a step keeps f1 and f2 of opposite signs: it replaces the
                 # end whose sign f(x) shares, and a NaN matches no sign. So
                 # only the first bracket can lack a sign change.
-                fails.append(((np.sign(f1) == np.sign(f2)) & ~converged, -1))
-            # a non-finite end or a NaN f makes this sum non-finite
-            if np.count_nonzero(np.isfinite(d21 + f1 + f2)) < d21.size:
-                fails.append(((~(np.isfinite(x1) & np.isfinite(x2))
-                               | (np.isnan(f1) & np.isnan(f2))) & ~converged, -3))
-            stop = ok
-            for bad, _ in fails:
-                stop = stop | bad
+                bad = (np.sign(f1) == np.sign(f2)) & ~converged
+                status[active[bad]], stop = -1, stop | bad
             if nit >= maxiter:
+                status[active[~stop]] = -2
                 stop = np.ones_like(stop)
             if np.count_nonzero(stop):
                 done = stop.nonzero()[0]
-                st = np.where(ok[done], 0, -2)
-                xo, fo = xmin[done], np.where(i[done], f1[done], f2[done])
-                for bad, code in reversed(fails):  # the first test wins
-                    st[bad[done]] = code
-                    xo[bad[done]] = fo[bad[done]] = np.nan
-                rows = active[done]
-                out[0, rows], out[1, rows] = xo, fo
-                out[2:, rows] = s[:4].take(done, axis=1)
-                status[rows], nit_out[rows], nfev_out[rows] = st, nit, nfev
+                final[:, active[done]] = s[:4].take(done, axis=1)
+                nit_out[active[done]] = nit
                 keep = (~stop).nonzero()[0]
                 active, d21, dx, xtol = active[keep], d21[keep], dx[keep], xtol[keep]
                 s = s.take(keep, axis=1)
@@ -244,24 +235,25 @@ def find_root(f, init, tolerances=None, maxiter=None, f_init=None):
                 t = np.minimum(np.maximum(t, tl), 1 - tl)
             x = x1 + t * d21
             fx = np.asarray(f(x, active), dtype=float)
-            nfev += 1
+            # ends stay finite, and f1 is the newest f: -3 needs this x or f(x)
+            nonfinite = np.count_nonzero(np.isfinite(x + fx)) < x.size
             # the end whose sign f(x) shares becomes x3; x takes its place
             ends = s[:4].reshape(2, 2, -1)
             j = np.sign(fx) == np.sign(f1)
-            s[4:6], s[2:4] = (np.where(j, ends[0], ends[1]),
-                              np.where(j, ends[1], ends[0]))
+            s[4:6], s[2:4] = np.where(j, ends, ends[::-1])
             s[0], s[1] = x, fx
             nit += 1
-    # the bracket comes back as (left, right) ends, with their f
-    ordered = out[2] < out[4]
-    lo = np.where(ordered, out[2:4], out[4:6])
-    hi = np.where(ordered, out[4:6], out[2:4])
+    # x is the end of least |f|, NaN on a failed row; the bracket is (left, right)
+    (x1, f1), (x2, f2) = ends = final.reshape(2, 2, -1)
+    x, f_x = np.where((status == -1) | (status == -3), np.nan,
+                      np.where(np.abs(f1) < np.abs(f2), ends[0], ends[1]))
+    lo, hi = np.where(x1 < x2, ends, ends[::-1])
 
     def shaped(v):
         return v.reshape(shape)[()]
     return SimpleNamespace(
-        x=shaped(out[0]), f_x=shaped(out[1]), status=shaped(status),
-        success=shaped(status == 0), nit=shaped(nit_out), nfev=shaped(nfev_out),
+        x=shaped(x), f_x=shaped(f_x), status=shaped(status),
+        success=shaped(status == 0), nit=shaped(nit_out), nfev=shaped(nit_out + 2),
         bracket=(shaped(lo[0]), shaped(hi[0])),
         f_bracket=(shaped(lo[1]), shaped(hi[1])))
 

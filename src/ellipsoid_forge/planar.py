@@ -167,17 +167,16 @@ def _restriction_minimizer(body, w_world, n, d, where):
     fails raises NoSignChange or GeometryError (after _TIE_STEPS tie steps)
     naming it by where(flat index)."""
     shape, dim = w_world.shape[:-1], body.dim
+    # w, n and d apart: each gather gives contiguous rows, faster for w + t n
     w = w_world.reshape(-1, dim)
-    # each row as [w | n | d], so that a row's plane costs no second lookup
-    rows = np.concatenate([w, np.broadcast_to(n, w_world.shape).reshape(-1, dim),
-                           np.broadcast_to(d, shape).reshape(-1, 1)], axis=1)
+    n = np.broadcast_to(n, w_world.shape).reshape(-1, dim)
+    d = np.broadcast_to(d, shape).reshape(-1)
 
     def vertex(t, r):
         """support_point(w + t n) on rows r, and its slope <v, n> - d."""
-        q = rows.take(r, axis=0)
-        n_r = q[:, dim:-1]
-        v = body.support_point(q[:, :dim] + t[:, None] * n_r)
-        return v, np.vecdot(v, n_r) - q[:, -1]
+        n_r = n.take(r, axis=0)
+        v = body.support_point(w.take(r, axis=0) + t[:, None] * n_r)
+        return v, np.vecdot(v, n_r) - d.take(r)
 
     # column 0 wants the slope < 0, column 1 > 0
     t0 = 1.0 + np.sqrt(np.vecdot(w, w))
@@ -218,7 +217,7 @@ def _restriction_minimizer(body, w_world, n, d, where):
         va, vb, sa, sb = v[live, 0], v[live, 1], slope[live, 0], slope[live, 1]
         t[live] = tie_t = np.vecdot(va - vb, w[live]) / (sb - sa)
         vt, st = vertex(tie_t, live)
-        q = w[live] + tie_t[:, None] * rows[live, dim:-1]
+        q = w[live] + tie_t[:, None] * n[live]
         # v_t is an argmax at q, so <v_t - v_a, q> >= 0 but for rounding
         scale = np.sqrt(np.vecdot(q, q)) * (np.sqrt(np.vecdot(vt, vt))
                                             + np.sqrt(np.vecdot(va, va)))

@@ -18,7 +18,7 @@ from ellipsoid_forge import (
     parse_body,
     serialize_body,
 )
-from ellipsoid_forge.bodies import _nonzero, ray_exit
+from ellipsoid_forge.bodies import _columns, _lp_norm, _nonzero, ray_exit
 from ellipsoid_forge.planar import section
 from ellipsoid_forge.projective import Hyperplane
 from ellipsoid_forge.errors import (BodySpecError, LineMissesBody, NonFiniteInput,
@@ -150,6 +150,34 @@ def test_pball_oracles_equal_the_linalg_norm_formula(p):
         assert body.support(ui) == hi and body.gauge(xi) == gi
         assert np.array_equal(body.support_point(ui), spi)
     assert type(body.support(u[0])) is float and type(body.gauge(x[0])) is float
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0 / 3.0])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_lp_norm_column_sum_keeps_the_reduce_bits(dim, p):
+    """_lp_norm sums |x|**p column by column, and equals the reduce over the
+    last axis bit for bit, on single points, on (64, n) and (12,544, n)
+    rows, on Fortran-ordered and strided rows and on an (S, k, n) stack; a
+    one-point sum stays a numpy scalar, whose power has its own bits (in
+    about 1 of 20 values), also in one dimension. The zero-row test of the
+    ray exits folds its columns the same way."""
+    rng = np.random.default_rng(dim * 10 + int(3 * p))
+
+    def rows(*shape):
+        return rng.normal(size=shape) * np.exp(rng.uniform(-8.0, 8.0, shape))
+    wide = rows(500, 6)
+    for x in (*rows(100, dim), rows(64, dim), rows(12544, dim),
+              np.asfortranarray(rows(300, dim)), wide[:, 1:1 + dim],
+              rows(5, 16, dim)):
+        s = np.add.reduce(np.abs(x) ** p, axis=-1)
+        ref = np.sqrt(s) if p == 2.0 else s ** (1.0 / p)
+        assert np.array_equal(_columns(np.add, np.abs(x) ** p), s)
+        assert np.array_equal(_lp_norm(x, p), ref)
+        assert type(_lp_norm(x, p)) is type(ref)
+        x[..., 1:] *= rng.random(x.shape[:-1] + (1,)) < 0.5
+        x[..., 0] *= rng.random(x.shape[:-1]) < 0.5
+        assert np.array_equal(_columns(np.logical_or, x != 0.0),
+                              np.any(x, axis=-1))
 
 
 def test_zero_norms_raise_and_nan_norms_pass():

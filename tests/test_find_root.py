@@ -62,6 +62,8 @@ def _assert_same(ours, ref):
         assert np.array_equal(getattr(ours, key), getattr(ref, key),
                               equal_nan=True), key
         assert np.shape(getattr(ours, key)) == np.shape(getattr(ref, key)), key
+    # every iteration makes one evaluation, after the two at the bracket ends
+    assert np.array_equal(ours.nfev, ours.nit + 2)
     for mine, theirs in zip(ours.bracket + ours.f_bracket,
                             ref.bracket + ref.f_bracket):
         assert np.array_equal(mine, theirs, equal_nan=True)
@@ -116,6 +118,35 @@ def test_find_root_infinite_ends_equal_scipy():
     ours = find_root(lambda x, r: f(x), (a, b))
     _assert_same(ours, scipy_find_root(f, (a, b)))
     assert ours.status.tolist() == [-3, -1, -1, 0]
+    # a finite bracket wider than the largest float steps to an infinite x,
+    # so its row stops with -3 one iteration later
+    a, b = np.array([-1e308, -1.0, -1.7e308]), np.array([1e308, 1.0, 1.5e308])
+    with np.errstate(over="ignore"):
+        ours = find_root(lambda x, r: f(x), (a, b))
+        _assert_same(ours, scipy_find_root(f, (a, b)))
+    assert ours.status.tolist() == [-3, 0, -3] and ours.nit.tolist() == [1, 1, 1]
+
+
+@pytest.mark.parametrize("tolerances", TOLERANCES, ids=["xrtol", "xatol-only"])
+def test_find_root_nan_after_iterations_equals_scipy(tolerances):
+    """A row whose f turns NaN at both bracket ends only after some
+    iterations stops there with -3, as in scipy. Odd rows are NaN right of
+    a wall below their root: the steps bisect toward the wall, and two NaN
+    steps in a row leave both ends NaN."""
+    n = 40
+    rng = np.random.default_rng(3)
+    a, b = rng.uniform(-3.0, -1.0, n), rng.uniform(1.0, 3.0, n)
+    wall = rng.uniform(-0.5, 0.5, n)
+    c = wall + rng.uniform(0.1, 0.5, n)
+
+    def f(x, r):
+        return np.where((r % 2 == 1) & (x > wall[r]), np.nan,
+                        np.tanh(3.0 * (x - c[r])))
+    ours = find_root(f, (a, b), tolerances=tolerances)
+    _assert_same(ours, scipy_find_root(f, (a, b), args=(np.arange(n),),
+                                       tolerances=tolerances))
+    assert np.all(ours.status[::2] == 0) and np.all(ours.status[1::2] == -3)
+    assert np.count_nonzero(ours.nit[1::2] >= 3) >= 10
 
 
 @pytest.mark.parametrize("tolerances", TOLERANCES, ids=["xrtol", "xatol-only"])
@@ -126,6 +157,34 @@ def test_find_root_iteration_limit_equals_scipy(tolerances):
     _assert_same(ours, scipy_find_root(f, (a, b), args=(np.arange(30),),
                                        tolerances=tolerances, maxiter=3))
     assert np.all(ours.status == -2) and np.all(ours.nit == 3)
+
+
+@pytest.mark.parametrize("maxiter", [0, 2, 6])
+@pytest.mark.parametrize("tolerances", TOLERANCES, ids=["xrtol", "xatol-only"])
+def test_find_root_iteration_limit_mixed_rows_equal_scipy(tolerances, maxiter):
+    """At the iteration limit, rows that converged keep status 0 and rows
+    without a sign change -1, also when they stop at the limit itself
+    (nit 0 for -1); only the rows still running take -2."""
+    c, a, b = _brackets(7, 30)
+
+    def f(x, r):
+        # rows 0 mod 3 keep one sign, 1 mod 3 are lines (converged in 2 or
+        # 3 iterations) and 2 mod 3 steps (bisected to the limit)
+        k = r % 3
+        return np.where(k == 0, (x - c[r]) ** 2 + 0.05,
+                        np.where(k == 1, x - c[r], np.where(x < c[r], -1.0, 2.0)))
+    ours = find_root(f, (a, b), tolerances=tolerances, maxiter=maxiter)
+    _assert_same(ours, scipy_find_root(f, (a, b), args=(np.arange(30),),
+                                       tolerances=tolerances, maxiter=maxiter))
+    assert np.all(ours.status[::3] == -1) and np.all(ours.nit[::3] == 0)
+    assert np.all(ours.status[2::3] == -2) and np.all(ours.nit[2::3] == maxiter)
+    status, nit = ours.status[1::3], ours.nit[1::3]
+    if maxiter == 0:
+        assert np.all(status == -2)
+    elif maxiter == 2:  # most lines converge at the limit itself
+        assert np.count_nonzero((status == 0) & (nit == 2)) >= 5
+    else:
+        assert np.all(status == 0) and np.all(nit < maxiter)
 
 
 @pytest.mark.parametrize("tolerances", TOLERANCES, ids=["xrtol", "xatol-only"])

@@ -21,8 +21,20 @@ outputs compare directly: a diff shows which solve a change removed or made
 cheaper. The solves are counted by wrapping find_root in the library modules
 that call it, as the tests' solve counts do; the cases are the 13 L3 cases
 of perfbench (read, never changed).
+
+The committed record is COST_LEDGER.json, each case's solves, summed nfev
+and objective rows:
+
+    python3 tools/cost_ledger.py --write COST_LEDGER.json
+    python3 tools/cost_ledger.py --check COST_LEDGER.json
+
+--check prints the ledger as above, then exits 1 when a case's count rose
+above the record, or the cases differ from it; a count that fell is named,
+and the record is rewritten with --write.
 """
 
+import argparse
+import json
 import os
 import sys
 
@@ -64,22 +76,69 @@ def solves_of(run):
     return solves
 
 
-def main():
-    total_solves = total_nfev = total_rows = 0
+COUNTS = ("solves", "nfev", "rows")
+
+
+def ledger():
+    """{label: (counts, solves)} of every L3 case, in workload order: its
+    find_root solves, their summed max-row nfev and their summed objective
+    rows by name, and the solves themselves (see solves_of)."""
+    cases = {}
     for workload in ("cone-sweeps", "section-sweeps", "polytope-oracles"):
         for case in workloads.l3_cases(workload):
             solves = solves_of(case.run)
-            nfev = sum(s[2] for s in solves)
-            rows = sum(s[3] for s in solves)
-            total_solves += len(solves)
-            total_nfev += nfev
-            total_rows += rows
-            print("%-34s %2d solves  nfev %4d  rows %7d  %s" % (
-                case.label, len(solves), nfev, rows,
-                " ".join("%s[%d]:%d/%d" % s for s in solves)), flush=True)
-    print("%-34s %2d solves  nfev %4d  rows %7d" % ("total", total_solves,
-                                                     total_nfev, total_rows))
+            cases[case.label] = (dict(solves=len(solves),
+                                      nfev=sum(s[2] for s in solves),
+                                      rows=sum(s[3] for s in solves)), solves)
+    return cases
+
+
+def compare(recorded, counts):
+    """(rises, falls): a line for each count of counts ({label: {name:
+    count}}) above, or below, its recorded value; a case in one and not the
+    other is a rise."""
+    rises, falls = [], []
+    for label in sorted(set(recorded) ^ set(counts)):
+        rises.append("%s: %s" % (label, "not recorded" if label in counts
+                                 else "recorded, not run"))
+    for label in recorded.keys() & counts.keys():
+        for name in COUNTS:
+            was, now = recorded[label][name], counts[label][name]
+            if now != was:
+                (rises if now > was else falls).append(
+                    "%s: %s %d -> %d" % (label, name, was, now))
+    return rises, falls
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--write", metavar="PATH",
+                        help="write each case's counts to PATH as JSON")
+    parser.add_argument("--check", metavar="PATH",
+                        help="exit 1 when a count rose above PATH's")
+    args = parser.parse_args(argv)
+    cases = ledger()
+    for label, (counts, solves) in cases.items():
+        print("%-34s %2d solves  nfev %4d  rows %7d  %s" % (
+            label, counts["solves"], counts["nfev"], counts["rows"],
+            " ".join("%s[%d]:%d/%d" % s for s in solves)))
+    print("%-34s %2d solves  nfev %4d  rows %7d" % (("total",) + tuple(
+        sum(c[name] for c, _ in cases.values()) for name in COUNTS)))
+    counts = {label: c for label, (c, _) in cases.items()}
+    if args.write:
+        with open(args.write, "w") as fh:
+            json.dump(counts, fh, indent=1)
+            fh.write("\n")
+    if args.check:
+        with open(args.check) as fh:
+            rises, falls = compare(json.load(fh), counts)
+        for line in falls:
+            print("fell: %s (rewrite %s with --write)" % (line, args.check))
+        for line in rises:
+            print("ROSE: %s" % line)
+        return 1 if rises else 0
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
