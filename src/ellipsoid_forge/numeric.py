@@ -180,6 +180,10 @@ def find_root(f, init, tolerances=None, maxiter=None, f_init=None):
     s = np.zeros((7, n))
     s[0], s[1], s[2], s[3] = x1, f1, x2, f2
     s[6] = tol["fatol"] + tol["frtol"] * np.minimum(np.abs(f1), np.abs(f2))
+    # with xrtol 0 the x tolerance is xatol on every row: |x| * 0 + xatol is
+    # NaN only at a non-finite end, and the -3 test stops that row first
+    xrtol, xatol = tol["xrtol"], tol["xatol"]
+    xtol = xatol
     # each stopped row's x1, f1, x2, f2 and nit; its outputs follow after the loop
     final = np.empty((4, n))
     status, nit_out = np.zeros(n, np.int32), np.empty(n, np.int32)
@@ -196,7 +200,8 @@ def find_root(f, init, tolerances=None, maxiter=None, f_init=None):
             converged = np.where(i, af1, af2) <= ftol
             d21 = x2 - x1
             dx = np.abs(d21)
-            xtol = np.abs(np.where(i, x1, x2)) * tol["xrtol"] + tol["xatol"]
+            if xrtol:
+                xtol = np.abs(np.where(i, x1, x2)) * xrtol + xatol
             stop = converged | (dx < xtol)
             if nonfinite:
                 bad = ((~(np.isfinite(x1) & np.isfinite(x2))
@@ -216,7 +221,9 @@ def find_root(f, init, tolerances=None, maxiter=None, f_init=None):
                 final[:, active[done]] = s[:4].take(done, axis=1)
                 nit_out[active[done]] = nit
                 keep = (~stop).nonzero()[0]
-                active, d21, dx, xtol = active[keep], d21[keep], dx[keep], xtol[keep]
+                active, d21, dx = active[keep], d21[keep], dx[keep]
+                if xrtol:
+                    xtol = xtol[keep]
                 s = s.take(keep, axis=1)
                 x1, f1, x2, f2, x3, f3, ftol = s
             if not active.size:

@@ -145,8 +145,11 @@ class PlanarSection:
 #: within its vertex count
 _TIE_STEPS = 64
 
+#: a seeded row's first bracket, in units of its cold width 2 (1 + |w|)
+_WARM = 1e-3
 
-def _restriction_minimizer(body, w_world, n, d, where):
+
+def _restriction_minimizer(body, w_world, n, d, where, guess=None):
     """Minimizer t of psi(t) = h(w + t n) - t d for each row w of w_world,
     each row with its own plane: n and d broadcast against the rows, so one
     solve can serve a stack of sections of one body. Returns t and, on a
@@ -155,9 +158,20 @@ def _restriction_minimizer(body, w_world, n, d, where):
 
     Each row's bracket starts at +-(1 + |w|), and an end doubles until
     the derivative <support_point(w + t n), n> - d has the right sign
-    there (60 tries). On a smooth body one find_root then solves every row
-    on its bracket rescaled to [0, 1], to 5e-14 of the bracket width,
-    starting from the slopes the search found at the ends. On a
+    there (60 tries). A guess of t, shaped like the rows, seeds the solve:
+    each row's bracket then starts at guess -+ 1e-3 (1 + |w|), both ends
+    from one support_point call. A warm end whose slope has the wrong sign
+    lies on the other side of the minimiser, so the row keeps it there and
+    takes the cold end on its own side, doubled as above; a row whose two
+    slopes do not tell the side (a zero or NaN slope) starts cold.
+
+    On a smooth body one find_root then solves every row, starting from the
+    slopes the search found at the ends, to 5e-14 of its cold width
+    2 (1 + |w|), or of its bracket's width unseeded (the two differ only
+    where an end doubled): a seeded row's s runs in units of the cold
+    width, on [0, 1e-3] from a warm bracket. Rescaled to [0, 1], a warm
+    bracket would shrink the tolerance with it, and the bisection steps it
+    saves would come back. On a
     non-smooth body psi is piecewise linear: the support points v_a, v_b at
     the ends give the supporting lines <v, w> + t s of psi, s = <v, n> - d,
     and each tie step goes to where they meet, t = <v_a - v_b, w> / (s_b -
@@ -184,8 +198,25 @@ def _restriction_minimizer(body, w_world, n, d, where):
     v, slope = np.empty(ends.shape + (dim,)), np.empty(ends.shape)
     sign = np.array([-1.0, 1.0])
     wrong = np.ones(ends.shape, dtype=bool)
+    if guess is not None:
+        cold = 2.0 * t0
+        lo = guess.reshape(-1) - 0.5 * _WARM * cold
+        warm = np.stack([lo, lo + _WARM * cold], axis=-1)
+        v_w, s_w = vertex(warm.reshape(-1), np.repeat(np.arange(len(w)), 2))
+        v_w, s_w = v_w.reshape(v.shape), s_w.reshape(-1, 2)
+        s0, s1 = s_w.T
+        both = (s0 < 0.0) & (s1 > 0.0)
+        below, above = (s0 > 0.0) & (s1 > 0.0), (s0 < 0.0) & (s1 < 0.0)
+        # (rows, bracket end, warm end): the minimiser lies below both warm
+        # ends on the rows below, above both on the rows above
+        for rows, e, k in ((both, 0, 0), (both, 1, 1), (below, 1, 0), (above, 0, 1)):
+            ends[rows, e], slope[rows, e], v[rows, e] = (
+                warm[rows, k], s_w[rows, k], v_w[rows, k])
+            wrong[rows, e] = False
     for _ in range(60):
         r, e = wrong.nonzero()
+        if not r.size:
+            break
         v_re, s_re = vertex(ends[r, e], r)
         wrong[r, e] = ~(sign[e] * s_re > 0.0)
         slope[r, e] = s_re
@@ -199,18 +230,23 @@ def _restriction_minimizer(body, w_world, n, d, where):
         raise NoSignChange("restriction solve%s: the derivative keeps its "
                            "sign up to t = %.3g" % (where(r), ends[r, e] / 2.0))
     if body.is_smooth:
-        # find_root starts from the slopes at the ends, s = 0 and 1; a row
-        # whose lo + 1.0 * width rounds off its upper end takes it there
-        lo, width = ends[:, 0], ends[:, 1] - ends[:, 0]
-        off = (lo + width != ends[:, 1]).nonzero()[0]
+        # find_root runs on s, t = lo + s unit, with the slopes at the ends
+        # s = 0 and top (1 unseeded, _WARM on a warm bracket); a row whose
+        # lo + top * unit rounds off its upper end takes it there
+        lo = ends[:, 0]
+        unit = ends[:, 1] - lo if guess is None else cold
+        top = (ends[:, 1] - lo) / unit
+        if guess is not None:
+            top[both] = _WARM
+        off = (lo + top * unit != ends[:, 1]).nonzero()[0]
         if off.size:
-            slope[off, 1] = vertex(lo[off] + width[off], off)[1]
-        sol = find_root(lambda s, r: vertex(lo[r] + s * width[r], r)[1],
-                        (np.zeros(len(w)), np.ones(len(w))),
+            slope[off, 1] = vertex(lo[off] + top[off] * unit[off], off)[1]
+        sol = find_root(lambda s, r: vertex(lo[r] + s * unit[r], r)[1],
+                        (np.zeros(len(w)), top),
                         tolerances=dict(xatol=5e-14, xrtol=0.0),
                         f_init=(slope[:, 0], slope[:, 1]))
         check_roots(sol, lambda r: "restriction solve" + where(r), "the derivative")
-        return (lo + sol.x * width).reshape(shape), None
+        return (lo + sol.x * unit).reshape(shape), None
     t = np.empty(len(w))
     live = np.arange(len(w))
     for _ in range(_TIE_STEPS):
@@ -253,7 +289,7 @@ class _SectionRows:
         if w2.ndim < 2 or len(w2) != len(secs):
             raise ValueError("rows of %d sections need a stack of shape (%d, ..., 2); "
                              "got %s" % (len(secs), len(secs), w2.shape))
-        self.secs = secs
+        self.secs, self.chart = secs, w2
         self.block = (len(secs),) + (1,) * (w2.ndim - 2)
         self.origin = np.array([sec.origin for sec in secs]).reshape(self.block + (-1,))
         self.world = self.each(lambda sec, w: np.vecmat(w, sec.basis), w2)
@@ -279,14 +315,30 @@ class _Restriction:
     support_point2 at the rows of any cut of the last row axis, in the
     stack's layout. A failed row is named by its section and its row there
     over two or more sections or with an index, its row counted in the whole
-    stack."""
+    stack. guess, shaped like the rows, seeds the solve (see
+    _restriction_minimizer); predict gives one from an earlier solve."""
 
-    def __init__(self, secs, w2, index=None):
+    def __init__(self, secs, w2, index=None, guess=None):
         rows = self.rows = _SectionRows(secs, w2, index)
         self.n = np.array([sec.plane.normal for sec in secs]).reshape(rows.block + (-1,))
         self.d = np.array([sec.plane.offset for sec in secs]).reshape(rows.block)
         self.t, self.tied = _restriction_minimizer(rows.body, rows.world, self.n,
-                                                   self.d, rows.where)
+                                                   self.d, rows.where, guess)
+
+    def predict(self, sel, w2):
+        """The minimiser t of each row of w2, a stack of rows for the
+        sections secs[sel] of this solve, predicted from this solve's rows
+        of the same section. On a smooth body t is 1-homogeneous in w,
+        t = |w| tau(theta) with theta the row's chart angle, and tau is
+        interpolated linearly, periodic in theta, between this solve's rows
+        (none of them zero)."""
+        def polar(w):
+            w = w.reshape(len(w), -1, 2)
+            return np.arctan2(w[..., 1], w[..., 0]), np.sqrt(np.vecdot(w, w))
+        (th, r), (th2, r2) = polar(self.rows.chart[sel]), polar(w2)
+        tau = self.t[sel].reshape(r.shape) / r
+        t = [np.interp(*args, period=2.0 * np.pi) for args in zip(th2, th, tau)]
+        return (np.array(t) * r2).reshape(w2.shape[:-1])
 
     def values(self, cut=slice(None)):
         rows, n, d = self.rows, self.n, self.d
@@ -565,10 +617,11 @@ def is_radon_curve(sec, k=128, contact_tol=1e-8, seed=0, cross_pairs=16):
     solves in all, whatever k and however many sections: the norm gate's
     central_symmetry, whose solve also takes every section's conjugate
     contacts and the Birkhoff pairs' second vectors as support_point2 rows;
-    and one support2 over every closure side and Birkhoff normal. The
-    diameters' ends are one ray exit and the Birkhoff gauges one more. In a
-    list of two or more sections a failed row names its section in the list
-    and its row there.
+    and one support2 over every closure side and Birkhoff normal, which on
+    a smooth body starts from the first solve's minimisers (see
+    _Restriction.predict). The diameters' ends are one ray exit and the
+    Birkhoff gauges one more. In a list of two or more sections a failed
+    row names its section in the list and its row there.
     """
     require_sizes("is_radon_curve", {"k": k, "cross_pairs": cross_pairs})
     listed = isinstance(sec, list)
@@ -611,8 +664,12 @@ def is_radon_curve(sec, k=128, contact_tol=1e-8, seed=0, cross_pairs=16):
     x, y = np.concatenate([xs, ys], axis=1), np.concatenate([ys, xs], axis=1)
     nx = _gauge2(secs_l, x, c2, index)
     n_b = _birkhoff_normals(x, y, nx, _where(x, index))
-    h = _Restriction(secs_l, np.concatenate([n_p, -n_p, n_b], axis=1),
-                     index).values()
+    # on a smooth body the symmetry solve's minimisers, ~500 directions per
+    # section, put these rows' well inside their warm brackets (at most
+    # 2e-5 of the cold width off on a central e149 section, against 5e-4)
+    w2 = np.concatenate([n_p, -n_p, n_b], axis=1)
+    guess = solve.predict(live, w2) if solve.rows.body.is_smooth else None
+    h = _Restriction(secs_l, w2, index, guess).values()
     defect = _closure_defect(e_minus, e_plus, n_p, apart, h[:, :k],
                              h[:, k:2 * k], diam)
     normal, ratio = _birkhoff_ratio(x, nx, n_b, h[:, 2 * k:], c2)

@@ -859,6 +859,112 @@ def test_radon_joined_rows_equal_a_restriction_of_their_own(monkeypatch, case):
     assert np.array_equal(solve.points(slice(-len(rows), None)), own.points())
 
 
+def _seeded_sections(case):
+    """Sections of one smooth body for the seeded-solve tests."""
+    if case == "ellipsoid-off-centre":
+        return _row_sections(Ellipsoid(np.zeros(3), np.diag([1.0, 4.0, 9.0])))[1:2]
+    if case in ("l4", "affine-l3"):
+        return _radon_reference_sections(case)
+    return _central_sections(PBall(1.5, (1.0, 0.8, 1.2)), 3)
+
+
+def _second_solve(monkeypatch, secs, **kw):
+    """is_radon_curve's seeded restriction solve on secs: its sections, rows,
+    index and guess."""
+    seeded, real = [], planar._Restriction
+
+    def logged(secs, w2, index=None, guess=None):
+        if guess is not None:
+            seeded.append((secs, w2, index, guess))
+        return real(secs, w2, index, guess)
+    monkeypatch.setattr(planar, "_Restriction", logged)
+    is_radon_curve(secs, **kw)
+    monkeypatch.undo()
+    ((secs, w2, index, guess),) = seeded
+    return secs, w2, index, guess
+
+
+def _assert_same_solve(got, want, w2, lipschitz):
+    """Both solves find each minimiser to 5e-14 of the cold width
+    2 (1 + |w|), so their t differ by at most twice that; their values
+    agree within the residual floor, and so do their support points within
+    1e-12 where the body's support map is Lipschitz. An lp ball's with
+    p > 2 has unbounded slope at a zero coordinate: a row whose minimiser
+    sits there moves its point by about 1e-5 for a 1e-13 move of t, in
+    either solve."""
+    cold = 2.0 * (1.0 + np.sqrt(np.vecdot(w2, w2)))
+    assert np.all(np.abs(got.t - want.t) <= 1e-13 * cold)
+    assert np.abs(got.values() - want.values()).max() <= RESIDUAL_FLOOR
+    if lipschitz:
+        assert np.abs(got.points() - want.points()).max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["ellipsoid-off-centre", "l4", "affine-l3",
+                                  "pball-1.5"])
+def test_seeded_restriction_equals_the_cold_solve(monkeypatch, case):
+    """is_radon_curve seeds its second restriction solve on a smooth body
+    from the minimisers of its first, and the seeded solve equals the cold
+    one (see _assert_same_solve). A guess off by half the cold width, up on
+    even rows and down on odd ones, sends every row to a one-sided
+    fallback: the warm end on the far side of the minimiser is kept, the
+    cold end on the near side doubled as needed, and the result is the
+    same."""
+    secs, w2, index, guess = _second_solve(monkeypatch, _seeded_sections(case),
+                                           k=64, seed=2)
+    assert guess.shape == w2.shape[:-1]
+    lipschitz = case in ("ellipsoid-off-centre", "pball-1.5")
+    cold = planar._Restriction(secs, w2, index)
+    _assert_same_solve(planar._Restriction(secs, w2, index, guess), cold, w2,
+                       lipschitz)
+    half = 0.5 * (1.0 + np.sqrt(np.vecdot(w2, w2)))
+    flip = np.where(np.arange(w2.shape[1]) % 2, -half, half)
+    _assert_same_solve(planar._Restriction(secs, w2, index, guess + flip), cold,
+                       w2, lipschitz)
+
+
+def _second_solve_nit(monkeypatch, sec, seeded):
+    """Max nit of each find_root call of is_radon_curve(sec); seeded=False
+    leaves the second solve cold."""
+    nits, real = [], planar.find_root
+
+    def counted(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        nits.append(int(sol.nit.max()))
+        return sol
+    monkeypatch.setattr(planar, "find_root", counted)
+    if not seeded:
+        monkeypatch.setattr(planar._Restriction, "predict", lambda *a: None)
+    is_radon_curve(sec)
+    monkeypatch.undo()
+    return nits
+
+
+def test_seeded_second_solve_stops_within_five_steps(monkeypatch, ellipsoid149):
+    """On a central section of e149 the seeded second solve's slowest row
+    stops within 5 iterations; cold, it takes 8 to 10."""
+    sec = section(ellipsoid149, Hyperplane(normalize(np.array([0.3, -0.5, 0.8])), 0.0))
+    (_, seeded), (_, cold) = (_second_solve_nit(monkeypatch, sec, flag)
+                              for flag in (True, False))
+    assert seeded <= 5 and 8 <= cold <= 10
+
+
+def test_polytope_sections_are_never_seeded(monkeypatch):
+    """A polytope's restriction rows settle in tie steps: is_radon_curve
+    never predicts them, and their solves take no guess."""
+    guesses, real = [], planar._Restriction
+
+    class Logged(real):
+        def __init__(self, secs, w2, index=None, guess=None):
+            guesses.append(guess)
+            super().__init__(secs, w2, index, guess)
+
+        def predict(self, sel, w2):
+            raise AssertionError("predict called on a polytope section")
+    monkeypatch.setattr(planar, "_Restriction", Logged)
+    results = is_radon_curve(_radon_reference_sections("octahedron"), k=32)
+    assert len(results) == 3 and guesses == [None, None]
+
+
 def test_batched_support_point_failure_names_section_and_row(ellipsoid149):
     secs = _row_sections(ellipsoid149)
     good = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])

@@ -1,13 +1,13 @@
-"""Print the root-solve cost of each L3 case of perfbench.
+"""Print the root-solve cost of each run of tools/report_digests.py.
 
 Run from the repository root:
 
     python3 tools/cost_ledger.py
 
-One line per case: its label, the number of find_root solves the check
-makes, their summed max-row nfev and their summed objective rows, then each
-solve as module[rows]:nfev/objective rows, in call order, with the module
-that made it, its row count, its slowest row's evaluation count and the
+One line per run, the ledger's case: its label, the number of find_root
+solves the check makes, their summed max-row nfev and their summed
+objective rows, then each solve as module[rows]:nfev/objective rows, in
+call order, with the module that made it, its row count, its slowest row's evaluation count and the
 rows the objective was evaluated on (the sum of len(r) over its calls). A
 solve runs as long as its slowest row, so the summed max-row nfev is what
 the solves cost in objective calls, whatever their row counts; the
@@ -19,8 +19,10 @@ the totals.
 The counts are the same on every machine and in every run, so two trees'
 outputs compare directly: a diff shows which solve a change removed or made
 cheaper. The solves are counted by wrapping find_root in the library modules
-that call it, as the tests' solve counts do; the cases are the 13 L3 cases
-of perfbench (read, never changed).
+that call it, as the tests' solve counts do; the cases are the 24 runs of
+tools/report_digests.py, under its labels: the 13 L3 cases of perfbench
+(read, never changed) and 11 configurations that reach the off-centre,
+affine and skip paths.
 
 The committed record is COST_LEDGER.json, each case's solves, summed nfev
 and objective rows:
@@ -39,12 +41,12 @@ import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tools")]
 
 from ellipsoid_forge import bodies, cones, planar, theorems  # noqa: E402
 from ellipsoid_forge.numeric import find_root  # noqa: E402
 
-import workloads  # noqa: E402
+from report_digests import runs  # noqa: E402
 
 MODULES = (bodies, cones, planar, theorems)
 
@@ -80,16 +82,14 @@ COUNTS = ("solves", "nfev", "rows")
 
 
 def ledger():
-    """{label: (counts, solves)} of every L3 case, in workload order: its
-    find_root solves, their summed max-row nfev and their summed objective
-    rows by name, and the solves themselves (see solves_of)."""
+    """{label: (counts, solves)} of every run of report_digests, in its
+    order: its find_root solves, their summed max-row nfev and their summed
+    objective rows by name, and the solves themselves (see solves_of)."""
     cases = {}
-    for workload in ("cone-sweeps", "section-sweeps", "polytope-oracles"):
-        for case in workloads.l3_cases(workload):
-            solves = solves_of(case.run)
-            cases[case.label] = (dict(solves=len(solves),
-                                      nfev=sum(s[2] for s in solves),
-                                      rows=sum(s[3] for s in solves)), solves)
+    for label, run in runs():
+        solves = solves_of(run)
+        cases[label] = (dict(solves=len(solves), nfev=sum(s[2] for s in solves),
+                             rows=sum(s[3] for s in solves)), solves)
     return cases
 
 
@@ -119,10 +119,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     cases = ledger()
     for label, (counts, solves) in cases.items():
-        print("%-34s %2d solves  nfev %4d  rows %7d  %s" % (
+        print("%-36s %2d solves  nfev %4d  rows %7d  %s" % (
             label, counts["solves"], counts["nfev"], counts["rows"],
             " ".join("%s[%d]:%d/%d" % s for s in solves)))
-    print("%-34s %2d solves  nfev %4d  rows %7d" % (("total",) + tuple(
+    print("%-36s %2d solves  nfev %4d  rows %7d" % (("total",) + tuple(
         sum(c[name] for c, _ in cases.values()) for name in COUNTS)))
     counts = {label: c for label, (c, _) in cases.items()}
     if args.write:
