@@ -21,12 +21,14 @@ zero direction or row; the ray exits (boundary_point, ray_exit) raise
 NonFiniteInput for a non-finite base or direction, ZeroDirection for a zero
 direction or row, and RayBaseNotInterior for a base outside the interior.
 line_min_gauge(p, d) gives (t, g): the least gauge g along each line p + t d,
-at t in units of d; one row solve on smooth kinds, closed form on polytopes;
-NonFiniteInput and ZeroDirection as for the ray exits.
+at t in units of d, on every kind from one restriction solve of the body's
+polar (the planar module's minimiser; the gauge is the polar's support
+function); NonFiniteInput and ZeroDirection as for the ray exits.
 """
 
 import hashlib
 import io
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -159,31 +161,38 @@ class ConvexBody:
 
     def line_min_gauge(self, p, d):
         """Gauge minimum along each line p + t d, p and d broadcast as rows:
-        (t, g) with g = gauge(p + t d) least at t, in units of d. g is convex
-        along a line, with the slope sign of <normal_at(b), d> at the radial
-        boundary point b of p + t d: one find_root on that sign solves every
-        row on t_foot +- g(foot) R / |d| (R = radius_bound()), as the
-        minimiser x* has |x* - c| <= g(x*) R. A line through the center
-        (g(foot) <= 1e-13) takes its foot, unsolved."""
+        (t, g) with g = gauge(p + t d) least at t, in units of d. The gauge
+        about c is the support function of the polar of K - c, whose support
+        point at x is the gauge's gradient at c + x (_gauge_gradient), so
+        one restriction solve of the polar (planar._restriction_minimizer)
+        minimises every row along n = d / |d| from the foot of the centre,
+        t = t_foot + tau / |d|. A line through the center (g(foot) <= 1e-13)
+        takes its foot, unsolved."""
+        from .planar import _restriction_minimizer  # planar imports bodies
         p, d = _ray(p, d)
         shape = np.broadcast_shapes(p.shape, d.shape)
         v, e = (np.broadcast_to(a, shape).reshape(-1, self.dim)
                 for a in (p - self.center, d))
         t = -np.vecdot(v, e) / np.vecdot(e, e)
-        g_foot = self.gauge(self.center + v + t[:, None] * e)
-        half = g_foot * self.radius_bound() / np.sqrt(np.vecdot(e, e))
-        slope = lambda s, r: np.vecdot(self.normal_at(self.boundary_from_center(
-            v[r] + (t[r] + s * half[r])[:, None] * e[r])), e[r])
-        solve = np.flatnonzero(g_foot > 1e-13)
+        solve = np.flatnonzero(self.gauge(self.center + v + t[:, None] * e) > 1e-13)
         if solve.size:
-            sol = find_root(lambda s, r: slope(s, solve[r]),
-                            (np.full(solve.size, -1.0), np.ones(solve.size)),
-                            tolerances=dict(xatol=1e-15, xrtol=8.9e-16))
-            check_roots(sol, lambda r: "line minimum at row %d" % solve[r],
-                        "<normal, d>", "t_foot +- g(foot) R / |d|")
-            t[solve] += sol.x * half[solve]
+            polar = SimpleNamespace(dim=self.dim, is_smooth=self.is_smooth,
+                                    support_point=self._gauge_gradient)
+            e_s = e[solve]
+            e_len = np.sqrt(np.vecdot(e_s, e_s))
+            tau, _ = _restriction_minimizer(
+                polar, v[solve] + t[solve, None] * e_s, e_s / e_len[:, None], 0.0,
+                lambda r: " of the line minimum at row %d" % solve[r])
+            t[solve] += tau / e_len
         t = t.reshape(shape[:-1])
         return _value(t), self.gauge(p + t[..., None] * d)
+
+    def _gauge_gradient(self, x):
+        """The gauge's gradient at c + x, row by row: nu(b) / <nu(b), b - c>
+        at the radial boundary point b (smooth kinds only)."""
+        b = self.boundary_from_center(x)
+        nu = self.normal_at(b)
+        return nu / np.expand_dims(np.vecdot(nu, b - self.center), -1)
 
     def body_id(self):
         digest = hashlib.blake2b(
@@ -221,13 +230,6 @@ class Ellipsoid(ConvexBody):
         center = np.asarray(center, dtype=float)
         n = center.shape[0]
         return cls(center, np.eye(n) / radius**2)
-
-    @classmethod
-    def from_semi_axes(cls, semi_axes, center=None):
-        a = np.asarray(semi_axes, dtype=float)
-        if center is None:
-            center = np.zeros(a.shape[0])
-        return cls(center, np.diag(1.0 / a**2))
 
     @property
     def dim(self):
@@ -399,21 +401,10 @@ class Polytope(ConvexBody):
                       out=np.full(np.broadcast_shapes(az.shape, ad.shape), np.inf))
         return z + np.expand_dims(t.min(axis=-1), -1) * d
 
-    def line_min_gauge(self, p, d):
-        # along the line the gauge is max_i (al_i + be_i t) over the facets,
-        # least where a rising facet (be_i > 0) crosses a falling one highest
-        p, d = _ray(p, d)
-        al = np.matvec(self._a, p - self._c) / self._b
-        be = np.matvec(self._a, d) / self._b
-        ai, aj = al[..., :, None], al[..., None, :]
-        bi, bj = be[..., :, None], be[..., None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            level = np.where((bi > 0.0) & (bj < 0.0),
-                             (ai * -bj + aj * bi) / (bi - bj), -np.inf)
-            cross = (aj - ai) / (bi - bj)
-        best = level == level.max(axis=(-2, -1), keepdims=True)
-        t = np.where(best, cross, -np.inf).max(axis=(-2, -1))
-        return _value(t), self.gauge(p + t[..., None] * d)
+    def _gauge_gradient(self, x):
+        # a_i / b_i of the facet where the gauge max(A x / b) is taken
+        i = (np.matvec(self._a, np.asarray(x, dtype=float)) / self._b).argmax(axis=-1)
+        return self._a[i] / self._b[i, None]
 
 
 class AffineImage(ConvexBody):

@@ -26,7 +26,7 @@ is the call on a stack of one. birkhoff_normal takes rows, central_symmetry
 solves a list of sections at once, and its solve also takes the rows that
 a caller knows before it; is_radon_curve so tests a list of sections in
 two restriction solves and two ray exits, whatever k and however many
-sections.
+sections. A body's line_min_gauge is the minimizer on the body's polar.
 """
 
 from dataclasses import dataclass, field
@@ -142,7 +142,7 @@ class PlanarSection:
 
 #: the tie steps a restriction row on a non-smooth body may take: each step
 #: brings in a support point not seen before, so on a polytope a row settles
-#: within its vertex count
+#: within its vertex count (its facet count on the polar of a line minimum)
 _TIE_STEPS = 64
 
 #: a seeded row's first bracket, in units of its cold width 2 (1 + |w|)

@@ -10,6 +10,7 @@ compare package output against these, never the other way around.
 
 import numpy as np
 from scipy.optimize import linprog, minimize_scalar
+from scipy.spatial import ConvexHull
 
 from ellipsoid_forge import Line, graze
 from ellipsoid_forge.bodies import ray_exit
@@ -206,6 +207,33 @@ def line_min_gauge_scalar(body, p, d):
     r = minimize_scalar(lambda t: body.gauge(p + t * unit), bounds=(-span, span),
                         method="bounded", options={"xatol": 1e-12 * (1.0 + span)})
     return float(r.x) / float(np.linalg.norm(d)), float(r.fun)
+
+
+def line_min_gauge_facet_pairs(vertices, p, d):
+    """Gauge minimum of conv(V) about the vertex mean c along each line
+    p + t d, p and d broadcast as rows, in closed form over the facets
+    A (x - c) <= b: along a line the gauge is max_i (al_i + be_i t), least
+    where a rising facet (be_i > 0) crosses a falling one highest, and g is
+    the gauge there. Builds an (f, f) matrix of facet pairs per row, the
+    route Polytope.line_min_gauge took before the polar restriction solve.
+    Returns (t in units of d, g), arrays of the rows' shape."""
+    v = np.asarray(vertices, dtype=float)
+    eq = ConvexHull(v).equations
+    c = v.mean(axis=0)
+    a = eq[:, :-1]
+    b = -eq[:, -1] - a @ c
+    p, d = np.asarray(p, dtype=float), np.asarray(d, dtype=float)
+    al = (p - c) @ a.T / b
+    be = d @ a.T / b
+    ai, aj = al[..., :, None], al[..., None, :]
+    bi, bj = be[..., :, None], be[..., None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        level = np.where((bi > 0.0) & (bj < 0.0),
+                         (ai * -bj + aj * bi) / (bi - bj), -np.inf)
+        cross = (aj - ai) / (bi - bj)
+    best = level == level.max(axis=(-2, -1), keepdims=True)
+    t = np.where(best, cross, -np.inf).max(axis=(-2, -1))
+    return t, (al + be * t[..., None]).max(axis=-1)
 
 
 def reflection_residual_one(sec, center2, k=48):

@@ -19,10 +19,11 @@ from ellipsoid_forge import (
     serialize_body,
 )
 from ellipsoid_forge.bodies import _columns, _lp_norm, _nonzero, ray_exit
-from ellipsoid_forge.planar import section
+from ellipsoid_forge.planar import _TIE_STEPS, section
 from ellipsoid_forge.projective import Hyperplane
-from ellipsoid_forge.errors import (BodySpecError, LineMissesBody, NonFiniteInput,
-                                   NonSmoothBody, RayBaseNotInterior, ZeroDirection)
+from ellipsoid_forge.errors import (BodySpecError, LineMissesBody, NoSignChange,
+                                   NonFiniteInput, NonSmoothBody, RayBaseNotInterior,
+                                   ZeroDirection)
 from ellipsoid_forge.numeric import normalize, sphere_directions
 
 from conftest import random_affine
@@ -30,6 +31,7 @@ from conftest import random_affine
 from oracles import (
     ellipsoid_oracles_by_vecmat,
     ellipsoid_support,
+    line_min_gauge_facet_pairs,
     line_min_gauge_scalar,
     lp_boundary_on_ray,
     lp_norm,
@@ -80,7 +82,7 @@ def test_ellipsoid_normal_is_gradient_direction():
 def test_ellipsoid_constructors_and_validation():
     b = Ellipsoid.ball(2.0)
     assert b.support(np.array([1.0, 0, 0])) == pytest.approx(2.0)
-    e = Ellipsoid.from_semi_axes([1.0, 0.5, 3.0])
+    e = Ellipsoid(np.zeros(3), np.diag(np.array([1.0, 0.5, 3.0]) ** -2.0))
     assert e.support(np.array([0, 0, 1.0])) == pytest.approx(3.0)
     with pytest.raises(ValueError):
         Ellipsoid(np.zeros(3), np.eye(2))
@@ -650,9 +652,10 @@ def test_line_boundary_points_affine_polytope():
 
 def test_line_min_gauge_bracket_holds_a_far_minimiser():
     # the line runs 1000 from a needle of semi-axes (100, 1, 1), and its
-    # minimiser lies 5e4 along it: beyond |p - c| + radius_bound, but within
-    # g(foot) radius_bound of the foot
-    body = Ellipsoid.from_semi_axes([100.0, 1.0, 1.0])
+    # minimiser lies 5e4 along it from the foot w of the centre: 50 times the
+    # restriction solve's first bracket +-(1 + |w|), whose ends double until
+    # the slopes change sign
+    body = Ellipsoid(np.zeros(3), np.diag(np.array([100.0, 1.0, 1.0]) ** -2.0))
     line = Line([0.0, 1000.0, 0.0], [1.0, 0.01, 0.0])
     t, g = body.line_min_gauge(line.point, line.direction)
     assert isinstance(t, float) and isinstance(g, float)
@@ -695,6 +698,68 @@ def test_line_min_gauge_rows_against_scalar_minimisation(name):
     t0, g0 = body.line_min_gauge(p[0], d[0])
     assert isinstance(t0, float) and isinstance(g0, float)
     assert abs(g0 - g[0]) <= 1e-15 * (1.0 + g0)
+
+
+def test_line_min_gauge_names_a_failed_row():
+    """A row whose restriction solve fails is named by its row in the call,
+    the rows through the centre, which take their foot unsolved, counted."""
+    class Broken(Ellipsoid):
+        def _gauge_gradient(self, x):
+            # NaN slopes on the line x_0 = 100: its bracket never closes
+            grad = super()._gauge_gradient(x)
+            return np.where(x[..., :1] > 50.0, np.nan, grad)
+
+    body = Broken(np.zeros(3), np.eye(3))
+    p = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [100.0, 0.0, 0.0]])
+    with pytest.raises(NoSignChange, match=r"^restriction solve of the line "
+                                           r"minimum at row 2: "):
+        body.line_min_gauge(p, [0.0, 1.0, 0.0])
+    t, g = body.line_min_gauge(p[:2], [0.0, 1.0, 0.0])
+    assert np.array_equal(t, [0.0, 0.0]) and np.array_equal(g, [0.0, 0.5])
+
+
+def _facet_pair_bodies():
+    """(body, the vertices of its hull) for each polytope of the facet-pair
+    test: the affine image's hull is that of its mapped vertices, and the
+    sphere hull's 196 facets are more than the restriction solve's
+    _TIE_STEPS."""
+    octahedron = np.vstack([np.eye(3), -np.eye(3)])
+    hull = np.random.default_rng(4).standard_normal((30, 3))
+    sphere = normalize(np.random.default_rng(6).standard_normal((100, 3)))
+    m = np.array([[1.2, 0.3, -0.1], [0.0, 0.9, 0.4], [0.2, -0.3, 1.1]])
+    b = np.array([0.1, 0.2, -0.1])
+    return {"octahedron": (Polytope(octahedron), octahedron),
+            "hull-30": (Polytope(hull), hull),
+            "affine-hull-30": (AffineImage(m, b, Polytope(hull)), hull @ m.T + b),
+            "sphere-hull-100": (Polytope(sphere), sphere)}
+
+
+@pytest.mark.parametrize("name", ["octahedron", "hull-30", "affine-hull-30",
+                                  "sphere-hull-100"])
+def test_line_min_gauge_rows_match_the_facet_pair_closed_form(name):
+    """A polytope's line minima, from the tie steps of the polar restriction
+    solve, equal the facet-pair closed form's to 1e-14 relative in g: on 40
+    lines, one passing 5e-4 from the centre, and on a hull of more facets
+    than _TIE_STEPS, since each line settles among the few facets it meets.
+    That line's p is its foot of the centre: from a p far along it, p + t d
+    alone would round by eps |p - c|, above 1e-14 of its g ~ 1e-3. The
+    affine image's gauge runs through A^-1 (x - b), and its reference hull
+    through the mapped vertices: their rounding, some 3e-17 on this body,
+    is 1e-13 of that g, so its rows get a floor of 1e-16."""
+    body, vertices = _facet_pair_bodies()[name]
+    if name == "sphere-hull-100":
+        assert len(ConvexHull(vertices).equations) > _TIE_STEPS
+    rng = np.random.default_rng(8)
+    c = body.center
+    p = c + 2.0 * rng.standard_normal((40, 3))
+    d = rng.standard_normal((40, 3)) * rng.uniform(0.1, 10.0, (40, 1))
+    p[0] = c + 5e-4 * normalize(np.cross(d[0], rng.standard_normal(3)))
+    t, g = body.line_min_gauge(p, d)
+    _, g_ref = line_min_gauge_facet_pairs(vertices, p, d)
+    assert 0.0 < g_ref[0] < 1e-2
+    floor = 1e-16 if isinstance(body, AffineImage) else 0.0
+    assert np.all(np.abs(g - g_ref) <= 1e-14 * g_ref + floor)
+    assert np.all(np.abs(body.gauge(p + t[:, None] * d) - g) <= 1e-14 * g)
 
 
 def test_sphere_directions_beyond_three_dimensions():

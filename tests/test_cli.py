@@ -47,7 +47,7 @@ def specs(tmp_path_factory):
     put("ball2", Ellipsoid.ball(2.0))
     put("ball_half", Ellipsoid.ball(0.5))
     put("ellipsoid", Ellipsoid(np.zeros(3), np.diag([1.0, 4.0, 9.0])))
-    put("thin", Ellipsoid.from_semi_axes([4.0, 1.0, 0.1]))
+    put("thin", Ellipsoid(np.zeros(3), np.diag(np.array([4.0, 1.0, 0.1]) ** -2.0)))
     put("l4", PBall(4.0, (1.0, 1.0, 1.0)))
     put("l4_double", PBall(4.0, (2.0, 2.0, 2.0)))
     put("disc", Ellipsoid.ball(1.0, dim=2))

@@ -124,7 +124,7 @@ _THIN_PLANE = Hyperplane.from_point_normal([-2.0, 0.0, 0.0], [1.0, 1.0, 1.0])
 
 
 @pytest.mark.parametrize("body", [
-    Ellipsoid.from_semi_axes(_THIN_AXES),
+    Ellipsoid(np.zeros(3), np.diag(_THIN_AXES ** -2.0)),
     Polytope(np.vstack([np.eye(3), -np.eye(3)]) * _THIN_AXES),
 ], ids=["ellipsoid", "octahedron"])
 def test_thin_section_origin_is_interior(body):
@@ -678,7 +678,7 @@ def test_radon_runs_min_k_cross_pairs_birkhoff_pairs(solves, k, cross_pairs,
     """Each section adds its 2k conjugate contacts and its `pairs` Birkhoff
     y points to the norm gate's symmetry solve, and its 2k closure sides and
     2 * pairs Birkhoff normals (each pair both ways) to the support2 solve."""
-    body = Ellipsoid.from_semi_axes([1.0, 2.0, 3.0])
+    body = Ellipsoid(np.zeros(3), np.diag(np.array([1.0, 2.0, 3.0]) ** -2.0))
     cut = lambda: [section(body, Hyperplane(normalize(np.array(nrm)), 0.0))
                    for nrm in ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0])]
     for sec in cut():

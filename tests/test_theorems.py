@@ -915,8 +915,8 @@ def test_basico_counts_the_slab_planes_that_miss_the_body():
     """p near the end of the long axis, in a slab as wide as the body's
     end: one of the 4 x 5 slab planes misses the body, and the symmetry
     stage counts it as missed, not as a section."""
-    report = check_theorem_basico(Ellipsoid.from_semi_axes([1.0, 2.0, 3.0]),
-                                  [0.97, 0.0, 0.0], eps=1.0, planes=4, offsets=5,
+    body = Ellipsoid(np.zeros(3), np.diag(np.array([1.0, 2.0, 3.0]) ** -2.0))
+    report = check_theorem_basico(body, [0.97, 0.0, 0.0], eps=1.0, planes=4, offsets=5,
                                   m=16, sym_m=16)
     stage = _stage(report, "slab-sections-centrally-symmetric")
     assert (stage.detail["missed"], stage.detail["sections"]) == (1, 19)
