@@ -98,29 +98,12 @@ def fit_hyperplane(points):
         for r in range(k)], one)
 
 
-def fit_conic_2d(xy, tol=DEFAULT_ELLIPSE_TOL):
-    """Conic fit on 2-D points: fit_quadric in the plane, under its ellipse rule.
-
-    model is [a, c, b, d, e, f] for a X^2 + b XY + c Y^2 + d X + e Y + f in
-    normalized coordinates; detail adds disc = b^2 - 4ac = -4 det Q and, for
-    an ellipse, the center in the input coordinates.
-    """
-    xy, one = _clouds(xy, 2, "xy")
-    return _results(_conic_fits(xy, tol, one), one)
-
-
-def _conic_fits(xy, tol, one):
-    fits = _quadric_fits(xy, tol, one)
-    for res in fits:
-        q = res.detail["form"]
-        res.detail["disc"] = float(4.0 * (q[0, 1] ** 2 - q[0, 0] * q[1, 1]))
-        if res.classification == ELLIPSE:
-            res.detail["center"] = res.detail.pop("center_world")
-    return fits
-
-
 def fit_planar_conic(points, plane, tol=DEFAULT_ELLIPSE_TOL):
-    """Conic fit of coplanar 3-D points inside an orthonormal chart of plane.
+    """Conic fit of coplanar 3-D points inside an orthonormal chart of plane:
+    fit_quadric on the chart points, under its ellipse rule. model is
+    [a, c, b, d, e, f] for a X^2 + b XY + c Y^2 + d X + e Y + f in normalized
+    chart coordinates; detail adds disc = b^2 - 4ac = -4 det Q and, for an
+    ellipse, the center in the chart and center_world in R^3.
 
     A (k, m, 3) stack takes a sequence of k planes, one per cloud. The
     coincidence and coplanarity tests are scaled by the cloud's largest
@@ -143,10 +126,13 @@ def fit_planar_conic(points, plane, tol=DEFAULT_ELLIPSE_TOL):
            "points deviate from the plane by %.3e relative", off / spread)
     basis = unit_frame(normal)
     origin = normal * offset[:, None]
-    fits = _conic_fits(np.matmul(pts - origin[:, None], basis), tol, one)
+    fits = _quadric_fits(np.matmul(pts - origin[:, None], basis), tol, one)
     for res, o, b in zip(fits, origin, basis):
-        if "center" in res.detail:
-            res.detail["center_world"] = o + b @ res.detail["center"]
+        q = res.detail["form"]
+        res.detail["disc"] = float(4.0 * (q[0, 1] ** 2 - q[0, 0] * q[1, 1]))
+        if res.classification == ELLIPSE:
+            res.detail["center"] = center = res.detail.pop("center_world")
+            res.detail["center_world"] = o + b @ center
     return _results(fits, one)
 
 

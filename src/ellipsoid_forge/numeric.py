@@ -33,15 +33,15 @@ def unit_frame(u):
     """
     u = normalize(u)
     n = u.shape[-1]
-    skip = np.argmax(np.abs(u), axis=-1)
-    eye, cols = np.eye(n), []
+    skip = np.abs(u).argmax(axis=-1)
+    eye, frame = np.eye(n), np.empty(u.shape + (n - 1,))
     for k in range(n - 1):
         v = eye[k + (k >= skip)]
         v = v - np.vecdot(v, u)[..., None] * u
-        for w in cols:
-            v = v - np.vecdot(v, w)[..., None] * w
-        cols.append(normalize(v))
-    return np.stack(cols, axis=-1)
+        for j in range(k):
+            v = v - np.vecdot(v, frame[..., j])[..., None] * frame[..., j]
+        frame[..., k] = normalize(v)
+    return frame
 
 
 def rotation_from_seed(n, seed):

@@ -1,8 +1,12 @@
 """Planar-section analytics.
 
-A PlanarSection wraps the 2-D convex figure cut from a body by a hyperplane
-(dimension 3 host: the section is a planar convex curve) behind a chart and a
-2-D support oracle. The support function of a section is computed by the
+A Sections stack holds S sections of one 3-D body by planes as arrays:
+normals, offsets, chart origins, bases, cached widths and each section's
+name, its index in the family it was built with. One vectorised origin
+search builds them all, and a mask or slice of a stack is a stack that keeps
+the names. A PlanarSection, from section(body, plane), is a stack of one:
+the 2-D figure cut from a body by a hyperplane behind a chart and a 2-D
+support oracle. The support function of a section is computed by the
 standard restriction formula h_sec(w) = inf_t [h_K(w + t n) - t d]. For
 every body psi(t) = h_K(w + t n) - t d is convex in t, and its derivative is
 selected monotonically by <support_point(w + t n), n> - d. On a smooth body
@@ -19,16 +23,18 @@ plane: on a smooth body in one vectorised Chandrupatla solve
 (numeric.find_root), on a non-smooth one in tie steps over the rows still
 unsettled, no more than the polytope has vertices. One restriction solve
 is a _Restriction, and one ray exit a _boundary2 or _gauge2 call: each
-takes a stack of rows for several sections of one body, shape (S, ..., 2)
-with the rows of secs[i] at [i], and gives its results in the same layout,
-so that one solve or one ray exit serves them all; a section's own oracle
-is the call on a stack of one. birkhoff_normal takes rows, central_symmetry
-solves a list of sections at once, and its solve also takes the rows that
-a caller knows before it; is_radon_curve so tests a list of sections in
-two restriction solves and two ray exits, whatever k and however many
+takes a stack of sections and its rows as one (S, ..., 2) array, the rows
+of section i at [i], and gives its results in the same layout; the stack's
+chart maps take (S, ..., 2) and (S, ..., 3) rows the same way. A
+PlanarSection's own oracle is the call on its stack of one. A failed row is
+named by its section's name and its row there. birkhoff_normal takes rows,
+central_symmetry solves a stack at once, and its solve also takes the rows
+that a caller knows before it; is_radon_curve so tests a stack in two
+restriction solves and two ray exits, whatever k and however many
 sections. A body's line_min_gauge is the minimizer on the body's polar.
 """
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,19 +56,17 @@ def _row_note(index, rows):
     return " at row %d" % index if np.ndim(rows) > 1 else ""
 
 
-def _where(rows, index=None):
-    """where(r), naming flat row r of a stack of rows, shape (S, k..., 2):
-    ' at section i, row j', with i = r // k (index[i] when index renames the
-    sections) and j = r % k, over two or more sections or with an index;
-    else _row_note's flat index in the one section's rows. In
-    _central_symmetry's solve j counts from the section's first symmetry
+def _where(rows, secs):
+    """where(r), naming flat row r of a stack of rows of secs, shape
+    (S, k..., 2): ' at section i, row j', with i the name of section r // k
+    and j = r % k; for a PlanarSection, _row_note's flat index in its rows.
+    In _central_symmetry's solve j counts from the section's first symmetry
     row, so a caller's row j is its place after the symmetry and width
     rows."""
-    if index is None and len(rows) < 2:
+    if isinstance(secs, PlanarSection):
         return lambda r: _row_note(r, rows[0])
     k = np.prod(rows.shape[1:-1], dtype=int)
-    index = range(len(rows)) if index is None else index
-    return lambda r: " at section %d, row %d" % (index[r // k], r % k)
+    return lambda r: " at section %d, row %d" % (secs.names[r // k], r % k)
 
 
 def _width_rows():
@@ -73,59 +77,119 @@ def _width_rows():
 
 
 def _width(h):
-    """diameter2 from the section's support at the _width_rows()."""
-    return float((h[:16] + h[16:]).max())
+    """diameter2 from a section's support at the _width_rows(), or of each
+    section from rows (S, 32)."""
+    return (h[..., :16] + h[..., 16:]).max(axis=-1)
 
 
-class PlanarSection:
-    """Section of a convex body by a hyperplane, as a 2-D support oracle."""
+class Sections:
+    """S sections of one 3-D body, by the planes <normals[i], x> = offsets[i],
+    held as arrays: normals (S, 3), offsets (S,), chart origins (S, 3),
+    bases (S, 2, 3) with rows b1, b2, widths (S,) (diameter2, NaN until
+    cached) and names (S,), each section's index in the family it was built
+    with. Each chart origin is the foot of the centre c when it is interior;
+    else where the segment from c to the support point on the far side of
+    the plane crosses it. The gauge is 1-homogeneous about c, so that
+    crossing has gauge reach exactly, and reach >= 1 - 1e-9 raises
+    PlaneMissesBody naming the plane: it misses the interior, or all but
+    grazes it. One gauge call and at most one support_point call serve
+    every plane."""
 
-    def __init__(self, body, plane):
-        self.body = body
-        self.plane = plane
-        self.origin = self._find_origin()
-        self.basis = unit_frame(plane.normal).T  # rows b1, b2
-        self._diameter2 = None
+    def __init__(self, body, normals, offsets):
+        normals = np.asarray(normals, dtype=float)
+        offsets = np.asarray(offsets, dtype=float)
+        if body.dim != 3 or normals.ndim != 2 or normals.shape[1] != 3:
+            raise UnsupportedDimension(
+                "sections need a 3-D body and planes in R^3; the body has "
+                "dimension %d, the plane normals shape %s"
+                % (body.dim, normals.shape[1:]))
+        c = body.center
+        s = np.vecdot(normals, c) - offsets
+        z = c - s[:, None] * normals
+        out = body.gauge(z) >= 1.0 - 1e-9
+        if out.any():
+            n = normals[out]
+            far = body.support_point(-np.sign(s[out])[:, None] * n)
+            reach = s[out] / (s[out] - (np.vecdot(n, far) - offsets[out]))
+            miss = ~(reach < 1.0 - 1e-9)
+            if miss.any():
+                i = np.argmax(miss)
+                raise PlaneMissesBody(
+                    "%s misses the interior: it cuts the ray to the far "
+                    "support point at reach %r"
+                    % ("plane %d" % np.flatnonzero(out)[i] if len(normals) > 1
+                       else "the plane", float(reach[i])))
+            z[out] = c + reach[:, None] * (far - c)
+        self.body, self.normals, self.offsets = body, normals, offsets
+        self.origins = z - (np.vecdot(normals, z) - offsets)[:, None] * normals
+        # each basis is its unit_frame's transpose, column-major: C-contiguous
+        # ones give np.vecmat and np.matvec other last bits. One normal
+        # takes unit_frame's one-vector path, the same bits in less time
+        frames = unit_frame(normals) if len(normals) != 1 else unit_frame(normals[0])[None]
+        self.bases = frames.swapaxes(-1, -2)
+        self.widths = np.full(len(normals), np.nan)
+        self.names = np.arange(len(normals))
 
-    def _find_origin(self):
-        """The foot of the centre c when it is interior; else the point where
-        the segment from c to the support point on the far side of the plane
-        crosses it. The gauge is 1-homogeneous about c, so that crossing has
-        gauge reach exactly, and reach >= 1 means the plane misses the
-        interior."""
-        body, plane = self.body, self.plane
-        n, s = plane.normal, plane.signed_distance(body.center)
-        z = body.center - s * n
-        if body.gauge(z) >= 1.0 - 1e-9:
-            far = body.support_point(-np.sign(s) * n)
-            reach = s / (s - plane.signed_distance(far))
-            if not reach < 1.0 - 1e-9:
-                raise PlaneMissesBody("the plane misses the interior: it cuts "
-                                      "the ray to the far support point at "
-                                      "reach %.6f" % reach)
-            z = body.center + reach * (far - body.center)
-        return z - plane.signed_distance(z) * n
+    def __len__(self):
+        return len(self.names)
+
+    def __getitem__(self, sel):
+        """The sections sel, a mask, slice or index array, as a stack that
+        keeps their names; an int i gives section i as a PlanarSection on
+        views of the stack's arrays, so that its width caches in both."""
+        part = copy.copy(self)
+        if isinstance(sel, (int, np.integer)):
+            i = range(len(self))[sel]
+            part.__class__, sel = PlanarSection, slice(i, i + 1)
+        for key in ("normals", "offsets", "origins", "bases", "widths", "names"):
+            setattr(part, key, getattr(self, key)[sel])
+        return part
+
+    @property
+    def planes(self):
+        return [Hyperplane(n, d) for n, d in zip(self.normals, self.offsets)]
+
+    def _block(self, x, a):
+        """a, one entry per section, shaped to broadcast against the stack x
+        of rows, (S, ..., k); one row (k,) is every section's."""
+        if np.ndim(x) > 1:
+            return a[(slice(None),) + (None,) * (np.ndim(x) - 2)]
+        return a[0] if len(a) == 1 else a
 
     def to_world(self, p2):
-        return self.origin + np.vecmat(np.asarray(p2, dtype=float), self.basis)
+        p2 = np.asarray(p2, dtype=float)
+        return self._block(p2, self.origins) + np.vecmat(p2, self._block(p2, self.bases))
 
     def to_chart(self, z):
-        return np.matvec(self.basis, np.asarray(z, dtype=float) - self.origin)
+        z = np.asarray(z, dtype=float)
+        return np.matvec(self._block(z, self.bases), z - self._block(z, self.origins))
+
+
+class PlanarSection(Sections):
+    """Section of a convex body by a hyperplane, as a 2-D support oracle: a
+    stack of one, whose oracles take rows (..., 2) of any shape."""
+
+    def __init__(self, body, plane):
+        super().__init__(body, plane.normal[None], [plane.offset])
+
+    plane = property(lambda self: self.planes[0])
+    origin = property(lambda self: self.origins[0])
+    basis = property(lambda self: self.bases[0])
 
     def support2(self, w):
-        return _value(_Restriction([self], [w]).values()[0])
+        return _value(_Restriction(self, _one(w)).values()[0])
 
     def support_point2(self, w):
-        return _Restriction([self], [w]).points()[0]
+        return _Restriction(self, _one(w)).points()[0]
 
     def boundary2(self, d2, base2=None):
         """Section boundary point from base2 (default: chart origin) along d2."""
-        return _boundary2([self], [d2], None if base2 is None else [base2])[0]
+        return _boundary2(self, _one(d2), _one(base2))[0]
 
     def gauge2(self, p2, base2=None):
         """Gauge of the step p2 from base2 (default: chart origin): 1 exactly
         when base2 + p2 is on the section boundary; one ray exit."""
-        return _value(_gauge2([self], [p2], None if base2 is None else [base2])[0])
+        return _value(_gauge2(self, _one(p2), _one(base2))[0])
 
     def normal2_at(self, p2):
         """In-plane outer normal of the section at a boundary point."""
@@ -135,9 +199,14 @@ class PlanarSection:
     def diameter2(self):
         """Widest of 16 widths h(u) + h(-u) over a half-turn; cached, and
         filled in by central_symmetry's solve when not cached yet."""
-        if self._diameter2 is None:
-            self._diameter2 = _width(self.support2(_width_rows()))
-        return self._diameter2
+        if np.isnan(self.widths[0]):
+            self.widths[0] = _width(self.support2(_width_rows()))
+        return float(self.widths[0])
+
+
+def _one(x):
+    """The rows x of one section as a stack of one; None stays None."""
+    return None if x is None else np.asarray(x, dtype=float)[None]
 
 
 #: the tie steps a restriction row on a non-smooth body may take: each step
@@ -272,58 +341,33 @@ def _restriction_minimizer(body, w_world, n, d, where, guess=None):
     return t.reshape(shape), tuple(v[:, e].reshape(w_world.shape) for e in (0, 1))
 
 
-class _SectionRows:
-    """A stack w2 of chart rows, shape (S, ..., 2) with the rows of secs[i]
-    at w2[i], laid out for one restriction solve or one ray exit over
-    sections of one body; ValueError for sections of two bodies or another
-    leading axis. Each section's chart origin is an (S, 1..., 3) array
-    that broadcasts over its block of rows, block its shape but the last
-    axis. where(r) names a failed row (see _where, whose index renames the
-    sections)."""
-
-    def __init__(self, secs, w2, index=None):
-        self.body = secs[0].body
-        if any(sec.body is not self.body for sec in secs):
-            raise ValueError("one restriction solve needs sections of one body")
-        w2 = np.asarray(w2, dtype=float)
-        if w2.ndim < 2 or len(w2) != len(secs):
-            raise ValueError("rows of %d sections need a stack of shape (%d, ..., 2); "
-                             "got %s" % (len(secs), len(secs), w2.shape))
-        self.secs, self.chart = secs, w2
-        self.block = (len(secs),) + (1,) * (w2.ndim - 2)
-        self.origin = np.array([sec.origin for sec in secs]).reshape(self.block + (-1,))
-        self.world = self.each(lambda sec, w: np.vecmat(w, sec.basis), w2)
-        self.where = _where(w2, index)
-
-    def each(self, f, x):
-        """f(sec, x[i]) over the sections and their blocks of the stack x,
-        stacked; a chart map then runs on each section's own basis, bits
-        and all."""
-        return np.array([f(sec, xi) for sec, xi in zip(self.secs, x)])
-
-    def to_world(self, p2):
-        return self.each(PlanarSection.to_world, p2)
-
-    def to_chart(self, z):
-        return self.each(PlanarSection.to_chart, z)
+def _rows(secs, x):
+    """x as a stack of rows of secs, shape (S, ..., 2); ValueError for
+    another leading axis."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim < 2 or len(x) != len(secs):
+        raise ValueError("rows of %d sections need a stack of shape (%d, ..., 2); "
+                         "got %s" % (len(secs), len(secs), x.shape))
+    return x
 
 
 class _Restriction:
-    """One restriction solve over the stack w2 of chart rows (see
-    _SectionRows), each row on its section's plane: the minimiser t of
-    every row, from which values() gives support2 and points()
-    support_point2 at the rows of any cut of the last row axis, in the
-    stack's layout. A failed row is named by its section and its row there
-    over two or more sections or with an index, its row counted in the whole
-    stack. guess, shaped like the rows, seeds the solve (see
-    _restriction_minimizer); predict gives one from an earlier solve."""
+    """One restriction solve over the stack w2 of chart rows of the
+    sections secs, shape (S, ..., 2), each row on its section's plane: the
+    minimiser t of every row, from which values() gives support2 and
+    points() support_point2 at the rows of any cut of the last row axis, in
+    the stack's layout. A failed row is named by _where. guess, shaped like
+    the rows, seeds the solve (see _restriction_minimizer); predict gives
+    one from an earlier solve."""
 
-    def __init__(self, secs, w2, index=None, guess=None):
-        rows = self.rows = _SectionRows(secs, w2, index)
-        self.n = np.array([sec.plane.normal for sec in secs]).reshape(rows.block + (-1,))
-        self.d = np.array([sec.plane.offset for sec in secs]).reshape(rows.block)
-        self.t, self.tied = _restriction_minimizer(rows.body, rows.world, self.n,
-                                                   self.d, rows.where, guess)
+    def __init__(self, secs, w2, guess=None):
+        self.secs, self.chart = secs, _rows(secs, w2)
+        self.world = np.vecmat(self.chart, secs._block(self.chart, secs.bases))
+        self.n = secs._block(self.chart, secs.normals)
+        self.d = secs._block(self.chart, secs.offsets)
+        self.t, self.tied = _restriction_minimizer(secs.body, self.world, self.n,
+                                                   self.d, _where(self.chart, secs),
+                                                   guess)
 
     def predict(self, sel, w2):
         """The minimiser t of each row of w2, a stack of rows for the
@@ -335,24 +379,24 @@ class _Restriction:
         def polar(w):
             w = w.reshape(len(w), -1, 2)
             return np.arctan2(w[..., 1], w[..., 0]), np.sqrt(np.vecdot(w, w))
-        (th, r), (th2, r2) = polar(self.rows.chart[sel]), polar(w2)
+        (th, r), (th2, r2) = polar(self.chart[sel]), polar(w2)
         tau = self.t[sel].reshape(r.shape) / r
         t = [np.interp(*args, period=2.0 * np.pi) for args in zip(th2, th, tau)]
         return (np.array(t) * r2).reshape(w2.shape[:-1])
 
     def values(self, cut=slice(None)):
-        rows, n, d = self.rows, self.n, self.d
-        world, t = rows.world[..., cut, :], self.t[..., cut]
-        h = rows.body.support(world + np.expand_dims(t, -1) * n)
-        return h - t * d - np.vecdot(rows.origin, world)
+        secs, n, d = self.secs, self.n, self.d
+        world, t = self.world[..., cut, :], self.t[..., cut]
+        h = secs.body.support(world + np.expand_dims(t, -1) * n)
+        return h - t * d - np.vecdot(secs._block(world, secs.origins), world)
 
     def points(self, cut=slice(None)):
-        rows, n, d = self.rows, self.n, self.d
+        secs, n, d = self.secs, self.n, self.d
         dist = lambda z: np.vecdot(n, z) - d
         if self.tied is None:
-            world, t = rows.world[..., cut, :], self.t[..., cut]
-            z = rows.body.support_point(world + np.expand_dims(t, -1) * n)
-            return rows.to_chart(z - np.expand_dims(dist(z), -1) * n)
+            world, t = self.world[..., cut, :], self.t[..., cut]
+            z = secs.body.support_point(world + np.expand_dims(t, -1) * n)
+            return secs.to_chart(z - np.expand_dims(dist(z), -1) * n)
         # psi kinks at t: the support points that tie there (one point on the
         # plane when its slope is 0) span an exposed face of K, which meets the
         # plane in the section's support point (a itself when the face is
@@ -361,34 +405,36 @@ class _Restriction:
         da, db = dist(a), dist(b)
         same = np.equal(da, db)
         frac = np.expand_dims(da / np.where(same, 1.0, da - db), -1)
-        return rows.to_chart(np.where(same[..., None], a, a + frac * (b - a)))
+        return secs.to_chart(np.where(same[..., None], a, a + frac * (b - a)))
 
 
-def _boundary2(secs, d2, base2=None, index=None):
-    """boundary2 of each row of the stack d2, from base2 (default: the
-    chart origin; a stack that broadcasts against d2), in one ray_exit
-    call. Over two or more sections, or with an index, a failed ray raises
-    its error again, naming its section and its row there."""
-    rows = _SectionRows(secs, d2, index)
-    base = rows.origin if base2 is None else rows.to_world(base2)
+def _boundary2(secs, d2, base2=None):
+    """boundary2 of each row of the stack d2 of rows of the sections secs,
+    from base2 (default: the chart origin; a stack that broadcasts against
+    d2), in one ray_exit call. Over a stack that is not a PlanarSection a
+    failed ray raises its error again, naming its section and its row
+    there."""
+    d2 = _rows(secs, d2)
+    world = np.vecmat(d2, secs._block(d2, secs.bases))
+    base = secs._block(d2, secs.origins) if base2 is None else secs.to_world(base2)
     try:
-        z = ray_exit(rows.body, base, rows.world)
+        z = ray_exit(secs.body, base, world)
     except GeometryError as exc:
-        if index is None and len(secs) < 2:
+        if isinstance(secs, PlanarSection):
             raise
         # find the first failing row: rows solve independently
-        world = rows.world.reshape(-1, 3)
-        base = np.broadcast_to(base, rows.world.shape).reshape(-1, 3)
-        for r in range(len(world)):
+        where = _where(d2, secs)
+        base = np.broadcast_to(base, world.shape).reshape(-1, 3)
+        for r, d in enumerate(world.reshape(-1, 3)):
             try:
-                ray_exit(rows.body, base[r], world[r])
+                ray_exit(secs.body, base[r], d)
             except GeometryError as one:
-                raise type(one)("ray exit%s: %s" % (rows.where(r), one)) from exc
+                raise type(one)("ray exit%s: %s" % (where(r), one)) from exc
         raise
-    return rows.to_chart(z)
+    return secs.to_chart(z)
 
 
-def _gauge2(secs, p2, base2=None, index=None):
+def _gauge2(secs, p2, base2=None):
     """gauge2 of each step of the stack p2, from base2 (default: the chart
     origin), in one ray exit, as _boundary2."""
     p2 = np.asarray(p2, dtype=float)
@@ -396,7 +442,7 @@ def _gauge2(secs, p2, base2=None, index=None):
     # a zero step has gauge 0 along any ray: its ray is taken along (1, 0)
     zero = r == 0.0
     d2 = (p2 + np.multiply.outer(zero, (1.0, 0.0))) / np.expand_dims(r + zero, -1)
-    q = _boundary2(secs, d2, base2, index)
+    q = _boundary2(secs, d2, base2)
     if base2 is not None:
         q = q - base2
     return r / np.sqrt(np.vecdot(q, q))
@@ -407,11 +453,6 @@ def section(body, plane):
     body and a plane in R^3."""
     if not isinstance(plane, Hyperplane):
         raise TypeError("expected a Hyperplane")
-    if body.dim != 3 or plane.normal.shape != (3,):
-        raise UnsupportedDimension(
-            "section needs a 3-D body and a plane in R^3; the body has "
-            "dimension %d, the plane normal shape %s"
-            % (body.dim, plane.normal.shape))
     return PlanarSection(body, plane)
 
 
@@ -428,18 +469,17 @@ def central_symmetry(sec, tol=1e-7, m=96, seed=0):
     """Least-squares center from h(u) - h(-u) = 2<c,u> over sampled u; m >= 3,
     one more than the centre's two unknowns.
 
-    sec may be a list of sections of one body: the result is then the list
-    of their SymmetryResults, from one restriction solve over the 2m rows of
-    every section. When any section's diameter2 is not cached yet, the 32
+    sec may be a Sections stack: the result is then the list of their
+    SymmetryResults, from one restriction solve over the 2m rows of every
+    section. When any section's diameter2 is not cached yet, the 32
     diameter2 width rows join every section's rows, and each uncached
-    section caches its width from them. A single section is solved the same
-    way."""
+    section caches its width from them. A PlanarSection is solved the same
+    way, as a stack of one."""
     require_sizes("central_symmetry", {"m": m}, least={"m": 3})
-    secs = sec if isinstance(sec, list) else [sec]
-    if not secs:
+    if not len(sec):
         return []
-    results, _ = _central_symmetry(secs, tol, m, seed)
-    return results if isinstance(sec, list) else results[0]
+    results, _ = _central_symmetry(sec, tol, m, seed)
+    return results[0] if isinstance(sec, PlanarSection) else results
 
 
 #: no caller rows, for _central_symmetry
@@ -447,10 +487,10 @@ _NO_ROWS = np.empty((0, 2))
 
 
 def _central_symmetry(secs, tol, m, seed, rows=_NO_ROWS):
-    """central_symmetry's results for the list secs, and its _Restriction,
-    which also solves the rows a caller knows before it: (p, 2) rows
-    shared by every section, or an (S, p, 2) block per section. They
-    follow the symmetry and width rows, so the caller reads them at
+    """central_symmetry's results for the stack secs, as a list, and its
+    _Restriction, which also solves the rows a caller knows before it:
+    (p, 2) rows shared by every section, or an (S, p, 2) block per section.
+    They follow the symmetry and width rows, so the caller reads them at
     slice(-p, None), with solve.values for support2 or solve.points for
     support_point2; a failed row is named counting from the first symmetry
     row."""
@@ -458,24 +498,23 @@ def _central_symmetry(secs, tol, m, seed, rows=_NO_ROWS):
     th = rng.uniform(0.0, np.pi / m) + np.pi * np.arange(m) / m
     u = np.column_stack([np.cos(th), np.sin(th)])
     dirs = [u, -u]
-    if any(s._diameter2 is None for s in secs):
+    uncached = np.isnan(secs.widths)
+    if uncached.any():
         dirs.append(_width_rows())
     dirs = np.concatenate(dirs)
     solve = _Restriction(secs, np.concatenate(
         [np.broadcast_to(dirs, (len(secs),) + dirs.shape),
          np.broadcast_to(rows, (len(secs),) + rows.shape[-2:])], axis=1))
     hs = solve.values(slice(len(dirs)))
-    lhs = 2.0 * u
-    results = []
-    for s, h in zip(secs, hs):
-        if s._diameter2 is None:
-            s._diameter2 = _width(h[2 * m:2 * m + 32])
-        rhs = h[:m] - h[m:2 * m]
-        c, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-        residual = float(np.abs(rhs - lhs @ c).max()) / s.diameter2()
-        results.append(SymmetryResult(bool(residual <= tol), c, s.to_world(c),
-                                      residual, tol))
-    return results, solve
+    if uncached.any():
+        secs.widths[uncached] = _width(hs[uncached, 2 * m:2 * m + 32])
+    lhs, rhs = 2.0 * u, hs[:, :m] - hs[:, m:2 * m]
+    # one lstsq per section: a stacked right-hand side gives other last bits
+    centers = np.array([np.linalg.lstsq(lhs, b, rcond=None)[0] for b in rhs])
+    residuals = [float(np.abs(b - lhs @ c).max()) / w
+                 for b, c, w in zip(rhs, centers, secs.widths.tolist())]
+    return [SymmetryResult(bool(r <= tol), c, cw, r, tol) for c, cw, r
+            in zip(centers, secs.to_world(centers), residuals)], solve
 
 
 def affine_diameter_residual(sec, a2, b2):
@@ -611,8 +650,8 @@ def is_radon_curve(sec, k=128, contact_tol=1e-8, seed=0, cross_pairs=16):
     A section whose central symmetry residual exceeds the norm gate raises
     NotANorm.
 
-    sec may be a list of sections of one body: the result is then the list
-    of their RadonResults, None for a section that fails the norm gate.
+    sec may be a Sections stack: the result is then the list of their
+    RadonResults, None for a section that fails the norm gate.
     Every section, and a single one the same way, takes two restriction
     solves in all, whatever k and however many sections: the norm gate's
     central_symmetry, whose solve also takes every section's conjugate
@@ -620,13 +659,12 @@ def is_radon_curve(sec, k=128, contact_tol=1e-8, seed=0, cross_pairs=16):
     and one support2 over every closure side and Birkhoff normal, which on
     a smooth body starts from the first solve's minimisers (see
     _Restriction.predict). The diameters' ends are one ray exit and the
-    Birkhoff gauges one more. In a list of two or more sections a failed
-    row names its section in the list and its row there.
+    Birkhoff gauges one more. In a stack a failed row names its section
+    and its row there.
     """
     require_sizes("is_radon_curve", {"k": k, "cross_pairs": cross_pairs})
-    listed = isinstance(sec, list)
-    secs = sec if listed else [sec]
-    if not secs:
+    one = isinstance(sec, PlanarSection)
+    if not len(sec):
         return []
     rng = np.random.default_rng(seed)
     th = rng.uniform(0.0, np.pi / k) + np.pi * np.arange(k) / k
@@ -640,42 +678,41 @@ def is_radon_curve(sec, k=128, contact_tol=1e-8, seed=0, cross_pairs=16):
     # join the norm gate's symmetry solve as support points
     n_d = _rot90(u)
     contacts = np.concatenate([n_d, -n_d, n_d[pairs]])
-    syms, solve = _central_symmetry(secs, _NORM_TOL, 96, 0, rows=contacts)
-    if not listed:
+    syms, solve = _central_symmetry(sec, _NORM_TOL, 96, 0, rows=contacts)
+    if one:
         _norm_gate(syms[0])
     live = np.flatnonzero([sym.ok for sym in syms])
     if not live.size:
-        return [None] * len(secs)
-    # the rows of the L live sections are (L, ..., 2) stacks; a failed row
-    # names its section by its index in secs
-    secs_l = [secs[i] for i in live]
-    index = live if len(secs) > 1 else None
+        return [None] * len(sec)
+    # the rows of the L live sections are (L, ..., 2) stacks; their stack
+    # keeps the sections' names, so a failed row names its section in sec
+    secs = sec[live]
     c2 = np.stack([syms[i].center for i in live])[:, None]
-    diam = np.array([sec.diameter2() for sec in secs_l])[:, None]
+    diam = secs.widths[:, None]
     q = solve.points(slice(-len(contacts), None))[live]
 
     d2 = np.concatenate([u, -u])
-    ends = _boundary2(secs_l, np.broadcast_to(d2, (len(live),) + d2.shape), c2, index)
+    ends = _boundary2(secs, np.broadcast_to(d2, (len(live),) + d2.shape), c2)
     e_plus, e_minus = ends[:, :k], ends[:, k:]
-    _chords(e_minus, e_plus, diam, _where(e_plus, index))
+    _chords(e_minus, e_plus, diam, _where(e_plus, secs))
     n_p, apart = _closure_normals(q[:, :k], q[:, k:2 * k],
                                   np.broadcast_to(n_d, e_plus.shape), diam)
     xs, ys = e_plus[:, pairs] - c2, q[:, 2 * k:] - c2
     x, y = np.concatenate([xs, ys], axis=1), np.concatenate([ys, xs], axis=1)
-    nx = _gauge2(secs_l, x, c2, index)
-    n_b = _birkhoff_normals(x, y, nx, _where(x, index))
+    nx = _gauge2(secs, x, c2)
+    n_b = _birkhoff_normals(x, y, nx, _where(x, secs))
     # on a smooth body the symmetry solve's minimisers, ~500 directions per
     # section, put these rows' well inside their warm brackets (at most
     # 2e-5 of the cold width off on a central e149 section, against 5e-4)
     w2 = np.concatenate([n_p, -n_p, n_b], axis=1)
-    guess = solve.predict(live, w2) if solve.rows.body.is_smooth else None
-    h = _Restriction(secs_l, w2, index, guess).values()
+    guess = solve.predict(live, w2) if secs.body.is_smooth else None
+    h = _Restriction(secs, w2, guess).values()
     defect = _closure_defect(e_minus, e_plus, n_p, apart, h[:, :k],
                              h[:, k:2 * k], diam)
     normal, ratio = _birkhoff_ratio(x, nx, n_b, h[:, 2 * k:], c2)
     asymmetry = 1.0 - np.minimum(ratio[:, :p], ratio[:, p:])
 
-    results = [None] * len(secs)
+    results = [None] * len(sec)
     for j, i in enumerate(live):
         worst = int(np.argmax(defect[j]))
         conj_ok = not (defect[j] > contact_tol).any()
@@ -685,4 +722,4 @@ def is_radon_curve(sec, k=128, contact_tol=1e-8, seed=0, cross_pairs=16):
             u[worst], float(np.max(asymmetry[j], initial=0.0)), syms[i].center,
             detail={"k": k, "contact_tol": contact_tol,
                     "symmetry_residual": syms[i].residual})
-    return results if listed else results[0]
+    return results[0] if one else results

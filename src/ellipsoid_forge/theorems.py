@@ -25,7 +25,6 @@ from .errors import (
     GeometryError,
     NonSmoothBody,
     NotOSymmetric,
-    PlaneMissesBody,
     PointOnBoundary,
     UnsupportedDimension,
 )
@@ -44,9 +43,8 @@ from .numeric import (
     sphere_directions,
     unit_frame,
 )
-from .planar import (_boundary2, _central_symmetry, _rot90,
-                     affine_diameter_residual, central_symmetry, is_radon_curve,
-                     section)
+from .planar import (Sections, _boundary2, _central_symmetry, _rot90,
+                     affine_diameter_residual, central_symmetry, is_radon_curve)
 from .projective import HPoint, Hyperplane, fit_hyperplane_projective
 
 SCHEMA = "ellipsoid-forge/report-v1"
@@ -559,37 +557,35 @@ def check_theorem2(l_body, k_body, p, apexes=12, m=64, chords=48, radon_k=128,
     omegas = intersections(xs, ys)
     failures = [type(w).__name__ for w in omegas if isinstance(w, GeometryError)]
     kept = [i for i, w in enumerate(omegas) if not isinstance(w, GeometryError)]
-    curves = [omegas[i].points for i in kept]
-    planes = [Hyperplane.from_point_normal(
-        p, np.linalg.svd(pts - p, full_matrices=False)[2][-1]) for pts in curves]
-    secs = [section(k_body, plane) for plane in planes]
     defects = [1.0] * len(failures)  # a failed pair scores 1.0
-    if secs:
+    if kept:
+        # each curve's plane through p, normal to its least principal axis
+        curves = np.stack([omegas[i].points for i in kept])
+        normals = normalize(np.linalg.svd(curves - p, full_matrices=False)[2][:, -1])
+        secs = Sections(k_body, normals, np.vecdot(normals, p))
         # each curve point against the boundary point of its section in its
         # chart direction from p, from one _boundary2 call over the (S, m)
         # curve points; a point at p is aimed along (1, 0) and is its own match
-        base2 = np.stack([sec.to_chart(p) for sec in secs])[:, None]
-        d2 = np.stack([sec.to_chart(pts) for sec, pts in zip(secs, curves)]) - base2
+        base2 = secs.to_chart(p[None])[:, None]
+        d2 = secs.to_chart(curves) - base2
         nd = np.sqrt(np.vecdot(d2, d2))
         far = (nd > 1e-14)[..., None]
         dirs = np.where(far, d2 / np.where(far, nd[..., None], 1.0), (1.0, 0.0))
-        matched = np.where(far, _boundary2(secs, dirs, base2), base2)
-        defects += [hausdorff(pts, sec.to_world(q)) / diam_k
-                    for sec, pts, q in zip(secs, curves, matched)]
+        matched = secs.to_world(np.where(far, _boundary2(secs, dirs, base2), base2))
+        defects += [hausdorff(pts, q) / diam_k for pts, q in zip(curves, matched)]
     worst_defect = max(defects)
     run.stage("cone-intersection-matches-section", "hypothesis", worst_defect,
               "hausdorff", apexes=int(apexes),
               search_failed=worst_defect > 10.0 * tol["hausdorff"], errors=failures)
 
-    if not secs:
+    if not kept:
         for name in ("supporting-planes-parallel", "section-chords-affine-diameters",
                      "sections-are-radon"):
             run.skip(name, "derived", "no section plane found")
     else:
-        normals = k_body.normal_at(np.stack([xs[kept], ys[kept]]))
         run.stage("supporting-planes-parallel", "derived",
-                  line_angle(normals, [plane.normal for plane in planes]).max(),
-                  "angular")
+                  line_angle(k_body.normal_at(np.stack([xs[kept], ys[kept]])),
+                             secs.normals).max(), "angular")
 
         # both chord ends of the first three sections from one _boundary2 call
         th = np.linspace(0.0, np.pi, chords, endpoint=False)
@@ -681,12 +677,11 @@ def check_theorem3(l_body, k_body, apexes=12, m=64, lines=32, w_samples=16,
 
     # segments from each of the first 4 apexes to the boundary of the
     # central section parallel to its polar
-    secs = [section(k_body, Hyperplane.from_point_normal(o, nrm))
-            for nrm in normals[:4]]
+    normals = normalize(normals[:4])
+    secs = Sections(k_body, normals, np.vecdot(normals, o))
     th = np.linspace(0.0, 2.0 * np.pi, w_samples, endpoint=False)
     w2 = np.column_stack([np.cos(th), np.sin(th)])
-    ends = _boundary2(secs, np.broadcast_to(w2, (len(secs), w_samples, 2)))
-    ends = np.stack([sec.to_world(q) for sec, q in zip(secs, ends)])
+    ends = secs.to_world(_boundary2(secs, np.broadcast_to(w2, (len(secs), w_samples, 2))))
     z = apex_pts[:len(secs), None]
     min_gauge = float(l_body.line_min_gauge(z, ends - z)[1].min())
     needed = 1.0 + tol["margin"]
@@ -733,11 +728,11 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
                            % (r, inradius))
 
     us = sphere_directions(k_body.dim, samples, seed=seed)
-    secs = [section(k_body, Hyperplane.from_point_normal(o + r * u, u)) for u in us]
+    normals = normalize(us)
+    secs = Sections(k_body, normals, np.vecdot(normals, o + r * us))
     clouds = _boundary2(secs, np.broadcast_to(circle_directions(m, seed=seed),
                                               (len(secs), m, 2)))
-    fits = fit_planar_conic(np.stack([sec.to_world(q) for sec, q in zip(secs, clouds)]),
-                            [sec.plane for sec in secs], tol=tol["ellipse"])
+    fits = fit_planar_conic(secs.to_world(clouds), secs.planes, tol=tol["ellipse"])
     worst_fit = max(fit.rms_residual for fit in fits)
     run.stage("tangent-sections-ellipses", "hypothesis", worst_fit, "ellipse",
               all(fit.classification == ELLIPSE for fit in fits)
@@ -747,9 +742,8 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
     v2 = circle_directions(32, seed=seed)
     syms, solve = _central_symmetry(secs, tol["symmetry"], m, seed, rows=v2)
     hs = solve.values(slice(-len(v2), None))
-    min_margin = min(
-        float((h - np.vecdot(sec.to_chart(o + r * u), v2) - r).min())
-        for u, sec, h in zip(us, secs, hs))
+    min_margin = float(
+        (hs - np.vecdot(secs.to_chart(o + r * us)[:, None], v2) - r).min())
     rel = min_margin / diam
     run.stage("ball-inside-section-hulls", "hypothesis",
               max(0.0, tol["margin"] - rel), None, rel > tol["margin"],
@@ -770,29 +764,26 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
 
     # phi at 8 directions v orthogonal to each of the first 4 phi(u); |phi(u)|
     # and |phi(v)| are at least 2r, as each section's centre lies in its plane
-    grid = []
-    for i, phi_u in enumerate(phis[:4]):
-        f1, f2 = unit_frame(phi_u / float(np.linalg.norm(phi_u))).T[:2]
-        for th in np.linspace(0.0, np.pi, 8, endpoint=False):
-            v = np.cos(th) * f1 + np.sin(th) * f2
-            grid.append((i, v, section(k_body,
-                                       Hyperplane.from_point_normal(o + r * v, v))))
+    f = unit_frame(normalize(np.array(phis[:4])))
+    th = np.linspace(0.0, np.pi, 8, endpoint=False)[:, None]
+    # (4, 8) grid directions, u-major, as (32, 3) rows
+    vs = (np.cos(th) * f[:, None, :, 0] + np.sin(th) * f[:, None, :, 1]).reshape(-1, 3)
+    u_of_v = np.repeat(us[:4], 8, axis=0)
+    normals = normalize(vs)
+    secs_v = Sections(k_body, normals, np.vecdot(normals, o + r * vs))
     # each grid section's chord direction d_w = u x v, at least 2r / |phi(u)|
     # long, and its chart normal e2; e2 depends on the grid alone, so the
     # support points at +-e2 join the grid's symmetry solve
-    secs_v = [sec_v for _, _, sec_v in grid]
-    d_w = np.array([d / float(np.linalg.norm(d))
-                    for d in (np.cross(us[i], v) for i, v, _ in grid)])
-    d2 = [normalize(sec.basis @ d) for sec, d in zip(secs_v, d_w)]
-    e2 = _rot90(np.array(d2))[:, None]
+    d_w = normalize(np.cross(u_of_v, vs))
+    e2 = _rot90(normalize(np.matvec(secs_v.bases, d_w)))[:, None]
     syms, solve = _central_symmetry(secs_v, tol["symmetry"], m, seed,
                                     rows=np.concatenate([e2, -e2], axis=1))
     q = solve.points(slice(-2, None))
     worst_orth = 0.0
-    for (i, _, _), sym_v in zip(grid, syms):
+    for u, sym_v in zip(u_of_v, syms):
         phi_v = 2.0 * (np.asarray(sym_v.center_world) - o)
         worst_orth = max(worst_orth,
-                         float(abs(phi_v @ us[i])) / float(np.linalg.norm(phi_v)))
+                         float(abs(phi_v @ u)) / float(np.linalg.norm(phi_v)))
     run.stage("translation-orthogonality", "derived", worst_orth, "bisector")
 
     # each u's first v gives a midpoint locus: sec_v, its centre c2, d_w and e2
@@ -805,7 +796,7 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
     j = (s < 0.0).astype(int)
     chart = c2 + (s / np.take_along_axis(k, j, 1))[..., None] * (
         np.take_along_axis(q, j[..., None], 1) - c2)
-    bases = np.stack([sec.to_world(p) for sec, p in zip(secs_v[::8], chart)])
+    bases = secs_v[::8].to_world(chart)
     a, b = ray_exit(k_body, bases, np.stack([-d_w, d_w])[:, :, None])
     scores = []  # per locus: the worse of its rms off a line and its angle
     for phi_u, mids in zip(phis, 0.5 * (a + b)):
@@ -821,11 +812,11 @@ def check_theorem4(k_body, radius, samples=12, m=64, seed=0, tolerances=None):
     if qfit.classification == ELLIPSE:
         shape_inv = np.linalg.inv(np.asarray(qfit.detail["shape_normalized"]))
         # two scaled sections per u, each centred on the conjugate axis
-        scaled = [(u, scale * r) for u in us[:4] for scale in (0.35, 0.7)]
-        secs_s = [section(k_body, Hyperplane.from_point_normal(o + h * u, u))
-                  for u, h in scaled]
-        predicted = [sec.to_chart(o + h * (shape_inv @ u) / float(u @ shape_inv @ u))
-                     for sec, (u, h) in zip(secs_s, scaled)]
+        u_s, h_s = np.repeat(us[:4], 2, axis=0), r * np.array([0.35, 0.7] * 4)
+        normals = normalize(u_s)
+        secs_s = Sections(k_body, normals, np.vecdot(normals, o + h_s[:, None] * u_s))
+        predicted = secs_s.to_chart(np.array(
+            [o + h * (shape_inv @ u) / float(u @ shape_inv @ u) for u, h in zip(u_s, h_s)]))
         run.stage("scaled-section-centering", "conclusion",
                   float(_reflection_residual(secs_s, predicted).max()) / diam,
                   "symmetry", sections=len(secs_s))
@@ -863,36 +854,26 @@ def check_theorem_basico(k_body, p, eps=0.2, planes=8, offsets=7, m=64,
     normals = sphere_directions(k_body.dim, planes, seed=seed)
     offs = np.linspace(-eps / 2.0, eps / 2.0, offsets)
     central_idx = int(np.argmin(np.abs(offs)))
-    slabs = []
-    missed = 0
-    for i, nrm in enumerate(normals):
-        base_off = float(nrm @ p)
-        for k_off, off in enumerate(offs):
-            plane = Hyperplane(nrm, base_off + float(off))
-            try:
-                slabs.append((i, k_off, plane, section(k_body, plane)))
-            except PlaneMissesBody:
-                missed += 1
-    worst_sym = 0.0
-    all_sym = True
-    central = {}
-    top = {}
-    syms = central_symmetry([sec for *_, sec in slabs], tol=tol["symmetry"],
-                            m=sym_m, seed=seed)
-    for (i, k_off, plane, sec), sr in zip(slabs, syms):
-        worst_sym = max(worst_sym, sr.residual)
-        all_sym = all_sym and sr.ok
-        if k_off == central_idx:
-            central[i] = sr
-        if k_off == len(offs) - 1:
-            top[i] = (sec, sr, plane)
+    # the slab planes, plane i at offset k in row i * offsets + k; a plane
+    # that does not cut the body between -h(-n) and h(n), with a 1e-9 margin
+    # of the width (the section builder's own margin is within it), is missed
+    plane_off = np.vecdot(normals, p)[:, None] + offs
+    h = k_body.support(np.stack([normals, -normals]))[..., None]
+    margin = 1e-9 * (h[0] + h[1])
+    cut = (plane_off < h[0] - margin) & (plane_off > margin - h[1])
+    plane_i, plane_k = np.divmod(np.flatnonzero(cut), offsets)
+    secs = Sections(k_body, normals[plane_i], plane_off[plane_i, plane_k])
+    syms = central_symmetry(secs, tol=tol["symmetry"], m=sym_m, seed=seed)
+    worst_sym = max((sr.residual for sr in syms), default=0.0)
+    all_sym = all(sr.ok for sr in syms)
     run.stage("slab-sections-centrally-symmetric", "hypothesis", worst_sym,
               "symmetry", all_sym, planes=len(normals), offsets=int(offsets),
-              sections=len(slabs), missed=missed)
+              sections=len(secs), missed=int(cut.size - len(secs)))
 
+    central = [sr for sr, k_off in zip(syms, plane_k) if k_off == central_idx]
     centered = bool(central) and all(
         float(np.linalg.norm(np.asarray(sr.center_world) - p)) <= 1e-6 * diam
-        for sr in central.values())
+        for sr in central)
     branch = "FCT-case" if (all_sym and not centered) else None
 
     if branch == "FCT-case":
@@ -901,35 +882,30 @@ def check_theorem_basico(k_body, p, eps=0.2, planes=8, offsets=7, m=64,
                  branch="FCT-case")
     else:
         # the top sections whose translation -2 (c - p) does not vanish
-        moved = []
-        for sec, sr, plane in top.values():
-            u_g = -2.0 * (np.asarray(sr.center_world) - p)
-            denom = float(u_g @ plane.normal)
-            if np.linalg.norm(u_g) <= 1e-9 * diam or abs(denom) <= 1e-15:
-                continue  # concentric section: the translation vanishes
-            moved.append((sec, np.asarray(sr.center), plane, u_g, denom))
-        if not moved:
+        top = np.flatnonzero(plane_k == len(offs) - 1)
+        u_g = -2.0 * (np.array([syms[j].center_world for j in top]).reshape(-1, 3) - p)
+        denom = np.vecdot(u_g, secs.normals[top])
+        # a concentric section's translation vanishes
+        kept = (np.sqrt(np.vecdot(u_g, u_g)) > 1e-9 * diam) & (np.abs(denom) > 1e-15)
+        if not kept.any():
             run.skip("translation-and-shadow-containment", "derived",
                      "translation vectors vanish")
         else:
             # one shadow sweep over every translation, each shadow point moved
             # along its translation onto its section, then one ray exit from
             # each section's centre through all of them
-            shadows = shadow_boundary(k_body, np.array([t[3] for t in moved]),
-                                      m=m, seed=seed)
-            d2 = []
-            for (sec, c2, plane, u_g, denom), shadow in zip(moved, shadows):
-                q = shadow.points
-                t = -plane.signed_distance(q) / denom
-                d2.append(sec.to_chart(q + np.multiply.outer(t, u_g)) - c2)
-            d2 = np.stack(d2)
-            c2 = np.stack([t[1] for t in moved])[:, None]
+            moved, u_g, denom = secs[top[kept]], u_g[kept], denom[kept]
+            q = np.stack([shadow.points for shadow in
+                          shadow_boundary(k_body, u_g, m=m, seed=seed)])
+            t = -(np.vecdot(moved.normals[:, None], q) - moved.offsets[:, None]) / denom[:, None]
+            c2 = np.stack([syms[j].center for j in top[kept]])[:, None]
+            d2 = moved.to_chart(q + t[..., None] * u_g[:, None]) - c2
             ndq = np.sqrt(np.vecdot(d2, d2))
             # a point at the centre is measured along (1, 0)
             near = ndq <= 1e-12 * diam
             dirs = np.where(near[..., None], (1.0, 0.0),
                             d2 / np.where(near, 1.0, ndq)[..., None])
-            b2 = _boundary2([sec for sec, *_ in moved], dirs, c2) - c2
+            b2 = _boundary2(moved, dirs, c2) - c2
             signed = np.where(near, 0.0, ndq) - np.sqrt(np.vecdot(b2, b2))
             rel = float(signed.min()) / diam
             run.stage("translation-and-shadow-containment", "derived",
@@ -949,8 +925,8 @@ def check_theorem_radon(k_body, planes=6, diameters=128, seed=0,
     o = k_body.center
     _require_o_symmetric(k_body, o, "body")
     # all the sections up front: one is_radon_curve call tests them together
-    sections = [section(k_body, Hyperplane.from_point_normal(o, nrm))
-                for nrm in sphere_directions(k_body.dim, planes, seed=seed)]
+    normals = normalize(sphere_directions(k_body.dim, planes, seed=seed))
+    sections = Sections(k_body, normals, np.vecdot(normals, o))
     run.radon_stage("central-sections-radon", "hypothesis", sections,
                     diameters, planes=int(planes), diameters=int(diameters))
     run.fit_stage("ellipsoid-fit", k_body)

@@ -16,7 +16,8 @@ from ellipsoid_forge import Line, graze
 from ellipsoid_forge.bodies import ray_exit
 from ellipsoid_forge.errors import NotANorm
 from ellipsoid_forge.numeric import normalize
-from ellipsoid_forge.planar import (RadonResult, _NORM_TOL, _Restriction,
+from ellipsoid_forge.planar import (PlanarSection, RadonResult, Sections, _NORM_TOL,
+                                    _Restriction,
                                     _birkhoff_normals, _birkhoff_ratio, _boundary2,
                                     _chords, _closure_defect, _closure_normals,
                                     _gauge2, _rot90, _where, central_symmetry)
@@ -236,6 +237,12 @@ def line_min_gauge_facet_pairs(vertices, p, d):
     return t, (al + be * t[..., None]).max(axis=-1)
 
 
+def stack_of(body, planes):
+    """The sections of body by the planes, as one Sections stack."""
+    return Sections(body, np.reshape([pl.normal for pl in planes], (-1, 3)),
+                    [pl.offset for pl in planes])
+
+
 def reflection_residual_one(sec, center2, k=48):
     """Worst gap between the reflection of one section's boundary samples
     through center2 and the section boundary along matched rays, one
@@ -258,43 +265,42 @@ def radon_three_solves(sec, k=128, contact_tol=1e-8, seed=0, cross_pairs=16):
     closure sides and Birkhoff normals. The reference that the two-solve
     is_radon_curve, which knows n_d = rot90(u) before the symmetry solve,
     must agree with."""
-    listed = isinstance(sec, list)
-    secs = sec if listed else [sec]
-    syms = central_symmetry(secs, tol=_NORM_TOL)
-    if not listed and not syms[0].ok:
+    one = isinstance(sec, PlanarSection)
+    syms = central_symmetry(sec, tol=_NORM_TOL)
+    syms = [syms] if one else syms
+    if one and not syms[0].ok:
         raise NotANorm("section symmetry residual %.3e" % syms[0].residual)
     live = np.flatnonzero([sym.ok for sym in syms])
     if not live.size:
-        return [None] * len(secs)
+        return [None] * len(sec)
     rng = np.random.default_rng(seed)
     th = rng.uniform(0.0, np.pi / k) + np.pi * np.arange(k) / k
     u = np.column_stack([np.cos(th), np.sin(th)])
     p = min(k, cross_pairs)
     pairs = np.arange(p) * k // p
-    secs_l = [secs[i] for i in live]
-    index = live if len(secs) > 1 else None
+    secs_l = sec[live]
     c2 = np.stack([syms[i].center for i in live])[:, None]
-    diam = np.array([s.diameter2() for s in secs_l])[:, None]
+    diam = secs_l.widths[:, None]
 
     d2 = np.concatenate([u, -u])
-    ends = _boundary2(secs_l, np.broadcast_to(d2, (len(live),) + d2.shape), c2, index)
+    ends = _boundary2(secs_l, np.broadcast_to(d2, (len(live),) + d2.shape), c2)
     e_plus, e_minus = ends[:, :k], ends[:, k:]
-    chord, length = _chords(e_minus, e_plus, diam, _where(e_plus, index))
+    chord, length = _chords(e_minus, e_plus, diam, _where(e_plus, secs_l))
     n_d = _rot90(chord / length[..., None])
     y_dirs = np.broadcast_to(_rot90(u[pairs]), (len(live), p, 2))
-    q = _Restriction(secs_l, np.concatenate([n_d, -n_d, y_dirs], axis=1), index).points()
+    q = _Restriction(secs_l, np.concatenate([n_d, -n_d, y_dirs], axis=1)).points()
     n_p, apart = _closure_normals(q[:, :k], q[:, k:2 * k], n_d, diam)
     xs, ys = e_plus[:, pairs] - c2, q[:, 2 * k:] - c2
     x, y = np.concatenate([xs, ys], axis=1), np.concatenate([ys, xs], axis=1)
-    nx = _gauge2(secs_l, x, c2, index)
-    n_b = _birkhoff_normals(x, y, nx, _where(x, index))
-    h = _Restriction(secs_l, np.concatenate([n_p, -n_p, n_b], axis=1), index).values()
+    nx = _gauge2(secs_l, x, c2)
+    n_b = _birkhoff_normals(x, y, nx, _where(x, secs_l))
+    h = _Restriction(secs_l, np.concatenate([n_p, -n_p, n_b], axis=1)).values()
     defect = _closure_defect(e_minus, e_plus, n_p, apart, h[:, :k],
                              h[:, k:2 * k], diam)
     normal, ratio = _birkhoff_ratio(x, nx, n_b, h[:, 2 * k:], c2)
     asymmetry = 1.0 - np.minimum(ratio[:, :p], ratio[:, p:])
 
-    results = [None] * len(secs)
+    results = [None] * len(sec)
     for j, i in enumerate(live):
         worst = int(np.argmax(defect[j]))
         conj_ok = not (defect[j] > contact_tol).any()
@@ -304,7 +310,7 @@ def radon_three_solves(sec, k=128, contact_tol=1e-8, seed=0, cross_pairs=16):
             u[worst], float(np.max(asymmetry[j], initial=0.0)), syms[i].center,
             detail={"k": k, "contact_tol": contact_tol,
                     "symmetry_residual": syms[i].residual})
-    return results if listed else results[0]
+    return results[0] if one else results
 
 
 def graze_polar_agreement_per_curve(body, apexes, planes, m, seed):

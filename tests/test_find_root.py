@@ -21,6 +21,8 @@ from ellipsoid_forge import (Ellipsoid, Hyperplane, PBall, Polytope, bodies, con
 from ellipsoid_forge.errors import GeometryError
 from ellipsoid_forge.numeric import find_root, normalize, sphere_directions
 
+from oracles import stack_of
+
 TOLERANCES = [dict(xatol=1e-14, xrtol=8.9e-16), dict(xatol=5e-14, xrtol=0.0)]
 
 
@@ -290,20 +292,21 @@ def test_polytope_restriction_rows_make_no_find_root_calls(solves):
     is_radon_curve on the central ones and the radon check call no
     find_root; on an ellipsoid the same central_symmetry is one."""
     nrms = sphere_directions(3, 3, seed=1)
-    central = [planar.section(_OCTAHEDRON, Hyperplane(nrm, 0.0)) for nrm in nrms]
-    off = planar.section(_OCTAHEDRON, Hyperplane(nrms[0], 0.3))
-    planar.central_symmetry(central + [off])
-    planar.is_radon_curve(central, k=16)
+    off = Hyperplane(nrms[0], 0.3)
+    secs = stack_of(_OCTAHEDRON, [Hyperplane(nrm, 0.0) for nrm in nrms] + [off])
+    planar.central_symmetry(secs)
+    planar.is_radon_curve(secs[:3], k=16)
     theorems.check_theorem_radon(_OCTAHEDRON, planes=2, diameters=16)
     assert solves == []
-    planar.central_symmetry(planar.section(Ellipsoid.ball(1.0), off.plane))
+    planar.central_symmetry(planar.section(Ellipsoid.ball(1.0), off))
     assert len(solves) == 1
 
 
 def test_tie_steps_that_never_settle_name_the_row(monkeypatch):
     """A support_point whose body grows with every call never ties: the
     tie loop gives up after _TIE_STEPS steps with a GeometryError that names
-    the first unsettled row by its section (renamed by an index) and row."""
+    the first unsettled row by its section (its name in the stack it was
+    built as) and row."""
     body = Polytope(_OCTAHEDRON.vertices)
     real, grown = body.support_point, []
 
@@ -312,11 +315,11 @@ def test_tie_steps_that_never_settle_name_the_row(monkeypatch):
         u = np.asarray(u, dtype=float)
         return real(u) + 1e-6 * len(grown) * normalize(u)
     monkeypatch.setattr(body, "support_point", growing)
-    secs = [planar.section(body, Hyperplane(nrm, 0.0))
-            for nrm in sphere_directions(3, 2, seed=1)]
+    secs = stack_of(body, [Hyperplane(nrm, 0.0)
+                           for nrm in sphere_directions(3, 2, seed=1)])
     w2 = np.broadcast_to([[1.0, 0.0], [0.3, -1.0]], (2, 2, 2))
-    with pytest.raises(GeometryError, match=r"^restriction solve at section 5, "
+    with pytest.raises(GeometryError, match=r"^restriction solve at section 1, "
                        r"row 0: the support points did not settle in 64 tie steps$"):
-        planar._Restriction(secs, w2, index=[5, 7]).values()
+        planar._Restriction(secs[[1, 0]], w2).values()
     with pytest.raises(GeometryError, match=r"^restriction solve at section 0, row 0: "):
         planar._Restriction(secs, w2).points()

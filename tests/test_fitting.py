@@ -12,7 +12,6 @@ from ellipsoid_forge import (
     FitResult,
     Hyperplane,
     PBall,
-    fit_conic_2d,
     fit_hyperplane,
     fit_planar_conic,
     fit_quadric,
@@ -22,6 +21,17 @@ from ellipsoid_forge.errors import DegenerateCloud, NotCoplanar
 from ellipsoid_forge.numeric import normalize, sphere_directions, unit_frame
 
 from oracles import ellipsoid_section_center, fit_plane_rms
+
+
+_Z0 = Hyperplane(np.array([0.0, 0.0, 1.0]), 0.0)
+
+
+def _fit_conic_z0(xy):
+    """fit_planar_conic on the points xy of the plane z = 0, whose chart
+    coordinates are (x, y) exactly; a (k, m, 2) stack takes k planes."""
+    xy = np.asarray(xy, dtype=float)
+    pts = np.concatenate([xy, np.zeros(xy.shape[:-1] + (1,))], axis=-1)
+    return fit_planar_conic(pts, _Z0 if xy.ndim == 2 else [_Z0] * len(xy))
 
 
 def _rotation(angle):
@@ -67,7 +77,7 @@ def test_fit_hyperplane_degenerate_clouds():
 def test_fit_conic_exact_ellipse():
     center = np.array([0.3, -0.2])
     cloud = _ellipse_cloud(center, (1.5, 0.7), 0.6)
-    res = fit_conic_2d(cloud)
+    res = _fit_conic_z0(cloud)
     assert res.classification == ELLIPSE
     assert res.rms_residual < 1e-12
     assert np.allclose(res.detail["center"], center, atol=1e-10)
@@ -77,7 +87,7 @@ def test_fit_conic_hyperbola():
     t = np.linspace(-1.2, 1.2, 30)
     branch = np.column_stack([np.cosh(t), np.sinh(t)])
     cloud = np.vstack([branch, -branch])
-    res = fit_conic_2d(cloud)
+    res = _fit_conic_z0(cloud)
     assert res.classification == HYPERBOLA
     assert res.detail["disc"] > 0
 
@@ -87,7 +97,7 @@ def test_fit_conic_hyperbola():
 @settings(max_examples=60)
 def test_fit_conic_is_the_quadric_fit_in_the_plane(major, ratio, cx, cy, angle):
     center, axes = np.array([cx, cy]), (major, major / ratio)
-    res = fit_conic_2d(_ellipse_cloud(center, axes, angle, m=24))
+    res = _fit_conic_z0(_ellipse_cloud(center, axes, angle, m=24))
     assert res.classification == ELLIPSE
     assert np.abs(res.detail["center"] - center).max() <= 1e-9
     form, mu, scale = res.detail["form"], res.detail["mu"], res.detail["scale"]
@@ -108,16 +118,21 @@ def test_fit_conic_random_hyperbolas(a, b, cx, cy, angle):
     t = np.linspace(-1.2, 1.2, 15)
     branch = np.column_stack([a * np.cosh(t), b * np.sinh(t)])
     cloud = np.vstack([branch, -branch]) @ _rotation(angle).T + [cx, cy]
-    res = fit_conic_2d(cloud)
+    res = _fit_conic_z0(cloud)
     assert res.classification == HYPERBOLA
     assert res.detail["disc"] > 0
 
 
 def test_fit_conic_rejects_small_or_degenerate_input():
     with pytest.raises(DegenerateCloud):
-        fit_conic_2d(np.random.default_rng(1).normal(size=(5, 2)))
+        _fit_conic_z0(np.random.default_rng(1).normal(size=(5, 2)))
     with pytest.raises(DegenerateCloud):
-        fit_conic_2d(np.column_stack([np.linspace(0, 1, 12), np.zeros(12)]))
+        _fit_conic_z0(np.column_stack([np.linspace(0, 1, 12), np.zeros(12)]))
+    # in a stack the collinear cloud is named by its row
+    line = np.column_stack([np.linspace(0, 1, 12), np.linspace(0, 2, 12)])
+    ellipse = _ellipse_cloud(np.zeros(2), (1.5, 0.7), 0.6, m=12)
+    with pytest.raises(DegenerateCloud, match="^row 1: quadric coefficients"):
+        _fit_conic_z0(np.stack([ellipse, line]))
 
 
 def test_fit_planar_conic_center_matches_section_oracle():
@@ -208,7 +223,7 @@ def test_fit_result_rejects_negative_residuals():
 def test_parabola_label_for_exact_parabola():
     t = np.linspace(-1, 1, 25)
     pts = np.column_stack([t, t * t])
-    res = fit_conic_2d(pts)
+    res = _fit_conic_z0(pts)
     assert res.classification == PARABOLA_OR_DEGENERATE
 
 
@@ -268,11 +283,11 @@ def test_stacked_fits_equal_their_one_cloud_calls():
     planes, pts = _in_planes(xy)
     solid = _solid_clouds()
     noisy = pts + 1e-3 * np.random.default_rng(2).standard_normal(pts.shape)
-    assert ({f.classification for f in fit_conic_2d(xy)}
+    assert ({f.classification for f in _fit_conic_z0(xy)}
             == {ELLIPSE, HYPERBOLA, PARABOLA_OR_DEGENERATE})
     assert {f.classification for f in fit_quadric(solid)} == {
         ELLIPSE, PARABOLA_OR_DEGENERATE}
-    for fit, stack in [(fit_conic_2d, xy), (fit_quadric, xy), (fit_quadric, solid),
+    for fit, stack in [(_fit_conic_z0, xy), (fit_quadric, xy), (fit_quadric, solid),
                        (fit_hyperplane, pts), (fit_hyperplane, noisy),
                        (fit_hyperplane, solid)]:
         fits = fit(stack)
@@ -281,7 +296,7 @@ def test_stacked_fits_equal_their_one_cloud_calls():
             _assert_same_fit(res, fit(cloud))
     fits = fit_planar_conic(pts, planes)
     assert [f.classification for f in fits] == [
-        f.classification for f in fit_conic_2d(xy)]
+        f.classification for f in _fit_conic_z0(xy)]
     for cloud, plane, res in zip(pts, planes, fits):
         _assert_same_fit(res, fit_planar_conic(cloud, plane))
 
@@ -307,6 +322,6 @@ def test_stacked_fits_name_the_row_of_a_bad_cloud():
     line = np.column_stack([np.linspace(0, 1, 40), np.zeros(40)])
     with pytest.raises(DegenerateCloud,
                        match="^row 1: quadric coefficients not determined"):
-        fit_conic_2d(np.stack([xy[0], line]))
+        _fit_conic_z0(np.stack([xy[0], line]))
     with pytest.raises(ValueError, match="one plane per cloud"):
         fit_planar_conic(pts, planes[:2])

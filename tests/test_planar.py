@@ -39,6 +39,7 @@ from oracles import (
     lp_plane_conjugate,
     polytope_section_support_lp,
     radon_three_solves,
+    stack_of,
 )
 
 
@@ -99,8 +100,16 @@ def test_section_normal_matches_body_normal(ellipsoid149):
 
 
 def test_plane_misses_body_raises(unit_ball):
+    e3 = np.array([0.0, 0.0, 1.0])
     with pytest.raises(PlaneMissesBody):
-        section(unit_ball, Hyperplane(np.array([0.0, 0.0, 1.0]), 2.0))
+        section(unit_ball, Hyperplane(e3, 2.0))
+    # within the 1e-9 gauge margin of the boundary the plane misses too, and
+    # the message shows its reach to the last digit
+    with pytest.raises(PlaneMissesBody, match=r"at reach 0\.9999999995$"):
+        section(unit_ball, Hyperplane(e3, 1.0 - 5e-10))
+    # a stack names the plane that misses
+    with pytest.raises(PlaneMissesBody, match=r"^plane 2 misses the interior"):
+        stack_of(unit_ball, [Hyperplane(e3, off) for off in (0.5, -0.9, -1.5, 0.0)])
 
 
 def test_section_origin_from_far_support_point():
@@ -266,6 +275,39 @@ def test_section_rows_equal_one_row_calls(kind, central):
 
 
 @pytest.mark.parametrize("kind", list(_ROW_BODIES))
+def test_section_stack_equals_one_section_builds(kind):
+    """One build of S planes equals S section() builds bit for bit: origin,
+    basis, width after central_symmetry, and a row of support2 and of
+    boundary2 through the stack's row oracles. Half the planes sit at 0.97
+    of the way from the centre to the support plane, where on l4 and the
+    affine p = 3 ball some centre feet lie outside the body."""
+    body = _ROW_BODIES[kind]
+    rng = np.random.default_rng(12)
+    normals = sphere_directions(3, 8, seed=4)
+    c = normals @ body.center
+    reach = np.concatenate([rng.uniform(-0.6, 0.6, 4), [0.97, -0.97, 0.97, -0.97]])
+    h = np.where(reach >= 0.0, body.support(normals), -body.support(-normals))
+    planes = [Hyperplane(n, off) for n, off in zip(normals, c + np.abs(reach) * (h - c))]
+    if kind in ("l4", "affine-image"):
+        feet = body.center - (c - (c + np.abs(reach) * (h - c)))[:, None] * normals
+        assert (body.gauge(feet) >= 1.0).any()
+    secs = stack_of(body, planes)
+    w = rng.normal(size=(len(planes), 1, 2))
+    syms = central_symmetry(secs, m=24)
+    values = planar._Restriction(secs, w).values()
+    ends = planar._boundary2(secs, w)
+    for i, plane in enumerate(planes):
+        one = section(body, plane)
+        assert np.array_equal(one.origin, secs.origins[i])
+        assert np.array_equal(one.basis, secs.bases[i])
+        sym = central_symmetry(one, m=24)
+        assert np.array_equal(sym.center_world, syms[i].center_world)
+        assert one.diameter2() == secs.widths[i]
+        assert one.support2(w[i, 0]) == values[i, 0]
+        assert np.array_equal(one.boundary2(w[i, 0]), ends[i, 0])
+
+
+@pytest.mark.parametrize("kind", list(_ROW_BODIES))
 @pytest.mark.parametrize("central", [True, False], ids=["central", "off-centre"])
 def test_restriction_solve_over_many_rows(kind, central):
     """One restriction solve over 40 rows gives each row's one-row answer, a
@@ -340,14 +382,14 @@ def test_doubled_restriction_brackets_equal_the_unseeded_solve(monkeypatch):
     axis = np.array([np.sin(th), 0.0, np.cos(th)])
     frame = np.column_stack([axis, [0.0, 1.0, 0.0], np.cross(axis, [0.0, 1.0, 0.0])])
     body = Ellipsoid(np.zeros(3), frame @ np.diag([1 / 16.0, 25.0, 25.0]) @ frame.T)
-    secs = [section(body, Hyperplane(np.array([0.0, 0.0, 1.0]), off))
-            for off in (0.0, 0.3)]
+    secs = stack_of(body, [Hyperplane(np.array([0.0, 0.0, 1.0]), off)
+                           for off in (0.0, 0.3)])
     w2 = np.random.default_rng(3).normal(size=(2, 64, 2))
     log = _spy_restriction_solves(monkeypatch)
     seeded = planar._Restriction(secs, w2)
     ((f_init, ends, _),) = log
     assert all(np.array_equal(a, b) for a, b in zip(f_init, ends))
-    world = seeded.rows.world
+    world = seeded.world
     assert np.any(np.abs(seeded.t) > 1.0 + np.sqrt(np.vecdot(world, world)))
     monkeypatch.undo()
     _spy_restriction_solves(monkeypatch, seeded=False)
@@ -378,23 +420,30 @@ def test_central_symmetry_determinism(l4_central_section):
     assert np.array_equal(a.center, b.center)
 
 
-def _row_sections(body):
-    """Three sections of body: a central plane and two off-centre ones."""
-    secs = []
+def _row_planes(body):
+    """Three planes through body: a central plane and two off-centre ones."""
+    planes = []
     for nrm, reach in (((1.0, 2.0, -0.5), 0.0), ((0.3, -1.0, 0.8), 0.4),
                        ((-0.7, 0.2, 1.0), -0.25)):
         nrm = np.array(nrm) / np.linalg.norm(nrm)
         c = float(nrm @ body.center)
         h = body.support(nrm) if reach >= 0.0 else -body.support(-nrm)
-        secs.append(section(body, Hyperplane(nrm, c + abs(reach) * (h - c))))
-    return secs
+        planes.append(Hyperplane(nrm, c + abs(reach) * (h - c)))
+    return planes
+
+
+def _row_sections(body):
+    """The sections of body by _row_planes, as one stack."""
+    return stack_of(body, _row_planes(body))
 
 
 @pytest.mark.parametrize("kind", list(_ROW_BODIES))
 def test_central_symmetry_list_equals_one_section_calls(kind):
+    """A stack's symmetry results and widths equal those of one section()
+    at a time, bit for bit."""
     body = _ROW_BODIES[kind]
-    singles = [central_symmetry(sec, m=24) for sec in _row_sections(body)]
-    single_diameters = [sec.diameter2() for sec in _row_sections(body)]
+    singles = [central_symmetry(section(body, pl), m=24) for pl in _row_planes(body)]
+    single_diameters = [section(body, pl).diameter2() for pl in _row_planes(body)]
     secs = _row_sections(body)
     secs[1].diameter2()  # a cached section adds no width rows to the solve
     batched = central_symmetry(secs, m=24)
@@ -419,14 +468,8 @@ def test_central_symmetry_one_solve_and_width_rows_only_when_uncached(
     central_symmetry(secs, m=24)
     assert solves == [("planar", 3 * 48)]
     solves.clear()
-    assert central_symmetry([], m=24) == []
+    assert central_symmetry(secs[:0], m=24) == []
     assert solves == []
-
-
-def test_central_symmetry_list_needs_one_body(ellipsoid149, l4_unit):
-    with pytest.raises(ValueError, match="sections of one body"):
-        central_symmetry([_row_sections(ellipsoid149)[0],
-                          _row_sections(l4_unit)[0]])
 
 
 def test_batched_restriction_failure_names_section_and_row(ellipsoid149):
@@ -679,8 +722,8 @@ def test_radon_runs_min_k_cross_pairs_birkhoff_pairs(solves, k, cross_pairs,
     y points to the norm gate's symmetry solve, and its 2k closure sides and
     2 * pairs Birkhoff normals (each pair both ways) to the support2 solve."""
     body = Ellipsoid(np.zeros(3), np.diag(np.array([1.0, 2.0, 3.0]) ** -2.0))
-    cut = lambda: [section(body, Hyperplane(normalize(np.array(nrm)), 0.0))
-                   for nrm in ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0])]
+    cut = lambda: stack_of(body, [Hyperplane(normalize(np.array(nrm)), 0.0) for nrm
+                                  in ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0])])
     for sec in cut():
         solves.clear()
         assert is_radon_curve(sec, k=k, cross_pairs=cross_pairs).ok
@@ -709,8 +752,8 @@ def test_radon_section_calls_do_not_grow_with_k(monkeypatch):
     body = PBall(4.0, (1.0, 1.0, 1.0))
 
     def counts(k, planes):
-        secs = [section(body, Hyperplane(nrm, 0.0))
-                for nrm in sphere_directions(3, planes, seed=1)]
+        secs = stack_of(body, [Hyperplane(nrm, 0.0)
+                               for nrm in sphere_directions(3, planes, seed=1)])
         calls.clear()
         results = is_radon_curve(secs if planes > 1 else secs[0], k=k)
         assert not any(rr.ok for rr in np.atleast_1d(results))
@@ -734,11 +777,12 @@ def _radon_or_none(sec, **kw):
 
 @pytest.mark.parametrize("kind", list(_ROW_BODIES))
 def test_radon_list_equals_one_section_calls(kind):
-    """The list form's verdicts equal the one-section calls', and its
+    """A stack's verdicts equal those of one section() at a time, and its
     residuals agree within the report's residual floor; a section that
     fails the norm gate (NotANorm alone) is None in the list."""
     body = _ROW_BODIES[kind]
-    singles = [_radon_or_none(sec, k=24, seed=3) for sec in _row_sections(body)]
+    singles = [_radon_or_none(section(body, pl), k=24, seed=3)
+               for pl in _row_planes(body)]
     batched = is_radon_curve(_row_sections(body), k=24, seed=3)
     assert len(batched) == 3
     assert singles[0] is not None  # the central section is a norm's ball
@@ -758,20 +802,25 @@ def test_radon_list_equals_one_section_calls(kind):
 
 def test_radon_list_keeps_a_slot_for_an_asymmetric_section(l4_unit):
     nrm = normalize(np.array([-0.4, 0.0, 1.0]))
-    tilted = section(l4_unit, Hyperplane(nrm, 0.3 * nrm[2]))
-    central = section(l4_unit, Hyperplane(np.array([0.0, 0.0, 1.0]), 0.0))
+    tilted = Hyperplane(nrm, 0.3 * nrm[2])
+    central = Hyperplane(np.array([0.0, 0.0, 1.0]), 0.0)
     with pytest.raises(NotANorm, match="section symmetry residual"):
-        is_radon_curve(tilted, k=16)
-    first, second, third = is_radon_curve([tilted, central, tilted], k=16)
+        is_radon_curve(section(l4_unit, tilted), k=16)
+    secs = stack_of(l4_unit, [tilted, central, tilted])
+    first, second, third = is_radon_curve(secs, k=16)
     assert first is None and third is None
     assert not second.ok and second.worst_defect > 0.05
-    assert is_radon_curve([tilted], k=16) == [None]
-    assert is_radon_curve([], k=16) == []
+    assert is_radon_curve(secs[:1], k=16) == [None]
+    assert is_radon_curve(secs[:0], k=16) == []
+
+
+def _central_planes(body, count):
+    return [Hyperplane.from_point_normal(body.center, nrm)
+            for nrm in sphere_directions(3, count, seed=0)]
 
 
 def _central_sections(body, count):
-    return [section(body, Hyperplane.from_point_normal(body.center, nrm))
-            for nrm in sphere_directions(3, count, seed=0)]
+    return stack_of(body, _central_planes(body, count))
 
 
 def _radon_reference_sections(case):
@@ -783,17 +832,16 @@ def _radon_reference_sections(case):
     if case == "l4":
         # in the z = 0 plane every restriction row's minimiser has a zero
         # coordinate, where the support map of l4 has unbounded slope
-        return _central_sections(l4, 6) + [
-            section(l4, Hyperplane(np.array([0.0, 0.0, 1.0]), 0.0))]
+        return stack_of(l4, _central_planes(l4, 6) + [
+            Hyperplane(np.array([0.0, 0.0, 1.0]), 0.0)])
     if case == "octahedron":
         return _central_sections(Polytope(np.vstack([np.eye(3), -np.eye(3)])), 3)
     if case == "affine-l3":
         return _central_sections(
             AffineImage(*random_affine(5), PBall(3.0, (1.0, 0.8, 1.2))), 3)
     nrm = normalize(np.array([-0.4, 0.0, 1.0]))
-    tilted = section(l4, Hyperplane(nrm, 0.3 * nrm[2]))
-    return [tilted, section(l4, Hyperplane(np.array([0.0, 0.0, 1.0]), 0.0)),
-            section(l4, Hyperplane(nrm, 0.3 * nrm[2]))]
+    tilted = Hyperplane(nrm, 0.3 * nrm[2])
+    return stack_of(l4, [tilted, Hyperplane(np.array([0.0, 0.0, 1.0]), 0.0), tilted])
 
 
 def _reference_or_none(sec, **kw):
@@ -869,19 +917,19 @@ def _seeded_sections(case):
 
 
 def _second_solve(monkeypatch, secs, **kw):
-    """is_radon_curve's seeded restriction solve on secs: its sections, rows,
-    index and guess."""
+    """is_radon_curve's seeded restriction solve on secs: its sections, rows
+    and guess."""
     seeded, real = [], planar._Restriction
 
-    def logged(secs, w2, index=None, guess=None):
+    def logged(secs, w2, guess=None):
         if guess is not None:
-            seeded.append((secs, w2, index, guess))
-        return real(secs, w2, index, guess)
+            seeded.append((secs, w2, guess))
+        return real(secs, w2, guess)
     monkeypatch.setattr(planar, "_Restriction", logged)
     is_radon_curve(secs, **kw)
     monkeypatch.undo()
-    ((secs, w2, index, guess),) = seeded
-    return secs, w2, index, guess
+    ((secs, w2, guess),) = seeded
+    return secs, w2, guess
 
 
 def _assert_same_solve(got, want, w2, lipschitz):
@@ -909,16 +957,16 @@ def test_seeded_restriction_equals_the_cold_solve(monkeypatch, case):
     fallback: the warm end on the far side of the minimiser is kept, the
     cold end on the near side doubled as needed, and the result is the
     same."""
-    secs, w2, index, guess = _second_solve(monkeypatch, _seeded_sections(case),
+    secs, w2, guess = _second_solve(monkeypatch, _seeded_sections(case),
                                            k=64, seed=2)
     assert guess.shape == w2.shape[:-1]
     lipschitz = case in ("ellipsoid-off-centre", "pball-1.5")
-    cold = planar._Restriction(secs, w2, index)
-    _assert_same_solve(planar._Restriction(secs, w2, index, guess), cold, w2,
+    cold = planar._Restriction(secs, w2)
+    _assert_same_solve(planar._Restriction(secs, w2, guess), cold, w2,
                        lipschitz)
     half = 0.5 * (1.0 + np.sqrt(np.vecdot(w2, w2)))
     flip = np.where(np.arange(w2.shape[1]) % 2, -half, half)
-    _assert_same_solve(planar._Restriction(secs, w2, index, guess + flip), cold,
+    _assert_same_solve(planar._Restriction(secs, w2, guess + flip), cold,
                        w2, lipschitz)
 
 
@@ -954,9 +1002,9 @@ def test_polytope_sections_are_never_seeded(monkeypatch):
     guesses, real = [], planar._Restriction
 
     class Logged(real):
-        def __init__(self, secs, w2, index=None, guess=None):
+        def __init__(self, secs, w2, guess=None):
             guesses.append(guess)
-            super().__init__(secs, w2, index, guess)
+            super().__init__(secs, w2, guess)
 
         def predict(self, sel, w2):
             raise AssertionError("predict called on a polytope section")
@@ -983,30 +1031,32 @@ def test_batched_ray_exit_failure_names_section_and_row(ellipsoid149):
         planar._boundary2(secs, d2, np.zeros((3, 2, 2)))
     with pytest.raises(NonFiniteInput, match=r"^ray exit at section 1, row 1: "):
         planar._gauge2(secs, d2, np.zeros((3, 1, 2)))
-    # an index renames the sections, as is_radon_curve's live sections
-    with pytest.raises(NonFiniteInput, match=r"^ray exit at section 5, row 1: "):
-        planar._boundary2(secs[1:], d2[1:], index=[5, 6])
+    # a part of a stack keeps the sections' names, as is_radon_curve's live
+    # sections do
+    with pytest.raises(NonFiniteInput, match=r"^ray exit at section 1, row 1: "):
+        planar._boundary2(secs[[2, 1]], d2[[2, 1]])
     # one section keeps the ray exit's own message
     with pytest.raises(NonFiniteInput, match=r"^ray base point"):
         secs[1].boundary2(d2[1])
 
 
 def test_batched_row_checks_name_section_and_row():
-    # a stack of the rows of sections 0 and 2 of a caller's list
-    index = [0, 2]
+    # a stack of the rows of sections 0 and 2 of a stack of three
+    secs = _row_sections(_ROW_BODIES["ellipsoid"])
+    part = secs[np.array([True, False, True])]
     a2 = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 0.5]]])
     b2 = -a2
     b2[1, 1] = a2[1, 1]
     with pytest.raises(ValueError, match=r"degenerate chord at section 2, row 1$"):
-        planar._chords(a2, b2, 1.0, planar._where(a2, index))
+        planar._chords(a2, b2, 1.0, planar._where(a2, part))
     x = np.ones((2, 2, 2))
     y = x.copy()
     y[1, 0] = 0.0
     with pytest.raises(ValueError, match=r"nonzero vectors at section 2, row 0$"):
-        planar._birkhoff_normals(x, y, np.ones((2, 2)), planar._where(x, index))
-    # without an index, section i of the stack is section i
+        planar._birkhoff_normals(x, y, np.ones((2, 2)), planar._where(x, part))
+    # in the stack it was built as, section i is section i
     with pytest.raises(ValueError, match=r"nonzero vectors at section 1, row 0$"):
-        planar._birkhoff_normals(x, y, np.ones((2, 2)), planar._where(x))
+        planar._birkhoff_normals(x, y, np.ones((2, 2)), planar._where(x, secs[:2]))
 
 
 def test_section_stack_needs_one_block_per_section(ellipsoid149):
@@ -1055,12 +1105,13 @@ def test_polytope_section_support_equals_lp(monkeypatch, kind):
     body, verts = _LP_POLYTOPES[kind]
     monkeypatch.setattr(planar, "_TIE_STEPS", len(verts))
     rng = np.random.default_rng(5)
-    secs = []
+    planes = []
     for nrm in sphere_directions(3, 4, seed=2):
         c = float(nrm @ body.center)
         for reach in (0.0, 0.5, -0.7):
             h = body.support(nrm) if reach >= 0.0 else -body.support(-nrm)
-            secs.append(section(body, Hyperplane(nrm, c + abs(reach) * (h - c))))
+            planes.append(Hyperplane(nrm, c + abs(reach) * (h - c)))
+    secs = stack_of(body, planes)
     w2 = rng.normal(size=(len(secs), 16, 2))
     solve = planar._Restriction(secs, w2)
     h, p = solve.values(), solve.points()

@@ -2,6 +2,7 @@
 right stage, and failed hypotheses own the verdict."""
 
 import json
+import os
 import re
 
 import numpy as np
@@ -56,7 +57,7 @@ from ellipsoid_forge.theorems import (_graze_polar_agreement,
                                      _tangent_planes_through_line)
 
 from conftest import random_affine
-from oracles import graze_polar_agreement_per_curve, reflection_residual_one
+from oracles import graze_polar_agreement_per_curve, reflection_residual_one, stack_of
 
 
 class _MiscenteredBall(Ellipsoid):
@@ -530,9 +531,10 @@ def test_t2_off_centre_sections_that_are_not_symmetric_fail_the_radon_stage(l4_u
 def test_radon_stage_fails_on_sections_that_are_not_symmetric(l4_unit):
     from ellipsoid_forge.theorems import _CheckRun
     nrm = np.array([-0.4, 0.0, 1.0]) / np.linalg.norm([-0.4, 0.0, 1.0])
-    tilted = section(l4_unit, Hyperplane(nrm, 0.3 * nrm[2]))
+    tilted = Hyperplane(nrm, 0.3 * nrm[2])
     run = _CheckRun("radon", 0, None, {}, body=l4_unit)
-    run.radon_stage("sections-are-radon", "hypothesis", [tilted, tilted], 16)
+    run.radon_stage("sections-are-radon", "hypothesis",
+                    stack_of(l4_unit, [tilted, tilted]), 16)
     (stage,) = run.stages
     assert stage.verdict == "fail"
     assert stage.residual == 1.0
@@ -735,28 +737,28 @@ def test_t4_locus_points_from_the_grid_solve_equal_support_point2(monkeypatch,
                for a, b in zip(syms, fresh))
 
 
-def _tangent_sections(body, radius, count):
+def _tangent_sections(body, radius, count, repeat=1):
     o = body.center
-    return [section(body, Hyperplane.from_point_normal(o + radius * u, u))
-            for u in sphere_directions(3, count, seed=2)]
+    return stack_of(body, [Hyperplane.from_point_normal(o + radius * u, u)
+                           for u in sphere_directions(3, count, seed=2)] * repeat)
 
 
 @pytest.mark.parametrize("body", [PBall(4.0, (2.0, 2.0, 2.0)), _T4_AFFINE],
                          ids=["l4", "affine-ellipsoid"])
 def test_reflection_residual_list_equals_one_section_reference(body):
-    secs = _tangent_sections(body, 0.8, 5)
+    secs = _tangent_sections(body, 0.8, 5, repeat=2)
     # off-centre chart points: each section's centre, and a point moved off it
-    centres = [sym.center for sym in central_symmetry(secs, m=32)]
-    centres += [c + (0.05, -0.03) for c in centres]
-    got = theorems._reflection_residual(secs + secs, centres)
-    want = [reflection_residual_one(sec, c) for sec, c in zip(secs + secs, centres)]
+    centres = [sym.center for sym in central_symmetry(secs[:5], m=32)]
+    centres = np.array(centres + [c + (0.05, -0.03) for c in centres])
+    got = theorems._reflection_residual(secs, centres)
+    want = [reflection_residual_one(sec, c) for sec, c in zip(secs, centres)]
     assert got.tolist() == want
     assert got[5:].min() > 1e-3  # the moved centres are not centres
 
 
 def test_reflection_residual_failed_ray_names_section_and_row():
     secs = _tangent_sections(PBall(4.0, (2.0, 2.0, 2.0)), 0.8, 3)
-    centres = [np.zeros(2), np.array([50.0, 0.0]), np.zeros(2)]
+    centres = np.array([[0.0, 0.0], [50.0, 0.0], [0.0, 0.0]])
     with pytest.raises(GeometryError,
                        match=r"^ray exit at section 1, row 0: ray base point "):
         theorems._reflection_residual(secs, centres)
@@ -776,13 +778,22 @@ def test_basico_restriction_solves_do_not_grow_with_sections(solves,
 
 def test_checks_pass_section_rows_as_stacks():
     """The checks hand planar the rows of S sections as one (S, ..., 2)
-    stack: no call tags flat rows with their sections (of=), and no row
-    layout is rebuilt around a section call by repeating, tiling or
-    splitting."""
-    layout = re.compile(r"\bof=|np\.repeat\(np\.arange\(|np\.tile\(|np\.split\(")
-    with open(theorems.__file__) as fh:
-        for n, line in enumerate(fh, 1):
-            assert not layout.search(line), "theorems.py:%d: %s" % (n, line)
+    stack: no call tags flat rows with their sections (of=), no row layout
+    is rebuilt around a section call by repeating, tiling or splitting, and
+    no check builds its sections one section() call at a time. planar holds
+    them as one Sections stack: no _SectionRows rebuilds its arrays, no
+    each() maps charts one section at a time, and no index renames the
+    sections of a part of a stack, which keeps their names."""
+    patterns = {
+        theorems: r"\bof=|np\.repeat\(np\.arange\(|np\.tile\(|np\.split\("
+                  r"|\bsection\(",
+        planar: r"_SectionRows|\beach\(|\bindex=|, index\b",
+    }
+    for module, pattern in patterns.items():
+        name = os.path.basename(module.__file__)
+        with open(module.__file__) as fh:
+            for n, line in enumerate(fh, 1):
+                assert not re.search(pattern, line), "%s:%d: %s" % (name, n, line)
 
 
 def test_radon_stages_make_two_restriction_solves(solves, ellipsoid149):

@@ -6,6 +6,9 @@ Run from the repository root:
 
 One line per body and oracle: the best of N timings, in microseconds per
 call, on one point of shape (3,) and on 64 and 12,544 rows of shape (k, 3).
+The section lines time one section() build and a Sections build of 64
+planes through an interior point, and support2 and boundary2 from a base
+on one section at 1 and 64 chart rows (no 12,544 column: nan).
 The bodies are one of each kind, off centre where the kind allows it, and an
 affine image of each of the other three; the inputs are fixed, so two trees
 time the same calls. Timings vary with the machine and its load; compare
@@ -24,6 +27,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src")]
 
 from ellipsoid_forge.bodies import AffineImage, Ellipsoid, PBall, Polytope  # noqa: E402
+from ellipsoid_forge.numeric import normalize  # noqa: E402
+from ellipsoid_forge.planar import Sections, section  # noqa: E402
+from ellipsoid_forge.projective import Hyperplane  # noqa: E402
 
 ROWS = (1, 64, 12544)
 SAMPLE_S = 0.005  # seconds per timing sample; fast calls repeat within one
@@ -59,6 +65,22 @@ def oracles(body, k, rng):
     yield "boundary_from_center", lambda: body.boundary_from_center(u)
     yield "boundary_point", lambda: body.boundary_point(z, u)
     yield "line_min_gauge", lambda: body.line_min_gauge(x, u)
+    if k == ROWS[-1]:
+        return
+    # planes through the interior point z, and chart rows on the first one's
+    # section, from a base a fifth of the way to its boundary
+    n = normalize(rng.normal(size=(k, 3)))
+    offsets = n @ z
+    plane = Hyperplane(n[0], offsets[0])
+    sec = section(body, plane)
+    w2 = rng.normal(size=shape[:-1] + (2,))
+    base2 = 0.2 * sec.boundary2(np.array([1.0, 0.0]))
+    if k == 1:
+        yield "section", lambda: section(body, plane)
+    else:
+        yield "section", lambda: Sections(body, n, offsets)
+    yield "support2", lambda: sec.support2(w2)
+    yield "boundary2 from a base", lambda: sec.boundary2(w2, base2=base2)
 
 
 def best_us(thunk, repeat):
@@ -85,6 +107,7 @@ def main():
             for name, thunk in oracles(body, k, np.random.default_rng(k)):
                 times.setdefault(name, []).append(best_us(thunk, args.repeat))
         for name, row in times.items():
+            row += [np.nan] * (len(ROWS) - len(row))
             print("%-26s %-21s %10.1f %10.1f %10.1f" % ((label, name) + tuple(row)),
                   flush=True)
 
