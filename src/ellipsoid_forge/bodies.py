@@ -195,10 +195,13 @@ class ConvexBody:
         return nu / np.expand_dims(np.vecdot(nu, b - self.center), -1)
 
     def body_id(self):
-        digest = hashlib.blake2b(
-            serialize_body(self).encode(), digest_size=4
-        ).hexdigest()
-        return "%s:%s" % (self.kind, digest)
+        """Kind and a hash of the serialized body, computed once."""
+        if not hasattr(self, "_body_id"):
+            digest = hashlib.blake2b(
+                serialize_body(self).encode(), digest_size=4
+            ).hexdigest()
+            self._body_id = "%s:%s" % (self.kind, digest)
+        return self._body_id
 
 
 class Ellipsoid(ConvexBody):

@@ -1,20 +1,20 @@
 """Support cones, grazes, shadow boundaries, and cone-level predicates.
 
-Every curve here is a contact set of a support cone, swept by one routine,
-_tangency_sweep. Its apex is homogeneous, (a, w): w = 1 is the finite point
-a, w = 0 the point at infinity in direction a (the shadow boundary's
-cylinder). A boundary point p is a contact point iff g(p) = <a - w p, nu(p)>
-is 0. The sweep turns 2-planes about an axis through a base point and finds,
-in each, the sign change of g along the section boundary. For a smooth
-strictly convex section seen from an in-plane exterior apex the visible arc
-is connected, so g changes sign exactly once on the half-turn (0, pi) and a
-bracketing solver is safe. All curves, planes and apexes of a call are one
-vectorised Chandrupatla solve (numeric.find_root) over the row oracles. The
-sweep needs two directions orthogonal to the axis: n >= 3.
+Contact curves of finite apexes are swept by one routine, _tangency_sweep.
+A boundary point p is a contact point of apex a iff g(p) = <a - p, nu(p)>
+is 0. The sweep turns 2-planes about an axis through a base point and
+finds, in each, the sign change of g along the section boundary. For a
+smooth strictly convex section seen from an in-plane exterior apex the
+visible arc is connected, so g changes sign exactly once on the half-turn
+(0, pi) and a bracketing solver is safe. All curves, planes and apexes of
+a call are one vectorised Chandrupatla solve (numeric.find_root) over the
+row oracles. A shadow boundary needs no solve: the support map inverts
+the Gauss map, so it is the support points of the normals orthogonal to
+its direction. Both need two directions orthogonal to an axis: n >= 3.
 
 graze, shadow_boundary and cone_intersection take one apex, direction or
 pair of shape (n,) and give one CurveSample, or (k, n) rows and give a list
-of k CurveSamples from one sweep, each equal to the curve of its row; an
+of k CurveSamples from one call, each equal to the curve of its row; an
 error then names the row.
 """
 
@@ -26,7 +26,9 @@ from .bodies import _at_center, _ray, _routed_exit
 from .errors import (
     ApexInsideBody,
     CoincidentApexes,
+    DegenerateCloud,
     DegenerateCone,
+    GeometryError,
     LineMissesBody,
     NonFiniteInput,
     NonSmoothBody,
@@ -64,7 +66,10 @@ class CurveSample:
 def _require_smooth(body):
     if not body.is_smooth:
         raise NonSmoothBody(
-            "tangency sweeps need a smooth body; got kind %r" % body.kind)
+            "cone constructions need a smooth body; got kind %r" % body.kind)
+    if body.dim < 3:
+        raise UnsupportedDimension(
+            "cone constructions need dimension >= 3; got %d" % body.dim)
 
 
 def _row(v, r):
@@ -98,40 +103,42 @@ def _exterior_apex(body, apex):
     return apex
 
 
-def _tangency_sweep(body, base, axes, apexes, w, m, seed):
-    """Tangency points of homogeneous apexes in m sweep planes about each of
-    S axes.
+def _circle(base, axes, m, seed):
+    """cos(t_j) f0 + sin(t_j) f1, j < m, about each of S (S, n) axes, shape
+    (S, m, n), (f0, f1) from the axis's unit_frame, and a meta per axis.
+    A tiny seeded phase keeps the t_j off axis-aligned coordinate flats."""
+    frames = unit_frame(axes)
+    phi0 = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi / max(m, 1))
+    angles = phi0 + 2.0 * np.pi * np.arange(m) / m
+    circle = (np.cos(angles)[:, None] * frames[:, None, :, 0]
+              + np.sin(angles)[:, None] * frames[:, None, :, 1])
+    return circle, [{"axis_point": b.tolist(), "axis_dir": a.tolist(),
+                     "frame": f.T[:2].tolist(), "angles": angles.tolist()}
+                    for b, a, f in zip(np.broadcast_to(base, axes.shape), axes, frames)]
 
-    Sweep s turns the planes span(axes[s], v_sj), j < m, about the line
-    through base[s] (one (n,) base serves every sweep, and a base at the
-    center keeps ray_exit's closed form). Its k apexes are (apexes[s, i], w):
-    w = 1 for points, w = 0 for directions at infinity. For each apex the
-    root of g(phi) = <a - w gamma, nu(gamma)> in (0, pi) is the in-plane,
-    and so the full, tangency. One find_root solves all S x m x k rows at
-    once. Row r is sweep r // (m k), plane r // k % m and apex r % k; each
-    row's axis, plane, apex and base are laid out before the solve, and g
-    looks them up by the row indices that find_root hands it. Returns the
-    points, shape (S, m, k, n), their residuals |g| (divided by |a - p| for
-    finite apexes), shape (S, m, k), the plane directions v_sj, shape
-    (S, m, n), and a list of S curve metas. A row that does not converge
-    raises a GeometryError naming its plane and apex, and its curve when
-    axes are (S, n) rows; one (n,) axis is one sweep whose curve goes
-    unnamed (NoSignChange when (0, pi) brackets no root).
+
+def _tangency_sweep(body, base, axes, apexes, m, seed):
+    """Tangency points of apexes in m sweep planes about each of S axes.
+
+    Sweep s turns the planes span(axes[s], v_sj), v_sj from _circle, about
+    the line through base[s] (one (n,) base serves every sweep, and a base
+    at the center keeps ray_exit's closed form). For each of its k apexes
+    a = apexes[s, i] the root of g(phi) = <a - gamma, nu(gamma)> in (0, pi)
+    is the in-plane, and so the full, tangency. One find_root solves all
+    S x m x k rows at once: row r is sweep r // (m k), plane r // k % m and
+    apex r % k, laid out before the solve and looked up by the row indices
+    that find_root hands g. Returns the points, shape (S, m, k, n), their
+    residuals |g| / |a - p|, shape (S, m, k), the v_sj, shape (S, m, n),
+    and S curve metas. A row that does not converge raises a GeometryError
+    naming its plane and apex, and its curve when axes are (S, n) rows
+    (NoSignChange when (0, pi) brackets no root).
     """
-    if body.dim < 3:
-        raise UnsupportedDimension(
-            "tangency sweeps need dimension >= 3; got %d" % body.dim)
     named = np.ndim(axes) > 1
     axes = np.atleast_2d(axes)
     n, sweeps = body.dim, len(axes)
     apexes = np.reshape(apexes, (sweeps, -1, n))
     k = apexes.shape[1]
-    frames = unit_frame(axes)
-    # tiny seeded phase so axis-aligned coordinate flats are never hit exactly
-    phi0 = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi / max(m, 1))
-    angles = phi0 + 2.0 * np.pi * np.arange(m) / m
-    planes = (np.cos(angles)[:, None] * frames[:, None, :, 0]
-              + np.sin(angles)[:, None] * frames[:, None, :, 1])
+    planes, metas = _circle(base, axes, m, seed)
     # the rows' axes, planes, apexes and bases, in row order
     row_axis = np.repeat(axes, m * k, axis=0)
     row_plane = np.repeat(planes.reshape(-1, n), k, axis=0)
@@ -143,12 +150,12 @@ def _tangency_sweep(body, base, axes, apexes, w, m, seed):
     near = _at_center(body, row_base)
 
     def contact(phi, r):
-        """Points, aims a - w p and g on rows r at angles phi."""
+        """Points, aims a - p and g on rows r at angles phi."""
         dirs = (np.cos(phi)[:, None] * row_axis.take(r, axis=0)
                 + np.sin(phi)[:, None] * row_plane.take(r, axis=0))
         p = (_routed_exit(body, row_base, dirs, near) if near.ndim == 0
              else _routed_exit(body, row_base.take(r, axis=0), dirs, near[r]))
-        aim = row_apex.take(r, axis=0) - w * p
+        aim = row_apex.take(r, axis=0) - p
         return p, aim, np.vecdot(aim, body.normal_at(p))
 
     rows = np.arange(sweeps * m * k)
@@ -162,10 +169,7 @@ def _tangency_sweep(body, base, axes, apexes, w, m, seed):
             "curve %d, " % s if named else "", j, i)
     check_roots(sol, where, "g", "(0, pi)")
     p, aim, g = contact(sol.x, rows)
-    res = np.abs(g) / np.sqrt(np.vecdot(aim, aim)) if w else np.abs(g)
-    metas = [{"axis_point": b.tolist(), "axis_dir": a.tolist(),
-              "frame": f.T[:2].tolist(), "angles": angles.tolist()}
-             for b, a, f in zip(np.broadcast_to(base, axes.shape), axes, frames)]
+    res = np.abs(g) / np.sqrt(np.vecdot(aim, aim))
     return (p.reshape(sweeps, m, k, n), res.reshape(sweeps, m, k), planes,
             metas)
 
@@ -190,7 +194,7 @@ def graze(body, apex, m=200, seed=0):
     # g(0) > 0 and g(pi) < 0: the ray from the center toward the apex exits
     # through a point whose normal has positive axis component
     pts, res, _, sweeps = _tangency_sweep(body, c, normalize(apex - c), apex,
-                                          1.0, m, seed)
+                                          m, seed)
     curves = _curves("graze", body,
                      [{"apex": a.tolist()} for a in np.atleast_2d(apex)],
                      m, seed, pts[:, :, 0], res[:, :, 0], sweeps)
@@ -199,9 +203,12 @@ def graze(body, apex, m=200, seed=0):
 
 def shadow_boundary(body, direction, m=200, seed=0):
     """Contact curve of the circumscribed cylinder: boundary points whose
-    outer normal is orthogonal to the illumination direction. direction may
-    be (k, n) rows: the result is then a list of k curves from one sweep,
-    each equal to the shadow boundary of its row."""
+    outer normal is orthogonal to the illumination direction u: the support
+    points of _circle's normals about u, with residuals |<u, nu(p)>|.
+    direction may be (k, n) rows: the result is then a list of k curves,
+    each equal to the shadow boundary of its row. A non-finite sample raises
+    GeometryError, and a sample equal to the next one (CurveSample's test)
+    DegenerateCloud, each naming the sample, and its curve in a row call."""
     require_sizes("shadow_boundary", {"m": m}, least={"m": 3})
     _require_smooth(body)
     u = _finite_vector(body, direction, "direction", rows=True)
@@ -209,11 +216,19 @@ def shadow_boundary(body, direction, m=200, seed=0):
     if zero.any():
         raise ZeroDirection("the illumination direction%s is zero"
                             % _row(u, int(np.argmax(zero))))
-    u = normalize(u)
-    pts, res, _, sweeps = _tangency_sweep(body, body.center, u, u, 0.0, m, seed)
-    curves = _curves("shadow", body,
-                     [{"direction": d.tolist()} for d in np.atleast_2d(u)],
-                     m, seed, pts[:, :, 0], res[:, :, 0], sweeps)
+    us = normalize(np.atleast_2d(u))
+    nu, sweeps = _circle(body.center, us, m, seed)
+    pts = body.support_point(nu)
+    res = np.abs(np.vecdot(body.normal_at(pts), us[:, None]))
+    same = np.linalg.norm(np.diff(pts, axis=1), axis=-1) <= 0.0
+    for bad, error, why in ((~np.isfinite(res), GeometryError, "<u, nu> is not finite"),
+                            (same, DegenerateCloud, "the next sample equals it")):
+        if bad.any():
+            s, j = np.argwhere(bad)[0]
+            raise error("shadow boundary, %ssample %d: %s"
+                        % ("curve %d, " % s if u.ndim > 1 else "", j, why))
+    curves = _curves("shadow", body, [{"direction": d.tolist()} for d in us],
+                     m, seed, pts, res, sweeps)
     return curves if u.ndim > 1 else curves[0]
 
 
@@ -247,7 +262,7 @@ def cone_intersection(body, x, y, m=200, seed=0):
     # apex y lies on the +e side of base, apex x on the -e side
     tangents, res, planes, sweeps = _tangency_sweep(
         body, base[0] if (base == base[0]).all() else base, e.reshape(x.shape),
-        np.stack([ys, xs], axis=1), 1.0, m, seed)
+        np.stack([ys, xs], axis=1), m, seed)
 
     def chart(q):
         """In-plane coordinates (along e, along v_j) of q - base, per plane."""

@@ -1,5 +1,7 @@
 """Support oracles, boundary search, symmetry residuals, spec round trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -849,3 +851,22 @@ def test_body_id_is_stable_and_kind_tagged(unit_ball, l4_unit):
     assert unit_ball.body_id().startswith("ellipsoid:")
     assert l4_unit.body_id().startswith("pball:")
     assert unit_ball.body_id() != Ellipsoid.ball(2.0).body_id()
+
+
+@pytest.mark.parametrize("body", [
+    Ellipsoid(np.array([0.2, -0.1, 0.3]), np.diag([1.0, 4.0, 9.0])),
+    PBall(3.0, (1.0, 0.8, 1.2)),
+    AffineImage(np.array([[1.2, 0.3, -0.1], [0.0, 0.9, 0.4], [0.2, -0.3, 1.1]]),
+                np.array([0.1, 0.2, -0.1]), PBall(3.0, (1.0, 0.8, 1.2))),
+    Polytope(np.vstack([np.eye(3), -np.eye(3)])),
+], ids=["ellipsoid", "pball", "affine-image", "polytope"])
+def test_body_id_is_cached_and_survives_a_round_trip(body):
+    """The id is computed once per body; it is the kind and a hash of the
+    serialized body, so a parse_body copy has the same id."""
+    first = body.body_id()
+    assert body.body_id() is first
+    text = serialize_body(body)
+    fresh = "%s:%s" % (body.kind,
+                       hashlib.blake2b(text.encode(), digest_size=4).hexdigest())
+    assert first == fresh
+    assert parse_body(text).body_id() == first

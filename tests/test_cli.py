@@ -50,6 +50,7 @@ def specs(tmp_path_factory):
     put("thin", Ellipsoid(np.zeros(3), np.diag(np.array([4.0, 1.0, 0.1]) ** -2.0)))
     put("l4", PBall(4.0, (1.0, 1.0, 1.0)))
     put("l4_double", PBall(4.0, (2.0, 2.0, 2.0)))
+    put("l1001", PBall(1.001, (1.0, 1.0, 1.0)))
     put("disc", Ellipsoid.ball(1.0, dim=2))
     put("ball1_4d", Ellipsoid.ball(1.0, dim=4))
     put("ball2_4d", Ellipsoid.ball(2.0, dim=4))
@@ -356,6 +357,16 @@ def test_sample_graze_on_planar_body_exits_one(specs, tmp_path, capsys):
                  "--out", str(tmp_path / "g.csv")])
     assert code == 1
     assert "UnsupportedDimension" in capsys.readouterr().err
+
+
+def test_sample_shadow_on_a_nearly_flat_face_exits_one(specs, tmp_path, capsys):
+    # two neighbouring normals share a support point: no curve is written
+    out = tmp_path / "sh.csv"
+    code = main(["sample", "shadow", "--body", specs["l1001"], "--direction",
+                 "1,0,0", "--out", str(out)])
+    assert code == 1
+    assert "DegenerateCloud" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_file_exits_one(capsys):

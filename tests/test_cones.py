@@ -26,6 +26,7 @@ from ellipsoid_forge import (
 from ellipsoid_forge.errors import (
     ApexInsideBody,
     CoincidentApexes,
+    DegenerateCloud,
     DegenerateCone,
     GeometryError,
     LineMissesBody,
@@ -128,7 +129,8 @@ def test_sweep_failures_are_typed():
     nan_body = _NaNNormalBall(np.zeros(3), np.eye(3))
     with pytest.raises(GeometryError, match=r"plane 1, apex 0: g is not finite"):
         graze(nan_body, np.array([2.0, 0.3, 0.1]), m=16)
-    with pytest.raises(GeometryError, match=r"plane \d+, apex 0: g is not finite"):
+    with pytest.raises(GeometryError,
+                       match=r"^shadow boundary, sample \d+: <u, nu> is not finite$"):
         shadow_boundary(nan_body, np.array([1.0, 0.0, 0.0]), m=16)
     flat = _FixedNormalBall(np.zeros(3), np.eye(3))
     with pytest.raises(NoSignChange, match=r"plane 0, apex 0"):
@@ -337,8 +339,8 @@ def test_row_shadow_boundary_names_the_row():
     nan_body = _NaNNormalBall(np.zeros(3), np.eye(3))
     # the shadows along +-e3 are the equator, below the NaN normals
     u = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
-    with pytest.raises(GeometryError, match=r"^tangency sweep, curve 2, plane \d+, "
-                                            r"apex 0: g is not finite"):
+    with pytest.raises(GeometryError, match=r"^shadow boundary, curve 2, sample \d+: "
+                                            r"<u, nu> is not finite$"):
         shadow_boundary(nan_body, u, m=16)
     assert len(shadow_boundary(nan_body, u[:2], m=16)) == 2
     with pytest.raises(ZeroDirection, match="illumination direction row 1 is zero"):
@@ -395,6 +397,38 @@ def test_ellipsoid_shadow_is_planar():
     n = q @ u
     n = n / np.linalg.norm(n)
     assert np.abs(sample.points @ n).max() < 1e-10
+
+
+@pytest.mark.parametrize("body", [
+    PBall(1.05, (1.0, 1.0, 1.0)),
+    PBall(4.0, (1.0, 1.0, 1.0)),
+    Ellipsoid(np.zeros(3), np.diag([1.0, 4.0, 9.0])),
+    AffineImage(np.array([[1.2, 0.3, -0.1], [0.0, 0.9, 0.4], [0.2, -0.3, 1.1]]),
+                np.array([0.1, 0.2, -0.1]), PBall(3.0, (1.0, 0.8, 1.2))),
+], ids=["pball-1.05", "l4", "ellipsoid-149", "affine-l3"])
+def test_shadow_points_are_exact_support_points(body):
+    """Every shadow point is a support point, so it lies on the boundary and
+    its normal is orthogonal to u to rounding. Near the coordinate flats of
+    PBall(1.05) the normal jumps across zero, where a root solve along the
+    boundary once left a residual of 0.088 on this call."""
+    u = np.array([2.0, 0.3, 0.1])
+    sample = shadow_boundary(body, u, m=200, seed=3)
+    assert len(sample) == 200
+    assert np.abs(body.gauge(sample.points) - 1.0).max() <= 1e-14
+    assert sample.max_residual <= 1e-15
+
+
+def test_shadow_of_a_nearly_flat_face_raises_a_typed_error():
+    """On PBall(1.001) neighbouring normals of the circle share a vertex as
+    their support point, so two samples coincide: the error names the
+    sample, and its curve in a row call."""
+    body = PBall(1.001, (1.0, 1.0, 1.0))
+    with pytest.raises(DegenerateCloud, match=r"^shadow boundary, sample \d+: "
+                                              r"the next sample equals it$"):
+        shadow_boundary(body, np.array([2.0, 0.3, 0.1]), m=200, seed=3)
+    u = np.array([[2.0, 0.3, 0.1], [0.0, 0.0, 1.0]])
+    with pytest.raises(DegenerateCloud, match=r"^shadow boundary, curve 0, sample \d+"):
+        shadow_boundary(body, u, m=200, seed=3)
 
 
 def test_l4_shadow_is_nonplanar(l4_unit):
